@@ -46,9 +46,9 @@ from .errors import (
 from .linear import linear_decay_report, mode_matrix, spectral_bound
 from .model import (
     EvolutionState,
-    degeneracy_factor,
+    degeneracy_factor_series,
     make_compatibility_data,
-    pde_residual,
+    pde_residual_series,
 )
 from .nonlinear import picard_solve, solve, v_norm, vtilde_norm
 from .spectral import (
@@ -119,13 +119,10 @@ def _safe_fit(t_grid, series):
 def _trajectory_rows(traj, params, stride):
     series = energy_series(traj, params)
     n = traj.n_samples
+    domain = traj.domain
     residuals = np.full(n, math.nan)
-    states = [traj.state(i) for i in range(n)]
-    for i in range(1, n - 1):
-        residuals[i] = pde_residual(states[i - 1], states[i], states[i + 1], params)
-    guard = np.empty(n)
-    for i in range(n):
-        guard[i] = degeneracy_factor(states[i], params)[1]
+    residuals[1:-1] = pde_residual_series(domain, params, traj.t_grid, traj.u, traj.ut, traj.utt)
+    guard = degeneracy_factor_series(domain, params, traj.ut)
     rows = []
     for i in range(0, n, stride):
         rows.append(
@@ -148,18 +145,19 @@ def _trajectory_rows(traj, params, stride):
     return series, guard, residuals, rows
 
 
+def _solver_options(config):
+    """The configured march options, for every nonlinear solve."""
+    return {
+        "substep_iters": config.substeps,
+        "eps_deg": config.eps_deg,
+        "blowup_bound": config.blowup_bound,
+    }
+
+
 def cmd_simulate(config, out_dir, artifacts):
     u0, u1, u2 = build_initial_fields(config)
     data = make_compatibility_data(u0, u1, u2, config.params, eps_deg=config.eps_deg)
-    traj = solve(
-        data,
-        config.params,
-        config.t_final,
-        config.dt,
-        substep_iters=config.substeps,
-        eps_deg=config.eps_deg,
-        blowup_bound=config.blowup_bound,
-    )
+    traj = solve(data, config.params, config.t_final, config.dt, **_solver_options(config))
     series, guard, residuals, rows = _trajectory_rows(traj, config.params, config.stride)
     _write_csv(out_dir / "trajectory.csv", CSV_COLUMNS, rows)
     artifacts.append("trajectory.csv")
@@ -312,7 +310,7 @@ def _spatial_study(config):
         u0 = SpectralField(dom, coeffs)
         z = SpectralField.zeros(dom)
         data = make_compatibility_data(u0, z, z, params0)
-        traj = solve(data, params0, config.t_final, config.dt)
+        traj = solve(data, params0, config.t_final, config.dt, **_solver_options(config))
         return traj.u[-1]
 
     reference = run(n_ref)
@@ -337,7 +335,10 @@ def _temporal_study(config):
     u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, config.conv_amplitude)
     z = SpectralField.zeros(dom)
     data = make_compatibility_data(u0, z, z, config.params, eps_deg=config.eps_deg)
-    finals = [solve(data, config.params, config.t_final, dt).u[-1] for dt in dts]
+    finals = [
+        solve(data, config.params, config.t_final, dt, **_solver_options(config)).u[-1]
+        for dt in dts
+    ]
     weight = float(np.prod(np.asarray(dom.lengths) / 2.0))
 
     def dist(x, y):
@@ -407,15 +408,7 @@ def cmd_decay_study(config, out_dir, artifacts):
     for amplitude in config.sweep_amplitudes:
         u0 = SpectralField.single_mode(dom, lowest, amplitude)
         data = make_compatibility_data(u0, z, z, params, eps_deg=config.eps_deg)
-        traj = solve(
-            data,
-            params,
-            config.t_final,
-            config.dt,
-            substep_iters=config.substeps,
-            eps_deg=config.eps_deg,
-            blowup_bound=config.blowup_bound,
-        )
+        traj = solve(data, params, config.t_final, config.dt, **_solver_options(config))
         series = energy_series(traj, params)
         omega, _, _ = _safe_fit(series["t"], decay_norm_sum(series))
         amp_rows.append((amplitude, omega, omega / linear_rate))
@@ -426,13 +419,16 @@ def cmd_decay_study(config, out_dir, artifacts):
     )
     artifacts.append("decay_study.csv")
 
-    s_rates = {}
+    # at the configured s the base-amplitude run is amp_rows[0]'s march
+    s_rates = {params.s: amp_rows[0][1]}
     base_amp = config.sweep_amplitudes[0]
     for s_flag in (0, 1):
+        if s_flag == params.s:
+            continue
         params_s = dataclasses.replace(params, s=s_flag)
         u0 = SpectralField.single_mode(dom, lowest, base_amp)
         data = make_compatibility_data(u0, z, z, params_s, eps_deg=config.eps_deg)
-        traj = solve(data, params_s, config.t_final, config.dt)
+        traj = solve(data, params_s, config.t_final, config.dt, **_solver_options(config))
         series = energy_series(traj, params_s)
         s_rates[s_flag], _, _ = _safe_fit(series["t"], decay_norm_sum(series))
 

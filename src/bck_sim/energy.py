@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DivisionGuardError, FitError
-from .model import EvolutionState, forcing_f
-from .spectral import SpectralField, linf_grid, sobolev_norm
+from .model import nonlinear_terms
+from .spectral import SpectralField, linf_grid, linf_series, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,7 @@ def energy_series(traj, params):
         + _sq_norm(ut, lam, weight, 4)
         + _sq_norm(third, lam, weight, 2)
     )
-    linf_ut = np.array(
-        [linf_grid(SpectralField(traj.domain, ut[i])) for i in range(t.size)]
-    )
+    linf_ut = linf_series(traj.domain, ut)
     return {
         "t": t,
         "E1": e1,
@@ -253,18 +250,10 @@ def decay_norm_sum(series):
 
 def forcing_series(traj, params):
     """Quadratic forcing coefficients f evaluated at every sample."""
-    t = np.asarray(traj.t_grid, dtype=float)
-    out = np.zeros_like(traj.u)
-    dom = traj.domain
-    for i in range(t.size):
-        state = EvolutionState(
-            float(t[i]),
-            SpectralField(dom, traj.u[i]),
-            SpectralField(dom, traj.ut[i]),
-            SpectralField(dom, traj.utt[i]),
-        )
-        out[i] = forcing_f(state, SpectralField(dom, traj.uttt[i]), params).coeffs
-    return out
+    _, f, _ = nonlinear_terms(
+        traj.domain, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt, eps_deg=None
+    )
+    return f
 
 
 def heat_identity_audit(t_grid, v_coeffs, a, domain, vt_coeffs=None):
@@ -358,6 +347,11 @@ def factorization_residual(traj, params, use_stored=True):
     return traj_norm(residual) / scale
 
 
+def _cumulative_trapezoid(y, t):
+    """Running trapezoid integral of y over t, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def estimate_audit_linear(traj, f_series, params, tol=1e-12):
     """Minimal constant in E(t) + int(E + k) <= c * (E(0) + int(|f|^2 + |f_t|^2)).
 
@@ -371,10 +365,10 @@ def estimate_audit_linear(traj, f_series, params, tol=1e-12):
     series = energy_series(traj, params)
     total = series["E_total"]
     integrand = total + series["k_functional"]
-    lhs = total + cumulative_trapezoid(integrand, t, initial=0.0)
+    lhs = total + _cumulative_trapezoid(integrand, t)
     ft = _time_derivative_series(t, f)
     data_term = _sq_norm(f, lam, weight, 0) + _sq_norm(ft, lam, weight, 0)
-    rhs = total[0] + cumulative_trapezoid(data_term, t, initial=0.0)
+    rhs = total[0] + _cumulative_trapezoid(data_term, t)
     mask = rhs > tol
     if not mask.any():
         if float(lhs.max(initial=0.0)) > tol:

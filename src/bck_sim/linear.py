@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from .energy import DecayFit, decay_fit
 from .errors import FitError
-from .model import EvolutionState
+from .model import EvolutionState, linear_bracket
 from .spectral import SpectralField
 
 
@@ -134,37 +134,34 @@ class SemigroupState:
         return SpectralField(self.domain, self.data[i].copy())
 
 
+def semigroup_data(domain, params, u, ut, utt):
+    """Stacked (u, u_t, u_tt + b lam u_t + c^2 lam u) from coefficient arrays."""
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    third = utt + params.b * lam * ut + params.c**2 * lam * u
+    return np.stack([u, ut, third])
+
+
+def semigroup_utt(domain, params, data):
+    """u_tt recovered from stacked semigroup data."""
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    u, ut = data[0], data[1]
+    return data[2] - params.b * lam * ut - params.c**2 * lam * u
+
+
 def to_semigroup(state, params):
-    lam = np.asarray(state.domain.eigenvalue_grid, dtype=float)
-    third = (
-        state.utt.coeffs
-        + params.b * lam * state.ut.coeffs
-        + params.c**2 * lam * state.u.coeffs
+    data = semigroup_data(
+        state.domain, params, state.u.coeffs, state.ut.coeffs, state.utt.coeffs
     )
-    data = np.stack([state.u.coeffs, state.ut.coeffs, third])
     return SemigroupState(domain=state.domain, t=state.t, data=data)
 
 
 def from_semigroup(semi, params):
-    lam = np.asarray(semi.domain.eigenvalue_grid, dtype=float)
     u, ut = semi.data[0], semi.data[1]
-    utt = semi.data[2] - params.b * lam * ut - params.c**2 * lam * u
     return EvolutionState(
         t=semi.t,
         u=SpectralField(semi.domain, u.copy()),
         ut=SpectralField(semi.domain, ut.copy()),
-        utt=SpectralField(semi.domain, utt),
-    )
-
-
-def _linear_third_component(domain, params, u, ut, utt):
-    """u_ttt from the linear bracket, broadcasting over leading axes."""
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    a, b, c = params.a, params.b, params.c
-    return (
-        -(a + b) * lam * utt
-        - (c * c * lam + a * b * lam * lam) * ut
-        - a * c * c * lam * lam * u
+        utt=SpectralField(semi.domain, semigroup_utt(semi.domain, params, semi.data)),
     )
 
 
@@ -270,7 +267,7 @@ class DuhamelSolution:
 
     def uttt_series(self, forcing_third=None):
         """Third time derivative from the linear bracket plus the forcing."""
-        out = _linear_third_component(self.domain, self.params, self.u, self.ut, self.utt)
+        out = linear_bracket(self.domain, self.params, self.u, self.ut, self.utt)
         if forcing_third is not None:
             out = out + np.asarray(forcing_third, dtype=float)
         return out

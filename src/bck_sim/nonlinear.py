@@ -22,19 +22,19 @@ import numpy as np
 from .energy import fourth_derivative_series
 from .errors import BlowUpError, DegeneracyError, NonConvergenceError
 from .linear import (
-    SemigroupState,
-    from_semigroup,
     propagator_table,
+    semigroup_data,
+    semigroup_utt,
     solve_duhamel,
     to_semigroup,
 )
-from .model import (
+from .model import (  # acceleration is re-exported for callers of this module
     DEFAULT_EPS_DEG,
     EvolutionState,
     acceleration,
-    check_degeneracy_guard,
-    forcing_f,
+    degeneracy_guard,
     make_compatibility_data,
+    nonlinear_terms,
 )
 from .spectral import SpectralField
 
@@ -95,9 +95,6 @@ class Trajectory:
             SpectralField(self.domain, self.utt[i].copy()),
         )
 
-    def uttt_field(self, i):
-        return SpectralField(self.domain, self.uttt[i].copy())
-
     def utttt_array(self):
         return fourth_derivative_series(self.t_grid, self.uttt)
 
@@ -148,12 +145,6 @@ class PicardReport:
     converged: bool
 
 
-def _guard_min(ut_field, params, time, eps_deg, at_start=False):
-    return check_degeneracy_guard(
-        ut_field, params, time=time, eps_deg=eps_deg, at_start=at_start
-    )
-
-
 def _check_blowup(data, time, bound):
     peak = float(np.max(np.abs(data)))
     if not np.isfinite(peak) or peak > bound:
@@ -166,45 +157,35 @@ def _check_blowup(data, time, bound):
         )
 
 
-def _forcing_third(state, uttt, params):
-    """Third semigroup forcing component F3 = -f for the current state."""
-    return -forcing_f(state, uttt, params).coeffs
-
-
-def _advance(table, params, semi, f3, substep_iters, eps_deg, bound):
+def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound):
     """One exponential-integrator step with substep fixed-point closure.
 
-    Takes the current semigroup data plus the already-computed forcing
-    at time t; returns (semi, state, uttt, f3) at t + dt, so a march
-    never evaluates the forcing twice at one sample.
+    Takes the semigroup data (shape (3,) + coeff shape) at time t plus the
+    already-computed third forcing component F3 = -f there; returns
+    (data, u_tt, u_ttt, F3) at t + dt, so a march never evaluates the
+    forcing twice at one sample.
     """
+    domain = table.domain
     dt = table.dt
-    flat = semi.data.reshape(3, -1)
     f3_flat = f3.reshape(-1)
-    hom = np.einsum("nij,jn->in", table.propagator, flat)
+    hom = np.einsum("nij,jn->in", table.propagator, data.reshape(3, -1))
     p1_col = table.phi1_weight[:, :, 2]
     p2_col = table.phi2_weight[:, :, 2]
     base = hom + p1_col.T * f3_flat
-    shape = semi.data.shape
-    t_next = semi.t + dt
+    t_next = t + dt
 
     candidate = base
-    for _ in range(max(substep_iters, 0)):
+    for sweep in range(max(substep_iters, 0) + 1):
         _check_blowup(candidate, t_next, bound)
-        semi_next = SemigroupState(semi.domain, t_next, candidate.reshape(shape))
-        state_next = from_semigroup(semi_next, params)
-        _guard_min(state_next.ut, params, t_next, eps_deg)
-        uttt_next = acceleration(state_next, params, eps_deg=eps_deg)
-        f3_next = _forcing_third(state_next, uttt_next, params)
-        candidate = base + p2_col.T * ((f3_next.reshape(-1) - f3_flat) / dt)
-
-    _check_blowup(candidate, t_next, bound)
-    semi_next = SemigroupState(semi.domain, t_next, candidate.reshape(shape))
-    state_next = from_semigroup(semi_next, params)
-    _guard_min(state_next.ut, params, t_next, eps_deg)
-    uttt_next = acceleration(state_next, params, eps_deg=eps_deg)
-    f3_next = _forcing_third(state_next, uttt_next, params)
-    return semi_next, state_next, uttt_next, f3_next
+        data_next = candidate.reshape(data.shape)
+        utt = semigroup_utt(domain, params, data_next)
+        uttt, f, _ = nonlinear_terms(
+            domain, params, data_next[0], data_next[1], utt, time=t_next, eps_deg=eps_deg
+        )
+        f3_next = -f
+        if sweep < substep_iters:
+            candidate = base + p2_col.T * ((f3_next.reshape(-1) - f3_flat) / dt)
+    return data_next, utt, uttt, f3_next
 
 
 def step(
@@ -217,16 +198,21 @@ def step(
     table=None,
 ):
     """Advance one state by dt; linear part exact, forcing at order 2."""
+    domain = state.domain
     if table is None:
-        table = propagator_table(state.domain, params, float(dt))
-    _guard_min(state.ut, params, state.t, eps_deg)
-    uttt = acceleration(state, params, eps_deg=eps_deg)
-    f3 = _forcing_third(state, uttt, params)
-    semi = to_semigroup(state, params)
-    _, state_next, _, _ = _advance(
-        table, params, semi, f3, substep_iters, eps_deg, blowup_bound
+        table = propagator_table(domain, params, float(dt))
+    u, ut, utt = state.u.coeffs, state.ut.coeffs, state.utt.coeffs
+    _, f, _ = nonlinear_terms(domain, params, u, ut, utt, time=state.t, eps_deg=eps_deg)
+    data = semigroup_data(domain, params, u, ut, utt)
+    data, utt, _, _ = _advance(
+        table, params, data, state.t, -f, substep_iters, eps_deg, blowup_bound
     )
-    return state_next
+    return EvolutionState(
+        state.t + table.dt,
+        SpectralField(domain, data[0].copy()),
+        SpectralField(domain, data[1].copy()),
+        SpectralField(domain, utt),
+    )
 
 
 def solve(
@@ -250,7 +236,7 @@ def solve(
     t_grid = dt * np.arange(nt)
     table = propagator_table(domain, params, float(dt))
 
-    _guard_min(initial.u1, params, 0.0, eps_deg, at_start=True)
+    degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
 
     shape = domain.coeff_shape
     u = np.zeros((nt,) + shape)
@@ -260,10 +246,9 @@ def solve(
     u[0], ut[0], utt[0] = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
     uttt[0] = initial.uttt0.coeffs
 
-    state = EvolutionState(0.0, initial.u0, initial.u1, initial.u2)
-    uttt_field = initial.uttt0
-    f3 = _forcing_third(state, uttt_field, params)
-    semi = to_semigroup(state, params)
+    _, f, _ = nonlinear_terms(domain, params, u[0], ut[0], utt[0], uttt=uttt[0], eps_deg=None)
+    f3 = -f
+    data = semigroup_data(domain, params, u[0], ut[0], utt[0])
 
     def partial(upto):
         return Trajectory(
@@ -276,18 +261,18 @@ def solve(
             uttt=uttt[: upto + 1].copy(),
         )
 
+    t = 0.0
     for n in range(nt - 1):
         try:
-            semi, state, uttt_field, f3 = _advance(
-                table, params, semi, f3, substep_iters, eps_deg, blowup_bound
+            data, utt[n + 1], uttt[n + 1], f3 = _advance(
+                table, params, data, t, f3, substep_iters, eps_deg, blowup_bound
             )
         except (DegeneracyError, BlowUpError) as err:
             err.partial_trajectory = partial(n)
             raise
-        u[n + 1] = state.u.coeffs
-        ut[n + 1] = state.ut.coeffs
-        utt[n + 1] = state.utt.coeffs
-        uttt[n + 1] = uttt_field.coeffs
+        t += table.dt
+        u[n + 1] = data[0]
+        ut[n + 1] = data[1]
 
     return Trajectory(
         domain=domain, params=params, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt
@@ -303,13 +288,7 @@ def solve_from_fields(u0, u1, u2, params, T, dt, **kwargs):
 
 def assert_guard(traj, params, eps_deg=DEFAULT_EPS_DEG):
     """Debug audit: re-check the degeneracy guard at every stored sample."""
-    for i in range(traj.n_samples):
-        _guard_min(
-            SpectralField(traj.domain, traj.ut[i]),
-            params,
-            float(traj.t_grid[i]),
-            eps_deg,
-        )
+    degeneracy_guard(traj.domain, params, traj.ut, traj.t_grid, eps_deg)
 
 
 def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
@@ -321,12 +300,10 @@ def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
     against the same guard before it is handed back.
     """
     domain = phi.domain
-    nt = phi.n_samples
-    f3 = np.zeros_like(phi.u)
-    for i in range(nt):
-        state_i = phi.state(i)
-        _guard_min(state_i.ut, params, float(phi.t_grid[i]), eps_deg)
-        f3[i] = _forcing_third(state_i, phi.uttt_field(i), params)
+    _, f, _ = nonlinear_terms(
+        domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt, time=phi.t_grid, eps_deg=eps_deg
+    )
+    f3 = -f
 
     start = EvolutionState(float(phi.t_grid[0]), initial.u0, initial.u1, initial.u2)
     semi0 = to_semigroup(start, params)
@@ -383,7 +360,7 @@ def picard_solve(
     t_grid = dt * np.arange(nt)
     table = propagator_table(domain, params, float(dt))
 
-    _guard_min(initial.u1, params, 0.0, eps_deg, at_start=True)
+    degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
 
     phi = _homogeneous_linear_trajectory(initial, params, t_grid, table=table)
     increments = []

@@ -26,6 +26,19 @@ Non-polynomial pointwise operations (the reciprocal in the third-order
 evolution) cannot be exact; they are projected with a Gauss-Legendre rule
 whose node count comfortably over-resolves the integrands, see
 ``project_gauss``.
+
+Two layers expose this calculus.  ``SpectralField`` functions validate and
+wrap single coefficient tensors.  Underneath, the array layer
+(``evaluate``, ``evaluate_stack``, ``project``, ``grid_values``,
+``linf_series``) takes raw coefficient arrays of shape batch + coeff
+shape, with any number of leading axes (time samples, stacked fields).
+Every leading index is computed with the same operations as a lone
+tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
+a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the
+transforms run over the trailing axes only, so batched results equal
+unbatched ones bit for bit.  Merging matrices into one larger product, or
+folding the DCT into a matrix, would change the rounding; the array layer
+avoids both.  Every scipy.fft call goes through this module's ``_fft``.
 """
 
 from __future__ import annotations
@@ -54,10 +67,17 @@ __all__ = [
     "evaluate_at",
     "evaluate_gradient_at",
     "evaluate_gauss",
-    "gradient_gauss",
     "project_gauss",
     "linf_grid",
     "embedding_constant_estimate",
+    "BLOCK_BYTES",
+    "sample_blocks",
+    "evaluate",
+    "evaluate_stack",
+    "gradient_product",
+    "project",
+    "grid_values",
+    "linf_series",
 ]
 
 
@@ -162,6 +182,15 @@ class DomainSpec:
         m = self.quadrature_points_per_axis
         return float(np.prod([L / (m + 1) for L in self.lengths]))
 
+    @cached_property
+    def _grid_sine(self):
+        """Sine matrices on the collocation nodes, for guard checks that
+        avoid a transform call per evaluation."""
+        return tuple(
+            _sine_matrix(x, L, self.modes_per_axis)
+            for x, L in zip(self.grid_axes, self.lengths)
+        )
+
     # -- fine closed grid for exact quadratic products -------------------
 
     @cached_property
@@ -246,6 +275,15 @@ class DomainSpec:
         for (x, w), L, s in zip(self._gauss_rule, self.lengths, self._gauss_sine):
             mats.append((2.0 / L) * (s.T * w))
         return tuple(mats)
+
+    @cached_property
+    def _grid_matrices(self):
+        """grid name -> (sine matrices, derivative cosine matrices) per axis."""
+        return {
+            "fine": (self._fine_sine, self._fine_dcos),
+            "gauss": (self._gauss_sine, self._gauss_dcos),
+            "collocation": (self._grid_sine, None),
+        }
 
 
 @dataclass
@@ -356,26 +394,98 @@ def l2_norm(field):
 
 
 # ---------------------------------------------------------------------------
-# collocation transforms (DST-I on the interior grid)
+# array layer: coefficient stacks with leading axes
 # ---------------------------------------------------------------------------
 
+# Byte budget of the temporaries of one block of samples in the batched
+# series routines; bounds their memory independently of the run length.
+BLOCK_BYTES = 4 << 20
 
-def _dst_values(coeffs, domain, points):
-    """Evaluate a coefficient tensor on the interior DST grid of ``points``
-    nodes per axis (points >= modes)."""
+
+def sample_blocks(n_samples, sample_bytes):
+    """Consecutive slices covering range(n_samples), each holding as many
+    samples as fit in BLOCK_BYTES at ``sample_bytes`` per sample (at least one)."""
+    step = max(1, BLOCK_BYTES // max(int(sample_bytes), 1))
+    return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
+
+
+def _apply(mats, coeffs):
+    """Tensor-product matrices applied to the trailing mode axes.
+
+    1D stacks go through ``M @ x[..., None]`` and 2D stacks through
+    ``M0 @ X @ M1.T`` so that every member is one gemv/gemm call with the
+    same operands as for a single tensor, hence the same rounding.
+    """
+    if len(mats) == 1:
+        return (mats[0] @ coeffs[..., None])[..., 0]
+    return mats[0] @ coeffs @ mats[1].T
+
+
+def evaluate(domain, grid, coeffs):
+    """Values of coefficient tensors (leading axes allowed) on ``grid``:
+    "fine" (closed product grid), "gauss" or "collocation" (by sine matrix)."""
+    return _apply(domain._grid_matrices[grid][0], coeffs)
+
+
+def evaluate_stack(domain, grid, stack, values=None, gradient=None):
+    """Values and gradient components of selected members of a stack.
+
+    ``stack`` has shape (F, ...) + coeff shape; ``values`` and ``gradient``
+    are slices of the member axis (or None).  Returns ``(vals, grads)`` with
+    ``grads`` a tuple of per-axis components.  In 2D the first-axis sine
+    factor is applied once to the whole stack and shared by the values and
+    the second gradient component, so every member must be selected by at
+    least one of the two slices.
+    """
+    sine, dcos = domain._grid_matrices[grid]
+    if domain.dimension == 1:
+        vals = None if values is None else _apply(sine, stack[values])
+        grads = None if gradient is None else (_apply(dcos, stack[gradient]),)
+        return vals, grads
+    left = sine[0] @ stack
+    vals = None if values is None else left[values] @ sine[1].T
+    grads = None
+    if gradient is not None:
+        grads = (
+            dcos[0] @ stack[gradient] @ sine[1].T,
+            left[gradient] @ dcos[1].T,
+        )
+    return vals, grads
+
+
+def project(domain, grid, samples):
+    """Sine coefficients of samples (leading axes allowed) on ``grid``.
+
+    "fine": products of two resolved fields on the closed product grid,
+    projected exactly (type-1 DCT over the trailing axes, trapezoid weights,
+    analytic cosine-to-sine matrix).  "gauss": quadrature of arbitrary
+    pointwise data, see ``project_gauss``.
+    """
+    if grid == "gauss":
+        return _apply(domain._gauss_project, samples)
+    d = domain.dimension
+    y = _fft.dctn(samples, type=1, axes=tuple(range(-d, 0)))
+    w = domain._dct_weights
+    cos = y * w if d == 1 else y * w[:, None] * w[None, :]
+    return _apply((domain._cos_to_sine,) * d, cos)
+
+
+def grid_values(domain, coeffs, points=None):
+    """Exact values on the interior DST grid of ``points`` nodes per axis
+    (default: the quadrature grid), by a type-1 DST over the trailing axes."""
     d = domain.dimension
     n = domain.modes_per_axis
-    if points < n:
+    m = domain.quadrature_points_per_axis if points is None else int(points)
+    if m < n:
         raise ValueError("collocation grid must carry at least N points per axis")
-    pad = [(0, points - n)] * d
-    padded = np.pad(coeffs, pad)
-    return _fft.dstn(padded, type=1) / (2.0**d)
+    coeffs = np.asarray(coeffs, dtype=float)
+    pad = [(0, 0)] * (coeffs.ndim - d) + [(0, m - n)] * d
+    return _fft.dstn(np.pad(coeffs, pad), type=1, axes=tuple(range(-d, 0))) / (2.0**d)
 
 
 def to_grid(field):
     """Sample the expansion on the interior collocation grid (exact)."""
-    samples = _dst_values(field.coeffs, field.domain, field.domain.quadrature_points_per_axis)
-    return GridField(field.domain, samples)
+    return GridField(field.domain, grid_values(field.domain, field.coeffs))
 
 
 def to_spectral(grid):
@@ -392,9 +502,21 @@ def to_spectral(grid):
     return SpectralField(domain, y[sl].copy())
 
 
+def linf_series(domain, coeffs):
+    """max |u| over the interior collocation grid for each tensor of a
+    (n,) + coeff shape stack, computed in blocks."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.empty(coeffs.shape[0])
+    sample_bytes = 24 * domain.quadrature_points_per_axis**domain.dimension
+    for blk in sample_blocks(out.size, sample_bytes):
+        vals = np.abs(grid_values(domain, coeffs[blk]))
+        out[blk] = vals.reshape(vals.shape[0], -1).max(axis=1)
+    return out
+
+
 def linf_grid(field):
     """max |u| over the interior collocation grid."""
-    return float(np.max(np.abs(to_grid(field).samples)))
+    return float(linf_series(field.domain, field.coeffs[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +524,13 @@ def linf_grid(field):
 # ---------------------------------------------------------------------------
 
 
-def _fine_apply(domain, mats, coeffs):
-    if domain.dimension == 1:
-        return mats[0] @ coeffs
-    return mats[0] @ coeffs @ mats[1].T
-
-
-def _fine_cosine_coeffs(domain, values):
-    """Exact per-axis cosine coefficients of closed-grid samples."""
-    y = _fft.dctn(values, type=1)
-    w = domain._dct_weights
-    if domain.dimension == 1:
-        return y * w
-    return y * w[:, None] * w[None, :]
-
-
-def _project_cosine(domain, cos_coeffs):
-    w = domain._cos_to_sine
-    if domain.dimension == 1:
-        return w @ cos_coeffs
-    return w @ cos_coeffs @ w.T
+def gradient_product(grads, left, right):
+    """grad(a) . grad(b) on a grid, from the per-axis gradient components of
+    a member stack (``left`` and ``right`` index the members)."""
+    acc = None
+    for comp in grads:
+        acc = comp[left] * comp[right] if acc is None else acc + comp[left] * comp[right]
+    return acc
 
 
 def product_dealiased(f, g):
@@ -434,10 +543,8 @@ def product_dealiased(f, g):
     """
     f._check(g)
     domain = f.domain
-    vf = _fine_apply(domain, domain._fine_sine, f.coeffs)
-    vg = _fine_apply(domain, domain._fine_sine, g.coeffs)
-    cos = _fine_cosine_coeffs(domain, vf * vg)
-    return SpectralField(domain, _project_cosine(domain, cos))
+    vals = evaluate(domain, "fine", np.stack([f.coeffs, g.coeffs]))
+    return SpectralField(domain, project(domain, "fine", vals[0] * vals[1]))
 
 
 def gradient_dot(f, g):
@@ -449,17 +556,10 @@ def gradient_dot(f, g):
     """
     f._check(g)
     domain = f.domain
-    acc = None
-    for axis in range(domain.dimension):
-        mats_f = [
-            domain._fine_dcos[i] if i == axis else domain._fine_sine[i]
-            for i in range(domain.dimension)
-        ]
-        df = _fine_apply(domain, mats_f, f.coeffs)
-        dg = _fine_apply(domain, mats_f, g.coeffs)
-        acc = df * dg if acc is None else acc + df * dg
-    cos = _fine_cosine_coeffs(domain, acc)
-    return SpectralField(domain, _project_cosine(domain, cos))
+    _, grads = evaluate_stack(
+        domain, "fine", np.stack([f.coeffs, g.coeffs]), gradient=slice(None)
+    )
+    return SpectralField(domain, project(domain, "fine", gradient_product(grads, 0, 1)))
 
 
 def product_collocation(f, g, points=None):
@@ -474,8 +574,8 @@ def product_collocation(f, g, points=None):
     f._check(g)
     domain = f.domain
     m = domain.quadrature_points_per_axis if points is None else int(points)
-    vf = _dst_values(f.coeffs, domain, m)
-    vg = _dst_values(g.coeffs, domain, m)
+    vf = grid_values(domain, f.coeffs, m)
+    vg = grid_values(domain, g.coeffs, m)
     y = _fft.dstn(vf * vg, type=1) / float((m + 1) ** domain.dimension)
     n = domain.modes_per_axis
     sl = (slice(0, n),) * domain.dimension
@@ -508,7 +608,7 @@ def evaluate_at(field, points):
         _sine_matrix(x, L, domain.modes_per_axis)
         for x, L in zip(axes, domain.lengths)
     ]
-    return _fine_apply(domain, mats, field.coeffs)
+    return _apply(mats, field.coeffs)
 
 
 def evaluate_gradient_at(field, points):
@@ -524,26 +624,13 @@ def evaluate_gradient_at(field, points):
                 mats.append(_cosine_matrix(x, L, domain.modes_per_axis) * scale)
             else:
                 mats.append(_sine_matrix(x, L, domain.modes_per_axis))
-        out.append(_fine_apply(domain, mats, field.coeffs))
+        out.append(_apply(mats, field.coeffs))
     return out
 
 
 def evaluate_gauss(field):
     """Values on the domain's Gauss-Legendre tensor grid."""
-    return _fine_apply(field.domain, field.domain._gauss_sine, field.coeffs)
-
-
-def gradient_gauss(field):
-    """Gradient components on the Gauss-Legendre tensor grid."""
-    domain = field.domain
-    out = []
-    for axis in range(domain.dimension):
-        mats = [
-            domain._gauss_dcos[i] if i == axis else domain._gauss_sine[i]
-            for i in range(domain.dimension)
-        ]
-        out.append(_fine_apply(domain, mats, field.coeffs))
-    return out
+    return evaluate(field.domain, "gauss", field.coeffs)
 
 
 def project_gauss(domain, values):
@@ -554,10 +641,7 @@ def project_gauss(domain, values):
     with dense independent quadrature to near machine precision; it is the
     projection route for operations that leave the polynomial algebra.
     """
-    mats = domain._gauss_project
-    if domain.dimension == 1:
-        return SpectralField(domain, mats[0] @ values)
-    return SpectralField(domain, mats[0] @ values @ mats[1].T)
+    return SpectralField(domain, project(domain, "gauss", values))
 
 
 def embedding_constant_estimate(domain, s, n_samples=64, seed=0):

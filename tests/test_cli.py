@@ -1,0 +1,154 @@
+"""Front-end tests: exit codes, overrides, output directories and the
+committed ``out/`` artifacts as golden results."""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import bck_sim.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN = ROOT / "out"
+
+# The committed artifacts regenerate with last-digit differences, so they
+# are compared with a tolerance: |a - b| <= RTOL * max(|a|, |b|) + ATOL.
+RTOL = 1e-9
+ATOL = 1e-15
+# both change with the output directory or the run itself
+SKIP_KEYS = {"config_sha256", "wall_time_seconds"}
+
+
+def _run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+def _number(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _same_token(a, b):
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return a == b
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    if math.isinf(x) or math.isinf(y):
+        return x == y
+    return abs(x - y) <= RTOL * max(abs(x), abs(y)) + ATOL
+
+
+def _records(path):
+    """Comparable records of one artifact: (key, list of tokens) pairs."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        data = json.loads(text)
+        return [(k, [json.dumps(v)]) for k, v in sorted(data.items()) if k not in SKIP_KEYS]
+    if path.suffix == ".csv":
+        rows = list(csv.reader(text.splitlines()))
+        return [(f"row {i}", row) for i, row in enumerate(rows)]
+    pairs = [line.partition(": ") for line in text.splitlines()]
+    return [(k, v.split()) for k, _, v in pairs if k not in SKIP_KEYS]
+
+
+def _differences(got_dir, want_dir):
+    got_files = sorted(p.name for p in got_dir.iterdir())
+    want_files = sorted(p.name for p in want_dir.iterdir())
+    if got_files != want_files:
+        return [f"artifacts {got_files} != {want_files}"]
+    problems = []
+    for name in want_files:
+        got, want = _records(got_dir / name), _records(want_dir / name)
+        if [k for k, _ in got] != [k for k, _ in want]:
+            problems.append(f"{name}: keys differ")
+            continue
+        for (key, g), (_, w) in zip(got, want):
+            if len(g) != len(w) or not all(map(_same_token, g, w)):
+                problems.append(f"{name} {key}: {g} != {w}")
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.conf")))
+def test_config_reproduces_golden_artifacts(name, tmp_path):
+    golden = GOLDEN / name
+    record = json.loads((golden / "run_record.json").read_text(encoding="utf-8"))
+    code = _run(record["command"], "--config", CONFIGS / f"{name}.conf", "--out", tmp_path)
+    assert code == record["exit_status"]
+    assert _differences(tmp_path, golden) == []
+
+
+def test_degenerate_data_exits_with_code_2(tmp_path, capsys):
+    assert _run("simulate", "--config", CONFIGS / "degenerate.conf", "--out", tmp_path) == 2
+    assert "code=2 kind=DegeneracyError" in capsys.readouterr().err
+    record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 2
+
+
+def test_unknown_config_key_exits_with_code_3(tmp_path, capsys):
+    text = (CONFIGS / "nonlinear-small.conf").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.conf"
+    bad.write_text(text.replace("[params]", "[params]\nviscosity = 1.0"), encoding="utf-8")
+    assert _run("simulate", "--config", bad, "--out", tmp_path / "a") == 3
+    assert "unknown key 'viscosity'" in capsys.readouterr().err
+    conf = CONFIGS / "nonlinear-small.conf"
+    assert _run("simulate", "--config", conf, "--set", "params.kappa=1", "--out", tmp_path / "b") == 3
+
+
+def _spy_solve(monkeypatch):
+    calls = []
+    real = cli.solve
+
+    def spy(initial, params, T, dt, **kwargs):
+        calls.append((params, kwargs))
+        return real(initial, params, T, dt, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    return calls
+
+
+def test_set_override_reaches_the_solver(tmp_path, monkeypatch):
+    calls = _spy_solve(monkeypatch)
+    conf = CONFIGS / "nonlinear-small.conf"
+    code = _run(
+        "simulate", "--config", conf, "--set", "params.k=0.35", "--set", "time.t_final=0.05",
+        "--out", tmp_path,
+    )
+    assert code == 0
+    assert [params.k for params, _ in calls] == [0.35]
+    assert "n_samples: 51\n" in (tmp_path / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_decay_study_passes_solver_options_to_every_march(tmp_path, monkeypatch):
+    calls = _spy_solve(monkeypatch)
+    conf = CONFIGS / "decay-study.conf"
+    overrides = ("time.substeps=3", "tolerances.eps_deg=0.2", "time.t_final=0.5",
+                 "sweep.b_values=")
+    argv = ["decay-study", "--config", conf, "--out", tmp_path]
+    for item in overrides:
+        argv += ["--set", item]
+    assert _run(*argv) == 0
+    # three amplitudes, then only the s = 0 run: s = 1 at the base
+    # amplitude is the first amplitude's march
+    assert [params.s for params, _ in calls] == [1, 1, 1, 0]
+    for _, kwargs in calls:
+        assert kwargs == {"substep_iters": 3, "eps_deg": 0.2, "blowup_bound": 1e12}
+    report = (tmp_path / "decay_report.txt").read_text(encoding="utf-8")
+    rows = list(csv.reader((tmp_path / "decay_study.csv").read_text(encoding="utf-8").splitlines()))
+    assert f"s1_omega: {rows[1][1]}\n" in report
+
+
+def test_output_directory_changes_no_artifact_number(tmp_path):
+    conf = CONFIGS / "nonlinear-small.conf"
+    for sub in ("first", "second/nested"):
+        argv = ["simulate", "--config", conf, "--set", "time.t_final=0.1", "--out", tmp_path / sub]
+        assert _run(*argv) == 0
+    first, second = tmp_path / "first", tmp_path / "second" / "nested"
+    for name in ("summary.txt", "trajectory.csv", "run_record.json"):
+        a, b = _records(first / name), _records(second / name)
+        assert a == b, name

@@ -1,0 +1,179 @@
+"""Tests of the array-native nonlinear kernel and the batched diagnostics.
+
+Batched calls must reproduce the unbatched ones bit for bit: a batch is a
+stack of the same gemv/gemm, DCT and elementwise operations, so any
+difference would mean the arithmetic of a sample depends on its batch.
+"""
+
+import numpy as np
+import pytest
+
+from bck_sim import spectral
+from bck_sim.errors import DegeneracyError
+from bck_sim.model import (
+    EvolutionState,
+    ModelParams,
+    acceleration,
+    check_degeneracy_guard,
+    degeneracy_factor,
+    degeneracy_factor_series,
+    degeneracy_guard,
+    forcing_f,
+    make_compatibility_data,
+    nonlinear_terms,
+    pde_residual,
+    pde_residual_series,
+)
+from bck_sim.spectral import DomainSpec, SpectralField, evaluate, linf_grid, linf_series
+
+DOMAINS = [(1, 8), (1, 64), (2, 8), (2, 16)]
+BATCHES = [(), (5,), (2, 3)]
+
+
+def _coeffs(domain, rng, batch, scale):
+    lam = np.asarray(domain.eigenvalue_grid)
+    shape = batch + domain.coeff_shape
+    return scale * rng.standard_normal(shape) * (lam / domain.lambda0) ** -1.5
+
+
+def _fields(domain, batch, seed=0):
+    rng = np.random.default_rng(seed)
+    return tuple(_coeffs(domain, rng, batch, scale) for scale in (1e-2, 1e-2, 1e-2, 1e-1))
+
+
+def _loop(domain, params, batch, u, ut, utt, uttt, times, **kwargs):
+    """Unbatched kernel calls over every batch index, restacked."""
+    outs = [[], [], []]
+    for idx in np.ndindex(*batch):
+        res = nonlinear_terms(
+            domain,
+            params,
+            u[idx],
+            ut[idx],
+            utt[idx],
+            uttt=None if uttt is None else uttt[idx],
+            time=float(times[idx]),
+            **kwargs,
+        )
+        for out, value in zip(outs, res):
+            out.append(value)
+    return [
+        None if out[0] is None else np.asarray(out).reshape(batch + np.shape(out[0]))
+        for out in outs
+    ]
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("k", [0.0, 0.2])
+@pytest.mark.parametrize("dim,n", DOMAINS)
+def test_batched_kernel_equals_unbatched_loop(dim, n, k, s, batch):
+    domain = DomainSpec(dim, (np.pi,) * dim, n)
+    params = ModelParams(1.0, 0.7, 1.3, k, s)
+    u, ut, utt, uttt = _fields(domain, batch, seed=n + dim)
+    times = np.arange(int(np.prod(batch))).reshape(batch) * 0.25
+    for given in (None, uttt):
+        got = nonlinear_terms(domain, params, u, ut, utt, uttt=given, time=times)
+        want = _loop(domain, params, batch, u, ut, utt, given, times)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+
+def test_kernel_matches_field_wrappers():
+    domain = DomainSpec(2, (np.pi, 2.0), 8)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    u, ut, utt, _ = _fields(domain, ())
+    state = EvolutionState(0.0, *(SpectralField(domain, c) for c in (u, ut, utt)))
+    uttt, f, guard_min = nonlinear_terms(domain, params, u, ut, utt)
+    assert np.array_equal(acceleration(state, params).coeffs, uttt)
+    assert np.array_equal(forcing_f(state, SpectralField(domain, uttt), params).coeffs, f)
+    assert check_degeneracy_guard(state.ut, params, 0.0) == guard_min
+
+
+def test_blocks_do_not_change_results(monkeypatch):
+    domain = DomainSpec(1, (np.pi,), 8)
+    params = ModelParams(1.0, 1.0, 1.0, 0.2, 1)
+    u, ut, utt, uttt = _fields(domain, (40,))
+    t = 0.01 * np.arange(40)
+    whole = nonlinear_terms(domain, params, u, ut, utt, time=t)
+    residual = pde_residual_series(domain, params, t, u, ut, utt)
+    factor = degeneracy_factor_series(domain, params, ut)
+    linf = linf_series(domain, ut)
+    monkeypatch.setattr(spectral, "BLOCK_BYTES", 1)
+    for a, b in zip(whole, nonlinear_terms(domain, params, u, ut, utt, time=t)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(residual, pde_residual_series(domain, params, t, u, ut, utt))
+    assert np.array_equal(factor, degeneracy_factor_series(domain, params, ut))
+    assert np.array_equal(linf, linf_series(domain, ut))
+
+
+def test_series_match_pointwise_diagnostics():
+    domain = DomainSpec(1, (np.pi,), 8)
+    params = ModelParams(1.0, 1.0, 1.0, 0.2, 1)
+    u, ut, utt, _ = _fields(domain, (6,))
+    t = 0.1 * np.arange(6)
+    states = [
+        EvolutionState(t[i], *(SpectralField(domain, c[i]) for c in (u, ut, utt)))
+        for i in range(6)
+    ]
+    residual = pde_residual_series(domain, params, t, u, ut, utt)
+    factor = degeneracy_factor_series(domain, params, ut)
+    linf = linf_series(domain, ut)
+    for i in range(1, 5):
+        assert residual[i - 1] == pde_residual(states[i - 1], states[i], states[i + 1], params)
+    for i in range(6):
+        assert factor[i] == degeneracy_factor(states[i], params)[1]
+        assert linf[i] == linf_grid(states[i].ut)
+
+
+# ---------------------------------------------------------------------------
+# the guard on the grid where the division happens
+# ---------------------------------------------------------------------------
+
+
+def _between_nodes_case():
+    """1D, N = 8, k = 0.5: a u_t whose factor 1 + 2k u_t is 0.06 at its
+    lowest collocation node but about -0.33 between nodes, where the Gauss
+    rule of ``acceleration`` samples it."""
+    domain = DomainSpec(1, (np.pi,), 8)
+    params = ModelParams(1.0, 1.0, 1.0, 0.5, 1)
+    c = np.random.default_rng(12869).standard_normal(8)
+    c *= -0.94 / (2.0 * params.k * evaluate(domain, "collocation", c).min())
+    return domain, params, SpectralField(domain, c)
+
+
+def test_guard_trips_between_collocation_nodes():
+    domain, params, ut = _between_nodes_case()
+    scaled = 2.0 * params.k
+    collocation = 1.0 + scaled * evaluate(domain, "collocation", ut.coeffs)
+    gauss = 1.0 + scaled * evaluate(domain, "gauss", ut.coeffs)
+    # a collocation-only guard passes this field ...
+    assert collocation.min() == pytest.approx(0.06)
+    assert np.max(np.abs(collocation - 1.0)) < 0.95
+    # ... while the factor the solver divides by changes sign
+    assert gauss.min() < -0.3
+    with pytest.raises(DegeneracyError) as err:
+        check_degeneracy_guard(ut, params, time=0.5)
+    assert err.value.time == 0.5
+    assert err.value.factor == pytest.approx(gauss.min())
+    assert 0 <= err.value.index < domain.gauss_points_per_axis
+    assert not err.value.at_start
+    zero = SpectralField.zeros(domain)
+    with pytest.raises(DegeneracyError):
+        acceleration(EvolutionState(0.0, zero, ut, zero), params)
+    with pytest.raises(DegeneracyError) as err:
+        make_compatibility_data(zero, ut, zero, params)
+    assert err.value.at_start
+
+
+def test_batched_guard_reports_first_offending_sample():
+    domain, params, bad = _between_nodes_case()
+    ut = np.zeros((4,) + domain.coeff_shape)
+    ut[2] = bad.coeffs
+    ut[3] = 10.0 * bad.coeffs
+    with pytest.raises(DegeneracyError) as err:
+        degeneracy_guard(domain, params, ut, time=[0.0, 0.1, 0.2, 0.3])
+    assert err.value.time == 0.2
+    minima = degeneracy_guard(domain, params, ut[:2], time=0.0)
+    assert np.array_equal(minima, [1.0, 1.0])
