@@ -116,8 +116,9 @@ def _safe_fit(t_grid, series):
         return math.nan, math.nan, math.nan
 
 
-def _trajectory_rows(traj, params, stride):
-    series = energy_series(traj, params)
+def _trajectory_rows(traj, params, stride, series=None):
+    if series is None:
+        series = energy_series(traj, params)
     n = traj.n_samples
     domain = traj.domain
     residuals = np.full(n, math.nan)
@@ -142,7 +143,7 @@ def _trajectory_rows(traj, params, stride):
                 residuals[i],
             )
         )
-    return series, guard, residuals, rows
+    return guard, residuals, rows
 
 
 def _solver_options(config):
@@ -158,20 +159,28 @@ def cmd_simulate(config, out_dir, artifacts):
     u0, u1, u2 = build_initial_fields(config)
     data = make_compatibility_data(u0, u1, u2, config.params, eps_deg=config.eps_deg)
     traj = solve(data, config.params, config.t_final, config.dt, **_solver_options(config))
-    series, guard, residuals, rows = _trajectory_rows(traj, config.params, config.stride)
+    # one energy series serves the CSV rows, the fit and both audits
+    series = energy_series(traj, config.params)
+    guard, residuals, rows = _trajectory_rows(
+        traj, config.params, config.stride, series=series
+    )
     _write_csv(out_dir / "trajectory.csv", CSV_COLUMNS, rows)
     artifacts.append("trajectory.csv")
 
     bound = spectral_bound(config.params, config.domain.lambda0)
     omega, prefactor, fit_residual = _safe_fit(series["t"], decay_norm_sum(series))
     try:
-        audit = estimate_audit_linear(traj, forcing_series(traj, config.params), config.params)
+        audit = estimate_audit_linear(
+            traj, forcing_series(traj, config.params), config.params, series=series
+        )
         c_min = audit.c_min
     except DivisionGuardError as err:
         log.info("estimate audit skipped: %s", err)
         c_min = math.nan
     c_hat = config.c_hat if config.c_hat > 0.0 else (c_min if math.isfinite(c_min) and c_min > 0.0 else 1.0)
-    barrier = barrier_audit(traj, eta=config.eta, c_hat=c_hat, params=config.params)
+    barrier = barrier_audit(
+        traj, eta=config.eta, c_hat=c_hat, params=config.params, series=series
+    )
 
     interior = residuals[1:-1]
     pairs = [

@@ -166,7 +166,11 @@ def energies(state, uttt, params, utttt=None):
 
 
 def fourth_derivative_series(t_grid, uttt_coeffs):
-    """Centered differences of the stored u_ttt series, one-sided at the ends."""
+    """Centered differences of the stored u_ttt series, one-sided at the ends.
+
+    Any uniformly sampled coefficient series differentiates the same way;
+    the audits use it for the time derivatives of w and f as well.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     arr = np.asarray(uttt_coeffs, dtype=float)
     out = np.zeros_like(arr)
@@ -177,10 +181,6 @@ def fourth_derivative_series(t_grid, uttt_coeffs):
     out[0] = (arr[1] - arr[0]) / dt
     out[-1] = (arr[-1] - arr[-2]) / dt
     return out
-
-
-def _time_derivative_series(t_grid, coeffs):
-    return fourth_derivative_series(t_grid, coeffs)
 
 
 def energy_series(traj, params):
@@ -273,7 +273,7 @@ def heat_identity_audit(t_grid, v_coeffs, a, domain, vt_coeffs=None):
     t = np.asarray(t_grid, dtype=float)
     v = np.asarray(v_coeffs, dtype=float)
     if vt_coeffs is None:
-        vt = _time_derivative_series(t, v)
+        vt = fourth_derivative_series(t, v)
     else:
         vt = np.asarray(vt_coeffs, dtype=float)
     lam = np.asarray(domain.eigenvalue_grid, dtype=float)
@@ -326,7 +326,7 @@ def factorization_residual(traj, params, use_stored=True):
         if t.size < 3:
             raise ValueError("finite-difference path needs at least 3 samples")
         dt = t[1] - t[0]
-        wt = _time_derivative_series(t, w)
+        wt = fourth_derivative_series(t, w)
         wtt = np.empty_like(w)
         wtt[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dt**2
         wtt[0] = (w[2] - 2.0 * w[1] + w[0]) / dt**2
@@ -352,21 +352,24 @@ def _cumulative_trapezoid(y, t):
     return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def estimate_audit_linear(traj, f_series, params, tol=1e-12):
+def estimate_audit_linear(traj, f_series, params, tol=1e-12, series=None):
     """Minimal constant in E(t) + int(E + k) <= c * (E(0) + int(|f|^2 + |f_t|^2)).
 
     f_series holds the forcing coefficients sampled on traj.t_grid; its
-    time derivative is centered-differenced.  Raises DivisionGuardError if
-    the right-hand side vanishes identically while the left does not.
+    time derivative is centered-differenced.  ``series`` is the trajectory's
+    ``energy_series`` when the caller has it already.  Raises
+    DivisionGuardError if the right-hand side vanishes identically while
+    the left does not.
     """
     lam, weight = _lam_weight(traj.domain)
     t = np.asarray(traj.t_grid, dtype=float)
     f = np.asarray(f_series, dtype=float)
-    series = energy_series(traj, params)
+    if series is None:
+        series = energy_series(traj, params)
     total = series["E_total"]
     integrand = total + series["k_functional"]
     lhs = total + _cumulative_trapezoid(integrand, t)
-    ft = _time_derivative_series(t, f)
+    ft = fourth_derivative_series(t, f)
     data_term = _sq_norm(f, lam, weight, 0) + _sq_norm(ft, lam, weight, 0)
     rhs = total[0] + _cumulative_trapezoid(data_term, t)
     mask = rhs > tol
@@ -381,17 +384,19 @@ def estimate_audit_linear(traj, f_series, params, tol=1e-12):
     return EstimateAudit(t_grid=t, lhs=lhs, rhs=rhs, c_min=c_min)
 
 
-def barrier_audit(traj, eta, c_hat, params):
+def barrier_audit(traj, eta, c_hat, params, series=None):
     """Barrier-argument check for a solved trajectory.
 
     Verifies the pointwise barrier E(t) <= 2*max(1, c_hat)*eta and the
     integrated bound E(T) + (1/2)*int(E + k) <= c_hat*E(0); passes iff
-    both ratios are at most 1.
+    both ratios are at most 1.  ``series`` is the trajectory's
+    ``energy_series`` when the caller has it already.
     """
     if eta <= 0.0 or c_hat <= 0.0:
         raise ValueError("eta and c_hat must be positive")
     t = np.asarray(traj.t_grid, dtype=float)
-    series = energy_series(traj, params)
+    if series is None:
+        series = energy_series(traj, params)
     total = series["E_total"]
     pointwise = float(total.max(initial=0.0)) / (2.0 * max(1.0, c_hat) * eta)
     integral = float(np.trapezoid(total + series["k_functional"], t))

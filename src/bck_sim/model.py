@@ -43,6 +43,20 @@ cheaper, but it rounds differently: the residual diagnostic divides second
 time differences of Q by dt^2 and amplifies that to about 1e-6 relative,
 and the Picard contraction ratios move by about 1e-8.  Kept separate, every
 sample reproduces the per-field arithmetic exactly.
+
+The Gauss-grid stage of the law (the field and gradient values, 2k u_t,
+the numerator and the quotient) and the fine-grid values and products of
+the forcing run in the buffers of a ``spectral.GridWorkspace``:
+``nonlinear.solve`` makes one per march and passes it to every kernel
+call, and a batched call without one makes one shared by its blocks, so
+steady-state calls allocate no Gauss-grid temporaries (the DCT of the
+products and the small projection intermediates still allocate).  The
+buffers never escape: u_ttt, f and the guard minima come back as fresh
+arrays.  Each buffered operation is the operation of the expression it
+replaces, in the same association order (2k u_tt^2 is ((2k) u_tt) u_tt,
+and every gradient component subtracts ((2) d u_t) d u_t, then
+((2) d u) d u_tt), so the results are bit for bit those of the
+allocating form.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ import numpy as np
 from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
     GridField,
+    GridWorkspace,
     SpectralField,
     evaluate,
     evaluate_stack,
@@ -257,12 +272,17 @@ def _guard(domain, params, ut, time, eps_deg, at_start, gauss_scaled=None):
         ("Gauss node", gauss_scaled),
     )
     flats = [scaled.reshape(n, -1) for _, scaled in grids]
+    lows = [flat.min(axis=1) for flat in flats]
+    highs = [flat.max(axis=1) for flat in flats]
+    low = np.minimum(lows[0], lows[1])
     limit = 1.0 - eps_deg
-    peaks = [np.abs(flat).max(axis=1) for flat in flats]
-    bad = (peaks[0] >= limit) | (peaks[1] >= limit)
+    # |x| >= limit somewhere iff max x >= limit or min x <= -limit; this
+    # needs no grid-sized |x| temporary
+    bad = (np.maximum(highs[0], highs[1]) >= limit) | (low <= -limit)
     if bad.any():
         i = int(np.argmax(bad))
-        label, scaled = grids[0 if peaks[0][i] >= limit else 1]
+        on_collocation = highs[0][i] >= limit or lows[0][i] <= -limit
+        label, scaled = grids[0 if on_collocation else 1]
         sample = scaled[i] if batched else scaled
         worst = int(np.argmax(np.abs(sample)))
         t = float(time[i] if np.ndim(time) else time)
@@ -277,7 +297,7 @@ def _guard(domain, params, ut, time, eps_deg, at_start, gauss_scaled=None):
             factor=float(1.0 + sample.min()),
             at_start=at_start,
         )
-    minima = 1.0 + np.minimum(flats[0].min(axis=1), flats[1].min(axis=1))
+    minima = 1.0 + low
     return minima if batched else float(minima[0])
 
 
@@ -292,31 +312,57 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _product_projections(domain, params, u, ut, utt, uttt, fine=None):
+def _product_projections(domain, params, u, ut, utt, uttt, fine, workspace):
     """Exact projections of the quadratic products of f, in the order
     (u_tt^2, u_t u_ttt) if k != 0, then (|grad u_t|^2, grad u . grad u_tt)
-    if s; ``fine`` may pass the stack (u_tt, u_t[, u]) in.  None if k = s = 0."""
+    if s; ``fine`` is the stack (u_tt, u_t[, u]) when the caller has it
+    already (else None), ``workspace`` holds the grid values and the
+    products.  None if k = s = 0."""
     k, s = params.k, params.s
     if k == 0.0 and not s:
         return None
     if fine is None:
-        fine = np.stack([utt, ut, u] if s else [utt, ut])
+        fine = np.array([utt, ut, u] if s else [utt, ut])
     vals, grads = evaluate_stack(
         domain,
         "fine",
         fine,
         values=slice(0, 2) if k != 0.0 else None,
         gradient=slice(0, 3) if s else None,
+        workspace=workspace,
     )
-    products = []
+    shape = (vals[0] if k != 0.0 else grads[0][0]).shape
+    products = workspace.take(("fine", "products"), (2 * (k != 0.0) + 2 * s,) + shape)
     if k != 0.0:
-        products += [vals[0] * vals[0], vals[1] * evaluate(domain, "fine", uttt)]
+        np.multiply(vals[0], vals[0], out=products[0])
+        np.multiply(vals[1], evaluate(domain, "fine", uttt), out=products[1])
     if s:
-        products += [gradient_product(grads, 1, 1), gradient_product(grads, 2, 0)]
-    return project(domain, "fine", np.stack(products))
+        gradient_product(grads, 1, 1, out=products[-2])
+        gradient_product(grads, 2, 0, out=products[-1])
+    return project(domain, "fine", products)
 
 
-def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing):
+def _gauss_quotient(k, vals, grads, scaled, workspace):
+    """The law's numerator over 1 + 2k u_t on the Gauss grid, in a
+    ``workspace`` buffer.  ``vals`` are the values of (lin, u_tt, u_t),
+    ``grads`` the gradient components of (u_tt, u_t, u) or None, and
+    ``scaled`` is 2k u_t.
+
+    The buffered form of ``(lin - 2k u_tt u_tt - sum_i (2 d_i u_t d_i u_t
+    + 2 d_i u d_i u_tt)) / (1 + 2k u_t)``, association order included.
+    """
+    num = workspace.take("num", scaled.shape)
+    term = workspace.take("term", scaled.shape)
+    np.multiply(2.0 * k, vals[1], out=term)
+    np.subtract(vals[0], np.multiply(term, vals[1], out=term), out=num)
+    for comp in grads or ():
+        for a, b in ((1, 1), (2, 0)):
+            np.multiply(2.0, comp[a], out=term)
+            np.subtract(num, np.multiply(term, comp[b], out=term), out=num)
+    return np.divide(num, np.add(1.0, scaled, out=term), out=num)
+
+
+def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing, workspace):
     """Kernel body on one tensor or an (n,) stack; see nonlinear_terms."""
     k, s = params.k, params.s
     guard_min = None
@@ -327,17 +373,20 @@ def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing):
         uttt = lin
         if k != 0.0:
             # Gauss grid: values of (lin, u_tt, u_t), gradients of (u_tt, u_t, u)
-            stack = np.stack([lin, utt, ut, u] if s else [lin, utt, ut])
+            # np.array stacks like np.stack, at a fraction of its call cost
+            stack = np.array([lin, utt, ut, u] if s else [lin, utt, ut])
             vals, grads = evaluate_stack(
-                domain, "gauss", stack, values=slice(0, 3), gradient=slice(1, 4) if s else None
+                domain,
+                "gauss",
+                stack,
+                values=slice(0, 3),
+                gradient=slice(1, 4) if s else None,
+                workspace=workspace,
             )
-            scaled = 2.0 * k * vals[2]
+            scaled = np.multiply(2.0 * k, vals[2], out=workspace.take("scaled", vals[2].shape))
             if eps_deg is not None:
                 guard_min = _guard(domain, params, ut, time, eps_deg, at_start, scaled)
-            num = vals[0] - 2.0 * k * vals[1] * vals[1]
-            for comp in grads or ():
-                num = num - 2.0 * comp[1] * comp[1] - 2.0 * comp[2] * comp[0]
-            uttt = project(domain, "gauss", num / (1.0 + scaled))
+            uttt = project(domain, "gauss", _gauss_quotient(k, vals, grads, scaled, workspace))
             fine = stack[1:]
     if guard_min is None and eps_deg is not None:
         guard_min = _guard(domain, params, ut, time, eps_deg, at_start)
@@ -345,7 +394,7 @@ def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing):
     gradient_route = lin is not None and k == 0.0 and s
     if not (forcing or gradient_route):
         return uttt, None, guard_min
-    proj = _product_projections(domain, params, u, ut, utt, uttt, fine)
+    proj = _product_projections(domain, params, u, ut, utt, uttt, fine, workspace)
     if gradient_route:
         grad = 2.0 * proj[0]
         grad += 2.0 * proj[1]
@@ -373,6 +422,7 @@ def nonlinear_terms(
     eps_deg=DEFAULT_EPS_DEG,
     at_start=False,
     forcing=True,
+    workspace=None,
 ):
     """The quasilinear law on raw coefficient arrays: (u_ttt, f, guard minimum).
 
@@ -385,10 +435,16 @@ def nonlinear_terms(
       ``forcing`` is false.
     * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
       sample unless ``eps_deg`` is None; the guard minimum is then None.
+    * ``workspace`` (a ``spectral.GridWorkspace``) holds the grid
+      buffers; a march passes its own, None makes one for this call.
+      The results never share memory with it.
     """
+    ws = GridWorkspace() if workspace is None else workspace
 
     def block(u_b, ut_b, utt_b, uttt_b, t_b):
-        return _terms(domain, params, u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start, forcing)
+        return _terms(
+            domain, params, u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start, forcing, ws
+        )
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)
 

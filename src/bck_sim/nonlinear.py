@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import fourth_derivative_series
+from .energy import _sq_norm, fourth_derivative_series
 from .errors import BlowUpError, DegeneracyError, NonConvergenceError
 from .linear import (
     propagator_table,
@@ -33,10 +33,9 @@ from .model import (  # acceleration is re-exported for callers of this module
     EvolutionState,
     acceleration,
     degeneracy_guard,
-    make_compatibility_data,
     nonlinear_terms,
 )
-from .spectral import SpectralField
+from .spectral import GridWorkspace, SpectralField
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_SUBSTEP_SWEEPS = 2
@@ -157,13 +156,14 @@ def _check_blowup(data, time, bound):
         )
 
 
-def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound):
+def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspace):
     """One exponential-integrator step with substep fixed-point closure.
 
     Takes the semigroup data (shape (3,) + coeff shape) at time t plus the
     already-computed third forcing component F3 = -f there; returns
     (data, u_tt, u_ttt, F3) at t + dt, so a march never evaluates the
-    forcing twice at one sample.
+    forcing twice at one sample.  ``workspace`` is the march's
+    GridWorkspace, passed to every kernel call.
     """
     domain = table.domain
     dt = table.dt
@@ -180,7 +180,14 @@ def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound):
         data_next = candidate.reshape(data.shape)
         utt = semigroup_utt(domain, params, data_next)
         uttt, f, _ = nonlinear_terms(
-            domain, params, data_next[0], data_next[1], utt, time=t_next, eps_deg=eps_deg
+            domain,
+            params,
+            data_next[0],
+            data_next[1],
+            utt,
+            time=t_next,
+            eps_deg=eps_deg,
+            workspace=workspace,
         )
         f3_next = -f
         if sweep < substep_iters:
@@ -202,10 +209,13 @@ def step(
     if table is None:
         table = propagator_table(domain, params, float(dt))
     u, ut, utt = state.u.coeffs, state.ut.coeffs, state.utt.coeffs
-    _, f, _ = nonlinear_terms(domain, params, u, ut, utt, time=state.t, eps_deg=eps_deg)
+    workspace = GridWorkspace()
+    _, f, _ = nonlinear_terms(
+        domain, params, u, ut, utt, time=state.t, eps_deg=eps_deg, workspace=workspace
+    )
     data = semigroup_data(domain, params, u, ut, utt)
     data, utt, _, _ = _advance(
-        table, params, data, state.t, -f, substep_iters, eps_deg, blowup_bound
+        table, params, data, state.t, -f, substep_iters, eps_deg, blowup_bound, workspace
     )
     return EvolutionState(
         state.t + table.dt,
@@ -227,7 +237,8 @@ def solve(
     """March the nonlinear problem from CompatibilityData to time T.
 
     On degeneracy or blow-up the raised error carries the accepted part
-    of the run in its partial_trajectory attribute.
+    of the run in its partial_trajectory attribute.  One GridWorkspace
+    serves every kernel call of the march and is dropped with it.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
@@ -246,7 +257,10 @@ def solve(
     u[0], ut[0], utt[0] = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
     uttt[0] = initial.uttt0.coeffs
 
-    _, f, _ = nonlinear_terms(domain, params, u[0], ut[0], utt[0], uttt=uttt[0], eps_deg=None)
+    workspace = GridWorkspace()
+    _, f, _ = nonlinear_terms(
+        domain, params, u[0], ut[0], utt[0], uttt=uttt[0], eps_deg=None, workspace=workspace
+    )
     f3 = -f
     data = semigroup_data(domain, params, u[0], ut[0], utt[0])
 
@@ -265,7 +279,7 @@ def solve(
     for n in range(nt - 1):
         try:
             data, utt[n + 1], uttt[n + 1], f3 = _advance(
-                table, params, data, t, f3, substep_iters, eps_deg, blowup_bound
+                table, params, data, t, f3, substep_iters, eps_deg, blowup_bound, workspace
             )
         except (DegeneracyError, BlowUpError) as err:
             err.partial_trajectory = partial(n)
@@ -277,13 +291,6 @@ def solve(
     return Trajectory(
         domain=domain, params=params, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt
     )
-
-
-def solve_from_fields(u0, u1, u2, params, T, dt, **kwargs):
-    """Convenience wrapper building the compatibility data first."""
-    eps_deg = kwargs.get("eps_deg", DEFAULT_EPS_DEG)
-    data = make_compatibility_data(u0, u1, u2, params, eps_deg=eps_deg)
-    return solve(data, params, T, dt, **kwargs)
 
 
 def assert_guard(traj, params, eps_deg=DEFAULT_EPS_DEG):
@@ -394,14 +401,8 @@ def picard_solve(
     )
 
 
-def _sq_norm_series(arr, lam, weight, power):
-    axes = tuple(range(-lam.ndim, 0))
-    scaled = arr * arr if power == 0 else arr * arr * lam**power
-    return weight * scaled.sum(axis=axes)
-
-
 def _norm_series(arr, lam, weight, power):
-    return np.sqrt(_sq_norm_series(arr, lam, weight, power))
+    return np.sqrt(_sq_norm(arr, lam, weight, power))
 
 
 def vtilde_norm(traj):
@@ -418,13 +419,13 @@ def vtilde_norm(traj):
         return float(series.max(initial=0.0))
 
     components = {
-        "utttt_L2L2": integral(_sq_norm_series(utttt, lam, weight, 0)),
-        "uttt_L2H1": integral(_sq_norm_series(traj.uttt, lam, weight, 1)),
-        "utt_L2H1": integral(_sq_norm_series(traj.utt, lam, weight, 1)),
-        "utt_LinfH2": supremum(_sq_norm_series(traj.utt, lam, weight, 2)),
-        "ut_L2H1": integral(_sq_norm_series(traj.ut, lam, weight, 1)),
-        "ut_LinfH3": supremum(_sq_norm_series(traj.ut, lam, weight, 3)),
-        "u_LinfH3": supremum(_sq_norm_series(traj.u, lam, weight, 3)),
+        "utttt_L2L2": integral(_sq_norm(utttt, lam, weight, 0)),
+        "uttt_L2H1": integral(_sq_norm(traj.uttt, lam, weight, 1)),
+        "utt_L2H1": integral(_sq_norm(traj.utt, lam, weight, 1)),
+        "utt_LinfH2": supremum(_sq_norm(traj.utt, lam, weight, 2)),
+        "ut_L2H1": integral(_sq_norm(traj.ut, lam, weight, 1)),
+        "ut_LinfH3": supremum(_sq_norm(traj.ut, lam, weight, 3)),
+        "u_LinfH3": supremum(_sq_norm(traj.u, lam, weight, 3)),
     }
     return VNormReport(components=components, value=max(components.values()))
 
@@ -447,7 +448,7 @@ def v_norm(traj):
 
     def h_time(depth, space_power):
         return sum(
-            integral(_sq_norm_series(derivs[i], lam, weight, space_power))
+            integral(_sq_norm(derivs[i], lam, weight, space_power))
             for i in range(depth + 1)
         )
 
@@ -459,7 +460,7 @@ def v_norm(traj):
         return float(summed.max(initial=0.0)) ** 2
 
     total = (
-        float(_sq_norm_series(traj.u, lam, weight, 4).max(initial=0.0))  # Linf H4
+        float(_sq_norm(traj.u, lam, weight, 4).max(initial=0.0))  # Linf H4
         + h_time(1, 4)  # H1 H4
         + w_inf(2, 3)  # Winf2 H3
         + h_time(2, 3)  # H2 H3

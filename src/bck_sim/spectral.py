@@ -39,6 +39,19 @@ transforms run over the trailing axes only, so batched results equal
 unbatched ones bit for bit.  Merging matrices into one larger product, or
 folding the DCT into a matrix, would change the rounding; the array layer
 avoids both.  Every scipy.fft call goes through this module's ``_fft``.
+
+Grid workspace.  ``evaluate_stack`` writes its matrix products into the
+buffers of a ``GridWorkspace`` (``np.matmul(..., out=)``), and the model's
+Gauss-grid arithmetic writes into the same object through ufunc ``out=``.
+A workspace lives for one nonlinear march (``nonlinear.solve``) or for one
+batched kernel call, shared by its blocks; nothing is cached for the life
+of the module.  Its buffers never escape: every value handed back to a
+caller of the model kernel is a fresh array, and an array returned by
+``evaluate_stack`` stays valid only until the next call with the same
+workspace and grid.  The operations and their association order are the
+ones of the allocating expressions they replace, so every bit is the same;
+what goes away is the fresh grid-sized temporaries per call, which at
+2D N=48 (224 x 224 Gauss nodes) page-fault several megabytes per call.
 """
 
 from __future__ import annotations
@@ -65,13 +78,13 @@ __all__ = [
     "product_collocation",
     "gradient_dot",
     "evaluate_at",
-    "evaluate_gradient_at",
     "evaluate_gauss",
     "project_gauss",
     "linf_grid",
     "embedding_constant_estimate",
     "BLOCK_BYTES",
     "sample_blocks",
+    "GridWorkspace",
     "evaluate",
     "evaluate_stack",
     "gradient_product",
@@ -427,7 +440,46 @@ def evaluate(domain, grid, coeffs):
     return _apply(domain._grid_matrices[grid][0], coeffs)
 
 
-def evaluate_stack(domain, grid, stack, values=None, gradient=None):
+class GridWorkspace:
+    """Reusable output buffers for grid evaluations and grid arithmetic.
+
+    ``take(key, shape)`` returns a C-contiguous float array of ``shape``
+    backed by the buffer named ``key``, which grows when a larger shape is
+    asked for.  Its contents are undefined; the caller overwrites every
+    entry.  A buffer is reused by the next ``take`` of its key, so an
+    array taken from a workspace must not be kept past the operation that
+    took it.  See the module docstring for the lifetime of a workspace.
+    """
+
+    __slots__ = ("_buffers", "_views")
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}
+
+    def take(self, key, shape):
+        view = self._views.get((key, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get(key)
+            if buf is None or buf.size < size:
+                buf = self._buffers[key] = np.empty(size)
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}
+            view = self._views[key, shape] = buf[:size].reshape(shape)
+        return view
+
+
+def _matmul_into(workspace, key, a, b):
+    """``a @ b`` written into the workspace buffer ``key``; one of the two
+    operands is a plain matrix, the other may carry leading axes."""
+    if b.ndim == 2:
+        shape = a.shape[:-1] + b.shape[-1:]
+    else:
+        shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+    return np.matmul(a, b, out=workspace.take(key, shape))
+
+
+def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=None):
     """Values and gradient components of selected members of a stack.
 
     ``stack`` has shape (F, ...) + coeff shape; ``values`` and ``gradient``
@@ -436,19 +488,30 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None):
     factor is applied once to the whole stack and shared by the values and
     the second gradient component, so every member must be selected by at
     least one of the two slices.
+
+    The results are buffers of ``workspace`` (a fresh ``GridWorkspace``
+    when None), valid until its next call on the same grid; the products
+    are the ones of ``_apply``, so the bits are too.
     """
+    ws = GridWorkspace() if workspace is None else workspace
     sine, dcos = domain._grid_matrices[grid]
     if domain.dimension == 1:
-        vals = None if values is None else _apply(sine, stack[values])
-        grads = None if gradient is None else (_apply(dcos, stack[gradient]),)
+        vals = grads = None
+        if values is not None:
+            vals = _matmul_into(ws, (grid, "vals"), sine[0], stack[values][..., None])[..., 0]
+        if gradient is not None:
+            grads = (
+                _matmul_into(ws, (grid, "grad0"), dcos[0], stack[gradient][..., None])[..., 0],
+            )
         return vals, grads
-    left = sine[0] @ stack
-    vals = None if values is None else left[values] @ sine[1].T
+    left = _matmul_into(ws, (grid, "left"), sine[0], stack)
+    vals = None if values is None else _matmul_into(ws, (grid, "vals"), left[values], sine[1].T)
     grads = None
     if gradient is not None:
+        inner = _matmul_into(ws, (grid, "inner"), dcos[0], stack[gradient])
         grads = (
-            dcos[0] @ stack[gradient] @ sine[1].T,
-            left[gradient] @ dcos[1].T,
+            _matmul_into(ws, (grid, "grad0"), inner, sine[1].T),
+            _matmul_into(ws, (grid, "grad1"), left[gradient], dcos[1].T),
         )
     return vals, grads
 
@@ -466,8 +529,11 @@ def project(domain, grid, samples):
     d = domain.dimension
     y = _fft.dctn(samples, type=1, axes=tuple(range(-d, 0)))
     w = domain._dct_weights
-    cos = y * w if d == 1 else y * w[:, None] * w[None, :]
-    return _apply((domain._cos_to_sine,) * d, cos)
+    # y is the transform's own output, weighted in place: (y w_0) w_1 in 2D
+    if d == 2:
+        y *= w[:, None]
+    y *= w
+    return _apply((domain._cos_to_sine,) * d, y)
 
 
 def grid_values(domain, coeffs, points=None):
@@ -524,12 +590,13 @@ def linf_grid(field):
 # ---------------------------------------------------------------------------
 
 
-def gradient_product(grads, left, right):
+def gradient_product(grads, left, right, out=None):
     """grad(a) . grad(b) on a grid, from the per-axis gradient components of
-    a member stack (``left`` and ``right`` index the members)."""
-    acc = None
-    for comp in grads:
-        acc = comp[left] * comp[right] if acc is None else acc + comp[left] * comp[right]
+    a member stack (``left`` and ``right`` index the members), summed over
+    the axes in order; written into ``out`` when given."""
+    acc = np.multiply(grads[0][left], grads[0][right], out=out)
+    for comp in grads[1:]:
+        acc = np.add(acc, comp[left] * comp[right], out=out)
     return acc
 
 
@@ -609,23 +676,6 @@ def evaluate_at(field, points):
         for x, L in zip(axes, domain.lengths)
     ]
     return _apply(mats, field.coeffs)
-
-
-def evaluate_gradient_at(field, points):
-    """Gradient components of the expansion on a tensor grid of points."""
-    domain = field.domain
-    axes = _axis_points(domain, points)
-    out = []
-    for axis in range(domain.dimension):
-        mats = []
-        for i, (x, L) in enumerate(zip(axes, domain.lengths)):
-            if i == axis:
-                scale = np.arange(1, domain.modes_per_axis + 1) * (np.pi / L)
-                mats.append(_cosine_matrix(x, L, domain.modes_per_axis) * scale)
-            else:
-                mats.append(_sine_matrix(x, L, domain.modes_per_axis))
-        out.append(_apply(mats, field.coeffs))
-    return out
 
 
 def evaluate_gauss(field):

@@ -19,12 +19,21 @@ from bck_sim.model import (
     degeneracy_factor_series,
     degeneracy_guard,
     forcing_f,
+    linear_bracket,
     make_compatibility_data,
     nonlinear_terms,
     pde_residual,
     pde_residual_series,
 )
-from bck_sim.spectral import DomainSpec, SpectralField, evaluate, linf_grid, linf_series
+from bck_sim.nonlinear import solve
+from bck_sim.spectral import (
+    DomainSpec,
+    SpectralField,
+    evaluate,
+    linf_grid,
+    linf_series,
+    project,
+)
 
 DOMAINS = [(1, 8), (1, 64), (2, 8), (2, 16)]
 BATCHES = [(), (5,), (2, 3)]
@@ -177,3 +186,113 @@ def test_batched_guard_reports_first_offending_sample():
     assert err.value.time == 0.2
     minima = degeneracy_guard(domain, params, ut[:2], time=0.0)
     assert np.array_equal(minima, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the grid workspace of a march
+# ---------------------------------------------------------------------------
+
+
+def _initial_data(dim, n, seed=0):
+    domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    u, ut, utt, _ = _fields(domain, (), seed)
+    fields = (SpectralField(domain, c) for c in (u, ut, utt))
+    return domain, params, make_compatibility_data(*fields, params)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 16)])
+def test_buffered_law_matches_the_allocating_expression(dim, n, s):
+    """The workspace form of the Gauss stage keeps the operations and their
+    association order, so it reproduces the plain expression bit for bit."""
+    domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
+    # a weak linear part and strong fields, so every quadratic term reaches
+    # the last bits of the numerator
+    params = ModelParams(1e-3, 1e-3, 1e-3, 0.2, s)
+    u, ut, utt, _ = (30.0 * c for c in _fields(domain, (), seed=n))
+    sine, dcos = domain._grid_matrices["gauss"]
+
+    def values(c):
+        return (sine[0] @ c[:, None])[:, 0] if dim == 1 else sine[0] @ c @ sine[1].T
+
+    def gradient(c):
+        if dim == 1:
+            return [(dcos[0] @ c[:, None])[:, 0]]
+        return [dcos[0] @ c @ sine[1].T, sine[0] @ c @ dcos[1].T]
+
+    k = params.k
+    lin = linear_bracket(domain, params, u, ut, utt)
+    num = values(lin) - 2.0 * k * values(utt) * values(utt)
+    if s:
+        for d_utt, d_ut, d_u in zip(gradient(utt), gradient(ut), gradient(u)):
+            num = num - 2.0 * d_ut * d_ut - 2.0 * d_u * d_utt
+    want = project(domain, "gauss", num / (1.0 + 2.0 * k * values(ut)))
+    assert np.array_equal(nonlinear_terms(domain, params, u, ut, utt)[0], want)
+
+
+TRAJECTORY_FIELDS = ("u", "ut", "utt", "uttt")
+
+
+def _same_trajectory(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in TRAJECTORY_FIELDS)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 16)])
+def test_march_stores_the_kernel_value_of_each_sample(dim, n):
+    domain, params, data = _initial_data(dim, n)
+    traj = solve(data, params, 6e-3, 1e-3)
+    for i in range(traj.n_samples):
+        uttt, _, _ = nonlinear_terms(
+            domain, params, traj.u[i], traj.ut[i], traj.utt[i], time=traj.t_grid[i]
+        )
+        assert np.array_equal(traj.uttt[i], uttt)
+
+
+def test_alternating_marches_match_solo_runs_and_share_no_memory():
+    cases = [_initial_data(1, 8), _initial_data(2, 16, seed=1)]
+    solo = [solve(data, params, 5e-3, 1e-3) for _, params, data in cases]
+    mixed = [solve(data, params, 5e-3, 1e-3) for _ in range(2) for _, params, data in cases]
+    for i, traj in enumerate(mixed):
+        assert _same_trajectory(traj, solo[i % 2])
+    for i, a in enumerate(mixed):
+        for b in mixed[i + 1 :]:
+            for x in TRAJECTORY_FIELDS:
+                for y in TRAJECTORY_FIELDS:
+                    assert not np.shares_memory(getattr(a, x), getattr(b, y))
+
+
+def test_one_workspace_serves_calls_on_several_domains():
+    workspace = spectral.GridWorkspace()
+    cases = []
+    for dim, n, batch in ((2, 16, ()), (1, 8, (3,)), (2, 8, (2,)), (1, 64, ())):
+        domain = DomainSpec(dim, (np.pi,) * dim, n)
+        params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+        u, ut, utt, _ = _fields(domain, batch, seed=n)
+        cases.append((domain, params, u, ut, utt, nonlinear_terms(domain, params, u, ut, utt)))
+    results = []
+    for _ in range(2):
+        for domain, params, u, ut, utt, want in cases:
+            got = nonlinear_terms(domain, params, u, ut, utt, workspace=workspace)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            results += [r for r in got if isinstance(r, np.ndarray)]
+    for i, a in enumerate(results):
+        for b in results[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_march_after_a_degeneracy_trip_is_unchanged():
+    domain, params, data = _initial_data(1, 8)
+    before = solve(data, params, 5e-3, 1e-3)
+    # the between-nodes field: u_t close to the Gauss-node limit and pushed
+    # further by u_tt, so the guard trips on a Gauss node a few steps in
+    _, bad_params, bad = _between_nodes_case()
+    zero = SpectralField.zeros(domain)
+    tripping = make_compatibility_data(zero, 0.7 * bad, 22.0 * bad, bad_params)
+    with pytest.raises(DegeneracyError) as err:
+        solve(tripping, bad_params, 2e-2, 2e-4)
+    assert not err.value.at_start
+    assert err.value.partial_trajectory.n_samples > 1
+    assert "Gauss node" in str(err.value)
+    assert _same_trajectory(solve(data, params, 5e-3, 1e-3), before)
