@@ -33,7 +33,6 @@ from .energy import (
     decay_norm_sum,
     energy_series,
     estimate_audit_linear,
-    forcing_series,
 )
 from .errors import (
     BlowUpError,
@@ -170,9 +169,7 @@ def cmd_simulate(config, out_dir, artifacts):
     bound = spectral_bound(config.params, config.domain.lambda0)
     omega, prefactor, fit_residual = _safe_fit(series["t"], decay_norm_sum(series))
     try:
-        audit = estimate_audit_linear(
-            traj, forcing_series(traj, config.params), config.params, series=series
-        )
+        audit = estimate_audit_linear(traj, traj.forcing, config.params, series=series)
         c_min = audit.c_min
     except DivisionGuardError as err:
         log.info("estimate audit skipped: %s", err)

@@ -223,10 +223,18 @@ def _build_params(values):
     raise ConfigError("[params] provides neither direct coefficients nor material data")
 
 
+# where a run writes and what it is called change no number it computes
+_UNHASHED = frozenset({("output", "directory"), ("run", "label")})
+
+
 def _canonical(values):
+    """Text of every value that determines the results; its SHA-256 is
+    ``config_sha256``, the physics identity of a run."""
     lines = []
     for section in sorted(_SCHEMA):
         for key in sorted(_SCHEMA[section]):
+            if (section, key) in _UNHASHED:
+                continue
             val = values[(section, key)]
             if isinstance(val, tuple):
                 rendered = " ".join(_render_number(v) for v in val)

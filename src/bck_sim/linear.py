@@ -55,17 +55,22 @@ class ModeBlock:
     eigenvalues: np.ndarray
 
 
+def _generator_blocks(lam, params):
+    """The blocks A_lam of the module docstring, shape lam.shape + (3, 3)."""
+    blocks = np.zeros(lam.shape + (3, 3))
+    blocks[..., 0, 1] = 1.0
+    blocks[..., 1, 0] = -params.c**2 * lam
+    blocks[..., 1, 1] = -params.b * lam
+    blocks[..., 1, 2] = 1.0
+    blocks[..., 2, 2] = -params.a * lam
+    return blocks
+
+
 def mode_matrix(lam, params):
     lam = float(lam)
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    matrix = np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [-params.c**2 * lam, -params.b * lam, 1.0],
-            [0.0, 0.0, -params.a * lam],
-        ]
-    )
+    matrix = _generator_blocks(np.array(lam), params)
     eig = mode_eigenvalues_from_coefficients(lam, params.a, params.b, params.c)
     return ModeBlock(lam=lam, matrix=matrix, eigenvalues=eig)
 
@@ -189,14 +194,8 @@ class PropagatorTable:
             raise ValueError("dt must be positive")
         lam = np.asarray(domain.eigenvalue_grid, dtype=float).ravel()
         n = lam.size
-        blocks = np.zeros((n, 3, 3))
-        blocks[:, 0, 1] = 1.0
-        blocks[:, 1, 0] = -params.c**2 * lam
-        blocks[:, 1, 1] = -params.b * lam
-        blocks[:, 1, 2] = 1.0
-        blocks[:, 2, 2] = -params.a * lam
         aug = np.zeros((n, 9, 9))
-        aug[:, :3, :3] = dt * blocks
+        aug[:, :3, :3] = dt * _generator_blocks(lam, params)
         idx = np.arange(3)
         aug[:, idx, idx + 3] = dt
         aug[:, idx + 3, idx + 6] = dt

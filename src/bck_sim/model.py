@@ -339,7 +339,7 @@ def _product_projections(domain, params, u, ut, utt, uttt, fine, workspace):
     if s:
         gradient_product(grads, 1, 1, out=products[-2])
         gradient_product(grads, 2, 0, out=products[-1])
-    return project(domain, "fine", products)
+    return project(domain, "fine", products, workspace)
 
 
 def _gauss_quotient(k, vals, grads, scaled, workspace):

@@ -47,7 +47,10 @@ class Trajectory:
 
     Arrays have shape (nt,) + coeff shape.  The stored u_ttt comes from
     the model's acceleration at each accepted sample (or, for linear
-    solves, from the linear bracket plus forcing).
+    solves, from the linear bracket plus forcing).  ``forcing``, when
+    present, holds the quadratic forcing f at every sample as the march
+    computed it, the same bits as ``energy.forcing_series``; a trajectory
+    derived by arithmetic (``difference``, ``scaled``) carries none.
     """
 
     domain: object
@@ -57,12 +60,14 @@ class Trajectory:
     ut: np.ndarray
     utt: np.ndarray
     uttt: np.ndarray
+    forcing: np.ndarray | None = None
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         nt = self.t_grid.size
         expected = (nt,) + self.domain.coeff_shape
-        for name in ("u", "ut", "utt", "uttt"):
+        names = ("u", "ut", "utt", "uttt") + (("forcing",) if self.forcing is not None else ())
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}")
@@ -254,14 +259,15 @@ def solve(
     ut = np.zeros((nt,) + shape)
     utt = np.zeros((nt,) + shape)
     uttt = np.zeros((nt,) + shape)
+    forcing = np.zeros((nt,) + shape)
     u[0], ut[0], utt[0] = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
     uttt[0] = initial.uttt0.coeffs
 
     workspace = GridWorkspace()
-    _, f, _ = nonlinear_terms(
+    _, forcing[0], _ = nonlinear_terms(
         domain, params, u[0], ut[0], utt[0], uttt=uttt[0], eps_deg=None, workspace=workspace
     )
-    f3 = -f
+    f3 = -forcing[0]
     data = semigroup_data(domain, params, u[0], ut[0], utt[0])
 
     def partial(upto):
@@ -273,6 +279,7 @@ def solve(
             ut=ut[: upto + 1].copy(),
             utt=utt[: upto + 1].copy(),
             uttt=uttt[: upto + 1].copy(),
+            forcing=forcing[: upto + 1].copy(),
         )
 
     t = 0.0
@@ -287,9 +294,17 @@ def solve(
         t += table.dt
         u[n + 1] = data[0]
         ut[n + 1] = data[1]
+        forcing[n + 1] = -f3
 
     return Trajectory(
-        domain=domain, params=params, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt
+        domain=domain,
+        params=params,
+        t_grid=t_grid,
+        u=u,
+        ut=ut,
+        utt=utt,
+        uttt=uttt,
+        forcing=forcing,
     )
 
 

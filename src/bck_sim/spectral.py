@@ -38,7 +38,23 @@ a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the
 transforms run over the trailing axes only, so batched results equal
 unbatched ones bit for bit.  Merging matrices into one larger product, or
 folding the DCT into a matrix, would change the rounding; the array layer
-avoids both.  Every scipy.fft call goes through this module's ``_fft``.
+avoids both.
+
+Transforms.  The only transforms are the unnormalized type-1 DCT (exact
+products) and type-1 DST (collocation values), and ``_type1`` computes
+them on ``numpy.fft`` (numpy >= 2.0 ships the C++ pocketfft), so scipy.fft
+and everything it imports stay off the import path.  It does what
+pocketfft's own T_dct1 and T_dst1 do, which are what ``scipy.fft.dctn`` and
+``dstn`` with ``type=1`` run: one real FFT per axis of the even extension
+``[x_0 .. x_{n-1}, x_{n-2} .. x_1]`` (the DCT is the real part of bins
+0..n-1) or the odd extension ``[0, x_0 .. x_{n-1}, 0, -x_{n-1} .. -x_0]``
+(the DST is minus the imaginary part of bins 1..n), axis -2 before axis -1.
+The results equal scipy's bit for bit, signed zeros included
+(``tests/test_spectral.py``).  Each pass runs in place along its axis, with
+no transposed copy: the extension and spectrum buffers come from a
+``GridWorkspace``, and a stack is transformed a few members at a time so
+they stay in cache.  Every transform call goes through this module's
+``_fft``: one ``rfft`` per pass, so two per member chunk of a 2D transform.
 
 Grid workspace.  ``evaluate_stack`` writes its matrix products into the
 buffers of a ``GridWorkspace`` (``np.matmul(..., out=)``), and the model's
@@ -61,7 +77,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 
 __all__ = [
@@ -443,10 +459,10 @@ def evaluate(domain, grid, coeffs):
 class GridWorkspace:
     """Reusable output buffers for grid evaluations and grid arithmetic.
 
-    ``take(key, shape)`` returns a C-contiguous float array of ``shape``
-    backed by the buffer named ``key``, which grows when a larger shape is
-    asked for.  Its contents are undefined; the caller overwrites every
-    entry.  A buffer is reused by the next ``take`` of its key, so an
+    ``take(key, shape, dtype=float)`` returns a C-contiguous array of
+    ``shape`` backed by the buffer named ``key``, which grows when a larger
+    shape (or another dtype) is asked for.  Its contents are undefined;
+    the caller overwrites every entry.  A buffer is reused by the next ``take`` of its key, so an
     array taken from a workspace must not be kept past the operation that
     took it.  See the module docstring for the lifetime of a workspace.
     """
@@ -457,15 +473,15 @@ class GridWorkspace:
         self._buffers = {}
         self._views = {}
 
-    def take(self, key, shape):
-        view = self._views.get((key, shape))
+    def take(self, key, shape, dtype=float):
+        view = self._views.get((key, shape, dtype))
         if view is None:
             size = math.prod(shape)
             buf = self._buffers.get(key)
-            if buf is None or buf.size < size:
-                buf = self._buffers[key] = np.empty(size)
+            if buf is None or buf.size < size or buf.dtype != dtype:
+                buf = self._buffers[key] = np.empty(size, dtype)
                 self._views = {k: v for k, v in self._views.items() if k[0] != key}
-            view = self._views[key, shape] = buf[:size].reshape(shape)
+            view = self._views[key, shape, dtype] = buf[:size].reshape(shape)
         return view
 
 
@@ -516,18 +532,90 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=No
     return vals, grads
 
 
-def project(domain, grid, samples):
+def _last(a, axis):
+    """View of ``a`` with ``axis`` (-1 or -2) as its last axis."""
+    return a if axis == -1 else a.swapaxes(-1, -2)
+
+
+def _type1_pass(kind, src, negate, ws, axis):
+    """One type-1 pass along ``axis`` (-1 or -2) of ``src``, negated when
+    ``negate``: the even ("dct") or odd ("dst") extension, filled as
+    pocketfft's T_dct1/T_dst1 fill theirs, and its real FFT along the same
+    axis.  Returns the complex spectrum, a buffer of ``ws``."""
+    s = _last(src, axis)
+    n = s.shape[-1]
+    shape = list(src.shape)
+    shape[axis] = 2 * n - 2 if kind == "dct" else 2 * n + 2
+    ext = ws.take(("type1", "ext"), tuple(shape))
+    e = _last(ext, axis)
+    if kind == "dct":
+        np.copyto(e[..., :n], s)
+        np.copyto(e[..., n:], s[..., n - 2 : 0 : -1])
+    else:
+        if negate:
+            np.negative(s, out=e[..., 1 : n + 1])
+            np.copyto(e[..., n + 2 :], s[..., ::-1])
+        else:
+            np.copyto(e[..., 1 : n + 1], s)
+            np.negative(s[..., ::-1], out=e[..., n + 2 :])
+        # the two fixed nodes 0 and n + 1 hold x_0 * 0, signed zeros included
+        np.multiply(e[..., 1:2], 0.0, out=e[..., 0 : n + 2 : n + 1])
+    shape[axis] = shape[axis] // 2 + 1
+    spec = ws.take(("type1", "spec"), tuple(shape), complex)
+    return _fft.rfft(ext, axis=axis, out=spec)
+
+
+# Buffer bytes per chunk of a batched type-1 transform: a stack is
+# transformed a few members at a time, so its buffers stay in cache.
+_CHUNK_BYTES = 1 << 18
+
+
+def _type1(kind, x, d, workspace=None, out=None):
+    """Unnormalized type-1 DCT ("dct") or DST ("dst") over the trailing
+    ``d`` axes of ``x``, bit for bit ``scipy.fft.dctn``/``dstn`` with
+    ``type=1``; see the module docstring.  The result is written into
+    ``out`` (C-contiguous, shape of ``x``) or a fresh array."""
+    ws = GridWorkspace() if workspace is None else workspace
+    if out is None:
+        out = np.empty(x.shape)
+    core = x.shape[x.ndim - d :]
+    members = x.reshape((-1,) + core)
+    results = out.reshape(members.shape)
+    # the extension and its spectrum take about 32 bytes per point
+    step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
+    for i in range(0, members.shape[0], step):
+        chunk = slice(i, i + step)
+        src, negate = members[chunk], False
+        # axis -2 first, as scipy.fft
+        for axis in (-2, -1)[2 - d :]:
+            spec = _last(_type1_pass(kind, src, negate, ws, axis), axis)
+            if kind == "dct":
+                src = spec.real
+            else:
+                src, negate = spec.imag[..., 1:-1], True
+            src = _last(src, axis)
+        if negate:
+            np.negative(src, out=results[chunk])
+        else:
+            np.copyto(results[chunk], src)
+    return out
+
+
+def project(domain, grid, samples, workspace=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
     projected exactly (type-1 DCT over the trailing axes, trapezoid weights,
     analytic cosine-to-sine matrix).  "gauss": quadrature of arbitrary
-    pointwise data, see ``project_gauss``.
+    pointwise data, see ``project_gauss``.  ``workspace`` holds the
+    transform buffers (a fresh ``GridWorkspace`` when None); the result is
+    a fresh array.
     """
     if grid == "gauss":
         return _apply(domain._gauss_project, samples)
     d = domain.dimension
-    y = _fft.dctn(samples, type=1, axes=tuple(range(-d, 0)))
+    ws = GridWorkspace() if workspace is None else workspace
+    y = _type1("dct", samples, d, ws, out=ws.take(("type1", "out"), samples.shape))
     w = domain._dct_weights
     # y is the transform's own output, weighted in place: (y w_0) w_1 in 2D
     if d == 2:
@@ -545,8 +633,9 @@ def grid_values(domain, coeffs, points=None):
     if m < n:
         raise ValueError("collocation grid must carry at least N points per axis")
     coeffs = np.asarray(coeffs, dtype=float)
-    pad = [(0, 0)] * (coeffs.ndim - d) + [(0, m - n)] * d
-    return _fft.dstn(np.pad(coeffs, pad), type=1, axes=tuple(range(-d, 0))) / (2.0**d)
+    padded = np.zeros(coeffs.shape[: coeffs.ndim - d] + (m,) * d)
+    padded[(...,) + (slice(0, n),) * d] = coeffs
+    return _type1("dst", padded, d) / (2.0**d)
 
 
 def to_grid(field):
@@ -562,7 +651,7 @@ def to_spectral(grid):
     """
     domain = grid.domain
     m = domain.quadrature_points_per_axis
-    y = _fft.dstn(grid.samples, type=1) / float((m + 1) ** domain.dimension)
+    y = _type1("dst", grid.samples, domain.dimension) / float((m + 1) ** domain.dimension)
     n = domain.modes_per_axis
     sl = (slice(0, n),) * domain.dimension
     return SpectralField(domain, y[sl].copy())
@@ -643,7 +732,7 @@ def product_collocation(f, g, points=None):
     m = domain.quadrature_points_per_axis if points is None else int(points)
     vf = grid_values(domain, f.coeffs, m)
     vg = grid_values(domain, g.coeffs, m)
-    y = _fft.dstn(vf * vg, type=1) / float((m + 1) ** domain.dimension)
+    y = _type1("dst", vf * vg, domain.dimension) / float((m + 1) ** domain.dimension)
     n = domain.modes_per_axis
     sl = (slice(0, n),) * domain.dimension
     return SpectralField(domain, y[sl].copy())

@@ -4,6 +4,9 @@ committed ``out/`` artifacts as golden results."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,34 @@ def test_output_directory_changes_no_artifact_number(tmp_path):
     for name in ("summary.txt", "trajectory.csv", "run_record.json"):
         a, b = _records(first / name), _records(second / name)
         assert a == b, name
+
+
+def _hash(path):
+    return json.loads((path / "run_record.json").read_text(encoding="utf-8"))["config_sha256"]
+
+
+def test_config_hash_ignores_output_directory_and_label(tmp_path):
+    conf = CONFIGS / "zero-amplitude.conf"
+    runs = {
+        "a": ("--out", tmp_path / "a"),
+        "b": ("--set", "run.label=renamed", "--out", tmp_path / "b" / "nested"),
+        "k": ("--set", "params.k=0.1", "--out", tmp_path / "k"),
+    }
+    for extra in runs.values():
+        assert _run("simulate", "--config", conf, *extra) == 0
+    a, b, k = (_hash(runs[name][-1]) for name in "abk")
+    assert a == b
+    # a physics value still changes the hash
+    assert k != a
+
+
+def test_cli_import_leaves_scipy_fft_out():
+    code = (
+        "import sys, bck_sim.cli; "
+        "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bck_sim import spectral
+from bck_sim.energy import forcing_series
 from bck_sim.errors import DegeneracyError
 from bck_sim.model import (
     EvolutionState,
@@ -247,6 +248,28 @@ def test_march_stores_the_kernel_value_of_each_sample(dim, n):
             domain, params, traj.u[i], traj.ut[i], traj.utt[i], time=traj.t_grid[i]
         )
         assert np.array_equal(traj.uttt[i], uttt)
+
+
+@pytest.mark.parametrize("dim,n,s", [(1, 8, 1), (2, 16, 1), (2, 8, 0)])
+def test_march_stores_the_forcing_series(dim, n, s):
+    """The forcing the march computed at each accepted sample is the
+    forcing of the stored trajectory, bit for bit."""
+    domain, params, data = _initial_data(dim, n)
+    params = ModelParams(params.a, params.b, params.c, params.k, s)
+    traj = solve(data, params, 6e-3, 1e-3)
+    assert np.array_equal(traj.forcing, forcing_series(traj, params))
+    assert traj.difference(traj).forcing is None and traj.scaled(2.0).forcing is None
+
+
+def test_partial_trajectory_keeps_the_forcing():
+    _, params, bad = _between_nodes_case()
+    zero = SpectralField.zeros(bad.domain)
+    tripping = make_compatibility_data(zero, 0.7 * bad, 22.0 * bad, params)
+    with pytest.raises(DegeneracyError) as err:
+        solve(tripping, params, 2e-2, 2e-4)
+    partial = err.value.partial_trajectory
+    assert partial.forcing.shape == partial.u.shape
+    assert np.array_equal(partial.forcing, forcing_series(partial, params))
 
 
 def test_alternating_marches_match_solo_runs_and_share_no_memory():

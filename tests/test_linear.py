@@ -291,6 +291,16 @@ def test_propagator_table_mismatch_rejected():
         step_homogeneous(semi, 0.2, params, table=table)
 
 
+def test_propagator_table_exponentiates_the_mode_matrices():
+    dom = DomainSpec(2, (math.pi, 2.0), 3)
+    params = ModelParams(0.3, 0.7, 1.3, 0.0, 0)
+    dt = 0.05
+    table = PropagatorTable.build(dom, params, dt)
+    for m, lam in enumerate(dom.eigenvalue_grid.ravel()):
+        want = expm(dt * mode_matrix(lam, params).matrix)
+        np.testing.assert_allclose(table.propagator[m], want, rtol=1e-12, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # forced solves
 # ---------------------------------------------------------------------------

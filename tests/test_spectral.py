@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from bck_sim.spectral import (
     DomainSpec,
     GridField,
+    GridWorkspace,
     SpectralField,
+    _type1,
     eigenvalues,
     embedding_constant_estimate,
     evaluate_at,
@@ -425,3 +428,70 @@ def test_embedding_estimate_reports_finite_value():
     dom = _domain_1d()
     est = embedding_constant_estimate(dom, 1.0, n_samples=16, seed=3)
     assert np.isfinite(est) and est > 0.0
+
+
+# ---------------------------------------------------------------------------
+# type-1 transforms on numpy.fft: the bits of scipy.fft
+# ---------------------------------------------------------------------------
+
+# DCT lengths 2N+1 (N = 8, 48, 256) and DST lengths ceil(3N/2) (N = 8, 48,
+# 256); their FFT lengths 32, 192, 1024 and 26, 146, 770 include the large
+# prime factors 13, 73 and 11.
+TYPE1_LENGTHS = {"dct": (17, 97, 513), "dst": (12, 72, 384)}
+TYPE1_CASES = [
+    (kind, d, n, batch)
+    for kind, lengths in TYPE1_LENGTHS.items()
+    for n in lengths
+    for d, batch in ((1, ()), (1, (3,)), (1, (2, 3)), (2, ()), (2, (2,)))
+    if not (d == 2 and n > 400 and batch)
+]
+
+
+@pytest.mark.parametrize("kind,d,n,batch", TYPE1_CASES)
+def test_type1_transforms_equal_scipy_fft(kind, d, n, batch):
+    rng = np.random.default_rng(n + 7 * d + len(batch))
+    x = rng.standard_normal(batch + (n,) * d) * 10.0 ** rng.integers(-6, 6, size=(n,))
+    ref = (scipy_fft.dctn if kind == "dct" else scipy_fft.dstn)(
+        x, type=1, axes=tuple(range(-d, 0))
+    )
+    got = _type1(kind, x, d)
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()  # signed zeros too
+    assert got.flags.c_contiguous
+
+
+def test_type1_transforms_reuse_one_workspace():
+    rng = np.random.default_rng(5)
+    ws = GridWorkspace()
+    # alternate kinds, dimensions and sizes through the same buffers
+    for kind, shape, d in (
+        ("dct", (4, 33, 33), 2), ("dst", (7, 20), 1), ("dct", (2, 17), 1),
+        ("dst", (3, 12, 12), 2), ("dct", (4, 33, 33), 2),
+    ):
+        x = rng.standard_normal(shape)
+        assert _type1(kind, x, d, ws).tobytes() == _type1(kind, x, d).tobytes()
+
+
+def test_type1_chunks_change_no_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = (
+        ("dct", rng.standard_normal((5, 3, 17)), 1),
+        ("dst", rng.standard_normal((3, 12, 12)), 2),
+    )
+    whole = [_type1(kind, x, d).tobytes() for kind, x, d in cases]
+    # one member (or a few lines) per chunk
+    monkeypatch.setattr("bck_sim.spectral._CHUNK_BYTES", 2048)
+    assert [_type1(kind, x, d).tobytes() for kind, x, d in cases] == whole
+
+
+def test_type1_signed_zeros_follow_scipy_fft():
+    """Zero and nearly zero data (a zero-amplitude run) give exact zeros,
+    whose signs reach the artifacts as "0.0" or "-0.0"."""
+    for kind, d in (("dct", 1), ("dct", 2), ("dst", 1), ("dst", 2)):
+        x = np.zeros((2,) + (9,) * d)
+        x[0] = -0.0
+        x[1, ..., 3] = -2.5
+        ref = (scipy_fft.dctn if kind == "dct" else scipy_fft.dstn)(
+            x, type=1, axes=tuple(range(-d, 0))
+        )
+        assert _type1(kind, x, d).tobytes() == ref.tobytes()
