@@ -45,7 +45,6 @@ from .errors import (
 from .linear import linear_decay_report, mode_matrix, spectral_bound
 from .model import (
     EvolutionState,
-    degeneracy_factor_series,
     make_compatibility_data,
     pde_residual_series,
 )
@@ -122,7 +121,7 @@ def _trajectory_rows(traj, params, stride, series=None):
     domain = traj.domain
     residuals = np.full(n, math.nan)
     residuals[1:-1] = pde_residual_series(domain, params, traj.t_grid, traj.u, traj.ut, traj.utt)
-    guard = degeneracy_factor_series(domain, params, traj.ut)
+    guard = series["guard_min"]
     rows = []
     for i in range(0, n, stride):
         rows.append(

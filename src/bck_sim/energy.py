@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivisionGuardError, FitError
 from .model import nonlinear_terms
-from .spectral import SpectralField, linf_grid, linf_series, sobolev_norm
+from .spectral import SpectralField, grid_extremes, linf_grid, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -187,42 +187,30 @@ def energy_series(traj, params):
     """Vectorized energy functionals along a trajectory.
 
     Returns a dict of equal-length arrays keyed by the CSV column names
-    (plus "t").
+    (plus "t"); ``Linf_ut`` and ``guard_min`` come from one collocation
+    pass over u_t.  Each squared norm is computed once and shared by the
+    functionals that sum it.
     """
     lam, weight = _lam_weight(traj.domain)
     t = np.asarray(traj.t_grid, dtype=float)
     u, ut, utt, uttt = traj.u, traj.ut, traj.utt, traj.uttt
     a, b, c = params.a, params.b, params.c
 
+    def sq(arr, power):
+        return _sq_norm(arr, lam, weight, power)
+
+    u3, u4, ut3, ut4 = sq(u, 3), sq(u, 4), sq(ut, 3), sq(ut, 4)
+    utt3, uttt1 = sq(utt, 3), sq(uttt, 1)
     w = ut + a * lam * u
     wt = utt + a * lam * ut
     wtt = uttt + a * lam * utt
-    e1 = 0.5 * (
-        _sq_norm(wtt, lam, weight, 1)
-        + _sq_norm(wt, lam, weight, 1)
-        + _sq_norm(w, lam, weight, 2)
-    )
-    e2 = 0.5 * (
-        _sq_norm(uttt, lam, weight, 1)
-        + _sq_norm(utt, lam, weight, 2)
-        + _sq_norm(ut, lam, weight, 3)
-        + _sq_norm(u, lam, weight, 3)
-    )
+    e1 = 0.5 * (sq(wtt, 1) + sq(wt, 1) + sq(w, 2))
+    e2 = 0.5 * (uttt1 + sq(utt, 2) + ut3 + u3)
     utttt = fourth_derivative_series(t, uttt)
-    k_functional = (
-        _sq_norm(utttt, lam, weight, 0)
-        + _sq_norm(uttt, lam, weight, 2)
-        + _sq_norm(utt, lam, weight, 3)
-        + _sq_norm(ut, lam, weight, 4)
-        + _sq_norm(u, lam, weight, 4)
-    )
+    k_functional = sq(utttt, 0) + sq(uttt, 2) + utt3 + ut4 + u4
     third = utt + b * lam * ut + c**2 * lam * u
-    lin = (
-        _sq_norm(u, lam, weight, 4)
-        + _sq_norm(ut, lam, weight, 4)
-        + _sq_norm(third, lam, weight, 2)
-    )
-    linf_ut = linf_series(traj.domain, ut)
+    lin = u4 + ut4 + sq(third, 2)
+    low, linf_ut = grid_extremes(traj.domain, ut)
     return {
         "t": t,
         "E1": e1,
@@ -230,11 +218,14 @@ def energy_series(traj, params):
         "E_total": e1 + e2,
         "k_functional": k_functional,
         "linear_energy": lin,
-        "H4_u": np.sqrt(_sq_norm(u, lam, weight, 4)),
-        "H3_ut": np.sqrt(_sq_norm(ut, lam, weight, 3)),
-        "H3_utt": np.sqrt(_sq_norm(utt, lam, weight, 3)),
-        "H1_uttt": np.sqrt(_sq_norm(uttt, lam, weight, 1)),
+        "H4_u": np.sqrt(u4),
+        "H3_ut": np.sqrt(ut3),
+        "H3_utt": np.sqrt(utt3),
+        "H1_uttt": np.sqrt(uttt1),
         "Linf_ut": linf_ut,
+        # x -> 1 + 2k x is monotone, also as rounded, so the minimum factor
+        # is the factor at min x
+        "guard_min": 1.0 + 2.0 * params.k * low,
     }
 
 

@@ -139,18 +139,24 @@ class SemigroupState:
         return SpectralField(self.domain, self.data[i].copy())
 
 
+@lru_cache(maxsize=32)
+def _wave_weights(domain, params):
+    """b lam and c^2 lam on the coefficient tensor, the weights of u_t and u
+    in the third semigroup component."""
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    return params.b * lam, params.c**2 * lam
+
+
 def semigroup_data(domain, params, u, ut, utt):
     """Stacked (u, u_t, u_tt + b lam u_t + c^2 lam u) from coefficient arrays."""
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    third = utt + params.b * lam * ut + params.c**2 * lam * u
-    return np.stack([u, ut, third])
+    w_t, w_u = _wave_weights(domain, params)
+    return np.stack([u, ut, utt + w_t * ut + w_u * u])
 
 
 def semigroup_utt(domain, params, data):
     """u_tt recovered from stacked semigroup data."""
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    u, ut = data[0], data[1]
-    return data[2] - params.b * lam * ut - params.c**2 * lam * u
+    w_t, w_u = _wave_weights(domain, params)
+    return data[2] - w_t * data[1] - w_u * data[0]
 
 
 def to_semigroup(state, params):

@@ -28,20 +28,38 @@ equation reads (a*laplace - d/dt)(u_tt - b*laplace(u_t) - c^2*laplace(u)) = f.
 
 ``nonlinear_terms`` is the one kernel behind both: it maps raw coefficient
 arrays (u, u_t, u_tt), of shape batch + coeff shape for any leading batch
-shape, to (u_ttt, f, guard minimum).  Per grid it evaluates each needed
-field and gradient once, as one stacked product; the degeneracy guard
-runs once, on the Gauss values of 1 + 2k u_t that the law divides by and
-on the collocation nodes.  The march, the Picard sweeps and the
+shape, to (u_ttt, f, guard minimum).  The march, the Picard sweeps and the
 post-processing series call it directly; ``acceleration``, ``forcing_f``
 and ``check_degeneracy_guard`` are thin SpectralField front ends.  Long
 batches run in blocks of ``spectral.BLOCK_BYTES``.
 
+On the 1D march each call works on arrays of a few dozen values, so its
+cost is the count of numpy calls, not the arithmetic; the body is laid out
+as a few stages whose ufunc, reduction and matmul calls each cover a whole
+stack:
+
+* one member stack (u, u_tt, u_t, .) serves both grids (u is left out
+  when s = 0).  Its last member is the linear bracket lin for the Gauss
+  stage, which evaluates the values of (u_tt, u_t, lin) and the gradients
+  of (u, u_tt, u_t); the projected u_ttt then takes its place, and the
+  fine stage evaluates the values of (u_tt, u_t, u_ttt) and the same
+  gradients;
+* the degeneracy guard: 2k u_t on the Gauss nodes and on the collocation
+  nodes share one buffer (the Gauss half is what the law divides by), so
+  one min and one max per sample cover both grids; only a trip looks at
+  the grids apart, to report where it happened;
+* the four fine-grid products come from two stacked multiplies, (u_tt,
+  u_t) times (u_tt, u_ttt) and (d u_t, d u) times (d u_t, d u_tt), plus
+  one add per further gradient component;
+* f is one weighted sum of the four projections, ``add.reduce`` of
+  (2k, 2k, 2, 2) times them from an initial 0.
+
 The four forcing products are projected with one batched DCT and one
-stacked projection, then scaled and summed term by term.  Projection is
-linear, so summing the products first and projecting once would be
-cheaper, but it rounds differently: the residual diagnostic divides second
-time differences of Q by dt^2 and amplifies that to about 1e-6 relative,
-and the Picard contraction ratios move by about 1e-8.  Kept separate, every
+stacked projection, then weighted and summed.  Projection is linear, so
+summing the products first and projecting once would be cheaper, but it
+rounds differently: the residual diagnostic divides second time
+differences of Q by dt^2 and amplifies that to about 1e-6 relative, and
+the Picard contraction ratios move by about 1e-8.  Kept separate, every
 sample reproduces the per-field arithmetic exactly.
 
 The Gauss-grid stage of the law (the field and gradient values, 2k u_t,
@@ -52,11 +70,13 @@ call, and a batched call without one makes one shared by its blocks, so
 steady-state calls allocate no Gauss-grid temporaries (the DCT of the
 products and the small projection intermediates still allocate).  The
 buffers never escape: u_ttt, f and the guard minima come back as fresh
-arrays.  Each buffered operation is the operation of the expression it
-replaces, in the same association order (2k u_tt^2 is ((2k) u_tt) u_tt,
-and every gradient component subtracts ((2) d u_t) d u_t, then
-((2) d u) d u_tt), so the results are bit for bit those of the
-allocating form.
+arrays.  Each stacked or buffered operation is, element by element, the
+operation of the term-by-term expression it replaces, in the same
+association order: 2k u_tt^2 is ((2k) u_tt) u_tt, every gradient
+component subtracts ((2) d u_t) d u_t, then ((2) d u) d u_tt, the
+products keep their operand order (IEEE multiplication commutes anyway),
+and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  So the results are bit for
+bit those of the term-by-term form (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -89,7 +109,6 @@ __all__ = [
     "CompatibilityData",
     "derive_params",
     "degeneracy_factor",
-    "degeneracy_factor_series",
     "check_degeneracy_guard",
     "degeneracy_guard",
     "linear_bracket",
@@ -254,51 +273,82 @@ def _blockwise(domain, fn, arrays, time):
     )
 
 
-def _guard(domain, params, ut, time, eps_deg, at_start, gauss_scaled=None):
-    """Guard of one tensor or of an (n,) stack; see check_degeneracy_guard.
+def _scaled_ut(domain, k, ut, workspace, gauss=None, collocation=True):
+    """2k u_t of one tensor or of an (n,) stack, in one workspace buffer of
+    shape batch + (G + C,): per sample the G Gauss-grid values, then, with
+    ``collocation``, the C collocation-grid values.  ``gauss`` passes in
+    the Gauss values of u_t when the caller has them.  Returns the buffer
+    and its Gauss part shaped like the Gauss values, which is the 2k u_t
+    the law divides by."""
+    d = domain.dimension
+    batch = ut.shape[: ut.ndim - d]
+    g = domain.gauss_points_per_axis
+    c = domain.quadrature_points_per_axis
+    both = workspace.take("scaled", batch + (g**d + c**d * collocation,))
+    scaled = both[..., : g**d].reshape(batch + (g,) * d)
+    # the values are evaluated into the buffer and scaled in place
+    if gauss is None:
+        gauss = evaluate(domain, "gauss", ut, out=scaled)
+    np.multiply(2.0 * k, gauss, out=scaled)
+    if collocation:
+        coll = both[..., g**d :].reshape(batch + (c,) * d)
+        np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
+    return both, scaled
 
-    ``gauss_scaled`` passes in 2k u_t on the Gauss grid when the caller has
-    it already.  Returns the minimum factor (a float, or one per sample).
-    """
-    batched = ut.ndim > domain.dimension
-    n = ut.shape[0] if batched else 1
-    if params.k == 0.0:
-        return np.ones(n) if batched else 1.0
-    scale = 2.0 * params.k
-    if gauss_scaled is None:
-        gauss_scaled = scale * evaluate(domain, "gauss", ut)
-    grids = (
-        ("grid index", scale * evaluate(domain, "collocation", ut)),
-        ("Gauss node", gauss_scaled),
-    )
-    flats = [scaled.reshape(n, -1) for _, scaled in grids]
-    lows = [flat.min(axis=1) for flat in flats]
-    highs = [flat.max(axis=1) for flat in flats]
-    low = np.minimum(lows[0], lows[1])
+
+def _guard(domain, both, time, eps_deg, at_start):
+    """The degeneracy guard on a ``_scaled_ut`` buffer: one min and one max
+    per sample over both grids; see check_degeneracy_guard.  Returns the
+    minimum factor (a float, or one per sample of an (n,) stack)."""
+    low = np.minimum.reduce(both, axis=-1)
+    high = np.maximum.reduce(both, axis=-1)
     limit = 1.0 - eps_deg
-    # |x| >= limit somewhere iff max x >= limit or min x <= -limit; this
-    # needs no grid-sized |x| temporary
-    bad = (np.maximum(highs[0], highs[1]) >= limit) | (low <= -limit)
-    if bad.any():
-        i = int(np.argmax(bad))
-        on_collocation = highs[0][i] >= limit or lows[0][i] <= -limit
-        label, scaled = grids[0 if on_collocation else 1]
-        sample = scaled[i] if batched else scaled
-        worst = int(np.argmax(np.abs(sample)))
-        t = float(time[i] if np.ndim(time) else time)
-        idx = np.unravel_index(worst, sample.shape)
-        idx = idx[0] if len(idx) == 1 else tuple(int(v) for v in idx)
-        raise DegeneracyError(
-            f"degeneracy guard tripped at t={t:.6g}: 1 + 2k u_t reaches "
-            f"{1.0 + sample.ravel()[worst]:.6g} at {label} {idx} "
-            f"(require |2k u_t| < {limit:g})",
-            time=t,
-            index=idx,
-            factor=float(1.0 + sample.min()),
-            at_start=at_start,
-        )
-    minima = 1.0 + low
-    return minima if batched else float(minima[0])
+    # |x| >= limit somewhere iff max x >= limit or min x <= -limit; over a
+    # stack, fmax and fmin pass over a sample holding a NaN, which never trips
+    batched = both.ndim > 1
+    top, bottom = (np.fmax.reduce(high), np.fmin.reduce(low)) if batched else (high, low)
+    if top >= limit or bottom <= -limit:
+        raise _degeneracy_error(domain, both, low, high, time, limit, at_start)
+    return 1.0 + low if batched else float(1.0 + low)
+
+
+def _degeneracy_error(domain, both, low, high, time, limit, at_start):
+    """The error of a tripped guard: the first offending sample (C order),
+    reported on the collocation grid if it trips there, else on the Gauss
+    grid, at the node of largest |2k u_t|."""
+    d = domain.dimension
+    g = domain.gauss_points_per_axis**d
+    i = int(np.argmax((high >= limit) | (low <= -limit)))
+    row = both.reshape(-1, both.shape[-1])[i]
+    coll = row[g:]
+    if coll.max() >= limit or coll.min() <= -limit:
+        label, sample = "grid index", coll.reshape(domain.grid_shape)
+    else:
+        label, sample = "Gauss node", row[:g].reshape((domain.gauss_points_per_axis,) * d)
+    worst = int(np.argmax(np.abs(sample)))
+    t = float(time[i] if np.ndim(time) else time)
+    idx = np.unravel_index(worst, sample.shape)
+    idx = idx[0] if len(idx) == 1 else tuple(int(v) for v in idx)
+    return DegeneracyError(
+        f"degeneracy guard tripped at t={t:.6g}: 1 + 2k u_t reaches "
+        f"{1.0 + sample.ravel()[worst]:.6g} at {label} {idx} "
+        f"(require |2k u_t| < {limit:g})",
+        time=t,
+        index=idx,
+        factor=float(1.0 + sample.min()),
+        at_start=at_start,
+    )
+
+
+def _guard_ut(domain, params, ut, time, eps_deg, at_start):
+    """Guard of one tensor or of an (n,) stack from its coefficients.  Its
+    buffer is its own: a guard without the law is not on the march's hot
+    path, and a kernel workspace would keep the buffer for the whole call."""
+    batched = ut.ndim > domain.dimension
+    if params.k == 0.0:
+        return np.ones(ut.shape[0]) if batched else 1.0
+    both, _ = _scaled_ut(domain, params.k, ut, GridWorkspace())
+    return _guard(domain, both, time, eps_deg, at_start)
 
 
 def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
@@ -307,45 +357,60 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
     order) raises.  Returns the minimum factor per sample."""
 
     def block(ut_b, t_b):
-        return (_guard(domain, params, ut_b, t_b, eps_deg, at_start),)
+        return (_guard_ut(domain, params, ut_b, t_b, eps_deg, at_start),)
 
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _product_projections(domain, params, u, ut, utt, uttt, fine, workspace):
+def _product_projections(domain, params, stack, workspace):
     """Exact projections of the quadratic products of f, in the order
     (u_tt^2, u_t u_ttt) if k != 0, then (|grad u_t|^2, grad u . grad u_tt)
-    if s; ``fine`` is the stack (u_tt, u_t[, u]) when the caller has it
-    already (else None), ``workspace`` holds the grid values and the
-    products.  None if k = s = 0."""
+    if s; ``stack`` is (u, u_tt, u_t, u_ttt) without u when s = 0 and
+    without u_ttt when k = 0, and ``workspace`` holds the grid values and
+    the products.  None if k = s = 0.
+
+    One ``evaluate_stack`` call gives the values of (u_tt, u_t, u_ttt) and
+    the gradients of (u, u_tt, u_t); two stacked multiplies form the
+    products, in the operand order of the term-by-term form."""
     k, s = params.k, params.s
     if k == 0.0 and not s:
         return None
-    if fine is None:
-        fine = np.array([utt, ut, u] if s else [utt, ut])
     vals, grads = evaluate_stack(
         domain,
         "fine",
-        fine,
-        values=slice(0, 2) if k != 0.0 else None,
+        stack,
+        values=slice(s, s + 3) if k != 0.0 else None,
         gradient=slice(0, 3) if s else None,
         workspace=workspace,
     )
-    shape = (vals[0] if k != 0.0 else grads[0][0]).shape
-    products = workspace.take(("fine", "products"), (2 * (k != 0.0) + 2 * s,) + shape)
+    grid = (vals if k != 0.0 else grads[0]).shape[1:]
+    products = workspace.take(("fine", "products"), (2 * (k != 0.0) + 2 * s,) + grid)
     if k != 0.0:
-        np.multiply(vals[0], vals[0], out=products[0])
-        np.multiply(vals[1], evaluate(domain, "fine", uttt), out=products[1])
+        np.multiply(vals[0:2], vals[0::2], out=products[:2])
     if s:
-        gradient_product(grads, 1, 1, out=products[-2])
-        gradient_product(grads, 2, 0, out=products[-1])
+        # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
+        pair = products[-2:]
+        np.multiply(grads[0][2::-2], grads[0][2:0:-1], out=pair)
+        for comp in grads[1:]:
+            # the values are spent, so their buffer holds the term
+            term = workspace.take(("fine", "vals"), pair.shape)
+            np.add(pair, np.multiply(comp[2::-2], comp[2:0:-1], out=term), out=pair)
     return project(domain, "fine", products, workspace)
+
+
+@lru_cache(maxsize=32)
+def _forcing_weights(k, s, ndim):
+    """Weights (2k, 2k, 2, 2) of the projected products of f (without the
+    k pair when k = 0 and the s pair when s = 0), shaped to scale a stack
+    of ``ndim`` axes."""
+    w = [2.0 * k] * 2 * (k != 0.0) + [2.0] * 2 * s
+    return np.array(w).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _gauss_quotient(k, vals, grads, scaled, workspace):
     """The law's numerator over 1 + 2k u_t on the Gauss grid, in a
-    ``workspace`` buffer.  ``vals`` are the values of (lin, u_tt, u_t),
-    ``grads`` the gradient components of (u_tt, u_t, u) or None, and
+    ``workspace`` buffer.  ``vals`` are the values of (u_tt, u_t, lin),
+    ``grads`` the gradient components of (u, u_tt, u_t) or None, and
     ``scaled`` is 2k u_t.
 
     The buffered form of ``(lin - 2k u_tt u_tt - sum_i (2 d_i u_t d_i u_t
@@ -353,62 +418,65 @@ def _gauss_quotient(k, vals, grads, scaled, workspace):
     """
     num = workspace.take("num", scaled.shape)
     term = workspace.take("term", scaled.shape)
-    np.multiply(2.0 * k, vals[1], out=term)
-    np.subtract(vals[0], np.multiply(term, vals[1], out=term), out=num)
+    np.multiply(2.0 * k, vals[0], out=term)
+    np.subtract(vals[2], np.multiply(term, vals[0], out=term), out=num)
     for comp in grads or ():
-        for a, b in ((1, 1), (2, 0)):
+        for a, b in ((2, 2), (0, 1)):
             np.multiply(2.0, comp[a], out=term)
             np.subtract(num, np.multiply(term, comp[b], out=term), out=num)
     return np.divide(num, np.add(1.0, scaled, out=term), out=num)
 
 
 def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing, workspace):
-    """Kernel body on one tensor or an (n,) stack; see nonlinear_terms."""
+    """Kernel body on one tensor or an (n,) stack; see nonlinear_terms.
+
+    One member stack (u, u_tt, u_t, .) serves both grids: its last member
+    is lin for the Gauss stage and u_ttt for the fine stage (u is left out
+    when s = 0)."""
     k, s = params.k, params.s
     guard_min = None
     lin = None
-    fine = None
+    stack = None
     if uttt is None:
         lin = linear_bracket(domain, params, u, ut, utt)
         uttt = lin
         if k != 0.0:
-            # Gauss grid: values of (lin, u_tt, u_t), gradients of (u_tt, u_t, u)
+            # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
             # np.array stacks like np.stack, at a fraction of its call cost
-            stack = np.array([lin, utt, ut, u] if s else [lin, utt, ut])
+            stack = np.array([u, utt, ut, lin] if s else [utt, ut, lin])
             vals, grads = evaluate_stack(
                 domain,
                 "gauss",
                 stack,
-                values=slice(0, 3),
-                gradient=slice(1, 4) if s else None,
+                values=slice(s, s + 3),
+                gradient=slice(0, 3) if s else None,
                 workspace=workspace,
             )
-            scaled = np.multiply(2.0 * k, vals[2], out=workspace.take("scaled", vals[2].shape))
+            both, scaled = _scaled_ut(domain, k, ut, workspace, vals[1], eps_deg is not None)
             if eps_deg is not None:
-                guard_min = _guard(domain, params, ut, time, eps_deg, at_start, scaled)
-            uttt = project(domain, "gauss", _gauss_quotient(k, vals, grads, scaled, workspace))
-            fine = stack[1:]
+                guard_min = _guard(domain, both, time, eps_deg, at_start)
+            quotient = _gauss_quotient(k, vals, grads, scaled, workspace)
+            uttt = project(domain, "gauss", quotient, out=stack[-1])
     if guard_min is None and eps_deg is not None:
-        guard_min = _guard(domain, params, ut, time, eps_deg, at_start)
+        guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
     # with k = 0 the law is explicit: the bracket minus the gradient terms
     gradient_route = lin is not None and k == 0.0 and s
     if not (forcing or gradient_route):
         return uttt, None, guard_min
-    proj = _product_projections(domain, params, u, ut, utt, uttt, fine, workspace)
+    if stack is None:
+        stack = np.array(([u] if s else []) + [utt, ut] + ([uttt] if k != 0.0 else []))
+    proj = _product_projections(domain, params, stack, workspace)
     if gradient_route:
         grad = 2.0 * proj[0]
         grad += 2.0 * proj[1]
         uttt = lin - grad
     if not forcing:
         return uttt, None, guard_min
-    f = np.zeros(ut.shape)
-    if k != 0.0:
-        f += 2.0 * k * proj[0]
-        f += 2.0 * k * proj[1]
-    if s:
-        f += 2.0 * proj[-2]
-        f += 2.0 * proj[-1]
-    return uttt, f, guard_min
+    if proj is None:
+        return uttt, np.zeros(ut.shape), guard_min
+    # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
+    np.multiply(_forcing_weights(k, s, proj.ndim), proj, out=proj)
+    return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
 
 
 def nonlinear_terms(
@@ -460,7 +528,7 @@ def degeneracy_factor(state, params):
     Purely diagnostic; it never raises.  The solver-side guard is
     ``check_degeneracy_guard``.
     """
-    factor = _collocation_factor(state.domain, params, state.ut.coeffs)
+    factor = 1.0 + 2.0 * params.k * grid_values(state.domain, state.ut.coeffs)
     return GridField(state.domain, factor), float(factor.min())
 
 
@@ -554,19 +622,6 @@ def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
 # ---------------------------------------------------------------------------
 # diagnostics along discrete trajectories
 # ---------------------------------------------------------------------------
-
-
-def _collocation_factor(domain, params, ut):
-    return 1.0 + 2.0 * params.k * grid_values(domain, ut)
-
-
-def degeneracy_factor_series(domain, params, ut):
-    """Collocation-grid minimum of 1 + 2k u_t for each tensor of an (n,) stack."""
-    out = np.empty(len(ut))
-    for blk in sample_blocks(out.size, 24 * domain.quadrature_points_per_axis**domain.dimension):
-        factor = _collocation_factor(domain, params, ut[blk])
-        out[blk] = factor.reshape(factor.shape[0], -1).min(axis=1)
-    return out
 
 
 def _wave_part(domain, params, u, ut, utt):

@@ -150,8 +150,10 @@ class PicardReport:
 
 
 def _check_blowup(data, time, bound):
-    peak = float(np.max(np.abs(data)))
-    if not np.isfinite(peak) or peak > bound:
+    # max |x| is max(max x, -min x); NaN propagates through both reductions
+    peak = max(np.maximum.reduce(data, axis=None), -np.minimum.reduce(data, axis=None))
+    if not (math.isfinite(peak) and peak <= bound):
+        peak = float(np.max(np.abs(data)))
         raise BlowUpError(
             f"coefficient magnitude {peak:.3e} exceeded the blow-up bound "
             f"{bound:.3e} at t = {time:.6g}",

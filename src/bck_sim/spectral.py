@@ -30,7 +30,7 @@ whose node count comfortably over-resolves the integrands, see
 Two layers expose this calculus.  ``SpectralField`` functions validate and
 wrap single coefficient tensors.  Underneath, the array layer
 (``evaluate``, ``evaluate_stack``, ``project``, ``grid_values``,
-``linf_series``) takes raw coefficient arrays of shape batch + coeff
+``grid_extremes``) takes raw coefficient arrays of shape batch + coeff
 shape, with any number of leading axes (time samples, stacked fields).
 Every leading index is computed with the same operations as a lone
 tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
@@ -38,7 +38,10 @@ a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the
 transforms run over the trailing axes only, so batched results equal
 unbatched ones bit for bit.  Merging matrices into one larger product, or
 folding the DCT into a matrix, would change the rounding; the array layer
-avoids both.
+avoids both.  Stacking matrices along a batch axis does not: in 1D,
+``evaluate_stack`` takes the values and the derivatives of one tensor's
+stack from one matmul of the pair (sine, derivative) against the pair of
+member selections, still one gemv per matrix and member.
 
 Transforms.  The only transforms are the unnormalized type-1 DCT (exact
 products) and type-1 DST (collocation values), and ``_type1`` computes
@@ -55,6 +58,12 @@ no transposed copy: the extension and spectrum buffers come from a
 ``GridWorkspace``, and a stack is transformed a few members at a time so
 they stay in cache.  Every transform call goes through this module's
 ``_fft``: one ``rfft`` per pass, so two per member chunk of a 2D transform.
+The DCT of the exact products multiplies in its trapezoid weights as it
+reads its result out of the spectrum, with no separate weighting pass.
+Its input is still copied into the extension: writing the products
+straight into the extension's head would save that copy, but at 1D N=8
+the bookkeeping cost more than the copy (in-process timings: about 5 us
+more per product stage).
 
 Grid workspace.  ``evaluate_stack`` writes its matrix products into the
 buffers of a ``GridWorkspace`` (``np.matmul(..., out=)``), and the model's
@@ -106,7 +115,7 @@ __all__ = [
     "gradient_product",
     "project",
     "grid_values",
-    "linf_series",
+    "grid_extremes",
 ]
 
 
@@ -314,6 +323,17 @@ class DomainSpec:
             "collocation": (self._grid_sine, None),
         }
 
+    @cached_property
+    def _value_gradient_stacks(self):
+        """1D grid name -> its sine and derivative matrices stacked, shape
+        (2, points, N): one matmul gives the values and the derivatives of
+        a member stack, each member still one gemv per matrix."""
+        return {
+            grid: np.stack([sine[0], dcos[0]])
+            for grid, (sine, dcos) in self._grid_matrices.items()
+            if dcos is not None
+        }
+
 
 @dataclass
 class SpectralField:
@@ -438,22 +458,27 @@ def sample_blocks(n_samples, sample_bytes):
     return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
 
 
-def _apply(mats, coeffs):
-    """Tensor-product matrices applied to the trailing mode axes.
+def _apply(mats, coeffs, out=None):
+    """Tensor-product matrices applied to the trailing mode axes, written
+    into ``out`` when given.
 
     1D stacks go through ``M @ x[..., None]`` and 2D stacks through
     ``M0 @ X @ M1.T`` so that every member is one gemv/gemm call with the
     same operands as for a single tensor, hence the same rounding.
     """
     if len(mats) == 1:
-        return (mats[0] @ coeffs[..., None])[..., 0]
-    return mats[0] @ coeffs @ mats[1].T
+        if out is None:
+            return (mats[0] @ coeffs[..., None])[..., 0]
+        np.matmul(mats[0], coeffs[..., None], out=out[..., None])
+        return out
+    return np.matmul(mats[0] @ coeffs, mats[1].T, out=out)
 
 
-def evaluate(domain, grid, coeffs):
+def evaluate(domain, grid, coeffs, out=None):
     """Values of coefficient tensors (leading axes allowed) on ``grid``:
-    "fine" (closed product grid), "gauss" or "collocation" (by sine matrix)."""
-    return _apply(domain._grid_matrices[grid][0], coeffs)
+    "fine" (closed product grid), "gauss" or "collocation" (by sine matrix);
+    written into ``out`` when given."""
+    return _apply(domain._grid_matrices[grid][0], coeffs, out)
 
 
 class GridWorkspace:
@@ -512,12 +537,23 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=No
     ws = GridWorkspace() if workspace is None else workspace
     sine, dcos = domain._grid_matrices[grid]
     if domain.dimension == 1:
+        if values is not None and gradient is not None and stack.ndim == 2:
+            picked = (stack[values], stack[gradient])
+            if len(picked[0]) == len(picked[1]):
+                # one tensor's stack: the two selections against the two
+                # matrices in one call, one gemv per member and matrix
+                mats = domain._value_gradient_stacks[grid]
+                shape = (2, len(picked[0]), mats.shape[1], 1)
+                out = np.matmul(
+                    mats[:, None], np.array(picked)[..., None], out=ws.take((grid, "valgrad"), shape)
+                )[..., 0]
+                return out[0], (out[1],)
         vals = grads = None
         if values is not None:
-            vals = _matmul_into(ws, (grid, "vals"), sine[0], stack[values][..., None])[..., 0]
+            vals = _matmul_into(ws, (grid, "vals"), sine[0], stack[values, ..., None])[..., 0]
         if gradient is not None:
             grads = (
-                _matmul_into(ws, (grid, "grad0"), dcos[0], stack[gradient][..., None])[..., 0],
+                _matmul_into(ws, (grid, "grad0"), dcos[0], stack[gradient, ..., None])[..., 0],
             )
         return vals, grads
     left = _matmul_into(ws, (grid, "left"), sine[0], stack)
@@ -544,24 +580,25 @@ def _type1_pass(kind, src, negate, ws, axis):
     axis.  Returns the complex spectrum, a buffer of ``ws``."""
     s = _last(src, axis)
     n = s.shape[-1]
-    shape = list(src.shape)
-    shape[axis] = 2 * n - 2 if kind == "dct" else 2 * n + 2
-    ext = ws.take(("type1", "ext"), tuple(shape))
+    m = 2 * n - 2 if kind == "dct" else 2 * n + 2
+    # src's shape with m points along ``axis``
+    ext = ws.take(("type1", "ext"), src.shape[:axis] + (m,) + src.shape[axis:][1:])
     e = _last(ext, axis)
+    # slice assignment copies as np.copyto does, without its Python wrapper
     if kind == "dct":
-        np.copyto(e[..., :n], s)
-        np.copyto(e[..., n:], s[..., n - 2 : 0 : -1])
+        e[..., :n] = s
+        e[..., n:] = s[..., n - 2 : 0 : -1]
     else:
         if negate:
             np.negative(s, out=e[..., 1 : n + 1])
-            np.copyto(e[..., n + 2 :], s[..., ::-1])
+            e[..., n + 2 :] = s[..., ::-1]
         else:
-            np.copyto(e[..., 1 : n + 1], s)
+            e[..., 1 : n + 1] = s
             np.negative(s[..., ::-1], out=e[..., n + 2 :])
         # the two fixed nodes 0 and n + 1 hold x_0 * 0, signed zeros included
         np.multiply(e[..., 1:2], 0.0, out=e[..., 0 : n + 2 : n + 1])
-    shape[axis] = shape[axis] // 2 + 1
-    spec = ws.take(("type1", "spec"), tuple(shape), complex)
+    spec_shape = src.shape[:axis] + (m // 2 + 1,) + src.shape[axis:][1:]
+    spec = ws.take(("type1", "spec"), spec_shape, complex)
     return _fft.rfft(ext, axis=axis, out=spec)
 
 
@@ -570,11 +607,13 @@ def _type1_pass(kind, src, negate, ws, axis):
 _CHUNK_BYTES = 1 << 18
 
 
-def _type1(kind, x, d, workspace=None, out=None):
+def _type1(kind, x, d, workspace=None, out=None, weights=None):
     """Unnormalized type-1 DCT ("dct") or DST ("dst") over the trailing
     ``d`` axes of ``x``, bit for bit ``scipy.fft.dctn``/``dstn`` with
     ``type=1``; see the module docstring.  The result is written into
-    ``out`` (C-contiguous, shape of ``x``) or a fresh array."""
+    ``out`` (C-contiguous, shape of ``x``) or a fresh array.  ``weights``
+    (DCT only) is a per-axis weight vector multiplied into the result as
+    it is read out of the spectrum, axis -2 first: (y w_0) w_1 in 2D."""
     ws = GridWorkspace() if workspace is None else workspace
     if out is None:
         out = np.empty(x.shape)
@@ -584,24 +623,27 @@ def _type1(kind, x, d, workspace=None, out=None):
     # the extension and its spectrum take about 32 bytes per point
     step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
     for i in range(0, members.shape[0], step):
-        chunk = slice(i, i + step)
-        src, negate = members[chunk], False
+        src, negate = members[i : i + step], False
         # axis -2 first, as scipy.fft
         for axis in (-2, -1)[2 - d :]:
-            spec = _last(_type1_pass(kind, src, negate, ws, axis), axis)
+            spec = _type1_pass(kind, src, negate, ws, axis)
             if kind == "dct":
                 src = spec.real
             else:
-                src, negate = spec.imag[..., 1:-1], True
-            src = _last(src, axis)
+                src, negate = _last(_last(spec, axis).imag[..., 1:-1], axis), True
+        res = results[i : i + step]
         if negate:
-            np.negative(src, out=results[chunk])
+            np.negative(src, out=res)
+        elif weights is None:
+            res[...] = src
         else:
-            np.copyto(results[chunk], src)
+            np.multiply(src, weights[:, None] if d == 2 else weights, out=res)
+            if d == 2:
+                res *= weights
     return out
 
 
-def project(domain, grid, samples, workspace=None):
+def project(domain, grid, samples, workspace=None, out=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
@@ -609,19 +651,23 @@ def project(domain, grid, samples, workspace=None):
     analytic cosine-to-sine matrix).  "gauss": quadrature of arbitrary
     pointwise data, see ``project_gauss``.  ``workspace`` holds the
     transform buffers (a fresh ``GridWorkspace`` when None); the result is
-    a fresh array.
+    written into ``out`` when given, else into a fresh array.  The
+    trapezoid weights are applied as the transform reads its result out of
+    the spectrum.
     """
     if grid == "gauss":
-        return _apply(domain._gauss_project, samples)
+        return _apply(domain._gauss_project, samples, out)
     d = domain.dimension
     ws = GridWorkspace() if workspace is None else workspace
-    y = _type1("dct", samples, d, ws, out=ws.take(("type1", "out"), samples.shape))
-    w = domain._dct_weights
-    # y is the transform's own output, weighted in place: (y w_0) w_1 in 2D
-    if d == 2:
-        y *= w[:, None]
-    y *= w
-    return _apply((domain._cos_to_sine,) * d, y)
+    y = _type1(
+        "dct",
+        samples,
+        d,
+        ws,
+        out=ws.take(("type1", "out"), samples.shape),
+        weights=domain._dct_weights,
+    )
+    return _apply((domain._cos_to_sine,) * d, y, out)
 
 
 def grid_values(domain, coeffs, points=None):
@@ -657,21 +703,25 @@ def to_spectral(grid):
     return SpectralField(domain, y[sl].copy())
 
 
-def linf_series(domain, coeffs):
-    """max |u| over the interior collocation grid for each tensor of a
-    (n,) + coeff shape stack, computed in blocks."""
+def grid_extremes(domain, coeffs):
+    """(min u, max |u|) over the interior collocation grid for each tensor
+    of a (n,) + coeff shape stack; one transform per block of samples
+    serves both reductions."""
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.empty(coeffs.shape[0])
+    low = np.empty(coeffs.shape[0])
+    peak = np.empty(coeffs.shape[0])
     sample_bytes = 24 * domain.quadrature_points_per_axis**domain.dimension
-    for blk in sample_blocks(out.size, sample_bytes):
-        vals = np.abs(grid_values(domain, coeffs[blk]))
-        out[blk] = vals.reshape(vals.shape[0], -1).max(axis=1)
-    return out
+    for blk in sample_blocks(low.size, sample_bytes):
+        vals = grid_values(domain, coeffs[blk])
+        vals = vals.reshape(vals.shape[0], -1)
+        low[blk] = vals.min(axis=1)
+        peak[blk] = np.abs(vals).max(axis=1)
+    return low, peak
 
 
 def linf_grid(field):
     """max |u| over the interior collocation grid."""
-    return float(linf_series(field.domain, field.coeffs[None])[0])
+    return float(grid_extremes(field.domain, field.coeffs[None])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +729,13 @@ def linf_grid(field):
 # ---------------------------------------------------------------------------
 
 
-def gradient_product(grads, left, right, out=None):
+def gradient_product(grads, left, right):
     """grad(a) . grad(b) on a grid, from the per-axis gradient components of
     a member stack (``left`` and ``right`` index the members), summed over
-    the axes in order; written into ``out`` when given."""
-    acc = np.multiply(grads[0][left], grads[0][right], out=out)
+    the axes in order."""
+    acc = grads[0][left] * grads[0][right]
     for comp in grads[1:]:
-        acc = np.add(acc, comp[left] * comp[right], out=out)
+        acc = acc + comp[left] * comp[right]
     return acc
 
 

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from bck_sim import spectral
-from bck_sim.energy import forcing_series
+from bck_sim.energy import energy_series, forcing_series
 from bck_sim.errors import DegeneracyError
 from bck_sim.model import (
+    DEFAULT_EPS_DEG,
     EvolutionState,
     ModelParams,
     acceleration,
     check_degeneracy_guard,
     degeneracy_factor,
-    degeneracy_factor_series,
     degeneracy_guard,
     forcing_f,
     linear_bracket,
@@ -26,13 +26,13 @@ from bck_sim.model import (
     pde_residual,
     pde_residual_series,
 )
-from bck_sim.nonlinear import solve
+from bck_sim.nonlinear import Trajectory, solve
 from bck_sim.spectral import (
     DomainSpec,
     SpectralField,
     evaluate,
+    grid_extremes,
     linf_grid,
-    linf_series,
     project,
 )
 
@@ -108,28 +108,28 @@ def test_blocks_do_not_change_results(monkeypatch):
     t = 0.01 * np.arange(40)
     whole = nonlinear_terms(domain, params, u, ut, utt, time=t)
     residual = pde_residual_series(domain, params, t, u, ut, utt)
-    factor = degeneracy_factor_series(domain, params, ut)
-    linf = linf_series(domain, ut)
+    extremes = grid_extremes(domain, ut)
     monkeypatch.setattr(spectral, "BLOCK_BYTES", 1)
     for a, b in zip(whole, nonlinear_terms(domain, params, u, ut, utt, time=t)):
         assert np.array_equal(a, b)
     assert np.array_equal(residual, pde_residual_series(domain, params, t, u, ut, utt))
-    assert np.array_equal(factor, degeneracy_factor_series(domain, params, ut))
-    assert np.array_equal(linf, linf_series(domain, ut))
+    for a, b in zip(extremes, grid_extremes(domain, ut)):
+        assert np.array_equal(a, b)
 
 
 def test_series_match_pointwise_diagnostics():
     domain = DomainSpec(1, (np.pi,), 8)
     params = ModelParams(1.0, 1.0, 1.0, 0.2, 1)
-    u, ut, utt, _ = _fields(domain, (6,))
+    u, ut, utt, uttt = _fields(domain, (6,))
     t = 0.1 * np.arange(6)
     states = [
         EvolutionState(t[i], *(SpectralField(domain, c[i]) for c in (u, ut, utt)))
         for i in range(6)
     ]
     residual = pde_residual_series(domain, params, t, u, ut, utt)
-    factor = degeneracy_factor_series(domain, params, ut)
-    linf = linf_series(domain, ut)
+    # both columns come from one collocation pass over u_t
+    series = energy_series(Trajectory(domain, params, t, u, ut, utt, uttt), params)
+    factor, linf = series["guard_min"], series["Linf_ut"]
     for i in range(1, 5):
         assert residual[i - 1] == pde_residual(states[i - 1], states[i], states[i + 1], params)
     for i in range(6):
@@ -189,6 +189,98 @@ def test_batched_guard_reports_first_offending_sample():
     assert np.array_equal(minima, [1.0, 1.0])
 
 
+def _per_grid_guard_error(domain, params, ut, times, eps_deg, at_start):
+    """The DegeneracyError of the per-grid guard the fused one replaced:
+    min and max of 2k u_t on each grid apart, the first offending sample,
+    reported on the collocation grid when that grid trips."""
+    scale = 2.0 * params.k
+    grids = (
+        ("grid index", scale * evaluate(domain, "collocation", ut)),
+        ("Gauss node", scale * evaluate(domain, "gauss", ut)),
+    )
+    limit = 1.0 - eps_deg
+    for i in range(ut.shape[0]):
+        for label, scaled in grids:
+            sample = scaled[i]
+            if sample.max() >= limit or sample.min() <= -limit:
+                worst = int(np.argmax(np.abs(sample)))
+                idx = np.unravel_index(worst, sample.shape)
+                idx = idx[0] if len(idx) == 1 else tuple(int(v) for v in idx)
+                t = float(times[i])
+                return DegeneracyError(
+                    f"degeneracy guard tripped at t={t:.6g}: 1 + 2k u_t reaches "
+                    f"{1.0 + sample.ravel()[worst]:.6g} at {label} {idx} "
+                    f"(require |2k u_t| < {limit:g})",
+                    time=t,
+                    index=idx,
+                    factor=float(1.0 + sample.min()),
+                    at_start=at_start,
+                )
+    return None
+
+
+def _collocation_only_case():
+    """1D, N = 8, k = 0.5: a u_t whose collocation-grid peak of |2k u_t|
+    (0.955) exceeds its Gauss-grid peak by about 1%, so only the
+    collocation grid trips."""
+    domain = DomainSpec(1, (np.pi,), 8)
+    params = ModelParams(1.0, 1.0, 1.0, 0.5, 1)
+    c = np.random.default_rng(7).standard_normal(8)
+    c *= 0.955 / (2.0 * params.k * np.abs(evaluate(domain, "collocation", c)).max())
+    return domain, params, c
+
+
+def _guard_cases():
+    domain, params, coll = _collocation_only_case()
+    _, _, between = _between_nodes_case()
+    scale = 2.0 * params.k
+    assert np.abs(scale * evaluate(domain, "gauss", coll)).max() < 0.95
+    assert np.abs(scale * evaluate(domain, "collocation", between.coeffs)).max() < 0.95
+    middle = np.zeros((5,) + domain.coeff_shape)
+    middle[1] = 0.5 * between.coeffs
+    middle[2] = between.coeffs
+    middle[3] = coll
+    return {
+        "collocation-only": (domain, params, coll[None]),
+        "gauss-only": (domain, params, between.coeffs[None]),
+        "batched-middle": (domain, params, middle),
+    }
+
+
+@pytest.mark.parametrize("case", ["collocation-only", "gauss-only", "batched-middle"])
+@pytest.mark.parametrize("at_start", [False, True])
+def test_fused_guard_raises_the_per_grid_error(case, at_start):
+    """One min and one max per sample over both grids trip exactly when
+    the per-grid guard does, and the error (message, time, index, factor,
+    at_start) is the per-grid one, from every route into the guard."""
+    domain, params, ut = _guard_cases()[case]
+    times = 0.125 * np.arange(1, ut.shape[0] + 1)
+    want = _per_grid_guard_error(domain, params, ut, times, DEFAULT_EPS_DEG, at_start)
+    assert want is not None
+    assert ("Gauss node" in str(want)) == (case != "collocation-only")
+    calls = [
+        lambda: degeneracy_guard(domain, params, ut, times, at_start=at_start),
+        lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times, at_start=at_start),
+        lambda: nonlinear_terms(
+            domain, params, 0.0 * ut, ut, ut, uttt=ut, time=times, at_start=at_start
+        ),
+    ]
+    if ut.shape[0] == 1:
+        calls += [
+            lambda: degeneracy_guard(domain, params, ut[0], times[0], at_start=at_start),
+            lambda: nonlinear_terms(
+                domain, params, 0.0 * ut[0], ut[0], ut[0], time=times[0], at_start=at_start
+            ),
+        ]
+    for call in calls:
+        with pytest.raises(DegeneracyError) as err:
+            call()
+        got = err.value
+        assert str(got) == str(want)
+        assert (got.time, got.factor, got.at_start) == (want.time, want.factor, want.at_start)
+        assert got.index == want.index
+
+
 # ---------------------------------------------------------------------------
 # the grid workspace of a march
 # ---------------------------------------------------------------------------
@@ -202,14 +294,59 @@ def _initial_data(dim, n, seed=0):
     return domain, params, make_compatibility_data(*fields, params)
 
 
+def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
+    """f as the seed wrote it: each fine-grid product (gradient products
+    summed over the axes in order), projected alone (type-1 DCT, trapezoid
+    weights in place, cosine-to-sine matrix), then scaled and added to
+    zeros one term at a time."""
+    dim, k, s = domain.dimension, params.k, params.s
+    sine, dcos = domain._grid_matrices["fine"]
+
+    def values(c):
+        return (sine[0] @ c[:, None])[:, 0] if dim == 1 else sine[0] @ c @ sine[1].T
+
+    def gradient(c):
+        if dim == 1:
+            return [(dcos[0] @ c[:, None])[:, 0]]
+        return [dcos[0] @ c @ sine[1].T, sine[0] @ c @ dcos[1].T]
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            acc = acc + x * y
+        return acc
+
+    terms = []
+    if k != 0.0:
+        terms += [(2.0 * k, values(utt) * values(utt)), (2.0 * k, values(ut) * values(uttt))]
+    if s:
+        terms += [
+            (2.0, dot(gradient(ut), gradient(ut))),
+            (2.0, dot(gradient(u), gradient(utt))),
+        ]
+    w = domain._dct_weights
+    cos_to_sine = domain._cos_to_sine
+    f = np.zeros(u.shape)
+    for weight, product in terms:
+        y = spectral._type1("dct", product, dim)
+        if dim == 2:
+            y *= w[:, None]
+        y *= w
+        proj = (cos_to_sine @ y[:, None])[:, 0] if dim == 1 else cos_to_sine @ y @ cos_to_sine.T
+        f += weight * proj
+    return f
+
+
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 16)])
 def test_buffered_law_matches_the_allocating_expression(dim, n, s):
-    """The workspace form of the Gauss stage keeps the operations and their
-    association order, so it reproduces the plain expression bit for bit."""
+    """The stacked, buffered stages keep every operation and its
+    association order, so they reproduce the plain term-by-term
+    expressions bit for bit: the Gauss-grid law, the fine-grid products
+    and the weighted sum of their projections."""
     domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
     # a weak linear part and strong fields, so every quadratic term reaches
-    # the last bits of the numerator
+    # the last bits of the numerator and of f
     params = ModelParams(1e-3, 1e-3, 1e-3, 0.2, s)
     u, ut, utt, _ = (30.0 * c for c in _fields(domain, (), seed=n))
     sine, dcos = domain._grid_matrices["gauss"]
@@ -229,7 +366,37 @@ def test_buffered_law_matches_the_allocating_expression(dim, n, s):
         for d_utt, d_ut, d_u in zip(gradient(utt), gradient(ut), gradient(u)):
             num = num - 2.0 * d_ut * d_ut - 2.0 * d_u * d_utt
     want = project(domain, "gauss", num / (1.0 + 2.0 * k * values(ut)))
-    assert np.array_equal(nonlinear_terms(domain, params, u, ut, utt)[0], want)
+    uttt, f, _ = nonlinear_terms(domain, params, u, ut, utt)
+    assert np.array_equal(uttt, want)
+    assert np.array_equal(f, _term_by_term_forcing(domain, params, u, ut, utt, want))
+    # the forcing-only route (u_ttt given) and k = 0 take the same sums
+    given = 0.5 * want
+    _, f_given, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=given)
+    assert np.array_equal(f_given, _term_by_term_forcing(domain, params, u, ut, utt, given))
+    explicit = ModelParams(1e-3, 1e-3, 1e-3, 0.0, s)
+    _, f_explicit, _ = nonlinear_terms(domain, explicit, u, ut, utt, uttt=given)
+    assert np.array_equal(
+        f_explicit, _term_by_term_forcing(domain, explicit, u, ut, utt, given)
+    )
+
+
+@pytest.mark.parametrize("k,s", [(0.2, 1), (0.2, 0), (0.0, 1), (0.0, 0)])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 8)])
+def test_zero_data_gives_no_negative_zeros(dim, n, k, s):
+    """The weighted sum starts from +0, as the term-by-term sum into
+    zeros did, so f of zero data is +0 everywhere, and so is the u_ttt of
+    the law.  (With k = 0, u_ttt is the linear bracket itself, whose
+    (-(a+b) lam) * 0 is -0 in either form, so only f is checked there.)"""
+    domain = DomainSpec(dim, (np.pi,) * dim, n)
+    params = ModelParams(1.0, 0.7, 1.3, k, s)
+    zero = np.zeros((3,) + domain.coeff_shape)
+    for batch in (zero[0], zero):
+        uttt, f, _ = nonlinear_terms(domain, params, batch, batch, batch)
+        assert not np.signbit(f).any()
+        if k != 0.0:
+            assert not np.signbit(uttt).any()
+        _, f, _ = nonlinear_terms(domain, params, batch, batch, batch, uttt=batch)
+        assert not np.signbit(f).any()
 
 
 TRAJECTORY_FIELDS = ("u", "ut", "utt", "uttt")

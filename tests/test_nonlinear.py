@@ -24,6 +24,7 @@ from bck_sim.model import (
 )
 from bck_sim.nonlinear import (
     Trajectory,
+    _check_blowup,
     assert_guard,
     picard_apply,
     picard_solve,
@@ -210,6 +211,41 @@ def test_solve_blowup_bound_raises_overflow():
     assert err.norm > err.bound == 1e-6
     assert err.partial_trajectory is not None
     assert err.partial_trajectory.n_samples >= 1
+
+
+@pytest.mark.parametrize(
+    "bad,bound,shown",
+    [
+        (math.nan, 1e12, "nan"),
+        (math.inf, 1e12, "inf"),
+        (-math.inf, 1e12, "inf"),
+        (-math.inf, math.inf, "inf"),
+        (-2.5e12, 1e12, "2.500e+12"),
+        (2.5e12, 1e12, "2.500e+12"),
+    ],
+)
+def test_check_blowup_trips_on_nan_inf_and_bound(bad, bound, shown):
+    """One max and one min reduction decide; the message reports max |x|
+    as before, NaN and inf included (also with an infinite bound)."""
+    data = np.zeros((3, 8))
+    data[1, 3] = bad
+    data[2, 5] = 0.5
+    with pytest.raises(BlowUpError) as info:
+        _check_blowup(data, 0.25, bound)
+    err = info.value
+    assert str(err) == (
+        f"coefficient magnitude {shown} exceeded the blow-up bound {bound:.3e} at t = 0.25"
+    )
+    assert err.time == 0.25 and err.bound == bound
+    peak = float(np.max(np.abs(data)))
+    assert err.norm == peak or (math.isnan(err.norm) and math.isnan(peak))
+
+
+def test_check_blowup_passes_within_the_bound():
+    data = np.zeros((3, 8))
+    data[0, 0], data[1, 1] = 1e12, -1e12
+    _check_blowup(data, 0.0, 1e12)
+    _check_blowup(np.zeros((3, 8)), 0.0, 0.0)
 
 
 def test_trajectory_validation():
