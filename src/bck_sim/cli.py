@@ -82,14 +82,26 @@ _BRANCH_LABELS = {
 }
 
 
+def _formatter(kind):
+    """The text form of values of type ``kind``."""
+    if issubclass(kind, bool):
+        return lambda value: "true" if value else "false"
+    if issubclass(kind, float):
+        return "%.17g".__mod__
+    if issubclass(kind, (tuple, list, np.ndarray)):
+        return lambda value: " ".join(_fmt(v) for v in value)
+    return str
+
+
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return " ".join(_fmt(v) for v in value)
-    return str(value)
+    return _formatter(type(value))(value)
+
+
+def _column_formatter(values):
+    """The formatter of one CSV column: chosen once when the column holds
+    values of one type, else ``_fmt`` per value."""
+    kinds = set(map(type, values))
+    return _formatter(kinds.pop()) if len(kinds) == 1 else _fmt
 
 
 def _write_keyvalues(path, pairs):
@@ -101,8 +113,9 @@ def _write_keyvalues(path, pairs):
 def _write_csv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
+        formats = [_column_formatter(col) for col in zip(*rows)]
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([fmt(v) for fmt, v in zip(formats, row)]) + "\n")
 
 
 def _safe_fit(t_grid, series):

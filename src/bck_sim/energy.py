@@ -1,10 +1,10 @@
 """Energy functionals, identities and estimate audits.
 
 Everything here is a quadratic functional of spectral coefficients or a
-time-quadrature statement about a solved trajectory.  A "trajectory" is
-any object with attributes ``t_grid`` (uniform, shape (nt,)), ``u``,
-``ut``, ``utt``, ``uttt`` (coefficient arrays of shape (nt,) + coeff
-shape) and ``domain``.
+time-quadrature statement about a solved trajectory, a
+``nonlinear.Trajectory``: coefficient series ``u``, ``ut``, ``utt``,
+``uttt`` of shape (nt,) + coeff shape on the uniform ``t_grid`` of its
+``domain``.  Each functional is evaluated for all samples at once.
 
 Sobolev norms are the homogeneous spectral powers ``||A^{s/2} v||``;
 since the lowest Laplacian eigenvalue is positive on every admissible
@@ -21,26 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionGuardError, FitError
-from .model import nonlinear_terms
-from .spectral import SpectralField, grid_extremes, linf_grid, sobolev_norm
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Instantaneous energy functionals of one state.
-
-    k_functional is None when no fourth time derivative was available.
-    The sobolev map is keyed by (field name, order).
-    """
-
-    t: float
-    E1: float
-    E2: float
-    E_total: float
-    k_functional: float | None
-    linear_energy: float
-    sobolev: dict
-    linf_ut: float
+from .model import nonlinear_terms, wave_part
+from .spectral import grid_extremes
 
 
 @dataclass(frozen=True)
@@ -89,82 +71,6 @@ def _sq_norm(coeffs, lam, weight, power):
     return weight * scaled.sum(axis=axes)
 
 
-def w_field(state, params, uttt=None):
-    """Heat-factor field w = u_t + a*A*u and its first two time derivatives.
-
-    w_tt needs u_ttt; if not supplied it is computed with acceleration
-    (which may raise DegeneracyError).
-    """
-    from .model import acceleration
-
-    if uttt is None:
-        uttt = acceleration(state, params)
-    lam = np.asarray(state.domain.eigenvalue_grid, dtype=float)
-    a = params.a
-    dom = state.domain
-    w = SpectralField(dom, state.ut.coeffs + a * lam * state.u.coeffs)
-    wt = SpectralField(dom, state.utt.coeffs + a * lam * state.ut.coeffs)
-    wtt = SpectralField(dom, uttt.coeffs + a * lam * state.utt.coeffs)
-    return w, wt, wtt
-
-
-def linear_energy(state, params):
-    """||u||_{H4}^2 + ||u_t||_{H4}^2 + ||u_tt + b*A*u_t + c^2*A*u||_{H2}^2."""
-    lam, weight = _lam_weight(state.domain)
-    third = (
-        state.utt.coeffs
-        + params.b * lam * state.ut.coeffs
-        + params.c**2 * lam * state.u.coeffs
-    )
-    return float(
-        _sq_norm(state.u.coeffs, lam, weight, 4)
-        + _sq_norm(state.ut.coeffs, lam, weight, 4)
-        + _sq_norm(third, lam, weight, 2)
-    )
-
-
-def energies(state, uttt, params, utttt=None):
-    """All instantaneous functionals of one state as an EnergyReport."""
-    lam, weight = _lam_weight(state.domain)
-    w, wt, wtt = w_field(state, params, uttt)
-    e1 = 0.5 * float(
-        _sq_norm(wtt.coeffs, lam, weight, 1)
-        + _sq_norm(wt.coeffs, lam, weight, 1)
-        + _sq_norm(w.coeffs, lam, weight, 2)
-    )
-    e2 = 0.5 * float(
-        _sq_norm(uttt.coeffs, lam, weight, 1)
-        + _sq_norm(state.utt.coeffs, lam, weight, 2)
-        + _sq_norm(state.ut.coeffs, lam, weight, 3)
-        + _sq_norm(state.u.coeffs, lam, weight, 3)
-    )
-    k_functional = None
-    if utttt is not None:
-        k_functional = float(
-            _sq_norm(utttt.coeffs, lam, weight, 0)
-            + _sq_norm(uttt.coeffs, lam, weight, 2)
-            + _sq_norm(state.utt.coeffs, lam, weight, 3)
-            + _sq_norm(state.ut.coeffs, lam, weight, 4)
-            + _sq_norm(state.u.coeffs, lam, weight, 4)
-        )
-    sobolev = {
-        ("u", 4): sobolev_norm(state.u, 4),
-        ("ut", 3): sobolev_norm(state.ut, 3),
-        ("utt", 3): sobolev_norm(state.utt, 3),
-        ("uttt", 1): sobolev_norm(uttt, 1),
-    }
-    return EnergyReport(
-        t=state.t,
-        E1=e1,
-        E2=e2,
-        E_total=e1 + e2,
-        k_functional=k_functional,
-        linear_energy=linear_energy(state, params),
-        sobolev=sobolev,
-        linf_ut=linf_grid(state.ut),
-    )
-
-
 def fourth_derivative_series(t_grid, uttt_coeffs):
     """Centered differences of the stored u_ttt series, one-sided at the ends.
 
@@ -194,7 +100,7 @@ def energy_series(traj, params):
     lam, weight = _lam_weight(traj.domain)
     t = np.asarray(traj.t_grid, dtype=float)
     u, ut, utt, uttt = traj.u, traj.ut, traj.utt, traj.uttt
-    a, b, c = params.a, params.b, params.c
+    a = params.a
 
     def sq(arr, power):
         return _sq_norm(arr, lam, weight, power)
@@ -208,8 +114,7 @@ def energy_series(traj, params):
     e2 = 0.5 * (uttt1 + sq(utt, 2) + ut3 + u3)
     utttt = fourth_derivative_series(t, uttt)
     k_functional = sq(utttt, 0) + sq(uttt, 2) + utt3 + ut4 + u4
-    third = utt + b * lam * ut + c**2 * lam * u
-    lin = u4 + ut4 + sq(third, 2)
+    lin = u4 + ut4 + sq(wave_part(traj.domain, params, u, ut, utt), 2)
     low, linf_ut = grid_extremes(traj.domain, ut)
     return {
         "t": t,
@@ -323,7 +228,7 @@ def factorization_residual(traj, params, use_stored=True):
         wtt[0] = (w[2] - 2.0 * w[1] + w[0]) / dt**2
         wtt[-1] = (w[-1] - 2.0 * w[-2] + w[-3]) / dt**2
     f_series = forcing_series(traj, params)
-    residual = wtt + b * lam * wt + c**2 * lam * w + f_series
+    residual = wave_part(traj.domain, params, w, wt, wtt) + f_series
 
     def traj_norm(arr):
         return math.sqrt(max(np.trapezoid(_sq_norm(arr, lam, weight, 0), t), 0.0))

@@ -6,10 +6,15 @@ equation decouples into one 3x3 block per Laplacian eigenvalue,
     A_lam = [[0, 1, 0], [-c^2 lam, -b lam, 1], [0, 0, -a lam]],
 
 acting on the per-mode unknown U = (u, u_t, u_tt + b lam u_t
-+ c^2 lam u).  This module builds the blocks and their closed-form
-spectra, the spectral bound, batched matrix exponentials with the
-phi-function weights used by forced (Duhamel) solves, and decay
-diagnostics on top of the exact propagation.
++ c^2 lam u), whose third component is ``model.wave_part``.  This module
+builds the blocks and their closed-form spectra, the spectral bound,
+batched matrix exponentials with the phi-function weights used by forced
+(Duhamel) solves, and decay diagnostics on top of the exact propagation.
+
+The semigroup state is raw data: an array of shape (3,) + coeff shape
+stacking U over the coefficient grid (``semigroup_data``), and a solve
+returns the series of it, shape (nt, 3) + coeff shape.  ``nonlinear``
+turns such a series into its ``Trajectory``.
 """
 
 import math
@@ -22,8 +27,7 @@ from scipy.linalg import expm
 
 from .energy import DecayFit, decay_fit
 from .errors import FitError
-from .model import EvolutionState, linear_bracket
-from .spectral import SpectralField
+from .model import _wave_weights, wave_part
 
 
 def mode_eigenvalues_from_coefficients(lam, a, b, c):
@@ -121,59 +125,15 @@ def oscillation_ratio(domain, a, b, c):
     return float(np.max(imag / (1.0 + real), initial=0.0))
 
 
-@dataclass
-class SemigroupState:
-    """Stacked per-mode 3-vectors; data has shape (3,) + coeff shape."""
-
-    domain: object
-    t: float
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        expected = (3,) + self.domain.coeff_shape
-        if self.data.shape != expected:
-            raise ValueError(f"semigroup data must have shape {expected}")
-
-    def component(self, i):
-        return SpectralField(self.domain, self.data[i].copy())
-
-
-@lru_cache(maxsize=32)
-def _wave_weights(domain, params):
-    """b lam and c^2 lam on the coefficient tensor, the weights of u_t and u
-    in the third semigroup component."""
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    return params.b * lam, params.c**2 * lam
-
-
 def semigroup_data(domain, params, u, ut, utt):
     """Stacked (u, u_t, u_tt + b lam u_t + c^2 lam u) from coefficient arrays."""
-    w_t, w_u = _wave_weights(domain, params)
-    return np.stack([u, ut, utt + w_t * ut + w_u * u])
+    return np.stack([u, ut, wave_part(domain, params, u, ut, utt)])
 
 
 def semigroup_utt(domain, params, data):
-    """u_tt recovered from stacked semigroup data."""
+    """u_tt recovered from stacked semigroup data (components on axis 0)."""
     w_t, w_u = _wave_weights(domain, params)
     return data[2] - w_t * data[1] - w_u * data[0]
-
-
-def to_semigroup(state, params):
-    data = semigroup_data(
-        state.domain, params, state.u.coeffs, state.ut.coeffs, state.utt.coeffs
-    )
-    return SemigroupState(domain=state.domain, t=state.t, data=data)
-
-
-def from_semigroup(semi, params):
-    u, ut = semi.data[0], semi.data[1]
-    return EvolutionState(
-        t=semi.t,
-        u=SpectralField(semi.domain, u.copy()),
-        ut=SpectralField(semi.domain, ut.copy()),
-        utt=SpectralField(semi.domain, semigroup_utt(semi.domain, params, semi.data)),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,74 +184,32 @@ def propagator_table(domain, params, dt):
 def _resolve_table(domain, params, dt, table):
     if table is None:
         return propagator_table(domain, params, float(dt))
-    if table.domain != domain or abs(table.dt - dt) > 1e-12 * max(1.0, abs(dt)):
-        raise ValueError("propagator table does not match this domain and dt")
+    built_for = (table.params.a, table.params.b, table.params.c)
+    if (
+        table.domain != domain
+        or built_for != (params.a, params.b, params.c)
+        or abs(table.dt - dt) > 1e-12 * max(1.0, abs(dt))
+    ):
+        raise ValueError("propagator table does not match this domain, (a, b, c) and dt")
     return table
 
 
-def step_homogeneous(state, dt, params, table=None):
-    """One exact propagation step U -> exp(dt*A)U, unconditionally stable."""
-    table = _resolve_table(state.domain, params, dt, table)
-    flat = state.data.reshape(3, -1)
-    out = np.einsum("nij,jn->in", table.propagator, flat)
-    return SemigroupState(
-        domain=state.domain, t=state.t + dt, data=out.reshape(state.data.shape)
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class DuhamelSolution:
-    """Forced linear solve sampled on a uniform grid.
-
-    data[i] stacks the semigroup 3-vectors at t_grid[i]; u/ut/utt views
-    are in the original (u, u_t, u_tt) variables.
-    """
-
-    domain: object
-    params: object
-    t_grid: np.ndarray
-    data: np.ndarray
-
-    @property
-    def u(self):
-        return self.data[:, 0]
-
-    @property
-    def ut(self):
-        return self.data[:, 1]
-
-    @property
-    def utt(self):
-        lam = np.asarray(self.domain.eigenvalue_grid, dtype=float)
-        b, c = self.params.b, self.params.c
-        return self.data[:, 2] - b * lam * self.data[:, 1] - c * c * lam * self.data[:, 0]
-
-    def state(self, i):
-        semi = SemigroupState(self.domain, float(self.t_grid[i]), self.data[i])
-        return from_semigroup(semi, self.params)
-
-    def uttt_series(self, forcing_third=None):
-        """Third time derivative from the linear bracket plus the forcing."""
-        out = linear_bracket(self.domain, self.params, self.u, self.ut, self.utt)
-        if forcing_third is not None:
-            out = out + np.asarray(forcing_third, dtype=float)
-        return out
-
-
-def _validate_uniform_grid(t_grid):
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be a vector with at least two samples")
-    steps = np.diff(t)
-    dt = steps[0]
-    if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * max(1.0, abs(dt)):
+def check_uniform_grid(t_grid):
+    """Raise ValueError unless the samples increase in uniform steps (to
+    1e-9 relative); a grid of one sample passes."""
+    steps = np.diff(t_grid)
+    if steps.size and (
+        steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0]))
+    ):
         raise ValueError("t_grid must be uniformly spaced and increasing")
-    return t, float(dt)
 
 
-def solve_duhamel(initial, params, t_grid, forcing_third=None, table=None):
+def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None):
     """Exponential-integrator solve of U' = AU + (0, 0, f3(t)).
 
+    ``data0`` is the semigroup data at t_grid[0], shape (3,) + coeff shape;
+    the result holds the semigroup data at every sample, shape
+    (nt, 3) + coeff shape.
     forcing_third gives the third forcing component as an array sampled
     on t_grid (shape (nt,) + coeff shape), a callable t -> coefficients,
     or None for the homogeneous problem.  Each step applies
@@ -301,10 +219,16 @@ def solve_duhamel(initial, params, t_grid, forcing_third=None, table=None):
     with P1 = dt*phi1, P2 = dt^2*phi2, which is exact for forcing linear
     in t on each step and second-order accurate overall.
     """
-    t, dt = _validate_uniform_grid(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("t_grid must be a vector with at least two samples")
+    check_uniform_grid(t)
+    dt = float(t[1] - t[0])
     nt = t.size
-    domain = initial.domain
     shape = domain.coeff_shape
+    data0 = np.asarray(data0, dtype=float)
+    if data0.shape != (3,) + shape:
+        raise ValueError(f"semigroup data must have shape {(3,) + shape}")
     if forcing_third is None:
         f3 = np.zeros((nt,) + shape)
     elif callable(forcing_third):
@@ -321,24 +245,19 @@ def solve_duhamel(initial, params, t_grid, forcing_third=None, table=None):
     n_modes = domain.n_modes
     f3_flat = f3.reshape(nt, n_modes)
     data = np.empty((nt, 3, n_modes))
-    data[0] = initial.data.reshape(3, -1)
+    data[0] = data0.reshape(3, -1)
     for n in range(nt - 1):
         hom = np.einsum("nij,jn->in", table.propagator, data[n])
         slope = (f3_flat[n + 1] - f3_flat[n]) / dt
         data[n + 1] = hom + p1_col.T * f3_flat[n] + p2_col.T * slope
-    return DuhamelSolution(
-        domain=domain,
-        params=params,
-        t_grid=t,
-        data=data.reshape((nt, 3) + shape),
-    )
+    return data.reshape((nt, 3) + shape)
 
 
-def _linear_energy_series(sol):
-    lam = np.asarray(sol.domain.eigenvalue_grid, dtype=float)
-    weight = sol.domain.mode_l2_squared
+def _linear_energy_series(domain, data):
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    weight = domain.mode_l2_squared
     axes = tuple(range(-lam.ndim, 0))
-    u, ut, third = sol.data[:, 0], sol.data[:, 1], sol.data[:, 2]
+    u, ut, third = data[:, 0], data[:, 1], data[:, 2]
     quartic = (u * u + ut * ut) * lam**4
     quadratic = third * third * lam**2
     return weight * (quartic + quadratic).sum(axis=axes)
@@ -356,9 +275,11 @@ def linear_decay_report(initial, params, T, dt):
         raise ValueError("T and dt must be positive")
     nt = int(round(T / dt)) + 1
     t = initial.t + dt * np.arange(nt)
-    semi = to_semigroup(initial, params)
-    sol = solve_duhamel(semi, params, t)
-    energy = _linear_energy_series(sol)
+    domain = initial.domain
+    data0 = semigroup_data(
+        domain, params, initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
+    )
+    energy = _linear_energy_series(domain, solve_duhamel(domain, params, t, data0))
     if energy[0] <= 0.0:
         raise FitError("zero initial data gives a degenerate decay fit")
     half = nt // 2
@@ -372,16 +293,17 @@ def linear_decay_report(initial, params, T, dt):
     )
 
 
-def weighted_norm(semi, params, alpha=0.1):
-    """Diagnostic weighted state norm with weight (alpha*b/2)^2 on the first slot.
+def weighted_norm(domain, params, data, alpha=0.1):
+    """Diagnostic weighted norm of semigroup data, with weight (alpha*b/2)^2
+    on the first slot.
 
     sqrt((alpha*b/2)^2 ||A^2 U1||^2 + ||A U2||^2 + ||U3||^2).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    lam = np.asarray(semi.domain.eigenvalue_grid, dtype=float)
-    weight = semi.domain.mode_l2_squared
-    u1, u2, u3 = semi.data
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    weight = domain.mode_l2_squared
+    u1, u2, u3 = data
     scale = (alpha * params.b / 2.0) ** 2
     total = (
         scale * (lam**4 * u1 * u1).sum()

@@ -29,9 +29,14 @@ equation reads (a*laplace - d/dt)(u_tt - b*laplace(u_t) - c^2*laplace(u)) = f.
 ``nonlinear_terms`` is the one kernel behind both: it maps raw coefficient
 arrays (u, u_t, u_tt), of shape batch + coeff shape for any leading batch
 shape, to (u_ttt, f, guard minimum).  The march, the Picard sweeps and the
-post-processing series call it directly; ``acceleration``, ``forcing_f``
-and ``check_degeneracy_guard`` are thin SpectralField front ends.  Long
-batches run in blocks of ``spectral.BLOCK_BYTES``.
+post-processing series call it directly; ``check_degeneracy_guard``,
+``forcing_f``, ``acceleration`` and ``make_compatibility_data`` are thin
+SpectralField front ends.  Long batches run in blocks of
+``spectral.BLOCK_BYTES``.
+
+The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
+``wave_part``; the semigroup data of ``linear``, the linear energy and the
+equation residual all take it from there.
 
 On the 1D march each call works on arrays of a few dozen values, so its
 cost is the count of numpy calls, not the arithmetic; the body is laid out
@@ -89,13 +94,11 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
-    GridField,
     GridWorkspace,
     SpectralField,
     evaluate,
     evaluate_stack,
     gradient_product,
-    grid_values,
     product_dealiased,
     project,
     sample_blocks,
@@ -108,17 +111,14 @@ __all__ = [
     "EvolutionState",
     "CompatibilityData",
     "derive_params",
-    "degeneracy_factor",
     "check_degeneracy_guard",
     "degeneracy_guard",
     "linear_bracket",
+    "wave_part",
     "nonlinear_terms",
     "forcing_f",
     "acceleration",
-    "linear_uttt",
-    "compatibility_uttt0",
     "make_compatibility_data",
-    "pde_residual",
     "pde_residual_series",
 ]
 
@@ -246,6 +246,21 @@ def linear_bracket(domain, params, u, ut, utt):
     leading axes allowed."""
     w_tt, w_t, w_u = _bracket_weights(domain, params)
     return w_tt * utt - w_t * ut - w_u * u
+
+
+@lru_cache(maxsize=32)
+def _wave_weights(domain, params):
+    """b lam and c^2 lam on the coefficient tensor, the weights of u_t and u
+    in the wave part."""
+    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
+    return params.b * lam, params.c**2 * lam
+
+
+def wave_part(domain, params, u, ut, utt):
+    """Coefficients of the wave part u_tt - b laplace(u_t) - c^2 laplace(u),
+    that is u_tt + b lam u_t + c^2 lam u; leading axes allowed."""
+    w_t, w_u = _wave_weights(domain, params)
+    return utt + w_t * ut + w_u * u
 
 
 def _blockwise(domain, fn, arrays, time):
@@ -522,16 +537,6 @@ def nonlinear_terms(
 # ---------------------------------------------------------------------------
 
 
-def degeneracy_factor(state, params):
-    """Pointwise values of 1 + 2k u_t on the collocation grid and their min.
-
-    Purely diagnostic; it never raises.  The solver-side guard is
-    ``check_degeneracy_guard``.
-    """
-    factor = 1.0 + 2.0 * params.k * grid_values(state.domain, state.ut.coeffs)
-    return GridField(state.domain, factor), float(factor.min())
-
-
 def check_degeneracy_guard(ut, params, time, eps_deg=DEFAULT_EPS_DEG, at_start=False):
     """Raise DegeneracyError unless |2k u_t| < 1 - eps_deg on both grids.
 
@@ -564,24 +569,6 @@ def forcing_f(state, uttt, params):
     return SpectralField(state.domain, f)
 
 
-def linear_uttt(state, params, f=None):
-    """u_ttt of the linearized equation with frozen right-hand side f:
-
-        u_ttt = (a+b) laplace(u_tt) + c^2 laplace(u_t)
-                - a b laplace^2(u_t) - a c^2 laplace^2(u) - f.
-
-    Exact in the Galerkin space; this is the consistent third derivative of
-    a solution of the linear problem, and the k = s = 0 reduction of
-    ``acceleration``.
-    """
-    coeffs = linear_bracket(
-        state.domain, params, state.u.coeffs, state.ut.coeffs, state.utt.coeffs
-    )
-    if f is not None:
-        coeffs = coeffs - f.coeffs
-    return SpectralField(state.domain, coeffs)
-
-
 def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
     """Galerkin projection of u_ttt from the quasilinear evolution law.
 
@@ -603,31 +590,21 @@ def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
     return SpectralField(state.domain, uttt)
 
 
-def compatibility_uttt0(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
-    """Third time derivative induced at t = 0 by the evolution law itself."""
-    state = EvolutionState(0.0, u0, u1, u2)
-    return acceleration(state, params, eps_deg)
-
-
 def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
-    """Bundle initial data with the induced u_ttt(0), guarding degeneracy.
+    """Bundle initial data with the u_ttt(0) that the evolution law itself
+    induces (``acceleration`` at t = 0), guarding degeneracy.
 
     A guard failure here carries ``at_start=True`` so callers can distinguish
     inadmissible data from a mid-run breakdown.
     """
     check_degeneracy_guard(u1, params, 0.0, eps_deg, at_start=True)
-    return CompatibilityData(u0, u1, u2, compatibility_uttt0(u0, u1, u2, params, eps_deg))
+    uttt0 = acceleration(EvolutionState(0.0, u0, u1, u2), params, eps_deg)
+    return CompatibilityData(u0, u1, u2, uttt0)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics along discrete trajectories
 # ---------------------------------------------------------------------------
-
-
-def _wave_part(domain, params, u, ut, utt):
-    """G = u_tt - b laplace(u_t) - c^2 laplace(u) in coefficients."""
-    lam = domain.eigenvalue_grid
-    return utt + params.b * lam * ut + params.c**2 * lam * u
 
 
 def _quad_source(domain, params, u, ut):
@@ -677,7 +654,7 @@ def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
     sample_bytes = 64 * (2 * domain.modes_per_axis + 1) ** domain.dimension
     for blk in sample_blocks(out.size, sample_bytes):
         window = slice(blk.start, blk.stop + 2)
-        g = _wave_part(domain, params, u[window], ut[window], utt[window])
+        g = wave_part(domain, params, u[window], ut[window], utt[window])
         q = _quad_source(domain, params, u[window], ut[window])
         h = dt[blk].reshape((-1,) + (1,) * domain.dimension)
         t_diff = -params.a * lam * g[1:-1]
@@ -690,27 +667,3 @@ def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
         scale = np.maximum(np.max(terms, axis=0), 1e-300)
         out[blk] = _norms(resid, weight) / scale
     return out
-
-
-def pde_residual(prev, mid, nxt, params, source=None):
-    """Relative residual of the equation at ``mid`` from three equispaced states.
-
-    See ``pde_residual_series``; ``source`` is a SpectralField at the
-    middle time.
-    """
-    states = (prev, mid, nxt)
-
-    def series(name):
-        return np.stack([getattr(st, name).coeffs for st in states])
-
-    return float(
-        pde_residual_series(
-            mid.domain,
-            params,
-            [st.t for st in states],
-            series("u"),
-            series("ut"),
-            series("utt"),
-            None if source is None else source.coeffs[None],
-        )[0]
-    )

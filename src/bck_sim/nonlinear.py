@@ -10,8 +10,11 @@ Two routes to a solution:
   problem with the forcing frozen along the previous iterate, measuring
   its own contraction ratios.
 
-Both produce Trajectory objects carrying every stored time derivative up
-to u_ttt; the fourth derivative, where needed, is centered-differenced.
+Both produce a Trajectory, the one trajectory type of the package: raw
+coefficient series of every stored time derivative up to u_ttt (the
+fourth derivative, where needed, is centered-differenced).  The linear
+solves of the fixed-point route return raw semigroup series, which
+``linear_trajectory`` turns into a Trajectory.
 """
 
 import math
@@ -22,20 +25,20 @@ import numpy as np
 from .energy import _sq_norm, fourth_derivative_series
 from .errors import BlowUpError, DegeneracyError, NonConvergenceError
 from .linear import (
+    check_uniform_grid,
     propagator_table,
     semigroup_data,
     semigroup_utt,
     solve_duhamel,
-    to_semigroup,
 )
 from .model import (  # acceleration is re-exported for callers of this module
     DEFAULT_EPS_DEG,
-    EvolutionState,
     acceleration,
     degeneracy_guard,
+    linear_bracket,
     nonlinear_terms,
 )
-from .spectral import GridWorkspace, SpectralField
+from .spectral import GridWorkspace
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_SUBSTEP_SWEEPS = 2
@@ -47,10 +50,11 @@ class Trajectory:
 
     Arrays have shape (nt,) + coeff shape.  The stored u_ttt comes from
     the model's acceleration at each accepted sample (or, for linear
-    solves, from the linear bracket plus forcing).  ``forcing``, when
-    present, holds the quadratic forcing f at every sample as the march
-    computed it, the same bits as ``energy.forcing_series``; a trajectory
-    derived by arithmetic (``difference``, ``scaled``) carries none.
+    solves, from the linear bracket plus forcing; see
+    ``linear_trajectory``).  ``forcing``, when present, holds the
+    quadratic forcing f at every sample as the march computed it, the same
+    bits as ``energy.forcing_series``; a trajectory derived by arithmetic
+    (``difference``) carries none.
     """
 
     domain: object
@@ -74,30 +78,11 @@ class Trajectory:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains nonfinite entries")
             setattr(self, name, arr)
-        if nt > 1:
-            steps = np.diff(self.t_grid)
-            if steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(
-                1.0, abs(steps[0])
-            ):
-                raise ValueError("t_grid must be uniformly spaced and increasing")
+        check_uniform_grid(self.t_grid)
 
     @property
     def n_samples(self):
         return self.t_grid.size
-
-    @property
-    def dt(self):
-        if self.t_grid.size < 2:
-            raise ValueError("trajectory has no step size")
-        return float(self.t_grid[1] - self.t_grid[0])
-
-    def state(self, i):
-        return EvolutionState(
-            float(self.t_grid[i]),
-            SpectralField(self.domain, self.u[i].copy()),
-            SpectralField(self.domain, self.ut[i].copy()),
-            SpectralField(self.domain, self.utt[i].copy()),
-        )
 
     def utttt_array(self):
         return fourth_derivative_series(self.t_grid, self.uttt)
@@ -118,17 +103,6 @@ class Trajectory:
             ut=self.ut - other.ut,
             utt=self.utt - other.utt,
             uttt=self.uttt - other.uttt,
-        )
-
-    def scaled(self, factor):
-        return Trajectory(
-            domain=self.domain,
-            params=self.params,
-            t_grid=self.t_grid.copy(),
-            u=factor * self.u,
-            ut=factor * self.ut,
-            utt=factor * self.utt,
-            uttt=factor * self.uttt,
         )
 
 
@@ -200,36 +174,6 @@ def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspac
         if sweep < substep_iters:
             candidate = base + p2_col.T * ((f3_next.reshape(-1) - f3_flat) / dt)
     return data_next, utt, uttt, f3_next
-
-
-def step(
-    state,
-    dt,
-    params,
-    substep_iters=DEFAULT_SUBSTEP_SWEEPS,
-    eps_deg=DEFAULT_EPS_DEG,
-    blowup_bound=DEFAULT_BLOWUP_BOUND,
-    table=None,
-):
-    """Advance one state by dt; linear part exact, forcing at order 2."""
-    domain = state.domain
-    if table is None:
-        table = propagator_table(domain, params, float(dt))
-    u, ut, utt = state.u.coeffs, state.ut.coeffs, state.utt.coeffs
-    workspace = GridWorkspace()
-    _, f, _ = nonlinear_terms(
-        domain, params, u, ut, utt, time=state.t, eps_deg=eps_deg, workspace=workspace
-    )
-    data = semigroup_data(domain, params, u, ut, utt)
-    data, utt, _, _ = _advance(
-        table, params, data, state.t, -f, substep_iters, eps_deg, blowup_bound, workspace
-    )
-    return EvolutionState(
-        state.t + table.dt,
-        SpectralField(domain, data[0].copy()),
-        SpectralField(domain, data[1].copy()),
-        SpectralField(domain, utt),
-    )
 
 
 def solve(
@@ -310,9 +254,25 @@ def solve(
     )
 
 
-def assert_guard(traj, params, eps_deg=DEFAULT_EPS_DEG):
-    """Debug audit: re-check the degeneracy guard at every stored sample."""
-    degeneracy_guard(traj.domain, params, traj.ut, traj.t_grid, eps_deg)
+def linear_trajectory(initial, params, t_grid, forcing_third=None, table=None):
+    """The linear solve from CompatibilityData on t_grid as a Trajectory.
+
+    ``solve_duhamel`` gives the semigroup series; u_tt comes back through
+    ``semigroup_utt`` and u_ttt is the linear bracket plus the third
+    forcing component ``forcing_third`` (an (nt,) + coeff shape array).
+    """
+    domain = initial.u0.domain
+    u0, u1, u2 = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
+    data0 = semigroup_data(domain, params, u0, u1, u2)
+    data = solve_duhamel(domain, params, t_grid, data0, forcing_third=forcing_third, table=table)
+    u, ut = data[:, 0].copy(), data[:, 1].copy()
+    utt = semigroup_utt(domain, params, np.moveaxis(data, 1, 0))
+    uttt = linear_bracket(domain, params, u, ut, utt)
+    if forcing_third is not None:
+        uttt = uttt + forcing_third
+    return Trajectory(
+        domain=domain, params=params, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt
+    )
 
 
 def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
@@ -321,43 +281,15 @@ def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
 
     phi must satisfy the degeneracy guard so that the stored acceleration
     (and hence f[phi]) is meaningful; the returned trajectory is checked
-    against the same guard before it is handed back.
+    against the same guard at every sample before it is handed back.
     """
     domain = phi.domain
     _, f, _ = nonlinear_terms(
         domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt, time=phi.t_grid, eps_deg=eps_deg
     )
-    f3 = -f
-
-    start = EvolutionState(float(phi.t_grid[0]), initial.u0, initial.u1, initial.u2)
-    semi0 = to_semigroup(start, params)
-    sol = solve_duhamel(semi0, params, phi.t_grid, forcing_third=f3, table=table)
-    result = Trajectory(
-        domain=domain,
-        params=params,
-        t_grid=phi.t_grid.copy(),
-        u=sol.u.copy(),
-        ut=sol.ut.copy(),
-        utt=np.ascontiguousarray(sol.utt),
-        uttt=sol.uttt_series(f3),
-    )
-    assert_guard(result, params, eps_deg)
+    result = linear_trajectory(initial, params, phi.t_grid, forcing_third=-f, table=table)
+    degeneracy_guard(domain, params, result.ut, result.t_grid, eps_deg)
     return result
-
-
-def _homogeneous_linear_trajectory(initial, params, t_grid, table=None):
-    start = EvolutionState(float(t_grid[0]), initial.u0, initial.u1, initial.u2)
-    semi0 = to_semigroup(start, params)
-    sol = solve_duhamel(semi0, params, t_grid, table=table)
-    return Trajectory(
-        domain=initial.u0.domain,
-        params=params,
-        t_grid=np.asarray(t_grid, dtype=float),
-        u=sol.u.copy(),
-        ut=sol.ut.copy(),
-        utt=np.ascontiguousarray(sol.utt),
-        uttt=sol.uttt_series(),
-    )
 
 
 def picard_solve(
@@ -386,7 +318,7 @@ def picard_solve(
 
     degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
 
-    phi = _homogeneous_linear_trajectory(initial, params, t_grid, table=table)
+    phi = linear_trajectory(initial, params, t_grid, table=table)
     increments = []
     ratios = []
     for iteration in range(1, max_iter + 1):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bck_sim.cli as cli
@@ -186,3 +187,19 @@ def test_cli_import_leaves_scipy_fft_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_columns_format_like_single_values(tmp_path):
+    # a formatter chosen per column writes the bytes of formatting each
+    # value alone, also in a column of mixed types (the last one)
+    rows = [
+        (1, 0.1, np.float64(2.5), "x", True),
+        (2, math.nan, np.float64(-0.0), "y", np.True_),
+        (3, 1e300, np.float64(1.0) / 3.0, "z", 0.5),
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ("a", "b", "c", "d", "e"), rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "1,0.10000000000000001,2.5,x,true"
+    assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert lines[2] == "2,nan,-0,y,True"

@@ -8,7 +8,6 @@ import pytest
 from bck_sim.energy import (
     barrier_audit,
     decay_fit,
-    energies,
     energy_series,
     estimate_audit_linear,
     factorization_residual,
@@ -16,12 +15,11 @@ from bck_sim.energy import (
     fourth_derivative_series,
     heat_identity_audit,
     heat_identity_instantiations,
-    linear_energy,
-    w_field,
 )
 from bck_sim.errors import DivisionGuardError, FitError
-from bck_sim.model import EvolutionState, ModelParams
-from bck_sim.spectral import DomainSpec, SpectralField
+from bck_sim.model import EvolutionState, ModelParams, acceleration
+from bck_sim.nonlinear import Trajectory
+from bck_sim.spectral import DomainSpec, SpectralField, linf_grid, sobolev_norm
 
 WEIGHT = math.pi / 2.0  # squared L2 norm of sin(kx) on (0, pi)
 
@@ -30,28 +28,33 @@ def _domain(n=8):
     return DomainSpec(1, (math.pi,), n)
 
 
-def _state(domain, u=None, ut=None, utt=None, t=0.0):
-    zero = SpectralField.zeros(domain)
-    return EvolutionState(t, u or zero, ut or zero, utt or zero)
+def _traj(domain, t_grid, u, ut, utt, uttt):
+    """A Trajectory of the given series; the functionals take their
+    coefficients as an argument, so it carries none."""
+    return Trajectory(domain, None, t_grid, u, ut, utt, uttt)
 
 
-class _Traj:
-    """Minimal trajectory stand-in for audit tests."""
-
-    def __init__(self, domain, t_grid, u, ut, utt, uttt):
-        self.domain = domain
-        self.t_grid = np.asarray(t_grid, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        self.ut = np.asarray(ut, dtype=float)
-        self.utt = np.asarray(utt, dtype=float)
-        self.uttt = np.asarray(uttt, dtype=float)
-
-
-def _constant_traj(domain, coeffs, t_grid):
+def _constant_traj(domain, coeffs, t_grid, ut=None, utt=None, uttt=None):
+    """The state (coeffs, ut, utt) with u_ttt = uttt (zeros by default) at
+    every sample of t_grid."""
     nt = len(t_grid)
-    u = np.tile(coeffs, (nt, 1))
-    zeros = np.zeros_like(u)
-    return _Traj(domain, t_grid, u, zeros, zeros, zeros)
+    zero = np.zeros_like(coeffs)
+    fields = [coeffs] + [zero if f is None else f for f in (ut, utt, uttt)]
+    return _traj(domain, t_grid, *(np.tile(f, (nt, 1)) for f in fields))
+
+
+def _random_traj(domain, rng, scale=1.0, nt=3):
+    t = np.linspace(0.0, 0.1, nt)
+    fields = [scale * rng.standard_normal((nt,) + domain.coeff_shape) for _ in range(4)]
+    return _traj(domain, t, *fields)
+
+
+def _scaled(traj, alpha):
+    return _traj(
+        traj.domain,
+        traj.t_grid,
+        *(alpha * f for f in (traj.u, traj.ut, traj.utt, traj.uttt)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -61,26 +64,28 @@ def _constant_traj(domain, coeffs, t_grid):
 
 def test_energies_zero_state():
     dom = _domain()
-    zero = SpectralField.zeros(dom)
-    report = energies(_state(dom), zero, ModelParams(1, 1, 1, 0.2, 1), utttt=zero)
-    assert report.E1 == 0.0 and report.E2 == 0.0 and report.E_total == 0.0
-    assert report.k_functional == 0.0
-    assert report.linear_energy == 0.0
-    assert report.linf_ut == 0.0
+    zeros = np.zeros((3, 8))
+    series = energy_series(
+        _traj(dom, [0.0, 0.1, 0.2], zeros, zeros, zeros, zeros), ModelParams(1, 1, 1, 0.2, 1)
+    )
+    for key in ("E1", "E2", "E_total", "k_functional", "linear_energy", "Linf_ut"):
+        assert np.all(series[key] == 0.0)
 
 
-def test_w_field_single_mode():
+def test_heat_factor_energy_single_mode():
     # a=1, u = sin x, lambda=1: w = A u = sin x, w_t = 0 and, in the linear
-    # model, u_ttt = -sin x so w_tt = -sin x
+    # model, u_ttt = -sin x so w_tt = -sin x; E1 = (|w_tt|_1^2 + |w|_2^2)/2
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    state = _state(dom, u=SpectralField.single_mode(dom, 1, 1.0))
-    w, wt, wtt = w_field(state, params)
-    expected = np.zeros(8)
-    expected[0] = 1.0
-    np.testing.assert_allclose(w.coeffs, expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(wt.coeffs, 0.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(wtt.coeffs, -expected, rtol=0, atol=1e-12)
+    u = SpectralField.single_mode(dom, 1, 1.0)
+    zero = SpectralField.zeros(dom)
+    uttt = acceleration(EvolutionState(0.0, u, zero, zero), params).coeffs
+    t = [0.0, 0.1, 0.2]
+    series = energy_series(_constant_traj(dom, u.coeffs, t, uttt=uttt), params)
+    np.testing.assert_allclose(series["E1"], WEIGHT, rtol=0, atol=1e-12)
+    # u = e^{-t} sin x solves the heat flow, so w = w_t = w_tt = 0
+    traj = _constant_traj(dom, u.coeffs, t, ut=-u.coeffs, utt=u.coeffs, uttt=-u.coeffs)
+    np.testing.assert_allclose(energy_series(traj, params)["E1"], 0.0, rtol=0, atol=1e-12)
 
 
 def test_energies_single_mode_closed_form():
@@ -88,35 +93,27 @@ def test_energies_single_mode_closed_form():
     # E1 = E2 = pi/4, E_total = pi/2
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    state = _state(dom, u=SpectralField.single_mode(dom, 1, 1.0))
-    report = energies(state, SpectralField.zeros(dom), params)
-    assert abs(report.E1 - math.pi / 4.0) < 1e-12
-    assert abs(report.E2 - math.pi / 4.0) < 1e-12
-    assert report.E_total == report.E1 + report.E2
-    assert report.k_functional is None
+    u = SpectralField.single_mode(dom, 1, 1.0).coeffs
+    series = energy_series(_constant_traj(dom, u, [0.0, 0.1, 0.2]), params)
+    assert np.all(np.abs(series["E1"] - math.pi / 4.0) < 1e-12)
+    assert np.all(np.abs(series["E2"] - math.pi / 4.0) < 1e-12)
+    assert np.all(series["E_total"] == series["E1"] + series["E2"])
     # linear energy: |u|_{H4}^2 + |u_tt + b A u_t + c^2 A u|_{H2}^2 = pi
-    assert abs(report.linear_energy - math.pi) < 1e-12
+    assert np.all(np.abs(series["linear_energy"] - math.pi) < 1e-12)
 
 
 def test_energies_quadratic_scaling():
     rng = np.random.default_rng(41)
     dom = _domain()
     params = ModelParams(0.8, 1.2, 0.9, 0.0, 0)
-    fields = [SpectralField(dom, rng.standard_normal(8)) for _ in range(5)]
-    state = _state(dom, u=fields[0], ut=fields[1], utt=fields[2])
+    traj = _random_traj(dom, rng)
     alpha = 3.0
-    scaled_state = _state(
-        dom, u=alpha * fields[0], ut=alpha * fields[1], utt=alpha * fields[2]
-    )
-    base = energies(state, fields[3], params, utttt=fields[4])
-    scaled = energies(scaled_state, alpha * fields[3], params, utttt=alpha * fields[4])
-    for attr in ("E1", "E2", "E_total", "k_functional", "linear_energy"):
-        np.testing.assert_allclose(
-            getattr(scaled, attr), alpha**2 * getattr(base, attr), rtol=1e-12
-        )
-    for key in base.sobolev:
-        np.testing.assert_allclose(scaled.sobolev[key], alpha * base.sobolev[key], rtol=1e-12)
-    np.testing.assert_allclose(scaled.linf_ut, alpha * base.linf_ut, rtol=1e-12)
+    base = energy_series(traj, params)
+    scaled = energy_series(_scaled(traj, alpha), params)
+    for key in ("E1", "E2", "E_total", "k_functional", "linear_energy"):
+        np.testing.assert_allclose(scaled[key], alpha**2 * base[key], rtol=1e-12)
+    for key in ("H4_u", "H3_ut", "H3_utt", "H1_uttt", "Linf_ut"):
+        np.testing.assert_allclose(scaled[key], alpha * base[key], rtol=1e-12)
 
 
 def test_e2_dominated_by_k_functional():
@@ -124,21 +121,14 @@ def test_e2_dominated_by_k_functional():
     # a pure lowest-mode displacement
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    state = _state(dom, u=SpectralField.single_mode(dom, 1, 0.7))
-    zero = SpectralField.zeros(dom)
-    report = energies(state, zero, params, utttt=zero)
+    u = SpectralField.single_mode(dom, 1, 0.7).coeffs
+    series = energy_series(_constant_traj(dom, u, [0.0, 0.1, 0.2]), params)
     lam0 = dom.lambda0
-    assert abs(report.E2 - 0.5 / lam0 * report.k_functional) < 1e-12
+    assert np.all(np.abs(series["E2"] - 0.5 / lam0 * series["k_functional"]) < 1e-12)
 
     rng = np.random.default_rng(42)
-    fields = [SpectralField(dom, rng.standard_normal(8)) for _ in range(5)]
-    report = energies(
-        _state(dom, u=fields[0], ut=fields[1], utt=fields[2]),
-        fields[3],
-        params,
-        utttt=fields[4],
-    )
-    assert report.E2 <= report.k_functional / lam0 * (1.0 + 1e-12)
+    series = energy_series(_random_traj(dom, rng), params)
+    assert np.all(series["E2"] <= series["k_functional"] / lam0 * (1.0 + 1e-12))
 
 
 def test_fourth_derivative_series_quadratic_exact():
@@ -265,7 +255,7 @@ def _exact_linear_modal_traj(dom, params, lam_index, t_grid):
             - (params.c**2 * lam + params.a * params.b * lam**2) * vec[1]
             - params.a * params.c**2 * lam**2 * vec[0]
         )
-    return _Traj(dom, t_grid, u, ut, utt, uttt)
+    return _traj(dom, t_grid, u, ut, utt, uttt)
 
 
 def test_factorization_residual_exact_linear():
@@ -298,7 +288,7 @@ def test_forcing_series_matches_pointwise_forcing():
     params = ModelParams(1, 1, 1, 0.3, 1)
     rng = np.random.default_rng(45)
     t = np.linspace(0.0, 0.1, 3)
-    traj = _Traj(
+    traj = _traj(
         dom,
         t,
         0.01 * rng.standard_normal((3, 4)),
@@ -326,7 +316,7 @@ def test_estimate_audit_zero_everything():
     dom = _domain(4)
     t = np.linspace(0.0, 1.0, 11)
     zeros = np.zeros((11, 4))
-    traj = _Traj(dom, t, zeros, zeros, zeros, zeros)
+    traj = _traj(dom, t, zeros, zeros, zeros, zeros)
     audit = estimate_audit_linear(traj, zeros, ModelParams(1, 1, 1, 0.2, 1))
     assert audit.c_min == 0.0
 
@@ -356,7 +346,7 @@ def test_estimate_audit_division_guard():
     u = np.zeros((5, 4))
     u[:, 0] = t**2
     zeros = np.zeros_like(u)
-    traj = _Traj(dom, t, u, zeros, zeros, zeros)
+    traj = _traj(dom, t, u, zeros, zeros, zeros)
     with pytest.raises(DivisionGuardError):
         estimate_audit_linear(traj, zeros, ModelParams(1, 1, 1, 0.0, 0))
 
@@ -365,7 +355,7 @@ def test_barrier_audit_zero_data_passes():
     dom = _domain(4)
     t = np.linspace(0.0, 1.0, 5)
     zeros = np.zeros((5, 4))
-    traj = _Traj(dom, t, zeros, zeros, zeros, zeros)
+    traj = _traj(dom, t, zeros, zeros, zeros, zeros)
     audit = barrier_audit(traj, eta=1e-6, c_hat=2.0, params=ModelParams(1, 1, 1, 0.0, 0))
     assert audit.passed
     assert audit.pointwise_ratio == 0.0 and audit.integrated_ratio == 0.0
@@ -380,7 +370,7 @@ def test_barrier_audit_decaying_series():
     u = np.zeros((401, 4))
     u[:, 0] = 0.3 * np.exp(-t)
     zeros = np.zeros_like(u)
-    traj = _Traj(dom, t, u, zeros, zeros, zeros)
+    traj = _traj(dom, t, u, zeros, zeros, zeros)
     generous = barrier_audit(traj, eta=0.3**2 * WEIGHT, c_hat=4.0, params=params)
     assert generous.passed
     assert generous.pointwise_ratio <= 1.0
@@ -392,7 +382,7 @@ def test_barrier_audit_validates_inputs():
     dom = _domain(4)
     t = np.linspace(0.0, 1.0, 5)
     zeros = np.zeros((5, 4))
-    traj = _Traj(dom, t, zeros, zeros, zeros, zeros)
+    traj = _traj(dom, t, zeros, zeros, zeros, zeros)
     with pytest.raises(ValueError):
         barrier_audit(traj, eta=0.0, c_hat=1.0, params=ModelParams(1, 1, 1, 0.0, 0))
 
@@ -441,23 +431,32 @@ def test_decay_fit_window_validation():
 
 
 def test_energy_series_matches_pointwise_reports():
+    # each column at one sample against the functional written out on the
+    # SpectralFields of that sample
     dom = _domain()
     params = ModelParams(0.9, 1.1, 1.3, 0.0, 0)
+    a, b, c = params.a, params.b, params.c
     t = np.arange(0.0, 0.5 + 1e-12, 1e-2)
     traj = _exact_linear_modal_traj(dom, params, 1, t)
     series = energy_series(traj, params)
     i = 17
-    state = EvolutionState(
-        float(t[i]),
-        SpectralField(dom, traj.u[i]),
-        SpectralField(dom, traj.ut[i]),
-        SpectralField(dom, traj.utt[i]),
-    )
-    report = energies(state, SpectralField(dom, traj.uttt[i]), params)
-    assert abs(series["E1"][i] - report.E1) < 1e-12
-    assert abs(series["E2"][i] - report.E2) < 1e-12
-    assert abs(series["linear_energy"][i] - report.linear_energy) < 1e-12
-    assert abs(series["H4_u"][i] - report.sobolev[("u", 4)]) < 1e-12
-    assert abs(series["H3_ut"][i] - report.sobolev[("ut", 3)]) < 1e-12
-    assert abs(series["Linf_ut"][i] - report.linf_ut) < 1e-12
+    lam = dom.eigenvalue_grid
+    u, ut, utt, uttt = (SpectralField(dom, f[i]) for f in (traj.u, traj.ut, traj.utt, traj.uttt))
+    w = SpectralField(dom, ut.coeffs + a * lam * u.coeffs)
+    wt = SpectralField(dom, utt.coeffs + a * lam * ut.coeffs)
+    wtt = SpectralField(dom, uttt.coeffs + a * lam * utt.coeffs)
+    third = SpectralField(dom, utt.coeffs + b * lam * ut.coeffs + c**2 * lam * u.coeffs)
+
+    def sq(field, order):
+        return sobolev_norm(field, order) ** 2
+
+    e1 = 0.5 * (sq(wtt, 1) + sq(wt, 1) + sq(w, 2))
+    e2 = 0.5 * (sq(uttt, 1) + sq(utt, 2) + sq(ut, 3) + sq(u, 3))
+    linear = sq(u, 4) + sq(ut, 4) + sq(third, 2)
+    assert abs(series["E1"][i] - e1) < 1e-12
+    assert abs(series["E2"][i] - e2) < 1e-12
+    assert abs(series["linear_energy"][i] - linear) < 1e-12
+    assert abs(series["H4_u"][i] - sobolev_norm(u, 4)) < 1e-12
+    assert abs(series["H3_ut"][i] - sobolev_norm(ut, 3)) < 1e-12
+    assert abs(series["Linf_ut"][i] - linf_grid(ut)) < 1e-12
     assert np.all(series["k_functional"] >= 0.0)

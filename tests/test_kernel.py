@@ -17,13 +17,11 @@ from bck_sim.model import (
     ModelParams,
     acceleration,
     check_degeneracy_guard,
-    degeneracy_factor,
     degeneracy_guard,
     forcing_f,
     linear_bracket,
     make_compatibility_data,
     nonlinear_terms,
-    pde_residual,
     pde_residual_series,
 )
 from bck_sim.nonlinear import Trajectory, solve
@@ -32,6 +30,7 @@ from bck_sim.spectral import (
     SpectralField,
     evaluate,
     grid_extremes,
+    grid_values,
     linf_grid,
     project,
 )
@@ -131,9 +130,14 @@ def test_series_match_pointwise_diagnostics():
     series = energy_series(Trajectory(domain, params, t, u, ut, utt, uttt), params)
     factor, linf = series["guard_min"], series["Linf_ut"]
     for i in range(1, 5):
-        assert residual[i - 1] == pde_residual(states[i - 1], states[i], states[i + 1], params)
+        window = slice(i - 1, i + 2)
+        alone = pde_residual_series(domain, params, t[window], u[window], ut[window], utt[window])
+        assert residual[i - 1] == alone[0]
     for i in range(6):
-        assert factor[i] == degeneracy_factor(states[i], params)[1]
+        low, _ = grid_extremes(domain, ut[i : i + 1])
+        assert factor[i] == 1.0 + 2.0 * params.k * low[0]
+        # the minimum of the factor on the grid is the factor at min u_t
+        assert factor[i] == np.min(1.0 + 2.0 * params.k * grid_values(domain, ut[i]))
         assert linf[i] == linf_grid(states[i].ut)
 
 
@@ -425,7 +429,7 @@ def test_march_stores_the_forcing_series(dim, n, s):
     params = ModelParams(params.a, params.b, params.c, params.k, s)
     traj = solve(data, params, 6e-3, 1e-3)
     assert np.array_equal(traj.forcing, forcing_series(traj, params))
-    assert traj.difference(traj).forcing is None and traj.scaled(2.0).forcing is None
+    assert traj.difference(traj).forcing is None
 
 
 def test_partial_trajectory_keeps_the_forcing():

@@ -10,23 +10,20 @@ from scipy.linalg import expm
 
 from bck_sim.errors import FitError
 from bck_sim.linear import (
-    DuhamelSolution,
     PropagatorTable,
-    SemigroupState,
-    from_semigroup,
     linear_decay_report,
     max_mode_real_part,
     mode_eigenvalues_from_coefficients,
     mode_matrix,
     oscillation_ratio,
     relative_bound_report,
+    semigroup_data,
+    semigroup_utt,
     solve_duhamel,
     spectral_bound,
-    step_homogeneous,
-    to_semigroup,
     weighted_norm,
 )
-from bck_sim.model import EvolutionState, ModelParams
+from bck_sim.model import EvolutionState, ModelParams, linear_bracket
 from bck_sim.spectral import DomainSpec, SpectralField
 
 
@@ -34,14 +31,19 @@ def _domain(n=8):
     return DomainSpec(1, (math.pi,), n)
 
 
-def _random_state(dom, rng, scale=1.0):
-    n = dom.modes_per_axis
-    return EvolutionState(
-        0.0,
-        SpectralField(dom, scale * rng.standard_normal(n)),
-        SpectralField(dom, scale * rng.standard_normal(n)),
-        SpectralField(dom, scale * rng.standard_normal(n)),
-    )
+def _random_fields(dom, rng, scale=1.0):
+    """Random (u, u_t, u_tt) coefficient arrays."""
+    return [scale * rng.standard_normal(dom.coeff_shape) for _ in range(3)]
+
+
+def _random_data(dom, params, rng):
+    return semigroup_data(dom, params, *_random_fields(dom, rng))
+
+
+def _propagate(dom, params, data, dt, steps=1, table=None):
+    """The semigroup data after ``steps`` exact steps of size dt."""
+    t_grid = dt * np.arange(steps + 1)
+    return solve_duhamel(dom, params, t_grid, data, table=table)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +167,31 @@ def test_semigroup_round_trip():
     rng = np.random.default_rng(52)
     dom = _domain()
     params = ModelParams(0.7, 1.3, 0.9, 0.0, 0)
-    state = _random_state(dom, rng)
-    back = from_semigroup(to_semigroup(state, params), params)
-    np.testing.assert_allclose(back.u.coeffs, state.u.coeffs, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(back.ut.coeffs, state.ut.coeffs, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(back.utt.coeffs, state.utt.coeffs, rtol=0, atol=1e-13)
-    assert back.t == state.t
+    u, ut, utt = _random_fields(dom, rng)
+    data = semigroup_data(dom, params, u, ut, utt)
+    np.testing.assert_allclose(data[0], u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(data[1], ut, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(semigroup_utt(dom, params, data), utt, rtol=0, atol=1e-13)
 
 
 def test_semigroup_zero_and_unit_examples():
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    zero = EvolutionState(
-        0.0,
-        SpectralField.zeros(dom),
-        SpectralField.zeros(dom),
-        SpectralField.zeros(dom),
-    )
-    semi = to_semigroup(zero, params)
-    np.testing.assert_array_equal(semi.data, 0.0)
-    unit = EvolutionState(
-        0.0,
-        SpectralField.single_mode(dom, 1, 1.0),
-        SpectralField.zeros(dom),
-        SpectralField.zeros(dom),
-    )
-    semi = to_semigroup(unit, params)
-    assert semi.data[0, 0] == 1.0
-    assert semi.data[1, 0] == 0.0
-    assert semi.data[2, 0] == 1.0  # u_tt + b lam u_t + c^2 lam u = 1
+    zero = np.zeros(dom.coeff_shape)
+    data = semigroup_data(dom, params, zero, zero, zero)
+    np.testing.assert_array_equal(data, 0.0)
+    unit = SpectralField.single_mode(dom, 1, 1.0).coeffs
+    data = semigroup_data(dom, params, unit, zero, zero)
+    assert data[0, 0] == 1.0
+    assert data[1, 0] == 0.0
+    assert data[2, 0] == 1.0  # u_tt + b lam u_t + c^2 lam u = 1
 
 
 def test_semigroup_state_shape_validation():
     dom = _domain()
+    params = ModelParams(1, 1, 1, 0.0, 0)
     with pytest.raises(ValueError):
-        SemigroupState(domain=dom, t=0.0, data=np.zeros((2, 8)))
+        solve_duhamel(dom, params, np.array([0.0, 0.1]), np.zeros((2, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +203,10 @@ def test_step_composition_is_semigroup_law():
     rng = np.random.default_rng(53)
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    semi = to_semigroup(_random_state(dom, rng), params)
-    once = step_homogeneous(step_homogeneous(semi, 0.3, params), 0.3, params)
-    twice = step_homogeneous(semi, 0.6, params)
-    np.testing.assert_allclose(once.data, twice.data, rtol=0, atol=1e-12)
-    assert abs(once.t - twice.t) < 1e-12
+    data = _random_data(dom, params, rng)
+    once = _propagate(dom, params, _propagate(dom, params, data, 0.3), 0.3)
+    twice = _propagate(dom, params, data, 0.6)
+    np.testing.assert_allclose(once, twice, rtol=0, atol=1e-12)
 
 
 def test_step_against_adaptive_ode_oracle():
@@ -237,10 +228,8 @@ def test_step_against_adaptive_ode_oracle():
     ).y[:, -1]
     data = np.zeros((3, 4))
     data[:, 1] = u0
-    semi = SemigroupState(domain=dom, t=0.0, data=data)
-    for _ in range(10):
-        semi = step_homogeneous(semi, 0.1, params)
-    np.testing.assert_allclose(semi.data[:, 1], oracle, rtol=0, atol=1e-9)
+    data = _propagate(dom, params, data, 0.1, steps=10)
+    np.testing.assert_allclose(data[:, 1], oracle, rtol=0, atol=1e-9)
 
 
 def test_step_asymptotic_rate_matches_slowest_eigenvalue():
@@ -253,16 +242,10 @@ def test_step_asymptotic_rate_matches_slowest_eigenvalue():
     )
     data = np.zeros((3, 4))
     data[:, 0] = [1.0, 0.3, -0.2]
-    semi = SemigroupState(domain=dom, t=0.0, data=data)
     dt = 0.05
-    times, norms = [], []
-    for i in range(601):
-        if i:
-            semi = step_homogeneous(semi, dt, params)
-        times.append(semi.t)
-        norms.append(np.linalg.norm(semi.data[:, 0]))
-    times = np.array(times)
-    norms = np.array(norms)
+    times = dt * np.arange(601)
+    series = solve_duhamel(dom, params, times, data)
+    norms = np.linalg.norm(series[:, :, 0], axis=1)
     tail = times >= 15.0
     slope = np.polyfit(times[tail], np.log(norms[tail]), 1)[0]
     assert abs(slope - target) < 0.01 * abs(target)
@@ -272,11 +255,11 @@ def test_large_step_unconditionally_stable():
     rng = np.random.default_rng(54)
     dom = _domain(64)
     params = ModelParams(1, 1, 1, 0.0, 0)
-    semi = to_semigroup(_random_state(dom, rng), params)
-    norm = np.linalg.norm(semi.data)
+    data = _random_data(dom, params, rng)
+    norm = np.linalg.norm(data)
     for _ in range(5):
-        semi = step_homogeneous(semi, 10.0, params)
-        new_norm = np.linalg.norm(semi.data)
+        data = _propagate(dom, params, data, 10.0)
+        new_norm = np.linalg.norm(data)
         assert np.isfinite(new_norm) and new_norm < norm
         norm = new_norm
 
@@ -286,9 +269,28 @@ def test_propagator_table_mismatch_rejected():
     params = ModelParams(1, 1, 1, 0.0, 0)
     table = PropagatorTable.build(dom, params, 0.1)
     data = np.zeros((3, 4))
-    semi = SemigroupState(domain=dom, t=0.0, data=data)
     with pytest.raises(ValueError):
-        step_homogeneous(semi, 0.2, params, table=table)
+        _propagate(dom, params, data, 0.2, table=table)
+
+
+def test_propagator_table_built_for_other_coefficients_rejected():
+    # a table carries exp(dt A) of the (a, b, c) it was built for; with other
+    # coefficients it would propagate the wrong generator
+    rng = np.random.default_rng(57)
+    dom = _domain()
+    params = ModelParams(3.0, 0.1, 2.0, 0.0, 0)
+    data = 1e-3 * _random_data(dom, params, rng)
+    t_grid = 0.1 * np.arange(11)
+    for other in (ModelParams(1, 1, 1, 0.0, 0), ModelParams(3.0, 0.1, 2.5, 0.0, 0)):
+        table = PropagatorTable.build(dom, other, 0.1)
+        with pytest.raises(ValueError):
+            solve_duhamel(dom, params, t_grid, data, table=table)
+    # k and s do not enter the generator, so such a table still serves
+    table = PropagatorTable.build(dom, ModelParams(3.0, 0.1, 2.0, 0.4, 1), 0.1)
+    np.testing.assert_array_equal(
+        solve_duhamel(dom, params, t_grid, data, table=table),
+        solve_duhamel(dom, params, t_grid, data),
+    )
 
 
 def test_propagator_table_exponentiates_the_mode_matrices():
@@ -310,16 +312,16 @@ def test_duhamel_homogeneous_reduction():
     rng = np.random.default_rng(55)
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.0, 0)
-    semi = to_semigroup(_random_state(dom, rng), params)
+    data = _random_data(dom, params, rng)
     t_grid = np.arange(0.0, 1.0 + 1e-12, 0.02)
-    sol = solve_duhamel(semi, params, t_grid)
-    stepped = semi
+    sol = solve_duhamel(dom, params, t_grid, data)
+    # the same exact steps as products of the propagator blocks
+    table = PropagatorTable.build(dom, params, 0.02)
+    stepped = data
     for _ in range(t_grid.size - 1):
-        stepped = step_homogeneous(stepped, 0.02, params)
-    scale = np.max(np.abs(stepped.data)) + 1.0
-    np.testing.assert_allclose(
-        sol.data[-1], stepped.data, rtol=0, atol=1e-13 * scale
-    )
+        stepped = np.einsum("nij,jn->in", table.propagator, stepped)
+    scale = np.max(np.abs(stepped)) + 1.0
+    np.testing.assert_allclose(sol[-1], stepped, rtol=0, atol=1e-13 * scale)
 
 
 def test_duhamel_constant_forcing_closed_form():
@@ -333,8 +335,7 @@ def test_duhamel_constant_forcing_closed_form():
     f3[:, mode] = f_value
     data0 = np.zeros((3, 4))
     data0[:, mode] = [0.2, -0.1, 0.4]
-    semi = SemigroupState(domain=dom, t=0.0, data=data0)
-    sol = solve_duhamel(semi, params, t_grid, forcing_third=f3)
+    sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=f3)
 
     lam = dom.eigenvalue_grid[mode]
     mat = np.array(
@@ -348,7 +349,7 @@ def test_duhamel_constant_forcing_closed_form():
     propagated = expm(mat) @ data0[:, mode]
     particular = np.linalg.solve(mat, (expm(mat) - np.eye(3)) @ forcing)
     expected = propagated + particular
-    np.testing.assert_allclose(sol.data[-1][:, mode], expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol[-1][:, mode], expected, rtol=0, atol=1e-9)
 
 
 def _manufactured_forcing(lam, params):
@@ -397,9 +398,8 @@ def test_duhamel_manufactured_solution_order_two():
         t_grid = np.arange(0.0, 1.0 + 1e-12, dt)
         data0 = np.zeros((3, 4))
         data0[:, 0] = exact(0.0)
-        semi = SemigroupState(domain=dom, t=0.0, data=data0)
-        sol = solve_duhamel(semi, params, t_grid, forcing_third=forcing)
-        errors.append(np.max(np.abs(sol.data[-1][:, 0] - exact(1.0))))
+        sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=forcing)
+        errors.append(np.max(np.abs(sol[-1][:, 0] - exact(1.0))))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] / errors[2] > 3.5
 
@@ -407,12 +407,12 @@ def test_duhamel_manufactured_solution_order_two():
 def test_duhamel_validates_grid_and_forcing_shape():
     dom = _domain(4)
     params = ModelParams(1, 1, 1, 0.0, 0)
-    semi = SemigroupState(domain=dom, t=0.0, data=np.zeros((3, 4)))
+    data = np.zeros((3, 4))
     with pytest.raises(ValueError):
-        solve_duhamel(semi, params, np.array([0.0, 0.1, 0.3]))
+        solve_duhamel(dom, params, np.array([0.0, 0.1, 0.3]), data)
     with pytest.raises(ValueError):
         solve_duhamel(
-            semi, params, np.array([0.0, 0.1, 0.2]), forcing_third=np.zeros((2, 4))
+            dom, params, np.array([0.0, 0.1, 0.2]), data, forcing_third=np.zeros((2, 4))
         )
 
 
@@ -420,23 +420,23 @@ def test_duhamel_solution_views():
     rng = np.random.default_rng(56)
     dom = _domain(4)
     params = ModelParams(1.1, 0.9, 1.2, 0.0, 0)
-    state = _random_state(dom, rng)
-    semi = to_semigroup(state, params)
+    u, ut, utt = _random_fields(dom, rng)
     t_grid = np.arange(0.0, 0.2 + 1e-12, 0.02)
-    sol = solve_duhamel(semi, params, t_grid)
-    first = sol.state(0)
-    np.testing.assert_allclose(first.u.coeffs, state.u.coeffs, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(first.utt.coeffs, state.utt.coeffs, rtol=0, atol=1e-12)
-    assert isinstance(sol, DuhamelSolution)
+    sol = solve_duhamel(dom, params, t_grid, semigroup_data(dom, params, u, ut, utt))
+    assert sol.shape == (t_grid.size, 3, 4)
+    first = sol[0]
+    np.testing.assert_allclose(first[0], u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(semigroup_utt(dom, params, first), utt, rtol=0, atol=1e-12)
     # u_ttt from the linear bracket at the initial sample matches the
     # direct modal formula
     lam = dom.eigenvalue_grid
     bracket = (
-        -(params.a + params.b) * lam * state.utt.coeffs
-        - (params.c**2 * lam + params.a * params.b * lam**2) * state.ut.coeffs
-        - params.a * params.c**2 * lam**2 * state.u.coeffs
+        -(params.a + params.b) * lam * utt
+        - (params.c**2 * lam + params.a * params.b * lam**2) * ut
+        - params.a * params.c**2 * lam**2 * u
     )
-    np.testing.assert_allclose(sol.uttt_series()[0], bracket, rtol=0, atol=1e-11)
+    uttt = linear_bracket(dom, params, first[0], first[1], semigroup_utt(dom, params, first))
+    np.testing.assert_allclose(uttt, bracket, rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +493,9 @@ def test_weighted_norm_single_mode():
     params = ModelParams(1, 2, 1, 0.0, 0)
     data = np.zeros((3, 4))
     data[0, 0] = 1.0
-    semi = SemigroupState(domain=dom, t=0.0, data=data)
     expected = 0.1 * math.sqrt(math.pi / 2.0)  # (alpha b / 2) lam^2 |sin|
-    assert abs(weighted_norm(semi, params, alpha=0.1) - expected) < 1e-14
-    semi2 = SemigroupState(domain=dom, t=0.0, data=2.0 * data)
-    assert abs(weighted_norm(semi2, params, alpha=0.1) - 2.0 * expected) < 1e-13
+    assert abs(weighted_norm(dom, params, data, alpha=0.1) - expected) < 1e-14
+    assert abs(weighted_norm(dom, params, 2.0 * data, alpha=0.1) - 2.0 * expected) < 1e-13
 
 
 def test_relative_bound_report_within_claimed():

@@ -13,15 +13,13 @@ from bck_sim.model import (
     PhysicalParams,
     acceleration,
     check_degeneracy_guard,
-    compatibility_uttt0,
-    degeneracy_factor,
     derive_params,
     forcing_f,
-    linear_uttt,
+    linear_bracket,
     make_compatibility_data,
-    pde_residual,
+    pde_residual_series,
 )
-from bck_sim.spectral import DomainSpec, SpectralField, gradient_dot, to_grid
+from bck_sim.spectral import DomainSpec, SpectralField, gradient_dot, grid_extremes, to_grid
 
 
 def _domain(n=8):
@@ -83,19 +81,24 @@ def test_physical_params_exclusive_nonlinearity_source():
 # ---------------------------------------------------------------------------
 
 
+def _collocation_factor(ut, params):
+    """1 + 2k min u_t and 1 + 2k max |u_t| over the collocation grid, from
+    ``grid_extremes`` as the energy series' guard_min column takes them;
+    the factor lies between the two."""
+    low, peak = grid_extremes(ut.domain, ut.coeffs[None])
+    return 1.0 + 2.0 * params.k * low[0], 1.0 + 2.0 * params.k * peak[0]
+
+
 def test_degeneracy_factor_of_rest_state():
     dom = _domain()
-    grid, fmin = degeneracy_factor(_state(dom), ModelParams(1, 1, 1, 0.3))
-    np.testing.assert_array_equal(grid.samples, 1.0)
-    assert fmin == 1.0
+    ut = SpectralField.zeros(dom)
+    assert _collocation_factor(ut, ModelParams(1, 1, 1, 0.3)) == (1.0, 1.0)
 
 
 def test_degeneracy_factor_k_zero_limit():
     dom = _domain()
     ut = SpectralField.single_mode(dom, 1, 5.0)
-    grid, fmin = degeneracy_factor(_state(dom, ut=ut), ModelParams(1, 1, 1, 0.0))
-    np.testing.assert_array_equal(grid.samples, 1.0)
-    assert fmin == 1.0
+    assert _collocation_factor(ut, ModelParams(1, 1, 1, 0.0)) == (1.0, 1.0)
 
 
 def test_degeneracy_factor_near_threshold():
@@ -104,7 +107,7 @@ def test_degeneracy_factor_near_threshold():
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.5)
     ut = SpectralField.single_mode(dom, 1, -0.9)
-    _, fmin = degeneracy_factor(_state(dom, ut=ut), params)
+    fmin, _ = _collocation_factor(ut, params)
     grid_peak = np.max(np.sin(dom.grid_axes[0]))
     assert abs(fmin - (1.0 - 0.9 * grid_peak)) < 1e-12
 
@@ -228,7 +231,7 @@ def test_acceleration_matches_linear_uttt_when_linear():
     )
     np.testing.assert_allclose(
         acceleration(state, params).coeffs,
-        linear_uttt(state, params).coeffs,
+        linear_bracket(dom, params, state.u.coeffs, state.ut.coeffs, state.utt.coeffs),
         rtol=0,
         atol=1e-12,
     )
@@ -315,7 +318,7 @@ def test_compatibility_linear_formula():
     u0 = SpectralField(dom, rng.standard_normal(8))
     u1 = SpectralField(dom, rng.standard_normal(8))
     u2 = SpectralField(dom, rng.standard_normal(8))
-    got = compatibility_uttt0(u0, u1, u2, params)
+    got = make_compatibility_data(u0, u1, u2, params).uttt0
     lam = dom.eigenvalue_grid
     a, b, c = params.a, params.b, params.c
     expected = (
@@ -331,7 +334,7 @@ def test_compatibility_single_mode_against_dense_oracle():
     params = ModelParams(1, 1, 1, 0.2, 1)
     amp = 0.01
     u = SpectralField.single_mode(dom, 1, amp)
-    got = compatibility_uttt0(u, u, u, params)
+    got = make_compatibility_data(u, u, u, params).uttt0
     oracle = _dense_acceleration_oracle(EvolutionState(0.0, u, u, u), params)
     assert np.linalg.norm(got.coeffs - oracle) / np.linalg.norm(oracle) < 1e-10
 
@@ -353,11 +356,22 @@ def test_make_compatibility_data_guards_initial_velocity():
 # ---------------------------------------------------------------------------
 
 
+def _residual(states, params):
+    """pde_residual_series at the middle of three equispaced states."""
+
+    def series(name):
+        return np.stack([getattr(st, name).coeffs for st in states])
+
+    t = [st.t for st in states]
+    dom = states[0].domain
+    return pde_residual_series(dom, params, t, series("u"), series("ut"), series("utt"))[0]
+
+
 def test_residual_zero_trajectory():
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.2, 1)
     states = [_state(dom, t=t) for t in (0.0, 0.001, 0.002)]
-    assert pde_residual(*states, params) == 0.0
+    assert _residual(states, params) == 0.0
 
 
 def test_residual_linear_exact_solution():
@@ -377,10 +391,10 @@ def test_residual_linear_exact_solution():
         return EvolutionState(t, u, ut, utt)
 
     dt = 1e-3
-    res = pde_residual(state_at(0.5 - dt), state_at(0.5), state_at(0.5 + dt), params)
+    res = _residual([state_at(0.5 - dt), state_at(0.5), state_at(0.5 + dt)], params)
     assert res < 1e-4
-    res_half = pde_residual(
-        state_at(0.5 - dt / 2), state_at(0.5), state_at(0.5 + dt / 2), params
+    res_half = _residual(
+        [state_at(0.5 - dt / 2), state_at(0.5), state_at(0.5 + dt / 2)], params
     )
     assert res_half < 0.3 * res  # second-order refinement
 
@@ -389,6 +403,4 @@ def test_residual_rejects_nonuniform_spacing():
     dom = _domain()
     params = ModelParams(1, 1, 1, 0.2, 1)
     with pytest.raises(ValueError):
-        pde_residual(
-            _state(dom, t=0.0), _state(dom, t=0.001), _state(dom, t=0.003), params
-        )
+        _residual([_state(dom, t=0.0), _state(dom, t=0.001), _state(dom, t=0.003)], params)

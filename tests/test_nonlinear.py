@@ -15,25 +15,24 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bck_sim.errors import BlowUpError, DegeneracyError
-from bck_sim.linear import solve_duhamel, step_homogeneous, to_semigroup, from_semigroup
+from bck_sim.linear import semigroup_data, semigroup_utt, solve_duhamel
 from bck_sim.model import (
     CompatibilityData,
-    EvolutionState,
     ModelParams,
+    degeneracy_guard,
+    linear_bracket,
     make_compatibility_data,
 )
 from bck_sim.nonlinear import (
     Trajectory,
     _check_blowup,
-    assert_guard,
     picard_apply,
     picard_solve,
     solve,
-    step,
     v_norm,
     vtilde_norm,
 )
-from bck_sim.spectral import DomainSpec, SpectralField, linf_grid, sobolev_norm
+from bck_sim.spectral import DomainSpec, SpectralField, linf_grid
 
 WEIGHT = math.pi / 2.0
 
@@ -115,16 +114,14 @@ def test_step_linear_case_matches_homogeneous_propagator():
     rng = np.random.default_rng(7)
     dom = _domain(6)
     params = _params(b=2.0, c=0.7, k=0.0, s=0)
-    state = EvolutionState(
-        0.0,
-        SpectralField(dom, rng.standard_normal(6)),
-        SpectralField(dom, rng.standard_normal(6)),
-        SpectralField(dom, rng.standard_normal(6)),
-    )
-    out = step(state, 0.037, params)
-    ref = from_semigroup(step_homogeneous(to_semigroup(state, params), 0.037, params), params)
-    for name in ("u", "ut", "utt"):
-        assert np.max(np.abs(getattr(out, name).coeffs - getattr(ref, name).coeffs)) < 1e-12
+    fields = [SpectralField(dom, rng.standard_normal(6)) for _ in range(3)]
+    # one step: solve with T = dt
+    out = solve(make_compatibility_data(*fields, params), params, 0.037, 0.037)
+    data0 = semigroup_data(dom, params, *(f.coeffs for f in fields))
+    ref = solve_duhamel(dom, params, np.array([0.0, 0.037]), data0)[-1]
+    expected = {"u": ref[0], "ut": ref[1], "utt": semigroup_utt(dom, params, ref)}
+    for name, want in expected.items():
+        assert np.max(np.abs(getattr(out, name)[-1] - want)) < 1e-12
 
 
 def test_solve_matches_dense_modal_oracle(small_run):
@@ -165,7 +162,7 @@ def test_solve_small_data_keeps_velocity_below_guard(small_run):
     bound = 1.0 / (2.0 * params.k)
     for i in range(0, traj.n_samples, 50):
         assert linf_grid(SpectralField(traj.domain, traj.ut[i])) < bound
-    assert_guard(traj, params)
+    degeneracy_guard(traj.domain, params, traj.ut, traj.t_grid)
 
 
 def test_solve_rejects_degenerate_initial_velocity():
@@ -195,7 +192,7 @@ def test_solve_midrun_degeneracy_carries_partial_trajectory():
     part = err.partial_trajectory
     assert part is not None and part.n_samples >= 1
     assert part.t_grid[-1] == pytest.approx(err.time - 0.01)
-    assert_guard(part, params)
+    degeneracy_guard(part.domain, params, part.ut, part.t_grid)
 
 
 def test_solve_blowup_bound_raises_overflow():
@@ -284,12 +281,14 @@ def test_picard_apply_zero_phi_gives_homogeneous_solution():
     data = _small_data(dom, params, amplitude=0.01)
     out = picard_apply(phi, data, params)
 
-    start = EvolutionState(0.0, data.u0, data.u1, data.u2)
-    ref = solve_duhamel(to_semigroup(start, params), params, t)
-    assert np.max(np.abs(out.u - ref.u)) < 1e-13
-    assert np.max(np.abs(out.ut - ref.ut)) < 1e-13
-    assert np.max(np.abs(out.utt - ref.utt)) < 1e-13
-    assert np.max(np.abs(out.uttt - ref.uttt_series())) < 1e-13
+    data0 = semigroup_data(dom, params, data.u0.coeffs, data.u1.coeffs, data.u2.coeffs)
+    ref = solve_duhamel(dom, params, t, data0)
+    u, ut = ref[:, 0], ref[:, 1]
+    utt = ref[:, 2] - params.b * dom.eigenvalue_grid * ut - params.c**2 * dom.eigenvalue_grid * u
+    assert np.max(np.abs(out.u - u)) < 1e-13
+    assert np.max(np.abs(out.ut - ut)) < 1e-13
+    assert np.max(np.abs(out.utt - utt)) < 1e-13
+    assert np.max(np.abs(out.uttt - linear_bracket(dom, params, u, ut, utt))) < 1e-13
 
 
 def test_picard_fixed_point_residual_of_stepper_solution(small_run):
@@ -399,7 +398,7 @@ def test_vtilde_scaling_is_quadratic():
     lam = np.asarray(dom.eigenvalue_grid)
     fields = [rng.standard_normal((21, 6)) * lam**-1.5 for _ in range(4)]
     traj = Trajectory(dom, _params(), t, *fields)
-    scaled = traj.scaled(3.0)
+    scaled = Trajectory(dom, _params(), t, *(3.0 * f for f in fields))
     rep, rep3 = vtilde_norm(traj), vtilde_norm(scaled)
     for key in rep.components:
         np.testing.assert_allclose(rep3.components[key], 9.0 * rep.components[key], rtol=1e-12)
@@ -432,11 +431,3 @@ def test_vtilde_bounded_by_strong_norm_squared():
     fields = [rng.standard_normal((31, 8)) * lam**-2.0 for _ in range(4)]
     traj = Trajectory(dom, _params(), t, *fields)
     assert vtilde_norm(traj).value <= v_norm(traj) ** 2
-
-
-def test_trajectory_state_roundtrip(small_run):
-    _, params, _, traj = small_run
-    state = traj.state(500)
-    assert state.t == pytest.approx(0.5)
-    assert np.array_equal(state.u.coeffs, traj.u[500])
-    assert sobolev_norm(state.u, 0) > 0.0
