@@ -55,6 +55,7 @@ from .spectral import (
     l2_norm,
     product_collocation,
     product_dealiased,
+    sq_norm,
 )
 
 log = logging.getLogger("bck_sim")
@@ -128,33 +129,17 @@ def _safe_fit(t_grid, series):
 
 
 def _trajectory_rows(traj, params, stride, series=None):
+    """The ``CSV_COLUMNS`` rows of every ``stride``-th sample, with the
+    guard and residual series they hold."""
     if series is None:
         series = energy_series(traj, params)
-    n = traj.n_samples
-    domain = traj.domain
-    residuals = np.full(n, math.nan)
-    residuals[1:-1] = pde_residual_series(domain, params, traj.t_grid, traj.u, traj.ut, traj.utt)
-    guard = series["guard_min"]
-    rows = []
-    for i in range(0, n, stride):
-        rows.append(
-            (
-                series["t"][i],
-                series["E1"][i],
-                series["E2"][i],
-                series["E_total"][i],
-                series["k_functional"][i],
-                series["linear_energy"][i],
-                series["H4_u"][i],
-                series["H3_ut"][i],
-                series["H3_utt"][i],
-                series["H1_uttt"][i],
-                series["Linf_ut"][i],
-                guard[i],
-                residuals[i],
-            )
-        )
-    return guard, residuals, rows
+    residuals = np.full(traj.n_samples, math.nan)
+    residuals[1:-1] = pde_residual_series(
+        traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
+    )
+    columns = dict(series, residual=residuals)
+    rows = list(zip(*(columns[name][::stride] for name in CSV_COLUMNS)))
+    return series["guard_min"], residuals, rows
 
 
 def _solver_options(config):
@@ -332,14 +317,13 @@ def _spatial_study(config):
         return traj.u[-1]
 
     reference = run(n_ref)
+    ref_domain = DomainSpec(1, (length,), n_ref)
     errors = []
     for n_modes in config.conv_modes:
         final = run(n_modes)
         padded = np.zeros(n_ref)
         padded[: final.size] = final
-        diff = padded - reference
-        weight = length / 2.0
-        errors.append(float(np.sqrt(weight * np.sum(diff * diff))))
+        errors.append(float(np.sqrt(sq_norm(ref_domain, padded - reference))))
     return errors
 
 
@@ -357,11 +341,9 @@ def _temporal_study(config):
         solve(data, config.params, config.t_final, dt, **_solver_options(config)).u[-1]
         for dt in dts
     ]
-    weight = float(np.prod(np.asarray(dom.lengths) / 2.0))
 
     def dist(x, y):
-        d = x - y
-        return float(np.sqrt(weight * np.sum(d * d)))
+        return float(np.sqrt(sq_norm(dom, x - y)))
 
     d1 = dist(finals[0], finals[1])
     d2 = dist(finals[1], finals[2])

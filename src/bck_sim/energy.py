@@ -6,9 +6,10 @@ time-quadrature statement about a solved trajectory, a
 ``uttt`` of shape (nt,) + coeff shape on the uniform ``t_grid`` of its
 ``domain``.  Each functional is evaluated for all samples at once.
 
-Sobolev norms are the homogeneous spectral powers ``||A^{s/2} v||``;
-since the lowest Laplacian eigenvalue is positive on every admissible
-domain these are equivalent to the full norms.
+Sobolev norms are the homogeneous spectral powers ``||A^{s/2} v||``, all
+squared by ``spectral.sq_norm`` over the sample axis at once; since the
+lowest Laplacian eigenvalue is positive on every admissible domain these
+are equivalent to the full norms.
 
 The heat-factor field is w = u_t + a*A*u.  Writing D_h = d/dt + a*A and
 D_w = d^2/dt^2 + b*A*d/dt + c^2*A, the linear part of the model is
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DivisionGuardError, FitError
 from .model import nonlinear_terms, wave_part
-from .spectral import grid_extremes
+from .spectral import grid_extremes, sq_norm
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,6 @@ class BarrierAudit:
     c_hat: float
 
 
-def _lam_weight(domain):
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    return lam, domain.mode_l2_squared
-
-
-def _sq_norm(coeffs, lam, weight, power):
-    """Squared norm ||A^{power/2} v||^2 from raw coefficients.
-
-    Broadcasts over any number of leading axes; the trailing axes are the
-    mode axes of the coefficient grid.
-    """
-    axes = tuple(range(-lam.ndim, 0))
-    scaled = coeffs * coeffs if power == 0 else coeffs * coeffs * lam**power
-    return weight * scaled.sum(axis=axes)
-
-
 def fourth_derivative_series(t_grid, uttt_coeffs):
     """Centered differences of the stored u_ttt series, one-sided at the ends.
 
@@ -97,13 +82,14 @@ def energy_series(traj, params):
     pass over u_t.  Each squared norm is computed once and shared by the
     functionals that sum it.
     """
-    lam, weight = _lam_weight(traj.domain)
+    domain = traj.domain
+    lam = domain.eigenvalue_grid
     t = np.asarray(traj.t_grid, dtype=float)
     u, ut, utt, uttt = traj.u, traj.ut, traj.utt, traj.uttt
     a = params.a
 
     def sq(arr, power):
-        return _sq_norm(arr, lam, weight, power)
+        return sq_norm(domain, arr, power)
 
     u3, u4, ut3, ut4 = sq(u, 3), sq(u, 4), sq(ut, 3), sq(ut, 4)
     utt3, uttt1 = sq(utt, 3), sq(uttt, 1)
@@ -114,8 +100,8 @@ def energy_series(traj, params):
     e2 = 0.5 * (uttt1 + sq(utt, 2) + ut3 + u3)
     utttt = fourth_derivative_series(t, uttt)
     k_functional = sq(utttt, 0) + sq(uttt, 2) + utt3 + ut4 + u4
-    lin = u4 + ut4 + sq(wave_part(traj.domain, params, u, ut, utt), 2)
-    low, linf_ut = grid_extremes(traj.domain, ut)
+    lin = u4 + ut4 + sq(wave_part(domain, params, u, ut, utt), 2)
+    low, linf_ut = grid_extremes(domain, ut)
     return {
         "t": t,
         "E1": e1,
@@ -172,15 +158,11 @@ def heat_identity_audit(t_grid, v_coeffs, a, domain, vt_coeffs=None):
         vt = fourth_derivative_series(t, v)
     else:
         vt = np.asarray(vt_coeffs, dtype=float)
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    weight = domain.mode_l2_squared
-    combined = _sq_norm(vt + a * lam * v, lam, weight, 0)
-    lhs = np.trapezoid(combined, t)
-    half_norm = _sq_norm(v, lam, weight, 1)
+    lam = domain.eigenvalue_grid
+    lhs = np.trapezoid(sq_norm(domain, vt + a * lam * v), t)
+    half_norm = sq_norm(domain, v, 1)
     boundary = a * (half_norm[-1] - half_norm[0])
-    integral = np.trapezoid(
-        _sq_norm(vt, lam, weight, 0) + a**2 * _sq_norm(v, lam, weight, 2), t
-    )
+    integral = np.trapezoid(sq_norm(domain, vt) + a**2 * sq_norm(domain, v, 2), t)
     rhs = boundary + integral
     scale = max(abs(lhs), abs(rhs), abs(boundary), abs(integral), 1e-300)
     return float(abs(lhs - rhs) / scale)
@@ -211,7 +193,7 @@ def factorization_residual(traj, params, use_stored=True):
     quadratic terms; otherwise w_t and w_tt are finite-differenced from
     the w series, adding an O(dt^2) component.
     """
-    lam, weight = _lam_weight(traj.domain)
+    lam = traj.domain.eigenvalue_grid
     t = np.asarray(traj.t_grid, dtype=float)
     a, b, c = params.a, params.b, params.c
     w = traj.ut + a * lam * traj.u
@@ -231,7 +213,7 @@ def factorization_residual(traj, params, use_stored=True):
     residual = wave_part(traj.domain, params, w, wt, wtt) + f_series
 
     def traj_norm(arr):
-        return math.sqrt(max(np.trapezoid(_sq_norm(arr, lam, weight, 0), t), 0.0))
+        return math.sqrt(max(np.trapezoid(sq_norm(traj.domain, arr), t), 0.0))
 
     scale = max(
         traj_norm(wtt),
@@ -257,7 +239,6 @@ def estimate_audit_linear(traj, f_series, params, tol=1e-12, series=None):
     DivisionGuardError if the right-hand side vanishes identically while
     the left does not.
     """
-    lam, weight = _lam_weight(traj.domain)
     t = np.asarray(traj.t_grid, dtype=float)
     f = np.asarray(f_series, dtype=float)
     if series is None:
@@ -266,7 +247,7 @@ def estimate_audit_linear(traj, f_series, params, tol=1e-12, series=None):
     integrand = total + series["k_functional"]
     lhs = total + _cumulative_trapezoid(integrand, t)
     ft = fourth_derivative_series(t, f)
-    data_term = _sq_norm(f, lam, weight, 0) + _sq_norm(ft, lam, weight, 0)
+    data_term = sq_norm(traj.domain, f) + sq_norm(traj.domain, ft)
     rhs = total[0] + _cumulative_trapezoid(data_term, t)
     mask = rhs > tol
     if not mask.any():

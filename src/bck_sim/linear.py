@@ -6,10 +6,20 @@ equation decouples into one 3x3 block per Laplacian eigenvalue,
     A_lam = [[0, 1, 0], [-c^2 lam, -b lam, 1], [0, 0, -a lam]],
 
 acting on the per-mode unknown U = (u, u_t, u_tt + b lam u_t
-+ c^2 lam u), whose third component is ``model.wave_part``.  This module
-builds the blocks and their closed-form spectra, the spectral bound,
-batched matrix exponentials with the phi-function weights used by forced
-(Duhamel) solves, and decay diagnostics on top of the exact propagation.
++ c^2 lam u), whose third component is ``model.wave_part`` (and
+``model.semigroup_utt`` its inverse).  This module builds the blocks and
+their closed-form spectra, the spectral bound, batched matrix exponentials
+with the phi-function weights used by forced (Duhamel) solves, and decay
+diagnostics on top of the exact propagation.
+
+The spectrum is written once, in ``mode_eigenvalues_from_coefficients``,
+which takes arrays of eigenvalues; ``mode_matrix``, ``max_mode_real_part``
+and ``oscillation_ratio`` read it.  The exponential-integrator step
+
+    U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt
+
+is written once, in the two methods of ``PropagatorTable``; the Duhamel
+solve here and the nonlinear march both take it from there.
 
 The semigroup state is raw data: an array of shape (3,) + coeff shape
 stacking U over the coefficient grid (``semigroup_data``), and a solve
@@ -27,27 +37,37 @@ from scipy.linalg import expm
 
 from .energy import DecayFit, decay_fit
 from .errors import FitError
-from .model import _wave_weights, wave_part
+from .model import check_uniform_grid, time_grid, wave_part
+from .spectral import sq_norm
 
 
 def mode_eigenvalues_from_coefficients(lam, a, b, c):
     """Closed-form spectrum {-a*lam} | roots(mu^2 + b*lam*mu + c^2*lam).
 
+    ``lam`` is a positive eigenvalue or an array of them; the result has
+    shape lam.shape + (3,), the heat root first, then the wave pair.
     Accepts b = 0, which the analyticity diagnostics need.  The real
     quadratic branch is evaluated in the cancellation-free form.
     """
-    if lam <= 0.0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0.0):
         raise ValueError("lam must be positive")
     p = b * lam
     q = c * c * lam
     disc = p * p - 4.0 * q
-    if disc >= 0.0:
-        big = -(p + math.sqrt(disc)) / 2.0
-        pair = (complex(big), complex(q / big))
-    else:
-        half = math.sqrt(-disc) / 2.0
-        pair = (complex(-p / 2.0, half), complex(-p / 2.0, -half))
-    return np.array([complex(-a * lam), pair[0], pair[1]])
+    real = disc >= 0.0
+    # each branch is evaluated everywhere and selected afterwards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = -(p + np.sqrt(disc)) / 2.0
+        small = q / big
+        half = np.sqrt(-disc) / 2.0
+    mu = np.zeros(lam.shape + (3,), dtype=complex)
+    mu.real[..., 0] = -a * lam
+    mu.real[..., 1] = np.where(real, big, -p / 2.0)
+    mu.real[..., 2] = np.where(real, small, -p / 2.0)
+    mu.imag[..., 1] = np.where(real, 0.0, half)
+    mu.imag[..., 2] = np.where(real, 0.0, -half)
+    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +92,8 @@ def _generator_blocks(lam, params):
 
 def mode_matrix(lam, params):
     lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    matrix = _generator_blocks(np.array(lam), params)
     eig = mode_eigenvalues_from_coefficients(lam, params.a, params.b, params.c)
+    matrix = _generator_blocks(np.array(lam), params)
     return ModeBlock(lam=lam, matrix=matrix, eigenvalues=eig)
 
 
@@ -99,14 +117,8 @@ def spectral_bound(params, lambda0):
 
 def max_mode_real_part(domain, params):
     """Largest eigenvalue real part over the domain's actual modes."""
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float).ravel()
-    heat = -params.a * lam
-    p = params.b * lam
-    q = params.c**2 * lam
-    disc = p * p - 4.0 * q
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    wave = np.where(disc < 0.0, -p / 2.0, -2.0 * q / (p + sq))
-    return float(np.max(np.maximum(heat, wave)))
+    mu = mode_eigenvalues_from_coefficients(domain.eigenvalue_grid, params.a, params.b, params.c)
+    return float(mu.real.max())
 
 
 def oscillation_ratio(domain, a, b, c):
@@ -115,14 +127,8 @@ def oscillation_ratio(domain, a, b, c):
     Grows like c*sqrt(lam_max) when b = 0 and stays bounded for b > 0,
     which witnesses the loss of sectoriality without damping.
     """
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float).ravel()
-    p = b * lam
-    q = c * c * lam
-    disc = p * p - 4.0 * q
-    osc = disc < 0.0
-    imag = np.where(osc, np.sqrt(np.maximum(-disc, 0.0)) / 2.0, 0.0)
-    real = np.where(osc, p / 2.0, 0.0)
-    return float(np.max(imag / (1.0 + real), initial=0.0))
+    pair = mode_eigenvalues_from_coefficients(domain.eigenvalue_grid, a, b, c)[..., 1:]
+    return float(np.max(np.abs(pair.imag) / (1.0 + np.abs(pair.real)), initial=0.0))
 
 
 def semigroup_data(domain, params, u, ut, utt):
@@ -130,29 +136,30 @@ def semigroup_data(domain, params, u, ut, utt):
     return np.stack([u, ut, wave_part(domain, params, u, ut, utt)])
 
 
-def semigroup_utt(domain, params, data):
-    """u_tt recovered from stacked semigroup data (components on axis 0)."""
-    w_t, w_u = _wave_weights(domain, params)
-    return data[2] - w_t * data[1] - w_u * data[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PropagatorTable:
-    """Batched exp(dt*A) blocks with first and second phi weights.
+    """Batched exp(dt*A) blocks with the phi weights of the forcing slot.
 
-    propagator[m] = exp(dt*A_m); phi1_weight[m] = dt*phi1(dt*A_m);
-    phi2_weight[m] = dt^2*phi2(dt*A_m).  Modes are the C-order raveling
-    of the coefficient grid.  All three come from one batched matrix
-    exponential of the 9x9 block companion [[A, I, 0], [0, 0, I],
-    [0, 0, 0]] scaled by dt.
+    propagator[m] = exp(dt*A_m), shape (n, 3, 3); phi1[:, m] and phi2[:, m]
+    are the third columns of dt*phi1(dt*A_m) and dt^2*phi2(dt*A_m), shape
+    (3, n) each, the only part a forcing in the third component reads.
+    Modes are the C-order raveling of the coefficient grid.  All three
+    come from one batched matrix exponential of the 9x9 block companion
+    [[A, I, 0], [0, 0, I], [0, 0, 0]] scaled by dt.
+
+    ``propagate`` and ``add_slope`` are the one exponential-integrator
+    step, on flat data of shape (3, n) and third forcings of shape (n,).
+    phi1 and phi2 are transposed views of contiguous (n, 3) columns, so a
+    step returns data laid out mode-fastest; the march feeds that back to
+    the next step's einsum, whose rounding depends on the layout.
     """
 
     domain: object
     params: object
     dt: float
     propagator: np.ndarray
-    phi1_weight: np.ndarray
-    phi2_weight: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
 
     @classmethod
     def build(cls, domain, params, dt):
@@ -171,9 +178,18 @@ class PropagatorTable:
             params=params,
             dt=float(dt),
             propagator=np.ascontiguousarray(full[:, :3, :3]),
-            phi1_weight=np.ascontiguousarray(full[:, :3, 3:6]),
-            phi2_weight=np.ascontiguousarray(full[:, :3, 6:9]),
+            phi1=np.ascontiguousarray(full[:, :3, 5]).T,
+            phi2=np.ascontiguousarray(full[:, :3, 8]).T,
         )
+
+    def propagate(self, data, forcing):
+        """E U + P1 F: the step with the forcing F held at its start value."""
+        return np.einsum("nij,jn->in", self.propagator, data) + self.phi1 * forcing
+
+    def add_slope(self, base, forcing, forcing_next):
+        """base + P2 (F' - F) / dt: the correction of ``propagate`` for a
+        forcing linear in t from F to F' over the step."""
+        return base + self.phi2 * ((forcing_next - forcing) / self.dt)
 
 
 @lru_cache(maxsize=16)
@@ -192,16 +208,6 @@ def _resolve_table(domain, params, dt, table):
     ):
         raise ValueError("propagator table does not match this domain, (a, b, c) and dt")
     return table
-
-
-def check_uniform_grid(t_grid):
-    """Raise ValueError unless the samples increase in uniform steps (to
-    1e-9 relative); a grid of one sample passes."""
-    steps = np.diff(t_grid)
-    if steps.size and (
-        steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0]))
-    ):
-        raise ValueError("t_grid must be uniformly spaced and increasing")
 
 
 def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None):
@@ -239,17 +245,13 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None)
         raise ValueError("forcing samples must have shape (nt,) + coeff shape")
 
     table = _resolve_table(domain, params, dt, table)
-    p1_col = table.phi1_weight[:, :, 2]
-    p2_col = table.phi2_weight[:, :, 2]
-
     n_modes = domain.n_modes
     f3_flat = f3.reshape(nt, n_modes)
     data = np.empty((nt, 3, n_modes))
     data[0] = data0.reshape(3, -1)
     for n in range(nt - 1):
-        hom = np.einsum("nij,jn->in", table.propagator, data[n])
-        slope = (f3_flat[n + 1] - f3_flat[n]) / dt
-        data[n + 1] = hom + p1_col.T * f3_flat[n] + p2_col.T * slope
+        base = table.propagate(data[n], f3_flat[n])
+        data[n + 1] = table.add_slope(base, f3_flat[n], f3_flat[n + 1])
     return data.reshape((nt, 3) + shape)
 
 
@@ -271,10 +273,7 @@ def linear_decay_report(initial, params, T, dt):
     run.  Raises FitError for zero data or if the energy trend grows on
     the trailing window.
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
-    nt = int(round(T / dt)) + 1
-    t = initial.t + dt * np.arange(nt)
+    t = initial.t + time_grid(T, dt)
     domain = initial.domain
     data0 = semigroup_data(
         domain, params, initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
@@ -282,7 +281,7 @@ def linear_decay_report(initial, params, T, dt):
     energy = _linear_energy_series(domain, solve_duhamel(domain, params, t, data0))
     if energy[0] <= 0.0:
         raise FitError("zero initial data gives a degenerate decay fit")
-    half = nt // 2
+    half = t.size // 2
     if energy[-1] > energy[half]:
         raise FitError("energy trend grows on the trailing window")
     fit = decay_fit(t, energy, window_fraction=0.5)
@@ -301,16 +300,11 @@ def weighted_norm(domain, params, data, alpha=0.1):
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    weight = domain.mode_l2_squared
     u1, u2, u3 = data
     scale = (alpha * params.b / 2.0) ** 2
-    total = (
-        scale * (lam**4 * u1 * u1).sum()
-        + (lam**2 * u2 * u2).sum()
-        + (u3 * u3).sum()
+    return math.sqrt(
+        scale * sq_norm(domain, u1, 4) + sq_norm(domain, u2, 2) + sq_norm(domain, u3)
     )
-    return math.sqrt(weight * total)
 
 
 @dataclass(frozen=True)

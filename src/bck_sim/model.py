@@ -35,8 +35,11 @@ SpectralField front ends.  Long batches run in blocks of
 ``spectral.BLOCK_BYTES``.
 
 The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
-``wave_part``; the semigroup data of ``linear``, the linear energy and the
-equation residual all take it from there.
+``wave_part``, and inverted once, in ``semigroup_utt``; the semigroup data
+of ``linear``, the march, the linear energy and the equation residual all
+take it from there.  The time grid of a run of length T is written once,
+in ``time_grid``, and every sampled series is checked by the one
+``check_uniform_grid``.
 
 On the 1D march each call works on arrays of a few dozen values, so its
 cost is the count of numpy calls, not the arithmetic; the body is laid out
@@ -102,6 +105,7 @@ from .spectral import (  # product_dealiased is re-exported for callers of this 
     product_dealiased,
     project,
     sample_blocks,
+    sq_norm,
 )
 
 __all__ = [
@@ -115,6 +119,9 @@ __all__ = [
     "degeneracy_guard",
     "linear_bracket",
     "wave_part",
+    "semigroup_utt",
+    "time_grid",
+    "check_uniform_grid",
     "nonlinear_terms",
     "forcing_f",
     "acceleration",
@@ -261,6 +268,30 @@ def wave_part(domain, params, u, ut, utt):
     that is u_tt + b lam u_t + c^2 lam u; leading axes allowed."""
     w_t, w_u = _wave_weights(domain, params)
     return utt + w_t * ut + w_u * u
+
+
+def semigroup_utt(domain, params, data):
+    """u_tt recovered from stacked semigroup data (u, u_t, wave part) on
+    axis 0: the inverse of ``wave_part``."""
+    w_t, w_u = _wave_weights(domain, params)
+    return data[2] - w_t * data[1] - w_u * data[0]
+
+
+def time_grid(T, dt):
+    """The sample times n dt, n = 0..round(T/dt), of a run of length T."""
+    if T <= 0.0 or dt <= 0.0:
+        raise ValueError("T and dt must be positive")
+    return dt * np.arange(int(round(T / dt)) + 1)
+
+
+def check_uniform_grid(t_grid):
+    """Raise ValueError unless the samples increase in uniform steps (to
+    1e-9 relative); a grid of one sample passes."""
+    steps = np.diff(t_grid)
+    if steps.size and (
+        steps[0] <= 0.0 or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0]))
+    ):
+        raise ValueError("t_grid must be uniformly spaced and increasing")
 
 
 def _blockwise(domain, fn, arrays, time):
@@ -627,11 +658,6 @@ def _quad_source(domain, params, u, ut):
     return out
 
 
-def _norms(coeffs, weight):
-    """L2 norm of each tensor of an (n,) stack."""
-    return np.sqrt(np.sum((coeffs * coeffs).reshape(coeffs.shape[0], -1), axis=1) * weight)
-
-
 def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
     """Relative residual of the equation at every interior sample.
 
@@ -643,13 +669,9 @@ def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
     manufactured-solution checks.
     """
     t = np.asarray(t_grid, dtype=float)
-    dt1 = t[1:-1] - t[:-2]
-    dt2 = t[2:] - t[1:-1]
-    if np.any(np.abs(dt1 - dt2) > 1e-9 * np.maximum(np.abs(dt1), np.abs(dt2))):
-        raise ValueError("states must be equispaced in time")
-    dt = 0.5 * (dt1 + dt2)
+    check_uniform_grid(t)
+    dt = 0.5 * ((t[1:-1] - t[:-2]) + (t[2:] - t[1:-1]))
     lam = domain.eigenvalue_grid
-    weight = domain.mode_l2_squared
     out = np.empty(dt.size)
     sample_bytes = 64 * (2 * domain.modes_per_axis + 1) ** domain.dimension
     for blk in sample_blocks(out.size, sample_bytes):
@@ -663,7 +685,7 @@ def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
         resid = t_diff - t_dot - t_ddot
         if source is not None:
             resid = resid - source[blk]
-        terms = [_norms(term, weight) for term in (t_diff, t_dot, t_ddot)]
+        terms = [np.sqrt(sq_norm(domain, term)) for term in (t_diff, t_dot, t_ddot)]
         scale = np.maximum(np.max(terms, axis=0), 1e-300)
-        out[blk] = _norms(resid, weight) / scale
+        out[blk] = np.sqrt(sq_norm(domain, resid)) / scale
     return out

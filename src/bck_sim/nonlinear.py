@@ -12,9 +12,12 @@ Two routes to a solution:
 
 Both produce a Trajectory, the one trajectory type of the package: raw
 coefficient series of every stored time derivative up to u_ttt (the
-fourth derivative, where needed, is centered-differenced).  The linear
-solves of the fixed-point route return raw semigroup series, which
-``linear_trajectory`` turns into a Trajectory.
+fourth derivative, where needed, is centered-differenced by
+``energy.fourth_derivative_series``).  The linear solves of the
+fixed-point route return raw semigroup series, which
+``linear_trajectory`` turns into a Trajectory.  Both routes step with the
+one exponential-integrator step of ``linear.PropagatorTable``, sample on
+``model.time_grid``, and measure with ``spectral.sq_norm``.
 """
 
 import math
@@ -22,23 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _sq_norm, fourth_derivative_series
+from .energy import fourth_derivative_series
 from .errors import BlowUpError, DegeneracyError, NonConvergenceError
-from .linear import (
-    check_uniform_grid,
-    propagator_table,
-    semigroup_data,
-    semigroup_utt,
-    solve_duhamel,
-)
+from .linear import propagator_table, semigroup_data, solve_duhamel
 from .model import (  # acceleration is re-exported for callers of this module
     DEFAULT_EPS_DEG,
     acceleration,
+    check_uniform_grid,
     degeneracy_guard,
     linear_bracket,
     nonlinear_terms,
+    semigroup_utt,
+    time_grid,
 )
-from .spectral import GridWorkspace
+from .spectral import GridWorkspace, sq_norm
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_SUBSTEP_SWEEPS = 2
@@ -54,11 +54,11 @@ class Trajectory:
     ``linear_trajectory``).  ``forcing``, when present, holds the
     quadratic forcing f at every sample as the march computed it, the same
     bits as ``energy.forcing_series``; a trajectory derived by arithmetic
-    (``difference``) carries none.
+    (``difference``) carries none.  A trajectory carries no model
+    parameters: every consumer takes them as an argument of its own.
     """
 
     domain: object
-    params: object
     t_grid: np.ndarray
     u: np.ndarray
     ut: np.ndarray
@@ -84,9 +84,6 @@ class Trajectory:
     def n_samples(self):
         return self.t_grid.size
 
-    def utttt_array(self):
-        return fourth_derivative_series(self.t_grid, self.uttt)
-
     def difference(self, other):
         """Componentwise difference trajectory (same grid, same domain)."""
         if self.domain != other.domain:
@@ -97,7 +94,6 @@ class Trajectory:
             raise ValueError("trajectories use different time grids")
         return Trajectory(
             domain=self.domain,
-            params=self.params,
             t_grid=self.t_grid.copy(),
             u=self.u - other.u,
             ut=self.ut - other.ut,
@@ -147,13 +143,9 @@ def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspac
     GridWorkspace, passed to every kernel call.
     """
     domain = table.domain
-    dt = table.dt
     f3_flat = f3.reshape(-1)
-    hom = np.einsum("nij,jn->in", table.propagator, data.reshape(3, -1))
-    p1_col = table.phi1_weight[:, :, 2]
-    p2_col = table.phi2_weight[:, :, 2]
-    base = hom + p1_col.T * f3_flat
-    t_next = t + dt
+    base = table.propagate(data.reshape(3, -1), f3_flat)
+    t_next = t + table.dt
 
     candidate = base
     for sweep in range(max(substep_iters, 0) + 1):
@@ -172,7 +164,7 @@ def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspac
         )
         f3_next = -f
         if sweep < substep_iters:
-            candidate = base + p2_col.T * ((f3_next.reshape(-1) - f3_flat) / dt)
+            candidate = table.add_slope(base, f3_flat, f3_next.reshape(-1))
     return data_next, utt, uttt, f3_next
 
 
@@ -191,11 +183,9 @@ def solve(
     of the run in its partial_trajectory attribute.  One GridWorkspace
     serves every kernel call of the march and is dropped with it.
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
+    t_grid = time_grid(T, dt)
+    nt = t_grid.size
     domain = initial.u0.domain
-    nt = int(round(T / dt)) + 1
-    t_grid = dt * np.arange(nt)
     table = propagator_table(domain, params, float(dt))
 
     degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
@@ -219,7 +209,6 @@ def solve(
     def partial(upto):
         return Trajectory(
             domain=domain,
-            params=params,
             t_grid=t_grid[: upto + 1],
             u=u[: upto + 1].copy(),
             ut=ut[: upto + 1].copy(),
@@ -244,7 +233,6 @@ def solve(
 
     return Trajectory(
         domain=domain,
-        params=params,
         t_grid=t_grid,
         u=u,
         ut=ut,
@@ -270,9 +258,7 @@ def linear_trajectory(initial, params, t_grid, forcing_third=None, table=None):
     uttt = linear_bracket(domain, params, u, ut, utt)
     if forcing_third is not None:
         uttt = uttt + forcing_third
-    return Trajectory(
-        domain=domain, params=params, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt
-    )
+    return Trajectory(domain=domain, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt)
 
 
 def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
@@ -307,13 +293,10 @@ def picard_solve(
     NonConvergenceError with the measured ratio history when the budget
     runs out.
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
+    t_grid = time_grid(T, dt)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     domain = initial.u0.domain
-    nt = int(round(T / dt)) + 1
-    t_grid = dt * np.arange(nt)
     table = propagator_table(domain, params, float(dt))
 
     degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
@@ -350,16 +333,10 @@ def picard_solve(
     )
 
 
-def _norm_series(arr, lam, weight, power):
-    return np.sqrt(_sq_norm(arr, lam, weight, power))
-
-
 def vtilde_norm(traj):
     """Squared weak-norm components (max-of-seven) of a trajectory."""
-    lam = np.asarray(traj.domain.eigenvalue_grid, dtype=float)
-    weight = traj.domain.mode_l2_squared
-    t = traj.t_grid
-    utttt = traj.utttt_array()
+    domain, t = traj.domain, traj.t_grid
+    utttt = fourth_derivative_series(t, traj.uttt)
 
     def integral(series):
         return float(np.trapezoid(series, t))
@@ -368,13 +345,13 @@ def vtilde_norm(traj):
         return float(series.max(initial=0.0))
 
     components = {
-        "utttt_L2L2": integral(_sq_norm(utttt, lam, weight, 0)),
-        "uttt_L2H1": integral(_sq_norm(traj.uttt, lam, weight, 1)),
-        "utt_L2H1": integral(_sq_norm(traj.utt, lam, weight, 1)),
-        "utt_LinfH2": supremum(_sq_norm(traj.utt, lam, weight, 2)),
-        "ut_L2H1": integral(_sq_norm(traj.ut, lam, weight, 1)),
-        "ut_LinfH3": supremum(_sq_norm(traj.ut, lam, weight, 3)),
-        "u_LinfH3": supremum(_sq_norm(traj.u, lam, weight, 3)),
+        "utttt_L2L2": integral(sq_norm(domain, utttt)),
+        "uttt_L2H1": integral(sq_norm(domain, traj.uttt, 1)),
+        "utt_L2H1": integral(sq_norm(domain, traj.utt, 1)),
+        "utt_LinfH2": supremum(sq_norm(domain, traj.utt, 2)),
+        "ut_L2H1": integral(sq_norm(domain, traj.ut, 1)),
+        "ut_LinfH3": supremum(sq_norm(domain, traj.ut, 3)),
+        "u_LinfH3": supremum(sq_norm(domain, traj.u, 3)),
     }
     return VNormReport(components=components, value=max(components.values()))
 
@@ -387,29 +364,27 @@ def v_norm(traj):
     the indicated order; the W-infinity norms take the supremum in time of
     the sum of the spatial norms of those derivatives, then square it.
     """
-    lam = np.asarray(traj.domain.eigenvalue_grid, dtype=float)
-    weight = traj.domain.mode_l2_squared
-    t = traj.t_grid
-    derivs = [traj.u, traj.ut, traj.utt, traj.uttt, traj.utttt_array()]
+    domain, t = traj.domain, traj.t_grid
+    derivs = [traj.u, traj.ut, traj.utt, traj.uttt, fourth_derivative_series(t, traj.uttt)]
 
     def integral(series):
         return float(np.trapezoid(series, t))
 
     def h_time(depth, space_power):
         return sum(
-            integral(_sq_norm(derivs[i], lam, weight, space_power))
+            integral(sq_norm(domain, derivs[i], space_power))
             for i in range(depth + 1)
         )
 
     def w_inf(depth, space_power):
         summed = sum(
-            _norm_series(derivs[i], lam, weight, space_power)
+            np.sqrt(sq_norm(domain, derivs[i], space_power))
             for i in range(depth + 1)
         )
         return float(summed.max(initial=0.0)) ** 2
 
     total = (
-        float(_sq_norm(traj.u, lam, weight, 4).max(initial=0.0))  # Linf H4
+        float(sq_norm(domain, traj.u, 4).max(initial=0.0))  # Linf H4
         + h_time(1, 4)  # H1 H4
         + w_inf(2, 3)  # Winf2 H3
         + h_time(2, 3)  # H2 H3

@@ -9,6 +9,9 @@ satisfy ``laplace(u) = 0`` on the boundary.  Writing ``A = -laplace``, every
 power ``A**theta`` acts diagonally on the coefficients through the
 eigenvalues ``lambda_k = sum_i (k_i pi / L_i)**2``, so Sobolev norms, Poincare
 bounds and semigroup propagators all reduce to elementary vector arithmetic.
+The squared norm ``||A^{p/2} v||^2`` is written once, in ``sq_norm``, which
+takes coefficient stacks with leading axes; the energies, audits, trajectory
+norms and residuals of the other modules all call it.
 
 Quadratic expressions are the one place the basis is left: a product of two
 sine expansions is, axis by axis, a cosine polynomial of twice the degree.
@@ -95,6 +98,7 @@ __all__ = [
     "GridField",
     "eigenvalues",
     "fractional_power",
+    "sq_norm",
     "sobolev_norm",
     "l2_norm",
     "to_grid",
@@ -105,7 +109,6 @@ __all__ = [
     "evaluate_at",
     "evaluate_gauss",
     "project_gauss",
-    "linf_grid",
     "embedding_constant_estimate",
     "BLOCK_BYTES",
     "sample_blocks",
@@ -119,15 +122,22 @@ __all__ = [
 ]
 
 
-def _sine_matrix(points, length, n_modes):
-    """Matrix S[j, m] = sin((m+1) pi x_j / length)."""
-    k = np.arange(1, n_modes + 1)
-    return np.sin(np.outer(points, k * (np.pi / length)))
+def _sine_matrices(domain, axes):
+    """Per-axis sine evaluation matrices S[j, m] = sin((m+1) pi x_j / L) on
+    the nodes ``axes`` (one array per axis)."""
+    k = np.arange(1, domain.modes_per_axis + 1)
+    return tuple(np.sin(np.outer(x, k * (np.pi / L))) for x, L in zip(axes, domain.lengths))
 
 
-def _cosine_matrix(points, length, n_modes):
-    k = np.arange(1, n_modes + 1)
-    return np.cos(np.outer(points, k * (np.pi / length)))
+def _derivative_matrices(domain, axes):
+    """Per-axis cosine evaluation matrices carrying the derivative factor
+    k pi/L, on the nodes ``axes``."""
+    k = np.arange(1, domain.modes_per_axis + 1)
+    mats = []
+    for x, L in zip(axes, domain.lengths):
+        scale = k * (np.pi / L)
+        mats.append(np.cos(np.outer(x, scale)) * scale)
+    return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -220,15 +230,6 @@ class DomainSpec:
         m = self.quadrature_points_per_axis
         return float(np.prod([L / (m + 1) for L in self.lengths]))
 
-    @cached_property
-    def _grid_sine(self):
-        """Sine matrices on the collocation nodes, for guard checks that
-        avoid a transform call per evaluation."""
-        return tuple(
-            _sine_matrix(x, L, self.modes_per_axis)
-            for x, L in zip(self.grid_axes, self.lengths)
-        )
-
     # -- fine closed grid for exact quadratic products -------------------
 
     @cached_property
@@ -241,22 +242,6 @@ class DomainSpec:
     def _fine_axes(self):
         p = self._product_panels
         return tuple(np.arange(0, p + 1) * (L / p) for L in self.lengths)
-
-    @cached_property
-    def _fine_sine(self):
-        return tuple(
-            _sine_matrix(x, L, self.modes_per_axis)
-            for x, L in zip(self._fine_axes, self.lengths)
-        )
-
-    @cached_property
-    def _fine_dcos(self):
-        """Cosine evaluation matrices carrying the derivative factor k pi/L."""
-        mats = []
-        for x, L in zip(self._fine_axes, self.lengths):
-            scale = np.arange(1, self.modes_per_axis + 1) * (np.pi / L)
-            mats.append(_cosine_matrix(x, L, self.modes_per_axis) * scale)
-        return tuple(mats)
 
     @cached_property
     def _dct_weights(self):
@@ -292,35 +277,23 @@ class DomainSpec:
         return tuple(out)
 
     @cached_property
-    def _gauss_sine(self):
+    def _gauss_project(self):
+        """Per-axis matrices mapping Gauss samples to sine coefficients."""
+        sine = self._grid_matrices["gauss"][0]
         return tuple(
-            _sine_matrix(x, L, self.modes_per_axis)
-            for (x, _), L in zip(self._gauss_rule, self.lengths)
+            (2.0 / L) * (s.T * w) for (_, w), L, s in zip(self._gauss_rule, self.lengths, sine)
         )
 
     @cached_property
-    def _gauss_dcos(self):
-        mats = []
-        for (x, _), L in zip(self._gauss_rule, self.lengths):
-            scale = np.arange(1, self.modes_per_axis + 1) * (np.pi / L)
-            mats.append(_cosine_matrix(x, L, self.modes_per_axis) * scale)
-        return tuple(mats)
-
-    @cached_property
-    def _gauss_project(self):
-        """Per-axis matrices mapping Gauss samples to sine coefficients."""
-        mats = []
-        for (x, w), L, s in zip(self._gauss_rule, self.lengths, self._gauss_sine):
-            mats.append((2.0 / L) * (s.T * w))
-        return tuple(mats)
-
-    @cached_property
     def _grid_matrices(self):
-        """grid name -> (sine matrices, derivative cosine matrices) per axis."""
+        """grid name -> (sine matrices, derivative cosine matrices) per axis.
+        The collocation matrices serve guard checks that avoid a transform
+        call per evaluation."""
+        fine, gauss = self._fine_axes, tuple(x for x, _ in self._gauss_rule)
         return {
-            "fine": (self._fine_sine, self._fine_dcos),
-            "gauss": (self._gauss_sine, self._gauss_dcos),
-            "collocation": (self._grid_sine, None),
+            "fine": (_sine_matrices(self, fine), _derivative_matrices(self, fine)),
+            "gauss": (_sine_matrices(self, gauss), _derivative_matrices(self, gauss)),
+            "collocation": (_sine_matrices(self, self.grid_axes), None),
         }
 
     @cached_property
@@ -428,14 +401,24 @@ def fractional_power(field, theta):
     return SpectralField(field.domain, field.coeffs * lam**theta)
 
 
+def sq_norm(domain, coeffs, power=0):
+    """Squared norm ||A^{power/2} v||^2 from raw coefficients.
+
+    Broadcasts over any number of leading axes; the trailing axes are the
+    mode axes of ``domain``.  Every norm of the package is this one.
+    """
+    lam = domain.eigenvalue_grid
+    axes = tuple(range(-lam.ndim, 0))
+    scaled = coeffs * coeffs if power == 0 else coeffs * coeffs * lam**power
+    return domain.mode_l2_squared * scaled.sum(axis=axes)
+
+
 def sobolev_norm(field, s):
     """|| A**(s/2) u ||_{L2} computed from coefficients.
 
     ``s = 0`` is the plain L2 norm; the intended range is s in [0, 4].
     """
-    lam = field.domain.eigenvalue_grid
-    total = np.sum(lam**s * field.coeffs**2) * field.domain.mode_l2_squared
-    return float(np.sqrt(total))
+    return float(np.sqrt(sq_norm(field.domain, field.coeffs, s)))
 
 
 def l2_norm(field):
@@ -697,10 +680,15 @@ def to_spectral(grid):
     """
     domain = grid.domain
     m = domain.quadrature_points_per_axis
-    y = _type1("dst", grid.samples, domain.dimension) / float((m + 1) ** domain.dimension)
-    n = domain.modes_per_axis
-    sl = (slice(0, n),) * domain.dimension
-    return SpectralField(domain, y[sl].copy())
+    return SpectralField(domain, _dst_coefficients(domain, grid.samples, m))
+
+
+def _dst_coefficients(domain, samples, points):
+    """Sine interpolation coefficients of samples on the interior DST grid
+    of ``points`` nodes per axis, truncated to the N retained modes."""
+    d = domain.dimension
+    y = _type1("dst", samples, d) / float((points + 1) ** d)
+    return y[(slice(0, domain.modes_per_axis),) * d].copy()
 
 
 def grid_extremes(domain, coeffs):
@@ -717,11 +705,6 @@ def grid_extremes(domain, coeffs):
         low[blk] = vals.min(axis=1)
         peak[blk] = np.abs(vals).max(axis=1)
     return low, peak
-
-
-def linf_grid(field):
-    """max |u| over the interior collocation grid."""
-    return float(grid_extremes(field.domain, field.coeffs[None])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +765,7 @@ def product_collocation(f, g, points=None):
     m = domain.quadrature_points_per_axis if points is None else int(points)
     vf = grid_values(domain, f.coeffs, m)
     vg = grid_values(domain, g.coeffs, m)
-    y = _type1("dst", vf * vg, domain.dimension) / float((m + 1) ** domain.dimension)
-    n = domain.modes_per_axis
-    sl = (slice(0, n),) * domain.dimension
-    return SpectralField(domain, y[sl].copy())
+    return SpectralField(domain, _dst_coefficients(domain, vf * vg, m))
 
 
 # ---------------------------------------------------------------------------
@@ -808,13 +788,7 @@ def evaluate_at(field, points):
 
     1D: ``points`` is an array; 2D: a pair of per-axis arrays.
     """
-    domain = field.domain
-    axes = _axis_points(domain, points)
-    mats = [
-        _sine_matrix(x, L, domain.modes_per_axis)
-        for x, L in zip(axes, domain.lengths)
-    ]
-    return _apply(mats, field.coeffs)
+    return _apply(_sine_matrices(field.domain, _axis_points(field.domain, points)), field.coeffs)
 
 
 def evaluate_gauss(field):
@@ -845,5 +819,5 @@ def embedding_constant_estimate(domain, s, n_samples=64, seed=0):
         denom = sobolev_norm(field, s)
         if denom == 0.0:
             continue
-        best = max(best, linf_grid(field) / denom)
+        best = max(best, float(np.abs(grid_values(domain, field.coeffs)).max()) / denom)
     return best

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import bck_sim.cli as cli
+from bck_sim.config import load_config
+from bck_sim.linear import mode_eigenvalues_from_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -85,6 +87,26 @@ def test_config_reproduces_golden_artifacts(name, tmp_path):
     code = _run(record["command"], "--config", CONFIGS / f"{name}.conf", "--out", tmp_path)
     assert code == record["exit_status"]
     assert _differences(tmp_path, golden) == []
+
+
+def test_linear_analyze_rows_are_the_array_spectrum(tmp_path):
+    conf = CONFIGS / "linear-lowest-mode.conf"
+    assert _run("linear-analyze", "--config", conf, "--out", tmp_path) == 0
+    config = load_config(conf)
+    params = config.params
+    rows = list(csv.reader((tmp_path / "modes.csv").read_text(encoding="utf-8").splitlines()))
+    assert rows[0] == ["index", "lambda", "re_mu1", "im_mu1", "re_mu2", "im_mu2", "re_mu3", "im_mu3"]
+    values = np.array([[float(x) for x in row] for row in rows[1:]])
+    lam_sorted = np.sort(config.domain.eigenvalue_grid.ravel())
+    np.testing.assert_array_equal(values[:, 1], lam_sorted[values[:, 0].astype(int) - 1])
+    mu = mode_eigenvalues_from_coefficients(values[:, 1], params.a, params.b, params.c)
+    np.testing.assert_array_equal(values[:, 2::2], mu.real)
+    np.testing.assert_array_equal(values[:, 3::2], mu.imag)
+    report = dict(
+        line.split(": ", 1)
+        for line in (tmp_path / "linear_analysis.txt").read_text(encoding="utf-8").splitlines()
+    )
+    assert float(report["discrepancy"]) <= 1e-12
 
 
 def test_degenerate_data_exits_with_code_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from bck_sim.energy import (
 from bck_sim.errors import DivisionGuardError, FitError
 from bck_sim.model import EvolutionState, ModelParams, acceleration
 from bck_sim.nonlinear import Trajectory
-from bck_sim.spectral import DomainSpec, SpectralField, linf_grid, sobolev_norm
+from bck_sim.spectral import DomainSpec, SpectralField, grid_values, sobolev_norm
 
 WEIGHT = math.pi / 2.0  # squared L2 norm of sin(kx) on (0, pi)
 
@@ -29,9 +29,8 @@ def _domain(n=8):
 
 
 def _traj(domain, t_grid, u, ut, utt, uttt):
-    """A Trajectory of the given series; the functionals take their
-    coefficients as an argument, so it carries none."""
-    return Trajectory(domain, None, t_grid, u, ut, utt, uttt)
+    """A Trajectory of the given series."""
+    return Trajectory(domain, t_grid, u, ut, utt, uttt)
 
 
 def _constant_traj(domain, coeffs, t_grid, ut=None, utt=None, uttt=None):
@@ -458,5 +457,5 @@ def test_energy_series_matches_pointwise_reports():
     assert abs(series["linear_energy"][i] - linear) < 1e-12
     assert abs(series["H4_u"][i] - sobolev_norm(u, 4)) < 1e-12
     assert abs(series["H3_ut"][i] - sobolev_norm(ut, 3)) < 1e-12
-    assert abs(series["Linf_ut"][i] - linf_grid(ut)) < 1e-12
+    assert abs(series["Linf_ut"][i] - np.abs(grid_values(ut.domain, ut.coeffs)).max()) < 1e-12
     assert np.all(series["k_functional"] >= 0.0)

@@ -18,12 +18,11 @@ from bck_sim.linear import (
     oscillation_ratio,
     relative_bound_report,
     semigroup_data,
-    semigroup_utt,
     solve_duhamel,
     spectral_bound,
     weighted_norm,
 )
-from bck_sim.model import EvolutionState, ModelParams, linear_bracket
+from bck_sim.model import EvolutionState, ModelParams, linear_bracket, semigroup_utt
 from bck_sim.spectral import DomainSpec, SpectralField
 
 
@@ -92,18 +91,34 @@ def test_closed_form_spectrum_against_dense_eigensolver():
     mats[:, 1, 2] = 1.0
     mats[:, 2, 2] = -a * lam
     numeric = np.linalg.eigvals(mats)
-    closed = np.stack(
-        [
-            mode_eigenvalues_from_coefficients(lam[i], a[i], b[i], c[i])
-            for i in range(n)
-        ]
-    )
+    closed = mode_eigenvalues_from_coefficients(lam, a, b, c)
+    single = [mode_eigenvalues_from_coefficients(lam[i], a[i], b[i], c[i]) for i in range(n)]
+    assert np.array_equal(closed, np.stack(single))
     perms = np.array(list(itertools.permutations(range(3))))
     diffs = np.abs(closed[:, perms] - numeric[:, None, :]).max(axis=2)
     best = diffs.min(axis=1)
     scale = np.maximum(1.0, np.abs(numeric).max(axis=1))
     assert np.all(best <= 1e-10 * scale)
     assert np.all(closed.real < 0.0)
+
+
+def test_closed_form_spectrum_undamped_and_critically_damped():
+    # b = 0 puts the wave pair on the imaginary axis, +/- i c sqrt(lam);
+    # b^2 lam = 4 c^2 (exact in binary here) gives the double root -b lam/2
+    lam = np.array([0.5, 3.0, 40.0, 1.0, 4.0, 0.25])
+    a = np.array([1.0, 0.3, 2.0, 1.0, 0.5, 3.0])
+    b = np.array([0.0, 0.0, 0.0, 2.0, 1.0, 4.0])
+    c = np.array([1.0, 2.5, 0.7, 1.0, 1.0, 1.0])
+    closed = mode_eigenvalues_from_coefficients(lam, a, b, c)
+    single = [mode_eigenvalues_from_coefficients(lam[i], a[i], b[i], c[i]) for i in range(6)]
+    assert np.array_equal(closed, np.stack(single))
+    np.testing.assert_array_equal(closed[:, 0], -a * lam)
+    undamped, critical = closed[:3, 1:], closed[3:, 1:]
+    assert np.all(undamped.real == 0.0)
+    np.testing.assert_allclose(undamped.imag[:, 0], c[:3] * np.sqrt(lam[:3]), rtol=1e-15)
+    np.testing.assert_array_equal(undamped.imag[:, 1], -undamped.imag[:, 0])
+    want = -b[3:] * lam[3:] / 2.0
+    np.testing.assert_array_equal(critical, np.stack([want, want], axis=1))
 
 
 def test_spectral_bound_examples():

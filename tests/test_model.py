@@ -13,11 +13,13 @@ from bck_sim.model import (
     PhysicalParams,
     acceleration,
     check_degeneracy_guard,
+    check_uniform_grid,
     derive_params,
     forcing_f,
     linear_bracket,
     make_compatibility_data,
     pde_residual_series,
+    time_grid,
 )
 from bck_sim.spectral import DomainSpec, SpectralField, gradient_dot, grid_extremes, to_grid
 
@@ -404,3 +406,26 @@ def test_residual_rejects_nonuniform_spacing():
     params = ModelParams(1, 1, 1, 0.2, 1)
     with pytest.raises(ValueError):
         _residual([_state(dom, t=0.0), _state(dom, t=0.001), _state(dom, t=0.003)], params)
+
+
+def test_residual_accepts_every_grid_a_trajectory_accepts():
+    # the residual shares the package's one uniform-grid check, so a grid
+    # within its tolerance (1e-9 of max(1, step)) is a residual grid too
+    dom = _domain()
+    params = ModelParams(1, 1, 1, 0.2, 1)
+    t = 1e-3 * np.arange(5)
+    t[2] += 1e-11
+    check_uniform_grid(t)
+    rng = np.random.default_rng(8)
+    u, ut, utt = (1e-3 * rng.standard_normal((5,) + dom.coeff_shape) for _ in range(3))
+    res = pde_residual_series(dom, params, t, u, ut, utt)
+    assert res.shape == (3,)
+    assert np.all(np.isfinite(res))
+
+
+def test_time_grid_samples_and_validation():
+    np.testing.assert_array_equal(time_grid(1.0, 0.1), 0.1 * np.arange(11))
+    np.testing.assert_array_equal(time_grid(0.5, 0.25), [0.0, 0.25, 0.5])
+    for T, dt in ((0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1)):
+        with pytest.raises(ValueError):
+            time_grid(T, dt)

@@ -1,13 +1,17 @@
-"""The public name lists of the package and its modules."""
+"""The public name lists of the package and its modules, and the names
+the modules take from each other."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import bck_sim
 
 MODULES = ["bck_sim"] + [f"bck_sim.{info.name}" for info in pkgutil.iter_modules(bck_sim.__path__)]
+SOURCES = sorted(Path(bck_sim.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,3 +23,19 @@ def test_all_names_exist_and_star_import_works(name):
     exec(f"from {name} import *", namespace)
     for attr in getattr(module, "__all__", ()):
         assert namespace[attr] is getattr(module, attr)
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("bck_sim"):
+                continue
+            found += [
+                f"{path.stem} <- {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert found == []

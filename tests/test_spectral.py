@@ -18,12 +18,13 @@ from bck_sim.spectral import (
     evaluate_gauss,
     fractional_power,
     gradient_dot,
+    grid_values,
     l2_norm,
-    linf_grid,
     product_collocation,
     product_dealiased,
     project_gauss,
     sobolev_norm,
+    sq_norm,
     to_grid,
     to_spectral,
 )
@@ -148,6 +149,19 @@ def test_sobolev_norm_via_fractional_power():
         assert abs(direct - via_power) < 1e-12 * max(1.0, direct)
 
 
+def test_sq_norm_of_a_stack_is_the_norm_of_each_member():
+    rng = np.random.default_rng(19)
+    for dom in (_domain_1d(), DomainSpec(2, (math.pi, 1.3), 5)):
+        stack = rng.standard_normal((2, 3) + dom.coeff_shape)
+        for power in (0, 1, 3):
+            got = sq_norm(dom, stack, power)
+            assert got.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert got[i, j] == sq_norm(dom, stack[i, j], power)
+                field = SpectralField(dom, stack[i, j])
+                assert math.sqrt(got[i, j]) == sobolev_norm(field, power)
+
+
 def test_poincare_chain():
     rng = np.random.default_rng(14)
     dom = DomainSpec(1, (2.0,), 8)  # lambda0 = (pi/2)^2 != 1
@@ -214,11 +228,11 @@ def test_evaluate_at_matches_numpy():
     )
 
 
-def test_linf_grid_single_mode():
+def test_grid_max_abs_single_mode():
     dom = _domain_1d(n=8)
     u = SpectralField.single_mode(dom, 1, 2.0)
     x = dom.grid_axes[0]
-    assert abs(linf_grid(u) - 2.0 * np.max(np.sin(x))) < 1e-13
+    assert abs(np.abs(grid_values(dom, u.coeffs)).max() - 2.0 * np.max(np.sin(x))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
