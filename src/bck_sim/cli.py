@@ -42,11 +42,17 @@ from .errors import (
     FitError,
     NonConvergenceError,
 )
-from .linear import linear_decay_report, mode_matrix, spectral_bound
+from .linear import (
+    generator_blocks,
+    linear_decay_report,
+    mode_eigenvalues_from_coefficients,
+    spectral_bound,
+)
 from .model import (
     EvolutionState,
     make_compatibility_data,
     pde_residual_series,
+    time_grid,
 )
 from .nonlinear import picard_solve, solve, v_norm, vtilde_norm
 from .spectral import (
@@ -217,15 +223,11 @@ def cmd_linear_analyze(config, out_dir, artifacts):
     picks = list(range(min(10, n)))
     if n - 1 not in picks:
         picks.append(n - 1)
-    rows = []
-    for i in picks:
-        lam = float(lam_sorted[i])
-        block = mode_matrix(lam, params)
-        mus = block.eigenvalues
-        rows.append(
-            (i + 1, lam)
-            + tuple(x for mu in mus for x in (mu.real, mu.imag))
-        )
+    spectra = mode_eigenvalues_from_coefficients(lam_sorted[picks], params.a, params.b, params.c)
+    rows = [
+        (i + 1, float(lam_sorted[i])) + tuple(x for mu in mus for x in (mu.real, mu.imag))
+        for i, mus in zip(picks, spectra)
+    ]
     _write_csv(
         out_dir / "modes.csv",
         ("index", "lambda", "re_mu1", "im_mu1", "re_mu2", "im_mu2", "re_mu3", "im_mu3"),
@@ -234,9 +236,7 @@ def cmd_linear_analyze(config, out_dir, artifacts):
     artifacts.append("modes.csv")
 
     bound = spectral_bound(params, domain.lambda0)
-    numeric = -math.inf
-    for lam in lam_sorted:
-        numeric = max(numeric, float(np.max(np.linalg.eigvals(mode_matrix(float(lam), params).matrix).real)))
+    numeric = float(np.linalg.eigvals(generator_blocks(lam_sorted, params)).real.max())
     pairs = [
         ("command", "linear-analyze"),
         ("config_sha256", config.config_sha256),
@@ -333,6 +333,11 @@ def _temporal_study(config):
         abs(dts[i + 1] - dts[i] / 2.0) < 1e-12 * dts[0] for i in range(2)
     ):
         raise ConfigError("[convergence] dt_values must be a halving triplet")
+    try:
+        for dt in dts:
+            time_grid(config.t_final, dt)
+    except ValueError as err:
+        raise ConfigError(f"[convergence] dt_values: {err}") from err
     dom = config.domain
     u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, config.conv_amplitude)
     z = SpectralField.zeros(dom)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import DEFAULT_EPS_DEG, ModelParams, PhysicalParams, derive_params
+from .model import DEFAULT_EPS_DEG, ModelParams, PhysicalParams, derive_params, time_grid
 from .spectral import DomainSpec, SpectralField
 
 _PRESETS = ("zero", "single-mode", "multi-mode", "random-seeded")
@@ -324,6 +324,10 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
     dt = values[("time", "dt")]
     if not (t_final > 0.0 and dt > 0.0 and dt <= t_final):
         raise ConfigError("[time] needs 0 < dt <= t_final")
+    try:
+        time_grid(t_final, dt)
+    except ValueError as err:
+        raise ConfigError(f"[time] {err}") from err
     for sec, key in (
         ("time", "substeps"),
         ("tolerances", "picard_max_iter"),

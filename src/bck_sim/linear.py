@@ -13,8 +13,10 @@ with the phi-function weights used by forced (Duhamel) solves, and decay
 diagnostics on top of the exact propagation.
 
 The spectrum is written once, in ``mode_eigenvalues_from_coefficients``,
-which takes arrays of eigenvalues; ``mode_matrix``, ``max_mode_real_part``
-and ``oscillation_ratio`` read it.  The exponential-integrator step
+which takes arrays of eigenvalues; ``max_mode_real_part``,
+``oscillation_ratio`` and the ``linear-analyze`` command read it, and
+``generator_blocks`` builds the blocks themselves for arrays of
+eigenvalues.  The exponential-integrator step
 
     U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt
 
@@ -70,16 +72,7 @@ def mode_eigenvalues_from_coefficients(lam, a, b, c):
     return mu
 
 
-@dataclass(frozen=True, eq=False)
-class ModeBlock:
-    """One 3x3 generator block with its eigenvalue triple."""
-
-    lam: float
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def _generator_blocks(lam, params):
+def generator_blocks(lam, params):
     """The blocks A_lam of the module docstring, shape lam.shape + (3, 3)."""
     blocks = np.zeros(lam.shape + (3, 3))
     blocks[..., 0, 1] = 1.0
@@ -88,13 +81,6 @@ def _generator_blocks(lam, params):
     blocks[..., 1, 2] = 1.0
     blocks[..., 2, 2] = -params.a * lam
     return blocks
-
-
-def mode_matrix(lam, params):
-    lam = float(lam)
-    eig = mode_eigenvalues_from_coefficients(lam, params.a, params.b, params.c)
-    matrix = _generator_blocks(np.array(lam), params)
-    return ModeBlock(lam=lam, matrix=matrix, eigenvalues=eig)
 
 
 class SpectralBound(NamedTuple):
@@ -168,7 +154,7 @@ class PropagatorTable:
         lam = np.asarray(domain.eigenvalue_grid, dtype=float).ravel()
         n = lam.size
         aug = np.zeros((n, 9, 9))
-        aug[:, :3, :3] = dt * _generator_blocks(lam, params)
+        aug[:, :3, :3] = dt * generator_blocks(lam, params)
         idx = np.arange(3)
         aug[:, idx, idx + 3] = dt
         aug[:, idx + 3, idx + 6] = dt
@@ -197,20 +183,7 @@ def propagator_table(domain, params, dt):
     return PropagatorTable.build(domain, params, float(dt))
 
 
-def _resolve_table(domain, params, dt, table):
-    if table is None:
-        return propagator_table(domain, params, float(dt))
-    built_for = (table.params.a, table.params.b, table.params.c)
-    if (
-        table.domain != domain
-        or built_for != (params.a, params.b, params.c)
-        or abs(table.dt - dt) > 1e-12 * max(1.0, abs(dt))
-    ):
-        raise ValueError("propagator table does not match this domain, (a, b, c) and dt")
-    return table
-
-
-def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None):
+def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     """Exponential-integrator solve of U' = AU + (0, 0, f3(t)).
 
     ``data0`` is the semigroup data at t_grid[0], shape (3,) + coeff shape;
@@ -223,7 +196,8 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None)
         U_{n+1} = E U_n + P1 F_n + P2 (F_{n+1} - F_n) / dt,
 
     with P1 = dt*phi1, P2 = dt^2*phi2, which is exact for forcing linear
-    in t on each step and second-order accurate overall.
+    in t on each step and second-order accurate overall.  The weights come
+    from the ``propagator_table`` cache, keyed by dt = t_grid[1] - t_grid[0].
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -244,7 +218,7 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None)
     if f3.shape != (nt,) + shape:
         raise ValueError("forcing samples must have shape (nt,) + coeff shape")
 
-    table = _resolve_table(domain, params, dt, table)
+    table = propagator_table(domain, params, dt)
     n_modes = domain.n_modes
     f3_flat = f3.reshape(nt, n_modes)
     data = np.empty((nt, 3, n_modes))
@@ -253,16 +227,6 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None, table=None)
         base = table.propagate(data[n], f3_flat[n])
         data[n + 1] = table.add_slope(base, f3_flat[n], f3_flat[n + 1])
     return data.reshape((nt, 3) + shape)
-
-
-def _linear_energy_series(domain, data):
-    lam = np.asarray(domain.eigenvalue_grid, dtype=float)
-    weight = domain.mode_l2_squared
-    axes = tuple(range(-lam.ndim, 0))
-    u, ut, third = data[:, 0], data[:, 1], data[:, 2]
-    quartic = (u * u + ut * ut) * lam**4
-    quadratic = third * third * lam**2
-    return weight * (quartic + quadratic).sum(axis=axes)
 
 
 def linear_decay_report(initial, params, T, dt):
@@ -278,7 +242,10 @@ def linear_decay_report(initial, params, T, dt):
     data0 = semigroup_data(
         domain, params, initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
     )
-    energy = _linear_energy_series(domain, solve_duhamel(domain, params, t, data0))
+    data = solve_duhamel(domain, params, t, data0)
+    # ||A^2 u||^2 + ||A^2 u_t||^2 + ||A w||^2, w the wave part
+    energy = sq_norm(domain, data[:, 0], 4) + sq_norm(domain, data[:, 1], 4)
+    energy += sq_norm(domain, data[:, 2], 2)
     if energy[0] <= 0.0:
         raise FitError("zero initial data gives a degenerate decay fit")
     half = t.size // 2

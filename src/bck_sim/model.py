@@ -278,10 +278,14 @@ def semigroup_utt(domain, params, data):
 
 
 def time_grid(T, dt):
-    """The sample times n dt, n = 0..round(T/dt), of a run of length T."""
+    """The sample times n dt, n = 0..T/dt, of a run of length T; T/dt must
+    be a whole number to 1e-9 relative, so the last sample is T."""
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
-    return dt * np.arange(int(round(T / dt)) + 1)
+    steps = round(T / dt)
+    if abs(T / dt - steps) > 1e-9 * steps:
+        raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
+    return dt * np.arange(steps + 1)
 
 
 def check_uniform_grid(t_grid):
@@ -623,14 +627,23 @@ def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
 
 def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
     """Bundle initial data with the u_ttt(0) that the evolution law itself
-    induces (``acceleration`` at t = 0), guarding degeneracy.
+    induces (``acceleration`` at t = 0), guarding degeneracy once.
 
     A guard failure here carries ``at_start=True`` so callers can distinguish
     inadmissible data from a mid-run breakdown.
     """
-    check_degeneracy_guard(u1, params, 0.0, eps_deg, at_start=True)
-    uttt0 = acceleration(EvolutionState(0.0, u0, u1, u2), params, eps_deg)
-    return CompatibilityData(u0, u1, u2, uttt0)
+    state = EvolutionState(0.0, u0, u1, u2)
+    uttt0, _, _ = nonlinear_terms(
+        state.domain,
+        params,
+        u0.coeffs,
+        u1.coeffs,
+        u2.coeffs,
+        eps_deg=eps_deg,
+        at_start=True,
+        forcing=False,
+    )
+    return CompatibilityData(u0, u1, u2, SpectralField(state.domain, uttt0))
 
 
 # ---------------------------------------------------------------------------

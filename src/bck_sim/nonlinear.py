@@ -242,7 +242,7 @@ def solve(
     )
 
 
-def linear_trajectory(initial, params, t_grid, forcing_third=None, table=None):
+def linear_trajectory(initial, params, t_grid, forcing_third=None):
     """The linear solve from CompatibilityData on t_grid as a Trajectory.
 
     ``solve_duhamel`` gives the semigroup series; u_tt comes back through
@@ -252,7 +252,7 @@ def linear_trajectory(initial, params, t_grid, forcing_third=None, table=None):
     domain = initial.u0.domain
     u0, u1, u2 = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
     data0 = semigroup_data(domain, params, u0, u1, u2)
-    data = solve_duhamel(domain, params, t_grid, data0, forcing_third=forcing_third, table=table)
+    data = solve_duhamel(domain, params, t_grid, data0, forcing_third=forcing_third)
     u, ut = data[:, 0].copy(), data[:, 1].copy()
     utt = semigroup_utt(domain, params, np.moveaxis(data, 1, 0))
     uttt = linear_bracket(domain, params, u, ut, utt)
@@ -261,19 +261,21 @@ def linear_trajectory(initial, params, t_grid, forcing_third=None, table=None):
     return Trajectory(domain=domain, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt)
 
 
-def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG, table=None):
+def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG):
     """One fixed-point sweep: solve the linear problem with forcing frozen
     along phi, from the given initial data.
 
     phi must satisfy the degeneracy guard so that the stored acceleration
-    (and hence f[phi]) is meaningful; the returned trajectory is checked
-    against the same guard at every sample before it is handed back.
+    (and hence f[phi]) is meaningful; phi is not guarded again here.  The
+    returned trajectory is checked against the guard at every sample
+    before it is handed back, so in ``picard_solve`` only the homogeneous
+    start needs a guard of its own.
     """
     domain = phi.domain
     _, f, _ = nonlinear_terms(
-        domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt, time=phi.t_grid, eps_deg=eps_deg
+        domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt, eps_deg=None
     )
-    result = linear_trajectory(initial, params, phi.t_grid, forcing_third=-f, table=table)
+    result = linear_trajectory(initial, params, phi.t_grid, forcing_third=-f)
     degeneracy_guard(domain, params, result.ut, result.t_grid, eps_deg)
     return result
 
@@ -297,34 +299,36 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     domain = initial.u0.domain
-    table = propagator_table(domain, params, float(dt))
 
     degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
 
-    phi = linear_trajectory(initial, params, t_grid, table=table)
+    phi = linear_trajectory(initial, params, t_grid)
     increments = []
     ratios = []
-    for iteration in range(1, max_iter + 1):
-        try:
-            nxt = picard_apply(phi, initial, params, eps_deg=eps_deg, table=table)
-        except DegeneracyError as err:
-            err.ratios = list(ratios)
-            err.increments = list(increments)
-            raise
-        increment = v_norm(nxt.difference(phi))
-        increments.append(increment)
-        if len(increments) >= 2 and increments[-2] > 0.0:
-            ratios.append(increments[-1] / increments[-2])
-        phi = nxt
-        if increment < tol:
-            report = PicardReport(
-                iterations=iteration,
-                ratios=tuple(ratios),
-                increments=tuple(increments),
-                final_residual=increment,
-                converged=True,
-            )
-            return phi, report
+    try:
+        # the homogeneous start (its sample 0 is u1, guarded above); every
+        # later phi is a result picard_apply has guarded
+        degeneracy_guard(domain, params, phi.ut[1:], t_grid[1:], eps_deg)
+        for iteration in range(1, max_iter + 1):
+            nxt = picard_apply(phi, initial, params, eps_deg=eps_deg)
+            increment = v_norm(nxt.difference(phi))
+            increments.append(increment)
+            if len(increments) >= 2 and increments[-2] > 0.0:
+                ratios.append(increments[-1] / increments[-2])
+            phi = nxt
+            if increment < tol:
+                report = PicardReport(
+                    iterations=iteration,
+                    ratios=tuple(ratios),
+                    increments=tuple(increments),
+                    final_residual=increment,
+                    converged=True,
+                )
+                return phi, report
+    except DegeneracyError as err:
+        err.ratios = list(ratios)
+        err.increments = list(increments)
+        raise
     raise NonConvergenceError(
         f"fixed-point iteration did not contract below {tol:.3e} "
         f"within {max_iter} sweeps",

@@ -38,7 +38,7 @@ shape, with any number of leading axes (time samples, stacked fields).
 Every leading index is computed with the same operations as a lone
 tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
 a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the
-transforms run over the trailing axes only, so batched results equal
+DCT runs over the trailing axes only, so batched results equal
 unbatched ones bit for bit.  Merging matrices into one larger product, or
 folding the DCT into a matrix, would change the rounding; the array layer
 avoids both.  Stacking matrices along a batch axis does not: in 1D,
@@ -46,27 +46,35 @@ avoids both.  Stacking matrices along a batch axis does not: in 1D,
 stack from one matmul of the pair (sine, derivative) against the pair of
 member selections, still one gemv per matrix and member.
 
-Transforms.  The only transforms are the unnormalized type-1 DCT (exact
-products) and type-1 DST (collocation values), and ``_type1`` computes
-them on ``numpy.fft`` (numpy >= 2.0 ships the C++ pocketfft), so scipy.fft
-and everything it imports stay off the import path.  It does what
-pocketfft's own T_dct1 and T_dst1 do, which are what ``scipy.fft.dctn`` and
-``dstn`` with ``type=1`` run: one real FFT per axis of the even extension
-``[x_0 .. x_{n-1}, x_{n-2} .. x_1]`` (the DCT is the real part of bins
-0..n-1) or the odd extension ``[0, x_0 .. x_{n-1}, 0, -x_{n-1} .. -x_0]``
-(the DST is minus the imaginary part of bins 1..n), axis -2 before axis -1.
-The results equal scipy's bit for bit, signed zeros included
-(``tests/test_spectral.py``).  Each pass runs in place along its axis, with
-no transposed copy: the extension and spectrum buffers come from a
-``GridWorkspace``, and a stack is transformed a few members at a time so
-they stay in cache.  Every transform call goes through this module's
-``_fft``: one ``rfft`` per pass, so two per member chunk of a 2D transform.
-The DCT of the exact products multiplies in its trapezoid weights as it
+Transforms.  The one transform is the unnormalized type-1 DCT of the exact
+products, and ``_type1`` computes it on ``numpy.fft`` (numpy >= 2.0 ships
+the C++ pocketfft), so scipy.fft and everything it imports stay off the
+import path.  It does what pocketfft's own T_dct1 does, which is what
+``scipy.fft.dctn`` with ``type=1`` runs: one real FFT per axis of the even
+extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose real part in bins
+0..n-1 is the DCT, axis -2 before axis -1.  The results equal scipy's bit
+for bit, signed zeros included (``tests/test_spectral.py``).  Each pass
+runs in place along its axis, with no transposed copy: the extension and
+spectrum buffers come from a ``GridWorkspace``, and a stack is transformed
+a few members at a time so they stay in cache.  Every transform call goes
+through this module's ``_fft``: one ``rfft`` per pass, so two per member
+chunk of a 2D transform.  The DCT multiplies in its trapezoid weights as it
 reads its result out of the spectrum, with no separate weighting pass.
 Its input is still copied into the extension: writing the products
 straight into the extension's head would save that copy, but at 1D N=8
 the bookkeeping cost more than the copy (in-process timings: about 5 us
 more per product stage).
+
+Collocation grid.  The interior grid x_j = j L/(M+1), j = 1..M, is reached
+by sine matrices only, through ``_apply``.  Its values (``grid_values``,
+``grid_extremes``, ``to_grid``) use the cached matrices of
+``DomainSpec._grid_matrices["collocation"]``, the ones the model's
+degeneracy guard evaluates u_t with, so a reported sup of u_t or guard
+minimum holds the bits the guard saw.  The inverse (``to_spectral``,
+``product_collocation``) applies the same matrices transposed and scaled
+by 2/(M+1) per axis, which by the discrete orthogonality of the sines
+gives the interpolation coefficients of the first N modes.  Another node
+count (``points=``) builds its matrices on its own nodes.
 
 Grid workspace.  ``evaluate_stack`` writes its matrix products into the
 buffers of a ``GridWorkspace`` (``np.matmul(..., out=)``), and the model's
@@ -127,6 +135,11 @@ def _sine_matrices(domain, axes):
     the nodes ``axes`` (one array per axis)."""
     k = np.arange(1, domain.modes_per_axis + 1)
     return tuple(np.sin(np.outer(x, k * (np.pi / L))) for x, L in zip(axes, domain.lengths))
+
+
+def _interior_nodes(lengths, m):
+    """The M = ``m`` interior nodes x_j = j L/(M+1), j = 1..M, of each axis."""
+    return tuple(np.arange(1, m + 1) * (L / (m + 1)) for L in lengths)
 
 
 def _derivative_matrices(domain, axes):
@@ -213,13 +226,12 @@ class DomainSpec:
         """||phi_k||_{L2}^2 = prod_i L_i / 2, identical for every mode."""
         return float(np.prod([L / 2.0 for L in self.lengths]))
 
-    # -- collocation (DST-I) grid ----------------------------------------
+    # -- interior collocation grid ----------------------------------------
 
     @cached_property
     def grid_axes(self):
         """Interior nodes x_j = j L/(M+1), j = 1..M, per axis."""
-        m = self.quadrature_points_per_axis
-        return tuple(np.arange(1, m + 1) * (L / (m + 1)) for L in self.lengths)
+        return _interior_nodes(self.lengths, self.quadrature_points_per_axis)
 
     @property
     def grid_shape(self):
@@ -286,9 +298,8 @@ class DomainSpec:
 
     @cached_property
     def _grid_matrices(self):
-        """grid name -> (sine matrices, derivative cosine matrices) per axis.
-        The collocation matrices serve guard checks that avoid a transform
-        call per evaluation."""
+        """grid name -> (sine matrices, derivative cosine matrices) per axis;
+        the collocation grid has no derivative matrices."""
         fine, gauss = self._fine_axes, tuple(x for x, _ in self._gauss_rule)
         return {
             "fine": (_sine_matrices(self, fine), _derivative_matrices(self, fine)),
@@ -556,32 +567,19 @@ def _last(a, axis):
     return a if axis == -1 else a.swapaxes(-1, -2)
 
 
-def _type1_pass(kind, src, negate, ws, axis):
-    """One type-1 pass along ``axis`` (-1 or -2) of ``src``, negated when
-    ``negate``: the even ("dct") or odd ("dst") extension, filled as
-    pocketfft's T_dct1/T_dst1 fill theirs, and its real FFT along the same
-    axis.  Returns the complex spectrum, a buffer of ``ws``."""
+def _type1_pass(src, ws, axis):
+    """One type-1 DCT pass along ``axis`` (-1 or -2) of ``src``: the even
+    extension, filled as pocketfft's T_dct1 fills it, and its real FFT
+    along the same axis.  Returns the complex spectrum, a buffer of ``ws``."""
     s = _last(src, axis)
     n = s.shape[-1]
-    m = 2 * n - 2 if kind == "dct" else 2 * n + 2
-    # src's shape with m points along ``axis``
-    ext = ws.take(("type1", "ext"), src.shape[:axis] + (m,) + src.shape[axis:][1:])
+    # src's shape with 2n - 2 points along ``axis``
+    ext = ws.take(("type1", "ext"), src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:])
     e = _last(ext, axis)
     # slice assignment copies as np.copyto does, without its Python wrapper
-    if kind == "dct":
-        e[..., :n] = s
-        e[..., n:] = s[..., n - 2 : 0 : -1]
-    else:
-        if negate:
-            np.negative(s, out=e[..., 1 : n + 1])
-            e[..., n + 2 :] = s[..., ::-1]
-        else:
-            e[..., 1 : n + 1] = s
-            np.negative(s[..., ::-1], out=e[..., n + 2 :])
-        # the two fixed nodes 0 and n + 1 hold x_0 * 0, signed zeros included
-        np.multiply(e[..., 1:2], 0.0, out=e[..., 0 : n + 2 : n + 1])
-    spec_shape = src.shape[:axis] + (m // 2 + 1,) + src.shape[axis:][1:]
-    spec = ws.take(("type1", "spec"), spec_shape, complex)
+    e[..., :n] = s
+    e[..., n:] = s[..., n - 2 : 0 : -1]
+    spec = ws.take(("type1", "spec"), src.shape[:axis] + (n,) + src.shape[axis:][1:], complex)
     return _fft.rfft(ext, axis=axis, out=spec)
 
 
@@ -590,13 +588,13 @@ def _type1_pass(kind, src, negate, ws, axis):
 _CHUNK_BYTES = 1 << 18
 
 
-def _type1(kind, x, d, workspace=None, out=None, weights=None):
-    """Unnormalized type-1 DCT ("dct") or DST ("dst") over the trailing
-    ``d`` axes of ``x``, bit for bit ``scipy.fft.dctn``/``dstn`` with
-    ``type=1``; see the module docstring.  The result is written into
-    ``out`` (C-contiguous, shape of ``x``) or a fresh array.  ``weights``
-    (DCT only) is a per-axis weight vector multiplied into the result as
-    it is read out of the spectrum, axis -2 first: (y w_0) w_1 in 2D."""
+def _type1(x, d, workspace=None, out=None, weights=None):
+    """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
+    for bit ``scipy.fft.dctn`` with ``type=1``; see the module docstring.
+    The result is written into ``out`` (C-contiguous, shape of ``x``) or a
+    fresh array.  ``weights`` is a per-axis weight vector multiplied into
+    the result as it is read out of the spectrum, axis -2 first: (y w_0) w_1
+    in 2D."""
     ws = GridWorkspace() if workspace is None else workspace
     if out is None:
         out = np.empty(x.shape)
@@ -606,18 +604,12 @@ def _type1(kind, x, d, workspace=None, out=None, weights=None):
     # the extension and its spectrum take about 32 bytes per point
     step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
     for i in range(0, members.shape[0], step):
-        src, negate = members[i : i + step], False
+        src = members[i : i + step]
         # axis -2 first, as scipy.fft
         for axis in (-2, -1)[2 - d :]:
-            spec = _type1_pass(kind, src, negate, ws, axis)
-            if kind == "dct":
-                src = spec.real
-            else:
-                src, negate = _last(_last(spec, axis).imag[..., 1:-1], axis), True
+            src = _type1_pass(src, ws, axis).real
         res = results[i : i + step]
-        if negate:
-            np.negative(src, out=res)
-        elif weights is None:
+        if weights is None:
             res[...] = src
         else:
             np.multiply(src, weights[:, None] if d == 2 else weights, out=res)
@@ -643,28 +635,35 @@ def project(domain, grid, samples, workspace=None, out=None):
     d = domain.dimension
     ws = GridWorkspace() if workspace is None else workspace
     y = _type1(
-        "dct",
-        samples,
-        d,
-        ws,
-        out=ws.take(("type1", "out"), samples.shape),
-        weights=domain._dct_weights,
+        samples, d, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
     )
     return _apply((domain._cos_to_sine,) * d, y, out)
 
 
-def grid_values(domain, coeffs, points=None):
-    """Exact values on the interior DST grid of ``points`` nodes per axis
-    (default: the quadrature grid), by a type-1 DST over the trailing axes."""
-    d = domain.dimension
-    n = domain.modes_per_axis
-    m = domain.quadrature_points_per_axis if points is None else int(points)
-    if m < n:
+def _collocation_sine(domain, points):
+    """Per-axis sine matrices of the interior grid of ``points`` nodes per
+    axis; None means the quadrature grid, whose cached matrices the
+    degeneracy guard uses too."""
+    if points is None:
+        return domain._grid_matrices["collocation"][0]
+    if int(points) < domain.modes_per_axis:
         raise ValueError("collocation grid must carry at least N points per axis")
-    coeffs = np.asarray(coeffs, dtype=float)
-    padded = np.zeros(coeffs.shape[: coeffs.ndim - d] + (m,) * d)
-    padded[(...,) + (slice(0, n),) * d] = coeffs
-    return _type1("dst", padded, d) / (2.0**d)
+    return _sine_matrices(domain, _interior_nodes(domain.lengths, int(points)))
+
+
+def grid_values(domain, coeffs, points=None):
+    """Exact values on the interior grid of ``points`` nodes per axis
+    (default: the quadrature grid), by sine matrix."""
+    return _apply(_collocation_sine(domain, points), np.asarray(coeffs, dtype=float))
+
+
+def _collocation_coefficients(domain, samples, points=None):
+    """Sine interpolation coefficients of samples on the interior grid of
+    ``points`` nodes per axis, truncated to the N retained modes: the
+    transposed sine matrices scaled by 2/(M+1) per axis, which invert the
+    grid values by the discrete orthogonality of the sines."""
+    sine = _collocation_sine(domain, points)
+    return _apply(tuple((2.0 / (s.shape[0] + 1)) * s.T for s in sine), samples)
 
 
 def to_grid(field):
@@ -678,29 +677,19 @@ def to_spectral(grid):
     Content beyond the retained modes is discarded; for samples of a field
     with at most N modes per axis the round trip is exact.
     """
-    domain = grid.domain
-    m = domain.quadrature_points_per_axis
-    return SpectralField(domain, _dst_coefficients(domain, grid.samples, m))
-
-
-def _dst_coefficients(domain, samples, points):
-    """Sine interpolation coefficients of samples on the interior DST grid
-    of ``points`` nodes per axis, truncated to the N retained modes."""
-    d = domain.dimension
-    y = _type1("dst", samples, d) / float((points + 1) ** d)
-    return y[(slice(0, domain.modes_per_axis),) * d].copy()
+    return SpectralField(grid.domain, _collocation_coefficients(grid.domain, grid.samples))
 
 
 def grid_extremes(domain, coeffs):
     """(min u, max |u|) over the interior collocation grid for each tensor
-    of a (n,) + coeff shape stack; one transform per block of samples
-    serves both reductions."""
+    of a (n,) + coeff shape stack, from the values the degeneracy guard
+    sees; one evaluation per block of samples serves both reductions."""
     coeffs = np.asarray(coeffs, dtype=float)
     low = np.empty(coeffs.shape[0])
     peak = np.empty(coeffs.shape[0])
     sample_bytes = 24 * domain.quadrature_points_per_axis**domain.dimension
     for blk in sample_blocks(low.size, sample_bytes):
-        vals = grid_values(domain, coeffs[blk])
+        vals = evaluate(domain, "collocation", coeffs[blk])
         vals = vals.reshape(vals.shape[0], -1)
         low[blk] = vals.min(axis=1)
         peak[blk] = np.abs(vals).max(axis=1)
@@ -762,10 +751,8 @@ def product_collocation(f, g, points=None):
     """
     f._check(g)
     domain = f.domain
-    m = domain.quadrature_points_per_axis if points is None else int(points)
-    vf = grid_values(domain, f.coeffs, m)
-    vg = grid_values(domain, g.coeffs, m)
-    return SpectralField(domain, _dst_coefficients(domain, vf * vg, m))
+    vals = grid_values(domain, np.stack([f.coeffs, g.coeffs]), points)
+    return SpectralField(domain, _collocation_coefficients(domain, vals[0] * vals[1], points))
 
 
 # ---------------------------------------------------------------------------

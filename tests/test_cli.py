@@ -15,6 +15,7 @@ import pytest
 import bck_sim.cli as cli
 from bck_sim.config import load_config
 from bck_sim.linear import mode_eigenvalues_from_coefficients
+from bck_sim.model import time_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -124,6 +125,28 @@ def test_unknown_config_key_exits_with_code_3(tmp_path, capsys):
     assert "unknown key 'viscosity'" in capsys.readouterr().err
     conf = CONFIGS / "nonlinear-small.conf"
     assert _run("simulate", "--config", conf, "--set", "params.kappa=1", "--out", tmp_path / "b") == 3
+
+
+def test_time_step_must_divide_the_run_length(tmp_path, capsys):
+    """t_final = 1 with dt = 0.3 would end its samples at t = 0.9."""
+    conf = CONFIGS / "nonlinear-small.conf"
+    overrides = ("--set", "time.t_final=1.0", "--set", "time.dt=0.3")
+    assert _run("simulate", "--config", conf, *overrides, "--out", tmp_path / "a") == 3
+    assert "code=3 kind=ConfigError message=[time] T = 1 is not a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "trajectory.csv").exists()
+    conv = CONFIGS / "convergence.conf"
+    bad = ("--set", "convergence.dt_values=0.3 0.15 0.075", "--out", tmp_path / "b")
+    assert _run("convergence", "--config", conv, *bad) == 3
+    assert "[convergence] dt_values: T = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "conf", sorted(CONFIGS.glob("*.conf")) + [ROOT / "perfbench" / "configs" / "sim-2d.conf"],
+    ids=lambda p: p.stem,
+)
+def test_every_shipped_config_loads(conf):
+    config = load_config(conf)
+    assert time_grid(config.t_final, config.dt)[-1] == pytest.approx(config.t_final, rel=1e-12)
 
 
 def _spy_solve(monkeypatch):

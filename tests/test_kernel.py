@@ -331,7 +331,7 @@ def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     cos_to_sine = domain._cos_to_sine
     f = np.zeros(u.shape)
     for weight, product in terms:
-        y = spectral._type1("dct", product, dim)
+        y = spectral._type1(product, dim)
         if dim == 2:
             y *= w[:, None]
         y *= w

@@ -11,10 +11,10 @@ from scipy.linalg import expm
 from bck_sim.errors import FitError
 from bck_sim.linear import (
     PropagatorTable,
+    generator_blocks,
     linear_decay_report,
     max_mode_real_part,
     mode_eigenvalues_from_coefficients,
-    mode_matrix,
     oscillation_ratio,
     relative_bound_report,
     semigroup_data,
@@ -39,10 +39,16 @@ def _random_data(dom, params, rng):
     return semigroup_data(dom, params, *_random_fields(dom, rng))
 
 
-def _propagate(dom, params, data, dt, steps=1, table=None):
+def _propagate(dom, params, data, dt, steps=1):
     """The semigroup data after ``steps`` exact steps of size dt."""
     t_grid = dt * np.arange(steps + 1)
-    return solve_duhamel(dom, params, t_grid, data, table=table)[-1]
+    return solve_duhamel(dom, params, t_grid, data)[-1]
+
+
+def _block(lam, params):
+    """The generator block A_lam and its closed-form spectrum."""
+    spectrum = mode_eigenvalues_from_coefficients(lam, params.a, params.b, params.c)
+    return generator_blocks(np.asarray(lam, dtype=float), params), spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +57,10 @@ def _propagate(dom, params, data, dt, steps=1, table=None):
 
 
 def test_mode_matrix_unit_example():
-    block = mode_matrix(1.0, ModelParams(1, 1, 1, 0.0, 0))
+    matrix, spectrum = _block(1.0, ModelParams(1, 1, 1, 0.0, 0))
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
-    np.testing.assert_array_equal(block.matrix, expected)
-    eig = sorted(block.eigenvalues, key=lambda z: (z.real, z.imag))
+    np.testing.assert_array_equal(matrix, expected)
+    eig = sorted(spectrum, key=lambda z: (z.real, z.imag))
     target = sorted(
         [-1.0 + 0.0j, (-1 - 1j * math.sqrt(3)) / 2, (-1 + 1j * math.sqrt(3)) / 2],
         key=lambda z: (z.real, z.imag),
@@ -64,17 +70,17 @@ def test_mode_matrix_unit_example():
 
 def test_mode_matrix_overdamped_roots():
     # b=4, c=1, lambda=1: mu^2 + 4 mu + 1 has roots -2 +/- sqrt(3)
-    block = mode_matrix(1.0, ModelParams(1, 4, 1, 0.0, 0))
-    roots = sorted(z.real for z in block.eigenvalues if abs(z + 1.0) > 1e-12)
+    _, spectrum = _block(1.0, ModelParams(1, 4, 1, 0.0, 0))
+    roots = sorted(z.real for z in spectrum if abs(z + 1.0) > 1e-12)
     np.testing.assert_allclose(
         roots, [-2.0 - math.sqrt(3.0), -2.0 + math.sqrt(3.0)], rtol=0, atol=1e-14
     )
-    assert all(abs(z.imag) == 0.0 for z in block.eigenvalues)
+    assert all(abs(z.imag) == 0.0 for z in spectrum)
 
 
 def test_mode_matrix_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        mode_matrix(0.0, ModelParams(1, 1, 1, 0.0, 0))
+        _block(0.0, ModelParams(1, 1, 1, 0.0, 0))
 
 
 def test_closed_form_spectrum_against_dense_eigensolver():
@@ -252,9 +258,7 @@ def test_step_asymptotic_rate_matches_slowest_eigenvalue():
     # log |U| approaches the largest real part within 1%
     dom = _domain(4)
     params = ModelParams(2.0, 4.0, 1.0, 0.0, 0)
-    target = float(
-        max(np.linalg.eigvals(mode_matrix(1.0, params).matrix).real)
-    )
+    target = float(max(np.linalg.eigvals(_block(1.0, params)[0]).real))
     data = np.zeros((3, 4))
     data[:, 0] = [1.0, 0.3, -0.2]
     dt = 0.05
@@ -279,42 +283,13 @@ def test_large_step_unconditionally_stable():
         norm = new_norm
 
 
-def test_propagator_table_mismatch_rejected():
-    dom = _domain(4)
-    params = ModelParams(1, 1, 1, 0.0, 0)
-    table = PropagatorTable.build(dom, params, 0.1)
-    data = np.zeros((3, 4))
-    with pytest.raises(ValueError):
-        _propagate(dom, params, data, 0.2, table=table)
-
-
-def test_propagator_table_built_for_other_coefficients_rejected():
-    # a table carries exp(dt A) of the (a, b, c) it was built for; with other
-    # coefficients it would propagate the wrong generator
-    rng = np.random.default_rng(57)
-    dom = _domain()
-    params = ModelParams(3.0, 0.1, 2.0, 0.0, 0)
-    data = 1e-3 * _random_data(dom, params, rng)
-    t_grid = 0.1 * np.arange(11)
-    for other in (ModelParams(1, 1, 1, 0.0, 0), ModelParams(3.0, 0.1, 2.5, 0.0, 0)):
-        table = PropagatorTable.build(dom, other, 0.1)
-        with pytest.raises(ValueError):
-            solve_duhamel(dom, params, t_grid, data, table=table)
-    # k and s do not enter the generator, so such a table still serves
-    table = PropagatorTable.build(dom, ModelParams(3.0, 0.1, 2.0, 0.4, 1), 0.1)
-    np.testing.assert_array_equal(
-        solve_duhamel(dom, params, t_grid, data, table=table),
-        solve_duhamel(dom, params, t_grid, data),
-    )
-
-
 def test_propagator_table_exponentiates_the_mode_matrices():
     dom = DomainSpec(2, (math.pi, 2.0), 3)
     params = ModelParams(0.3, 0.7, 1.3, 0.0, 0)
     dt = 0.05
     table = PropagatorTable.build(dom, params, dt)
     for m, lam in enumerate(dom.eigenvalue_grid.ravel()):
-        want = expm(dt * mode_matrix(lam, params).matrix)
+        want = expm(dt * _block(lam, params)[0])
         np.testing.assert_allclose(table.propagator[m], want, rtol=1e-12, atol=1e-14)
 
 
@@ -478,7 +453,7 @@ def test_linear_decay_report_higher_mode_rate():
     # part of the lambda = 9 block, computed by a dense eigensolver
     dom = _domain(4)
     params = ModelParams(1, 1, 1, 0.0, 0)
-    block = mode_matrix(float(dom.eigenvalue_grid[2]), params).matrix
+    block = _block(dom.eigenvalue_grid[2], params)[0]
     rate = 2.0 * abs(float(np.linalg.eigvals(block).real.max()))
     state = EvolutionState(
         0.0,

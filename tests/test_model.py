@@ -426,6 +426,10 @@ def test_residual_accepts_every_grid_a_trajectory_accepts():
 def test_time_grid_samples_and_validation():
     np.testing.assert_array_equal(time_grid(1.0, 0.1), 0.1 * np.arange(11))
     np.testing.assert_array_equal(time_grid(0.5, 0.25), [0.0, 0.25, 0.5])
-    for T, dt in ((0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1)):
+    # T/dt within 1e-9 relative of a whole number: the last sample is T
+    assert time_grid(0.1, 1e-3)[-1] == pytest.approx(0.1, rel=1e-12)
+    np.testing.assert_array_equal(time_grid(1.0, 1.0 / 3.0 * (1.0 + 1e-12)), np.arange(4) / 3.0 * (1.0 + 1e-12))
+    bad = ((0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1), (1.0, 0.3), (1.0, 2.5), (1.0, 1.0 / 3.0 * (1.0 + 1e-8)))
+    for T, dt in bad:
         with pytest.raises(ValueError):
             time_grid(T, dt)

@@ -347,6 +347,29 @@ def test_picard_large_data_probe_reports_outcome(capsys):
     print(f"x100 data probe outcome: {outcome}")
 
 
+@pytest.mark.parametrize(
+    "dim,time,index,factor,label",
+    [(1, 0.11, 2, 1.42667070956591, "grid index 2"),
+     (2, 0.13, (23, 23), 1.0000037131892838, "Gauss node (23, 23)")],
+)
+def test_picard_midrun_degeneracy_of_the_homogeneous_start(dim, time, index, factor, label):
+    """u1 = 0 passes the start guard, but the homogeneous solution driven by
+    u2 trips mid-run.  picard_solve guards that start once, and the error
+    is the one a guard of phi inside the first sweep raised (values taken
+    from that implementation)."""
+    dom = DomainSpec(dim, (math.pi,) * dim, 4)
+    params = ModelParams(1.0, 1.0, 1.0, 1.0, 1)
+    z = SpectralField.zeros(dom)
+    data = make_compatibility_data(z, z, SpectralField.single_mode(dom, 1, 5.0), params)
+    with pytest.raises(DegeneracyError) as info:
+        picard_solve(data, params, 0.5, 0.01)
+    err = info.value
+    assert (err.time, err.index, err.at_start) == (time, index, False)
+    assert err.factor == pytest.approx(factor, rel=1e-12)
+    assert f"at {label} " in str(err)
+    assert err.ratios == [] and err.increments == []
+
+
 def test_continuous_dependence_constant_is_stable():
     dom = _domain()
     params = _params()

@@ -14,10 +14,12 @@ from bck_sim.spectral import (
     _type1,
     eigenvalues,
     embedding_constant_estimate,
+    evaluate,
     evaluate_at,
     evaluate_gauss,
     fractional_power,
     gradient_dot,
+    grid_extremes,
     grid_values,
     l2_norm,
     product_collocation,
@@ -189,14 +191,35 @@ def test_to_grid_matches_direct_evaluation():
     grid = to_grid(u)
     x = dom.grid_axes[0]
     np.testing.assert_allclose(grid.samples, 0.5 * np.sin(3 * x), rtol=0, atol=1e-12)
+    # 2D, on the default grid and on 20 nodes per axis
+    dom = DomainSpec(2, (math.pi, 2.0), 6)
+    u = SpectralField.single_mode(dom, (3, 2), 0.5)
+    for points in (None, 20):
+        m = dom.quadrature_points_per_axis if points is None else points
+        x = np.arange(1, m + 1) * (math.pi / (m + 1))
+        y = np.arange(1, m + 1) * (2.0 / (m + 1))
+        want = 0.5 * np.sin(3 * x)[:, None] * np.sin(2 * np.pi * y / 2.0)[None, :]
+        np.testing.assert_allclose(grid_values(dom, u.coeffs, points), want, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        grid_values(dom, u.coeffs, points=5)
 
 
 def test_transform_round_trip():
     rng = np.random.default_rng(15)
-    for dom in (_domain_1d(), DomainSpec(2, (math.pi, 1.3), 5)):
+    for dom in (
+        _domain_1d(),
+        _domain_1d(quad=20),
+        DomainSpec(2, (math.pi, 1.3), 5),
+        DomainSpec(2, (math.pi, 1.3), 5, 11),
+    ):
         u = _random_field(dom, rng)
         back = to_spectral(to_grid(u))
         np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
+        # ``points`` builds the matrices of the grid that domain would cache
+        default = DomainSpec(dom.dimension, dom.lengths, dom.modes_per_axis)
+        assert np.array_equal(
+            grid_values(default, u.coeffs, dom.quadrature_points_per_axis), to_grid(u).samples
+        )
 
 
 def test_to_spectral_truncates_high_content():
@@ -205,6 +228,27 @@ def test_to_spectral_truncates_high_content():
     samples = np.sin(9 * x)  # mode N + 1, resolved by the grid but not retained
     out = to_spectral(GridField(dom, samples))
     np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-12)
+    # 2D on 14 nodes per axis: modes (9, 2) and (3, 13) drop, (3, 2) stays
+    dom = DomainSpec(2, (math.pi, math.pi), 8, 14)
+    x = dom.grid_axes[0]
+    samples = np.outer(np.sin(9 * x) + 0.25 * np.sin(3 * x), np.sin(2 * x))
+    samples += np.outer(np.sin(3 * x), np.sin(13 * x))
+    want = np.zeros(dom.coeff_shape)
+    want[2, 1] = 0.25
+    np.testing.assert_allclose(to_spectral(GridField(dom, samples)).coeffs, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16), (2, 48)])
+def test_grid_extremes_are_the_values_the_guard_sees(dim, n):
+    """Linf_ut and guard_min are reduced from the sine-matrix values that
+    the degeneracy guard evaluates u_t with, bit for bit."""
+    rng = np.random.default_rng(dim * 100 + n)
+    dom = DomainSpec(dim, (math.pi, 2.0)[:dim], n)
+    coeffs = rng.standard_normal((6,) + dom.coeff_shape) / (1.0 + dom.eigenvalue_grid)
+    vals = np.stack([evaluate(dom, "collocation", c) for c in coeffs]).reshape(6, -1)
+    low, peak = grid_extremes(dom, coeffs)
+    assert np.array_equal(low, vals.min(axis=1))
+    assert np.array_equal(peak, np.abs(vals).max(axis=1))
 
 
 def test_parseval_grid_quadrature():
@@ -448,9 +492,9 @@ def test_embedding_estimate_reports_finite_value():
 # type-1 transforms on numpy.fft: the bits of scipy.fft
 # ---------------------------------------------------------------------------
 
-# DCT lengths 2N+1 (N = 8, 48, 256) and DST lengths ceil(3N/2) (N = 8, 48,
-# 256); their FFT lengths 32, 192, 1024 and 26, 146, 770 include the large
-# prime factors 13, 73 and 11.
+# DCT lengths 2N+1 (N = 8, 48, 256), FFT lengths 32, 192, 1024, and
+# collocation grids of ceil(3N/2) nodes (N = 8, 48, 256) for the DST-I
+# oracle of the sine-matrix values.
 TYPE1_LENGTHS = {"dct": (17, 97, 513), "dst": (12, 72, 384)}
 TYPE1_CASES = [
     (kind, d, n, batch)
@@ -463,49 +507,56 @@ TYPE1_CASES = [
 
 @pytest.mark.parametrize("kind,d,n,batch", TYPE1_CASES)
 def test_type1_transforms_equal_scipy_fft(kind, d, n, batch):
+    """The DCT-I is ``_type1``, bit for bit scipy's.  The DST-I has no
+    transform of its own: the values of N = 2n/3 modes on the n interior
+    nodes are the DST-I of the zero-padded coefficients over 2^d, which
+    the sine matrices give to rounding."""
     rng = np.random.default_rng(n + 7 * d + len(batch))
-    x = rng.standard_normal(batch + (n,) * d) * 10.0 ** rng.integers(-6, 6, size=(n,))
-    ref = (scipy_fft.dctn if kind == "dct" else scipy_fft.dstn)(
-        x, type=1, axes=tuple(range(-d, 0))
-    )
-    got = _type1(kind, x, d)
-    assert np.array_equal(got, ref)
-    assert got.tobytes() == ref.tobytes()  # signed zeros too
-    assert got.flags.c_contiguous
+    axes = tuple(range(-d, 0))
+    if kind == "dct":
+        x = rng.standard_normal(batch + (n,) * d) * 10.0 ** rng.integers(-6, 6, size=(n,))
+        ref = scipy_fft.dctn(x, type=1, axes=axes)
+        got = _type1(x, d)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signed zeros too
+        assert got.flags.c_contiguous
+        return
+    modes = 2 * n // 3
+    dom = DomainSpec(d, (math.pi,) * d, modes)
+    assert dom.quadrature_points_per_axis == n
+    x = rng.standard_normal(batch + (modes,) * d) * 10.0 ** rng.integers(-6, 6, size=(modes,))
+    padded = np.zeros(batch + (n,) * d)
+    padded[(...,) + (slice(0, modes),) * d] = x
+    ref = scipy_fft.dstn(padded, type=1, axes=axes) / 2.0**d
+    got = grid_values(dom, x)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_type1_transforms_reuse_one_workspace():
     rng = np.random.default_rng(5)
     ws = GridWorkspace()
-    # alternate kinds, dimensions and sizes through the same buffers
-    for kind, shape, d in (
-        ("dct", (4, 33, 33), 2), ("dst", (7, 20), 1), ("dct", (2, 17), 1),
-        ("dst", (3, 12, 12), 2), ("dct", (4, 33, 33), 2),
-    ):
+    # alternate dimensions and sizes through the same buffers
+    for shape, d in (((4, 33, 33), 2), ((7, 20), 1), ((2, 17), 1), ((3, 12, 12), 2), ((4, 33, 33), 2)):
         x = rng.standard_normal(shape)
-        assert _type1(kind, x, d, ws).tobytes() == _type1(kind, x, d).tobytes()
+        assert _type1(x, d, ws).tobytes() == _type1(x, d).tobytes()
 
 
 def test_type1_chunks_change_no_bit(monkeypatch):
     rng = np.random.default_rng(11)
-    cases = (
-        ("dct", rng.standard_normal((5, 3, 17)), 1),
-        ("dst", rng.standard_normal((3, 12, 12)), 2),
-    )
-    whole = [_type1(kind, x, d).tobytes() for kind, x, d in cases]
+    cases = ((rng.standard_normal((5, 3, 17)), 1), (rng.standard_normal((3, 13, 13)), 2))
+    whole = [_type1(x, d).tobytes() for x, d in cases]
     # one member (or a few lines) per chunk
     monkeypatch.setattr("bck_sim.spectral._CHUNK_BYTES", 2048)
-    assert [_type1(kind, x, d).tobytes() for kind, x, d in cases] == whole
+    assert [_type1(x, d).tobytes() for x, d in cases] == whole
 
 
 def test_type1_signed_zeros_follow_scipy_fft():
     """Zero and nearly zero data (a zero-amplitude run) give exact zeros,
     whose signs reach the artifacts as "0.0" or "-0.0"."""
-    for kind, d in (("dct", 1), ("dct", 2), ("dst", 1), ("dst", 2)):
+    for d in (1, 2):
         x = np.zeros((2,) + (9,) * d)
         x[0] = -0.0
         x[1, ..., 3] = -2.5
-        ref = (scipy_fft.dctn if kind == "dct" else scipy_fft.dstn)(
-            x, type=1, axes=tuple(range(-d, 0))
-        )
-        assert _type1(kind, x, d).tobytes() == ref.tobytes()
+        ref = scipy_fft.dctn(x, type=1, axes=tuple(range(-d, 0)))
+        assert _type1(x, d).tobytes() == ref.tobytes()
