@@ -335,8 +335,10 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
     ):
         if values[(sec, key)] < 1:
             raise ConfigError(f"[{sec}] {key} must be >= 1")
+    # the guard trips once |2k u_t| >= 1 - eps_deg, so eps_deg >= 1 trips at t = 0
+    if not 0.0 < values[("tolerances", "eps_deg")] < 1.0:
+        raise ConfigError("[tolerances] eps_deg must lie in (0, 1)")
     for sec, key in (
-        ("tolerances", "eps_deg"),
         ("tolerances", "picard_tol"),
         ("tolerances", "blowup_bound"),
         ("tolerances", "eta"),

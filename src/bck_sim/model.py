@@ -70,20 +70,23 @@ differences of Q by dt^2 and amplifies that to about 1e-6 relative, and
 the Picard contraction ratios move by about 1e-8.  Kept separate, every
 sample reproduces the per-field arithmetic exactly.
 
-The Gauss-grid stage of the law (the field and gradient values, 2k u_t,
-the numerator and the quotient) and the fine-grid values and products of
-the forcing run in the buffers of a ``spectral.GridWorkspace``:
-``nonlinear.solve`` makes one per march and passes it to every kernel
-call, and a batched call without one makes one shared by its blocks, so
-steady-state calls allocate no Gauss-grid temporaries (the DCT of the
-products and the small projection intermediates still allocate).  The
-buffers never escape: u_ttt, f and the guard minima come back as fresh
-arrays.  Each stacked or buffered operation is, element by element, the
-operation of the term-by-term expression it replaces, in the same
-association order: 2k u_tt^2 is ((2k) u_tt) u_tt, every gradient
-component subtracts ((2) d u_t) d u_t, then ((2) d u) d u_tt, the
-products keep their operand order (IEEE multiplication commutes anyway),
-and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  So the results are bit for
+The body is a ``KernelPlan``, bound once to a domain, params, batch shape
+and forcing flag: building it resolves the weights and takes every
+matrix and ``spectral.GridWorkspace`` view (the member stack, the
+Gauss-grid values, 2k u_t, the numerator and the quotient, the fine-grid
+values, the products and the DCT buffers), so a call is a straight run of
+``out=`` numpy calls with no shape arithmetic, buffer lookup or cache
+lookup.  ``nonlinear.solve`` builds one plan per march and calls it at
+every substep; ``nonlinear_terms`` builds one per block shape of its
+batch and calls it.  The buffers never escape: u_ttt, f and the guard
+minima come back as fresh arrays.  Each stacked or buffered operation
+is, element by element, the operation of the term-by-term expression it
+replaces, in the same association order: 2k u_tt^2 is ((2k) u_tt) u_tt,
+every gradient component subtracts ((2) d u_t) d u_t, then ((2) d u)
+d u_tt, the products keep their operand order (IEEE multiplication
+commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each
+numpy call also sees the operand layouts it saw before, since matmul and
+einsum round by layout.  So the results are bit for
 bit those of the term-by-term form (``tests/test_kernel.py``).
 """
 
@@ -99,6 +102,8 @@ from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
     GridWorkspace,
     SpectralField,
+    bind_evaluate_stack,
+    bind_project,
     evaluate,
     evaluate_stack,
     gradient_product,
@@ -123,6 +128,7 @@ __all__ = [
     "time_grid",
     "check_uniform_grid",
     "nonlinear_terms",
+    "KernelPlan",
     "forcing_f",
     "acceleration",
     "make_compatibility_data",
@@ -247,12 +253,17 @@ def _bracket_weights(domain, params):
     return -(a + b) * lam, c * c * lam + a * b * lam * lam, a * c * c * lam * lam
 
 
+def _bracket(weights, u, ut, utt):
+    """``linear_bracket`` from its ``_bracket_weights``."""
+    w_tt, w_t, w_u = weights
+    return w_tt * utt - w_t * ut - w_u * u
+
+
 def linear_bracket(domain, params, u, ut, utt):
     """Coefficients of (a+b) laplace(u_tt) + c^2 laplace(u_t)
     - a b laplace^2(u_t) - a c^2 laplace^2(u); diagonal in the basis,
     leading axes allowed."""
-    w_tt, w_t, w_u = _bracket_weights(domain, params)
-    return w_tt * utt - w_t * ut - w_u * u
+    return _bracket(_bracket_weights(domain, params), u, ut, utt)
 
 
 @lru_cache(maxsize=32)
@@ -270,11 +281,16 @@ def wave_part(domain, params, u, ut, utt):
     return utt + w_t * ut + w_u * u
 
 
+def _utt_of_data(weights, data):
+    """``semigroup_utt`` from its ``_wave_weights``."""
+    w_t, w_u = weights
+    return data[2] - w_t * data[1] - w_u * data[0]
+
+
 def semigroup_utt(domain, params, data):
     """u_tt recovered from stacked semigroup data (u, u_t, wave part) on
     axis 0: the inverse of ``wave_part``."""
-    w_t, w_u = _wave_weights(domain, params)
-    return data[2] - w_t * data[1] - w_u * data[0]
+    return _utt_of_data(_wave_weights(domain, params), data)
 
 
 def time_grid(T, dt):
@@ -323,31 +339,21 @@ def _blockwise(domain, fn, arrays, time):
     )
 
 
-def _scaled_ut(domain, k, ut, workspace, gauss=None, collocation=True):
-    """2k u_t of one tensor or of an (n,) stack, in one workspace buffer of
-    shape batch + (G + C,): per sample the G Gauss-grid values, then, with
-    ``collocation``, the C collocation-grid values.  ``gauss`` passes in
-    the Gauss values of u_t when the caller has them.  Returns the buffer
-    and its Gauss part shaped like the Gauss values, which is the 2k u_t
-    the law divides by."""
+def _guard_buffer(domain, batch, workspace):
+    """The degeneracy guard's buffer of 2k u_t, a workspace buffer of shape
+    batch + (G + C,): per sample the G Gauss-grid values, then the C
+    collocation-grid values.  Returns it with its two parts shaped like the
+    grids; the Gauss part is the 2k u_t the law divides by."""
     d = domain.dimension
-    batch = ut.shape[: ut.ndim - d]
     g = domain.gauss_points_per_axis
     c = domain.quadrature_points_per_axis
-    both = workspace.take("scaled", batch + (g**d + c**d * collocation,))
-    scaled = both[..., : g**d].reshape(batch + (g,) * d)
-    # the values are evaluated into the buffer and scaled in place
-    if gauss is None:
-        gauss = evaluate(domain, "gauss", ut, out=scaled)
-    np.multiply(2.0 * k, gauss, out=scaled)
-    if collocation:
-        coll = both[..., g**d :].reshape(batch + (c,) * d)
-        np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
-    return both, scaled
+    both = workspace.take("scaled", batch + (g**d + c**d,))
+    gauss = both[..., : g**d].reshape(batch + (g,) * d)
+    return both, gauss, both[..., g**d :].reshape(batch + (c,) * d)
 
 
 def _guard(domain, both, time, eps_deg, at_start):
-    """The degeneracy guard on a ``_scaled_ut`` buffer: one min and one max
+    """The degeneracy guard on a ``_guard_buffer``: one min and one max
     per sample over both grids; see check_degeneracy_guard.  Returns the
     minimum factor (a float, or one per sample of an (n,) stack)."""
     low = np.minimum.reduce(both, axis=-1)
@@ -397,7 +403,11 @@ def _guard_ut(domain, params, ut, time, eps_deg, at_start):
     batched = ut.ndim > domain.dimension
     if params.k == 0.0:
         return np.ones(ut.shape[0]) if batched else 1.0
-    both, _ = _scaled_ut(domain, params.k, ut, GridWorkspace())
+    batch = ut.shape[: ut.ndim - domain.dimension]
+    both, gauss, coll = _guard_buffer(domain, batch, GridWorkspace())
+    # the values are evaluated into the buffer and scaled in place
+    for grid, part in (("gauss", gauss), ("collocation", coll)):
+        np.multiply(2.0 * params.k, evaluate(domain, grid, ut, out=part), out=part)
     return _guard(domain, both, time, eps_deg, at_start)
 
 
@@ -412,20 +422,49 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _product_projections(domain, params, stack, workspace):
-    """Exact projections of the quadratic products of f, in the order
-    (u_tt^2, u_t u_ttt) if k != 0, then (|grad u_t|^2, grad u . grad u_tt)
-    if s; ``stack`` is (u, u_tt, u_t, u_ttt) without u when s = 0 and
-    without u_ttt when k = 0, and ``workspace`` holds the grid values and
-    the products.  None if k = s = 0.
-
-    One ``evaluate_stack`` call gives the values of (u_tt, u_t, u_ttt) and
-    the gradients of (u, u_tt, u_t); two stacked multiplies form the
-    products, in the operand order of the term-by-term form."""
+def _law_stage(domain, params, stack, batch, workspace):
+    """The Gauss-grid stage of the law (k != 0), bound to the member stack
+    (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
+    eps_deg, at_start)``, which guards 2k u_t (unless ``eps_deg`` is None)
+    and projects the law's quotient into the stack's last member in place
+    of lin; it returns the guard minimum or None.  ``ut`` is the caller's
+    u_t, from which the collocation values are evaluated."""
     k, s = params.k, params.s
-    if k == 0.0 and not s:
-        return None
-    vals, grads = evaluate_stack(
+    # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
+    evaluate_gauss, vals, grads = bind_evaluate_stack(
+        domain, "gauss", stack, slice(s, s + 3), slice(0, 3) if s else None, workspace
+    )
+    both, scaled, coll = _guard_buffer(domain, batch, workspace)
+    num, term = workspace.take("num", scaled.shape), workspace.take("term", scaled.shape)
+    project_gauss = bind_project(domain, "gauss", num, out=stack[-1])
+
+    def run(ut, time, eps_deg, at_start):
+        guard_min = None
+        evaluate_gauss()
+        np.multiply(2.0 * k, vals[1], out=scaled)
+        if eps_deg is not None:
+            np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
+            guard_min = _guard(domain, both, time, eps_deg, at_start)
+        _gauss_quotient(k, vals, grads, scaled, num, term)
+        project_gauss()
+        return guard_min
+
+    return run
+
+
+def _product_stage(domain, params, stack, workspace):
+    """The exact projections of the quadratic products of f, bound to the
+    member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0 and
+    without u_ttt when k = 0.  Returns ``(run, proj)``: ``run()`` writes
+    into ``proj`` the projections, in the order (u_tt^2, u_t u_ttt) if
+    k != 0, then (|grad u_t|^2, grad u . grad u_tt) if s.
+
+    One stack evaluation gives the values of (u_tt, u_t, u_ttt) and the
+    gradients of (u, u_tt, u_t); two stacked multiplies form the products,
+    in the operand order of the term-by-term form, and ``workspace`` holds
+    the grid values and the products."""
+    k, s = params.k, params.s
+    evaluate_fine, vals, grads = bind_evaluate_stack(
         domain,
         "fine",
         stack,
@@ -435,17 +474,26 @@ def _product_projections(domain, params, stack, workspace):
     )
     grid = (vals if k != 0.0 else grads[0]).shape[1:]
     products = workspace.take(("fine", "products"), (2 * (k != 0.0) + 2 * s,) + grid)
-    if k != 0.0:
-        np.multiply(vals[0:2], vals[0::2], out=products[:2])
-    if s:
-        # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
-        pair = products[-2:]
-        np.multiply(grads[0][2::-2], grads[0][2:0:-1], out=pair)
-        for comp in grads[1:]:
-            # the values are spent, so their buffer holds the term
-            term = workspace.take(("fine", "vals"), pair.shape)
-            np.add(pair, np.multiply(comp[2::-2], comp[2:0:-1], out=term), out=pair)
-    return project(domain, "fine", products, workspace)
+    # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
+    pair = products[-2:]
+    factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
+    # the values are spent by then, so their buffer holds each further term
+    term = workspace.take(("fine", "vals"), pair.shape) if len(factors) > 1 else None
+    # the products are spent once transformed, so their buffer holds proj
+    proj = workspace.take(("fine", "products"), products.shape[:1] + stack.shape[1:])
+    project_fine = bind_project(domain, "fine", products, workspace, out=proj)
+
+    def run():
+        evaluate_fine()
+        if k != 0.0:
+            np.multiply(vals[0:2], vals[0::2], out=products[:2])
+        if s:
+            np.multiply(*factors[0], out=pair)
+            for a, b in factors[1:]:
+                np.add(pair, np.multiply(a, b, out=term), out=pair)
+        project_fine()
+
+    return run, proj
 
 
 @lru_cache(maxsize=32)
@@ -457,17 +505,15 @@ def _forcing_weights(k, s, ndim):
     return np.array(w).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _gauss_quotient(k, vals, grads, scaled, workspace):
-    """The law's numerator over 1 + 2k u_t on the Gauss grid, in a
-    ``workspace`` buffer.  ``vals`` are the values of (u_tt, u_t, lin),
-    ``grads`` the gradient components of (u, u_tt, u_t) or None, and
-    ``scaled`` is 2k u_t.
+def _gauss_quotient(k, vals, grads, scaled, num, term):
+    """The law's numerator over 1 + 2k u_t on the Gauss grid, in the buffer
+    ``num`` (``term`` is scratch of the same shape).  ``vals`` are the
+    values of (u_tt, u_t, lin), ``grads`` the gradient components of (u,
+    u_tt, u_t) or None, and ``scaled`` is 2k u_t.
 
     The buffered form of ``(lin - 2k u_tt u_tt - sum_i (2 d_i u_t d_i u_t
     + 2 d_i u d_i u_tt)) / (1 + 2k u_t)``, association order included.
     """
-    num = workspace.take("num", scaled.shape)
-    term = workspace.take("term", scaled.shape)
     np.multiply(2.0 * k, vals[0], out=term)
     np.subtract(vals[2], np.multiply(term, vals[0], out=term), out=num)
     for comp in grads or ():
@@ -477,56 +523,87 @@ def _gauss_quotient(k, vals, grads, scaled, workspace):
     return np.divide(num, np.add(1.0, scaled, out=term), out=num)
 
 
-def _terms(domain, params, u, ut, utt, uttt, time, eps_deg, at_start, forcing, workspace):
-    """Kernel body on one tensor or an (n,) stack; see nonlinear_terms.
+class KernelPlan:
+    """``nonlinear_terms`` bound to one domain, params, batch shape (() or
+    (n,)) and forcing flag.
+
+    Building the plan resolves the weights and takes every matrix and
+    workspace view once (those of the Gauss stage of the law on its first
+    call without u_ttt), so a call is a straight run of numpy calls with the
+    operations, operand layouts and association order of the term-by-term
+    form.  ``nonlinear.solve`` builds one per march; ``nonlinear_terms``
+    builds one per block shape and calls it.  ``workspace`` (a fresh
+    ``GridWorkspace`` when None) holds every buffer; the results never
+    share memory with it.
 
     One member stack (u, u_tt, u_t, .) serves both grids: its last member
     is lin for the Gauss stage and u_ttt for the fine stage (u is left out
-    when s = 0)."""
-    k, s = params.k, params.s
-    guard_min = None
-    lin = None
-    stack = None
-    if uttt is None:
-        lin = linear_bracket(domain, params, u, ut, utt)
-        uttt = lin
-        if k != 0.0:
-            # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
-            # np.array stacks like np.stack, at a fraction of its call cost
-            stack = np.array([u, utt, ut, lin] if s else [utt, ut, lin])
-            vals, grads = evaluate_stack(
-                domain,
-                "gauss",
-                stack,
-                values=slice(s, s + 3),
-                gradient=slice(0, 3) if s else None,
-                workspace=workspace,
-            )
-            both, scaled = _scaled_ut(domain, k, ut, workspace, vals[1], eps_deg is not None)
-            if eps_deg is not None:
-                guard_min = _guard(domain, both, time, eps_deg, at_start)
-            quotient = _gauss_quotient(k, vals, grads, scaled, workspace)
-            uttt = project(domain, "gauss", quotient, out=stack[-1])
-    if guard_min is None and eps_deg is not None:
-        guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
-    # with k = 0 the law is explicit: the bracket minus the gradient terms
-    gradient_route = lin is not None and k == 0.0 and s
-    if not (forcing or gradient_route):
-        return uttt, None, guard_min
-    if stack is None:
-        stack = np.array(([u] if s else []) + [utt, ut] + ([uttt] if k != 0.0 else []))
-    proj = _product_projections(domain, params, stack, workspace)
-    if gradient_route:
-        grad = 2.0 * proj[0]
-        grad += 2.0 * proj[1]
-        uttt = lin - grad
-    if not forcing:
-        return uttt, None, guard_min
-    if proj is None:
-        return uttt, np.zeros(ut.shape), guard_min
-    # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
-    np.multiply(_forcing_weights(k, s, proj.ndim), proj, out=proj)
-    return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
+    when s = 0, the last member when k = 0).
+    """
+
+    def __init__(self, domain, params, batch=(), forcing=True, workspace=None):
+        k, s = params.k, params.s
+        self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
+        self._ws = ws = GridWorkspace() if workspace is None else workspace
+        self._bracket = _bracket_weights(domain, params)
+        self._wave = _wave_weights(domain, params)
+        self._stack = ws.take("stack", (s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
+        self._law = None
+        self._products = None
+        if (k != 0.0 or s) and (forcing or k == 0.0):
+            self._products = _product_stage(domain, params, self._stack, ws)
+            self._weights = _forcing_weights(k, s, self._products[1].ndim)
+
+    def semigroup_utt(self, data):
+        """``semigroup_utt`` of semigroup data on the plan's domain and params."""
+        return _utt_of_data(self._wave, data)
+
+    def _fill(self, u, ut, utt, last):
+        """Copy the fields into the member stack (``last`` None when k = 0)."""
+        stack, s = self._stack, self.params.s
+        if s:
+            stack[0] = u
+        stack[s] = utt
+        stack[s + 1] = ut
+        if last is not None:
+            stack[-1] = last
+
+    def __call__(self, u, ut, utt, uttt=None, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
+        """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
+        ``nonlinear_terms``."""
+        domain, params = self.domain, self.params
+        k, s = params.k, params.s
+        guard_min = None
+        lin = None
+        if uttt is None:
+            lin = uttt = _bracket(self._bracket, u, ut, utt)
+            if k != 0.0:
+                if self._law is None:
+                    self._law = _law_stage(domain, params, self._stack, self.batch, self._ws)
+                self._fill(u, ut, utt, lin)
+                guard_min = self._law(ut, time, eps_deg, at_start)
+                uttt = self._stack[-1].copy()
+        if guard_min is None and eps_deg is not None:
+            guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
+        # with k = 0 the law is explicit: the bracket minus the gradient terms
+        gradient_route = lin is not None and k == 0.0 and s
+        if not (self.forcing or gradient_route):
+            return uttt, None, guard_min
+        if self._products is None:
+            return uttt, np.zeros(ut.shape), guard_min
+        if lin is None or k == 0.0:
+            self._fill(u, ut, utt, uttt if k != 0.0 else None)
+        run_products, proj = self._products
+        run_products()
+        if gradient_route:
+            grad = 2.0 * proj[0]
+            grad += 2.0 * proj[1]
+            uttt = lin - grad
+        if not self.forcing:
+            return uttt, None, guard_min
+        # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
+        np.multiply(self._weights, proj, out=proj)
+        return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
 
 
 def nonlinear_terms(
@@ -554,15 +631,24 @@ def nonlinear_terms(
     * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
       sample unless ``eps_deg`` is None; the guard minimum is then None.
     * ``workspace`` (a ``spectral.GridWorkspace``) holds the grid
-      buffers; a march passes its own, None makes one for this call.
-      The results never share memory with it.
+      buffers; None makes one for this call.  The results never share
+      memory with it.
+
+    Each block of the batch (see ``spectral.BLOCK_BYTES``) runs through a
+    ``KernelPlan``, one per block shape; a march binds its own plan once
+    and calls it directly.
     """
     ws = GridWorkspace() if workspace is None else workspace
+    plan = None
 
     def block(u_b, ut_b, utt_b, uttt_b, t_b):
-        return _terms(
-            domain, params, u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start, forcing, ws
-        )
+        nonlocal plan
+        batch = ut_b.shape[: ut_b.ndim - domain.dimension]
+        if plan is None or plan.batch != batch:
+            # the last block is shorter: drop the full blocks' plan first
+            plan = None
+            plan = KernelPlan(domain, params, batch, forcing, ws)
+        return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start)
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)
 

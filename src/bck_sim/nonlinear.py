@@ -30,6 +30,7 @@ from .errors import BlowUpError, DegeneracyError, NonConvergenceError
 from .linear import propagator_table, semigroup_data, solve_duhamel
 from .model import (  # acceleration is re-exported for callers of this module
     DEFAULT_EPS_DEG,
+    KernelPlan,
     acceleration,
     check_uniform_grid,
     degeneracy_guard,
@@ -38,7 +39,7 @@ from .model import (  # acceleration is re-exported for callers of this module
     semigroup_utt,
     time_grid,
 )
-from .spectral import GridWorkspace, sq_norm
+from .spectral import sq_norm
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_SUBSTEP_SWEEPS = 2
@@ -133,16 +134,14 @@ def _check_blowup(data, time, bound):
         )
 
 
-def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspace):
+def _advance(table, plan, data, t, f3, substep_iters, eps_deg, bound):
     """One exponential-integrator step with substep fixed-point closure.
 
     Takes the semigroup data (shape (3,) + coeff shape) at time t plus the
     already-computed third forcing component F3 = -f there; returns
     (data, u_tt, u_ttt, F3) at t + dt, so a march never evaluates the
-    forcing twice at one sample.  ``workspace`` is the march's
-    GridWorkspace, passed to every kernel call.
+    forcing twice at one sample.  ``plan`` is the march's ``KernelPlan``.
     """
-    domain = table.domain
     f3_flat = f3.reshape(-1)
     base = table.propagate(data.reshape(3, -1), f3_flat)
     t_next = t + table.dt
@@ -151,17 +150,8 @@ def _advance(table, params, data, t, f3, substep_iters, eps_deg, bound, workspac
     for sweep in range(max(substep_iters, 0) + 1):
         _check_blowup(candidate, t_next, bound)
         data_next = candidate.reshape(data.shape)
-        utt = semigroup_utt(domain, params, data_next)
-        uttt, f, _ = nonlinear_terms(
-            domain,
-            params,
-            data_next[0],
-            data_next[1],
-            utt,
-            time=t_next,
-            eps_deg=eps_deg,
-            workspace=workspace,
-        )
+        utt = plan.semigroup_utt(data_next)
+        uttt, f, _ = plan(data_next[0], data_next[1], utt, None, t_next, eps_deg)
         f3_next = -f
         if sweep < substep_iters:
             candidate = table.add_slope(base, f3_flat, f3_next.reshape(-1))
@@ -180,8 +170,9 @@ def solve(
     """March the nonlinear problem from CompatibilityData to time T.
 
     On degeneracy or blow-up the raised error carries the accepted part
-    of the run in its partial_trajectory attribute.  One GridWorkspace
-    serves every kernel call of the march and is dropped with it.
+    of the run in its partial_trajectory attribute.  One ``KernelPlan``,
+    built here, serves every kernel call of the march (the forcing at the
+    start and the law at every substep) and is dropped with it.
     """
     t_grid = time_grid(T, dt)
     nt = t_grid.size
@@ -199,10 +190,8 @@ def solve(
     u[0], ut[0], utt[0] = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
     uttt[0] = initial.uttt0.coeffs
 
-    workspace = GridWorkspace()
-    _, forcing[0], _ = nonlinear_terms(
-        domain, params, u[0], ut[0], utt[0], uttt=uttt[0], eps_deg=None, workspace=workspace
-    )
+    plan = KernelPlan(domain, params)
+    _, forcing[0], _ = plan(u[0], ut[0], utt[0], uttt[0], eps_deg=None)
     f3 = -forcing[0]
     data = semigroup_data(domain, params, u[0], ut[0], utt[0])
 
@@ -221,7 +210,7 @@ def solve(
     for n in range(nt - 1):
         try:
             data, utt[n + 1], uttt[n + 1], f3 = _advance(
-                table, params, data, t, f3, substep_iters, eps_deg, blowup_bound, workspace
+                table, plan, data, t, f3, substep_iters, eps_deg, blowup_bound
             )
         except (DegeneracyError, BlowUpError) as err:
             err.partial_trajectory = partial(n)

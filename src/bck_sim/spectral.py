@@ -76,18 +76,26 @@ by 2/(M+1) per axis, which by the discrete orthogonality of the sines
 gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
-Grid workspace.  ``evaluate_stack`` writes its matrix products into the
-buffers of a ``GridWorkspace`` (``np.matmul(..., out=)``), and the model's
-Gauss-grid arithmetic writes into the same object through ufunc ``out=``.
-A workspace lives for one nonlinear march (``nonlinear.solve``) or for one
-batched kernel call, shared by its blocks; nothing is cached for the life
-of the module.  Its buffers never escape: every value handed back to a
+Grid workspace.  ``evaluate_stack`` writes its matrix products, and
+``project`` its DCT buffers, into a ``GridWorkspace``
+(``np.matmul(..., out=)``, ufunc ``out=``), and the model's grid
+arithmetic writes into the same object.  Each is a binding and a call:
+``bind_evaluate_stack`` and ``bind_project`` take the matrices, views and
+buffers for one input array once and return a ``run()`` that recomputes
+from that array's current contents, which is how ``model.KernelPlan``
+runs a whole nonlinear march (``nonlinear.solve``) on one workspace
+without repeating any of that bookkeeping per call.  A one-off call binds
+and runs at once on a fresh workspace; nothing is cached for the life of
+the module.  The buffers never escape: every value handed back to a
 caller of the model kernel is a fresh array, and an array returned by
 ``evaluate_stack`` stays valid only until the next call with the same
 workspace and grid.  The operations and their association order are the
 ones of the allocating expressions they replace, so every bit is the same;
 what goes away is the fresh grid-sized temporaries per call, which at
 2D N=48 (224 x 224 Gauss nodes) page-fault several megabytes per call.
+A bound transform looks ``_fft`` up when it runs, not when it is bound,
+so a patched ``_fft`` (the call counter of ``perfbench/spans.py``) sees
+every transform.
 """
 
 from __future__ import annotations
@@ -123,8 +131,10 @@ __all__ = [
     "GridWorkspace",
     "evaluate",
     "evaluate_stack",
+    "bind_evaluate_stack",
     "gradient_product",
     "project",
+    "bind_project",
     "grid_values",
     "grid_extremes",
 ]
@@ -298,25 +308,43 @@ class DomainSpec:
 
     @cached_property
     def _grid_matrices(self):
-        """grid name -> (sine matrices, derivative cosine matrices) per axis;
+        """grid name ("fine", "gauss", "collocation") -> (sine matrices,
+        derivative cosine matrices) per axis, each grid built on its first
+        lookup, so a collocation-only caller never computes the Gauss rule;
         the collocation grid has no derivative matrices."""
-        fine, gauss = self._fine_axes, tuple(x for x, _ in self._gauss_rule)
-        return {
-            "fine": (_sine_matrices(self, fine), _derivative_matrices(self, fine)),
-            "gauss": (_sine_matrices(self, gauss), _derivative_matrices(self, gauss)),
-            "collocation": (_sine_matrices(self, self.grid_axes), None),
-        }
+
+        def build(grid):
+            if grid == "collocation":
+                return _sine_matrices(self, self.grid_axes), None
+            if grid == "fine":
+                axes = self._fine_axes
+            elif grid == "gauss":
+                axes = tuple(x for x, _ in self._gauss_rule)
+            else:
+                raise KeyError(grid)
+            return _sine_matrices(self, axes), _derivative_matrices(self, axes)
+
+        return _PerGrid(build)
 
     @cached_property
     def _value_gradient_stacks(self):
-        """1D grid name -> its sine and derivative matrices stacked, shape
-        (2, points, N): one matmul gives the values and the derivatives of
-        a member stack, each member still one gemv per matrix."""
-        return {
-            grid: np.stack([sine[0], dcos[0]])
-            for grid, (sine, dcos) in self._grid_matrices.items()
-            if dcos is not None
-        }
+        """1D grid name ("fine" or "gauss") -> its sine and derivative
+        matrices stacked, shape (2, points, N): one matmul gives the values
+        and the derivatives of a member stack, each member still one gemv
+        per matrix."""
+        return _PerGrid(lambda grid: np.stack([m[0] for m in self._grid_matrices[grid]]))
+
+
+class _PerGrid(dict):
+    """grid name -> value, made by ``build(grid)`` on the first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, grid):
+        value = self[grid] = self._build(grid)
+        return value
 
 
 @dataclass
@@ -479,39 +507,89 @@ class GridWorkspace:
     """Reusable output buffers for grid evaluations and grid arithmetic.
 
     ``take(key, shape, dtype=float)`` returns a C-contiguous array of
-    ``shape`` backed by the buffer named ``key``, which grows when a larger
-    shape (or another dtype) is asked for.  Its contents are undefined;
-    the caller overwrites every entry.  A buffer is reused by the next ``take`` of its key, so an
-    array taken from a workspace must not be kept past the operation that
-    took it.  See the module docstring for the lifetime of a workspace.
+    ``shape`` backed by the buffer named ``key``, which is replaced by a
+    new one when a larger shape (or another dtype) is asked for.  Its
+    contents are undefined; the caller overwrites every entry.  Arrays
+    taken under one key share memory, so arrays in use at the same time
+    come from different keys, and a bound computation that keeps its
+    arrays (``bind_evaluate_stack``, ``bind_project``, ``model.KernelPlan``)
+    is the only user of its workspace while it runs.  See the module
+    docstring for the lifetime of a workspace.
     """
 
-    __slots__ = ("_buffers", "_views")
+    __slots__ = ("_buffers",)
 
     def __init__(self):
         self._buffers = {}
-        self._views = {}
 
     def take(self, key, shape, dtype=float):
-        view = self._views.get((key, shape, dtype))
-        if view is None:
-            size = math.prod(shape)
-            buf = self._buffers.get(key)
-            if buf is None or buf.size < size or buf.dtype != dtype:
-                buf = self._buffers[key] = np.empty(size, dtype)
-                self._views = {k: v for k, v in self._views.items() if k[0] != key}
-            view = self._views[key, shape, dtype] = buf[:size].reshape(shape)
-        return view
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
-def _matmul_into(workspace, key, a, b):
-    """``a @ b`` written into the workspace buffer ``key``; one of the two
-    operands is a plain matrix, the other may carry leading axes."""
-    if b.ndim == 2:
-        shape = a.shape[:-1] + b.shape[-1:]
+def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=None):
+    """``evaluate_stack`` bound to the array ``stack``: returns ``(run,
+    vals, grads)``, where ``run()`` writes the values and gradient
+    components of the current contents of ``stack`` into ``vals`` and
+    ``grads``, buffers of ``workspace``.  Every matrix, view and buffer is
+    taken here, so a call of ``run`` is its matmuls (and, in 1D, the two
+    copies that stack the member selections)."""
+    ws = GridWorkspace() if workspace is None else workspace
+    sine, dcos = domain._grid_matrices[grid]
+    if domain.dimension == 1 and values is not None and gradient is not None and stack.ndim == 2:
+        picks = (stack[values], stack[gradient])
+        if len(picks[0]) == len(picks[1]):
+            # one tensor's stack: the two selections against the two
+            # matrices in one call, one gemv per member and matrix
+            mats = domain._value_gradient_stacks[grid][:, None]
+            picked = ws.take((grid, "picked"), (2,) + picks[0].shape)
+            columns = picked[..., None]
+            out = ws.take((grid, "valgrad"), (2, len(picks[0]), mats.shape[2], 1))
+
+            def run_stacked():
+                picked[0] = picks[0]
+                picked[1] = picks[1]
+                np.matmul(mats, columns, out=out)
+
+            return run_stacked, out[0, ..., 0], (out[1, ..., 0],)
+    steps = []
+
+    def product(key, a, b):
+        """Bind ``a @ b`` into the workspace buffer (grid, key); one operand
+        is a plain matrix, the other may carry leading axes."""
+        if b.ndim == 2:
+            shape = a.shape[:-1] + b.shape[-1:]
+        else:
+            shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+        out = ws.take((grid, key), shape)
+        steps.append((a, b, out))
+        return out
+
+    vals = grads = None
+    if domain.dimension == 1:
+        if values is not None:
+            vals = product("vals", sine[0], stack[values, ..., None])[..., 0]
+        if gradient is not None:
+            grads = (product("grad0", dcos[0], stack[gradient, ..., None])[..., 0],)
     else:
-        shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
-    return np.matmul(a, b, out=workspace.take(key, shape))
+        left = product("left", sine[0], stack)
+        if values is not None:
+            vals = product("vals", left[values], sine[1].T)
+        if gradient is not None:
+            inner = product("inner", dcos[0], stack[gradient])
+            grads = (
+                product("grad0", inner, sine[1].T),
+                product("grad1", left[gradient], dcos[1].T),
+            )
+
+    def run():
+        for a, b, out in steps:
+            np.matmul(a, b, out=out)
+
+    return run, vals, grads
 
 
 def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=None):
@@ -528,37 +606,8 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=No
     when None), valid until its next call on the same grid; the products
     are the ones of ``_apply``, so the bits are too.
     """
-    ws = GridWorkspace() if workspace is None else workspace
-    sine, dcos = domain._grid_matrices[grid]
-    if domain.dimension == 1:
-        if values is not None and gradient is not None and stack.ndim == 2:
-            picked = (stack[values], stack[gradient])
-            if len(picked[0]) == len(picked[1]):
-                # one tensor's stack: the two selections against the two
-                # matrices in one call, one gemv per member and matrix
-                mats = domain._value_gradient_stacks[grid]
-                shape = (2, len(picked[0]), mats.shape[1], 1)
-                out = np.matmul(
-                    mats[:, None], np.array(picked)[..., None], out=ws.take((grid, "valgrad"), shape)
-                )[..., 0]
-                return out[0], (out[1],)
-        vals = grads = None
-        if values is not None:
-            vals = _matmul_into(ws, (grid, "vals"), sine[0], stack[values, ..., None])[..., 0]
-        if gradient is not None:
-            grads = (
-                _matmul_into(ws, (grid, "grad0"), dcos[0], stack[gradient, ..., None])[..., 0],
-            )
-        return vals, grads
-    left = _matmul_into(ws, (grid, "left"), sine[0], stack)
-    vals = None if values is None else _matmul_into(ws, (grid, "vals"), left[values], sine[1].T)
-    grads = None
-    if gradient is not None:
-        inner = _matmul_into(ws, (grid, "inner"), dcos[0], stack[gradient])
-        grads = (
-            _matmul_into(ws, (grid, "grad0"), inner, sine[1].T),
-            _matmul_into(ws, (grid, "grad1"), left[gradient], dcos[1].T),
-        )
+    run, vals, grads = bind_evaluate_stack(domain, grid, stack, values, gradient, workspace)
+    run()
     return vals, grads
 
 
@@ -568,19 +617,26 @@ def _last(a, axis):
 
 
 def _type1_pass(src, ws, axis):
-    """One type-1 DCT pass along ``axis`` (-1 or -2) of ``src``: the even
-    extension, filled as pocketfft's T_dct1 fills it, and its real FFT
-    along the same axis.  Returns the complex spectrum, a buffer of ``ws``."""
+    """One type-1 DCT pass along ``axis`` (-1 or -2) of ``src``, bound to
+    its buffers: the even extension, filled as pocketfft's T_dct1 fills it,
+    and its real FFT along the same axis.  Returns ``(run, spectrum)``;
+    ``run()`` transforms the current contents of ``src`` into the complex
+    spectrum, a buffer of ``ws``."""
     s = _last(src, axis)
     n = s.shape[-1]
     # src's shape with 2n - 2 points along ``axis``
     ext = ws.take(("type1", "ext"), src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:])
     e = _last(ext, axis)
-    # slice assignment copies as np.copyto does, without its Python wrapper
-    e[..., :n] = s
-    e[..., n:] = s[..., n - 2 : 0 : -1]
+    head, tail, mirror = e[..., :n], e[..., n:], s[..., n - 2 : 0 : -1]
     spec = ws.take(("type1", "spec"), src.shape[:axis] + (n,) + src.shape[axis:][1:], complex)
-    return _fft.rfft(ext, axis=axis, out=spec)
+
+    def run():
+        # slice assignment copies as np.copyto does, without its Python wrapper
+        head[...] = s
+        tail[...] = mirror
+        _fft.rfft(ext, axis=axis, out=spec)
+
+    return run, spec
 
 
 # Buffer bytes per chunk of a batched type-1 transform: a stack is
@@ -588,13 +644,14 @@ def _type1_pass(src, ws, axis):
 _CHUNK_BYTES = 1 << 18
 
 
-def _type1(x, d, workspace=None, out=None, weights=None):
-    """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
-    for bit ``scipy.fft.dctn`` with ``type=1``; see the module docstring.
-    The result is written into ``out`` (C-contiguous, shape of ``x``) or a
-    fresh array.  ``weights`` is a per-axis weight vector multiplied into
-    the result as it is read out of the spectrum, axis -2 first: (y w_0) w_1
-    in 2D."""
+def _type1_transform(x, d, workspace=None, out=None, weights=None):
+    """``_type1`` bound to its input ``x`` (C-contiguous) and output:
+    returns ``(run, out)``, where ``run()`` transforms the current contents
+    of ``x`` into ``out`` (C-contiguous, shape of ``x``; a fresh array when
+    None).  ``weights`` is a per-axis weight vector multiplied into the
+    result as it is read out of the spectrum, axis -2 first: (y w_0) w_1
+    in 2D.  Every pass of every member chunk takes its buffers and views
+    here."""
     ws = GridWorkspace() if workspace is None else workspace
     if out is None:
         out = np.empty(x.shape)
@@ -603,19 +660,63 @@ def _type1(x, d, workspace=None, out=None, weights=None):
     results = out.reshape(members.shape)
     # the extension and its spectrum take about 32 bytes per point
     step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
+    # the weights of axis -2 in 2D, of the one axis in 1D
+    w_first = weights[:, None] if weights is not None and d == 2 else weights
+    chunks = []
     for i in range(0, members.shape[0], step):
         src = members[i : i + step]
+        passes = []
         # axis -2 first, as scipy.fft
         for axis in (-2, -1)[2 - d :]:
-            src = _type1_pass(src, ws, axis).real
-        res = results[i : i + step]
-        if weights is None:
-            res[...] = src
-        else:
-            np.multiply(src, weights[:, None] if d == 2 else weights, out=res)
-            if d == 2:
-                res *= weights
+            run_pass, spec = _type1_pass(src, ws, axis)
+            passes.append(run_pass)
+            src = spec.real
+        chunks.append((passes, src, results[i : i + step]))
+
+    def run():
+        # a chunk reads its result out before the next reuses the buffers
+        for passes, src, res in chunks:
+            for run_pass in passes:
+                run_pass()
+            if weights is None:
+                res[...] = src
+            else:
+                np.multiply(src, w_first, out=res)
+                if d == 2:
+                    res *= weights
+
+    return run, out
+
+
+def _type1(x, d, workspace=None):
+    """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
+    for bit ``scipy.fft.dctn`` with ``type=1``, as a fresh array; see the
+    module docstring."""
+    run, out = _type1_transform(np.ascontiguousarray(x), d, workspace)
+    run()
     return out
+
+
+def bind_project(domain, grid, samples, workspace=None, out=None):
+    """``project`` bound to the array ``samples``: returns ``run``, where
+    ``run()`` projects the current contents of ``samples`` and returns the
+    result, written into ``out`` when given, else into a fresh array.  On
+    the fine grid ``samples`` must be C-contiguous."""
+    if grid == "gauss":
+        mats = domain._gauss_project
+        return lambda: _apply(mats, samples, out)
+    d = domain.dimension
+    ws = GridWorkspace() if workspace is None else workspace
+    dct, y = _type1_transform(
+        samples, d, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
+    )
+    mats = (domain._cos_to_sine,) * d
+
+    def run():
+        dct()
+        return _apply(mats, y, out)
+
+    return run
 
 
 def project(domain, grid, samples, workspace=None, out=None):
@@ -630,14 +731,9 @@ def project(domain, grid, samples, workspace=None, out=None):
     trapezoid weights are applied as the transform reads its result out of
     the spectrum.
     """
-    if grid == "gauss":
-        return _apply(domain._gauss_project, samples, out)
-    d = domain.dimension
-    ws = GridWorkspace() if workspace is None else workspace
-    y = _type1(
-        samples, d, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
-    )
-    return _apply((domain._cos_to_sine,) * d, y, out)
+    if grid != "gauss":
+        samples = np.ascontiguousarray(samples)
+    return bind_project(domain, grid, samples, workspace, out)()
 
 
 def _collocation_sine(domain, points):

@@ -140,6 +140,17 @@ def test_time_step_must_divide_the_run_length(tmp_path, capsys):
     assert "[convergence] dt_values: T = " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps_deg", ["1.0", "2.0", "0.0"])
+def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
+    """eps_deg >= 1 asks for |2k u_t| < 1 - eps_deg <= 0, which every run
+    with k > 0 fails at t = 0."""
+    conf = CONFIGS / "nonlinear-small.conf"
+    override = ("--set", f"tolerances.eps_deg={eps_deg}", "--out", tmp_path)
+    assert _run("simulate", "--config", conf, *override) == 3
+    assert "[tolerances] eps_deg must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize(
     "conf", sorted(CONFIGS.glob("*.conf")) + [ROOT / "perfbench" / "configs" / "sim-2d.conf"],
     ids=lambda p: p.stem,

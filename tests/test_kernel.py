@@ -8,7 +8,7 @@ difference would mean the arithmetic of a sample depends on its batch.
 import numpy as np
 import pytest
 
-from bck_sim import spectral
+from bck_sim import model, nonlinear, spectral
 from bck_sim.energy import energy_series, forcing_series
 from bck_sim.errors import DegeneracyError
 from bck_sim.model import (
@@ -289,9 +289,9 @@ def test_fused_guard_raises_the_per_grid_error(case, at_start):
 # ---------------------------------------------------------------------------
 
 
-def _initial_data(dim, n, seed=0):
+def _initial_data(dim, n, seed=0, k=0.2, s=1):
     domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
-    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    params = ModelParams(1.0, 0.7, 1.3, k, s)
     u, ut, utt, _ = _fields(domain, (), seed)
     fields = (SpectralField(domain, c) for c in (u, ut, utt))
     return domain, params, make_compatibility_data(*fields, params)
@@ -409,26 +409,58 @@ def _same_trajectory(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in TRAJECTORY_FIELDS)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 8), (2, 16)])
+# each march of these tests runs for k in {0, 0.2} and 0 or 2 substep sweeps
+MARCH_KS = (0.0, 0.2)
+MARCH_SWEEPS = (0, 2)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
 def test_march_stores_the_kernel_value_of_each_sample(dim, n):
-    domain, params, data = _initial_data(dim, n)
-    traj = solve(data, params, 6e-3, 1e-3)
-    for i in range(traj.n_samples):
-        uttt, _, _ = nonlinear_terms(
-            domain, params, traj.u[i], traj.ut[i], traj.utt[i], time=traj.t_grid[i]
-        )
-        assert np.array_equal(traj.uttt[i], uttt)
+    """The march's one plan gives, at every accepted sample, the u_ttt of
+    a lone kernel call on the stored fields, bit for bit."""
+    for k in MARCH_KS:
+        for s in (0, 1):
+            domain, params, data = _initial_data(dim, n, k=k, s=s)
+            for substep_iters in MARCH_SWEEPS:
+                traj = solve(data, params, 6e-3, 1e-3, substep_iters=substep_iters)
+                for i in range(traj.n_samples):
+                    uttt, _, _ = nonlinear_terms(
+                        domain, params, traj.u[i], traj.ut[i], traj.utt[i], time=traj.t_grid[i]
+                    )
+                    assert np.array_equal(traj.uttt[i], uttt), (k, s, substep_iters, i)
 
 
-@pytest.mark.parametrize("dim,n,s", [(1, 8, 1), (2, 16, 1), (2, 8, 0)])
+@pytest.mark.parametrize(
+    "dim,n,s", [(1, 8, 1), (2, 16, 1), (2, 8, 0), (1, 8, 0), (1, 64, 0), (1, 64, 1), (2, 16, 0)]
+)
 def test_march_stores_the_forcing_series(dim, n, s):
     """The forcing the march computed at each accepted sample is the
     forcing of the stored trajectory, bit for bit."""
-    domain, params, data = _initial_data(dim, n)
-    params = ModelParams(params.a, params.b, params.c, params.k, s)
-    traj = solve(data, params, 6e-3, 1e-3)
-    assert np.array_equal(traj.forcing, forcing_series(traj, params))
-    assert traj.difference(traj).forcing is None
+    for k in MARCH_KS:
+        _, params, data = _initial_data(dim, n, k=k, s=s)
+        for substep_iters in MARCH_SWEEPS:
+            traj = solve(data, params, 6e-3, 1e-3, substep_iters=substep_iters)
+            assert np.array_equal(traj.forcing, forcing_series(traj, params)), (k, substep_iters)
+            assert traj.difference(traj).forcing is None
+
+
+def test_a_march_builds_one_kernel_plan(monkeypatch):
+    """Every kernel call of a march, the forcing at the start included,
+    goes through the one plan it binds."""
+    built = []
+
+    class CountingPlan(model.KernelPlan):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    _, params, data = _initial_data(1, 8)
+    want = solve(data, params, 5e-3, 1e-3)
+    monkeypatch.setattr(nonlinear, "KernelPlan", CountingPlan)
+    got = solve(data, params, 5e-3, 1e-3)
+    assert len(built) == 1
+    assert _same_trajectory(got, want)
+    assert np.array_equal(got.forcing, want.forcing)
 
 
 def test_partial_trajectory_keeps_the_forcing():

@@ -185,6 +185,25 @@ def test_poincare_chain():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_collocation_callers_build_no_gauss_rule(dim):
+    """The matrices are built per grid, so sampling the collocation grid
+    never computes the Gauss-Legendre rule, and the matrices of a grid do
+    not depend on which grids were built before."""
+    dom = DomainSpec(dim, (math.pi,) * dim, 64 if dim == 1 else 16)
+    u = SpectralField(dom, np.random.default_rng(dim).standard_normal(dom.coeff_shape))
+    to_grid(u)
+    assert "_gauss_rule" not in dom.__dict__
+    assert set(dom._grid_matrices) == {"collocation"}
+    other = DomainSpec(dim, (math.pi,) * dim, dom.modes_per_axis)
+    for grid in ("gauss", "fine", "collocation"):
+        for mine, theirs in zip(dom._grid_matrices[grid], other._grid_matrices[grid]):
+            for a, b in zip(mine or (), theirs or ()):
+                assert a.tobytes() == b.tobytes()
+    with pytest.raises(KeyError):
+        dom._grid_matrices["chebyshev"]
+
+
 def test_to_grid_matches_direct_evaluation():
     dom = _domain_1d(n=6)
     u = SpectralField.single_mode(dom, 3, 0.5)
