@@ -20,8 +20,10 @@ eigenvalues.  The exponential-integrator step
 
     U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt
 
-is written once, in the two methods of ``PropagatorTable``; the Duhamel
-solve here and the nonlinear march both take it from there.
+is written once, in ``PropagatorTable``: its three terms E U, P1 F_n and
+P2 (F_{n+1} - F_n) / dt are ``evolve``, ``held`` and ``slope``, summed in
+that order by ``propagate`` and ``add_slope`` for the nonlinear march and
+by the recurrence of the Duhamel solve here.
 
 The semigroup state is raw data: an array of shape (3,) + coeff shape
 stacking U over the coefficient grid (``semigroup_data``), and a solve
@@ -40,7 +42,7 @@ from scipy.linalg import expm
 from .energy import DecayFit, decay_fit
 from .errors import FitError
 from .model import check_uniform_grid, time_grid, wave_part
-from .spectral import sq_norm
+from .spectral import sample_blocks, sq_norm
 
 
 def mode_eigenvalues_from_coefficients(lam, a, b, c):
@@ -133,8 +135,9 @@ class PropagatorTable:
     come from one batched matrix exponential of the 9x9 block companion
     [[A, I, 0], [0, 0, I], [0, 0, 0]] scaled by dt.
 
-    ``propagate`` and ``add_slope`` are the one exponential-integrator
-    step, on flat data of shape (3, n) and third forcings of shape (n,).
+    ``evolve``, ``held`` and ``slope`` are the three terms of the one
+    exponential-integrator step, on flat data of shape (3, n) and third
+    forcings of shape (..., n); ``propagate`` and ``add_slope`` sum them.
     phi1 and phi2 are transposed views of contiguous (n, 3) columns, so a
     step returns data laid out mode-fastest; the march feeds that back to
     the next step's einsum, whose rounding depends on the layout.
@@ -168,14 +171,28 @@ class PropagatorTable:
             phi2=np.ascontiguousarray(full[:, :3, 8]).T,
         )
 
+    def evolve(self, data, out=None):
+        """E U of flat data (3, n), written into ``out`` when given."""
+        return np.einsum("nij,jn->in", self.propagator, data, out=out)
+
+    def held(self, forcing):
+        """P1 F of third forcings F of shape (..., n), shape (..., 3, n):
+        the forcing term of a step with F held at its start value."""
+        return self.phi1 * forcing[..., None, :]
+
+    def slope(self, forcing, forcing_next):
+        """P2 (F' - F) / dt, shaped as ``held``: the correction for a
+        forcing linear in t from F to F' over the step."""
+        return self.phi2 * ((forcing_next - forcing) / self.dt)[..., None, :]
+
     def propagate(self, data, forcing):
         """E U + P1 F: the step with the forcing F held at its start value."""
-        return np.einsum("nij,jn->in", self.propagator, data) + self.phi1 * forcing
+        return self.evolve(data) + self.held(forcing)
 
     def add_slope(self, base, forcing, forcing_next):
-        """base + P2 (F' - F) / dt: the correction of ``propagate`` for a
-        forcing linear in t from F to F' over the step."""
-        return base + self.phi2 * ((forcing_next - forcing) / self.dt)
+        """base + P2 (F' - F) / dt: ``propagate`` corrected for a forcing
+        linear over the step."""
+        return base + self.slope(forcing, forcing_next)
 
 
 @lru_cache(maxsize=16)
@@ -191,13 +208,20 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     (nt, 3) + coeff shape.
     forcing_third gives the third forcing component as an array sampled
     on t_grid (shape (nt,) + coeff shape), a callable t -> coefficients,
-    or None for the homogeneous problem.  Each step applies
+    or None for the homogeneous problem (a zero forcing).  Each step applies
 
-        U_{n+1} = E U_n + P1 F_n + P2 (F_{n+1} - F_n) / dt,
+        U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt,
 
     with P1 = dt*phi1, P2 = dt^2*phi2, which is exact for forcing linear
     in t on each step and second-order accurate overall.  The weights come
     from the ``propagator_table`` cache, keyed by dt = t_grid[1] - t_grid[0].
+
+    The forcing is known at every sample before the first step, so its
+    two terms (``PropagatorTable.held`` and ``slope``) are computed for a
+    block of steps at once, a block holding as many steps as fit in
+    ``spectral.BLOCK_BYTES``; the loop only recurs, adding them to E U_n
+    in the order above.  The result is, bit for bit, a loop of
+    ``propagate`` and ``add_slope`` on C-ordered rows.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -223,9 +247,16 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     f3_flat = f3.reshape(nt, n_modes)
     data = np.empty((nt, 3, n_modes))
     data[0] = data0.reshape(3, -1)
-    for n in range(nt - 1):
-        base = table.propagate(data[n], f3_flat[n])
-        data[n + 1] = table.add_slope(base, f3_flat[n], f3_flat[n + 1])
+    # the forcing terms of a block of steps at once; the loop only recurs
+    rows = list(data)
+    for blk in sample_blocks(nt - 1, 2 * data[0].nbytes):
+        held = table.held(f3_flat[blk])
+        slope = table.slope(f3_flat[blk], f3_flat[blk.start + 1 : blk.stop + 1])
+        nxt = rows[blk.start + 1 : blk.stop + 1]
+        for prev, row, a, b in zip(rows[blk], nxt, held, slope):
+            table.evolve(prev, out=row)
+            row += a
+            row += b
     return data.reshape((nt, 3) + shape)
 
 

@@ -62,23 +62,24 @@ stack:
 * f is one weighted sum of the four projections, ``add.reduce`` of
   (2k, 2k, 2, 2) times them from an initial 0.
 
-The four forcing products are projected with one batched DCT and one
-stacked projection, then weighted and summed.  Projection is linear, so
-summing the products first and projecting once would be cheaper, but it
-rounds differently: the residual diagnostic divides second time
-differences of Q by dt^2 and amplifies that to about 1e-6 relative, and
-the Picard contraction ratios move by about 1e-8.  Kept separate, every
-sample reproduces the per-field arithmetic exactly.
+The four forcing products are projected with one stacked projection
+(``spectral.project``: the folded matrix in 1D, one batched DCT and the
+cosine-to-sine matrices in 2D), then weighted and summed.  Projection is
+linear, so summing the products first and projecting once would be
+cheaper, but it rounds differently: the residual diagnostic divides
+second time differences of Q by dt^2 and amplifies that to about 1e-6
+relative, and the Picard contraction ratios move by about 1e-8.  Kept
+separate, every sample reproduces the per-field arithmetic exactly.
 
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
 and forcing flag: building it resolves the weights and takes every
 matrix and ``spectral.GridWorkspace`` view (the member stack, the
 Gauss-grid values, 2k u_t, the numerator and the quotient, the fine-grid
-values, the products and the DCT buffers), so a call is a straight run of
-``out=`` numpy calls with no shape arithmetic, buffer lookup or cache
-lookup.  ``nonlinear.solve`` builds one plan per march and calls it at
-every substep; ``nonlinear_terms`` builds one per block shape of its
-batch and calls it.  The buffers never escape: u_ttt, f and the guard
+values, the products, their projections and the 2D DCT buffers), so a
+call is a straight run of ``out=`` numpy calls with no shape arithmetic,
+buffer lookup or cache lookup.  ``nonlinear.solve`` builds one plan per
+march and calls it at every substep; ``nonlinear_terms`` builds one per
+block shape of its batch and calls it.  The buffers never escape: u_ttt, f and the guard
 minima come back as fresh arrays.  Each stacked or buffered operation
 is, element by element, the operation of the term-by-term expression it
 replaces, in the same association order: 2k u_tt^2 is ((2k) u_tt) u_tt,
@@ -479,8 +480,10 @@ def _product_stage(domain, params, stack, workspace):
     factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
     # the values are spent by then, so their buffer holds each further term
     term = workspace.take(("fine", "vals"), pair.shape) if len(factors) > 1 else None
-    # the products are spent once transformed, so their buffer holds proj
-    proj = workspace.take(("fine", "products"), products.shape[:1] + stack.shape[1:])
+    # the 2D DCT spends the products before proj is written, so their buffer
+    # holds proj; the 1D matrix reads them while it writes proj
+    key = "products" if domain.dimension == 2 else "proj"
+    proj = workspace.take(("fine", key), products.shape[:1] + stack.shape[1:])
     project_fine = bind_project(domain, "fine", products, workspace, out=proj)
 
     def run():
@@ -617,7 +620,6 @@ def nonlinear_terms(
     eps_deg=DEFAULT_EPS_DEG,
     at_start=False,
     forcing=True,
-    workspace=None,
 ):
     """The quasilinear law on raw coefficient arrays: (u_ttt, f, guard minimum).
 
@@ -630,15 +632,12 @@ def nonlinear_terms(
       ``forcing`` is false.
     * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
       sample unless ``eps_deg`` is None; the guard minimum is then None.
-    * ``workspace`` (a ``spectral.GridWorkspace``) holds the grid
-      buffers; None makes one for this call.  The results never share
-      memory with it.
 
     Each block of the batch (see ``spectral.BLOCK_BYTES``) runs through a
     ``KernelPlan``, one per block shape; a march binds its own plan once
     and calls it directly.
     """
-    ws = GridWorkspace() if workspace is None else workspace
+    ws = GridWorkspace()
     plan = None
 
     def block(u_b, ut_b, utt_b, uttt_b, t_b):

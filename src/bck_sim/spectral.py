@@ -37,19 +37,33 @@ wrap single coefficient tensors.  Underneath, the array layer
 shape, with any number of leading axes (time samples, stacked fields).
 Every leading index is computed with the same operations as a lone
 tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
-a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the
-DCT runs over the trailing axes only, so batched results equal
-unbatched ones bit for bit.  Merging matrices into one larger product, or
-folding the DCT into a matrix, would change the rounding; the array layer
-avoids both.  Stacking matrices along a batch axis does not: in 1D,
-``evaluate_stack`` takes the values and the derivatives of one tensor's
-stack from one matmul of the pair (sine, derivative) against the pair of
-member selections, still one gemv per matrix and member.
+a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the 2D DCT
+runs over the trailing axes only, so batched results equal unbatched ones
+bit for bit.  Merging the members into one larger product (``X @ M.T``
+over a whole stack) would round by batch size; the array layer avoids it.
+Stacking matrices along a batch axis does not: in 1D, ``evaluate_stack``
+takes the values and the derivatives of one tensor's stack from one matmul
+of the pair (sine, derivative) against the pair of member selections,
+still one gemv per matrix and member.
 
-Transforms.  The one transform is the unnormalized type-1 DCT of the exact
-products, and ``_type1`` computes it on ``numpy.fft`` (numpy >= 2.0 ships
-the C++ pocketfft), so scipy.fft and everything it imports stay off the
-import path.  It does what pocketfft's own T_dct1 does, which is what
+Transforms.  The fine projection takes the closed-grid samples of an exact
+product through three linear maps: the unnormalized type-1 DCT, the
+trapezoid weights and the cosine-to-sine matrix.  In 1D the three are
+folded into one N x (2N+1) matrix, ``DomainSpec._fine_project``, which a
+domain builds on its first fine projection by running the DCT below on the
+identity; ``project`` is then one gemv per member.  The fold is the same
+exact quadrature rounded differently: against the mpmath oracle of
+``tests/test_oracle.py`` it is as accurate as the DCT route, and on the
+1D march's stacks of a few short lines it is 4-30x faster, because the
+DCT's cost there is the dispatch of its FFT calls.  In 2D the DCT route
+stays, so the 2D results keep their bits; a folded matrix per axis is
+faster there too (113 against 774 us for four products at N = 48, one
+BLAS thread on a 2-core Xeon) and waits on a change that may move the 2D
+reference outputs.
+
+The DCT is ``_type1``, on ``numpy.fft`` (numpy >= 2.0 ships the C++
+pocketfft), so scipy.fft and everything it imports stay off the import
+path.  It does what pocketfft's own T_dct1 does, which is what
 ``scipy.fft.dctn`` with ``type=1`` runs: one real FFT per axis of the even
 extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose real part in bins
 0..n-1 is the DCT, axis -2 before axis -1.  The results equal scipy's bit
@@ -60,10 +74,6 @@ a few members at a time so they stay in cache.  Every transform call goes
 through this module's ``_fft``: one ``rfft`` per pass, so two per member
 chunk of a 2D transform.  The DCT multiplies in its trapezoid weights as it
 reads its result out of the spectrum, with no separate weighting pass.
-Its input is still copied into the extension: writing the products
-straight into the extension's head would save that copy, but at 1D N=8
-the bookkeeping cost more than the copy (in-process timings: about 5 us
-more per product stage).
 
 Collocation grid.  The interior grid x_j = j L/(M+1), j = 1..M, is reached
 by sine matrices only, through ``_apply``.  Its values (``grid_values``,
@@ -77,7 +87,7 @@ gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
 Grid workspace.  ``evaluate_stack`` writes its matrix products, and
-``project`` its DCT buffers, into a ``GridWorkspace``
+the 2D ``project`` its DCT buffers, into a ``GridWorkspace``
 (``np.matmul(..., out=)``, ufunc ``out=``), and the model's grid
 arithmetic writes into the same object.  Each is a binding and a call:
 ``bind_evaluate_stack`` and ``bind_project`` take the matrices, views and
@@ -283,6 +293,15 @@ class DomainSpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(odd, 4.0 * k / (np.pi * denom), 0.0)
         return w
+
+    @cached_property
+    def _fine_project(self):
+        """The 1D fine projection folded into one N x (2N+1) matrix: the
+        type-1 DCT of the identity, weighted by the trapezoid weights, then
+        the cosine-to-sine matrix.  Built through ``_type1``, so its
+        entries are the DCT route's own column images."""
+        eye = np.eye(self._product_panels + 1)
+        return self._cos_to_sine @ (self._dct_weights[:, None] * _type1(eye, 1).T)
 
     # -- Gauss-Legendre machinery for non-polynomial projections ---------
 
@@ -648,10 +667,10 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
     """``_type1`` bound to its input ``x`` (C-contiguous) and output:
     returns ``(run, out)``, where ``run()`` transforms the current contents
     of ``x`` into ``out`` (C-contiguous, shape of ``x``; a fresh array when
-    None).  ``weights`` is a per-axis weight vector multiplied into the
-    result as it is read out of the spectrum, axis -2 first: (y w_0) w_1
-    in 2D.  Every pass of every member chunk takes its buffers and views
-    here."""
+    None).  ``weights`` (2D only) is a per-axis weight vector multiplied
+    into the result as it is read out of the spectrum, axis -2 first:
+    (y w_0) w_1.  Every pass of every member chunk takes its buffers and
+    views here."""
     ws = GridWorkspace() if workspace is None else workspace
     if out is None:
         out = np.empty(x.shape)
@@ -660,8 +679,6 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
     results = out.reshape(members.shape)
     # the extension and its spectrum take about 32 bytes per point
     step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
-    # the weights of axis -2 in 2D, of the one axis in 1D
-    w_first = weights[:, None] if weights is not None and d == 2 else weights
     chunks = []
     for i in range(0, members.shape[0], step):
         src = members[i : i + step]
@@ -681,9 +698,8 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
             if weights is None:
                 res[...] = src
             else:
-                np.multiply(src, w_first, out=res)
-                if d == 2:
-                    res *= weights
+                np.multiply(src, weights[:, None], out=res)
+                res *= weights
 
     return run, out
 
@@ -691,7 +707,9 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
 def _type1(x, d, workspace=None):
     """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
     for bit ``scipy.fft.dctn`` with ``type=1``, as a fresh array; see the
-    module docstring."""
+    module docstring.  The 2D fine projection runs it bound
+    (``_type1_transform``); this one-shot form builds the folded 1D
+    projection matrix and serves the tests."""
     run, out = _type1_transform(np.ascontiguousarray(x), d, workspace)
     run()
     return out
@@ -701,16 +719,16 @@ def bind_project(domain, grid, samples, workspace=None, out=None):
     """``project`` bound to the array ``samples``: returns ``run``, where
     ``run()`` projects the current contents of ``samples`` and returns the
     result, written into ``out`` when given, else into a fresh array.  On
-    the fine grid ``samples`` must be C-contiguous."""
-    if grid == "gauss":
-        mats = domain._gauss_project
+    the fine grid ``samples`` must be C-contiguous; ``workspace`` holds
+    the 2D DCT buffers and is unused otherwise."""
+    if grid == "gauss" or domain.dimension == 1:
+        mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,)
         return lambda: _apply(mats, samples, out)
-    d = domain.dimension
     ws = GridWorkspace() if workspace is None else workspace
     dct, y = _type1_transform(
-        samples, d, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
+        samples, 2, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
     )
-    mats = (domain._cos_to_sine,) * d
+    mats = (domain._cos_to_sine,) * 2
 
     def run():
         dct()
@@ -723,13 +741,13 @@ def project(domain, grid, samples, workspace=None, out=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
-    projected exactly (type-1 DCT over the trailing axes, trapezoid weights,
-    analytic cosine-to-sine matrix).  "gauss": quadrature of arbitrary
-    pointwise data, see ``project_gauss``.  ``workspace`` holds the
+    projected exactly: type-1 DCT, trapezoid weights, analytic
+    cosine-to-sine matrix, folded into one matrix in 1D and applied in
+    turn over the trailing axes in 2D (the weights as the transform reads
+    its result out of the spectrum).  "gauss": quadrature of arbitrary
+    pointwise data, see ``project_gauss``.  ``workspace`` holds the 2D
     transform buffers (a fresh ``GridWorkspace`` when None); the result is
-    written into ``out`` when given, else into a fresh array.  The
-    trapezoid weights are applied as the transform reads its result out of
-    the spectrum.
+    written into ``out`` when given, else into a fresh array.
     """
     if grid != "gauss":
         samples = np.ascontiguousarray(samples)

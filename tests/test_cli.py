@@ -64,20 +64,57 @@ def _records(path):
     return [(k, v.split()) for k, _, v in pairs if k not in SKIP_KEYS]
 
 
-def _differences(got_dir, want_dir):
+def _relative_move(a, b):
+    """|x - y| / max(|x|, |y|) of two tokens; 0 when they are equal, inf
+    when they differ and are not both finite numbers."""
+    if a == b:
+        return 0.0
+    x, y = _number(a), _number(b)
+    if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _moves(got_dir, want_dir):
+    """Structural problems, and per artifact and column the largest
+    relative move over all its tokens: {(artifact, column): (move, where,
+    got, want, within tolerance)}.  A CSV column is named by its header, a
+    text or JSON entry by its key (with the token index when it holds
+    several)."""
     got_files = sorted(p.name for p in got_dir.iterdir())
     want_files = sorted(p.name for p in want_dir.iterdir())
     if got_files != want_files:
-        return [f"artifacts {got_files} != {want_files}"]
-    problems = []
+        return [f"artifacts {got_files} != {want_files}"], {}
+    problems, moves = [], {}
     for name in want_files:
         got, want = _records(got_dir / name), _records(want_dir / name)
         if [k for k, _ in got] != [k for k, _ in want]:
             problems.append(f"{name}: keys differ")
             continue
+        header = want[0][1] if name.endswith(".csv") else None
         for (key, g), (_, w) in zip(got, want):
-            if len(g) != len(w) or not all(map(_same_token, g, w)):
+            if len(g) != len(w):
                 problems.append(f"{name} {key}: {g} != {w}")
+                continue
+            for i, (a, b) in enumerate(zip(g, w)):
+                column = header[i] if header else key if len(w) == 1 else f"{key}[{i}]"
+                move, best = _relative_move(a, b), moves.get((name, column))
+                within = _same_token(a, b) and (best is None or best[4])
+                if best is None or move > best[0]:
+                    best = (move, key, a, b)
+                moves[(name, column)] = best[:4] + (within,)
+    return problems, moves
+
+
+def _differences(got_dir, want_dir):
+    """Structural problems, then each artifact column holding a token
+    outside the tolerance, with its largest relative move."""
+    problems, moves = _moves(got_dir, want_dir)
+    for (name, column), (move, key, a, b, within) in moves.items():
+        if not within:
+            problems.append(
+                f"{name} {column}: largest relative move {move:.2g} ({key}: {a} != {b})"
+            )
     return problems
 
 
@@ -88,6 +125,22 @@ def test_config_reproduces_golden_artifacts(name, tmp_path):
     code = _run(record["command"], "--config", CONFIGS / f"{name}.conf", "--out", tmp_path)
     assert code == record["exit_status"]
     assert _differences(tmp_path, golden) == []
+
+
+def test_differences_name_the_largest_move_per_column(tmp_path):
+    """Only a column with a token outside the tolerance is reported, once,
+    with its largest relative move."""
+    golden = GOLDEN / "nonlinear-small"
+    for path in golden.iterdir():
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    rows = list(csv.reader((golden / "trajectory.csv").read_text(encoding="utf-8").splitlines()))
+    col = rows[0].index("E1")
+    for r, scale in ((3, 1.0 + 1e-7), (5, 1.0 + 3e-6), (7, 1.0 + 1e-12)):
+        rows[r][col] = repr(float(rows[r][col]) * scale)
+    with open(tmp_path / "trajectory.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    (problem,) = _differences(tmp_path, golden)
+    assert problem.startswith("trajectory.csv E1: largest relative move 3e-06 (row 5: ")
 
 
 def test_linear_analyze_rows_are_the_array_spectrum(tmp_path):

@@ -14,6 +14,7 @@ from bck_sim.errors import DegeneracyError
 from bck_sim.model import (
     DEFAULT_EPS_DEG,
     EvolutionState,
+    KernelPlan,
     ModelParams,
     acceleration,
     check_degeneracy_guard,
@@ -299,9 +300,10 @@ def _initial_data(dim, n, seed=0, k=0.2, s=1):
 
 def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     """f as the seed wrote it: each fine-grid product (gradient products
-    summed over the axes in order), projected alone (type-1 DCT, trapezoid
-    weights in place, cosine-to-sine matrix), then scaled and added to
-    zeros one term at a time."""
+    summed over the axes in order), projected alone (in 1D by the folded
+    projection matrix, in 2D by the type-1 DCT, trapezoid weights in place
+    and cosine-to-sine matrices), then scaled and added to zeros one term
+    at a time."""
     dim, k, s = domain.dimension, params.k, params.s
     sine, dcos = domain._grid_matrices["fine"]
 
@@ -331,11 +333,13 @@ def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     cos_to_sine = domain._cos_to_sine
     f = np.zeros(u.shape)
     for weight, product in terms:
-        y = spectral._type1(product, dim)
-        if dim == 2:
+        if dim == 1:
+            proj = (domain._fine_project @ product[:, None])[:, 0]
+        else:
+            y = spectral._type1(product, dim)
             y *= w[:, None]
-        y *= w
-        proj = (cos_to_sine @ y[:, None])[:, 0] if dim == 1 else cos_to_sine @ y @ cos_to_sine.T
+            y *= w
+            proj = cos_to_sine @ y @ cos_to_sine.T
         f += weight * proj
     return f
 
@@ -488,17 +492,21 @@ def test_alternating_marches_match_solo_runs_and_share_no_memory():
 
 
 def test_one_workspace_serves_calls_on_several_domains():
+    """Plans bound one after another to one workspace each give the
+    one-shot kernel's results, as long as each is called right after it is
+    bound (a later binding may take over its buffers)."""
     workspace = spectral.GridWorkspace()
     cases = []
     for dim, n, batch in ((2, 16, ()), (1, 8, (3,)), (2, 8, (2,)), (1, 64, ())):
         domain = DomainSpec(dim, (np.pi,) * dim, n)
         params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
         u, ut, utt, _ = _fields(domain, batch, seed=n)
-        cases.append((domain, params, u, ut, utt, nonlinear_terms(domain, params, u, ut, utt)))
+        want = nonlinear_terms(domain, params, u, ut, utt)
+        cases.append((domain, params, batch, u, ut, utt, want))
     results = []
     for _ in range(2):
-        for domain, params, u, ut, utt, want in cases:
-            got = nonlinear_terms(domain, params, u, ut, utt, workspace=workspace)
+        for domain, params, batch, u, ut, utt, want in cases:
+            got = KernelPlan(domain, params, batch, workspace=workspace)(u, ut, utt)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             results += [r for r in got if isinstance(r, np.ndarray)]

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from bck_sim import spectral
 from bck_sim.errors import FitError
 from bck_sim.linear import (
     PropagatorTable,
@@ -16,6 +17,7 @@ from bck_sim.linear import (
     max_mode_real_part,
     mode_eigenvalues_from_coefficients,
     oscillation_ratio,
+    propagator_table,
     relative_bound_report,
     semigroup_data,
     solve_duhamel,
@@ -404,6 +406,46 @@ def test_duhamel_validates_grid_and_forcing_shape():
         solve_duhamel(
             dom, params, np.array([0.0, 0.1, 0.2]), data, forcing_third=np.zeros((2, 4))
         )
+
+
+def _stepped(dom, params, t_grid, data0, f3):
+    """The Duhamel series as a loop of the table's step."""
+    table = propagator_table(dom, params, float(t_grid[1] - t_grid[0]))
+    f3 = f3.reshape(t_grid.size, -1)
+    data = [data0.reshape(3, -1)]
+    for n in range(t_grid.size - 1):
+        base = table.propagate(data[-1], f3[n])
+        # the series stores C-ordered rows, and einsum rounds by layout
+        data.append(np.ascontiguousarray(table.add_slope(base, f3[n], f3[n + 1])))
+    return np.stack(data).reshape((t_grid.size, 3) + dom.coeff_shape)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1000])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
+def test_duhamel_is_the_table_step_in_a_loop(monkeypatch, dim, n, block_bytes):
+    """The forcing terms of every step are taken before the loop, a block
+    of steps at a time; the recurrence rounds as the step does, for no
+    forcing, a sampled forcing and a callable, also across blocks."""
+    if block_bytes is not None:
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes)
+    dom = DomainSpec(dim, (math.pi, 2.0)[:dim], n)
+    params = ModelParams(1.1, 0.9, 1.2, 0.2, 1)
+    rng = np.random.default_rng(n)
+    t_grid = 0.01 * np.arange(41)
+    data0 = _random_data(dom, params, rng)
+    sampled = rng.standard_normal((t_grid.size,) + dom.coeff_shape)
+
+    def call(t):
+        return np.cos(3.0 * t) * sampled[0]
+
+    cases = (
+        (None, np.zeros(sampled.shape)),
+        (sampled, sampled),
+        (call, np.stack([call(t) for t in t_grid])),
+    )
+    for forcing, f3 in cases:
+        got = solve_duhamel(dom, params, t_grid, data0, forcing_third=forcing)
+        assert np.array_equal(got, _stepped(dom, params, t_grid, data0, f3))
 
 
 def test_duhamel_solution_views():

@@ -24,6 +24,7 @@ from bck_sim.spectral import (
     l2_norm,
     product_collocation,
     product_dealiased,
+    project,
     project_gauss,
     sobolev_norm,
     sq_norm,
@@ -579,3 +580,34 @@ def test_type1_signed_zeros_follow_scipy_fft():
         x[1, ..., 3] = -2.5
         ref = scipy_fft.dctn(x, type=1, axes=tuple(range(-d, 0)))
         assert _type1(x, d).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the fine projection: one folded matrix in 1D, the DCT route in 2D
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_fine_projection_of_a_1d_stack_equals_per_row_calls(n):
+    """The folded matrix meets each member in its own gemv, so a batched
+    projection is a loop of unbatched ones, bit for bit."""
+    domain = _domain_1d(n)
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((5, 3, 2 * n + 1))
+    got = project(domain, "fine", stack)
+    for idx in np.ndindex(5, 3):
+        assert got[idx].tobytes() == project(domain, "fine", stack[idx]).tobytes()
+    assert np.array_equal(got, (domain._fine_project @ stack[..., None])[..., 0])
+
+
+def test_fine_projection_in_2d_is_the_dct_route():
+    """2D keeps the type-1 DCT, trapezoid weights per axis (axis -2
+    first) and the cosine-to-sine matrix on each side."""
+    domain = DomainSpec(2, (math.pi, 2.0), 12)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 25, 25))
+    w, cos_to_sine = domain._dct_weights, domain._cos_to_sine
+    y = _type1(stack, 2) * w[:, None]
+    y *= w
+    want = cos_to_sine @ y @ cos_to_sine.T
+    assert project(domain, "fine", stack).tobytes() == want.tobytes()
