@@ -20,7 +20,6 @@ from .spectral import (
     DomainSpec,
     GridField,
     SpectralField,
-    eigenvalues,
     fractional_power,
     gradient_dot,
     l2_norm,
@@ -40,7 +39,6 @@ __all__ = [
     "DomainSpec",
     "GridField",
     "SpectralField",
-    "eigenvalues",
     "fractional_power",
     "gradient_dot",
     "l2_norm",

@@ -134,11 +134,10 @@ def _safe_fit(t_grid, series):
         return math.nan, math.nan, math.nan
 
 
-def _trajectory_rows(traj, params, stride, series=None):
-    """The ``CSV_COLUMNS`` rows of every ``stride``-th sample, with the
-    guard and residual series they hold."""
-    if series is None:
-        series = energy_series(traj, params)
+def _trajectory_rows(traj, params, stride, series):
+    """The ``CSV_COLUMNS`` rows of every ``stride``-th sample of ``traj``
+    and its ``energy_series``, with the guard and residual series they
+    hold."""
     residuals = np.full(traj.n_samples, math.nan)
     residuals[1:-1] = pde_residual_series(
         traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
@@ -163,9 +162,7 @@ def cmd_simulate(config, out_dir, artifacts):
     traj = solve(data, config.params, config.t_final, config.dt, **_solver_options(config))
     # one energy series serves the CSV rows, the fit and both audits
     series = energy_series(traj, config.params)
-    guard, residuals, rows = _trajectory_rows(
-        traj, config.params, config.stride, series=series
-    )
+    guard, residuals, rows = _trajectory_rows(traj, config.params, config.stride, series)
     _write_csv(out_dir / "trajectory.csv", CSV_COLUMNS, rows)
     artifacts.append("trajectory.csv")
 

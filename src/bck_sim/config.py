@@ -293,8 +293,10 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
 
     values = _read_values(parser)
 
+    quad = values[("domain", "quadrature_points")]
+    if quad < 0:
+        raise ConfigError("[domain] quadrature_points must be >= 0 (0 means the default)")
     try:
-        quad = values[("domain", "quadrature_points")]
         domain = DomainSpec(
             dimension=values[("domain", "dimension")],
             lengths=values[("domain", "lengths")],
@@ -347,6 +349,14 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
             raise ConfigError(f"[{sec}] {key} must be positive")
     if values[("run", "seed")] < 0:
         raise ConfigError("[run] seed must be nonnegative")
+    # decay-study and convergence index these lists and build a domain per count
+    for sec, key in (("sweep", "amplitudes"), ("convergence", "modes_list")):
+        if not values[(sec, key)]:
+            raise ConfigError(f"[{sec}] {key} must not be empty")
+    if min(values[("convergence", "modes_list")]) < 1:
+        raise ConfigError("[convergence] modes_list entries must be >= 1")
+    if values[("convergence", "reference_modes")] < 1:
+        raise ConfigError("[convergence] reference_modes must be >= 1")
 
     return SolverConfig(
         domain=domain,

@@ -72,23 +72,25 @@ relative, and the Picard contraction ratios move by about 1e-8.  Kept
 separate, every sample reproduces the per-field arithmetic exactly.
 
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
-and forcing flag: building it resolves the weights and takes every
-matrix and ``spectral.GridWorkspace`` view (the member stack, the
-Gauss-grid values, 2k u_t, the numerator and the quotient, the fine-grid
-values, the products, their projections and the 2D DCT buffers), so a
-call is a straight run of ``out=`` numpy calls with no shape arithmetic,
-buffer lookup or cache lookup.  ``nonlinear.solve`` builds one plan per
-march and calls it at every substep; ``nonlinear_terms`` builds one per
-block shape of its batch and calls it.  The buffers never escape: u_ttt, f and the guard
-minima come back as fresh arrays.  Each stacked or buffered operation
-is, element by element, the operation of the term-by-term expression it
-replaces, in the same association order: 2k u_tt^2 is ((2k) u_tt) u_tt,
-every gradient component subtracts ((2) d u_t) d u_t, then ((2) d u)
-d u_tt, the products keep their operand order (IEEE multiplication
-commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each
-numpy call also sees the operand layouts it saw before, since matmul and
-einsum round by layout.  So the results are bit for
-bit those of the term-by-term form (``tests/test_kernel.py``).
+and forcing flag: building it resolves the weights, takes every matrix
+and view and allocates every buffer (the member stack, the Gauss-grid
+values, 2k u_t, the numerator and the quotient, the fine-grid values,
+the products, their projections and the 2D DCT buffers), so a call is a
+straight run of ``out=`` numpy calls with no shape arithmetic, allocation
+or cache lookup.  Each bound stage owns its buffers; the product stage
+reuses two spent ones, each at the line that says why (``spectral``
+states the rule).  ``nonlinear.solve`` builds one plan per march and
+calls it at every substep; ``nonlinear_terms`` builds one per block
+shape of its batch and calls it.  The buffers never escape: u_ttt, f and
+the guard minima come back as fresh arrays.  Each stacked or buffered
+operation is, element by element, the operation of the term-by-term
+expression it replaces, in the same association order: 2k u_tt^2 is
+((2k) u_tt) u_tt, every gradient component subtracts ((2) d u_t) d u_t,
+then ((2) d u) d u_tt, the products keep their operand order (IEEE
+multiplication commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2)
++ 2 p3.  Each numpy call also sees the operand layouts it saw before,
+since matmul and einsum round by layout.  So the results are bit for bit
+those of the term-by-term form (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
-    GridWorkspace,
     SpectralField,
     bind_evaluate_stack,
     bind_project,
@@ -163,11 +164,6 @@ class ModelParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.s not in (0, 1):
             raise ValueError(f"s must be 0 or 1, got {self.s}")
-
-    @property
-    def degeneracy_threshold(self):
-        """|u_t| level at which 1 + 2k u_t can vanish: 1/(2k)."""
-        return math.inf if self.k == 0.0 else 1.0 / (2.0 * self.k)
 
 
 @dataclass(frozen=True)
@@ -340,15 +336,15 @@ def _blockwise(domain, fn, arrays, time):
     )
 
 
-def _guard_buffer(domain, batch, workspace):
-    """The degeneracy guard's buffer of 2k u_t, a workspace buffer of shape
+def _guard_buffer(domain, batch):
+    """The degeneracy guard's buffer of 2k u_t, a new array of shape
     batch + (G + C,): per sample the G Gauss-grid values, then the C
     collocation-grid values.  Returns it with its two parts shaped like the
     grids; the Gauss part is the 2k u_t the law divides by."""
     d = domain.dimension
     g = domain.gauss_points_per_axis
     c = domain.quadrature_points_per_axis
-    both = workspace.take("scaled", batch + (g**d + c**d,))
+    both = np.empty(batch + (g**d + c**d,))
     gauss = both[..., : g**d].reshape(batch + (g,) * d)
     return both, gauss, both[..., g**d :].reshape(batch + (c,) * d)
 
@@ -398,14 +394,14 @@ def _degeneracy_error(domain, both, low, high, time, limit, at_start):
 
 
 def _guard_ut(domain, params, ut, time, eps_deg, at_start):
-    """Guard of one tensor or of an (n,) stack from its coefficients.  Its
-    buffer is its own: a guard without the law is not on the march's hot
-    path, and a kernel workspace would keep the buffer for the whole call."""
+    """Guard of one tensor or of an (n,) stack from its coefficients, in a
+    buffer of its own: a guard without the law is not on the march's hot
+    path, so it binds nothing."""
     batched = ut.ndim > domain.dimension
     if params.k == 0.0:
         return np.ones(ut.shape[0]) if batched else 1.0
     batch = ut.shape[: ut.ndim - domain.dimension]
-    both, gauss, coll = _guard_buffer(domain, batch, GridWorkspace())
+    both, gauss, coll = _guard_buffer(domain, batch)
     # the values are evaluated into the buffer and scaled in place
     for grid, part in (("gauss", gauss), ("collocation", coll)):
         np.multiply(2.0 * params.k, evaluate(domain, grid, ut, out=part), out=part)
@@ -423,7 +419,7 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _law_stage(domain, params, stack, batch, workspace):
+def _law_stage(domain, params, stack, batch):
     """The Gauss-grid stage of the law (k != 0), bound to the member stack
     (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
     eps_deg, at_start)``, which guards 2k u_t (unless ``eps_deg`` is None)
@@ -433,10 +429,10 @@ def _law_stage(domain, params, stack, batch, workspace):
     k, s = params.k, params.s
     # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
     evaluate_gauss, vals, grads = bind_evaluate_stack(
-        domain, "gauss", stack, slice(s, s + 3), slice(0, 3) if s else None, workspace
+        domain, "gauss", stack, slice(s, s + 3), slice(0, 3) if s else None
     )
-    both, scaled, coll = _guard_buffer(domain, batch, workspace)
-    num, term = workspace.take("num", scaled.shape), workspace.take("term", scaled.shape)
+    both, scaled, coll = _guard_buffer(domain, batch)
+    num, term = np.empty(scaled.shape), np.empty(scaled.shape)
     project_gauss = bind_project(domain, "gauss", num, out=stack[-1])
 
     def run(ut, time, eps_deg, at_start):
@@ -453,7 +449,7 @@ def _law_stage(domain, params, stack, batch, workspace):
     return run
 
 
-def _product_stage(domain, params, stack, workspace):
+def _product_stage(domain, params, stack):
     """The exact projections of the quadratic products of f, bound to the
     member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0 and
     without u_ttt when k = 0.  Returns ``(run, proj)``: ``run()`` writes
@@ -462,8 +458,8 @@ def _product_stage(domain, params, stack, workspace):
 
     One stack evaluation gives the values of (u_tt, u_t, u_ttt) and the
     gradients of (u, u_tt, u_t); two stacked multiplies form the products,
-    in the operand order of the term-by-term form, and ``workspace`` holds
-    the grid values and the products."""
+    in the operand order of the term-by-term form.  The stage owns the grid
+    values, the products and the projections."""
     k, s = params.k, params.s
     evaluate_fine, vals, grads = bind_evaluate_stack(
         domain,
@@ -471,20 +467,24 @@ def _product_stage(domain, params, stack, workspace):
         stack,
         values=slice(s, s + 3) if k != 0.0 else None,
         gradient=slice(0, 3) if s else None,
-        workspace=workspace,
     )
     grid = (vals if k != 0.0 else grads[0]).shape[1:]
-    products = workspace.take(("fine", "products"), (2 * (k != 0.0) + 2 * s,) + grid)
+    products = np.empty((2 * (k != 0.0) + 2 * s,) + grid)
     # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
     pair = products[-2:]
     factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
-    # the values are spent by then, so their buffer holds each further term
-    term = workspace.take(("fine", "vals"), pair.shape) if len(factors) > 1 else None
-    # the 2D DCT spends the products before proj is written, so their buffer
-    # holds proj; the 1D matrix reads them while it writes proj
-    key = "products" if domain.dimension == 2 else "proj"
-    proj = workspace.take(("fine", key), products.shape[:1] + stack.shape[1:])
-    project_fine = bind_project(domain, "fine", products, workspace, out=proj)
+    term = None
+    if len(factors) > 1:
+        # the values are spent by then, so they hold each further term
+        term = vals[:2] if vals is not None else np.empty(pair.shape)
+    # the 2D DCT spends the products before proj is written, so they hold
+    # proj; the 1D matrix reads them while it writes proj
+    shape = products.shape[:1] + stack.shape[1:]
+    if domain.dimension == 2:
+        proj = products.reshape(-1)[: math.prod(shape)].reshape(shape)
+    else:
+        proj = np.empty(shape)
+    project_fine = bind_project(domain, "fine", products, out=proj)
 
     def run():
         evaluate_fine()
@@ -530,31 +530,29 @@ class KernelPlan:
     """``nonlinear_terms`` bound to one domain, params, batch shape (() or
     (n,)) and forcing flag.
 
-    Building the plan resolves the weights and takes every matrix and
-    workspace view once (those of the Gauss stage of the law on its first
-    call without u_ttt), so a call is a straight run of numpy calls with the
-    operations, operand layouts and association order of the term-by-term
-    form.  ``nonlinear.solve`` builds one per march; ``nonlinear_terms``
-    builds one per block shape and calls it.  ``workspace`` (a fresh
-    ``GridWorkspace`` when None) holds every buffer; the results never
-    share memory with it.
+    Building the plan resolves the weights, takes every matrix and view and
+    allocates every buffer once (those of the Gauss stage of the law on its
+    first call without u_ttt), so a call is a straight run of numpy calls
+    with the operations, operand layouts and association order of the
+    term-by-term form.  ``nonlinear.solve`` builds one per march;
+    ``nonlinear_terms`` builds one per block shape and calls it.  The plan
+    owns its buffers, and the results never share memory with them.
 
     One member stack (u, u_tt, u_t, .) serves both grids: its last member
     is lin for the Gauss stage and u_ttt for the fine stage (u is left out
     when s = 0, the last member when k = 0).
     """
 
-    def __init__(self, domain, params, batch=(), forcing=True, workspace=None):
+    def __init__(self, domain, params, batch=(), forcing=True):
         k, s = params.k, params.s
         self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
-        self._ws = ws = GridWorkspace() if workspace is None else workspace
         self._bracket = _bracket_weights(domain, params)
         self._wave = _wave_weights(domain, params)
-        self._stack = ws.take("stack", (s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
+        self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
         self._law = None
         self._products = None
         if (k != 0.0 or s) and (forcing or k == 0.0):
-            self._products = _product_stage(domain, params, self._stack, ws)
+            self._products = _product_stage(domain, params, self._stack)
             self._weights = _forcing_weights(k, s, self._products[1].ndim)
 
     def semigroup_utt(self, data):
@@ -582,7 +580,7 @@ class KernelPlan:
             lin = uttt = _bracket(self._bracket, u, ut, utt)
             if k != 0.0:
                 if self._law is None:
-                    self._law = _law_stage(domain, params, self._stack, self.batch, self._ws)
+                    self._law = _law_stage(domain, params, self._stack, self.batch)
                 self._fill(u, ut, utt, lin)
                 guard_min = self._law(ut, time, eps_deg, at_start)
                 uttt = self._stack[-1].copy()
@@ -637,7 +635,6 @@ def nonlinear_terms(
     ``KernelPlan``, one per block shape; a march binds its own plan once
     and calls it directly.
     """
-    ws = GridWorkspace()
     plan = None
 
     def block(u_b, ut_b, utt_b, uttt_b, t_b):
@@ -646,7 +643,7 @@ def nonlinear_terms(
         if plan is None or plan.batch != batch:
             # the last block is shorter: drop the full blocks' plan first
             plan = None
-            plan = KernelPlan(domain, params, batch, forcing, ws)
+            plan = KernelPlan(domain, params, batch, forcing)
         return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start)
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)

@@ -68,9 +68,10 @@ path.  It does what pocketfft's own T_dct1 does, which is what
 extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose real part in bins
 0..n-1 is the DCT, axis -2 before axis -1.  The results equal scipy's bit
 for bit, signed zeros included (``tests/test_spectral.py``).  Each pass
-runs in place along its axis, with no transposed copy: the extension and
-spectrum buffers come from a ``GridWorkspace``, and a stack is transformed
-a few members at a time so they stay in cache.  Every transform call goes
+runs in place along its axis, with no transposed copy.  A stack is
+transformed a few members at a time, and one extension buffer and one
+spectrum buffer serve both passes of every member chunk, so they stay in
+cache.  Every transform call goes
 through this module's ``_fft``: one ``rfft`` per pass, so two per member
 chunk of a 2D transform.  The DCT multiplies in its trapezoid weights as it
 reads its result out of the spectrum, with no separate weighting pass.
@@ -86,26 +87,22 @@ by 2/(M+1) per axis, which by the discrete orthogonality of the sines
 gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
-Grid workspace.  ``evaluate_stack`` writes its matrix products, and
-the 2D ``project`` its DCT buffers, into a ``GridWorkspace``
-(``np.matmul(..., out=)``, ufunc ``out=``), and the model's grid
-arithmetic writes into the same object.  Each is a binding and a call:
-``bind_evaluate_stack`` and ``bind_project`` take the matrices, views and
-buffers for one input array once and return a ``run()`` that recomputes
-from that array's current contents, which is how ``model.KernelPlan``
-runs a whole nonlinear march (``nonlinear.solve``) on one workspace
-without repeating any of that bookkeeping per call.  A one-off call binds
-and runs at once on a fresh workspace; nothing is cached for the life of
-the module.  The buffers never escape: every value handed back to a
-caller of the model kernel is a fresh array, and an array returned by
-``evaluate_stack`` stays valid only until the next call with the same
-workspace and grid.  The operations and their association order are the
-ones of the allocating expressions they replace, so every bit is the same;
-what goes away is the fresh grid-sized temporaries per call, which at
-2D N=48 (224 x 224 Gauss nodes) page-fault several megabytes per call.
-A bound transform looks ``_fft`` up when it runs, not when it is bound,
-so a patched ``_fft`` (the call counter of ``perfbench/spans.py``) sees
-every transform.
+Bound stages.  ``evaluate_stack`` and the 2D ``project`` are each a
+binding and a call: ``bind_evaluate_stack`` and ``bind_project`` take the
+matrices and views for one input array once, allocate the arrays they
+write (``np.matmul(..., out=)``, ufunc ``out=``), and return a ``run()``
+that recomputes from that array's current contents.  ``model.KernelPlan``
+binds its stages once per nonlinear march (``nonlinear.solve``), so a call
+repeats none of that bookkeeping and allocates no grid-sized temporary,
+which at 2D N=48 (224 x 224 Gauss nodes) would page-fault several
+megabytes per call.  The rule: a bound stage owns its arrays, and it
+reuses one of them for another purpose only where that buffer is spent,
+at one named line that gives the reason.  A one-off call binds and runs at
+once; nothing is cached for the life of the module.  The operations and
+their association order are the ones of the allocating expressions the
+stages replace, so every bit is the same.  A bound transform looks
+``_fft`` up when it runs, not when it is bound, so a patched ``_fft`` (the
+call counter of ``perfbench/spans.py``) sees every transform.
 """
 
 from __future__ import annotations
@@ -122,7 +119,6 @@ __all__ = [
     "DomainSpec",
     "SpectralField",
     "GridField",
-    "eigenvalues",
     "fractional_power",
     "sq_norm",
     "sobolev_norm",
@@ -132,13 +128,11 @@ __all__ = [
     "product_dealiased",
     "product_collocation",
     "gradient_dot",
-    "evaluate_at",
     "evaluate_gauss",
     "project_gauss",
     "embedding_constant_estimate",
     "BLOCK_BYTES",
     "sample_blocks",
-    "GridWorkspace",
     "evaluate",
     "evaluate_stack",
     "bind_evaluate_stack",
@@ -237,11 +231,6 @@ class DomainSpec:
         return float(sum(lam[0] for lam in self.axis_eigenvalues))
 
     @cached_property
-    def eigenvalue_order(self):
-        """Indices sorting the flattened eigenvalue grid ascending (stable)."""
-        return np.argsort(self.eigenvalue_grid.ravel(), kind="stable")
-
-    @cached_property
     def mode_l2_squared(self):
         """||phi_k||_{L2}^2 = prod_i L_i / 2, identical for every mode."""
         return float(np.prod([L / 2.0 for L in self.lengths]))
@@ -256,11 +245,6 @@ class DomainSpec:
     @property
     def grid_shape(self):
         return (self.quadrature_points_per_axis,) * self.dimension
-
-    @cached_property
-    def grid_cell_volume(self):
-        m = self.quadrature_points_per_axis
-        return float(np.prod([L / (m + 1) for L in self.lengths]))
 
     # -- fine closed grid for exact quadratic products -------------------
 
@@ -445,14 +429,6 @@ class GridField:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalues(domain):
-    """Flattened (C-order) Dirichlet Laplacian eigenvalues of the mode set.
-
-    ``domain.eigenvalue_order`` gives the permutation sorting them ascending.
-    """
-    return domain.eigenvalue_grid.ravel().copy()
-
-
 def fractional_power(field, theta):
     """Apply A**theta diagonally; negative theta inverts (A is positive)."""
     lam = field.domain.eigenvalue_grid
@@ -522,41 +498,13 @@ def evaluate(domain, grid, coeffs, out=None):
     return _apply(domain._grid_matrices[grid][0], coeffs, out)
 
 
-class GridWorkspace:
-    """Reusable output buffers for grid evaluations and grid arithmetic.
-
-    ``take(key, shape, dtype=float)`` returns a C-contiguous array of
-    ``shape`` backed by the buffer named ``key``, which is replaced by a
-    new one when a larger shape (or another dtype) is asked for.  Its
-    contents are undefined; the caller overwrites every entry.  Arrays
-    taken under one key share memory, so arrays in use at the same time
-    come from different keys, and a bound computation that keeps its
-    arrays (``bind_evaluate_stack``, ``bind_project``, ``model.KernelPlan``)
-    is the only user of its workspace while it runs.  See the module
-    docstring for the lifetime of a workspace.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self):
-        self._buffers = {}
-
-    def take(self, key, shape, dtype=float):
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
-def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=None):
+def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None):
     """``evaluate_stack`` bound to the array ``stack``: returns ``(run,
     vals, grads)``, where ``run()`` writes the values and gradient
     components of the current contents of ``stack`` into ``vals`` and
-    ``grads``, buffers of ``workspace``.  Every matrix, view and buffer is
+    ``grads``, arrays of the binding.  Every matrix, view and array is
     taken here, so a call of ``run`` is its matmuls (and, in 1D, the two
     copies that stack the member selections)."""
-    ws = GridWorkspace() if workspace is None else workspace
     sine, dcos = domain._grid_matrices[grid]
     if domain.dimension == 1 and values is not None and gradient is not None and stack.ndim == 2:
         picks = (stack[values], stack[gradient])
@@ -564,9 +512,9 @@ def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None, workspa
             # one tensor's stack: the two selections against the two
             # matrices in one call, one gemv per member and matrix
             mats = domain._value_gradient_stacks[grid][:, None]
-            picked = ws.take((grid, "picked"), (2,) + picks[0].shape)
+            picked = np.empty((2,) + picks[0].shape)
             columns = picked[..., None]
-            out = ws.take((grid, "valgrad"), (2, len(picks[0]), mats.shape[2], 1))
+            out = np.empty((2, len(picks[0]), mats.shape[2], 1))
 
             def run_stacked():
                 picked[0] = picks[0]
@@ -576,33 +524,30 @@ def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None, workspa
             return run_stacked, out[0, ..., 0], (out[1, ..., 0],)
     steps = []
 
-    def product(key, a, b):
-        """Bind ``a @ b`` into the workspace buffer (grid, key); one operand
-        is a plain matrix, the other may carry leading axes."""
+    def product(a, b):
+        """Bind ``a @ b`` into an array of its own; one operand is a plain
+        matrix, the other may carry leading axes."""
         if b.ndim == 2:
             shape = a.shape[:-1] + b.shape[-1:]
         else:
             shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
-        out = ws.take((grid, key), shape)
+        out = np.empty(shape)
         steps.append((a, b, out))
         return out
 
     vals = grads = None
     if domain.dimension == 1:
         if values is not None:
-            vals = product("vals", sine[0], stack[values, ..., None])[..., 0]
+            vals = product(sine[0], stack[values, ..., None])[..., 0]
         if gradient is not None:
-            grads = (product("grad0", dcos[0], stack[gradient, ..., None])[..., 0],)
+            grads = (product(dcos[0], stack[gradient, ..., None])[..., 0],)
     else:
-        left = product("left", sine[0], stack)
+        left = product(sine[0], stack)
         if values is not None:
-            vals = product("vals", left[values], sine[1].T)
+            vals = product(left[values], sine[1].T)
         if gradient is not None:
-            inner = product("inner", dcos[0], stack[gradient])
-            grads = (
-                product("grad0", inner, sine[1].T),
-                product("grad1", left[gradient], dcos[1].T),
-            )
+            inner = product(dcos[0], stack[gradient])
+            grads = (product(inner, sine[1].T), product(left[gradient], dcos[1].T))
 
     def run():
         for a, b, out in steps:
@@ -611,7 +556,7 @@ def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None, workspa
     return run, vals, grads
 
 
-def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=None):
+def evaluate_stack(domain, grid, stack, values=None, gradient=None):
     """Values and gradient components of selected members of a stack.
 
     ``stack`` has shape (F, ...) + coeff shape; ``values`` and ``gradient``
@@ -619,13 +564,10 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None, workspace=No
     ``grads`` a tuple of per-axis components.  In 2D the first-axis sine
     factor is applied once to the whole stack and shared by the values and
     the second gradient component, so every member must be selected by at
-    least one of the two slices.
-
-    The results are buffers of ``workspace`` (a fresh ``GridWorkspace``
-    when None), valid until its next call on the same grid; the products
-    are the ones of ``_apply``, so the bits are too.
+    least one of the two slices.  The products are the ones of ``_apply``,
+    so the bits are too.
     """
-    run, vals, grads = bind_evaluate_stack(domain, grid, stack, values, gradient, workspace)
+    run, vals, grads = bind_evaluate_stack(domain, grid, stack, values, gradient)
     run()
     return vals, grads
 
@@ -635,19 +577,16 @@ def _last(a, axis):
     return a if axis == -1 else a.swapaxes(-1, -2)
 
 
-def _type1_pass(src, ws, axis):
+def _type1_pass(src, axis, ext, spec):
     """One type-1 DCT pass along ``axis`` (-1 or -2) of ``src``, bound to
-    its buffers: the even extension, filled as pocketfft's T_dct1 fills it,
-    and its real FFT along the same axis.  Returns ``(run, spectrum)``;
-    ``run()`` transforms the current contents of ``src`` into the complex
-    spectrum, a buffer of ``ws``."""
-    s = _last(src, axis)
+    its buffers: ``ext``, the even extension (the shape of ``src`` with
+    2n - 2 points along ``axis``), filled as pocketfft's T_dct1 fills it,
+    and ``spec``, its complex real FFT along the same axis (the shape of
+    ``src``).  ``run()`` transforms the current contents of ``src`` into
+    ``spec``."""
+    s, e = _last(src, axis), _last(ext, axis)
     n = s.shape[-1]
-    # src's shape with 2n - 2 points along ``axis``
-    ext = ws.take(("type1", "ext"), src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:])
-    e = _last(ext, axis)
     head, tail, mirror = e[..., :n], e[..., n:], s[..., n - 2 : 0 : -1]
-    spec = ws.take(("type1", "spec"), src.shape[:axis] + (n,) + src.shape[axis:][1:], complex)
 
     def run():
         # slice assignment copies as np.copyto does, without its Python wrapper
@@ -655,7 +594,7 @@ def _type1_pass(src, ws, axis):
         tail[...] = mirror
         _fft.rfft(ext, axis=axis, out=spec)
 
-    return run, spec
+    return run
 
 
 # Buffer bytes per chunk of a batched type-1 transform: a stack is
@@ -663,7 +602,7 @@ def _type1_pass(src, ws, axis):
 _CHUNK_BYTES = 1 << 18
 
 
-def _type1_transform(x, d, workspace=None, out=None, weights=None):
+def _type1_transform(x, d, out=None, weights=None):
     """``_type1`` bound to its input ``x`` (C-contiguous) and output:
     returns ``(run, out)``, where ``run()`` transforms the current contents
     of ``x`` into ``out`` (C-contiguous, shape of ``x``; a fresh array when
@@ -671,7 +610,6 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
     into the result as it is read out of the spectrum, axis -2 first:
     (y w_0) w_1.  Every pass of every member chunk takes its buffers and
     views here."""
-    ws = GridWorkspace() if workspace is None else workspace
     if out is None:
         out = np.empty(x.shape)
     core = x.shape[x.ndim - d :]
@@ -679,19 +617,28 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
     results = out.reshape(members.shape)
     # the extension and its spectrum take about 32 bytes per point
     step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
+    # one extension and one spectrum buffer serve both passes of every
+    # member chunk, so they stay in cache: a pass spends the spectrum of
+    # the one before as it fills its extension, and a chunk reads its
+    # result out before the next one starts
+    points = min(step, members.shape[0]) * math.prod(core)
+    ext_buf = np.empty(max(points // n * (2 * n - 2) for n in core))
+    spec_buf = np.empty(points, complex)
     chunks = []
     for i in range(0, members.shape[0], step):
         src = members[i : i + step]
         passes = []
         # axis -2 first, as scipy.fft
         for axis in (-2, -1)[2 - d :]:
-            run_pass, spec = _type1_pass(src, ws, axis)
-            passes.append(run_pass)
+            n = src.shape[axis]
+            ext_shape = src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:]
+            ext = ext_buf[: math.prod(ext_shape)].reshape(ext_shape)
+            spec = spec_buf[: src.size].reshape(src.shape)
+            passes.append(_type1_pass(src, axis, ext, spec))
             src = spec.real
         chunks.append((passes, src, results[i : i + step]))
 
     def run():
-        # a chunk reads its result out before the next reuses the buffers
         for passes, src, res in chunks:
             for run_pass in passes:
                 run_pass()
@@ -704,30 +651,27 @@ def _type1_transform(x, d, workspace=None, out=None, weights=None):
     return run, out
 
 
-def _type1(x, d, workspace=None):
+def _type1(x, d):
     """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
     for bit ``scipy.fft.dctn`` with ``type=1``, as a fresh array; see the
     module docstring.  The 2D fine projection runs it bound
     (``_type1_transform``); this one-shot form builds the folded 1D
     projection matrix and serves the tests."""
-    run, out = _type1_transform(np.ascontiguousarray(x), d, workspace)
+    run, out = _type1_transform(np.ascontiguousarray(x), d)
     run()
     return out
 
 
-def bind_project(domain, grid, samples, workspace=None, out=None):
+def bind_project(domain, grid, samples, out=None):
     """``project`` bound to the array ``samples``: returns ``run``, where
     ``run()`` projects the current contents of ``samples`` and returns the
     result, written into ``out`` when given, else into a fresh array.  On
-    the fine grid ``samples`` must be C-contiguous; ``workspace`` holds
-    the 2D DCT buffers and is unused otherwise."""
+    the fine grid ``samples`` must be C-contiguous; in 2D the binding owns
+    the transform's buffers and its output."""
     if grid == "gauss" or domain.dimension == 1:
         mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,)
         return lambda: _apply(mats, samples, out)
-    ws = GridWorkspace() if workspace is None else workspace
-    dct, y = _type1_transform(
-        samples, 2, ws, out=ws.take(("type1", "out"), samples.shape), weights=domain._dct_weights
-    )
+    dct, y = _type1_transform(samples, 2, weights=domain._dct_weights)
     mats = (domain._cos_to_sine,) * 2
 
     def run():
@@ -737,7 +681,7 @@ def bind_project(domain, grid, samples, workspace=None, out=None):
     return run
 
 
-def project(domain, grid, samples, workspace=None, out=None):
+def project(domain, grid, samples, out=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
@@ -745,13 +689,12 @@ def project(domain, grid, samples, workspace=None, out=None):
     cosine-to-sine matrix, folded into one matrix in 1D and applied in
     turn over the trailing axes in 2D (the weights as the transform reads
     its result out of the spectrum).  "gauss": quadrature of arbitrary
-    pointwise data, see ``project_gauss``.  ``workspace`` holds the 2D
-    transform buffers (a fresh ``GridWorkspace`` when None); the result is
-    written into ``out`` when given, else into a fresh array.
+    pointwise data, see ``project_gauss``.  The result is written into
+    ``out`` when given, else into a fresh array.
     """
     if grid != "gauss":
         samples = np.ascontiguousarray(samples)
-    return bind_project(domain, grid, samples, workspace, out)()
+    return bind_project(domain, grid, samples, out)()
 
 
 def _collocation_sine(domain, points):
@@ -870,26 +813,8 @@ def product_collocation(f, g, points=None):
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-point evaluation and Gauss projection
+# Gauss-grid evaluation and projection
 # ---------------------------------------------------------------------------
-
-
-def _axis_points(domain, points):
-    if domain.dimension == 1:
-        axes = (np.atleast_1d(np.asarray(points, dtype=float)),)
-    else:
-        axes = tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in points)
-        if len(axes) != domain.dimension:
-            raise ValueError("need one point array per axis")
-    return axes
-
-
-def evaluate_at(field, points):
-    """Evaluate the expansion on a tensor grid of arbitrary points.
-
-    1D: ``points`` is an array; 2D: a pair of per-axis arrays.
-    """
-    return _apply(_sine_matrices(field.domain, _axis_points(field.domain, points)), field.coeffs)
 
 
 def evaluate_gauss(field):

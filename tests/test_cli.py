@@ -205,6 +205,34 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
 
 
 @pytest.mark.parametrize(
+    "conf, override, message",
+    [
+        ("decay-study", "sweep.amplitudes=", "[sweep] amplitudes must not be empty"),
+        ("convergence", "convergence.modes_list=", "[convergence] modes_list must not be empty"),
+        ("convergence", "convergence.modes_list=0 16", "[convergence] modes_list entries must be >= 1"),
+        ("convergence", "convergence.reference_modes=0", "[convergence] reference_modes must be >= 1"),
+        ("nonlinear-small", "domain.quadrature_points=-5", "[domain] quadrature_points must be >= 0"),
+    ],
+    ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
+         "negative-quadrature"],
+)
+def test_out_of_range_counts_and_lists_exit_with_code_3(tmp_path, capsys, conf, override, message):
+    command = json.loads((GOLDEN / conf / "run_record.json").read_text(encoding="utf-8"))["command"]
+    assert _run(command, "--config", CONFIGS / f"{conf}.conf", "--set", override, "--out", tmp_path) == 3
+    assert f"kind=ConfigError message={message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_record.json"]
+    assert json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))["exit_status"] == 3
+
+
+def test_zero_quadrature_points_mean_the_default():
+    conf = CONFIGS / "nonlinear-small.conf"
+    default = load_config(conf)
+    config = load_config(conf, overrides=["domain.quadrature_points=0"])
+    assert config.domain == default.domain
+    assert config.config_sha256 == default.config_sha256
+
+
+@pytest.mark.parametrize(
     "conf", sorted(CONFIGS.glob("*.conf")) + [ROOT / "perfbench" / "configs" / "sim-2d.conf"],
     ids=lambda p: p.stem,
 )
@@ -254,6 +282,19 @@ def test_decay_study_passes_solver_options_to_every_march(tmp_path, monkeypatch)
     report = (tmp_path / "decay_report.txt").read_text(encoding="utf-8")
     rows = list(csv.reader((tmp_path / "decay_study.csv").read_text(encoding="utf-8").splitlines()))
     assert f"s1_omega: {rows[1][1]}\n" in report
+
+
+def test_sim_2d_reproduces_the_benchmark_reference(tmp_path):
+    """The 2D march at N = 48, seed 1, against the committed benchmark
+    reference, which holds only the summary of that seed."""
+    reference = ROOT / "perfbench" / "reference" / "sim-2d" / "seed1"
+    conf = ROOT / "perfbench" / "configs" / "sim-2d.conf"
+    assert _run("simulate", "--config", conf, "--seed", 1, "--out", tmp_path / "run") == 0
+    got = tmp_path / "got"
+    got.mkdir()
+    for path in reference.iterdir():
+        (tmp_path / "run" / path.name).rename(got / path.name)
+    assert _differences(got, reference) == []
 
 
 def test_output_directory_changes_no_artifact_number(tmp_path):

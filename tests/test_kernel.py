@@ -286,7 +286,7 @@ def test_fused_guard_raises_the_per_grid_error(case, at_start):
 
 
 # ---------------------------------------------------------------------------
-# the grid workspace of a march
+# bound plans and marches
 # ---------------------------------------------------------------------------
 
 
@@ -491,22 +491,21 @@ def test_alternating_marches_match_solo_runs_and_share_no_memory():
                     assert not np.shares_memory(getattr(a, x), getattr(b, y))
 
 
-def test_one_workspace_serves_calls_on_several_domains():
-    """Plans bound one after another to one workspace each give the
-    one-shot kernel's results, as long as each is called right after it is
-    bound (a later binding may take over its buffers)."""
-    workspace = spectral.GridWorkspace()
+def test_plans_bound_first_and_called_interleaved_own_their_buffers():
+    """Plans for 1D and 2D, batched and unbatched, all bound before any is
+    called and then called interleaved, twice, each give the one-shot
+    kernel's results, and no two results share memory."""
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
     cases = []
     for dim, n, batch in ((2, 16, ()), (1, 8, (3,)), (2, 8, (2,)), (1, 64, ())):
         domain = DomainSpec(dim, (np.pi,) * dim, n)
-        params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
         u, ut, utt, _ = _fields(domain, batch, seed=n)
         want = nonlinear_terms(domain, params, u, ut, utt)
-        cases.append((domain, params, batch, u, ut, utt, want))
+        cases.append((KernelPlan(domain, params, batch), (u, ut, utt), want))
     results = []
     for _ in range(2):
-        for domain, params, batch, u, ut, utt, want in cases:
-            got = KernelPlan(domain, params, batch, workspace=workspace)(u, ut, utt)
+        for plan, fields, want in cases:
+            got = plan(*fields)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             results += [r for r in got if isinstance(r, np.ndarray)]

@@ -50,11 +50,6 @@ def test_model_params_validation():
         ModelParams(1.0, 1.0, 1.0, 0.1, 2)
 
 
-def test_degeneracy_threshold():
-    assert ModelParams(1, 1, 1, 0.2).degeneracy_threshold == 2.5
-    assert ModelParams(1, 1, 1, 0.0).degeneracy_threshold == math.inf
-
-
 def test_derive_params_gas():
     phys = PhysicalParams(nu=1.5, prandtl=0.75, viscosity_number=4.0 / 3.0, c0=2.0, gamma=1.4)
     p = derive_params(phys, s=1)

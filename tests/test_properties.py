@@ -1,7 +1,6 @@
 """Property tests of the spectral array layer against independent formulas.
 
-The grid evaluations (``evaluate_stack``, which writes into a
-``GridWorkspace``) are checked against explicit sine/cosine sums at the
+The grid evaluations (``evaluate_stack``) are checked against explicit sine/cosine sums at the
 grid nodes, and the exact products against dense Gauss-Legendre
 quadrature of the Galerkin integrals.  Examples are drawn deterministically
 so the suite stays reproducible.
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from bck_sim.spectral import (
     DomainSpec,
-    GridWorkspace,
     SpectralField,
     evaluate_stack,
     gradient_dot,
@@ -70,17 +68,13 @@ def _explicit(domain, grid, coeffs):
     domain=domains(),
     grid=st.sampled_from(["fine", "gauss", "collocation"]),
     members=st.integers(1, 4),
-    earlier=st.integers(1, 4),
     batch=st.sampled_from([(), (2,)]),
     seed=st.integers(0, 2**16),
 )
-def test_evaluate_stack_matches_explicit_sums(domain, grid, members, earlier, batch, seed):
-    workspace = GridWorkspace()
+def test_evaluate_stack_matches_explicit_sums(domain, grid, members, batch, seed):
     gradient = None if grid == "collocation" else slice(None)
-    # an earlier evaluation, larger or smaller, leaves its buffers behind
-    evaluate_stack(domain, grid, _stack(domain, earlier, seed + 1), slice(None), gradient, workspace)
     stack = _stack(domain, members, seed, batch)
-    vals, grads = evaluate_stack(domain, grid, stack, slice(None), gradient, workspace)
+    vals, grads = evaluate_stack(domain, grid, stack, slice(None), gradient)
     want_vals, want_grads = _explicit(domain, grid, stack)
     scale = np.abs(stack).sum() * max(domain.modes_per_axis * np.pi / min(domain.lengths), 1.0)
     assert vals.shape == want_vals.shape

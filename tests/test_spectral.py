@@ -9,13 +9,10 @@ from scipy import fft as scipy_fft
 from bck_sim.spectral import (
     DomainSpec,
     GridField,
-    GridWorkspace,
     SpectralField,
     _type1,
-    eigenvalues,
     embedding_constant_estimate,
     evaluate,
-    evaluate_at,
     evaluate_gauss,
     fractional_power,
     gradient_dot,
@@ -48,26 +45,18 @@ def _random_field(domain, rng, scale=1.0):
 
 def test_eigenvalues_unit_interval_pi():
     dom = _domain_1d(n=3)
-    np.testing.assert_allclose(eigenvalues(dom), [1.0, 4.0, 9.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dom.eigenvalue_grid, [1.0, 4.0, 9.0], rtol=0, atol=1e-12)
 
 
 def test_eigenvalue_lowest_2d_square():
     dom = DomainSpec(2, (math.pi, math.pi), 4)
     assert abs(dom.lambda0 - 2.0) < 1e-12
-    lam = eigenvalues(dom)
-    assert abs(lam[dom.eigenvalue_order[0]] - 2.0) < 1e-12
+    assert abs(dom.eigenvalue_grid.min() - 2.0) < 1e-12
 
 
 def test_eigenvalue_length_two():
     dom = DomainSpec(1, (2.0,), 1)
     assert abs(dom.lambda0 - (math.pi / 2.0) ** 2) < 1e-12
-
-
-def test_eigenvalue_order_sorts_ascending():
-    dom = DomainSpec(2, (math.pi, 1.5), 5)
-    lam = eigenvalues(dom)
-    ordered = lam[dom.eigenvalue_order]
-    assert np.all(np.diff(ordered) >= 0)
 
 
 def test_quadrature_default_is_three_halves():
@@ -278,18 +267,10 @@ def test_parseval_grid_quadrature():
     for dom in (_domain_1d(), DomainSpec(2, (math.pi, 2.0), 6)):
         u = _random_field(dom, rng)
         grid = to_grid(u)
-        quad = np.sum(grid.samples**2) * dom.grid_cell_volume
+        cell = math.prod(L / (dom.quadrature_points_per_axis + 1) for L in dom.lengths)
+        quad = np.sum(grid.samples**2) * cell
         exact = l2_norm(u) ** 2
         assert abs(quad - exact) < 1e-10 * exact
-
-
-def test_evaluate_at_matches_numpy():
-    dom = _domain_1d(n=5, length=2.5)
-    u = SpectralField.single_mode(dom, 4, 1.25)
-    pts = np.linspace(0.1, 2.3, 17)
-    np.testing.assert_allclose(
-        evaluate_at(u, pts), 1.25 * np.sin(4 * np.pi * pts / 2.5), atol=1e-13
-    )
 
 
 def test_grid_max_abs_single_mode():
@@ -551,15 +532,6 @@ def test_type1_transforms_equal_scipy_fft(kind, d, n, batch):
     got = grid_values(dom, x)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_type1_transforms_reuse_one_workspace():
-    rng = np.random.default_rng(5)
-    ws = GridWorkspace()
-    # alternate dimensions and sizes through the same buffers
-    for shape, d in (((4, 33, 33), 2), ((7, 20), 1), ((2, 17), 1), ((3, 12, 12), 2), ((4, 33, 33), 2)):
-        x = rng.standard_normal(shape)
-        assert _type1(x, d, ws).tobytes() == _type1(x, d).tobytes()
 
 
 def test_type1_chunks_change_no_bit(monkeypatch):
