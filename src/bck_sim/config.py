@@ -357,6 +357,20 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
         raise ConfigError("[convergence] modes_list entries must be >= 1")
     if values[("convergence", "reference_modes")] < 1:
         raise ConfigError("[convergence] reference_modes must be >= 1")
+    # the fields and sweeps take these as they are
+    for sec, key in (
+        ("initial", "amplitude"),
+        ("initial", "amplitudes"),
+        ("initial", "u1_amplitude"),
+        ("initial", "u2_amplitude"),
+        ("sweep", "amplitudes"),
+        ("convergence", "amplitude"),
+    ):
+        value = values[(sec, key)]
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"[{sec}] {key} must be finite")
+    if not all(math.isfinite(b) and b > 0.0 for b in values[("sweep", "b_values")]):
+        raise ConfigError("[sweep] b_values entries must be positive and finite")
 
     return SolverConfig(
         domain=domain,

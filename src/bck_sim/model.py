@@ -41,56 +41,56 @@ take it from there.  The time grid of a run of length T is written once,
 in ``time_grid``, and every sampled series is checked by the one
 ``check_uniform_grid``.
 
-On the 1D march each call works on arrays of a few dozen values, so its
-cost is the count of numpy calls, not the arithmetic; the body is laid out
-as a few stages whose ufunc, reduction and matmul calls each cover a whole
-stack:
-
-* one member stack (u, u_tt, u_t, .) serves both grids (u is left out
-  when s = 0).  Its last member is the linear bracket lin for the Gauss
-  stage, which evaluates the values of (u_tt, u_t, lin) and the gradients
-  of (u, u_tt, u_t); the projected u_ttt then takes its place, and the
-  fine stage evaluates the values of (u_tt, u_t, u_ttt) and the same
-  gradients;
-* the degeneracy guard: 2k u_t on the Gauss nodes and on the collocation
-  nodes share one buffer (the Gauss half is what the law divides by), so
-  one min and one max per sample cover both grids; only a trip looks at
-  the grids apart, to report where it happened;
-* the four fine-grid products come from two stacked multiplies, (u_tt,
-  u_t) times (u_tt, u_ttt) and (d u_t, d u) times (d u_t, d u_tt), plus
-  one add per further gradient component;
-* f is one weighted sum of the four projections, ``add.reduce`` of
-  (2k, 2k, 2, 2) times them from an initial 0.
-
-The four forcing products are projected with one stacked projection
-(``spectral.project``: the folded matrix in 1D, one batched DCT and the
-cosine-to-sine matrices in 2D), then weighted and summed.  Projection is
-linear, so summing the products first and projecting once would be
-cheaper, but it rounds differently: the residual diagnostic divides
-second time differences of Q by dt^2 and amplifies that to about 1e-6
-relative, and the Picard contraction ratios move by about 1e-8.  Kept
-separate, every sample reproduces the per-field arithmetic exactly.
-
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
 and forcing flag: building it resolves the weights, takes every matrix
-and view and allocates every buffer (the member stack, the Gauss-grid
-values, 2k u_t, the numerator and the quotient, the fine-grid values,
-the products, their projections and the 2D DCT buffers), so a call is a
-straight run of ``out=`` numpy calls with no shape arithmetic, allocation
-or cache lookup.  Each bound stage owns its buffers; the product stage
-reuses two spent ones, each at the line that says why (``spectral``
-states the rule).  ``nonlinear.solve`` builds one plan per march and
-calls it at every substep; ``nonlinear_terms`` builds one per block
-shape of its batch and calls it.  The buffers never escape: u_ttt, f and
-the guard minima come back as fresh arrays.  Each stacked or buffered
-operation is, element by element, the operation of the term-by-term
-expression it replaces, in the same association order: 2k u_tt^2 is
-((2k) u_tt) u_tt, every gradient component subtracts ((2) d u_t) d u_t,
-then ((2) d u) d u_tt, the products keep their operand order (IEEE
-multiplication commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2)
-+ 2 p3.  Each numpy call also sees the operand layouts it saw before,
-since matmul and einsum round by layout.  So the results are bit for bit
-those of the term-by-term form (``tests/test_kernel.py``).
+and view and allocates every buffer, so a call is a straight run of
+``out=`` numpy calls with no shape arithmetic, allocation or cache
+lookup.  ``nonlinear.solve`` builds one plan per march and calls it at
+every substep; ``nonlinear_terms`` builds one per block shape of its
+batch and calls it.  The buffers never escape: u_ttt, f and the guard
+minima come back as fresh arrays.  Every route runs the degeneracy guard
+on one buffer of 2k u_t on the Gauss nodes and on the collocation nodes
+(the Gauss half is what the law divides by), so one min and one max per
+sample cover both grids; only a trip looks at the grids apart, to report
+where it happened.  The route follows the dimension.
+
+* 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of a
+  few dozen values, so its cost is the count of numpy calls.  The members
+  (lin, u_tt, u_t, u, u_ttt) are the rows of one array, and each grid stage
+  is one gemm of a run of rows against the grid's sine and derivative
+  matrices stacked, so a call is about twenty numpy calls and reads each
+  matrix once, at any N.  It rounds differently from the term-by-term
+  form, by about 1e-16 relative (``tests/test_oracle.py``).
+* 2D (bound stages).  A 2D stage works on grids of tens of thousands of
+  values, so the plan binds the stages of the term-by-term form: one
+  member stack (u, u_tt, u_t, .) serves both grids (u is left out when
+  s = 0).  Its last member is the bracket lin for the Gauss stage, which
+  evaluates the values of (u_tt, u_t, lin) and the gradients of (u, u_tt,
+  u_t); the projected u_ttt then takes its place, and the fine stage
+  evaluates the values of (u_tt, u_t, u_ttt) and the same gradients.  The
+  four fine-grid products come from two stacked multiplies, (u_tt, u_t)
+  times (u_tt, u_ttt) and (d u_t, d u) times (d u_t, d u_tt), plus one add
+  per further gradient component; they are projected with one stacked
+  projection (``spectral.project``: one batched DCT and the cosine-to-sine
+  matrices), and f is ``add.reduce`` of (2k, 2k, 2, 2) times the
+  projections from an initial 0.  Each bound stage owns its buffers; the
+  product stage reuses two spent ones, each at the line that says why
+  (``spectral`` states the rule).  Each stacked or buffered operation is,
+  element by element, the operation of the term-by-term expression it
+  replaces, in the same association order: 2k u_tt^2 is ((2k) u_tt) u_tt,
+  every gradient component subtracts ((2) d u_t) d u_t, then ((2) d u) d
+  u_tt, the products keep their operand order (IEEE multiplication
+  commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each
+  numpy call also sees the operand layouts it saw before, since matmul and
+  einsum round by layout.  So the results are bit for bit those of the
+  term-by-term form (``tests/test_kernel.py``).
+
+Both routes project each product of f on its own and weight the
+projections.  Projection is linear, so summing the products first and
+projecting once would be cheaper, but it rounds differently, and the
+residual diagnostic, which divides second time differences of Q by dt^2,
+amplifies that to about 1e-6 relative, and the Picard contraction ratios
+move by about 1e-8.
 """
 
 from __future__ import annotations
@@ -420,7 +420,7 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
 
 
 def _law_stage(domain, params, stack, batch):
-    """The Gauss-grid stage of the law (k != 0), bound to the member stack
+    """The Gauss-grid stage of the 2D law (k != 0), bound to the member stack
     (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
     eps_deg, at_start)``, which guards 2k u_t (unless ``eps_deg`` is None)
     and projects the law's quotient into the stack's last member in place
@@ -450,8 +450,8 @@ def _law_stage(domain, params, stack, batch):
 
 
 def _product_stage(domain, params, stack):
-    """The exact projections of the quadratic products of f, bound to the
-    member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0 and
+    """The exact projections of the quadratic products of a 2D f, bound to
+    the member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0 and
     without u_ttt when k = 0.  Returns ``(run, proj)``: ``run()`` writes
     into ``proj`` the projections, in the order (u_tt^2, u_t u_ttt) if
     k != 0, then (|grad u_t|^2, grad u . grad u_tt) if s.
@@ -477,13 +477,9 @@ def _product_stage(domain, params, stack):
     if len(factors) > 1:
         # the values are spent by then, so they hold each further term
         term = vals[:2] if vals is not None else np.empty(pair.shape)
-    # the 2D DCT spends the products before proj is written, so they hold
-    # proj; the 1D matrix reads them while it writes proj
+    # the DCT spends the products before proj is written, so they hold proj
     shape = products.shape[:1] + stack.shape[1:]
-    if domain.dimension == 2:
-        proj = products.reshape(-1)[: math.prod(shape)].reshape(shape)
-    else:
-        proj = np.empty(shape)
+    proj = products.reshape(-1)[: math.prod(shape)].reshape(shape)
     project_fine = bind_project(domain, "fine", products, out=proj)
 
     def run():
@@ -526,31 +522,224 @@ def _gauss_quotient(k, vals, grads, scaled, num, term):
     return np.divide(num, np.add(1.0, scaled, out=term), out=num)
 
 
+@lru_cache(maxsize=32)
+def _maps_1d(domain, params):
+    """The matrices of ``_Plan1D`` (k != 0 or s), read-only and shared by
+    every plan on this domain and params: ``(bracket, guard, gauss, fine,
+    project)``.
+
+    * ``bracket`` (3, N) holds the bracket weights (w_tt, -w_t, -w_u) of
+      the rows (u_tt, u_t, u).
+    * ``guard`` (None when k = 0) is the Gauss-grid sine matrix over the
+      collocation one: the values of u_t on both grids in one gemv, bit
+      for bit those of ``evaluate`` on each grid, since each row is still
+      its own dot product (``tests/test_kernel.py``).
+    * ``gauss`` (None when k = 0) is the Gauss-grid sine matrix, then the
+      derivative matrix when s, transposed: N x G or N x 2G.
+    * ``fine`` is the fine-grid sine matrix when k != 0, then the
+      derivative matrix when s, transposed the same way.
+    * ``project`` is the folded fine projection ``DomainSpec._fine_project``
+      transposed.
+    """
+    k, s = params.k, params.s
+    w_tt, w_t, w_u = _bracket_weights(domain, params)
+    gauss, fine = ([m[0] for m in domain._grid_matrices[grid]] for grid in ("gauss", "fine"))
+    law = k != 0.0
+    maps = (
+        np.stack([w_tt, -w_t, -w_u]),
+        np.vstack([gauss[0], domain._grid_matrices["collocation"][0][0]]) if law else None,
+        np.vstack(gauss[: 1 + s]).T.copy() if law else None,
+        np.vstack(fine[(k == 0.0) : 1 + s]).T.copy(),
+        domain._fine_project.T.copy(),
+    )
+    for mat in maps:
+        if mat is not None:
+            mat.setflags(write=False)
+    return maps
+
+
+class _Plan1D:
+    """The 1D body of a ``KernelPlan`` (k != 0 or s): each grid stage is one
+    matrix product over all of its members, about twenty numpy calls per
+    call in all.
+
+    The members are the rows (lin, u_tt, u_t, u, u_ttt) of one array; lin,
+    the bracket, is one ``vecdot`` of the rows (u_tt, u_t, u) with the
+    bracket weights.  A grid stage multiplies a run of rows by the grid's
+    matrices stacked (values, then derivatives when s): one gemm per sample
+    that reads each matrix once, where the 2D stages read a matrix once per
+    member.  So a call makes far fewer numpy calls than the bound stages
+    at small N and reads less memory at large N.
+
+    The law (u_ttt not given, k != 0).  The rows (lin, u_tt), and (u_t, u)
+    when s, go onto the Gauss grid in one buffer, after the quadratic terms:
+
+        [u_tt^2 | u_t'^2 | u' u_tt' | lin | ...],
+
+    so one multiply forms u_tt^2, one more the two gradient terms when s,
+    and one gemv with (-2k, -2, -2, 1) gives the numerator.  One gemv fills
+    the guard buffer with u_t on the Gauss and the collocation grids (see
+    ``_maps_1d``), scaled by 2k: the guard and the diagnostics of
+    ``energy`` see the bits of ``degeneracy_guard``, and the Gauss part is
+    the denominator's own 2k u_t.  The quotient is one add and one divide,
+    and the Gauss projection (one gemv) writes u_ttt into its row.
+
+    f.  The fine-grid values of the rows (u_tt, u_t, u, u_ttt), and their
+    derivatives when s, two multiplies for the products (u_tt u_tt, u_t
+    u_ttt) and (u_t' u_t', u' u_tt'), one gemm that projects them (reading
+    the projection matrix once, where [2k M, 2k M, 2M, 2M] would read it
+    four times) and one gemv that weights them by (2k, 2k, 2, 2).  The
+    forcing-only route (u_ttt given) fills the rows and runs only this
+    part; the fine values of u_ttt come from u_ttt itself, so the forcing
+    of a march is bit for bit ``energy.forcing_series`` of its stored
+    trajectory.  With k = 0 the law is explicit: u_ttt is lin minus f,
+    which is then the gradient part alone, and the fine stage leaves u_ttt
+    out.
+    """
+
+    def __init__(self, domain, params, batch, forcing):
+        k, s = params.k, params.s
+        self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
+        self._bracket, self._guard, self._gauss, fine, self._project = _maps_1d(domain, params)
+        n, f = domain.modes_per_axis, domain._fine_project.shape[1]
+        self._x = np.empty(batch + (5 * n,))
+        self._rows = rows = self._x.reshape(batch + (5, n))
+        self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
+        # (u_tt, u_t, u), then u_ttt, as the caller's arrays are copied in
+        self._fill = self._x[..., n : 4 * n], self._x[..., n:]
+        members = rows[..., 1 : 4 + (k != 0.0), :]
+        grid = np.empty(members.shape[:-1] + (fine.shape[1],))
+        self._fine = fine, members, grid
+        pairs = []
+        if k != 0.0:
+            # (u_tt u_tt, u_t u_ttt)
+            pairs.append((grid[..., 0:2, :f], grid[..., 0::3, :f]))
+        if s:
+            # (u_t' u_t', u' u_tt'), the derivatives after the values when k != 0
+            grads = grid[..., f * (k != 0.0) :]
+            pairs.append((grads[..., 1:3, :], grads[..., 1::-1, :]))
+        self._products = np.empty(batch + (2 * len(pairs), f))
+        self._pairs = [
+            (a, b, self._products[..., 2 * i : 2 * i + 2, :]) for i, (a, b) in enumerate(pairs)
+        ]
+        self._proj = np.empty(batch + (2 * len(pairs), n))
+        self._weights = np.array([2.0 * k] * 2 * (k != 0.0) + [2.0] * 2 * s)
+        self._law = None
+
+    def _bind_law(self):
+        """The Gauss-grid buffers and views: (rows, their grid values, the
+        factors and destinations of the quadratic terms, the terms and lin,
+        the numerator weights, the guard buffer and its Gauss part, the
+        numerator, the u_ttt row as a column)."""
+        domain, batch, s = self.domain, self.batch, self.params.s
+        g = domain.gauss_points_per_axis
+        # the rows (lin, u_tt), then (u_t, u) when s; as many summands,
+        # the quadratic terms and lin
+        rows = terms = 2 + 2 * s
+        z = np.empty(batch + ((terms - 1 + rows * (1 + s)) * g,))
+        # the Gauss values of lin, the first row, follow the terms
+        out = z[..., (terms - 1) * g :].reshape(batch + (rows, (1 + s) * g))
+        summands = z[..., : terms * g].reshape(batch + (terms, g))
+        utt, grads = out[..., 1, :g], out[..., g:]
+        # u_tt^2, then (u_t' u_t', u' u_tt')
+        pairs = [(utt, utt, summands[..., 0, :])]
+        if s:
+            pairs.append((grads[..., 2:4, :], grads[..., 2:0:-1, :], summands[..., 1:-1, :]))
+        both, scaled, _ = _guard_buffer(domain, batch)
+        return (
+            self._rows[..., :rows, :],
+            out,
+            pairs,
+            summands,
+            np.array([-2.0 * self.params.k] + [-2.0] * 2 * s + [1.0]),
+            both,
+            scaled,
+            np.empty(batch + (g,)),
+            self._uttt[..., None],
+        )
+
+    def _run_law(self, ut, time, eps_deg, at_start):
+        """Project the law's quotient into the u_ttt row; returns the guard
+        minimum (None when ``eps_deg`` is None)."""
+        if self._law is None:
+            self._law = self._bind_law()
+        rows, out, pairs, summands, weights, both, scaled, num, uttt = self._law
+        guard_min = None
+        np.matmul(rows, self._gauss, out=out)
+        np.matmul(self._guard, ut[..., None], out=both[..., None])
+        np.multiply(2.0 * self.params.k, both, out=both)
+        if eps_deg is not None:
+            guard_min = _guard(self.domain, both, time, eps_deg, at_start)
+        for a, b, dst in pairs:
+            np.multiply(a, b, out=dst)
+        np.matmul(weights, summands, out=num)
+        np.divide(num, np.add(1.0, scaled, out=scaled), out=num)
+        np.matmul(self.domain._gauss_project[0], num[..., None], out=uttt)
+        return guard_min
+
+    def _run_forcing(self):
+        """f of the current rows, a fresh array."""
+        fine, members, grid = self._fine
+        np.matmul(members, fine, out=grid)
+        for a, b, out in self._pairs:
+            np.multiply(a, b, out=out)
+        np.matmul(self._products, self._project, out=self._proj)
+        return np.matmul(self._weights, self._proj)
+
+    def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
+        k = self.params.k
+        guard_min = None
+        if uttt is None or k == 0.0:
+            np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
+        else:
+            np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
+        if uttt is None:
+            np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
+            if k != 0.0:
+                guard_min = self._run_law(ut, time, eps_deg, at_start)
+                uttt = self._uttt.copy()
+        if guard_min is None and eps_deg is not None:
+            guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
+        if uttt is None:
+            f = self._run_forcing()
+            return self._lin - f, f if self.forcing else None, guard_min
+        return uttt, self._run_forcing() if self.forcing else None, guard_min
+
+
 class KernelPlan:
     """``nonlinear_terms`` bound to one domain, params, batch shape (() or
     (n,)) and forcing flag.
 
     Building the plan resolves the weights, takes every matrix and view and
     allocates every buffer once (those of the Gauss stage of the law on its
-    first call without u_ttt), so a call is a straight run of numpy calls
-    with the operations, operand layouts and association order of the
-    term-by-term form.  ``nonlinear.solve`` builds one per march;
-    ``nonlinear_terms`` builds one per block shape and calls it.  The plan
-    owns its buffers, and the results never share memory with them.
+    first call without u_ttt), so a call is a straight run of numpy calls.
+    ``nonlinear.solve`` builds one per march; ``nonlinear_terms`` builds
+    one per block shape and calls it.  The plan owns its buffers, and the
+    results never share memory with them.
 
-    One member stack (u, u_tt, u_t, .) serves both grids: its last member
-    is lin for the Gauss stage and u_ttt for the fine stage (u is left out
-    when s = 0, the last member when k = 0).
+    The route follows the dimension (see the module docstring).  A 1D
+    plan (with k != 0 or s) is a ``_Plan1D``: each grid stage is one
+    matrix product over the stacked members, about twenty numpy calls per
+    call.  A 2D plan binds the stages of the term-by-term form, with its
+    operations, operand layouts and association order: one member stack
+    (u, u_tt, u_t, .) serves both grids, its last member lin for the Gauss
+    stage and u_ttt for the fine stage (u is left out when s = 0, the last
+    member when k = 0).  With k = s = 0 neither is needed: u_ttt is the
+    bracket and f is zero.
     """
 
     def __init__(self, domain, params, batch=(), forcing=True):
         k, s = params.k, params.s
         self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
-        self._bracket = _bracket_weights(domain, params)
         self._wave = _wave_weights(domain, params)
-        self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
+        self._plan_1d = None
+        if (k != 0.0 or s) and domain.dimension == 1:
+            self._plan_1d = _Plan1D(domain, params, batch, forcing)
+            return
+        self._bracket = _bracket_weights(domain, params)
         self._law = None
         self._products = None
+        self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
         if (k != 0.0 or s) and (forcing or k == 0.0):
             self._products = _product_stage(domain, params, self._stack)
             self._weights = _forcing_weights(k, s, self._products[1].ndim)
@@ -572,6 +761,8 @@ class KernelPlan:
     def __call__(self, u, ut, utt, uttt=None, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
         """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
         ``nonlinear_terms``."""
+        if self._plan_1d is not None:
+            return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
         domain, params = self.domain, self.params
         k, s = params.k, params.s
         guard_min = None

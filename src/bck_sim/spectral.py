@@ -41,25 +41,27 @@ a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the 2D DCT
 runs over the trailing axes only, so batched results equal unbatched ones
 bit for bit.  Merging the members into one larger product (``X @ M.T``
 over a whole stack) would round by batch size; the array layer avoids it.
-Stacking matrices along a batch axis does not: in 1D, ``evaluate_stack``
-takes the values and the derivatives of one tensor's stack from one matmul
-of the pair (sine, derivative) against the pair of member selections,
-still one gemv per matrix and member.
+The 1D kernel of ``model`` merges the members of one sample into one gemm,
+never the samples of a batch, so it keeps batched equal to unbatched.
 
 Transforms.  The fine projection takes the closed-grid samples of an exact
 product through three linear maps: the unnormalized type-1 DCT, the
 trapezoid weights and the cosine-to-sine matrix.  In 1D the three are
 folded into one N x (2N+1) matrix, ``DomainSpec._fine_project``, which a
 domain builds on its first fine projection by running the DCT below on the
-identity; ``project`` is then one gemv per member.  The fold is the same
-exact quadrature rounded differently: against the mpmath oracle of
-``tests/test_oracle.py`` it is as accurate as the DCT route, and on the
-1D march's stacks of a few short lines it is 4-30x faster, because the
-DCT's cost there is the dispatch of its FFT calls.  In 2D the DCT route
-stays, so the 2D results keep their bits; a folded matrix per axis is
-faster there too (113 against 774 us for four products at N = 48, one
-BLAS thread on a 2-core Xeon) and waits on a change that may move the 2D
-reference outputs.
+identity; ``project`` is then one gemv per member, and the 1D kernel of
+``model`` applies the same matrix to its four products in one gemm.
+The fold is the same exact quadrature rounded differently: against the
+mpmath oracle of ``tests/test_oracle.py`` it is as accurate as the DCT
+route, and on the 1D march's stacks of a few short lines it is 4-30x
+faster, because the DCT's cost there is the dispatch of its FFT calls.  In
+2D the DCT route stays, so the 2D results keep their bits.  A folded
+matrix per axis is faster there too (113 against 774 us for four products
+at N = 48, one BLAS thread on a 2-core Xeon), but it moves the
+``residual`` column of the benchmark's 2D seed-0 reference
+(``perfbench/reference/sim-2d/seed0/trajectory.csv``) by up to 8.4e-9
+relative on 26 rows, so it waits on a benchmark change that refreshes
+that reference.
 
 The DCT is ``_type1``, on ``numpy.fft`` (numpy >= 2.0 ships the C++
 pocketfft), so scipy.fft and everything it imports stay off the import
@@ -91,16 +93,17 @@ Bound stages.  ``evaluate_stack`` and the 2D ``project`` are each a
 binding and a call: ``bind_evaluate_stack`` and ``bind_project`` take the
 matrices and views for one input array once, allocate the arrays they
 write (``np.matmul(..., out=)``, ufunc ``out=``), and return a ``run()``
-that recomputes from that array's current contents.  ``model.KernelPlan``
-binds its stages once per nonlinear march (``nonlinear.solve``), so a call
-repeats none of that bookkeeping and allocates no grid-sized temporary,
-which at 2D N=48 (224 x 224 Gauss nodes) would page-fault several
-megabytes per call.  The rule: a bound stage owns its arrays, and it
-reuses one of them for another purpose only where that buffer is spent,
-at one named line that gives the reason.  A one-off call binds and runs at
-once; nothing is cached for the life of the module.  The operations and
-their association order are the ones of the allocating expressions the
-stages replace, so every bit is the same.  A bound transform looks
+that recomputes from that array's current contents.  In 2D
+``model.KernelPlan`` binds its stages once per nonlinear march
+(``nonlinear.solve``), so a call repeats none of that bookkeeping and
+allocates no grid-sized temporary, which at 2D N=48 (224 x 224 Gauss
+nodes) would page-fault several megabytes per call.  The rule: a bound
+stage owns its arrays, and it reuses one of them for another purpose
+only where that buffer is spent, at one named line that gives the
+reason.  A one-off call binds and runs at once; nothing is cached for
+the life of the module.  The operations and their association order are
+the ones of the allocating expressions the stages replace, so every bit
+is the same.  A bound transform looks
 ``_fft`` up when it runs, not when it is bound, so a patched ``_fft`` (the
 call counter of ``perfbench/spans.py``) sees every transform.
 """
@@ -329,14 +332,6 @@ class DomainSpec:
 
         return _PerGrid(build)
 
-    @cached_property
-    def _value_gradient_stacks(self):
-        """1D grid name ("fine" or "gauss") -> its sine and derivative
-        matrices stacked, shape (2, points, N): one matmul gives the values
-        and the derivatives of a member stack, each member still one gemv
-        per matrix."""
-        return _PerGrid(lambda grid: np.stack([m[0] for m in self._grid_matrices[grid]]))
-
 
 class _PerGrid(dict):
     """grid name -> value, made by ``build(grid)`` on the first lookup."""
@@ -503,25 +498,8 @@ def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None):
     vals, grads)``, where ``run()`` writes the values and gradient
     components of the current contents of ``stack`` into ``vals`` and
     ``grads``, arrays of the binding.  Every matrix, view and array is
-    taken here, so a call of ``run`` is its matmuls (and, in 1D, the two
-    copies that stack the member selections)."""
+    taken here, so a call of ``run`` is its matmuls."""
     sine, dcos = domain._grid_matrices[grid]
-    if domain.dimension == 1 and values is not None and gradient is not None and stack.ndim == 2:
-        picks = (stack[values], stack[gradient])
-        if len(picks[0]) == len(picks[1]):
-            # one tensor's stack: the two selections against the two
-            # matrices in one call, one gemv per member and matrix
-            mats = domain._value_gradient_stacks[grid][:, None]
-            picked = np.empty((2,) + picks[0].shape)
-            columns = picked[..., None]
-            out = np.empty((2, len(picks[0]), mats.shape[2], 1))
-
-            def run_stacked():
-                picked[0] = picks[0]
-                picked[1] = picks[1]
-                np.matmul(mats, columns, out=out)
-
-            return run_stacked, out[0, ..., 0], (out[1, ..., 0],)
     steps = []
 
     def product(a, b):

@@ -212,9 +212,16 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("convergence", "convergence.modes_list=0 16", "[convergence] modes_list entries must be >= 1"),
         ("convergence", "convergence.reference_modes=0", "[convergence] reference_modes must be >= 1"),
         ("nonlinear-small", "domain.quadrature_points=-5", "[domain] quadrature_points must be >= 0"),
+        ("decay-study", "sweep.b_values=-1", "[sweep] b_values entries must be positive and finite"),
+        ("decay-study", "sweep.b_values=1 inf", "[sweep] b_values entries must be positive and finite"),
+        ("decay-study", "sweep.amplitudes=nan", "[sweep] amplitudes must be finite"),
+        ("convergence", "convergence.amplitude=nan", "[convergence] amplitude must be finite"),
+        ("nonlinear-small", "initial.amplitude=inf", "[initial] amplitude must be finite"),
+        ("nonlinear-small", "initial.u1_amplitude=nan", "[initial] u1_amplitude must be finite"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
-         "negative-quadrature"],
+         "negative-quadrature", "negative-b-value", "infinite-b-value", "nan-sweep-amplitude",
+         "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude"],
 )
 def test_out_of_range_counts_and_lists_exit_with_code_3(tmp_path, capsys, conf, override, message):
     command = json.loads((GOLDEN / conf / "run_record.json").read_text(encoding="utf-8"))["command"]
@@ -353,3 +360,4 @@ def test_csv_columns_format_like_single_values(tmp_path):
     assert lines[1] == "1,0.10000000000000001,2.5,x,true"
     assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
     assert lines[2] == "2,nan,-0,y,True"
+

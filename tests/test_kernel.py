@@ -301,9 +301,9 @@ def _initial_data(dim, n, seed=0, k=0.2, s=1):
 def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     """f as the seed wrote it: each fine-grid product (gradient products
     summed over the axes in order), projected alone (in 1D by the folded
-    projection matrix, in 2D by the type-1 DCT, trapezoid weights in place
-    and cosine-to-sine matrices), then scaled and added to zeros one term
-    at a time."""
+    projection matrix ``DomainSpec._fine_project``, in 2D by the type-1
+    DCT, trapezoid weights in place and cosine-to-sine matrices), then
+    scaled and added to zeros one term at a time."""
     dim, k, s = domain.dimension, params.k, params.s
     sine, dcos = domain._grid_matrices["fine"]
 
@@ -345,12 +345,14 @@ def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
 
 
 @pytest.mark.parametrize("s", [0, 1])
-@pytest.mark.parametrize("dim,n", [(1, 8), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
 def test_buffered_law_matches_the_allocating_expression(dim, n, s):
-    """The stacked, buffered stages keep every operation and its
+    """In 2D the stacked, buffered stages keep every operation and its
     association order, so they reproduce the plain term-by-term
     expressions bit for bit: the Gauss-grid law, the fine-grid products
-    and the weighted sum of their projections."""
+    and the weighted sum of their projections.  The 1D plan applies
+    stacked matrices to stacked members, which rounds differently, so
+    there the expressions agree to 1e-14 relative in max-norm at any N."""
     domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
     # a weak linear part and strong fields, so every quadratic term reaches
     # the last bits of the numerator and of f
@@ -373,18 +375,26 @@ def test_buffered_law_matches_the_allocating_expression(dim, n, s):
         for d_utt, d_ut, d_u in zip(gradient(utt), gradient(ut), gradient(u)):
             num = num - 2.0 * d_ut * d_ut - 2.0 * d_u * d_utt
     want = project(domain, "gauss", num / (1.0 + 2.0 * k * values(ut)))
+
+    def same(got, expected):
+        if dim == 2:
+            return np.array_equal(got, expected)
+        return np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     uttt, f, _ = nonlinear_terms(domain, params, u, ut, utt)
-    assert np.array_equal(uttt, want)
-    assert np.array_equal(f, _term_by_term_forcing(domain, params, u, ut, utt, want))
-    # the forcing-only route (u_ttt given) and k = 0 take the same sums
+    assert same(uttt, want)
+    assert same(f, _term_by_term_forcing(domain, params, u, ut, utt, uttt))
+    # the forcing-only route (u_ttt given) and k = 0, too
     given = 0.5 * want
     _, f_given, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=given)
-    assert np.array_equal(f_given, _term_by_term_forcing(domain, params, u, ut, utt, given))
+    assert same(f_given, _term_by_term_forcing(domain, params, u, ut, utt, given))
     explicit = ModelParams(1e-3, 1e-3, 1e-3, 0.0, s)
     _, f_explicit, _ = nonlinear_terms(domain, explicit, u, ut, utt, uttt=given)
-    assert np.array_equal(
-        f_explicit, _term_by_term_forcing(domain, explicit, u, ut, utt, given)
-    )
+    f_want = _term_by_term_forcing(domain, explicit, u, ut, utt, given)
+    assert same(f_explicit, f_want)
+    # with k = 0 the law is explicit: the bracket minus f
+    uttt_explicit, _, _ = nonlinear_terms(domain, explicit, u, ut, utt)
+    assert same(uttt_explicit, linear_bracket(domain, explicit, u, ut, utt) - f_want)
 
 
 @pytest.mark.parametrize("k,s", [(0.2, 1), (0.2, 0), (0.0, 1), (0.0, 0)])
@@ -404,6 +414,38 @@ def test_zero_data_gives_no_negative_zeros(dim, n, k, s):
             assert not np.signbit(uttt).any()
         _, f, _ = nonlinear_terms(domain, params, batch, batch, batch, uttt=batch)
         assert not np.signbit(f).any()
+
+
+@pytest.mark.parametrize("n", [8, 10, 64])
+def test_1d_plan_guards_the_values_of_evaluate(n, monkeypatch):
+    """Every 1D plan (the route follows the dimension alone) guards the
+    values of u_t that ``evaluate`` gives on both grids, bit for bit, so
+    ``Linf_ut`` and ``guard_min`` of ``energy_series`` hold the bits the
+    guard saw, and its Gauss part is the denominator's 2k u_t.  With
+    k = 0.5 the scaling by 2k is exact, so the guard buffer holds the
+    values themselves."""
+    domain = DomainSpec(1, (np.pi,), n)
+    params = ModelParams(1.0, 0.7, 1.3, 0.5, 1)
+    assert KernelPlan(DomainSpec(2, (np.pi,) * 2, 8), params)._plan_1d is None
+    seen = []
+    guard = model._guard
+
+    def spy(domain, both, *args):
+        seen.append(both.copy())
+        return guard(domain, both, *args)
+
+    monkeypatch.setattr(model, "_guard", spy)
+    for batch in ((), (5,)):
+        u, ut, utt, _ = _fields(domain, batch, seed=n)
+        plan = KernelPlan(domain, params, batch)
+        assert plan._plan_1d is not None
+        seen.clear()
+        _, _, guard_min = plan(u, ut, utt)
+        (both,) = seen
+        g = domain.gauss_points_per_axis
+        assert np.array_equal(both[..., :g], evaluate(domain, "gauss", ut))
+        assert np.array_equal(both[..., g:], evaluate(domain, "collocation", ut))
+        assert np.array_equal(guard_min, 1.0 + both.min(axis=-1))
 
 
 TRAJECTORY_FIELDS = ("u", "ut", "utt", "uttt")

@@ -157,3 +157,47 @@ def test_folded_matrix_entries_against_the_oracle(n):
             entry = c_i * mp.fdot(coef, [cos[q * i % (2 * p)] for q in qs])
             worst = max(worst, abs(mp.mpf(float(got[j - 1, i])) - entry))
     assert float(worst) <= 4 * np.spacing(np.abs(got).max())
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_law_against_the_oracle(s):
+    """u_ttt of the law (u_ttt not given) at 1D N = 8, k = 0.2: the
+    bracket, the Gauss-node values and gradients, the quotient
+    (lin - 2k u_tt^2 - 2s (u_t'^2 + u' u_tt')) / (1 + 2k u_t) and its
+    Gauss projection, with the kernel's own Gauss nodes and weights taken
+    exactly and everything else exact at 50 digits."""
+    n, length = 8, 2.0
+    domain = DomainSpec(1, (length,), n)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, s)
+    rng = np.random.default_rng(200 + s)
+    decay = np.arange(1.0, n + 1) ** -1.5
+    # |2k u_t| reaches 0.3-0.45 on the nodes, so the quotient is far from
+    # the linear law
+    u, ut, utt = rng.standard_normal((3, n)) * decay
+    uttt, _, _ = nonlinear_terms(domain, params, u, ut, utt, forcing=False)
+
+    nodes, weights = domain._gauss_rule[0]
+    scale = [k * mp.pi / length for k in range(1, n + 1)]
+    sines = [[mp.sin(w * mp.mpf(float(x))) for w in scale] for x in nodes]
+    cosines = [[w * mp.cos(w * mp.mpf(float(x))) for w in scale] for x in nodes]
+    lam = [w * w for w in scale]
+    a, b, c, k = (mp.mpf(v) for v in (params.a, params.b, params.c, params.k))
+    eu, eut, eutt = (_exact(x) for x in (u, ut, utt))
+    lin = [
+        -(a + b) * lj * x_tt - (c * c * lj + a * b * lj * lj) * x_t - a * c * c * lj * lj * x
+        for lj, x, x_t, x_tt in zip(lam, eu, eut, eutt)
+    ]
+    quotient = []
+    for sin_i, cos_i in zip(sines, cosines):
+        v_tt, v_t, v_lin = (mp.fdot(sin_i, e) for e in (eutt, eut, lin))
+        num = v_lin - 2 * k * v_tt * v_tt
+        if s:
+            d_u, d_t, d_tt = (mp.fdot(cos_i, e) for e in (eu, eut, eutt))
+            num -= 2 * d_t * d_t + 2 * d_u * d_tt
+        quotient.append(num / (1 + 2 * k * v_t))
+    exact = [
+        2 / mp.mpf(length) * mp.fdot([mp.mpf(float(w)) * q for w, q in zip(weights, quotient)],
+                                     [row[j] for row in sines])
+        for j in range(n)
+    ]
+    assert _relative_error(uttt, exact) < 1e-14
