@@ -20,13 +20,11 @@ from .spectral import (
     DomainSpec,
     GridField,
     SpectralField,
-    fractional_power,
     gradient_dot,
     l2_norm,
     product_dealiased,
     sobolev_norm,
     to_grid,
-    to_spectral,
 )
 
 __all__ = [
@@ -39,13 +37,11 @@ __all__ = [
     "DomainSpec",
     "GridField",
     "SpectralField",
-    "fractional_power",
     "gradient_dot",
     "l2_norm",
     "product_dealiased",
     "sobolev_norm",
     "to_grid",
-    "to_spectral",
 ]
 
 __version__ = "0.1.0"

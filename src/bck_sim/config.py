@@ -347,6 +347,9 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
     ):
         if not values[(sec, key)] > 0.0:
             raise ConfigError(f"[{sec}] {key} must be positive")
+    # 0 means the automatic choice; NaN fails both comparisons
+    if not 0.0 <= values[("tolerances", "c_hat")] < math.inf:
+        raise ConfigError("[tolerances] c_hat must be finite and >= 0 (0 means automatic)")
     if values[("run", "seed")] < 0:
         raise ConfigError("[run] seed must be nonnegative")
     # decay-study and convergence index these lists and build a domain per count

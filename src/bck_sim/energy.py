@@ -132,9 +132,7 @@ def decay_norm_sum(series):
 
 def forcing_series(traj, params):
     """Quadratic forcing coefficients f evaluated at every sample."""
-    _, f, _ = nonlinear_terms(
-        traj.domain, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt, eps_deg=None
-    )
+    _, f, _ = nonlinear_terms(traj.domain, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
     return f
 
 

@@ -22,8 +22,8 @@ eigenvalues.  The exponential-integrator step
 
 is written once, in ``PropagatorTable``: its three terms E U, P1 F_n and
 P2 (F_{n+1} - F_n) / dt are ``evolve``, ``held`` and ``slope``, summed in
-that order by ``propagate`` and ``add_slope`` for the nonlinear march and
-by the recurrence of the Duhamel solve here.
+that order by the nonlinear march and by the recurrence of the Duhamel
+solve here.
 
 The semigroup state is raw data: an array of shape (3,) + coeff shape
 stacking U over the coefficient grid (``semigroup_data``), and a solve
@@ -137,7 +137,7 @@ class PropagatorTable:
 
     ``evolve``, ``held`` and ``slope`` are the three terms of the one
     exponential-integrator step, on flat data of shape (3, n) and third
-    forcings of shape (..., n); ``propagate`` and ``add_slope`` sum them.
+    forcings of shape (..., n); a step sums them in that order.
     phi1 and phi2 are transposed views of contiguous (n, 3) columns, so a
     step returns data laid out mode-fastest; the march feeds that back to
     the next step's einsum, whose rounding depends on the layout.
@@ -185,15 +185,6 @@ class PropagatorTable:
         forcing linear in t from F to F' over the step."""
         return self.phi2 * ((forcing_next - forcing) / self.dt)[..., None, :]
 
-    def propagate(self, data, forcing):
-        """E U + P1 F: the step with the forcing F held at its start value."""
-        return self.evolve(data) + self.held(forcing)
-
-    def add_slope(self, base, forcing, forcing_next):
-        """base + P2 (F' - F) / dt: ``propagate`` corrected for a forcing
-        linear over the step."""
-        return base + self.slope(forcing, forcing_next)
-
 
 @lru_cache(maxsize=16)
 def propagator_table(domain, params, dt):
@@ -207,8 +198,8 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     the result holds the semigroup data at every sample, shape
     (nt, 3) + coeff shape.
     forcing_third gives the third forcing component as an array sampled
-    on t_grid (shape (nt,) + coeff shape), a callable t -> coefficients,
-    or None for the homogeneous problem (a zero forcing).  Each step applies
+    on t_grid (shape (nt,) + coeff shape), or None for the homogeneous
+    problem (a zero forcing).  Each step applies
 
         U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt,
 
@@ -220,8 +211,8 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     two terms (``PropagatorTable.held`` and ``slope``) are computed for a
     block of steps at once, a block holding as many steps as fit in
     ``spectral.BLOCK_BYTES``; the loop only recurs, adding them to E U_n
-    in the order above.  The result is, bit for bit, a loop of
-    ``propagate`` and ``add_slope`` on C-ordered rows.
+    in the order above.  The result is, bit for bit, a loop of the step
+    (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt on C-ordered rows.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -235,8 +226,6 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
         raise ValueError(f"semigroup data must have shape {(3,) + shape}")
     if forcing_third is None:
         f3 = np.zeros((nt,) + shape)
-    elif callable(forcing_third):
-        f3 = np.stack([np.asarray(forcing_third(float(ti)), dtype=float) for ti in t])
     else:
         f3 = np.asarray(forcing_third, dtype=float)
     if f3.shape != (nt,) + shape:

@@ -48,11 +48,15 @@ and view and allocates every buffer, so a call is a straight run of
 lookup.  ``nonlinear.solve`` builds one plan per march and calls it at
 every substep; ``nonlinear_terms`` builds one per block shape of its
 batch and calls it.  The buffers never escape: u_ttt, f and the guard
-minima come back as fresh arrays.  Every route runs the degeneracy guard
-on one buffer of 2k u_t on the Gauss nodes and on the collocation nodes
-(the Gauss half is what the law divides by), so one min and one max per
-sample cover both grids; only a trip looks at the grids apart, to report
-where it happened.  The route follows the dimension.
+minima come back as fresh arrays.  A call guards when it evaluates the
+law (u_ttt not given), and only then: the forcing f is a polynomial and
+divides by nothing, so the forcing-only route (u_ttt given) returns None
+for the guard minimum.  The guard runs on one buffer of 2k u_t on the
+Gauss nodes and on the collocation nodes (the Gauss half is what the law
+divides by), so one min and one max per sample cover both grids; only a
+trip looks at the grids apart, to report where it happened.  With k = 0
+the factor is 1 and so is the guard minimum.  The route follows the
+dimension.
 
 * 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of a
   few dozen values, so its cost is the count of numpy calls.  The members
@@ -295,6 +299,8 @@ def time_grid(T, dt):
     be a whole number to 1e-9 relative, so the last sample is T."""
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
+    if not all(map(math.isfinite, (T, dt, T / dt))):
+        raise ValueError(f"T, dt and T/dt must be finite, got T = {T:g}, dt = {dt:g}")
     steps = round(T / dt)
     if abs(T / dt - steps) > 1e-9 * steps:
         raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
@@ -422,10 +428,10 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
 def _law_stage(domain, params, stack, batch):
     """The Gauss-grid stage of the 2D law (k != 0), bound to the member stack
     (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
-    eps_deg, at_start)``, which guards 2k u_t (unless ``eps_deg`` is None)
-    and projects the law's quotient into the stack's last member in place
-    of lin; it returns the guard minimum or None.  ``ut`` is the caller's
-    u_t, from which the collocation values are evaluated."""
+    eps_deg, at_start)``, which guards 2k u_t and projects the law's
+    quotient into the stack's last member in place of lin; it returns the
+    guard minimum.  ``ut`` is the caller's u_t, from which the collocation
+    values are evaluated."""
     k, s = params.k, params.s
     # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
     evaluate_gauss, vals, grads = bind_evaluate_stack(
@@ -436,12 +442,10 @@ def _law_stage(domain, params, stack, batch):
     project_gauss = bind_project(domain, "gauss", num, out=stack[-1])
 
     def run(ut, time, eps_deg, at_start):
-        guard_min = None
         evaluate_gauss()
         np.multiply(2.0 * k, vals[1], out=scaled)
-        if eps_deg is not None:
-            np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
-            guard_min = _guard(domain, both, time, eps_deg, at_start)
+        np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
+        guard_min = _guard(domain, both, time, eps_deg, at_start)
         _gauss_quotient(k, vals, grads, scaled, num, term)
         project_gauss()
         return guard_min
@@ -590,11 +594,11 @@ class _Plan1D:
     the projection matrix once, where [2k M, 2k M, 2M, 2M] would read it
     four times) and one gemv that weights them by (2k, 2k, 2, 2).  The
     forcing-only route (u_ttt given) fills the rows and runs only this
-    part; the fine values of u_ttt come from u_ttt itself, so the forcing
-    of a march is bit for bit ``energy.forcing_series`` of its stored
-    trajectory.  With k = 0 the law is explicit: u_ttt is lin minus f,
-    which is then the gradient part alone, and the fine stage leaves u_ttt
-    out.
+    part, with no guard; the fine values of u_ttt come from u_ttt itself,
+    so the forcing of a march is bit for bit ``energy.forcing_series`` of
+    its stored trajectory.  With k = 0 the law is explicit: u_ttt is lin
+    minus f, which is then the gradient part alone, and the fine stage
+    leaves u_ttt out.
     """
 
     def __init__(self, domain, params, batch, forcing):
@@ -660,16 +664,14 @@ class _Plan1D:
 
     def _run_law(self, ut, time, eps_deg, at_start):
         """Project the law's quotient into the u_ttt row; returns the guard
-        minimum (None when ``eps_deg`` is None)."""
+        minimum."""
         if self._law is None:
             self._law = self._bind_law()
         rows, out, pairs, summands, weights, both, scaled, num, uttt = self._law
-        guard_min = None
         np.matmul(rows, self._gauss, out=out)
         np.matmul(self._guard, ut[..., None], out=both[..., None])
         np.multiply(2.0 * self.params.k, both, out=both)
-        if eps_deg is not None:
-            guard_min = _guard(self.domain, both, time, eps_deg, at_start)
+        guard_min = _guard(self.domain, both, time, eps_deg, at_start)
         for a, b, dst in pairs:
             np.multiply(a, b, out=dst)
         np.matmul(weights, summands, out=num)
@@ -688,22 +690,20 @@ class _Plan1D:
 
     def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
         k = self.params.k
-        guard_min = None
         if uttt is None or k == 0.0:
             np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
         else:
             np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
-        if uttt is None:
-            np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
-            if k != 0.0:
-                guard_min = self._run_law(ut, time, eps_deg, at_start)
-                uttt = self._uttt.copy()
-        if guard_min is None and eps_deg is not None:
+        if uttt is not None:
+            # the forcing-only route never guards
+            return uttt, self._run_forcing() if self.forcing else None, None
+        np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
+        if k == 0.0:
             guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
-        if uttt is None:
             f = self._run_forcing()
             return self._lin - f, f if self.forcing else None, guard_min
-        return uttt, self._run_forcing() if self.forcing else None, guard_min
+        guard_min = self._run_law(ut, time, eps_deg, at_start)
+        return self._uttt.copy(), self._run_forcing() if self.forcing else None, guard_min
 
 
 class KernelPlan:
@@ -715,7 +715,9 @@ class KernelPlan:
     first call without u_ttt), so a call is a straight run of numpy calls.
     ``nonlinear.solve`` builds one per march; ``nonlinear_terms`` builds
     one per block shape and calls it.  The plan owns its buffers, and the
-    results never share memory with them.
+    results never share memory with them.  A call guards only when it
+    evaluates the law (u_ttt not given); the forcing-only route returns
+    None for the guard minimum.
 
     The route follows the dimension (see the module docstring).  A 1D
     plan (with k != 0 or s) is a ``_Plan1D``: each grid stage is one
@@ -765,6 +767,7 @@ class KernelPlan:
             return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
         domain, params = self.domain, self.params
         k, s = params.k, params.s
+        # the forcing-only route (u_ttt given) never guards
         guard_min = None
         lin = None
         if uttt is None:
@@ -775,8 +778,8 @@ class KernelPlan:
                 self._fill(u, ut, utt, lin)
                 guard_min = self._law(ut, time, eps_deg, at_start)
                 uttt = self._stack[-1].copy()
-        if guard_min is None and eps_deg is not None:
-            guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
+            else:
+                guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
         # with k = 0 the law is explicit: the bracket minus the gradient terms
         gradient_route = lin is not None and k == 0.0 and s
         if not (self.forcing or gradient_route):
@@ -820,7 +823,9 @@ def nonlinear_terms(
     * f is the exactly projected forcing (see ``forcing_f``); None when
       ``forcing`` is false.
     * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
-      sample unless ``eps_deg`` is None; the guard minimum is then None.
+      sample when u_ttt is evaluated, and the guard minimum is returned
+      (1 when k = 0).  With ``uttt`` given nothing divides, so nothing is
+      guarded and the guard minimum is None.
 
     Each block of the batch (see ``spectral.BLOCK_BYTES``) runs through a
     ``KernelPlan``, one per block shape; a march binds its own plan once
@@ -865,15 +870,8 @@ def forcing_f(state, uttt, params):
     All four terms are quadratic in resolved fields, so the dealiased product
     machinery returns their exact Galerkin projection.
     """
-    _, f, _ = nonlinear_terms(
-        state.domain,
-        params,
-        state.u.coeffs,
-        state.ut.coeffs,
-        state.utt.coeffs,
-        uttt=uttt.coeffs,
-        eps_deg=None,
-    )
+    fields = (state.u.coeffs, state.ut.coeffs, state.utt.coeffs)
+    _, f, _ = nonlinear_terms(state.domain, params, *fields, uttt=uttt.coeffs)
     return SpectralField(state.domain, f)
 
 
@@ -944,15 +942,13 @@ def _quad_source(domain, params, u, ut):
     return out
 
 
-def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
+def pde_residual_series(domain, params, t_grid, u, ut, utt):
     """Relative residual of the equation at every interior sample.
 
     ``u``, ``ut``, ``utt`` are (nt,) + coeff shape series on ``t_grid``;
     entry i of the result belongs to sample i + 1.  Time derivatives use
-    centered differences: (a laplace - d/dt) G - d^2/dt^2 Q - source,
-    normalized by the largest constituent term norm.  ``source`` (shape
-    (nt - 2,) + coeff shape, at the interior samples) supports
-    manufactured-solution checks.
+    centered differences: (a laplace - d/dt) G - d^2/dt^2 Q, normalized by
+    the largest constituent term norm.
     """
     t = np.asarray(t_grid, dtype=float)
     check_uniform_grid(t)
@@ -969,8 +965,6 @@ def pde_residual_series(domain, params, t_grid, u, ut, utt, source=None):
         t_dot = (g[2:] - g[:-2]) / (2.0 * h)
         t_ddot = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (h * h)
         resid = t_diff - t_dot - t_ddot
-        if source is not None:
-            resid = resid - source[blk]
         terms = [np.sqrt(sq_norm(domain, term)) for term in (t_diff, t_dot, t_ddot)]
         scale = np.maximum(np.max(terms, axis=0), 1e-300)
         out[blk] = np.sqrt(sq_norm(domain, resid)) / scale

@@ -143,7 +143,7 @@ def _advance(table, plan, data, t, f3, substep_iters, eps_deg, bound):
     forcing twice at one sample.  ``plan`` is the march's ``KernelPlan``.
     """
     f3_flat = f3.reshape(-1)
-    base = table.propagate(data.reshape(3, -1), f3_flat)
+    base = table.evolve(data.reshape(3, -1)) + table.held(f3_flat)
     t_next = t + table.dt
 
     candidate = base
@@ -154,7 +154,7 @@ def _advance(table, plan, data, t, f3, substep_iters, eps_deg, bound):
         uttt, f, _ = plan(data_next[0], data_next[1], utt, None, t_next, eps_deg)
         f3_next = -f
         if sweep < substep_iters:
-            candidate = table.add_slope(base, f3_flat, f3_next.reshape(-1))
+            candidate = base + table.slope(f3_flat, f3_next.reshape(-1))
     return data_next, utt, uttt, f3_next
 
 
@@ -191,7 +191,7 @@ def solve(
     uttt[0] = initial.uttt0.coeffs
 
     plan = KernelPlan(domain, params)
-    _, forcing[0], _ = plan(u[0], ut[0], utt[0], uttt[0], eps_deg=None)
+    _, forcing[0], _ = plan(u[0], ut[0], utt[0], uttt[0])
     f3 = -forcing[0]
     data = semigroup_data(domain, params, u[0], ut[0], utt[0])
 
@@ -261,9 +261,7 @@ def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG):
     start needs a guard of its own.
     """
     domain = phi.domain
-    _, f, _ = nonlinear_terms(
-        domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt, eps_deg=None
-    )
+    _, f, _ = nonlinear_terms(domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt)
     result = linear_trajectory(initial, params, phi.t_grid, forcing_third=-f)
     degeneracy_guard(domain, params, result.ut, result.t_grid, eps_deg)
     return result

@@ -28,7 +28,7 @@ projection of the pointwise product, free of aliasing by construction.
 Non-polynomial pointwise operations (the reciprocal in the third-order
 evolution) cannot be exact; they are projected with a Gauss-Legendre rule
 whose node count comfortably over-resolves the integrands, see
-``project_gauss``.
+``project`` on the "gauss" grid.
 
 Two layers expose this calculus.  ``SpectralField`` functions validate and
 wrap single coefficient tensors.  Underneath, the array layer
@@ -83,7 +83,7 @@ by sine matrices only, through ``_apply``.  Its values (``grid_values``,
 ``grid_extremes``, ``to_grid``) use the cached matrices of
 ``DomainSpec._grid_matrices["collocation"]``, the ones the model's
 degeneracy guard evaluates u_t with, so a reported sup of u_t or guard
-minimum holds the bits the guard saw.  The inverse (``to_spectral``,
+minimum holds the bits the guard saw.  The inverse (in
 ``product_collocation``) applies the same matrices transposed and scaled
 by 2/(M+1) per axis, which by the discrete orthogonality of the sines
 gives the interpolation coefficients of the first N modes.  Another node
@@ -122,18 +122,13 @@ __all__ = [
     "DomainSpec",
     "SpectralField",
     "GridField",
-    "fractional_power",
     "sq_norm",
     "sobolev_norm",
     "l2_norm",
     "to_grid",
-    "to_spectral",
     "product_dealiased",
     "product_collocation",
     "gradient_dot",
-    "evaluate_gauss",
-    "project_gauss",
-    "embedding_constant_estimate",
     "BLOCK_BYTES",
     "sample_blocks",
     "evaluate",
@@ -424,12 +419,6 @@ class GridField:
 # ---------------------------------------------------------------------------
 
 
-def fractional_power(field, theta):
-    """Apply A**theta diagonally; negative theta inverts (A is positive)."""
-    lam = field.domain.eigenvalue_grid
-    return SpectralField(field.domain, field.coeffs * lam**theta)
-
-
 def sq_norm(domain, coeffs, power=0):
     """Squared norm ||A^{power/2} v||^2 from raw coefficients.
 
@@ -667,8 +656,8 @@ def project(domain, grid, samples, out=None):
     cosine-to-sine matrix, folded into one matrix in 1D and applied in
     turn over the trailing axes in 2D (the weights as the transform reads
     its result out of the spectrum).  "gauss": quadrature of arbitrary
-    pointwise data, see ``project_gauss``.  The result is written into
-    ``out`` when given, else into a fresh array.
+    pointwise data on the Gauss tensor grid, <F, phi_k> / ||phi_k||^2.
+    The result is written into ``out`` when given, else into a fresh array.
     """
     if grid != "gauss":
         samples = np.ascontiguousarray(samples)
@@ -704,15 +693,6 @@ def _collocation_coefficients(domain, samples, points=None):
 def to_grid(field):
     """Sample the expansion on the interior collocation grid (exact)."""
     return GridField(field.domain, grid_values(field.domain, field.coeffs))
-
-
-def to_spectral(grid):
-    """Sine interpolation coefficients of grid samples, truncated to N modes.
-
-    Content beyond the retained modes is discarded; for samples of a field
-    with at most N modes per axis the round trip is exact.
-    """
-    return SpectralField(grid.domain, _collocation_coefficients(grid.domain, grid.samples))
 
 
 def grid_extremes(domain, coeffs):
@@ -788,40 +768,3 @@ def product_collocation(f, g, points=None):
     domain = f.domain
     vals = grid_values(domain, np.stack([f.coeffs, g.coeffs]), points)
     return SpectralField(domain, _collocation_coefficients(domain, vals[0] * vals[1], points))
-
-
-# ---------------------------------------------------------------------------
-# Gauss-grid evaluation and projection
-# ---------------------------------------------------------------------------
-
-
-def evaluate_gauss(field):
-    """Values on the domain's Gauss-Legendre tensor grid."""
-    return evaluate(field.domain, "gauss", field.coeffs)
-
-
-def project_gauss(domain, values):
-    """Sine coefficients of pointwise data given on the Gauss tensor grid.
-
-    This is plain quadrature of <F, phi_k> / ||phi_k||^2.  For analytic
-    integrands the rule over-resolves by a wide margin, so the result agrees
-    with dense independent quadrature to near machine precision; it is the
-    projection route for operations that leave the polynomial algebra.
-    """
-    return SpectralField(domain, project(domain, "gauss", values))
-
-
-def embedding_constant_estimate(domain, s, n_samples=64, seed=0):
-    """Empirical sup of ||u||_inf / ||u||_{H^s} over random coefficient draws.
-
-    Reported as a diagnostic only; no claim of sharpness is made.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_samples):
-        field = SpectralField(domain, rng.standard_normal(domain.coeff_shape))
-        denom = sobolev_norm(field, s)
-        if denom == 0.0:
-            continue
-        best = max(best, float(np.abs(grid_values(domain, field.coeffs)).max()) / denom)
-    return best

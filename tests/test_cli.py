@@ -218,10 +218,14 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("convergence", "convergence.amplitude=nan", "[convergence] amplitude must be finite"),
         ("nonlinear-small", "initial.amplitude=inf", "[initial] amplitude must be finite"),
         ("nonlinear-small", "initial.u1_amplitude=nan", "[initial] u1_amplitude must be finite"),
+        ("nonlinear-small", "time.t_final=inf", "[time] T, dt and T/dt must be finite"),
+        ("zero-amplitude", "tolerances.c_hat=-1", "[tolerances] c_hat must be finite and >= 0"),
+        ("zero-amplitude", "tolerances.c_hat=nan", "[tolerances] c_hat must be finite and >= 0"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
          "negative-quadrature", "negative-b-value", "infinite-b-value", "nan-sweep-amplitude",
-         "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude"],
+         "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude",
+         "infinite-run-length", "negative-c-hat", "nan-c-hat"],
 )
 def test_out_of_range_counts_and_lists_exit_with_code_3(tmp_path, capsys, conf, override, message):
     command = json.loads((GOLDEN / conf / "run_record.json").read_text(encoding="utf-8"))["command"]

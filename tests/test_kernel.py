@@ -265,9 +265,6 @@ def test_fused_guard_raises_the_per_grid_error(case, at_start):
     calls = [
         lambda: degeneracy_guard(domain, params, ut, times, at_start=at_start),
         lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times, at_start=at_start),
-        lambda: nonlinear_terms(
-            domain, params, 0.0 * ut, ut, ut, uttt=ut, time=times, at_start=at_start
-        ),
     ]
     if ut.shape[0] == 1:
         calls += [
@@ -283,6 +280,19 @@ def test_fused_guard_raises_the_per_grid_error(case, at_start):
         assert str(got) == str(want)
         assert (got.time, got.factor, got.at_start) == (want.time, want.factor, want.at_start)
         assert got.index == want.index
+
+
+@pytest.mark.parametrize("case", ["collocation-only", "gauss-only", "batched-middle"])
+def test_forcing_only_route_never_guards(case):
+    """With u_ttt given nothing is divided, so a u_t past the guard's
+    limit gives f and a guard minimum of None, and raises nothing."""
+    domain, params, ut = _guard_cases()[case]
+    for batch in (ut, ut[0]):
+        uttt, f, guard_min = nonlinear_terms(domain, params, 0.0 * batch, batch, batch, uttt=batch)
+        assert guard_min is None and np.array_equal(uttt, batch)
+        assert np.all(np.isfinite(f))
+        plan = KernelPlan(domain, params, batch.shape[:-1])
+        assert plan(0.0 * batch, batch, batch, batch)[2] is None
 
 
 # ---------------------------------------------------------------------------

@@ -379,18 +379,15 @@ def test_duhamel_manufactured_solution_order_two():
     params = ModelParams(0.8, 1.4, 1.2, 0.0, 0)
     lam = dom.eigenvalue_grid[0]
     exact, f3_scalar = _manufactured_forcing(lam, params)
-
-    def forcing(t):
-        out = np.zeros(4)
-        out[0] = f3_scalar(t)
-        return out
-
     errors = []
     for dt in (0.02, 0.01, 0.005):
         t_grid = np.arange(0.0, 1.0 + 1e-12, dt)
         data0 = np.zeros((3, 4))
         data0[:, 0] = exact(0.0)
-        sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=forcing)
+        # the forcing sampled on the grid, in the first mode only
+        f3 = np.zeros((t_grid.size, 4))
+        f3[:, 0] = [f3_scalar(t) for t in t_grid]
+        sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=f3)
         errors.append(np.max(np.abs(sol[-1][:, 0] - exact(1.0))))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] / errors[2] > 3.5
@@ -414,9 +411,9 @@ def _stepped(dom, params, t_grid, data0, f3):
     f3 = f3.reshape(t_grid.size, -1)
     data = [data0.reshape(3, -1)]
     for n in range(t_grid.size - 1):
-        base = table.propagate(data[-1], f3[n])
+        base = table.evolve(data[-1]) + table.held(f3[n])
         # the series stores C-ordered rows, and einsum rounds by layout
-        data.append(np.ascontiguousarray(table.add_slope(base, f3[n], f3[n + 1])))
+        data.append(np.ascontiguousarray(base + table.slope(f3[n], f3[n + 1])))
     return np.stack(data).reshape((t_grid.size, 3) + dom.coeff_shape)
 
 
@@ -425,7 +422,7 @@ def _stepped(dom, params, t_grid, data0, f3):
 def test_duhamel_is_the_table_step_in_a_loop(monkeypatch, dim, n, block_bytes):
     """The forcing terms of every step are taken before the loop, a block
     of steps at a time; the recurrence rounds as the step does, for no
-    forcing, a sampled forcing and a callable, also across blocks."""
+    forcing and two sampled forcings, also across blocks."""
     if block_bytes is not None:
         monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes)
     dom = DomainSpec(dim, (math.pi, 2.0)[:dim], n)
@@ -434,15 +431,8 @@ def test_duhamel_is_the_table_step_in_a_loop(monkeypatch, dim, n, block_bytes):
     t_grid = 0.01 * np.arange(41)
     data0 = _random_data(dom, params, rng)
     sampled = rng.standard_normal((t_grid.size,) + dom.coeff_shape)
-
-    def call(t):
-        return np.cos(3.0 * t) * sampled[0]
-
-    cases = (
-        (None, np.zeros(sampled.shape)),
-        (sampled, sampled),
-        (call, np.stack([call(t) for t in t_grid])),
-    )
+    smooth = np.multiply.outer(np.cos(3.0 * t_grid), sampled[0])
+    cases = ((None, np.zeros(sampled.shape)), (sampled, sampled), (smooth, smooth))
     for forcing, f3 in cases:
         got = solve_duhamel(dom, params, t_grid, data0, forcing_third=forcing)
         assert np.array_equal(got, _stepped(dom, params, t_grid, data0, f3))

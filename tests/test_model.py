@@ -425,6 +425,8 @@ def test_time_grid_samples_and_validation():
     assert time_grid(0.1, 1e-3)[-1] == pytest.approx(0.1, rel=1e-12)
     np.testing.assert_array_equal(time_grid(1.0, 1.0 / 3.0 * (1.0 + 1e-12)), np.arange(4) / 3.0 * (1.0 + 1e-12))
     bad = ((0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1), (1.0, 0.3), (1.0, 2.5), (1.0, 1.0 / 3.0 * (1.0 + 1e-8)))
+    # not finite: T, dt, or T/dt by overflow; each raises before a grid is allocated
+    bad += ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (np.inf, np.inf), (1e300, 1e-300))
     for T, dt in bad:
         with pytest.raises(ValueError):
             time_grid(T, dt)

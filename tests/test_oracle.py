@@ -104,7 +104,7 @@ def test_forcing_against_the_oracle(n):
     rng = np.random.default_rng(100 + n)
     decay = np.arange(1.0, n + 1) ** -1.5
     u, ut, utt, uttt = 1e-2 * rng.standard_normal((4, n)) * decay
-    _, f, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=uttt, eps_deg=None)
+    _, f, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=uttt)
 
     scale = [k * mp.pi / length for k in range(1, n + 1)]
     eu, eut, eutt, euttt = (_exact(x) for x in (u, ut, utt, uttt))

@@ -39,3 +39,46 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 if alias.name.startswith("_")
             ]
     assert found == []
+
+
+# Kept for the ``audit`` command planned in ROADMAP item 5, which will call them.
+AUDIT_NAMES = (
+    "heat_identity_instantiations",
+    "factorization_residual",
+    "max_mode_real_part",
+    "oscillation_ratio",
+    "weighted_norm",
+    "relative_bound_report",
+)
+
+
+def _named(paths):
+    """Every name a ``Name`` or ``Attribute`` node of ``paths`` mentions;
+    strings (docstrings, ``__all__``) do not count."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level function of a module is named by code in the
+    package or in a benchmark harness module (``perfbench/*.py``); the
+    tests alone do not keep a function alive."""
+    harness = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    named = _named(SOURCES + harness)
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        if path.stem != "__init__"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in named
+        and node.name not in AUDIT_NAMES
+    ]
+    assert unreached == []

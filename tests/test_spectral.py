@@ -10,11 +10,9 @@ from bck_sim.spectral import (
     DomainSpec,
     GridField,
     SpectralField,
+    _collocation_coefficients,
     _type1,
-    embedding_constant_estimate,
     evaluate,
-    evaluate_gauss,
-    fractional_power,
     gradient_dot,
     grid_extremes,
     grid_values,
@@ -22,11 +20,9 @@ from bck_sim.spectral import (
     product_collocation,
     product_dealiased,
     project,
-    project_gauss,
     sobolev_norm,
     sq_norm,
     to_grid,
-    to_spectral,
 )
 
 
@@ -93,30 +89,6 @@ def test_field_shape_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_fractional_power_zero_is_identity():
-    rng = np.random.default_rng(11)
-    dom = _domain_1d()
-    u = _random_field(dom, rng)
-    out = fractional_power(u, 0.0)
-    np.testing.assert_array_equal(out.coeffs, u.coeffs)
-
-
-def test_fractional_power_single_mode():
-    dom = _domain_1d(n=4)
-    u = SpectralField.single_mode(dom, 2, 1.0)  # lambda = 4
-    out = fractional_power(u, 1.0)
-    assert abs(out.coeffs[1] - 4.0) < 1e-12
-
-
-def test_fractional_power_additivity():
-    rng = np.random.default_rng(12)
-    dom = _domain_1d()
-    u = _random_field(dom, rng)
-    once = fractional_power(u, 1.0)
-    twice = fractional_power(fractional_power(u, 0.5), 0.5)
-    np.testing.assert_allclose(twice.coeffs, once.coeffs, rtol=1e-12, atol=0)
-
-
 def test_sobolev_norm_zero_field():
     dom = _domain_1d()
     assert sobolev_norm(SpectralField.zeros(dom), 2.0) == 0.0
@@ -132,12 +104,14 @@ def test_sobolev_norm_lowest_mode():
 
 
 def test_sobolev_norm_via_fractional_power():
+    """||A^(s/2) u|| is the L2 norm of the coefficients scaled by
+    lambda^(s/2), A^(s/2) acting diagonally."""
     rng = np.random.default_rng(13)
     dom = _domain_1d()
     u = _random_field(dom, rng)
     for s in (0.5, 1.0, 3.0, 4.0):
         direct = sobolev_norm(u, s)
-        via_power = l2_norm(fractional_power(u, s / 2.0))
+        via_power = l2_norm(SpectralField(dom, u.coeffs * dom.eigenvalue_grid ** (s / 2.0)))
         assert abs(direct - via_power) < 1e-12 * max(1.0, direct)
 
 
@@ -222,8 +196,8 @@ def test_transform_round_trip():
         DomainSpec(2, (math.pi, 1.3), 5, 11),
     ):
         u = _random_field(dom, rng)
-        back = to_spectral(to_grid(u))
-        np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
+        back = _collocation_coefficients(dom, to_grid(u).samples)
+        np.testing.assert_allclose(back, u.coeffs, rtol=0, atol=1e-12)
         # ``points`` builds the matrices of the grid that domain would cache
         default = DomainSpec(dom.dimension, dom.lengths, dom.modes_per_axis)
         assert np.array_equal(
@@ -231,12 +205,12 @@ def test_transform_round_trip():
         )
 
 
-def test_to_spectral_truncates_high_content():
+def test_collocation_inverse_truncates_high_content():
     dom = _domain_1d(n=8)  # grid has 12 interior points
     x = dom.grid_axes[0]
     samples = np.sin(9 * x)  # mode N + 1, resolved by the grid but not retained
-    out = to_spectral(GridField(dom, samples))
-    np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-12)
+    out = _collocation_coefficients(dom, samples)
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
     # 2D on 14 nodes per axis: modes (9, 2) and (3, 13) drop, (3, 2) stays
     dom = DomainSpec(2, (math.pi, math.pi), 8, 14)
     x = dom.grid_axes[0]
@@ -244,7 +218,7 @@ def test_to_spectral_truncates_high_content():
     samples += np.outer(np.sin(3 * x), np.sin(13 * x))
     want = np.zeros(dom.coeff_shape)
     want[2, 1] = 0.25
-    np.testing.assert_allclose(to_spectral(GridField(dom, samples)).coeffs, want, atol=1e-12)
+    np.testing.assert_allclose(_collocation_coefficients(dom, samples), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16), (2, 48)])
@@ -458,8 +432,8 @@ def test_gauss_projection_round_trip():
     rng = np.random.default_rng(21)
     for dom in (_domain_1d(), DomainSpec(2, (math.pi, 1.1), 4)):
         u = _random_field(dom, rng)
-        back = project_gauss(dom, evaluate_gauss(u))
-        np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
+        back = project(dom, "gauss", evaluate(dom, "gauss", u.coeffs))
+        np.testing.assert_allclose(back, u.coeffs, rtol=0, atol=1e-12)
 
 
 def test_gauss_projection_of_smooth_ratio():
@@ -469,8 +443,8 @@ def test_gauss_projection_of_smooth_ratio():
 
     dom = _domain_1d(n=8)
     u = SpectralField.single_mode(dom, 2, 1.0)
-    vals = evaluate_gauss(u) / (1.0 + 0.02 * np.sin(dom._gauss_rule[0][0]))
-    out = project_gauss(dom, vals)
+    vals = evaluate(dom, "gauss", u.coeffs) / (1.0 + 0.02 * np.sin(dom._gauss_rule[0][0]))
+    out = project(dom, "gauss", vals)
     for j in range(1, 9):
         val, _ = quad(
             lambda x: np.sin(2 * x) / (1.0 + 0.02 * np.sin(x)) * np.sin(j * x),
@@ -480,13 +454,7 @@ def test_gauss_projection_of_smooth_ratio():
             epsrel=1e-13,
             limit=200,
         )
-        assert abs(out.coeffs[j - 1] - 2.0 / math.pi * val) < 1e-12
-
-
-def test_embedding_estimate_reports_finite_value():
-    dom = _domain_1d()
-    est = embedding_constant_estimate(dom, 1.0, n_samples=16, seed=3)
-    assert np.isfinite(est) and est > 0.0
+        assert abs(out[j - 1] - 2.0 / math.pi * val) < 1e-12
 
 
 # ---------------------------------------------------------------------------
