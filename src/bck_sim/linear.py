@@ -22,8 +22,9 @@ eigenvalues.  The exponential-integrator step
 
 is written once, in ``PropagatorTable``: its three terms E U, P1 F_n and
 P2 (F_{n+1} - F_n) / dt are ``evolve``, ``held`` and ``slope``, summed in
-that order by the nonlinear march and by the recurrence of the Duhamel
-solve here.
+that order by the recurrence of the Duhamel solve here.  The nonlinear
+march binds the same terms, in the same order, on buffers of its own
+(``nonlinear._bind_step``).
 
 The semigroup state is raw data: an array of shape (3,) + coeff shape
 stacking U over the coefficient grid (``semigroup_data``), and a solve
@@ -138,9 +139,13 @@ class PropagatorTable:
     ``evolve``, ``held`` and ``slope`` are the three terms of the one
     exponential-integrator step, on flat data of shape (3, n) and third
     forcings of shape (..., n); a step sums them in that order.
-    phi1 and phi2 are transposed views of contiguous (n, 3) columns, so a
-    step returns data laid out mode-fastest; the march feeds that back to
-    the next step's einsum, whose rounding depends on the layout.
+    phi1 and phi2 are transposed views of contiguous (n, 3) columns, and
+    the einsum of ``evolve`` writes its (3, n) result in that layout too,
+    the three components of a mode adjacent.  The einsum rounds by the
+    layout of its input: the Duhamel solve passes C-ordered rows, while
+    the nonlinear march's bound step writes each step into buffers of the
+    einsum's layout and reads them back at the next step, so every step
+    after its first reads that layout.
     """
 
     domain: object

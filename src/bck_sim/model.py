@@ -35,28 +35,31 @@ SpectralField front ends.  Long batches run in blocks of
 ``spectral.BLOCK_BYTES``.
 
 The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
-``wave_part``, and inverted once, in ``semigroup_utt``; the semigroup data
-of ``linear``, the march, the linear energy and the equation residual all
-take it from there.  The time grid of a run of length T is written once,
-in ``time_grid``, and every sampled series is checked by the one
-``check_uniform_grid``.
+``wave_part``, and inverted once, in ``semigroup_utt`` (the 1D march step
+runs its buffered form, same operations in the same order); the semigroup
+data of ``linear``, the march, the linear energy and the equation
+residual all take it from there.  The time grid of a run of length T is
+written once, in ``time_grid``, and every sampled series is checked by
+the one ``check_uniform_grid``.
 
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
 and forcing flag: building it resolves the weights, takes every matrix
 and view and allocates every buffer, so a call is a straight run of
 ``out=`` numpy calls with no shape arithmetic, allocation or cache
-lookup.  ``nonlinear.solve`` builds one plan per march and calls it at
-every substep; ``nonlinear_terms`` builds one per block shape of its
-batch and calls it.  The buffers never escape: u_ttt, f and the guard
-minima come back as fresh arrays.  A call guards when it evaluates the
-law (u_ttt not given), and only then: the forcing f is a polynomial and
-divides by nothing, so the forcing-only route (u_ttt given) returns None
-for the guard minimum.  The guard runs on one buffer of 2k u_t on the
-Gauss nodes and on the collocation nodes (the Gauss half is what the law
-divides by), so one min and one max per sample cover both grids; only a
-trip looks at the grids apart, to report where it happened.  With k = 0
-the factor is 1 and so is the guard minimum.  The route follows the
-dimension.
+lookup.  ``nonlinear_terms`` builds one per block shape of its batch and
+calls it; a call returns u_ttt, f and the guard minima as fresh arrays,
+so its buffers never escape.  ``nonlinear.solve`` builds one plan per
+march; its bound step calls the plan's entry point from semigroup data,
+``step_terms``, at every substep sweep, which in 1D writes u_tt into the
+plan's row and returns views of the plan's buffers for the march to
+copy.  A call guards when it evaluates the law (u_ttt not given), and
+only then: the forcing f is a polynomial and divides by nothing, so the
+forcing-only route (u_ttt given) returns None for the guard minimum.
+The guard runs on one buffer of 2k u_t on the Gauss nodes and on the
+collocation nodes (the Gauss half is what the law divides by), so one
+min and one max per sample cover both grids; only a trip looks at the
+grids apart, to report where it happened.  With k = 0 the factor is 1
+and so is the guard minimum.  The route follows the dimension.
 
 * 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of a
   few dozen values, so its cost is the count of numpy calls.  The members
@@ -363,12 +366,14 @@ def _guard(domain, both, time, eps_deg, at_start):
     high = np.maximum.reduce(both, axis=-1)
     limit = 1.0 - eps_deg
     # |x| >= limit somewhere iff max x >= limit or min x <= -limit; over a
-    # stack, fmax and fmin pass over a sample holding a NaN, which never trips
+    # stack, fmax and fmin pass over a sample holding a NaN, which never
+    # trips.  The extremes are compared as Python floats.
     batched = both.ndim > 1
-    top, bottom = (np.fmax.reduce(high), np.fmin.reduce(low)) if batched else (high, low)
+    top = float(np.fmax.reduce(high) if batched else high)
+    bottom = float(np.fmin.reduce(low) if batched else low)
     if top >= limit or bottom <= -limit:
         raise _degeneracy_error(domain, both, low, high, time, limit, at_start)
-    return 1.0 + low if batched else float(1.0 + low)
+    return 1.0 + low if batched else 1.0 + bottom
 
 
 def _degeneracy_error(domain, both, low, high, time, limit, at_start):
@@ -611,6 +616,7 @@ class _Plan1D:
         self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
         # (u_tt, u_t, u), then u_ttt, as the caller's arrays are copied in
         self._fill = self._x[..., n : 4 * n], self._x[..., n:]
+        self._data_route = None
         members = rows[..., 1 : 4 + (k != 0.0), :]
         grid = np.empty(members.shape[:-1] + (fine.shape[1],))
         self._fine = fine, members, grid
@@ -633,8 +639,9 @@ class _Plan1D:
     def _bind_law(self):
         """The Gauss-grid buffers and views: (rows, their grid values, the
         factors and destinations of the quadratic terms, the terms and lin,
-        the numerator weights, the guard buffer and its Gauss part, the
-        numerator, the u_ttt row as a column)."""
+        the numerator weights, the guard buffer, it as a column and its
+        Gauss part, the numerator and it as a column, the Gauss projection,
+        the u_ttt row as a column)."""
         domain, batch, s = self.domain, self.batch, self.params.s
         g = domain.gauss_points_per_axis
         # the rows (lin, u_tt), then (u_t, u) when s; as many summands,
@@ -650,6 +657,7 @@ class _Plan1D:
         if s:
             pairs.append((grads[..., 2:4, :], grads[..., 2:0:-1, :], summands[..., 1:-1, :]))
         both, scaled, _ = _guard_buffer(domain, batch)
+        num = np.empty(batch + (g,))
         return (
             self._rows[..., :rows, :],
             out,
@@ -657,9 +665,28 @@ class _Plan1D:
             summands,
             np.array([-2.0 * self.params.k] + [-2.0] * 2 * s + [1.0]),
             both,
+            both[..., None],
             scaled,
-            np.empty(batch + (g,)),
+            num,
+            num[..., None],
+            domain._gauss_project[0],
             self._uttt[..., None],
+        )
+
+    def _bind_data_route(self):
+        """The buffers and views of ``step_terms``: (the u_tt row, the
+        (u_t, u) rows, the wave weights (w_t, w_u) of those rows, their
+        products and each product alone, f)."""
+        rows, batch = self._rows, self.batch
+        term = np.empty(batch + (2, rows.shape[-1]))
+        return (
+            rows[..., 1, :],
+            rows[..., 2:4, :],
+            np.stack(_wave_weights(self.domain, self.params)),
+            term,
+            term[..., 0, :],
+            term[..., 1, :],
+            np.empty(batch + rows.shape[-1:]),
         )
 
     def _run_law(self, ut, time, eps_deg, at_start):
@@ -667,43 +694,67 @@ class _Plan1D:
         minimum."""
         if self._law is None:
             self._law = self._bind_law()
-        rows, out, pairs, summands, weights, both, scaled, num, uttt = self._law
+        law = self._law
+        rows, out, pairs, summands, weights, both, both_col, scaled, num, num_col, gp, uttt = law
         np.matmul(rows, self._gauss, out=out)
-        np.matmul(self._guard, ut[..., None], out=both[..., None])
+        np.matmul(self._guard, ut[..., None], out=both_col)
         np.multiply(2.0 * self.params.k, both, out=both)
         guard_min = _guard(self.domain, both, time, eps_deg, at_start)
         for a, b, dst in pairs:
             np.multiply(a, b, out=dst)
         np.matmul(weights, summands, out=num)
         np.divide(num, np.add(1.0, scaled, out=scaled), out=num)
-        np.matmul(self.domain._gauss_project[0], num[..., None], out=uttt)
+        np.matmul(gp, num_col, out=uttt)
         return guard_min
 
-    def _run_forcing(self):
-        """f of the current rows, a fresh array."""
+    def _run_forcing(self, out=None):
+        """f of the current rows, written into ``out`` (a fresh array when
+        None)."""
         fine, members, grid = self._fine
         np.matmul(members, fine, out=grid)
-        for a, b, out in self._pairs:
-            np.multiply(a, b, out=out)
+        for a, b, dst in self._pairs:
+            np.multiply(a, b, out=dst)
         np.matmul(self._products, self._project, out=self._proj)
-        return np.matmul(self._weights, self._proj)
+        return np.matmul(self._weights, self._proj, out=out)
+
+    def _run(self, ut, time, eps_deg, at_start, f_out=None):
+        """The law into the u_ttt row and f into ``f_out``, with the rows
+        (u_tt, u_t, u) filled; returns (f or None, guard minimum).  ``ut``
+        is the caller's u_t, which the guard's gemv reads."""
+        np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
+        if self.params.k == 0.0:
+            guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
+            f = self._run_forcing(f_out)
+            np.subtract(self._lin, f, out=self._uttt)
+            return f if self.forcing else None, guard_min
+        guard_min = self._run_law(ut, time, eps_deg, at_start)
+        return self._run_forcing(f_out) if self.forcing else None, guard_min
 
     def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
-        k = self.params.k
-        if uttt is None or k == 0.0:
-            np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
-        else:
-            np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
         if uttt is not None:
+            if self.params.k == 0.0:
+                np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
+            else:
+                np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
             # the forcing-only route never guards
             return uttt, self._run_forcing() if self.forcing else None, None
-        np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
-        if k == 0.0:
-            guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
-            f = self._run_forcing()
-            return self._lin - f, f if self.forcing else None, guard_min
-        guard_min = self._run_law(ut, time, eps_deg, at_start)
-        return self._uttt.copy(), self._run_forcing() if self.forcing else None, guard_min
+        np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
+        f, guard_min = self._run(ut, time, eps_deg, at_start)
+        return self._uttt.copy(), f, guard_min
+
+    def step_terms(self, data, time, eps_deg):
+        """``KernelPlan.step_terms``: one copy of (u_t, u) into their rows,
+        one multiply by (w_t, w_u), u_tt = (X - w_t u_t) - w_u u into its
+        row, then the law and f.  Its buffers are bound on the first call."""
+        if self._data_route is None:
+            self._data_route = self._bind_data_route()
+        utt, ut_u, wave, term, wt_ut, wu_u, f = self._data_route
+        ut_u[...] = data[1::-1]
+        np.multiply(wave, ut_u, out=term)
+        np.subtract(data[2], wt_ut, out=utt)
+        np.subtract(utt, wu_u, out=utt)
+        self._run(data[1], time, eps_deg, False, f)
+        return utt, self._uttt, f
 
 
 class KernelPlan:
@@ -712,12 +763,15 @@ class KernelPlan:
 
     Building the plan resolves the weights, takes every matrix and view and
     allocates every buffer once (those of the Gauss stage of the law on its
-    first call without u_ttt), so a call is a straight run of numpy calls.
-    ``nonlinear.solve`` builds one per march; ``nonlinear_terms`` builds
-    one per block shape and calls it.  The plan owns its buffers, and the
-    results never share memory with them.  A call guards only when it
-    evaluates the law (u_ttt not given); the forcing-only route returns
-    None for the guard minimum.
+    first call without u_ttt, and in 1D those of ``step_terms`` on its
+    first call), so a call is a straight run of numpy calls.
+    ``nonlinear.solve`` builds one per march and steps through
+    ``step_terms``; ``nonlinear_terms`` builds one per block shape and
+    calls it.  The plan owns its buffers.  The results of a call never
+    share memory with them; those of ``step_terms`` are views of them in
+    1D, for the march to copy.  A call guards only when it evaluates the
+    law (u_ttt not given); the forcing-only route returns None for the
+    guard minimum.
 
     The route follows the dimension (see the module docstring).  A 1D
     plan (with k != 0 or s) is a ``_Plan1D``: each grid stage is one
@@ -733,11 +787,11 @@ class KernelPlan:
     def __init__(self, domain, params, batch=(), forcing=True):
         k, s = params.k, params.s
         self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
-        self._wave = _wave_weights(domain, params)
         self._plan_1d = None
         if (k != 0.0 or s) and domain.dimension == 1:
             self._plan_1d = _Plan1D(domain, params, batch, forcing)
             return
+        self._wave = _wave_weights(domain, params)
         self._bracket = _bracket_weights(domain, params)
         self._law = None
         self._products = None
@@ -746,9 +800,19 @@ class KernelPlan:
             self._products = _product_stage(domain, params, self._stack)
             self._weights = _forcing_weights(k, s, self._products[1].ndim)
 
-    def semigroup_utt(self, data):
-        """``semigroup_utt`` of semigroup data on the plan's domain and params."""
-        return _utt_of_data(self._wave, data)
+    def step_terms(self, data, time, eps_deg):
+        """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
+        of an unbatched plan: u_tt is ``semigroup_utt`` of the data, and
+        the law is evaluated and guarded on it as ``__call__`` does, with
+        the same operations on the same operand layouts (the guard reads
+        the u_t row of ``data`` itself).  In 1D the results are views of
+        the plan's buffers, which the next call overwrites."""
+        if self._plan_1d is not None:
+            return self._plan_1d.step_terms(data, time, eps_deg)
+        fields = data.reshape((3,) + self.domain.coeff_shape)
+        utt = _utt_of_data(self._wave, fields)
+        uttt, f, _ = self(fields[0], fields[1], utt, None, time, eps_deg)
+        return utt.reshape(-1), uttt.reshape(-1), f.reshape(-1)
 
     def _fill(self, u, ut, utt, last):
         """Copy the fields into the member stack (``last`` None when k = 0)."""

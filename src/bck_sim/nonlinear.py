@@ -18,6 +18,11 @@ fixed-point route return raw semigroup series, which
 ``linear_trajectory`` turns into a Trajectory.  Both routes step with the
 one exponential-integrator step of ``linear.PropagatorTable``, sample on
 ``model.time_grid``, and measure with ``spectral.sq_norm``.
+
+The direct stepper binds that step once per march (``_bind_step``), on
+buffers it owns, for both dimensions; it keeps every operation, operand
+layout and association order of the term-by-term step, so a march is
+that step in a loop bit for bit (``tests/test_nonlinear.py``).
 """
 
 import math
@@ -120,11 +125,12 @@ class PicardReport:
     converged: bool
 
 
-def _check_blowup(data, time, bound):
-    # max |x| is max(max x, -min x); NaN propagates through both reductions
-    peak = max(np.maximum.reduce(data, axis=None), -np.minimum.reduce(data, axis=None))
+def _check_blowup(data, time, bound, scratch=None):
+    """Raise BlowUpError unless max |x| over ``data`` is finite and within
+    ``bound``; |x| goes into ``scratch`` (data's shape) when given.  NaN
+    propagates through the reduction, so it trips too."""
+    peak = float(np.maximum.reduce(np.abs(data, out=scratch), axis=None))
     if not (math.isfinite(peak) and peak <= bound):
-        peak = float(np.max(np.abs(data)))
         raise BlowUpError(
             f"coefficient magnitude {peak:.3e} exceeded the blow-up bound "
             f"{bound:.3e} at t = {time:.6g}",
@@ -134,28 +140,58 @@ def _check_blowup(data, time, bound):
         )
 
 
-def _advance(table, plan, data, t, f3, substep_iters, eps_deg, bound):
-    """One exponential-integrator step with substep fixed-point closure.
+def _bind_step(table, plan, substep_iters, eps_deg, bound):
+    """The exponential-integrator step with substep fixed-point closure,
+    bound once per march to its ``PropagatorTable`` and ``KernelPlan``.
 
-    Takes the semigroup data (shape (3,) + coeff shape) at time t plus the
-    already-computed third forcing component F3 = -f there; returns
-    (data, u_tt, u_ttt, F3) at t + dt, so a march never evaluates the
-    forcing twice at one sample.  ``plan`` is the march's ``KernelPlan``.
+    Returns ``step(data, f, t_next)``: from the flat semigroup data (3, n)
+    and the forcing f (n,) at the start of the step, (data, u_tt, u_ttt, f)
+    at ``t_next``, so a march never evaluates the forcing twice at one
+    sample.  With F = -f the third forcing component,
+
+        base      = E U + P1 F                  (``evolve`` + ``held``)
+        candidate = base + P2 (F' - F) / dt     (+ ``slope``);
+
+    every sweep checks the blow-up bound on its candidate (the base first)
+    and evaluates the plan's ``step_terms`` there, and every sweep but the
+    last forms the next candidate.  P1 F is -(P1 f) and F' - F is f - f',
+    both exactly, so the step writes E U - P1 f and P2 (f - f') / dt: the
+    same bits, signed zeros included, with no negation.
+
+    The step owns two (3, n) buffers in the layout the einsum of
+    ``evolve`` writes (the three components of a mode adjacent); a step's
+    base is the one that does not hold its input.  The first step reads
+    the march's C-ordered start data, every later one the buffer the step
+    before returned, as the term-by-term march does: the einsum rounds by
+    the layout of its input.  The results are views of the step's and the
+    plan's buffers, valid until the next call.
     """
-    f3_flat = f3.reshape(-1)
-    base = table.evolve(data.reshape(3, -1)) + table.held(f3_flat)
-    t_next = t + table.dt
+    n = table.phi1.shape[1]
+    phi1, phi2, dt = table.phi1, table.phi2, table.dt
+    # each buffer as (3, n) data and as its contiguous memory, which the
+    # blow-up check reads
+    buffers = [(m.T, m.reshape(-1)) for m in (np.empty((n, 3)), np.empty((n, 3)))]
+    term, diff, scratch = np.empty((n, 3)).T, np.empty(n), np.empty(3 * n)
+    last = max(substep_iters, 0)
+    step_terms = plan.step_terms
 
-    candidate = base
-    for sweep in range(max(substep_iters, 0) + 1):
-        _check_blowup(candidate, t_next, bound)
-        data_next = candidate.reshape(data.shape)
-        utt = plan.semigroup_utt(data_next)
-        uttt, f, _ = plan(data_next[0], data_next[1], utt, None, t_next, eps_deg)
-        f3_next = -f
-        if sweep < substep_iters:
-            candidate = base + table.slope(f3_flat, f3_next.reshape(-1))
-    return data_next, utt, uttt, f3_next
+    def step(data, f, t_next):
+        (base, flat), (candidate, candidate_flat) = (
+            buffers[::-1] if data is buffers[0][0] else buffers
+        )
+        table.evolve(data, out=base)
+        np.subtract(base, np.multiply(phi1, f, out=term), out=base)
+        x = base
+        for sweep in range(last + 1):
+            _check_blowup(flat, t_next, bound, scratch)
+            utt, uttt, f_next = step_terms(x, t_next, eps_deg)
+            if sweep < last:
+                np.divide(np.subtract(f, f_next, out=diff), dt, out=diff)
+                np.add(base, np.multiply(phi2, diff, out=term), out=candidate)
+                x, flat = candidate, candidate_flat
+        return x, utt, uttt, f_next
+
+    return step
 
 
 def solve(
@@ -172,7 +208,10 @@ def solve(
     On degeneracy or blow-up the raised error carries the accepted part
     of the run in its partial_trajectory attribute.  One ``KernelPlan``,
     built here, serves every kernel call of the march (the forcing at the
-    start and the law at every substep) and is dropped with it.
+    start and the law at every substep), and one bound step
+    (``_bind_step``) every step; both are dropped with the march.  The
+    step returns views of its buffers, which the march copies into the
+    trajectory rows, so no trajectory array shares memory with them.
     """
     t_grid = time_grid(T, dt)
     nt = t_grid.size
@@ -192,8 +231,11 @@ def solve(
 
     plan = KernelPlan(domain, params)
     _, forcing[0], _ = plan(u[0], ut[0], utt[0], uttt[0])
-    f3 = -forcing[0]
-    data = semigroup_data(domain, params, u[0], ut[0], utt[0])
+    step = _bind_step(table, plan, substep_iters, eps_deg, blowup_bound)
+    data = semigroup_data(domain, params, u[0], ut[0], utt[0]).reshape(3, -1)
+    u_rows, ut_rows, utt_rows, uttt_rows, f_rows = (
+        a.reshape(nt, -1) for a in (u, ut, utt, uttt, forcing)
+    )
 
     def partial(upto):
         return Trajectory(
@@ -208,17 +250,14 @@ def solve(
 
     t = 0.0
     for n in range(nt - 1):
+        t += table.dt
         try:
-            data, utt[n + 1], uttt[n + 1], f3 = _advance(
-                table, plan, data, t, f3, substep_iters, eps_deg, blowup_bound
-            )
+            data, utt_rows[n + 1], uttt_rows[n + 1], f_rows[n + 1] = step(data, f_rows[n], t)
         except (DegeneracyError, BlowUpError) as err:
             err.partial_trajectory = partial(n)
             raise
-        t += table.dt
-        u[n + 1] = data[0]
-        ut[n + 1] = data[1]
-        forcing[n + 1] = -f3
+        u_rows[n + 1] = data[0]
+        ut_rows[n + 1] = data[1]
 
     return Trajectory(
         domain=domain,

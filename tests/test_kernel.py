@@ -5,6 +5,8 @@ stack of the same gemv/gemm, DCT and elementwise operations, so any
 difference would mean the arithmetic of a sample depends on its batch.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -530,17 +532,58 @@ def test_partial_trajectory_keeps_the_forcing():
     assert np.array_equal(partial.forcing, forcing_series(partial, params))
 
 
-def test_alternating_marches_match_solo_runs_and_share_no_memory():
+def _held_arrays(obj):
+    """Every array a bound step or a plan holds: in closure variables,
+    plan attributes (a bound method's plan too), tuples and lists,
+    recursively."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif inspect.ismethod(obj):
+        yield from _held_arrays(obj.__self__)
+    elif isinstance(obj, (model.KernelPlan, model._Plan1D)):
+        yield from _held_arrays(list(vars(obj).values()))
+    elif inspect.isfunction(obj) and obj.__closure__:
+        yield from _held_arrays(list(inspect.getclosurevars(obj).nonlocals.values()))
+
+
+def test_alternating_marches_match_solo_runs_and_share_no_memory(monkeypatch):
+    """No trajectory array shares memory with another march's, nor with a
+    buffer of any march's bound step or plan."""
     cases = [_initial_data(1, 8), _initial_data(2, 16, seed=1)]
     solo = [solve(data, params, 5e-3, 1e-3) for _, params, data in cases]
+    steps = []
+    bind_step = nonlinear._bind_step
+
+    def recording(*args):
+        steps.append(bind_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(nonlinear, "_bind_step", recording)
     mixed = [solve(data, params, 5e-3, 1e-3) for _ in range(2) for _, params, data in cases]
     for i, traj in enumerate(mixed):
         assert _same_trajectory(traj, solo[i % 2])
+    fields = TRAJECTORY_FIELDS + ("forcing",)
     for i, a in enumerate(mixed):
         for b in mixed[i + 1 :]:
-            for x in TRAJECTORY_FIELDS:
-                for y in TRAJECTORY_FIELDS:
+            for x in fields:
+                for y in fields:
                     assert not np.shares_memory(getattr(a, x), getattr(b, y))
+    held = list(_held_arrays(steps))
+    # the walk reaches each step's data buffers and its plan's member rows
+    assert len(steps) == 4
+    for step in steps:
+        names = inspect.getclosurevars(step).nonlocals
+        plan = names["step_terms"].__self__
+        rows = plan._stack if plan._plan_1d is None else plan._plan_1d._x
+        for buf in [view for pair in names["buffers"] for view in pair] + [rows]:
+            assert any(h is buf for h in held)
+    for traj in mixed:
+        for x in fields:
+            for buf in held:
+                assert not np.shares_memory(getattr(traj, x), buf)
 
 
 def test_plans_bound_first_and_called_interleaved_own_their_buffers():

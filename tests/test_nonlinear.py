@@ -15,16 +15,19 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bck_sim.errors import BlowUpError, DegeneracyError
-from bck_sim.linear import semigroup_data, solve_duhamel
+from bck_sim.linear import propagator_table, semigroup_data, solve_duhamel
 from bck_sim.model import (
+    DEFAULT_EPS_DEG,
     CompatibilityData,
     ModelParams,
     degeneracy_guard,
     linear_bracket,
     make_compatibility_data,
+    nonlinear_terms,
     semigroup_utt,
 )
 from bck_sim.nonlinear import (
+    DEFAULT_BLOWUP_BOUND,
     Trajectory,
     _check_blowup,
     picard_apply,
@@ -33,7 +36,7 @@ from bck_sim.nonlinear import (
     v_norm,
     vtilde_norm,
 )
-from bck_sim.spectral import DomainSpec, SpectralField, grid_values
+from bck_sim.spectral import DomainSpec, SpectralField, evaluate, grid_values
 
 WEIGHT = math.pi / 2.0
 
@@ -223,8 +226,8 @@ def test_solve_blowup_bound_raises_overflow():
     ],
 )
 def test_check_blowup_trips_on_nan_inf_and_bound(bad, bound, shown):
-    """One max and one min reduction decide; the message reports max |x|
-    as before, NaN and inf included (also with an infinite bound)."""
+    """One max reduction of |x| decides; the message reports max |x|, NaN
+    and inf included (also with an infinite bound)."""
     data = np.zeros((3, 8))
     data[1, 3] = bad
     data[2, 5] = 0.5
@@ -244,6 +247,154 @@ def test_check_blowup_passes_within_the_bound():
     data[0, 0], data[1, 1] = 1e12, -1e12
     _check_blowup(data, 0.0, 1e12)
     _check_blowup(np.zeros((3, 8)), 0.0, 0.0)
+
+
+MARCH_FIELDS = ("u", "ut", "utt", "uttt", "forcing")
+
+
+def _reference_march(data, params, T, dt, substep_iters, eps_deg=DEFAULT_EPS_DEG,
+                     blowup_bound=DEFAULT_BLOWUP_BOUND, trace=None):
+    """The march as a loop of the step spelled term by term, allocating:
+    base = table.evolve(x) + table.held(F) with F = -f, and per sweep the
+    blow-up check, u_tt by ``semigroup_utt``, the law by a one-shot
+    ``nonlinear_terms`` call and, on every sweep but the last,
+    base + table.slope(F, F').  The first step reads the C-ordered start
+    data, every later one the candidate the step before accepted.
+
+    Returns (fields, error): the accepted samples of each of MARCH_FIELDS,
+    stacked, and the error that stopped the loop or None.  ``trace``, when
+    given, receives per sweep (step, sweep, max |x| of the candidate,
+    max |2k u_t| on the Gauss and collocation grids) before the sweep's
+    checks."""
+    domain = data.u0.domain
+    shape = (3,) + domain.coeff_shape
+    table = propagator_table(domain, params, dt)
+    start = (data.u0.coeffs, data.u1.coeffs, data.u2.coeffs, data.uttt0.coeffs)
+    _, f, _ = nonlinear_terms(domain, params, *start)
+    rows = [[value] for value in start + (f,)]
+    x = semigroup_data(domain, params, *start[:3])
+    f3 = -f.reshape(-1)
+    t = 0.0
+    error = None
+    try:
+        for step in range(1, round(T / dt) + 1):
+            base = table.evolve(x.reshape(3, -1)) + table.held(f3)
+            t += table.dt
+            candidate = base
+            for sweep in range(substep_iters + 1):
+                if trace is not None:
+                    ut = candidate[1].reshape(domain.coeff_shape)
+                    peaks = [
+                        np.abs(evaluate(domain, g, ut)).max() for g in ("gauss", "collocation")
+                    ]
+                    guard = 2.0 * params.k * max(peaks)
+                    trace.append((step, sweep, np.abs(candidate).max(), guard))
+                _check_blowup(candidate, t, blowup_bound)
+                x = candidate.reshape(shape)
+                utt = semigroup_utt(domain, params, x)
+                uttt, f, _ = nonlinear_terms(
+                    domain, params, x[0], x[1], utt, time=t, eps_deg=eps_deg
+                )
+                f3_next = -f.reshape(-1)
+                if sweep < substep_iters:
+                    candidate = base + table.slope(f3, f3_next)
+            f3 = f3_next
+            for row, value in zip(rows, (x[0], x[1], utt, uttt, -f3.reshape(x[0].shape))):
+                row.append(value)
+    except (BlowUpError, DegeneracyError) as err:
+        error = err
+    return dict(zip(MARCH_FIELDS, map(np.array, rows))), error
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: np.array_equal that also tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_data(dim, n, k, s, seed=0):
+    dom = DomainSpec(dim, (math.pi, 2.0)[:dim], n)
+    params = ModelParams(1.0, 0.7, 1.3, k, s)
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(dom.eigenvalue_grid) / dom.lambda0
+    fields = [SpectralField(dom, 1e-2 * rng.standard_normal(dom.coeff_shape) * lam**-1.5)
+              for _ in range(3)]
+    return params, make_compatibility_data(*fields, params)
+
+
+@pytest.mark.parametrize("substep_iters", [0, 2])
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("k", [0.0, 0.2])
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
+def test_march_is_the_three_term_step_in_a_loop(dim, n, k, s, substep_iters):
+    """The bound step is the term-by-term step bit for bit, signed zeros
+    included, at every sample of every stored field.  The einsum of the
+    step rounds by the layout of its input, so this also pins the layout
+    each step reads."""
+    params, data = _random_data(dim, n, k, s)
+    want, err = _reference_march(data, params, 6e-3, 1e-3, substep_iters)
+    assert err is None
+    traj = solve(data, params, 6e-3, 1e-3, substep_iters=substep_iters)
+    for name in MARCH_FIELDS:
+        assert _same_bits(getattr(traj, name), want[name]), name
+
+
+def _growing_case(dim):
+    """u_t driven up from rest by u_tt on a weakly damped domain.  With
+    dt = 0.25 the largest coefficient and the largest |2k u_t| grow from
+    step to step, and a substep sweep sets a new record of each at some
+    step >= 2."""
+    dom = DomainSpec(dim, (math.pi, 2.0)[:dim], 8)
+    params = ModelParams(0.05, 0.1, 0.3, 0.2, 1)
+    lam = np.asarray(dom.eigenvalue_grid) / dom.lambda0
+    rng = np.random.default_rng(3)
+    z = SpectralField.zeros(dom)
+    u2 = SpectralField(dom, 1e-1 * rng.standard_normal(dom.coeff_shape) * lam**-1.5)
+    return params, make_compatibility_data(z, z, u2, params)
+
+
+def _error_fields(err):
+    return {key: value for key, value in vars(err).items() if key != "partial_trajectory"}
+
+
+@pytest.mark.parametrize("kind", ["blowup", "degeneracy"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_trip_inside_a_substep_sweep_matches_the_reference_loop(dim, kind):
+    """The bound is set between the largest value before the first record
+    set by a sweep >= 1 (at a step >= 2) and that record, so the march
+    trips inside a substep sweep.  It raises the reference loop's error,
+    with its time, fields and message, and a partial trajectory of the
+    reference loop's accepted samples; a march after the trip is
+    unchanged."""
+    params, data = _growing_case(dim)
+    T, dt = 3.0, 0.25
+    clean = solve(data, params, T, dt)
+    trace = []
+    _, err = _reference_march(data, params, T, dt, 2, trace=trace)
+    assert err is None
+    best = 0.0
+    for step, sweep, peak, guard in trace:
+        value = peak if kind == "blowup" else guard
+        if step >= 2 and sweep >= 1 and value > best:
+            break
+        best = max(best, value)
+    else:
+        pytest.fail("no sweep >= 1 sets a record")
+    limit = 0.5 * (best + value)
+    options = {"blowup_bound": limit} if kind == "blowup" else {"eps_deg": 1.0 - limit}
+    trace = []
+    want, want_err = _reference_march(data, params, T, dt, 2, trace=trace, **options)
+    assert trace[-1][:2] == (step, sweep)
+    with pytest.raises(type(want_err)) as info:
+        solve(data, params, T, dt, **options)
+    got = info.value
+    assert str(got) == str(want_err)
+    assert _error_fields(got) == _error_fields(want_err)
+    assert got.partial_trajectory.n_samples == step
+    for name in MARCH_FIELDS:
+        assert _same_bits(getattr(got.partial_trajectory, name), want[name]), name
+    again = solve(data, params, T, dt)
+    for name in MARCH_FIELDS:
+        assert _same_bits(getattr(again, name), getattr(clean, name)), name
 
 
 def test_trajectory_validation():
