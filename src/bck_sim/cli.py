@@ -276,11 +276,12 @@ def cmd_picard(config, out_dir, artifacts):
             tol=config.picard_tol,
             max_iter=config.picard_max_iter,
             eps_deg=config.eps_deg,
+            blowup_bound=config.blowup_bound,
         )
     except NonConvergenceError as err:
         emit(False, len(err.increments or ()), err.ratios or (), err.increments or (), math.nan)
         raise
-    except DegeneracyError as err:
+    except (DegeneracyError, BlowUpError) as err:
         ratios = getattr(err, "ratios", ()) or ()
         increments = getattr(err, "increments", ()) or ()
         emit(False, len(increments), ratios, increments, math.nan)

@@ -42,32 +42,38 @@ residual all take it from there.  The time grid of a run of length T is
 written once, in ``time_grid``, and every sampled series is checked by
 the one ``check_uniform_grid``.
 
-The body is a ``KernelPlan``, bound once to a domain, params, batch shape
-and forcing flag: building it resolves the weights, takes every matrix
-and view and allocates every buffer, so a call is a straight run of
-``out=`` numpy calls with no shape arithmetic, allocation or cache
-lookup.  ``nonlinear_terms`` builds one per block shape of its batch and
-calls it; a call returns u_ttt, f and the guard minima as fresh arrays,
-so its buffers never escape.  ``nonlinear.solve`` builds one plan per
-march; its bound step calls the plan's entry point from semigroup data,
-``step_terms``, at every substep sweep, which in 1D writes u_tt into the
-plan's row and returns views of the plan's buffers for the march to
-copy.  A call guards when it evaluates the law (u_ttt not given), and
-only then: the forcing f is a polynomial and divides by nothing, so the
-forcing-only route (u_ttt given) returns None for the guard minimum.
-The guard runs on one buffer of 2k u_t on the Gauss nodes and on the
-collocation nodes (the Gauss half is what the law divides by), so one
-min and one max per sample cover both grids; only a trip looks at the
-grids apart, to report where it happened.  With k = 0 the factor is 1
-and so is the guard minimum.  The route follows the dimension.
+The body is a ``KernelPlan``, bound once to a domain, params and batch
+shape: building it resolves the weights, takes every matrix and view and
+allocates every buffer, so a call is a straight run of ``out=`` numpy
+calls with no shape arithmetic, allocation or cache lookup.  Every call
+returns f: the march needs the law with f, the Picard sweeps and the
+post-processing f alone, and the one-shot front ends that need only
+u_ttt discard it.  ``nonlinear_terms`` builds one plan per block shape of
+its batch and calls it; a call returns u_ttt, f and the guard minima as
+fresh arrays, so its buffers never escape.  ``nonlinear.solve`` builds
+one plan per march; its bound step calls the plan's entry point from
+semigroup data, ``step_terms``, at every substep sweep, which in 1D
+writes u_tt into the plan's row and returns views of the plan's buffers
+for the march to copy.  A call guards when it evaluates the law (u_ttt
+not given), and only then: the forcing f is a polynomial and divides by
+nothing, so the forcing-only route (u_ttt given) returns None for the
+guard minimum.  The guard runs on one buffer of 2k u_t on the Gauss
+nodes and on the collocation nodes (the Gauss half is what the law
+divides by), so one min and one max per sample cover both grids; only a
+trip looks at the grids apart, to report where it happened.  With k = 0
+the factor is 1 and so is the guard minimum.  The dimension selects the
+body, with one exception: a plan with k = s = 0 binds no stage (u_ttt is
+the bracket and f is zero) and runs the 2D body in 1D too, as
+``linear-lowest-mode`` and the spatial study of ``convergence`` do.
 
-* 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of a
-  few dozen values, so its cost is the count of numpy calls.  The members
-  (lin, u_tt, u_t, u, u_ttt) are the rows of one array, and each grid stage
-  is one gemm of a run of rows against the grid's sine and derivative
-  matrices stacked, so a call is about twenty numpy calls and reads each
-  matrix once, at any N.  It rounds differently from the term-by-term
-  form, by about 1e-16 relative (``tests/test_oracle.py``).
+* 1D (``_Plan1D``, k != 0 or s).  A 1D call at the march's sizes works
+  on arrays of a few dozen values, so its cost is the count of numpy
+  calls.  The members (lin, u_tt, u_t, u, u_ttt) are the rows of one
+  array, and each grid stage is one gemm of a run of rows against the
+  grid's sine and derivative matrices stacked, so a call is about twenty
+  numpy calls and reads each matrix once, at any N.  It rounds
+  differently from the term-by-term form, by about 1e-16 relative
+  (``tests/test_oracle.py``).
 * 2D (bound stages).  A 2D stage works on grids of tens of thousands of
   values, so the plan binds the stages of the term-by-term form: one
   member stack (u, u_tt, u_t, .) serves both grids (u is left out when
@@ -606,9 +612,9 @@ class _Plan1D:
     leaves u_ttt out.
     """
 
-    def __init__(self, domain, params, batch, forcing):
+    def __init__(self, domain, params, batch):
         k, s = params.k, params.s
-        self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
+        self.domain, self.params, self.batch = domain, params, batch
         self._bracket, self._guard, self._gauss, fine, self._project = _maps_1d(domain, params)
         n, f = domain.modes_per_axis, domain._fine_project.shape[1]
         self._x = np.empty(batch + (5 * n,))
@@ -616,7 +622,6 @@ class _Plan1D:
         self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
         # (u_tt, u_t, u), then u_ttt, as the caller's arrays are copied in
         self._fill = self._x[..., n : 4 * n], self._x[..., n:]
-        self._data_route = None
         members = rows[..., 1 : 4 + (k != 0.0), :]
         grid = np.empty(members.shape[:-1] + (fine.shape[1],))
         self._fine = fine, members, grid
@@ -633,8 +638,9 @@ class _Plan1D:
             (a, b, self._products[..., 2 * i : 2 * i + 2, :]) for i, (a, b) in enumerate(pairs)
         ]
         self._proj = np.empty(batch + (2 * len(pairs), n))
-        self._weights = np.array([2.0 * k] * 2 * (k != 0.0) + [2.0] * 2 * s)
-        self._law = None
+        self._weights = _forcing_weights(k, s, 1)
+        self._law = self._bind_law() if k != 0.0 else None
+        self._data_route = self._bind_data_route()
 
     def _bind_law(self):
         """The Gauss-grid buffers and views: (rows, their grid values, the
@@ -692,10 +698,9 @@ class _Plan1D:
     def _run_law(self, ut, time, eps_deg, at_start):
         """Project the law's quotient into the u_ttt row; returns the guard
         minimum."""
-        if self._law is None:
-            self._law = self._bind_law()
-        law = self._law
-        rows, out, pairs, summands, weights, both, both_col, scaled, num, num_col, gp, uttt = law
+        rows, out, pairs, summands, weights, both, both_col, scaled, num, num_col, gp, uttt = (
+            self._law
+        )
         np.matmul(rows, self._gauss, out=out)
         np.matmul(self._guard, ut[..., None], out=both_col)
         np.multiply(2.0 * self.params.k, both, out=both)
@@ -719,16 +724,16 @@ class _Plan1D:
 
     def _run(self, ut, time, eps_deg, at_start, f_out=None):
         """The law into the u_ttt row and f into ``f_out``, with the rows
-        (u_tt, u_t, u) filled; returns (f or None, guard minimum).  ``ut``
-        is the caller's u_t, which the guard's gemv reads."""
+        (u_tt, u_t, u) filled; returns (f, guard minimum).  ``ut`` is the
+        caller's u_t, which the guard's gemv reads."""
         np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
         if self.params.k == 0.0:
             guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
             f = self._run_forcing(f_out)
             np.subtract(self._lin, f, out=self._uttt)
-            return f if self.forcing else None, guard_min
+            return f, guard_min
         guard_min = self._run_law(ut, time, eps_deg, at_start)
-        return self._run_forcing(f_out) if self.forcing else None, guard_min
+        return self._run_forcing(f_out), guard_min
 
     def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
         if uttt is not None:
@@ -737,7 +742,7 @@ class _Plan1D:
             else:
                 np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
             # the forcing-only route never guards
-            return uttt, self._run_forcing() if self.forcing else None, None
+            return uttt, self._run_forcing(), None
         np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
         f, guard_min = self._run(ut, time, eps_deg, at_start)
         return self._uttt.copy(), f, guard_min
@@ -745,9 +750,7 @@ class _Plan1D:
     def step_terms(self, data, time, eps_deg):
         """``KernelPlan.step_terms``: one copy of (u_t, u) into their rows,
         one multiply by (w_t, w_u), u_tt = (X - w_t u_t) - w_u u into its
-        row, then the law and f.  Its buffers are bound on the first call."""
-        if self._data_route is None:
-            self._data_route = self._bind_data_route()
+        row, then the law and f."""
         utt, ut_u, wave, term, wt_ut, wu_u, f = self._data_route
         ut_u[...] = data[1::-1]
         np.multiply(wave, ut_u, out=term)
@@ -758,13 +761,12 @@ class _Plan1D:
 
 
 class KernelPlan:
-    """``nonlinear_terms`` bound to one domain, params, batch shape (() or
-    (n,)) and forcing flag.
+    """``nonlinear_terms`` bound to one domain, params and batch shape (()
+    or (n,)).
 
     Building the plan resolves the weights, takes every matrix and view and
-    allocates every buffer once (those of the Gauss stage of the law on its
-    first call without u_ttt, and in 1D those of ``step_terms`` on its
-    first call), so a call is a straight run of numpy calls.
+    allocates every buffer, so a call is a straight run of numpy calls and
+    binds nothing.  Every call returns (u_ttt, f, guard minimum).
     ``nonlinear.solve`` builds one per march and steps through
     ``step_terms``; ``nonlinear_terms`` builds one per block shape and
     calls it.  The plan owns its buffers.  The results of a call never
@@ -773,32 +775,32 @@ class KernelPlan:
     law (u_ttt not given); the forcing-only route returns None for the
     guard minimum.
 
-    The route follows the dimension (see the module docstring).  A 1D
-    plan (with k != 0 or s) is a ``_Plan1D``: each grid stage is one
-    matrix product over the stacked members, about twenty numpy calls per
-    call.  A 2D plan binds the stages of the term-by-term form, with its
-    operations, operand layouts and association order: one member stack
-    (u, u_tt, u_t, .) serves both grids, its last member lin for the Gauss
-    stage and u_ttt for the fine stage (u is left out when s = 0, the last
-    member when k = 0).  With k = s = 0 neither is needed: u_ttt is the
-    bracket and f is zero.
+    The dimension selects the body (see the module docstring), except
+    with k = s = 0.  A 1D plan with k != 0 or s is a ``_Plan1D``: each
+    grid stage is one matrix product over the stacked members, about
+    twenty numpy calls per call.  Every other plan, a 1D one with k = s = 0
+    included, runs the 2D body: it binds the stages of the term-by-term
+    form, with its operations, operand layouts and association order: one
+    member stack (u, u_tt, u_t, .) serves both grids, its last member lin
+    for the Gauss stage and u_ttt for the fine stage (u is left out when
+    s = 0, the last member when k = 0).  With k = s = 0 neither stage is
+    bound: u_ttt is the bracket and f is zero.
     """
 
-    def __init__(self, domain, params, batch=(), forcing=True):
+    def __init__(self, domain, params, batch=()):
         k, s = params.k, params.s
-        self.domain, self.params, self.batch, self.forcing = domain, params, batch, forcing
+        self.domain, self.params, self.batch = domain, params, batch
         self._plan_1d = None
         if (k != 0.0 or s) and domain.dimension == 1:
-            self._plan_1d = _Plan1D(domain, params, batch, forcing)
+            self._plan_1d = _Plan1D(domain, params, batch)
             return
         self._wave = _wave_weights(domain, params)
         self._bracket = _bracket_weights(domain, params)
-        self._law = None
-        self._products = None
         self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
-        if (k != 0.0 or s) and (forcing or k == 0.0):
+        if k != 0.0 or s:
             self._products = _product_stage(domain, params, self._stack)
             self._weights = _forcing_weights(k, s, self._products[1].ndim)
+        self._law = _law_stage(domain, params, self._stack, batch) if k != 0.0 else None
 
     def step_terms(self, data, time, eps_deg):
         """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
@@ -832,34 +834,26 @@ class KernelPlan:
         domain, params = self.domain, self.params
         k, s = params.k, params.s
         # the forcing-only route (u_ttt given) never guards
-        guard_min = None
-        lin = None
+        guard_min = lin = None
         if uttt is None:
             lin = uttt = _bracket(self._bracket, u, ut, utt)
             if k != 0.0:
-                if self._law is None:
-                    self._law = _law_stage(domain, params, self._stack, self.batch)
                 self._fill(u, ut, utt, lin)
                 guard_min = self._law(ut, time, eps_deg, at_start)
                 uttt = self._stack[-1].copy()
             else:
                 guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
-        # with k = 0 the law is explicit: the bracket minus the gradient terms
-        gradient_route = lin is not None and k == 0.0 and s
-        if not (self.forcing or gradient_route):
-            return uttt, None, guard_min
-        if self._products is None:
+        if k == 0.0 and not s:
             return uttt, np.zeros(ut.shape), guard_min
         if lin is None or k == 0.0:
             self._fill(u, ut, utt, uttt if k != 0.0 else None)
         run_products, proj = self._products
         run_products()
-        if gradient_route:
+        if lin is not None and k == 0.0:
+            # with k = 0 the law is explicit: the bracket minus the gradient terms
             grad = 2.0 * proj[0]
             grad += 2.0 * proj[1]
             uttt = lin - grad
-        if not self.forcing:
-            return uttt, None, guard_min
         # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
         np.multiply(self._weights, proj, out=proj)
         return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
@@ -875,7 +869,6 @@ def nonlinear_terms(
     time=0.0,
     eps_deg=DEFAULT_EPS_DEG,
     at_start=False,
-    forcing=True,
 ):
     """The quasilinear law on raw coefficient arrays: (u_ttt, f, guard minimum).
 
@@ -884,8 +877,7 @@ def nonlinear_terms(
 
     * ``uttt`` None: u_ttt is the Galerkin projection of the evolution law
       (see ``acceleration``); given, it is taken as is and only f uses it.
-    * f is the exactly projected forcing (see ``forcing_f``); None when
-      ``forcing`` is false.
+    * f is the exactly projected forcing (see ``forcing_f``).
     * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
       sample when u_ttt is evaluated, and the guard minimum is returned
       (1 when k = 0).  With ``uttt`` given nothing divides, so nothing is
@@ -903,7 +895,7 @@ def nonlinear_terms(
         if plan is None or plan.batch != batch:
             # the last block is shorter: drop the full blocks' plan first
             plan = None
-            plan = KernelPlan(domain, params, batch, forcing)
+            plan = KernelPlan(domain, params, batch)
         return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start)
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)
@@ -947,16 +939,8 @@ def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
     skipped entirely when s = 0 (they would contribute exact zeros).  Raises
     DegeneracyError when the guard fails.
     """
-    uttt, _, _ = nonlinear_terms(
-        state.domain,
-        params,
-        state.u.coeffs,
-        state.ut.coeffs,
-        state.utt.coeffs,
-        time=state.t,
-        eps_deg=eps_deg,
-        forcing=False,
-    )
+    fields = (state.u.coeffs, state.ut.coeffs, state.utt.coeffs)
+    uttt, _, _ = nonlinear_terms(state.domain, params, *fields, time=state.t, eps_deg=eps_deg)
     return SpectralField(state.domain, uttt)
 
 
@@ -969,14 +953,7 @@ def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
     """
     state = EvolutionState(0.0, u0, u1, u2)
     uttt0, _, _ = nonlinear_terms(
-        state.domain,
-        params,
-        u0.coeffs,
-        u1.coeffs,
-        u2.coeffs,
-        eps_deg=eps_deg,
-        at_start=True,
-        forcing=False,
+        state.domain, params, u0.coeffs, u1.coeffs, u2.coeffs, eps_deg=eps_deg, at_start=True
     )
     return CompatibilityData(u0, u1, u2, SpectralField(state.domain, uttt0))
 

@@ -314,12 +314,17 @@ def picard_solve(
     tol=1e-9,
     max_iter=20,
     eps_deg=DEFAULT_EPS_DEG,
+    blowup_bound=DEFAULT_BLOWUP_BOUND,
 ):
     """Iterate the fixed-point map from the homogeneous linear solution.
 
     Stops once the trajectory-norm increment drops below tol; raises
     NonConvergenceError with the measured ratio history when the budget
-    runs out.
+    runs out.  Before each sweep the semigroup data of phi, the quantities
+    ``solve`` checks, is checked against ``blowup_bound`` at every sample,
+    so a diverging iteration raises BlowUpError before f[phi] is formed
+    from an unchecked iterate.  A DegeneracyError or a BlowUpError carries
+    the ratios and increments measured before it.
     """
     t_grid = time_grid(T, dt)
     if max_iter < 1:
@@ -336,6 +341,11 @@ def picard_solve(
         # later phi is a result picard_apply has guarded
         degeneracy_guard(domain, params, phi.ut[1:], t_grid[1:], eps_deg)
         for iteration in range(1, max_iter + 1):
+            # the sample to check: the first past the bound, NaN included
+            data = semigroup_data(domain, params, phi.u, phi.ut, phi.utt)
+            peaks = np.abs(data).reshape(3, t_grid.size, -1).max(axis=(0, 2))
+            first = int(np.argmax(~(peaks <= blowup_bound)))
+            _check_blowup(data[:, first], float(t_grid[first]), blowup_bound)
             nxt = picard_apply(phi, initial, params, eps_deg=eps_deg)
             increment = v_norm(nxt.difference(phi))
             increments.append(increment)
@@ -351,7 +361,7 @@ def picard_solve(
                     converged=True,
                 )
                 return phi, report
-    except DegeneracyError as err:
+    except (DegeneracyError, BlowUpError) as err:
         err.ratios = list(ratios)
         err.increments = list(increments)
         raise

@@ -170,6 +170,34 @@ def test_degenerate_data_exits_with_code_2(tmp_path, capsys):
     assert record["exit_status"] == 2
 
 
+def test_diverging_picard_exits_with_code_4_and_writes_its_report(tmp_path, capsys):
+    """With k = 0 and amplitude 30 the increments grow by 7x and more per
+    sweep; the configured blow-up bound stops the iteration while every
+    value is finite (so no overflow warning is raised), and the report
+    holds the sweeps measured before it."""
+    conf = CONFIGS / "picard-small.conf"
+    overrides = ("params.k=0.0", "initial.amplitude=30", "time.dt=1e-2")
+    argv = ["picard", "--config", conf, "--out", tmp_path]
+    for item in overrides:
+        argv += ["--set", item]
+    assert _run(*argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("bck-sim: code=4 kind=BlowUpError") == 1
+    assert "Traceback" not in err
+    report = dict(
+        line.split(": ", 1)
+        for line in (tmp_path / "picard_report.txt").read_text(encoding="utf-8").splitlines()
+    )
+    assert report["converged"] == "false"
+    increments = [float(x) for x in report["increments"].split()]
+    assert int(report["iterations"]) == len(increments) >= 2
+    assert all(math.isfinite(x) for x in increments)
+    assert len(report["ratios"].split()) == len(increments) - 1
+    record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 4
+    assert record["artifacts"] == ["picard_report.txt"]
+
+
 def test_unknown_config_key_exits_with_code_3(tmp_path, capsys):
     text = (CONFIGS / "nonlinear-small.conf").read_text(encoding="utf-8")
     bad = tmp_path / "bad.conf"

@@ -13,6 +13,7 @@ import pytest
 from bck_sim import model, nonlinear, spectral
 from bck_sim.energy import energy_series, forcing_series
 from bck_sim.errors import DegeneracyError
+from bck_sim.linear import semigroup_data
 from bck_sim.model import (
     DEFAULT_EPS_DEG,
     EvolutionState,
@@ -430,12 +431,12 @@ def test_zero_data_gives_no_negative_zeros(dim, n, k, s):
 
 @pytest.mark.parametrize("n", [8, 10, 64])
 def test_1d_plan_guards_the_values_of_evaluate(n, monkeypatch):
-    """Every 1D plan (the route follows the dimension alone) guards the
-    values of u_t that ``evaluate`` gives on both grids, bit for bit, so
-    ``Linf_ut`` and ``guard_min`` of ``energy_series`` hold the bits the
-    guard saw, and its Gauss part is the denominator's 2k u_t.  With
-    k = 0.5 the scaling by 2k is exact, so the guard buffer holds the
-    values themselves."""
+    """Every 1D plan with k != 0 (a ``_Plan1D``, batched or not; a 2D
+    plan runs the 2D body) guards the values of u_t that ``evaluate``
+    gives on both grids, bit for bit, so ``Linf_ut`` and ``guard_min`` of
+    ``energy_series`` hold the bits the guard saw, and its Gauss part is
+    the denominator's 2k u_t.  With k = 0.5 the scaling by 2k is exact,
+    so the guard buffer holds the values themselves."""
     domain = DomainSpec(1, (np.pi,), n)
     params = ModelParams(1.0, 0.7, 1.3, 0.5, 1)
     assert KernelPlan(DomainSpec(2, (np.pi,) * 2, 8), params)._plan_1d is None
@@ -584,6 +585,35 @@ def test_alternating_marches_match_solo_runs_and_share_no_memory(monkeypatch):
         for x in fields:
             for buf in held:
                 assert not np.shares_memory(getattr(traj, x), buf)
+
+
+def _bindings(plan):
+    """Each attribute of a plan and of its 1D body, with the object it holds."""
+    bodies = [plan] + ([plan._plan_1d] if plan._plan_1d is not None else [])
+    return {
+        (type(body).__name__, name): value for body in bodies for name, value in vars(body).items()
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [0.0, 0.2])
+@pytest.mark.parametrize("s", [0, 1])
+def test_no_call_rebinds_a_plan(dim, k, s):
+    """A plan binds all of its state when it is built: a law call, a
+    forcing-only call and a ``step_terms`` call leave every attribute of
+    the plan and of its 1D body holding the object it held before."""
+    domain = DomainSpec(dim, (np.pi,) * dim, 8)
+    params = ModelParams(1.0, 0.7, 1.3, k, s)
+    u, ut, utt, uttt = _fields(domain, ())
+    plan = KernelPlan(domain, params)
+    # the values are kept alive, so no id is reused
+    before = _bindings(plan)
+    ids = {name: id(value) for name, value in before.items()}
+    data = semigroup_data(domain, params, u, ut, utt).reshape(3, -1)
+    plan(u, ut, utt)
+    plan(u, ut, utt, uttt)
+    plan.step_terms(data, 0.0, DEFAULT_EPS_DEG)
+    assert {name: id(value) for name, value in _bindings(plan).items()} == ids
 
 
 def test_plans_bound_first_and_called_interleaved_own_their_buffers():

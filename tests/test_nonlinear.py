@@ -498,6 +498,21 @@ def test_picard_large_data_probe_reports_outcome(capsys):
     print(f"x100 data probe outcome: {outcome}")
 
 
+def test_picard_checks_the_homogeneous_start_against_the_blowup_bound(small_run):
+    """picard_solve checks phi's semigroup data, the quantities solve
+    checks, before a sweep forms f[phi]: a bound just below the start's
+    peak at t = 0 trips there, before any sweep is measured."""
+    dom, params, data, _ = small_run
+    start = semigroup_data(dom, params, data.u0.coeffs, data.u1.coeffs, data.u2.coeffs)
+    bound = 0.99 * float(np.max(np.abs(start)))
+    with pytest.raises(BlowUpError) as info:
+        picard_solve(data, params, 1.0, 1e-3, blowup_bound=bound)
+    err = info.value
+    assert (err.time, err.bound) == (0.0, bound)
+    assert err.norm == pytest.approx(bound / 0.99, rel=1e-12)
+    assert err.ratios == [] and err.increments == []
+
+
 @pytest.mark.parametrize(
     "dim,time,index,factor,label",
     [(1, 0.11, 2, 1.42667070956591, "grid index 2"),

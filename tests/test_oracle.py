@@ -13,6 +13,9 @@ routes approximate.  The 1D route is the folded matrix
 trapezoid weights, ``_cos_to_sine``) is computed alongside, and the folded
 route must be as accurate: its max-norm relative error below 1e-14 and at
 most twice the DCT route's on the same case.
+
+The propagator table is checked the same way: mpmath's ``expm`` of each
+mode's 9x9 augmented block at 50 digits, from the float dt taken exactly.
 """
 
 import mpmath as mp
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from bck_sim import spectral
+from bck_sim.linear import PropagatorTable
 from bck_sim.model import ModelParams, nonlinear_terms
 from bck_sim.spectral import DomainSpec, evaluate, evaluate_stack, project
 
@@ -174,7 +178,7 @@ def test_law_against_the_oracle(s):
     # |2k u_t| reaches 0.3-0.45 on the nodes, so the quotient is far from
     # the linear law
     u, ut, utt = rng.standard_normal((3, n)) * decay
-    uttt, _, _ = nonlinear_terms(domain, params, u, ut, utt, forcing=False)
+    uttt, _, _ = nonlinear_terms(domain, params, u, ut, utt)
 
     nodes, weights = domain._gauss_rule[0]
     scale = [k * mp.pi / length for k in range(1, n + 1)]
@@ -201,3 +205,33 @@ def test_law_against_the_oracle(s):
         for j in range(n)
     ]
     assert _relative_error(uttt, exact) < 1e-14
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-7])
+def test_propagator_table_against_the_oracle(dt):
+    """exp(dt A), dt phi1(dt A) e3 and dt^2 phi2(dt A) e3 of every mode at
+    1D N = 8, a = b = c = 1 on (0, pi), so lam_j = j^2 and mode 2 is
+    critically damped (b^2 lam = 4 c^2), from the augmented block
+    [[A, I, 0], [0, 0, I], [0, 0, 0]] dt.  Each block's error is taken
+    relative to its largest entry; dt = 1e-7 puts dt lam below 1e-4 for
+    every mode, where phi2's entries are about dt^3 / 6."""
+    n = 8
+    domain = DomainSpec(1, (np.pi,), n)
+    params = ModelParams(1.0, 1.0, 1.0, 0.0, 0)
+    table = PropagatorTable.build(domain, params, dt)
+    h = mp.mpf(dt)
+    for m, lam in enumerate(np.asarray(domain.eigenvalue_grid).ravel()):
+        lam = mp.mpf(float(lam))
+        aug = mp.zeros(9, 9)
+        for i, j, a_ij in ((0, 1, 1), (1, 0, -lam), (1, 1, -lam), (1, 2, 1), (2, 2, -lam)):
+            aug[i, j] = h * a_ij
+        for i in range(3):
+            aug[i, i + 3] = aug[i + 3, i + 6] = h
+        full = mp.expm(aug)
+        blocks = (
+            (table.propagator[m].ravel(), [full[i, j] for i in range(3) for j in range(3)]),
+            (table.phi1[:, m], [full[i, 5] for i in range(3)]),
+            (table.phi2[:, m], [full[i, 8] for i in range(3)]),
+        )
+        for got, exact in blocks:
+            assert _relative_error(got, exact) < 1e-14, (dt, m)
