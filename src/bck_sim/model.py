@@ -30,9 +30,8 @@ equation reads (a*laplace - d/dt)(u_tt - b*laplace(u_t) - c^2*laplace(u)) = f.
 arrays (u, u_t, u_tt), of shape batch + coeff shape for any leading batch
 shape, to (u_ttt, f, guard minimum).  The march, the Picard sweeps and the
 post-processing series call it directly; ``check_degeneracy_guard``,
-``forcing_f``, ``acceleration`` and ``make_compatibility_data`` are thin
-SpectralField front ends.  Long batches run in blocks of
-``spectral.BLOCK_BYTES``.
+``forcing_f`` and ``acceleration`` are thin SpectralField front ends.
+Long batches run in blocks of ``spectral.BLOCK_BYTES``.
 
 The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
 ``wave_part``, and inverted once, in ``semigroup_utt`` (the 1D march step
@@ -51,20 +50,21 @@ post-processing f alone, and the one-shot front ends that need only
 u_ttt discard it.  ``nonlinear_terms`` builds one plan per block shape of
 its batch and calls it; a call returns u_ttt, f and the guard minima as
 fresh arrays, so its buffers never escape.  ``nonlinear.solve`` builds
-one plan per march; its bound step calls the plan's entry point from
-semigroup data, ``step_terms``, at every substep sweep, which in 1D
-writes u_tt into the plan's row and returns views of the plan's buffers
-for the march to copy.  A call guards when it evaluates the law (u_ttt
-not given), and only then: the forcing f is a polynomial and divides by
-nothing, so the forcing-only route (u_ttt given) returns None for the
-guard minimum.  The guard runs on one buffer of 2k u_t on the Gauss
-nodes and on the collocation nodes (the Gauss half is what the law
-divides by), so one min and one max per sample cover both grids; only a
-trip looks at the grids apart, to report where it happened.  With k = 0
-the factor is 1 and so is the guard minimum.  The dimension selects the
-body, with one exception: a plan with k = s = 0 binds no stage (u_ttt is
-the bracket and f is zero) and runs the 2D body in 1D too, as
-``linear-lowest-mode`` and the spatial study of ``convergence`` do.
+one plan per march and calls it once at t = 0; its bound step calls the
+plan's entry point from semigroup data, ``step_terms``, at every substep
+sweep, which in 1D writes u_tt into the plan's row and returns views of
+the plan's buffers for the march to copy.  A call guards when it
+evaluates the law (u_ttt not given), and only then: the forcing f is a
+polynomial and divides by nothing, so the forcing-only route (u_ttt
+given) returns None for the guard minimum.  The guard runs on one buffer
+of 2k u_t on the Gauss nodes and on the collocation nodes (the Gauss half
+is what the law divides by), so one min and one max per sample cover
+both grids; only a trip looks at the grids apart, to report where it
+happened.  With k = 0 the factor is 1 and so is the guard minimum.  A
+plan with k = s = 0, the linear problem of ``linear-lowest-mode`` and of
+the spatial study of ``convergence``, binds no stage in either
+dimension: u_ttt is the bracket and f is zero.  For every other plan the
+dimension selects the body.
 
 * 1D (``_Plan1D``, k != 0 or s).  A 1D call at the march's sizes works
   on arrays of a few dozen values, so its cost is the count of numpy
@@ -133,7 +133,6 @@ __all__ = [
     "ModelParams",
     "PhysicalParams",
     "EvolutionState",
-    "CompatibilityData",
     "derive_params",
     "check_degeneracy_guard",
     "degeneracy_guard",
@@ -239,16 +238,6 @@ class EvolutionState:
     @property
     def domain(self):
         return self.u.domain
-
-
-@dataclass
-class CompatibilityData:
-    """Initial triple plus the induced third time derivative at t = 0."""
-
-    u0: SpectralField
-    u1: SpectralField
-    u2: SpectralField
-    uttt0: SpectralField
 
 
 # ---------------------------------------------------------------------------
@@ -775,31 +764,31 @@ class KernelPlan:
     law (u_ttt not given); the forcing-only route returns None for the
     guard minimum.
 
-    The dimension selects the body (see the module docstring), except
-    with k = s = 0.  A 1D plan with k != 0 or s is a ``_Plan1D``: each
-    grid stage is one matrix product over the stacked members, about
-    twenty numpy calls per call.  Every other plan, a 1D one with k = s = 0
-    included, runs the 2D body: it binds the stages of the term-by-term
-    form, with its operations, operand layouts and association order: one
-    member stack (u, u_tt, u_t, .) serves both grids, its last member lin
-    for the Gauss stage and u_ttt for the fine stage (u is left out when
-    s = 0, the last member when k = 0).  With k = s = 0 neither stage is
-    bound: u_ttt is the bracket and f is zero.
+    A plan with k = s = 0 binds no stage: u_ttt is the bracket and f is
+    zero.  For every other plan the dimension selects the body (see the
+    module docstring).  A 1D plan is a ``_Plan1D``: each grid stage is one
+    matrix product over the stacked members, about twenty numpy calls per
+    call.  A 2D plan binds the stages of the term-by-term form, with its
+    operations, operand layouts and association order: one member stack
+    (u, u_tt, u_t, .) serves both grids, its last member lin for the Gauss
+    stage and u_ttt for the fine stage (u is left out when s = 0, the last
+    member when k = 0).
     """
 
     def __init__(self, domain, params, batch=()):
         k, s = params.k, params.s
         self.domain, self.params, self.batch = domain, params, batch
-        self._plan_1d = None
-        if (k != 0.0 or s) and domain.dimension == 1:
-            self._plan_1d = _Plan1D(domain, params, batch)
-            return
         self._wave = _wave_weights(domain, params)
         self._bracket = _bracket_weights(domain, params)
+        self._plan_1d = None
+        if k == 0.0 and not s:
+            return
+        if domain.dimension == 1:
+            self._plan_1d = _Plan1D(domain, params, batch)
+            return
         self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
-        if k != 0.0 or s:
-            self._products = _product_stage(domain, params, self._stack)
-            self._weights = _forcing_weights(k, s, self._products[1].ndim)
+        self._products = _product_stage(domain, params, self._stack)
+        self._weights = _forcing_weights(k, s, self._products[1].ndim)
         self._law = _law_stage(domain, params, self._stack, batch) if k != 0.0 else None
 
     def step_terms(self, data, time, eps_deg):
@@ -828,13 +817,20 @@ class KernelPlan:
 
     def __call__(self, u, ut, utt, uttt=None, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
         """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
-        ``nonlinear_terms``."""
-        if self._plan_1d is not None:
-            return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
+        ``nonlinear_terms``; a guard trip carries ``at_start``, which
+        ``nonlinear.solve`` sets for its law call at t = 0."""
         domain, params = self.domain, self.params
         k, s = params.k, params.s
         # the forcing-only route (u_ttt given) never guards
         guard_min = lin = None
+        if k == 0.0 and not s:
+            # the linear problem: u_ttt is the bracket and f is zero
+            if uttt is None:
+                uttt = _bracket(self._bracket, u, ut, utt)
+                guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
+            return uttt, np.zeros(ut.shape), guard_min
+        if self._plan_1d is not None:
+            return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
         if uttt is None:
             lin = uttt = _bracket(self._bracket, u, ut, utt)
             if k != 0.0:
@@ -843,8 +839,6 @@ class KernelPlan:
                 uttt = self._stack[-1].copy()
             else:
                 guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
-        if k == 0.0 and not s:
-            return uttt, np.zeros(ut.shape), guard_min
         if lin is None or k == 0.0:
             self._fill(u, ut, utt, uttt if k != 0.0 else None)
         run_products, proj = self._products
@@ -868,7 +862,6 @@ def nonlinear_terms(
     uttt=None,
     time=0.0,
     eps_deg=DEFAULT_EPS_DEG,
-    at_start=False,
 ):
     """The quasilinear law on raw coefficient arrays: (u_ttt, f, guard minimum).
 
@@ -896,7 +889,7 @@ def nonlinear_terms(
             # the last block is shorter: drop the full blocks' plan first
             plan = None
             plan = KernelPlan(domain, params, batch)
-        return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg, at_start)
+        return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg)
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)
 
@@ -945,17 +938,15 @@ def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
 
 
 def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
-    """Bundle initial data with the u_ttt(0) that the evolution law itself
-    induces (``acceleration`` at t = 0), guarding degeneracy once.
+    """The initial data as an ``EvolutionState`` at t = 0, with u1 guarded;
+    u_ttt(0) is the law's, which ``nonlinear.solve`` evaluates at its start.
 
     A guard failure here carries ``at_start=True`` so callers can distinguish
     inadmissible data from a mid-run breakdown.
     """
     state = EvolutionState(0.0, u0, u1, u2)
-    uttt0, _, _ = nonlinear_terms(
-        state.domain, params, u0.coeffs, u1.coeffs, u2.coeffs, eps_deg=eps_deg, at_start=True
-    )
-    return CompatibilityData(u0, u1, u2, SpectralField(state.domain, uttt0))
+    degeneracy_guard(state.domain, params, u1.coeffs, 0.0, eps_deg, at_start=True)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ Two routes to a solution:
   problem with the forcing frozen along the previous iterate, measuring
   its own contraction ratios.
 
-Both produce a Trajectory, the one trajectory type of the package: raw
-coefficient series of every stored time derivative up to u_ttt (the
-fourth derivative, where needed, is centered-differenced by
+Both start from (u, u_t, u_tt)(0), an ``model.EvolutionState``; the
+stepper evaluates the law at its first sample for u_ttt(0).  Both produce
+a Trajectory, the one trajectory type of the package: raw coefficient
+series of every stored time derivative up to u_ttt (the fourth
+derivative, where needed, is centered-differenced by
 ``energy.fourth_derivative_series``).  The linear solves of the
 fixed-point route return raw semigroup series, which
 ``linear_trajectory`` turns into a Trajectory.  Both routes step with the
@@ -203,22 +205,24 @@ def solve(
     eps_deg=DEFAULT_EPS_DEG,
     blowup_bound=DEFAULT_BLOWUP_BOUND,
 ):
-    """March the nonlinear problem from CompatibilityData to time T.
+    """March the nonlinear problem from an ``EvolutionState`` at t = 0 to T.
 
-    On degeneracy or blow-up the raised error carries the accepted part
-    of the run in its partial_trajectory attribute.  One ``KernelPlan``,
-    built here, serves every kernel call of the march (the forcing at the
-    start and the law at every substep), and one bound step
-    (``_bind_step``) every step; both are dropped with the march.  The
-    step returns views of its buffers, which the march copies into the
-    trajectory rows, so no trajectory array shares memory with them.
+    The march evaluates its own start: one law call at t = 0 guards u_t
+    (a trip there carries ``at_start=True``) and gives u_ttt(0) and f(0).
+    On degeneracy or blow-up the raised error, timed at its sample of
+    ``time_grid``, carries the accepted part of the run in its
+    partial_trajectory attribute.  One ``KernelPlan``, built here, serves
+    every kernel call of the march, and one bound step (``_bind_step``)
+    every step; both are dropped with the march.  The step returns views
+    of its buffers, which the march copies into the trajectory rows, so no
+    trajectory array shares memory with them.
     """
+    if initial.t != 0.0:
+        raise ValueError(f"the initial state must be at t = 0, got t = {initial.t:g}")
     t_grid = time_grid(T, dt)
     nt = t_grid.size
-    domain = initial.u0.domain
+    domain = initial.domain
     table = propagator_table(domain, params, float(dt))
-
-    degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
 
     shape = domain.coeff_shape
     u = np.zeros((nt,) + shape)
@@ -226,11 +230,10 @@ def solve(
     utt = np.zeros((nt,) + shape)
     uttt = np.zeros((nt,) + shape)
     forcing = np.zeros((nt,) + shape)
-    u[0], ut[0], utt[0] = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
-    uttt[0] = initial.uttt0.coeffs
+    u[0], ut[0], utt[0] = initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
 
     plan = KernelPlan(domain, params)
-    _, forcing[0], _ = plan(u[0], ut[0], utt[0], uttt[0])
+    uttt[0], forcing[0], _ = plan(u[0], ut[0], utt[0], time=0.0, eps_deg=eps_deg, at_start=True)
     step = _bind_step(table, plan, substep_iters, eps_deg, blowup_bound)
     data = semigroup_data(domain, params, u[0], ut[0], utt[0]).reshape(3, -1)
     u_rows, ut_rows, utt_rows, uttt_rows, f_rows = (
@@ -248,9 +251,7 @@ def solve(
             forcing=forcing[: upto + 1].copy(),
         )
 
-    t = 0.0
-    for n in range(nt - 1):
-        t += table.dt
+    for n, t in enumerate(t_grid[1:].tolist()):
         try:
             data, utt_rows[n + 1], uttt_rows[n + 1], f_rows[n + 1] = step(data, f_rows[n], t)
         except (DegeneracyError, BlowUpError) as err:
@@ -271,15 +272,15 @@ def solve(
 
 
 def linear_trajectory(initial, params, t_grid, forcing_third=None):
-    """The linear solve from CompatibilityData on t_grid as a Trajectory.
+    """The linear solve from an ``EvolutionState`` on t_grid as a Trajectory.
 
     ``solve_duhamel`` gives the semigroup series; u_tt comes back through
     ``semigroup_utt`` and u_ttt is the linear bracket plus the third
     forcing component ``forcing_third`` (an (nt,) + coeff shape array).
     """
-    domain = initial.u0.domain
-    u0, u1, u2 = initial.u0.coeffs, initial.u1.coeffs, initial.u2.coeffs
-    data0 = semigroup_data(domain, params, u0, u1, u2)
+    domain = initial.domain
+    fields = (initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs)
+    data0 = semigroup_data(domain, params, *fields)
     data = solve_duhamel(domain, params, t_grid, data0, forcing_third=forcing_third)
     u, ut = data[:, 0].copy(), data[:, 1].copy()
     utt = semigroup_utt(domain, params, np.moveaxis(data, 1, 0))
@@ -326,12 +327,14 @@ def picard_solve(
     from an unchecked iterate.  A DegeneracyError or a BlowUpError carries
     the ratios and increments measured before it.
     """
+    if initial.t != 0.0:
+        raise ValueError(f"the initial state must be at t = 0, got t = {initial.t:g}")
     t_grid = time_grid(T, dt)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    domain = initial.u0.domain
+    domain = initial.domain
 
-    degeneracy_guard(domain, params, initial.u1.coeffs, 0.0, eps_deg, at_start=True)
+    degeneracy_guard(domain, params, initial.ut.coeffs, 0.0, eps_deg, at_start=True)
 
     phi = linear_trajectory(initial, params, t_grid)
     increments = []

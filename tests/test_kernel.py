@@ -265,17 +265,20 @@ def test_fused_guard_raises_the_per_grid_error(case, at_start):
     want = _per_grid_guard_error(domain, params, ut, times, DEFAULT_EPS_DEG, at_start)
     assert want is not None
     assert ("Gauss node" in str(want)) == (case != "collocation-only")
+    plan = KernelPlan(domain, params, ut.shape[:1])
     calls = [
         lambda: degeneracy_guard(domain, params, ut, times, at_start=at_start),
-        lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times, at_start=at_start),
+        lambda: plan(0.0 * ut, ut, ut, time=times, at_start=at_start),
     ]
     if ut.shape[0] == 1:
         calls += [
             lambda: degeneracy_guard(domain, params, ut[0], times[0], at_start=at_start),
-            lambda: nonlinear_terms(
-                domain, params, 0.0 * ut[0], ut[0], ut[0], time=times[0], at_start=at_start
+            lambda: KernelPlan(domain, params)(
+                0.0 * ut[0], ut[0], ut[0], time=times[0], at_start=at_start
             ),
         ]
+    if not at_start:
+        calls.append(lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times))
     for call in calls:
         with pytest.raises(DegeneracyError) as err:
             call()
@@ -504,7 +507,7 @@ def test_march_stores_the_forcing_series(dim, n, s):
 
 
 def test_a_march_builds_one_kernel_plan(monkeypatch):
-    """Every kernel call of a march, the forcing at the start included,
+    """Every kernel call of a march, the law at the start included,
     goes through the one plan it binds."""
     built = []
 

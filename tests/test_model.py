@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bck_sim import model
 from bck_sim.errors import DegeneracyError
 from bck_sim.model import (
     EvolutionState,
@@ -21,6 +22,7 @@ from bck_sim.model import (
     pde_residual_series,
     time_grid,
 )
+from bck_sim.nonlinear import solve
 from bck_sim.spectral import DomainSpec, SpectralField, gradient_dot, grid_extremes, to_grid
 
 
@@ -315,7 +317,7 @@ def test_compatibility_linear_formula():
     u0 = SpectralField(dom, rng.standard_normal(8))
     u1 = SpectralField(dom, rng.standard_normal(8))
     u2 = SpectralField(dom, rng.standard_normal(8))
-    got = make_compatibility_data(u0, u1, u2, params).uttt0
+    got = solve(make_compatibility_data(u0, u1, u2, params), params, 1e-3, 1e-3).uttt[0]
     lam = dom.eigenvalue_grid
     a, b, c = params.a, params.b, params.c
     expected = (
@@ -323,7 +325,7 @@ def test_compatibility_linear_formula():
         - (c * c * lam + a * b * lam * lam) * u1.coeffs
         - a * c * c * lam * lam * u0.coeffs
     )
-    np.testing.assert_allclose(got.coeffs, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_compatibility_single_mode_against_dense_oracle():
@@ -331,9 +333,9 @@ def test_compatibility_single_mode_against_dense_oracle():
     params = ModelParams(1, 1, 1, 0.2, 1)
     amp = 0.01
     u = SpectralField.single_mode(dom, 1, amp)
-    got = make_compatibility_data(u, u, u, params).uttt0
+    got = solve(make_compatibility_data(u, u, u, params), params, 1e-3, 1e-3).uttt[0]
     oracle = _dense_acceleration_oracle(EvolutionState(0.0, u, u, u), params)
-    assert np.linalg.norm(got.coeffs - oracle) / np.linalg.norm(oracle) < 1e-10
+    assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) < 1e-10
 
 
 def test_make_compatibility_data_guards_initial_velocity():
@@ -345,7 +347,26 @@ def test_make_compatibility_data_guards_initial_velocity():
         make_compatibility_data(ok, big, ok, params)
     assert err.value.at_start
     data = make_compatibility_data(ok, ok, ok, params)
-    assert data.uttt0.coeffs.shape == (8,)
+    assert isinstance(data, EvolutionState) and data.t == 0.0
+    assert data.u is ok and data.ut is ok and data.utt is ok
+
+
+def test_make_compatibility_data_builds_no_kernel_plan(monkeypatch):
+    """The data carry no u_ttt(0), so bundling them evaluates no law:
+    only the guard of u1 runs, and it binds no plan."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_compatibility_data built a KernelPlan")
+
+    dom = _domain()
+    params = ModelParams(1, 1, 1, 0.5, 1)
+    ok = SpectralField.single_mode(dom, 1, 0.001)
+    monkeypatch.setattr(model, "KernelPlan", refuse)
+    data = make_compatibility_data(ok, ok, ok, params)
+    assert data.t == 0.0
+    with pytest.raises(DegeneracyError) as err:
+        make_compatibility_data(ok, SpectralField.single_mode(dom, 1, 1.5), ok, params)
+    assert err.value.at_start
 
 
 # ---------------------------------------------------------------------------

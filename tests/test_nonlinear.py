@@ -18,13 +18,14 @@ from bck_sim.errors import BlowUpError, DegeneracyError
 from bck_sim.linear import propagator_table, semigroup_data, solve_duhamel
 from bck_sim.model import (
     DEFAULT_EPS_DEG,
-    CompatibilityData,
+    EvolutionState,
     ModelParams,
     degeneracy_guard,
     linear_bracket,
     make_compatibility_data,
     nonlinear_terms,
     semigroup_utt,
+    time_grid,
 )
 from bck_sim.nonlinear import (
     DEFAULT_BLOWUP_BOUND,
@@ -96,11 +97,9 @@ def _dense_modal_rhs(n, a, b, c, k, s, nq=2000):
 
 
 def _oracle_final_u(data, params, T):
-    n = data.u0.domain.modes_per_axis
+    n = data.domain.modes_per_axis
     rhs = _dense_modal_rhs(n, params.a, params.b, params.c, params.k, params.s)
-    y0 = np.concatenate(
-        [data.u0.coeffs.ravel(), data.u1.coeffs.ravel(), data.u2.coeffs.ravel()]
-    )
+    y0 = np.concatenate([data.u.coeffs.ravel(), data.ut.coeffs.ravel(), data.utt.coeffs.ravel()])
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-12, atol=1e-16)
     return sol.y[:n, -1]
 
@@ -174,7 +173,7 @@ def test_solve_rejects_degenerate_initial_velocity():
     params = _params(k=0.5)
     z = SpectralField.zeros(dom)
     u1 = SpectralField.single_mode(dom, (1,), 1.2)
-    data = CompatibilityData(u0=z, u1=u1, u2=z, uttt0=z)
+    data = EvolutionState(0.0, z, u1, z)
     with pytest.raises(DegeneracyError) as info:
         solve(data, params, 1.0, 0.01)
     assert info.value.at_start
@@ -212,6 +211,53 @@ def test_solve_blowup_bound_raises_overflow():
     assert err.norm > err.bound == 1e-6
     assert err.partial_trajectory is not None
     assert err.partial_trajectory.n_samples >= 1
+
+
+@pytest.mark.parametrize("kind,step", [(DegeneracyError, 10), (BlowUpError, 40)])
+def test_a_march_failure_reports_the_time_of_a_sample(kind, step):
+    """At dt = 0.01 the sum of n steps drifts from the sample time n dt
+    (ten steps sum to 0.09999999999999999): the guard and the blow-up
+    check of a march report the time of the sample they trip at, on
+    ``time_grid``.  The blow-up case is a weakly damped mode-2 oscillation
+    whose semigroup data set a new peak at every sample from 28 on, with
+    the bound set between the peaks at samples 39 and 40 of a clean run."""
+    dom = _domain()
+    z = SpectralField.zeros(dom)
+    T, dt = 1.0, 0.01
+    options = {}
+    if kind is DegeneracyError:
+        params = _params(k=2.0)
+        u1 = SpectralField.single_mode(dom, (1,), -0.2)
+        data = make_compatibility_data(z, u1, SpectralField.single_mode(dom, (1,), -0.5), params)
+    else:
+        params = _params(b=0.1, k=0.0, s=0)
+        u0 = SpectralField.single_mode(dom, (2,), 1.0)
+        # u_tt = -c^2 lam u0, so the wave part starts at zero
+        data = make_compatibility_data(u0, z, -4.0 * u0, params)
+        clean = solve(data, params, T, dt)
+        start = semigroup_data(dom, params, clean.u, clean.ut, clean.utt)
+        peaks = np.abs(start).max(axis=(0, 2))
+        assert np.all(np.diff(peaks[step - 12 : step + 1]) > 0.0)
+        assert peaks[step - 1] == peaks[:step].max()
+        options["blowup_bound"] = 0.5 * (peaks[step - 1] + peaks[step])
+    with pytest.raises(kind) as info:
+        solve(data, params, T, dt, **options)
+    err = info.value
+    assert err.partial_trajectory.n_samples == step
+    assert err.time == time_grid(T, dt)[step]
+    assert sum([dt] * step) != err.time
+
+
+def test_solvers_start_at_time_zero():
+    """Every time grid starts at 0, so a state at another time is refused."""
+    dom = _domain()
+    params = _params()
+    z = SpectralField.zeros(dom)
+    late = EvolutionState(0.5, z, z, z)
+    with pytest.raises(ValueError, match="t = 0"):
+        solve(late, params, 1.0, 0.01)
+    with pytest.raises(ValueError, match="t = 0"):
+        picard_solve(late, params, 1.0, 0.01)
 
 
 @pytest.mark.parametrize(
@@ -254,32 +300,34 @@ MARCH_FIELDS = ("u", "ut", "utt", "uttt", "forcing")
 
 def _reference_march(data, params, T, dt, substep_iters, eps_deg=DEFAULT_EPS_DEG,
                      blowup_bound=DEFAULT_BLOWUP_BOUND, trace=None):
-    """The march as a loop of the step spelled term by term, allocating:
+    """The march as a loop of the step spelled term by term, allocating,
+    from the law at t = 0 (u_ttt and f of the first sample):
     base = table.evolve(x) + table.held(F) with F = -f, and per sweep the
     blow-up check, u_tt by ``semigroup_utt``, the law by a one-shot
     ``nonlinear_terms`` call and, on every sweep but the last,
     base + table.slope(F, F').  The first step reads the C-ordered start
-    data, every later one the candidate the step before accepted.
+    data, every later one the candidate the step before accepted, and
+    each step's checks report its sample time on ``time_grid``.
 
     Returns (fields, error): the accepted samples of each of MARCH_FIELDS,
     stacked, and the error that stopped the loop or None.  ``trace``, when
     given, receives per sweep (step, sweep, max |x| of the candidate,
     max |2k u_t| on the Gauss and collocation grids) before the sweep's
     checks."""
-    domain = data.u0.domain
+    domain = data.domain
     shape = (3,) + domain.coeff_shape
     table = propagator_table(domain, params, dt)
-    start = (data.u0.coeffs, data.u1.coeffs, data.u2.coeffs, data.uttt0.coeffs)
-    _, f, _ = nonlinear_terms(domain, params, *start)
-    rows = [[value] for value in start + (f,)]
-    x = semigroup_data(domain, params, *start[:3])
+    t_grid = time_grid(T, dt)
+    start = (data.u.coeffs, data.ut.coeffs, data.utt.coeffs)
+    uttt, f, _ = nonlinear_terms(domain, params, *start, eps_deg=eps_deg)
+    rows = [[value] for value in start + (uttt, f)]
+    x = semigroup_data(domain, params, *start)
     f3 = -f.reshape(-1)
-    t = 0.0
     error = None
     try:
-        for step in range(1, round(T / dt) + 1):
+        for step in range(1, t_grid.size):
             base = table.evolve(x.reshape(3, -1)) + table.held(f3)
-            t += table.dt
+            t = float(t_grid[step])
             candidate = base
             for sweep in range(substep_iters + 1):
                 if trace is not None:
@@ -433,7 +481,7 @@ def test_picard_apply_zero_phi_gives_homogeneous_solution():
     data = _small_data(dom, params, amplitude=0.01)
     out = picard_apply(phi, data, params)
 
-    data0 = semigroup_data(dom, params, data.u0.coeffs, data.u1.coeffs, data.u2.coeffs)
+    data0 = semigroup_data(dom, params, data.u.coeffs, data.ut.coeffs, data.utt.coeffs)
     ref = solve_duhamel(dom, params, t, data0)
     u, ut = ref[:, 0], ref[:, 1]
     utt = ref[:, 2] - params.b * dom.eigenvalue_grid * ut - params.c**2 * dom.eigenvalue_grid * u
@@ -503,7 +551,7 @@ def test_picard_checks_the_homogeneous_start_against_the_blowup_bound(small_run)
     checks, before a sweep forms f[phi]: a bound just below the start's
     peak at t = 0 trips there, before any sweep is measured."""
     dom, params, data, _ = small_run
-    start = semigroup_data(dom, params, data.u0.coeffs, data.u1.coeffs, data.u2.coeffs)
+    start = semigroup_data(dom, params, data.u.coeffs, data.ut.coeffs, data.utt.coeffs)
     bound = 0.99 * float(np.max(np.abs(start)))
     with pytest.raises(BlowUpError) as info:
         picard_solve(data, params, 1.0, 1e-3, blowup_bound=bound)
@@ -546,7 +594,7 @@ def test_continuous_dependence_constant_is_stable():
     constants = []
     for i in range(5):
         eps = 1e-4 / 2**i
-        u0p = base.u0 + SpectralField.single_mode(dom, (2,), eps)
+        u0p = base.u + SpectralField.single_mode(dom, (2,), eps)
         datap = make_compatibility_data(u0p, z, z, params)
         solp = solve(datap, params, 1.0, 0.01)
         delta = math.sqrt(lam2**4 * eps**2 * WEIGHT)  # H4 norm of the data gap
