@@ -50,7 +50,6 @@ from .linear import (
 )
 from .model import (
     EvolutionState,
-    make_compatibility_data,
     pde_residual_series,
     time_grid,
 )
@@ -158,7 +157,7 @@ def _solver_options(config):
 
 def cmd_simulate(config, out_dir, artifacts):
     u0, u1, u2 = build_initial_fields(config)
-    data = make_compatibility_data(u0, u1, u2, config.params, eps_deg=config.eps_deg)
+    data = EvolutionState(0.0, u0, u1, u2)
     traj = solve(data, config.params, config.t_final, config.dt, **_solver_options(config))
     # one energy series serves the CSV rows, the fit and both audits
     series = energy_series(traj, config.params)
@@ -251,7 +250,7 @@ def cmd_linear_analyze(config, out_dir, artifacts):
 
 def cmd_picard(config, out_dir, artifacts):
     u0, u1, u2 = build_initial_fields(config)
-    data = make_compatibility_data(u0, u1, u2, config.params, eps_deg=config.eps_deg)
+    data = EvolutionState(0.0, u0, u1, u2)
 
     def emit(converged, iterations, ratios, increments, final_residual):
         pairs = [
@@ -310,7 +309,7 @@ def _spatial_study(config):
         coeffs = config.conv_amplitude * ratio ** np.arange(1, n_modes + 1)
         u0 = SpectralField(dom, coeffs)
         z = SpectralField.zeros(dom)
-        data = make_compatibility_data(u0, z, z, params0)
+        data = EvolutionState(0.0, u0, z, z)
         traj = solve(data, params0, config.t_final, config.dt, **_solver_options(config))
         return traj.u[-1]
 
@@ -339,7 +338,7 @@ def _temporal_study(config):
     dom = config.domain
     u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, config.conv_amplitude)
     z = SpectralField.zeros(dom)
-    data = make_compatibility_data(u0, z, z, config.params, eps_deg=config.eps_deg)
+    data = EvolutionState(0.0, u0, z, z)
     finals = [
         solve(data, config.params, config.t_final, dt, **_solver_options(config)).u[-1]
         for dt in dts
@@ -410,7 +409,7 @@ def cmd_decay_study(config, out_dir, artifacts):
     amp_rows = []
     for amplitude in config.sweep_amplitudes:
         u0 = SpectralField.single_mode(dom, lowest, amplitude)
-        data = make_compatibility_data(u0, z, z, params, eps_deg=config.eps_deg)
+        data = EvolutionState(0.0, u0, z, z)
         traj = solve(data, params, config.t_final, config.dt, **_solver_options(config))
         series = energy_series(traj, params)
         omega, _, _ = _safe_fit(series["t"], decay_norm_sum(series))
@@ -430,7 +429,7 @@ def cmd_decay_study(config, out_dir, artifacts):
             continue
         params_s = dataclasses.replace(params, s=s_flag)
         u0 = SpectralField.single_mode(dom, lowest, base_amp)
-        data = make_compatibility_data(u0, z, z, params_s, eps_deg=config.eps_deg)
+        data = EvolutionState(0.0, u0, z, z)
         traj = solve(data, params_s, config.t_final, config.dt, **_solver_options(config))
         series = energy_series(traj, params_s)
         s_rates[s_flag], _, _ = _safe_fit(series["t"], decay_norm_sum(series))

@@ -60,18 +60,18 @@ given) returns None for the guard minimum.  The guard runs on one buffer
 of 2k u_t on the Gauss nodes and on the collocation nodes (the Gauss half
 is what the law divides by), so one min and one max per sample cover
 both grids; only a trip looks at the grids apart, to report where it
-happened.  With k = 0 the factor is 1 and so is the guard minimum.  A
-plan with k = s = 0, the linear problem of ``linear-lowest-mode`` and of
-the spatial study of ``convergence``, binds no stage in either
-dimension: u_ttt is the bracket and f is zero.  For every other plan the
-dimension selects the body.
+happened.  A plan with k = s = 0, the linear problem of
+``linear-lowest-mode`` and of the spatial study of ``convergence``, binds
+no stage in either dimension: u_ttt is the bracket and f is zero.  Every
+other plan runs the one law, whatever k, and the dimension selects the
+body.
 
-* 1D (``_Plan1D``, k != 0 or s).  A 1D call at the march's sizes works
-  on arrays of a few dozen values, so its cost is the count of numpy
-  calls.  The members (lin, u_tt, u_t, u, u_ttt) are the rows of one
-  array, and each grid stage is one gemm of a run of rows against the
-  grid's sine and derivative matrices stacked, so a call is about twenty
-  numpy calls and reads each matrix once, at any N.  It rounds
+* 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of
+  a few dozen values, so its cost is the count of numpy calls.  The
+  members (lin, u_tt, u_t, u, u_ttt) are the rows of one array, and each
+  grid stage is one gemm of a run of rows against the grid's sine and
+  derivative matrices stacked, so a call is about twenty numpy calls and
+  reads each matrix once, at any N.  It rounds
   differently from the term-by-term form, by about 1e-16 relative
   (``tests/test_oracle.py``).
 * 2D (bound stages).  A 2D stage works on grids of tens of thousands of
@@ -426,7 +426,7 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_s
 
 
 def _law_stage(domain, params, stack, batch):
-    """The Gauss-grid stage of the 2D law (k != 0), bound to the member stack
+    """The Gauss-grid stage of the 2D law, bound to the member stack
     (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
     eps_deg, at_start)``, which guards 2k u_t and projects the law's
     quotient into the stack's last member in place of lin; it returns the
@@ -455,32 +455,25 @@ def _law_stage(domain, params, stack, batch):
 
 def _product_stage(domain, params, stack):
     """The exact projections of the quadratic products of a 2D f, bound to
-    the member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0 and
-    without u_ttt when k = 0.  Returns ``(run, proj)``: ``run()`` writes
-    into ``proj`` the projections, in the order (u_tt^2, u_t u_ttt) if
-    k != 0, then (|grad u_t|^2, grad u . grad u_tt) if s.
+    the member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0.
+    Returns ``(run, proj)``: ``run()`` writes into ``proj`` the
+    projections, in the order (u_tt^2, u_t u_ttt), then (|grad u_t|^2,
+    grad u . grad u_tt) if s.
 
     One stack evaluation gives the values of (u_tt, u_t, u_ttt) and the
     gradients of (u, u_tt, u_t); two stacked multiplies form the products,
     in the operand order of the term-by-term form.  The stage owns the grid
     values, the products and the projections."""
-    k, s = params.k, params.s
+    s = params.s
     evaluate_fine, vals, grads = bind_evaluate_stack(
-        domain,
-        "fine",
-        stack,
-        values=slice(s, s + 3) if k != 0.0 else None,
-        gradient=slice(0, 3) if s else None,
+        domain, "fine", stack, values=slice(s, s + 3), gradient=slice(0, 3) if s else None
     )
-    grid = (vals if k != 0.0 else grads[0]).shape[1:]
-    products = np.empty((2 * (k != 0.0) + 2 * s,) + grid)
+    products = np.empty((2 + 2 * s,) + vals.shape[1:])
     # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
     pair = products[-2:]
     factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
-    term = None
-    if len(factors) > 1:
-        # the values are spent by then, so they hold each further term
-        term = vals[:2] if vals is not None else np.empty(pair.shape)
+    # the values are spent by then, so they hold each further term
+    term = vals[:2]
     # the DCT spends the products before proj is written, so they hold proj
     shape = products.shape[:1] + stack.shape[1:]
     proj = products.reshape(-1)[: math.prod(shape)].reshape(shape)
@@ -488,8 +481,7 @@ def _product_stage(domain, params, stack):
 
     def run():
         evaluate_fine()
-        if k != 0.0:
-            np.multiply(vals[0:2], vals[0::2], out=products[:2])
+        np.multiply(vals[0:2], vals[0::2], out=products[:2])
         if s:
             np.multiply(*factors[0], out=pair)
             for a, b in factors[1:]:
@@ -502,9 +494,8 @@ def _product_stage(domain, params, stack):
 @lru_cache(maxsize=32)
 def _forcing_weights(k, s, ndim):
     """Weights (2k, 2k, 2, 2) of the projected products of f (without the
-    k pair when k = 0 and the s pair when s = 0), shaped to scale a stack
-    of ``ndim`` axes."""
-    w = [2.0 * k] * 2 * (k != 0.0) + [2.0] * 2 * s
+    s pair when s = 0), shaped to scale a stack of ``ndim`` axes."""
+    w = [2.0 * k] * 2 + [2.0] * 2 * s
     return np.array(w).reshape((-1,) + (1,) * (ndim - 1))
 
 
@@ -528,44 +519,41 @@ def _gauss_quotient(k, vals, grads, scaled, num, term):
 
 @lru_cache(maxsize=32)
 def _maps_1d(domain, params):
-    """The matrices of ``_Plan1D`` (k != 0 or s), read-only and shared by
-    every plan on this domain and params: ``(bracket, guard, gauss, fine,
-    project)``.
+    """The matrices of ``_Plan1D``, read-only and shared by every plan on
+    this domain and params: ``(bracket, guard, gauss, fine, project)``.
 
     * ``bracket`` (3, N) holds the bracket weights (w_tt, -w_t, -w_u) of
       the rows (u_tt, u_t, u).
-    * ``guard`` (None when k = 0) is the Gauss-grid sine matrix over the
-      collocation one: the values of u_t on both grids in one gemv, bit
-      for bit those of ``evaluate`` on each grid, since each row is still
-      its own dot product (``tests/test_kernel.py``).
-    * ``gauss`` (None when k = 0) is the Gauss-grid sine matrix, then the
-      derivative matrix when s, transposed: N x G or N x 2G.
-    * ``fine`` is the fine-grid sine matrix when k != 0, then the
-      derivative matrix when s, transposed the same way.
+    * ``guard`` is the Gauss-grid sine matrix over the collocation one:
+      the values of u_t on both grids in one gemv, bit for bit those of
+      ``evaluate`` on each grid, since each row is still its own dot
+      product (``tests/test_kernel.py``).
+    * ``gauss`` is the Gauss-grid sine matrix, then the derivative matrix
+      when s, transposed: N x G or N x 2G.
+    * ``fine`` is the fine-grid sine matrix, then the derivative matrix
+      when s, transposed the same way.
     * ``project`` is the folded fine projection ``DomainSpec._fine_project``
       transposed.
     """
-    k, s = params.k, params.s
+    s = params.s
     w_tt, w_t, w_u = _bracket_weights(domain, params)
     gauss, fine = ([m[0] for m in domain._grid_matrices[grid]] for grid in ("gauss", "fine"))
-    law = k != 0.0
     maps = (
         np.stack([w_tt, -w_t, -w_u]),
-        np.vstack([gauss[0], domain._grid_matrices["collocation"][0][0]]) if law else None,
-        np.vstack(gauss[: 1 + s]).T.copy() if law else None,
-        np.vstack(fine[(k == 0.0) : 1 + s]).T.copy(),
+        np.vstack([gauss[0], domain._grid_matrices["collocation"][0][0]]),
+        np.vstack(gauss[: 1 + s]).T.copy(),
+        np.vstack(fine[: 1 + s]).T.copy(),
         domain._fine_project.T.copy(),
     )
     for mat in maps:
-        if mat is not None:
-            mat.setflags(write=False)
+        mat.setflags(write=False)
     return maps
 
 
 class _Plan1D:
-    """The 1D body of a ``KernelPlan`` (k != 0 or s): each grid stage is one
-    matrix product over all of its members, about twenty numpy calls per
-    call in all.
+    """The 1D body of a ``KernelPlan``: each grid stage is one matrix
+    product over all of its members, about twenty numpy calls per call in
+    all.
 
     The members are the rows (lin, u_tt, u_t, u, u_ttt) of one array; lin,
     the bracket, is one ``vecdot`` of the rows (u_tt, u_t, u) with the
@@ -575,7 +563,7 @@ class _Plan1D:
     member.  So a call makes far fewer numpy calls than the bound stages
     at small N and reads less memory at large N.
 
-    The law (u_ttt not given, k != 0).  The rows (lin, u_tt), and (u_t, u)
+    The law (u_ttt not given).  The rows (lin, u_tt), and (u_t, u)
     when s, go onto the Gauss grid in one buffer, after the quadratic terms:
 
         [u_tt^2 | u_t'^2 | u' u_tt' | lin | ...],
@@ -596,9 +584,7 @@ class _Plan1D:
     forcing-only route (u_ttt given) fills the rows and runs only this
     part, with no guard; the fine values of u_ttt come from u_ttt itself,
     so the forcing of a march is bit for bit ``energy.forcing_series`` of
-    its stored trajectory.  With k = 0 the law is explicit: u_ttt is lin
-    minus f, which is then the gradient part alone, and the fine stage
-    leaves u_ttt out.
+    its stored trajectory.
     """
 
     def __init__(self, domain, params, batch):
@@ -611,16 +597,14 @@ class _Plan1D:
         self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
         # (u_tt, u_t, u), then u_ttt, as the caller's arrays are copied in
         self._fill = self._x[..., n : 4 * n], self._x[..., n:]
-        members = rows[..., 1 : 4 + (k != 0.0), :]
+        members = rows[..., 1:5, :]
         grid = np.empty(members.shape[:-1] + (fine.shape[1],))
         self._fine = fine, members, grid
-        pairs = []
-        if k != 0.0:
-            # (u_tt u_tt, u_t u_ttt)
-            pairs.append((grid[..., 0:2, :f], grid[..., 0::3, :f]))
+        # (u_tt u_tt, u_t u_ttt)
+        pairs = [(grid[..., 0:2, :f], grid[..., 0::3, :f])]
         if s:
-            # (u_t' u_t', u' u_tt'), the derivatives after the values when k != 0
-            grads = grid[..., f * (k != 0.0) :]
+            # (u_t' u_t', u' u_tt'), the derivatives after the values
+            grads = grid[..., f:]
             pairs.append((grads[..., 1:3, :], grads[..., 1::-1, :]))
         self._products = np.empty(batch + (2 * len(pairs), f))
         self._pairs = [
@@ -628,7 +612,7 @@ class _Plan1D:
         ]
         self._proj = np.empty(batch + (2 * len(pairs), n))
         self._weights = _forcing_weights(k, s, 1)
-        self._law = self._bind_law() if k != 0.0 else None
+        self._law = self._bind_law()
         self._data_route = self._bind_data_route()
 
     def _bind_law(self):
@@ -716,20 +700,12 @@ class _Plan1D:
         (u_tt, u_t, u) filled; returns (f, guard minimum).  ``ut`` is the
         caller's u_t, which the guard's gemv reads."""
         np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
-        if self.params.k == 0.0:
-            guard_min = _guard_ut(self.domain, self.params, ut, time, eps_deg, at_start)
-            f = self._run_forcing(f_out)
-            np.subtract(self._lin, f, out=self._uttt)
-            return f, guard_min
         guard_min = self._run_law(ut, time, eps_deg, at_start)
         return self._run_forcing(f_out), guard_min
 
     def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
         if uttt is not None:
-            if self.params.k == 0.0:
-                np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
-            else:
-                np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
+            np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
             # the forcing-only route never guards
             return uttt, self._run_forcing(), None
         np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
@@ -771,8 +747,7 @@ class KernelPlan:
     call.  A 2D plan binds the stages of the term-by-term form, with its
     operations, operand layouts and association order: one member stack
     (u, u_tt, u_t, .) serves both grids, its last member lin for the Gauss
-    stage and u_ttt for the fine stage (u is left out when s = 0, the last
-    member when k = 0).
+    stage and u_ttt for the fine stage (u is left out when s = 0).
     """
 
     def __init__(self, domain, params, batch=()):
@@ -786,10 +761,10 @@ class KernelPlan:
         if domain.dimension == 1:
             self._plan_1d = _Plan1D(domain, params, batch)
             return
-        self._stack = np.empty((s + 2 + (k != 0.0),) + batch + domain.coeff_shape)
+        self._stack = np.empty((s + 3,) + batch + domain.coeff_shape)
         self._products = _product_stage(domain, params, self._stack)
         self._weights = _forcing_weights(k, s, self._products[1].ndim)
-        self._law = _law_stage(domain, params, self._stack, batch) if k != 0.0 else None
+        self._law = _law_stage(domain, params, self._stack, batch)
 
     def step_terms(self, data, time, eps_deg):
         """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
@@ -806,24 +781,23 @@ class KernelPlan:
         return utt.reshape(-1), uttt.reshape(-1), f.reshape(-1)
 
     def _fill(self, u, ut, utt, last):
-        """Copy the fields into the member stack (``last`` None when k = 0)."""
+        """Copy the fields into the member stack, ``last`` into its last
+        member."""
         stack, s = self._stack, self.params.s
         if s:
             stack[0] = u
         stack[s] = utt
         stack[s + 1] = ut
-        if last is not None:
-            stack[-1] = last
+        stack[-1] = last
 
     def __call__(self, u, ut, utt, uttt=None, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
         """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
         ``nonlinear_terms``; a guard trip carries ``at_start``, which
         ``nonlinear.solve`` sets for its law call at t = 0."""
         domain, params = self.domain, self.params
-        k, s = params.k, params.s
         # the forcing-only route (u_ttt given) never guards
-        guard_min = lin = None
-        if k == 0.0 and not s:
+        guard_min = None
+        if params.k == 0.0 and not params.s:
             # the linear problem: u_ttt is the bracket and f is zero
             if uttt is None:
                 uttt = _bracket(self._bracket, u, ut, utt)
@@ -832,22 +806,15 @@ class KernelPlan:
         if self._plan_1d is not None:
             return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
         if uttt is None:
-            lin = uttt = _bracket(self._bracket, u, ut, utt)
-            if k != 0.0:
-                self._fill(u, ut, utt, lin)
-                guard_min = self._law(ut, time, eps_deg, at_start)
-                uttt = self._stack[-1].copy()
-            else:
-                guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
-        if lin is None or k == 0.0:
-            self._fill(u, ut, utt, uttt if k != 0.0 else None)
+            # the law: the bracket lin is the last member for the Gauss stage,
+            # which projects u_ttt into its place
+            self._fill(u, ut, utt, _bracket(self._bracket, u, ut, utt))
+            guard_min = self._law(ut, time, eps_deg, at_start)
+            uttt = self._stack[-1].copy()
+        else:
+            self._fill(u, ut, utt, uttt)
         run_products, proj = self._products
         run_products()
-        if lin is not None and k == 0.0:
-            # with k = 0 the law is explicit: the bracket minus the gradient terms
-            grad = 2.0 * proj[0]
-            grad += 2.0 * proj[1]
-            uttt = lin - grad
         # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
         np.multiply(self._weights, proj, out=proj)
         return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
@@ -868,13 +835,17 @@ def nonlinear_terms(
     ``u``, ``ut``, ``utt`` (and ``uttt``) have shape batch + coeff shape
     for any batch shape, and ``time`` broadcasts to the batch.
 
-    * ``uttt`` None: u_ttt is the Galerkin projection of the evolution law
-      (see ``acceleration``); given, it is taken as is and only f uses it.
-    * f is the exactly projected forcing (see ``forcing_f``).
-    * The degeneracy guard (see ``check_degeneracy_guard``) runs once per
-      sample when u_ttt is evaluated, and the guard minimum is returned
-      (1 when k = 0).  With ``uttt`` given nothing divides, so nothing is
-      guarded and the guard minimum is None.
+    * ``uttt`` None: u_ttt is the Galerkin projection of the law's
+      quotient (lin - 2k u_tt^2 - 2s |grad u_t|^2 - 2s grad u . grad u_tt)
+      / (1 + 2k u_t), with lin the ``linear_bracket``, formed pointwise on
+      the Gauss grid.  Given, it is taken as is and only f uses it.
+    * f = 2k u_tt^2 + 2k u_t u_ttt + 2s |grad u_t|^2 + 2s grad u . grad
+      u_tt, each product projected exactly.
+    * When u_ttt is evaluated the degeneracy guard runs once per sample:
+      it raises DegeneracyError unless |2k u_t| < 1 - eps_deg on the Gauss
+      and the collocation nodes, and the guard minimum is the least 1 + 2k
+      u_t over those nodes (1 when k = 0).  With ``uttt`` given nothing
+      divides, so nothing is guarded and the guard minimum is None.
 
     Each block of the batch (see ``spectral.BLOCK_BYTES``) runs through a
     ``KernelPlan``, one per block shape; a march binds its own plan once
@@ -956,21 +927,15 @@ def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
 
 def _quad_source(domain, params, u, ut):
     """Q = k u_t^2 + s |grad u|^2, exactly projected; leading axes allowed."""
-    out = np.zeros(u.shape)
-    products = []
-    if params.k != 0.0:
-        vals = evaluate(domain, "fine", ut)
-        products.append(vals * vals)
+    vals = evaluate(domain, "fine", ut)
+    products = [vals * vals]
     if params.s:
         _, grads = evaluate_stack(domain, "fine", u[None], gradient=slice(None))
         products.append(gradient_product(grads, 0, 0))
-    if not products:
-        return out
     proj = project(domain, "fine", np.stack(products))
-    if params.k != 0.0:
-        out += params.k * proj[0]
+    out = params.k * proj[0]
     if params.s:
-        out += proj[-1]
+        out += proj[1]
     return out
 
 

@@ -57,11 +57,11 @@ class Trajectory:
     """Uniformly sampled solution fields u, u_t, u_tt, u_ttt.
 
     Arrays have shape (nt,) + coeff shape.  The stored u_ttt comes from
-    the model's acceleration at each accepted sample (or, for linear
-    solves, from the linear bracket plus forcing; see
-    ``linear_trajectory``).  ``forcing``, when present, holds the
-    quadratic forcing f at every sample as the march computed it, the same
-    bits as ``energy.forcing_series``; a trajectory derived by arithmetic
+    the model's law at each accepted sample (or, for linear solves, from
+    the linear bracket plus forcing; see ``linear_trajectory``).
+    ``forcing``, when present, holds the quadratic forcing f at every
+    sample as the march computed it, the same bits as
+    ``energy.forcing_series``; a trajectory derived by arithmetic
     (``difference``) carries none.  A trajectory carries no model
     parameters: every consumer takes them as an argument of its own.
     """

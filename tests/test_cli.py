@@ -163,11 +163,36 @@ def test_linear_analyze_rows_are_the_array_spectrum(tmp_path):
     assert float(report["discrepancy"]) <= 1e-12
 
 
+DEGENERATE_START = (
+    "bck-sim: code=2 kind=DegeneracyError message=degeneracy guard tripped at t=0: "
+    "1 + 2k u_t reaches 2.19125 at grid index 5 (require |2k u_t| < 0.95)\n"
+)
+
+
 def test_degenerate_data_exits_with_code_2(tmp_path, capsys):
+    """The march's law call at t = 0 guards the initial velocity."""
     assert _run("simulate", "--config", CONFIGS / "degenerate.conf", "--out", tmp_path) == 2
-    assert "code=2 kind=DegeneracyError" in capsys.readouterr().err
+    assert capsys.readouterr().err == DEGENERATE_START
     record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
     assert record["exit_status"] == 2
+    assert record["artifacts"] == []
+
+
+def test_degenerate_picard_start_exits_with_code_2_and_writes_its_report(tmp_path, capsys):
+    """The iteration's start guard trips before any sweep, and the report
+    says so, as for every other guard trip of the iteration."""
+    assert _run("picard", "--config", CONFIGS / "degenerate.conf", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == DEGENERATE_START
+    report = dict(
+        line.split(": ", 1)
+        for line in (tmp_path / "picard_report.txt").read_text(encoding="utf-8").splitlines()
+    )
+    assert report["converged"] == "false"
+    assert report["iterations"] == "0"
+    assert report["ratios"] == report["increments"] == ""
+    record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 2
+    assert record["artifacts"] == ["picard_report.txt"]
 
 
 def test_diverging_picard_exits_with_code_4_and_writes_its_report(tmp_path, capsys):

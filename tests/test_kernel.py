@@ -360,20 +360,17 @@ def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     return f
 
 
-@pytest.mark.parametrize("s", [0, 1])
-@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
-def test_buffered_law_matches_the_allocating_expression(dim, n, s):
-    """In 2D the stacked, buffered stages keep every operation and its
-    association order, so they reproduce the plain term-by-term
-    expressions bit for bit: the Gauss-grid law, the fine-grid products
-    and the weighted sum of their projections.  The 1D plan applies
-    stacked matrices to stacked members, which rounds differently, so
-    there the expressions agree to 1e-14 relative in max-norm at any N."""
-    domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
-    # a weak linear part and strong fields, so every quadratic term reaches
-    # the last bits of the numerator and of f
-    params = ModelParams(1e-3, 1e-3, 1e-3, 0.2, s)
+def _strong_fields(domain, n):
+    """A weak linear part and strong fields, so every quadratic term
+    reaches the last bits of the numerator and of f."""
     u, ut, utt, _ = (30.0 * c for c in _fields(domain, (), seed=n))
+    return u, ut, utt
+
+
+def _term_by_term_law(domain, params, u, ut, utt):
+    """The Galerkin projection of the law's quotient, formed term by term
+    on the Gauss grid."""
+    dim, k = domain.dimension, params.k
     sine, dcos = domain._grid_matrices["gauss"]
 
     def values(c):
@@ -384,33 +381,58 @@ def test_buffered_law_matches_the_allocating_expression(dim, n, s):
             return [(dcos[0] @ c[:, None])[:, 0]]
         return [dcos[0] @ c @ sine[1].T, sine[0] @ c @ dcos[1].T]
 
-    k = params.k
     lin = linear_bracket(domain, params, u, ut, utt)
     num = values(lin) - 2.0 * k * values(utt) * values(utt)
-    if s:
+    if params.s:
         for d_utt, d_ut, d_u in zip(gradient(utt), gradient(ut), gradient(u)):
             num = num - 2.0 * d_ut * d_ut - 2.0 * d_u * d_utt
-    want = project(domain, "gauss", num / (1.0 + 2.0 * k * values(ut)))
+    return project(domain, "gauss", num / (1.0 + 2.0 * k * values(ut)))
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
+def test_buffered_law_matches_the_allocating_expression(dim, n, s):
+    """In 2D the stacked, buffered stages keep every operation and its
+    association order, so they reproduce the plain term-by-term
+    expressions bit for bit: the Gauss-grid law, the fine-grid products
+    and the weighted sum of their projections.  The 1D plan applies
+    stacked matrices to stacked members, which rounds differently, so
+    there the expressions agree to 1e-14 relative in max-norm at any N.
+    With k = 0 the same law runs, its factor 1 and its k products weighted
+    by 0; the k = s = 0 plan is the linear problem, whose u_ttt is the
+    bracket itself."""
+    domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
+    u, ut, utt = _strong_fields(domain, n)
 
     def same(got, expected):
         if dim == 2:
             return np.array_equal(got, expected)
         return np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    uttt, f, _ = nonlinear_terms(domain, params, u, ut, utt)
-    assert same(uttt, want)
-    assert same(f, _term_by_term_forcing(domain, params, u, ut, utt, uttt))
-    # the forcing-only route (u_ttt given) and k = 0, too
-    given = 0.5 * want
-    _, f_given, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=given)
-    assert same(f_given, _term_by_term_forcing(domain, params, u, ut, utt, given))
-    explicit = ModelParams(1e-3, 1e-3, 1e-3, 0.0, s)
-    _, f_explicit, _ = nonlinear_terms(domain, explicit, u, ut, utt, uttt=given)
-    f_want = _term_by_term_forcing(domain, explicit, u, ut, utt, given)
-    assert same(f_explicit, f_want)
-    # with k = 0 the law is explicit: the bracket minus f
-    uttt_explicit, _, _ = nonlinear_terms(domain, explicit, u, ut, utt)
-    assert same(uttt_explicit, linear_bracket(domain, explicit, u, ut, utt) - f_want)
+    for k in (0.2, 0.0):
+        params = ModelParams(1e-3, 1e-3, 1e-3, k, s)
+        law = linear_bracket if k == 0.0 and not s else _term_by_term_law
+        want = law(domain, params, u, ut, utt)
+        uttt, f, _ = nonlinear_terms(domain, params, u, ut, utt)
+        assert same(uttt, want)
+        assert same(f, _term_by_term_forcing(domain, params, u, ut, utt, uttt))
+        # the forcing-only route (u_ttt given), too
+        given = 0.5 * want
+        _, f_given, _ = nonlinear_terms(domain, params, u, ut, utt, uttt=given)
+        assert same(f_given, _term_by_term_forcing(domain, params, u, ut, utt, given))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
+def test_law_at_k_zero_is_the_bracket_minus_f(dim, n):
+    """With k = 0 the factor is 1 and f is the gradient part alone, so
+    u_ttt is the linear bracket minus f, to 1e-13 relative in max-norm."""
+    domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
+    params = ModelParams(1e-3, 1e-3, 1e-3, 0.0, 1)
+    u, ut, utt = _strong_fields(domain, n)
+    uttt, f, guard_min = nonlinear_terms(domain, params, u, ut, utt)
+    assert guard_min == 1.0
+    explicit = linear_bracket(domain, params, u, ut, utt) - f
+    assert np.max(np.abs(uttt - explicit)) <= 1e-13 * np.max(np.abs(explicit))
 
 
 @pytest.mark.parametrize("k,s", [(0.2, 1), (0.2, 0), (0.0, 1), (0.0, 0)])
@@ -418,15 +440,15 @@ def test_buffered_law_matches_the_allocating_expression(dim, n, s):
 def test_zero_data_gives_no_negative_zeros(dim, n, k, s):
     """The weighted sum starts from +0, as the term-by-term sum into
     zeros did, so f of zero data is +0 everywhere, and so is the u_ttt of
-    the law.  (With k = 0, u_ttt is the linear bracket itself, whose
-    (-(a+b) lam) * 0 is -0 in either form, so only f is checked there.)"""
+    the law.  (With k = s = 0, u_ttt is the linear bracket itself, whose
+    (-(a+b) lam) * 0 is -0, so only f is checked there.)"""
     domain = DomainSpec(dim, (np.pi,) * dim, n)
     params = ModelParams(1.0, 0.7, 1.3, k, s)
     zero = np.zeros((3,) + domain.coeff_shape)
     for batch in (zero[0], zero):
         uttt, f, _ = nonlinear_terms(domain, params, batch, batch, batch)
         assert not np.signbit(f).any()
-        if k != 0.0:
+        if k != 0.0 or s:
             assert not np.signbit(uttt).any()
         _, f, _ = nonlinear_terms(domain, params, batch, batch, batch, uttt=batch)
         assert not np.signbit(f).any()

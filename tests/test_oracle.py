@@ -210,20 +210,24 @@ def _law(domain, params, tables, u, ut, utt):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_law_against_the_oracle(s):
-    """u_ttt of the law (u_ttt not given) at 1D N = 8, k = 0.2, with the
-    kernel's own Gauss nodes and weights taken exactly and everything else
-    exact at 50 digits."""
+    """u_ttt of the law (u_ttt not given) at 1D N = 8, k = 0.2 and k = 0,
+    with the kernel's own Gauss nodes and weights taken exactly and
+    everything else exact at 50 digits.  k = 0 runs the same law with
+    factor 1 (with s = 0 too, the linear plan, whose u_ttt is the
+    bracket)."""
     n, length = 8, 2.0
     domain = DomainSpec(1, (length,), n)
-    params = ModelParams(1.0, 0.7, 1.3, 0.2, s)
     rng = np.random.default_rng(200 + s)
     decay = np.arange(1.0, n + 1) ** -1.5
-    # |2k u_t| reaches 0.3-0.45 on the nodes, so the quotient is far from
-    # the linear law
+    # with k = 0.2, |2k u_t| reaches 0.3-0.45 on the nodes, so the quotient
+    # is far from the linear law
     u, ut, utt = rng.standard_normal((3, n)) * decay
-    uttt, _, _ = nonlinear_terms(domain, params, u, ut, utt)
-    exact = _law(domain, params, _gauss_tables(domain), *(_exact(x) for x in (u, ut, utt)))
-    assert _relative_error(uttt, exact) < 1e-14
+    tables = _gauss_tables(domain)
+    for k in (0.2, 0.0):
+        params = ModelParams(1.0, 0.7, 1.3, k, s)
+        uttt, _, _ = nonlinear_terms(domain, params, u, ut, utt)
+        exact = _law(domain, params, tables, *(_exact(x) for x in (u, ut, utt)))
+        assert _relative_error(uttt, exact) < 1e-14
 
 
 def _propagator(params, lam, h):
