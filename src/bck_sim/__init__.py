@@ -18,7 +18,6 @@ from .errors import (
 )
 from .spectral import (
     DomainSpec,
-    GridField,
     SpectralField,
     gradient_dot,
     l2_norm,
@@ -35,7 +34,6 @@ __all__ = [
     "FitError",
     "NonConvergenceError",
     "DomainSpec",
-    "GridField",
     "SpectralField",
     "gradient_dot",
     "l2_norm",

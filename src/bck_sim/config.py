@@ -360,6 +360,15 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
         raise ConfigError("[convergence] modes_list entries must be >= 1")
     if values[("convergence", "reference_modes")] < 1:
         raise ConfigError("[convergence] reference_modes must be >= 1")
+    if not 0.0 < values[("convergence", "profile_ratio")] < 1.0:
+        raise ConfigError("[convergence] profile_ratio must be in (0, 1)")
+    if max(values[("convergence", "modes_list")]) >= values[("convergence", "reference_modes")]:
+        raise ConfigError("[convergence] reference_modes must exceed modes_list")
+    steps = values[("convergence", "dt_values")]
+    if len(steps) != 3 or not all(
+        abs(steps[i + 1] - steps[i] / 2.0) < 1e-12 * steps[0] for i in range(2)
+    ):
+        raise ConfigError("[convergence] dt_values must be a halving triplet")
     # the fields and sweeps take these as they are
     for sec, key in (
         ("initial", "amplitude"),

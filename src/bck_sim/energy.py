@@ -228,28 +228,26 @@ def _cumulative_trapezoid(y, t):
     return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def estimate_audit_linear(traj, f_series, params, tol=1e-12, series=None):
+def estimate_audit_linear(traj, series):
     """Minimal constant in E(t) + int(E + k) <= c * (E(0) + int(|f|^2 + |f_t|^2)).
 
-    f_series holds the forcing coefficients sampled on traj.t_grid; its
-    time derivative is centered-differenced.  ``series`` is the trajectory's
-    ``energy_series`` when the caller has it already.  Raises
-    DivisionGuardError if the right-hand side vanishes identically while
-    the left does not.
+    f is the forcing the trajectory carries (ValueError when it carries
+    none); its time derivative is centered-differenced.  ``series`` is the
+    trajectory's ``energy_series``.  Raises DivisionGuardError if the
+    right-hand side exceeds 1e-12 nowhere while the left does somewhere.
     """
-    t = np.asarray(traj.t_grid, dtype=float)
-    f = np.asarray(f_series, dtype=float)
-    if series is None:
-        series = energy_series(traj, params)
+    if traj.forcing is None:
+        raise ValueError("the estimate audit needs a trajectory that carries its forcing")
+    t, f = traj.t_grid, traj.forcing
     total = series["E_total"]
     integrand = total + series["k_functional"]
     lhs = total + _cumulative_trapezoid(integrand, t)
     ft = fourth_derivative_series(t, f)
     data_term = sq_norm(traj.domain, f) + sq_norm(traj.domain, ft)
     rhs = total[0] + _cumulative_trapezoid(data_term, t)
-    mask = rhs > tol
+    mask = rhs > 1e-12
     if not mask.any():
-        if float(lhs.max(initial=0.0)) > tol:
+        if float(lhs.max(initial=0.0)) > 1e-12:
             raise DivisionGuardError(
                 "estimate right-hand side vanishes but the left does not"
             )
@@ -259,22 +257,19 @@ def estimate_audit_linear(traj, f_series, params, tol=1e-12, series=None):
     return EstimateAudit(t_grid=t, lhs=lhs, rhs=rhs, c_min=c_min)
 
 
-def barrier_audit(traj, eta, c_hat, params, series=None):
-    """Barrier-argument check for a solved trajectory.
+def barrier_audit(series, eta, c_hat):
+    """Barrier-argument check on the ``energy_series`` of a solved
+    trajectory.
 
     Verifies the pointwise barrier E(t) <= 2*max(1, c_hat)*eta and the
     integrated bound E(T) + (1/2)*int(E + k) <= c_hat*E(0); passes iff
-    both ratios are at most 1.  ``series`` is the trajectory's
-    ``energy_series`` when the caller has it already.
+    both ratios are at most 1.
     """
     if eta <= 0.0 or c_hat <= 0.0:
         raise ValueError("eta and c_hat must be positive")
-    t = np.asarray(traj.t_grid, dtype=float)
-    if series is None:
-        series = energy_series(traj, params)
     total = series["E_total"]
     pointwise = float(total.max(initial=0.0)) / (2.0 * max(1.0, c_hat) * eta)
-    integral = float(np.trapezoid(total + series["k_functional"], t))
+    integral = float(np.trapezoid(total + series["k_functional"], series["t"]))
     numerator = float(total[-1]) + 0.5 * integral
     denominator = c_hat * float(total[0])
     if denominator > 0.0:
@@ -291,20 +286,18 @@ def barrier_audit(traj, eta, c_hat, params, series=None):
     )
 
 
-def decay_fit(t_grid, series, window_fraction=0.5):
-    """Fit series ~ M * exp(-omega * t) on the trailing window by least squares.
+def decay_fit(t_grid, series):
+    """Fit series ~ M * exp(-omega * t) on the trailing half of the
+    samples by least squares.
 
-    window_fraction selects the trailing portion of the samples.  Raises
-    FitError on nonpositive entries inside the window or if fewer than two
-    samples fall in it.
+    Raises FitError on nonpositive entries inside the window or if fewer
+    than two samples fall in it.
     """
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
     t = np.asarray(t_grid, dtype=float)
     vals = np.asarray(series, dtype=float)
     if t.shape != vals.shape or t.ndim != 1:
         raise ValueError("t_grid and series must be equal-length vectors")
-    start = t.size - int(math.ceil(t.size * window_fraction))
+    start = t.size // 2
     window_t = t[start:]
     window_vals = vals[start:]
     if window_t.size < 2:

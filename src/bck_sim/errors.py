@@ -9,16 +9,15 @@ class DegeneracyError(RuntimeError):
     The third-order evolution divides by this factor, so the solver refuses
     to continue once ``|2k u_t|`` reaches ``1 - eps_deg`` anywhere on the
     evaluation grid.  ``time``, ``index`` and ``factor`` record where the
-    guard tripped; ``at_start`` distinguishes bad initial data from a
-    mid-run failure.
+    guard tripped.  Every solve starts at t = 0, so a trip at time 0 is a
+    trip of the initial data and a later one a mid-run failure.
     """
 
-    def __init__(self, message, time=None, index=None, factor=None, at_start=False):
+    def __init__(self, message, time=None, index=None, factor=None):
         super().__init__(message)
         self.time = time
         self.index = index
         self.factor = factor
-        self.at_start = at_start
         self.partial_trajectory = None
 
 

@@ -276,7 +276,7 @@ def linear_decay_report(initial, params, T, dt):
     half = t.size // 2
     if energy[-1] > energy[half]:
         raise FitError("energy trend grows on the trailing window")
-    fit = decay_fit(t, energy, window_fraction=0.5)
+    fit = decay_fit(t, energy)
     rel = t - t[0]
     prefactor = float(np.max(energy * np.exp(fit.omega * rel) / energy[0]))
     return DecayFit(

@@ -41,10 +41,11 @@ residual all take it from there.  The time grid of a run of length T is
 written once, in ``time_grid``, and every sampled series is checked by
 the one ``check_uniform_grid``.
 
-The body is a ``KernelPlan``, bound once to a domain, params and batch
-shape: building it resolves the weights, takes every matrix and view and
-allocates every buffer, so a call is a straight run of ``out=`` numpy
-calls with no shape arithmetic, allocation or cache lookup.  Every call
+The body is a ``KernelPlan``, bound once to a domain, params, batch shape
+and degeneracy margin: building it resolves the weights and the guard's
+limit, takes every matrix and view and allocates every buffer, so a call
+carries only data and time and is a straight run of ``out=`` numpy calls
+with no shape arithmetic, allocation or cache lookup.  Every call
 returns f: the march needs the law with f, the Picard sweeps and the
 post-processing f alone, and the one-shot front ends that need only
 u_ttt discard it.  ``nonlinear_terms`` builds one plan per block shape of
@@ -353,13 +354,13 @@ def _guard_buffer(domain, batch):
     return both, gauss, both[..., g**d :].reshape(batch + (c,) * d)
 
 
-def _guard(domain, both, time, eps_deg, at_start):
-    """The degeneracy guard on a ``_guard_buffer``: one min and one max
-    per sample over both grids; see check_degeneracy_guard.  Returns the
-    minimum factor (a float, or one per sample of an (n,) stack)."""
+def _guard(domain, both, time, limit):
+    """The degeneracy guard on a ``_guard_buffer``, which trips once |2k
+    u_t| reaches ``limit`` = 1 - eps_deg: one min and one max per sample
+    over both grids; see check_degeneracy_guard.  Returns the minimum
+    factor (a float, or one per sample of an (n,) stack)."""
     low = np.minimum.reduce(both, axis=-1)
     high = np.maximum.reduce(both, axis=-1)
-    limit = 1.0 - eps_deg
     # |x| >= limit somewhere iff max x >= limit or min x <= -limit; over a
     # stack, fmax and fmin pass over a sample holding a NaN, which never
     # trips.  The extremes are compared as Python floats.
@@ -367,11 +368,11 @@ def _guard(domain, both, time, eps_deg, at_start):
     top = float(np.fmax.reduce(high) if batched else high)
     bottom = float(np.fmin.reduce(low) if batched else low)
     if top >= limit or bottom <= -limit:
-        raise _degeneracy_error(domain, both, low, high, time, limit, at_start)
+        raise _degeneracy_error(domain, both, low, high, time, limit)
     return 1.0 + low if batched else 1.0 + bottom
 
 
-def _degeneracy_error(domain, both, low, high, time, limit, at_start):
+def _degeneracy_error(domain, both, low, high, time, limit):
     """The error of a tripped guard: the first offending sample (C order),
     reported on the collocation grid if it trips there, else on the Gauss
     grid, at the node of largest |2k u_t|."""
@@ -395,11 +396,10 @@ def _degeneracy_error(domain, both, low, high, time, limit, at_start):
         time=t,
         index=idx,
         factor=float(1.0 + sample.min()),
-        at_start=at_start,
     )
 
 
-def _guard_ut(domain, params, ut, time, eps_deg, at_start):
+def _guard_ut(domain, params, ut, time, limit):
     """Guard of one tensor or of an (n,) stack from its coefficients, in a
     buffer of its own: a guard without the law is not on the march's hot
     path, so it binds nothing."""
@@ -411,27 +411,27 @@ def _guard_ut(domain, params, ut, time, eps_deg, at_start):
     # the values are evaluated into the buffer and scaled in place
     for grid, part in (("gauss", gauss), ("collocation", coll)):
         np.multiply(2.0 * params.k, evaluate(domain, grid, ut, out=part), out=part)
-    return _guard(domain, both, time, eps_deg, at_start)
+    return _guard(domain, both, time, limit)
 
 
-def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
+def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG):
     """Array form of ``check_degeneracy_guard``: ``ut`` may carry leading
     axes and ``time`` broadcasts to them; the first offending sample (in C
     order) raises.  Returns the minimum factor per sample."""
 
     def block(ut_b, t_b):
-        return (_guard_ut(domain, params, ut_b, t_b, eps_deg, at_start),)
+        return (_guard_ut(domain, params, ut_b, t_b, 1.0 - eps_deg),)
 
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _law_stage(domain, params, stack, batch):
+def _law_stage(domain, params, stack, batch, limit):
     """The Gauss-grid stage of the 2D law, bound to the member stack
-    (u, u_tt, u_t, lin), without u when s = 0.  Returns ``run(ut, time,
-    eps_deg, at_start)``, which guards 2k u_t and projects the law's
-    quotient into the stack's last member in place of lin; it returns the
-    guard minimum.  ``ut`` is the caller's u_t, from which the collocation
-    values are evaluated."""
+    (u, u_tt, u_t, lin), without u when s = 0, and to the guard's
+    ``limit``.  Returns ``run(ut, time)``, which guards 2k u_t and projects
+    the law's quotient into the stack's last member in place of lin; it
+    returns the guard minimum.  ``ut`` is the caller's u_t, from which the
+    collocation values are evaluated."""
     k, s = params.k, params.s
     # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
     evaluate_gauss, vals, grads = bind_evaluate_stack(
@@ -441,11 +441,11 @@ def _law_stage(domain, params, stack, batch):
     num, term = np.empty(scaled.shape), np.empty(scaled.shape)
     project_gauss = bind_project(domain, "gauss", num, out=stack[-1])
 
-    def run(ut, time, eps_deg, at_start):
+    def run(ut, time):
         evaluate_gauss()
         np.multiply(2.0 * k, vals[1], out=scaled)
         np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
-        guard_min = _guard(domain, both, time, eps_deg, at_start)
+        guard_min = _guard(domain, both, time, limit)
         _gauss_quotient(k, vals, grads, scaled, num, term)
         project_gauss()
         return guard_min
@@ -587,9 +587,9 @@ class _Plan1D:
     its stored trajectory.
     """
 
-    def __init__(self, domain, params, batch):
+    def __init__(self, domain, params, batch, limit):
         k, s = params.k, params.s
-        self.domain, self.params, self.batch = domain, params, batch
+        self.domain, self.params, self.batch, self._limit = domain, params, batch, limit
         self._bracket, self._guard, self._gauss, fine, self._project = _maps_1d(domain, params)
         n, f = domain.modes_per_axis, domain._fine_project.shape[1]
         self._x = np.empty(batch + (5 * n,))
@@ -668,7 +668,7 @@ class _Plan1D:
             np.empty(batch + rows.shape[-1:]),
         )
 
-    def _run_law(self, ut, time, eps_deg, at_start):
+    def _run_law(self, ut, time):
         """Project the law's quotient into the u_ttt row; returns the guard
         minimum."""
         rows, out, pairs, summands, weights, both, both_col, scaled, num, num_col, gp, uttt = (
@@ -677,7 +677,7 @@ class _Plan1D:
         np.matmul(rows, self._gauss, out=out)
         np.matmul(self._guard, ut[..., None], out=both_col)
         np.multiply(2.0 * self.params.k, both, out=both)
-        guard_min = _guard(self.domain, both, time, eps_deg, at_start)
+        guard_min = _guard(self.domain, both, time, self._limit)
         for a, b, dst in pairs:
             np.multiply(a, b, out=dst)
         np.matmul(weights, summands, out=num)
@@ -695,24 +695,24 @@ class _Plan1D:
         np.matmul(self._products, self._project, out=self._proj)
         return np.matmul(self._weights, self._proj, out=out)
 
-    def _run(self, ut, time, eps_deg, at_start, f_out=None):
+    def _run(self, ut, time, f_out=None):
         """The law into the u_ttt row and f into ``f_out``, with the rows
         (u_tt, u_t, u) filled; returns (f, guard minimum).  ``ut`` is the
         caller's u_t, which the guard's gemv reads."""
         np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
-        guard_min = self._run_law(ut, time, eps_deg, at_start)
+        guard_min = self._run_law(ut, time)
         return self._run_forcing(f_out), guard_min
 
-    def __call__(self, u, ut, utt, uttt, time, eps_deg, at_start):
+    def __call__(self, u, ut, utt, uttt, time):
         if uttt is not None:
             np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
             # the forcing-only route never guards
             return uttt, self._run_forcing(), None
         np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
-        f, guard_min = self._run(ut, time, eps_deg, at_start)
+        f, guard_min = self._run(ut, time)
         return self._uttt.copy(), f, guard_min
 
-    def step_terms(self, data, time, eps_deg):
+    def step_terms(self, data, time):
         """``KernelPlan.step_terms``: one copy of (u_t, u) into their rows,
         one multiply by (w_t, w_u), u_tt = (X - w_t u_t) - w_u u into its
         row, then the law and f."""
@@ -721,16 +721,17 @@ class _Plan1D:
         np.multiply(wave, ut_u, out=term)
         np.subtract(data[2], wt_ut, out=utt)
         np.subtract(utt, wu_u, out=utt)
-        self._run(data[1], time, eps_deg, False, f)
+        self._run(data[1], time, f)
         return utt, self._uttt, f
 
 
 class KernelPlan:
-    """``nonlinear_terms`` bound to one domain, params and batch shape (()
-    or (n,)).
+    """``nonlinear_terms`` bound to one domain, params, batch shape (() or
+    (n,)) and degeneracy margin ``eps_deg``.
 
-    Building the plan resolves the weights, takes every matrix and view and
-    allocates every buffer, so a call is a straight run of numpy calls and
+    Building the plan resolves the weights and the guard's limit 1 -
+    eps_deg, takes every matrix and view and allocates every buffer, so a
+    call takes only data and time, is a straight run of numpy calls and
     binds nothing.  Every call returns (u_ttt, f, guard minimum).
     ``nonlinear.solve`` builds one per march and steps through
     ``step_terms``; ``nonlinear_terms`` builds one per block shape and
@@ -750,23 +751,24 @@ class KernelPlan:
     stage and u_ttt for the fine stage (u is left out when s = 0).
     """
 
-    def __init__(self, domain, params, batch=()):
+    def __init__(self, domain, params, batch=(), eps_deg=DEFAULT_EPS_DEG):
         k, s = params.k, params.s
         self.domain, self.params, self.batch = domain, params, batch
+        self._limit = limit = 1.0 - eps_deg
         self._wave = _wave_weights(domain, params)
         self._bracket = _bracket_weights(domain, params)
         self._plan_1d = None
         if k == 0.0 and not s:
             return
         if domain.dimension == 1:
-            self._plan_1d = _Plan1D(domain, params, batch)
+            self._plan_1d = _Plan1D(domain, params, batch, limit)
             return
         self._stack = np.empty((s + 3,) + batch + domain.coeff_shape)
         self._products = _product_stage(domain, params, self._stack)
         self._weights = _forcing_weights(k, s, self._products[1].ndim)
-        self._law = _law_stage(domain, params, self._stack, batch)
+        self._law = _law_stage(domain, params, self._stack, batch, limit)
 
-    def step_terms(self, data, time, eps_deg):
+    def step_terms(self, data, time):
         """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
         of an unbatched plan: u_tt is ``semigroup_utt`` of the data, and
         the law is evaluated and guarded on it as ``__call__`` does, with
@@ -774,10 +776,10 @@ class KernelPlan:
         the u_t row of ``data`` itself).  In 1D the results are views of
         the plan's buffers, which the next call overwrites."""
         if self._plan_1d is not None:
-            return self._plan_1d.step_terms(data, time, eps_deg)
+            return self._plan_1d.step_terms(data, time)
         fields = data.reshape((3,) + self.domain.coeff_shape)
         utt = _utt_of_data(self._wave, fields)
-        uttt, f, _ = self(fields[0], fields[1], utt, None, time, eps_deg)
+        uttt, f, _ = self(fields[0], fields[1], utt, None, time)
         return utt.reshape(-1), uttt.reshape(-1), f.reshape(-1)
 
     def _fill(self, u, ut, utt, last):
@@ -790,10 +792,10 @@ class KernelPlan:
         stack[s + 1] = ut
         stack[-1] = last
 
-    def __call__(self, u, ut, utt, uttt=None, time=0.0, eps_deg=DEFAULT_EPS_DEG, at_start=False):
+    def __call__(self, u, ut, utt, uttt=None, time=0.0):
         """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
-        ``nonlinear_terms``; a guard trip carries ``at_start``, which
-        ``nonlinear.solve`` sets for its law call at t = 0."""
+        ``nonlinear_terms``, guarded with the plan's own margin; a trip
+        carries ``time``."""
         domain, params = self.domain, self.params
         # the forcing-only route (u_ttt given) never guards
         guard_min = None
@@ -801,15 +803,15 @@ class KernelPlan:
             # the linear problem: u_ttt is the bracket and f is zero
             if uttt is None:
                 uttt = _bracket(self._bracket, u, ut, utt)
-                guard_min = _guard_ut(domain, params, ut, time, eps_deg, at_start)
+                guard_min = _guard_ut(domain, params, ut, time, self._limit)
             return uttt, np.zeros(ut.shape), guard_min
         if self._plan_1d is not None:
-            return self._plan_1d(u, ut, utt, uttt, time, eps_deg, at_start)
+            return self._plan_1d(u, ut, utt, uttt, time)
         if uttt is None:
             # the law: the bracket lin is the last member for the Gauss stage,
             # which projects u_ttt into its place
             self._fill(u, ut, utt, _bracket(self._bracket, u, ut, utt))
-            guard_min = self._law(ut, time, eps_deg, at_start)
+            guard_min = self._law(ut, time)
             uttt = self._stack[-1].copy()
         else:
             self._fill(u, ut, utt, uttt)
@@ -859,8 +861,8 @@ def nonlinear_terms(
         if plan is None or plan.batch != batch:
             # the last block is shorter: drop the full blocks' plan first
             plan = None
-            plan = KernelPlan(domain, params, batch)
-        return plan(u_b, ut_b, utt_b, uttt_b, t_b, eps_deg)
+            plan = KernelPlan(domain, params, batch, eps_deg)
+        return plan(u_b, ut_b, utt_b, uttt_b, t_b)
 
     return _blockwise(domain, block, (u, ut, utt, uttt), time)
 
@@ -870,7 +872,7 @@ def nonlinear_terms(
 # ---------------------------------------------------------------------------
 
 
-def check_degeneracy_guard(ut, params, time, eps_deg=DEFAULT_EPS_DEG, at_start=False):
+def check_degeneracy_guard(ut, params, time, eps_deg=DEFAULT_EPS_DEG):
     """Raise DegeneracyError unless |2k u_t| < 1 - eps_deg on both grids.
 
     The factor 1 + 2k u_t is checked on the collocation grid and on the
@@ -880,7 +882,7 @@ def check_degeneracy_guard(ut, params, time, eps_deg=DEFAULT_EPS_DEG, at_start=F
     uniformly bounded on both sides.  Returns the minimum of the factor
     over both grids.
     """
-    return degeneracy_guard(ut.domain, params, ut.coeffs, time, eps_deg, at_start)
+    return degeneracy_guard(ut.domain, params, ut.coeffs, time, eps_deg)
 
 
 def forcing_f(state, uttt, params):
@@ -911,12 +913,10 @@ def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
 def make_compatibility_data(u0, u1, u2, params, eps_deg=DEFAULT_EPS_DEG):
     """The initial data as an ``EvolutionState`` at t = 0, with u1 guarded;
     u_ttt(0) is the law's, which ``nonlinear.solve`` evaluates at its start.
-
-    A guard failure here carries ``at_start=True`` so callers can distinguish
-    inadmissible data from a mid-run breakdown.
+    A guard failure here is timed 0, as every trip of initial data is.
     """
     state = EvolutionState(0.0, u0, u1, u2)
-    degeneracy_guard(state.domain, params, u1.coeffs, 0.0, eps_deg, at_start=True)
+    degeneracy_guard(state.domain, params, u1.coeffs, 0.0, eps_deg)
     return state
 
 

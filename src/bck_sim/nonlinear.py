@@ -142,7 +142,7 @@ def _check_blowup(data, time, bound, scratch=None):
         )
 
 
-def _bind_step(table, plan, substep_iters, eps_deg, bound):
+def _bind_step(table, plan, substep_iters, bound):
     """The exponential-integrator step with substep fixed-point closure,
     bound once per march to its ``PropagatorTable`` and ``KernelPlan``.
 
@@ -186,7 +186,7 @@ def _bind_step(table, plan, substep_iters, eps_deg, bound):
         x = base
         for sweep in range(last + 1):
             _check_blowup(flat, t_next, bound, scratch)
-            utt, uttt, f_next = step_terms(x, t_next, eps_deg)
+            utt, uttt, f_next = step_terms(x, t_next)
             if sweep < last:
                 np.divide(np.subtract(f, f_next, out=diff), dt, out=diff)
                 np.add(base, np.multiply(phi2, diff, out=term), out=candidate)
@@ -208,14 +208,15 @@ def solve(
     """March the nonlinear problem from an ``EvolutionState`` at t = 0 to T.
 
     The march evaluates its own start: one law call at t = 0 guards u_t
-    (a trip there carries ``at_start=True``) and gives u_ttt(0) and f(0).
-    On degeneracy or blow-up the raised error, timed at its sample of
-    ``time_grid``, carries the accepted part of the run in its
-    partial_trajectory attribute.  One ``KernelPlan``, built here, serves
-    every kernel call of the march, and one bound step (``_bind_step``)
-    every step; both are dropped with the march.  The step returns views
-    of its buffers, which the march copies into the trajectory rows, so no
-    trajectory array shares memory with them.
+    (so a trip timed 0 is one of the initial data) and gives u_ttt(0) and
+    f(0).  On degeneracy or blow-up the raised error, timed at its sample
+    of ``time_grid``, carries the accepted part of the run in its
+    partial_trajectory attribute.  One ``KernelPlan``, built here with the
+    margin ``eps_deg``, serves every kernel call of the march, and one
+    bound step (``_bind_step``) every step; both are dropped with the
+    march.  The step returns views of its buffers, which the march copies
+    into the trajectory rows, so no trajectory array shares memory with
+    them.
     """
     if initial.t != 0.0:
         raise ValueError(f"the initial state must be at t = 0, got t = {initial.t:g}")
@@ -232,9 +233,9 @@ def solve(
     forcing = np.zeros((nt,) + shape)
     u[0], ut[0], utt[0] = initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
 
-    plan = KernelPlan(domain, params)
-    uttt[0], forcing[0], _ = plan(u[0], ut[0], utt[0], time=0.0, eps_deg=eps_deg, at_start=True)
-    step = _bind_step(table, plan, substep_iters, eps_deg, blowup_bound)
+    plan = KernelPlan(domain, params, eps_deg=eps_deg)
+    uttt[0], forcing[0], _ = plan(u[0], ut[0], utt[0], time=0.0)
+    step = _bind_step(table, plan, substep_iters, blowup_bound)
     data = semigroup_data(domain, params, u[0], ut[0], utt[0]).reshape(3, -1)
     u_rows, ut_rows, utt_rows, uttt_rows, f_rows = (
         a.reshape(nt, -1) for a in (u, ut, utt, uttt, forcing)
@@ -334,7 +335,7 @@ def picard_solve(
         raise ValueError("max_iter must be at least 1")
     domain = initial.domain
 
-    degeneracy_guard(domain, params, initial.ut.coeffs, 0.0, eps_deg, at_start=True)
+    degeneracy_guard(domain, params, initial.ut.coeffs, 0.0, eps_deg)
 
     phi = linear_trajectory(initial, params, t_grid)
     increments = []

@@ -121,7 +121,6 @@ from numpy import fft as _fft
 __all__ = [
     "DomainSpec",
     "SpectralField",
-    "GridField",
     "sq_norm",
     "sobolev_norm",
     "l2_norm",
@@ -396,22 +395,6 @@ class SpectralField:
 
     def __neg__(self):
         return SpectralField(self.domain, -self.coeffs)
-
-
-@dataclass
-class GridField:
-    """Point values on the interior collocation grid of ``domain``."""
-
-    domain: DomainSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.shape != self.domain.grid_shape:
-            raise ValueError(
-                f"sample shape {arr.shape} does not match grid {self.domain.grid_shape}"
-            )
-        self.samples = arr
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +674,9 @@ def _collocation_coefficients(domain, samples, points=None):
 
 
 def to_grid(field):
-    """Sample the expansion on the interior collocation grid (exact)."""
-    return GridField(field.domain, grid_values(field.domain, field.coeffs))
+    """The values of the expansion on the interior collocation grid
+    (exact), an array of the domain's ``grid_shape``."""
+    return grid_values(field.domain, field.coeffs)
 
 
 def grid_extremes(domain, coeffs):

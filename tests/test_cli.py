@@ -223,6 +223,29 @@ def test_diverging_picard_exits_with_code_4_and_writes_its_report(tmp_path, caps
     assert record["artifacts"] == ["picard_report.txt"]
 
 
+def test_non_converging_picard_exits_with_code_4_and_writes_its_report(tmp_path, capsys):
+    """Two sweeps do not reach picard_tol: the report holds the first two
+    increments and the first ratio of the converging golden run."""
+    conf = CONFIGS / "picard-small.conf"
+    argv = ("picard", "--config", conf, "--set", "tolerances.picard_max_iter=2", "--out", tmp_path)
+    assert _run(*argv) == 4
+    assert capsys.readouterr().err.count("bck-sim: code=4 kind=NonConvergenceError") == 1
+
+    def report(path):
+        return dict(line.split(": ", 1) for line in path.read_text(encoding="utf-8").splitlines())
+
+    got = report(tmp_path / "picard_report.txt")
+    golden = report(GOLDEN / "picard-small" / "picard_report.txt")
+    assert got["converged"] == "false"
+    assert got["iterations"] == "2"
+    for key, count in (("increments", 2), ("ratios", 1)):
+        want = [float(x) for x in golden[key].split()[:count]]
+        assert [float(x) for x in got[key].split()] == pytest.approx(want, rel=RTOL, abs=ATOL)
+    record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 4
+    assert record["artifacts"] == ["picard_report.txt"]
+
+
 def test_unknown_config_key_exits_with_code_3(tmp_path, capsys):
     text = (CONFIGS / "nonlinear-small.conf").read_text(encoding="utf-8")
     bad = tmp_path / "bad.conf"
@@ -264,6 +287,15 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("convergence", "convergence.modes_list=", "[convergence] modes_list must not be empty"),
         ("convergence", "convergence.modes_list=0 16", "[convergence] modes_list entries must be >= 1"),
         ("convergence", "convergence.reference_modes=0", "[convergence] reference_modes must be >= 1"),
+        ("convergence", "convergence.profile_ratio=1",
+         "[convergence] profile_ratio must be in (0, 1)"),
+        ("convergence", "convergence.reference_modes=32",
+         "[convergence] reference_modes must exceed modes_list"),
+        ("convergence", "convergence.dt_values=0.02 0.01 0.004",
+         "[convergence] dt_values must be a halving triplet"),
+        ("convergence", "convergence.dt_values=0.3 0.15 0.075", "[convergence] dt_values: T = "),
+        ("nonlinear-small", "convergence.profile_ratio=2",
+         "[convergence] profile_ratio must be in (0, 1)"),
         ("nonlinear-small", "domain.quadrature_points=-5", "[domain] quadrature_points must be >= 0"),
         ("decay-study", "sweep.b_values=-1", "[sweep] b_values entries must be positive and finite"),
         ("decay-study", "sweep.b_values=1 inf", "[sweep] b_values entries must be positive and finite"),
@@ -276,14 +308,22 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("zero-amplitude", "tolerances.c_hat=nan", "[tolerances] c_hat must be finite and >= 0"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
+         "profile-ratio-not-below-1", "reference-modes-not-above-modes-list",
+         "dt-values-not-halving", "dt-values-not-dividing", "simulate-profile-ratio-above-1",
          "negative-quadrature", "negative-b-value", "infinite-b-value", "nan-sweep-amplitude",
          "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude",
          "infinite-run-length", "negative-c-hat", "nan-c-hat"],
 )
-def test_out_of_range_counts_and_lists_exit_with_code_3(tmp_path, capsys, conf, override, message):
+def test_out_of_range_counts_and_lists_exit_with_code_3(
+    tmp_path, monkeypatch, capsys, conf, override, message
+):
+    """Every value is checked before any solve, also one the command does
+    not read (a [convergence] value of simulate)."""
+    calls = _spy_solve(monkeypatch)
     command = json.loads((GOLDEN / conf / "run_record.json").read_text(encoding="utf-8"))["command"]
     assert _run(command, "--config", CONFIGS / f"{conf}.conf", "--set", override, "--out", tmp_path) == 3
     assert f"kind=ConfigError message={message}" in capsys.readouterr().err
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run_record.json"]
     assert json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))["exit_status"] == 3
 

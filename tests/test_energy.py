@@ -28,9 +28,9 @@ def _domain(n=8):
     return DomainSpec(1, (math.pi,), n)
 
 
-def _traj(domain, t_grid, u, ut, utt, uttt):
+def _traj(domain, t_grid, u, ut, utt, uttt, forcing=None):
     """A Trajectory of the given series."""
-    return Trajectory(domain, t_grid, u, ut, utt, uttt)
+    return Trajectory(domain, t_grid, u, ut, utt, uttt, forcing=forcing)
 
 
 def _constant_traj(domain, coeffs, t_grid, ut=None, utt=None, uttt=None):
@@ -315,9 +315,13 @@ def test_estimate_audit_zero_everything():
     dom = _domain(4)
     t = np.linspace(0.0, 1.0, 11)
     zeros = np.zeros((11, 4))
-    traj = _traj(dom, t, zeros, zeros, zeros, zeros)
-    audit = estimate_audit_linear(traj, zeros, ModelParams(1, 1, 1, 0.2, 1))
+    traj = _traj(dom, t, zeros, zeros, zeros, zeros, forcing=zeros)
+    audit = estimate_audit_linear(traj, energy_series(traj, ModelParams(1, 1, 1, 0.2, 1)))
     assert audit.c_min == 0.0
+    # the audit reads f from the trajectory, so one without it is refused
+    bare = _traj(dom, t, zeros, zeros, zeros, zeros)
+    with pytest.raises(ValueError, match="forcing"):
+        estimate_audit_linear(bare, energy_series(bare, ModelParams(1, 1, 1, 0.2, 1)))
 
 
 def test_estimate_audit_constant_state_closed_form():
@@ -329,7 +333,8 @@ def test_estimate_audit_constant_state_closed_form():
     coeffs = np.zeros(4)
     coeffs[0] = 0.5
     traj = _constant_traj(dom, coeffs, t)
-    audit = estimate_audit_linear(traj, np.zeros((101, 4)), params)
+    traj = _traj(dom, t, traj.u, traj.ut, traj.utt, traj.uttt, forcing=np.zeros((101, 4)))
+    audit = estimate_audit_linear(traj, energy_series(traj, params))
     e_val = 0.5**2 * WEIGHT  # E1 = E2 = c^2 w / 2 at lambda = 1, a = 1
     k_val = 0.5**2 * WEIGHT
     expected = (e_val + (e_val + k_val) * 1.0) / e_val
@@ -345,9 +350,9 @@ def test_estimate_audit_division_guard():
     u = np.zeros((5, 4))
     u[:, 0] = t**2
     zeros = np.zeros_like(u)
-    traj = _traj(dom, t, u, zeros, zeros, zeros)
+    traj = _traj(dom, t, u, zeros, zeros, zeros, forcing=zeros)
     with pytest.raises(DivisionGuardError):
-        estimate_audit_linear(traj, zeros, ModelParams(1, 1, 1, 0.0, 0))
+        estimate_audit_linear(traj, energy_series(traj, ModelParams(1, 1, 1, 0.0, 0)))
 
 
 def test_barrier_audit_zero_data_passes():
@@ -355,7 +360,7 @@ def test_barrier_audit_zero_data_passes():
     t = np.linspace(0.0, 1.0, 5)
     zeros = np.zeros((5, 4))
     traj = _traj(dom, t, zeros, zeros, zeros, zeros)
-    audit = barrier_audit(traj, eta=1e-6, c_hat=2.0, params=ModelParams(1, 1, 1, 0.0, 0))
+    audit = barrier_audit(energy_series(traj, ModelParams(1, 1, 1, 0.0, 0)), eta=1e-6, c_hat=2.0)
     assert audit.passed
     assert audit.pointwise_ratio == 0.0 and audit.integrated_ratio == 0.0
 
@@ -369,11 +374,11 @@ def test_barrier_audit_decaying_series():
     u = np.zeros((401, 4))
     u[:, 0] = 0.3 * np.exp(-t)
     zeros = np.zeros_like(u)
-    traj = _traj(dom, t, u, zeros, zeros, zeros)
-    generous = barrier_audit(traj, eta=0.3**2 * WEIGHT, c_hat=4.0, params=params)
+    series = energy_series(_traj(dom, t, u, zeros, zeros, zeros), params)
+    generous = barrier_audit(series, eta=0.3**2 * WEIGHT, c_hat=4.0)
     assert generous.passed
     assert generous.pointwise_ratio <= 1.0
-    stingy = barrier_audit(traj, eta=0.3**2 * WEIGHT, c_hat=1e-3, params=params)
+    stingy = barrier_audit(series, eta=0.3**2 * WEIGHT, c_hat=1e-3)
     assert not stingy.passed
 
 
@@ -381,9 +386,9 @@ def test_barrier_audit_validates_inputs():
     dom = _domain(4)
     t = np.linspace(0.0, 1.0, 5)
     zeros = np.zeros((5, 4))
-    traj = _traj(dom, t, zeros, zeros, zeros, zeros)
+    series = energy_series(_traj(dom, t, zeros, zeros, zeros, zeros), ModelParams(1, 1, 1, 0.0, 0))
     with pytest.raises(ValueError):
-        barrier_audit(traj, eta=0.0, c_hat=1.0, params=ModelParams(1, 1, 1, 0.0, 0))
+        barrier_audit(series, eta=0.0, c_hat=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +399,7 @@ def test_barrier_audit_validates_inputs():
 def test_decay_fit_exact_exponential():
     t = np.linspace(0.0, 10.0, 201)
     series = 3.0 * np.exp(-0.7 * t)
-    fit = decay_fit(t, series, window_fraction=0.5)
+    fit = decay_fit(t, series)
     assert abs(fit.omega - 0.7) < 1e-10
     assert abs(fit.M - 3.0) < 1e-10
     assert fit.residual < 1e-10
@@ -402,10 +407,15 @@ def test_decay_fit_exact_exponential():
 
 
 def test_decay_fit_full_window():
+    """The window is the trailing ceil(n/2) samples: of 41 the last 21,
+    of 3 the last 2, the fewest a fit takes."""
     t = np.linspace(0.0, 4.0, 41)
-    fit = decay_fit(t, 2.0 * np.exp(-1.3 * t), window_fraction=1.0)
+    fit = decay_fit(t, 2.0 * np.exp(-1.3 * t))
     assert abs(fit.omega - 1.3) < 1e-10
-    assert fit.window[0] == 0.0
+    assert fit.window == (2.0, 4.0)
+    fit = decay_fit(t[:3], 2.0 * np.exp(-1.3 * t[:3]))
+    assert abs(fit.omega - 1.3) < 1e-10
+    assert fit.window == (t[1], t[2])
 
 
 def test_decay_fit_rejects_nonpositive_entries():
@@ -413,15 +423,17 @@ def test_decay_fit_rejects_nonpositive_entries():
     series = np.exp(-t)
     series[-2] = 0.0
     with pytest.raises(FitError):
-        decay_fit(t, series, window_fraction=0.5)
+        decay_fit(t, series)
 
 
 def test_decay_fit_window_validation():
     t = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):
-        decay_fit(t, np.exp(-t), window_fraction=0.0)
-    with pytest.raises(FitError):
-        decay_fit(np.array([0.0, 1.0]), np.array([1.0, 0.5]), window_fraction=0.4)
+        decay_fit(t, np.exp(-t[:-1]))
+    # a trailing half of one sample
+    for n in (1, 2):
+        with pytest.raises(FitError, match="fewer than two"):
+            decay_fit(t[:n], np.exp(-t[:n]))
 
 
 # ---------------------------------------------------------------------------

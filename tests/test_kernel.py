@@ -175,13 +175,12 @@ def test_guard_trips_between_collocation_nodes():
     assert err.value.time == 0.5
     assert err.value.factor == pytest.approx(gauss.min())
     assert 0 <= err.value.index < domain.gauss_points_per_axis
-    assert not err.value.at_start
     zero = SpectralField.zeros(domain)
     with pytest.raises(DegeneracyError):
         acceleration(EvolutionState(0.0, zero, ut, zero), params)
     with pytest.raises(DegeneracyError) as err:
         make_compatibility_data(zero, ut, zero, params)
-    assert err.value.at_start
+    assert err.value.time == 0.0
 
 
 def test_batched_guard_reports_first_offending_sample():
@@ -196,7 +195,7 @@ def test_batched_guard_reports_first_offending_sample():
     assert np.array_equal(minima, [1.0, 1.0])
 
 
-def _per_grid_guard_error(domain, params, ut, times, eps_deg, at_start):
+def _per_grid_guard_error(domain, params, ut, times, eps_deg):
     """The DegeneracyError of the per-grid guard the fused one replaced:
     min and max of 2k u_t on each grid apart, the first offending sample,
     reported on the collocation grid when that grid trips."""
@@ -221,7 +220,6 @@ def _per_grid_guard_error(domain, params, ut, times, eps_deg, at_start):
                     time=t,
                     index=idx,
                     factor=float(1.0 + sample.min()),
-                    at_start=at_start,
                 )
     return None
 
@@ -255,36 +253,41 @@ def _guard_cases():
 
 
 @pytest.mark.parametrize("case", ["collocation-only", "gauss-only", "batched-middle"])
-@pytest.mark.parametrize("at_start", [False, True])
-def test_fused_guard_raises_the_per_grid_error(case, at_start):
+@pytest.mark.parametrize("from_start", [False, True])
+def test_fused_guard_raises_the_per_grid_error(case, from_start):
     """One min and one max per sample over both grids trip exactly when
-    the per-grid guard does, and the error (message, time, index, factor,
-    at_start) is the per-grid one, from every route into the guard."""
+    the per-grid guard does, and the error (message, time, index, factor)
+    is the per-grid one, from every route into the guard.  The samples are
+    timed from t = 0, the time of a trip of initial data, or from t =
+    0.125."""
     domain, params, ut = _guard_cases()[case]
-    times = 0.125 * np.arange(1, ut.shape[0] + 1)
-    want = _per_grid_guard_error(domain, params, ut, times, DEFAULT_EPS_DEG, at_start)
+    times = 0.125 * np.arange(ut.shape[0]) + (0.0 if from_start else 0.125)
+    want = _per_grid_guard_error(domain, params, ut, times, DEFAULT_EPS_DEG)
     assert want is not None
     assert ("Gauss node" in str(want)) == (case != "collocation-only")
+    assert (want.time == 0.0) == (from_start and ut.shape[0] == 1)
     plan = KernelPlan(domain, params, ut.shape[:1])
     calls = [
-        lambda: degeneracy_guard(domain, params, ut, times, at_start=at_start),
-        lambda: plan(0.0 * ut, ut, ut, time=times, at_start=at_start),
+        lambda: degeneracy_guard(domain, params, ut, times),
+        lambda: plan(0.0 * ut, ut, ut, time=times),
+        lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times),
     ]
     if ut.shape[0] == 1:
         calls += [
-            lambda: degeneracy_guard(domain, params, ut[0], times[0], at_start=at_start),
-            lambda: KernelPlan(domain, params)(
-                0.0 * ut[0], ut[0], ut[0], time=times[0], at_start=at_start
-            ),
+            lambda: degeneracy_guard(domain, params, ut[0], times[0]),
+            lambda: KernelPlan(domain, params)(0.0 * ut[0], ut[0], ut[0], time=times[0]),
         ]
-    if not at_start:
-        calls.append(lambda: nonlinear_terms(domain, params, 0.0 * ut, ut, ut, time=times))
+    if ut.shape[0] == 1 and from_start:
+        zero = SpectralField.zeros(domain)
+        calls.append(
+            lambda: make_compatibility_data(zero, SpectralField(domain, ut[0]), zero, params)
+        )
     for call in calls:
         with pytest.raises(DegeneracyError) as err:
             call()
         got = err.value
         assert str(got) == str(want)
-        assert (got.time, got.factor, got.at_start) == (want.time, want.factor, want.at_start)
+        assert (got.time, got.factor) == (want.time, want.factor)
         assert got.index == want.index
 
 
@@ -630,15 +633,34 @@ def test_no_call_rebinds_a_plan(dim, k, s):
     domain = DomainSpec(dim, (np.pi,) * dim, 8)
     params = ModelParams(1.0, 0.7, 1.3, k, s)
     u, ut, utt, uttt = _fields(domain, ())
-    plan = KernelPlan(domain, params)
+    plan = KernelPlan(domain, params, eps_deg=DEFAULT_EPS_DEG)
     # the values are kept alive, so no id is reused
     before = _bindings(plan)
     ids = {name: id(value) for name, value in before.items()}
     data = semigroup_data(domain, params, u, ut, utt).reshape(3, -1)
     plan(u, ut, utt)
     plan(u, ut, utt, uttt)
-    plan.step_terms(data, 0.0, DEFAULT_EPS_DEG)
+    plan.step_terms(data, 0.0)
     assert {name: id(value) for name, value in _bindings(plan).items()} == ids
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_plan_guards_with_the_margin_it_was_built_with(dim):
+    """|2k u_t| peaks at 0.7, where the factor falls to 0.3: under the
+    default limit 0.95, past the limit 0.5 of a plan built with eps_deg =
+    0.5, through ``__call__`` and ``step_terms`` alike."""
+    domain = DomainSpec(dim, (np.pi,) * dim, 8)
+    params = ModelParams(1.0, 0.7, 1.3, 0.5, 1)
+    ut = SpectralField.single_mode(domain, (1,) * dim, -0.7).coeffs
+    zero = np.zeros_like(ut)
+    data = semigroup_data(domain, params, zero, ut, zero).reshape(3, -1)
+    loose, tight = KernelPlan(domain, params), KernelPlan(domain, params, eps_deg=0.5)
+    assert 0.3 <= loose(zero, ut, zero, time=0.25)[2] < 0.31
+    loose.step_terms(data, 0.25)
+    for call in (lambda: tight(zero, ut, zero, time=0.25), lambda: tight.step_terms(data, 0.25)):
+        with pytest.raises(DegeneracyError, match=r"require \|2k u_t\| < 0\.5\)") as err:
+            call()
+        assert err.value.time == 0.25
 
 
 def test_plans_bound_first_and_called_interleaved_own_their_buffers():
@@ -674,7 +696,7 @@ def test_march_after_a_degeneracy_trip_is_unchanged():
     tripping = make_compatibility_data(zero, 0.7 * bad, 22.0 * bad, bad_params)
     with pytest.raises(DegeneracyError) as err:
         solve(tripping, bad_params, 2e-2, 2e-4)
-    assert not err.value.at_start
+    assert err.value.time > 0.0
     assert err.value.partial_trajectory.n_samples > 1
     assert "Gauss node" in str(err.value)
     assert _same_trajectory(solve(data, params, 5e-3, 1e-3), before)

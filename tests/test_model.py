@@ -116,8 +116,8 @@ def test_guard_raises_with_location():
     params = ModelParams(1, 1, 1, 0.5)
     ut = SpectralField.single_mode(dom, 1, 1.2)
     with pytest.raises(DegeneracyError) as err:
-        check_degeneracy_guard(ut, params, time=0.0, at_start=True)
-    assert err.value.at_start
+        check_degeneracy_guard(ut, params, time=0.0)
+    assert err.value.time == 0.0
     assert err.value.index is not None
     assert err.value.factor is not None
 
@@ -279,7 +279,7 @@ def test_acceleration_against_dense_oracle():
         return SpectralField(dom, scale * decay * rng.standard_normal(8))
 
     ut = small_field(1.0)
-    peak = np.max(np.abs(to_grid(ut).samples))
+    peak = np.max(np.abs(to_grid(ut)))
     ut = (0.01 / peak) * ut
     state = _state(dom, u=small_field(0.01), ut=ut, utt=small_field(0.01))
 
@@ -345,7 +345,7 @@ def test_make_compatibility_data_guards_initial_velocity():
     ok = SpectralField.single_mode(dom, 1, 0.001)
     with pytest.raises(DegeneracyError) as err:
         make_compatibility_data(ok, big, ok, params)
-    assert err.value.at_start
+    assert err.value.time == 0.0
     data = make_compatibility_data(ok, ok, ok, params)
     assert isinstance(data, EvolutionState) and data.t == 0.0
     assert data.u is ok and data.ut is ok and data.utt is ok
@@ -366,7 +366,7 @@ def test_make_compatibility_data_builds_no_kernel_plan(monkeypatch):
     assert data.t == 0.0
     with pytest.raises(DegeneracyError) as err:
         make_compatibility_data(ok, SpectralField.single_mode(dom, 1, 1.5), ok, params)
-    assert err.value.at_start
+    assert err.value.time == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,12 @@ def test_solve_rejects_degenerate_initial_velocity():
     data = EvolutionState(0.0, z, u1, z)
     with pytest.raises(DegeneracyError) as info:
         solve(data, params, 1.0, 0.01)
-    assert info.value.at_start
+    assert info.value.time == 0.0
     assert info.value.partial_trajectory is None
+    # the fixed-point route guards the same start at the same time
+    with pytest.raises(DegeneracyError) as info:
+        picard_solve(data, params, 1.0, 0.01)
+    assert info.value.time == 0.0
 
 
 def test_solve_midrun_degeneracy_carries_partial_trajectory():
@@ -190,7 +194,6 @@ def test_solve_midrun_degeneracy_carries_partial_trajectory():
     with pytest.raises(DegeneracyError) as info:
         solve(data, params, 1.0, 0.01)
     err = info.value
-    assert not err.at_start
     assert err.time > 0.0
     part = err.partial_trajectory
     assert part is not None and part.n_samples >= 1
@@ -578,7 +581,7 @@ def test_picard_midrun_degeneracy_of_the_homogeneous_start(dim, time, index, fac
     with pytest.raises(DegeneracyError) as info:
         picard_solve(data, params, 0.5, 0.01)
     err = info.value
-    assert (err.time, err.index, err.at_start) == (time, index, False)
+    assert (err.time, err.index) == (time, index)
     assert err.factor == pytest.approx(factor, rel=1e-12)
     assert f"at {label} " in str(err)
     assert err.ratios == [] and err.increments == []

@@ -8,7 +8,6 @@ from scipy import fft as scipy_fft
 
 from bck_sim.spectral import (
     DomainSpec,
-    GridField,
     SpectralField,
     _collocation_coefficients,
     _type1,
@@ -80,8 +79,6 @@ def test_field_shape_validation():
         SpectralField(dom, np.zeros(5))
     with pytest.raises(ValueError):
         SpectralField(dom, np.array([np.nan, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        GridField(dom, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,8 @@ def test_to_grid_matches_direct_evaluation():
     u = SpectralField.single_mode(dom, 3, 0.5)
     grid = to_grid(u)
     x = dom.grid_axes[0]
-    np.testing.assert_allclose(grid.samples, 0.5 * np.sin(3 * x), rtol=0, atol=1e-12)
+    assert grid.shape == dom.grid_shape
+    np.testing.assert_allclose(grid, 0.5 * np.sin(3 * x), rtol=0, atol=1e-12)
     # 2D, on the default grid and on 20 nodes per axis
     dom = DomainSpec(2, (math.pi, 2.0), 6)
     u = SpectralField.single_mode(dom, (3, 2), 0.5)
@@ -196,12 +194,12 @@ def test_transform_round_trip():
         DomainSpec(2, (math.pi, 1.3), 5, 11),
     ):
         u = _random_field(dom, rng)
-        back = _collocation_coefficients(dom, to_grid(u).samples)
+        back = _collocation_coefficients(dom, to_grid(u))
         np.testing.assert_allclose(back, u.coeffs, rtol=0, atol=1e-12)
         # ``points`` builds the matrices of the grid that domain would cache
         default = DomainSpec(dom.dimension, dom.lengths, dom.modes_per_axis)
         assert np.array_equal(
-            grid_values(default, u.coeffs, dom.quadrature_points_per_axis), to_grid(u).samples
+            grid_values(default, u.coeffs, dom.quadrature_points_per_axis), to_grid(u)
         )
 
 
@@ -242,7 +240,7 @@ def test_parseval_grid_quadrature():
         u = _random_field(dom, rng)
         grid = to_grid(u)
         cell = math.prod(L / (dom.quadrature_points_per_axis + 1) for L in dom.lengths)
-        quad = np.sum(grid.samples**2) * cell
+        quad = np.sum(grid**2) * cell
         exact = l2_norm(u) ** 2
         assert abs(quad - exact) < 1e-10 * exact
 
