@@ -12,6 +12,13 @@ their closed-form spectra, the spectral bound, batched matrix exponentials
 with the phi-function weights used by forced (Duhamel) solves, and decay
 diagnostics on top of the exact propagation.
 
+The exponentials are this module's own, in numpy (``_expm``): the
+scaling and squaring Pade algorithm of Al-Mohy and Higham (2009), over a
+stack of blocks grouped by Pade order and scaling, with the approximant
+evaluated as I + 2 (V - U)^-1 U.  ``PropagatorTable`` builds them once
+per distinct eigenvalue.  So the package needs no library beyond numpy,
+whose import is most of the start-up time of a run.
+
 The spectrum is written once, in ``mode_eigenvalues_from_coefficients``,
 which takes arrays of eigenvalues; ``max_mode_real_part``,
 ``oscillation_ratio`` and the ``linear-analyze`` command read it, and
@@ -38,7 +45,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .energy import DecayFit, decay_fit
 from .errors import FitError
@@ -125,6 +131,119 @@ def semigroup_data(domain, params, u, ut, utt):
     return np.stack([u, ut, wave_part(domain, params, u, ut, utt)])
 
 
+def augmented_blocks(lam, params, dt):
+    """The 9x9 block companions [[A, I, 0], [0, 0, I], [0, 0, 0]] dt of the
+    eigenvalues ``lam`` (a vector), shape (n, 9, 9): the exponential of
+    each holds exp(dt A), dt phi1(dt A) and dt^2 phi2(dt A) in its first
+    block row."""
+    aug = np.zeros((lam.size, 9, 9))
+    aug[:, :3, :3] = dt * generator_blocks(lam, params)
+    idx = np.arange(3)
+    aug[:, idx, idx + 3] = dt
+    aug[:, idx + 3, idx + 6] = dt
+    return aug
+
+
+# Pade orders m < 13 with their bounds theta_m, the Pade coefficients b_0..b_m
+# and the constants 1/|c_{2m+1}| of the backward-error bound that ell(A, m)
+# reads, as Al-Mohy and Higham (2009) tabulate them.
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 4.25
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_ELL_C = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+          9: 5914384781877411840000.0, 13: 113250775606021113483283660800000000.0}
+
+
+def _onenorm(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _ell(a, m):
+    """ell(A, m) of Al-Mohy and Higham (2009) per block of the
+    stack ``a``: the extra squarings that bring the backward-error bound
+    of the order-m Pade approximant down to the unit roundoff 2^-53, from
+    the exact 1-norm of |A|^(2m+1)."""
+    absa = np.abs(a)
+    v = np.ones(a.shape[:-1])
+    for _ in range(2 * m + 1):
+        v = (v[:, None, :] @ absa)[:, 0]
+    alpha = v.max(axis=-1) / (_onenorm(a) * _ELL_C[m])
+    return np.maximum(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m)), 0).astype(int)
+
+
+def _expm(a):
+    """exp of each block of the stack ``a`` (n, k, k), by the scaling and
+    squaring algorithm of Al-Mohy and Higham (2009, SIAM J. Matrix Anal.
+    Appl. 31:970), with exact 1-norms of the powers.
+
+    Each block gets its own Pade order m in {3, 5, 7, 9, 13} and, for
+    m = 13, its scaling s, from the exact 1-norms of A^4 .. A^10 and the
+    correction ell(A, m).  The blocks sharing (m, s) are evaluated as one
+    stack: r_m = I + 2 (V - U)^-1 U, which equals (V - U)^-1 (V + U) but
+    adds the identity exactly, so it is about one ulp closer near the
+    identity, then squared s times.  Every step is per block, so a block's
+    result does not depend on the other blocks of the stack.  No block may
+    be nilpotent, which holds for the augmented blocks, since a > 0 gives
+    A the eigenvalue -a lam dt: the norms that choose m and s are then
+    positive.
+    """
+    n, k = a.shape[0], a.shape[-1]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    powers = {2: a2, 4: a4, 6: a6, 8: a6 @ a2, 10: a4 @ a6}
+    d = {p: _onenorm(powers[p]) ** (1.0 / p) for p in (4, 6, 8, 10)}
+    eta_low, eta_mid = np.maximum(d[4], d[6]), np.maximum(d[6], d[8])
+    eta = {3: eta_low, 5: eta_low, 7: eta_mid, 9: eta_mid}
+    order = np.full(n, 13)
+    scale = np.zeros(n, dtype=int)
+    left = np.ones(n, dtype=bool)
+    for m, theta in _THETA:
+        try_m = np.flatnonzero(left & (eta[m] < theta))
+        ok = try_m[_ell(a[try_m], m) == 0]
+        order[ok] = m
+        left[ok] = False
+    big = np.flatnonzero(left)
+    eta13 = np.minimum(eta_mid, np.maximum(d[8], d[10]))[big]
+    least = np.maximum(np.ceil(np.log2(eta13 / _THETA_13)), 0).astype(int)
+    scale[big] = least + _ell(a[big] * 2.0 ** -least[:, None, None], 13)
+
+    eye = np.eye(k)
+    out = np.empty_like(a)
+    for m, s in sorted(set(zip(order.tolist(), scale.tolist()))):
+        idx = np.flatnonzero((order == m) & (scale == s))
+        b = _PADE[m]
+        x = a[idx]
+        if m < 13:
+            # the even powers A^(m-1), ..., A^2, I, summed highest first
+            even = [(j, powers[j][idx] if j else eye) for j in range(m - 1, -1, -2)]
+            u = x @ sum(b[j + 1] * p for j, p in even)
+            v = sum(b[j] * p for j, p in even)
+        else:
+            x = x * 2.0 ** -s
+            x2, x4, x6 = (powers[p][idx] * 2.0 ** (-p * s) for p in (2, 4, 6))
+            u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                     + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+            v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+                 + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+        r = eye + 2.0 * np.linalg.solve(v - u, u)
+        for _ in range(s):
+            r = r @ r
+        out[idx] = r
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PropagatorTable:
     """Batched exp(dt*A) blocks with the phi weights of the forcing slot.
@@ -133,8 +252,13 @@ class PropagatorTable:
     are the third columns of dt*phi1(dt*A_m) and dt^2*phi2(dt*A_m), shape
     (3, n) each, the only part a forcing in the third component reads.
     Modes are the C-order raveling of the coefficient grid.  All three
-    come from one batched matrix exponential of the 9x9 block companion
-    [[A, I, 0], [0, 0, I], [0, 0, 0]] scaled by dt.
+    come from the exponential of the 9x9 block companion
+    [[A, I, 0], [0, 0, I], [0, 0, 0]] dt (``augmented_blocks``), computed
+    by ``_expm`` (Al-Mohy and Higham's scaling and squaring, r_m = I +
+    2 (V - U)^-1 U) once per distinct eigenvalue and scattered back to
+    the modes: at 2D N = 48, 1001 exponentials for 2304 modes.  A block
+    does not depend on the other blocks of its batch, so the table has
+    the bits of one exponential per mode.
 
     ``evolve``, ``held`` and ``slope`` are the three terms of the one
     exponential-integrator step, on flat data of shape (3, n) and third
@@ -160,13 +284,8 @@ class PropagatorTable:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         lam = np.asarray(domain.eigenvalue_grid, dtype=float).ravel()
-        n = lam.size
-        aug = np.zeros((n, 9, 9))
-        aug[:, :3, :3] = dt * generator_blocks(lam, params)
-        idx = np.arange(3)
-        aug[:, idx, idx + 3] = dt
-        aug[:, idx + 3, idx + 6] = dt
-        full = expm(aug)
+        distinct, mode_of = np.unique(lam, return_inverse=True)
+        full = _expm(augmented_blocks(distinct, params, dt))[mode_of]
         return cls(
             domain=domain,
             params=params,

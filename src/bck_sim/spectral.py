@@ -64,12 +64,12 @@ relative on 26 rows, so it waits on a benchmark change that refreshes
 that reference.
 
 The DCT is ``_type1``, on ``numpy.fft`` (numpy >= 2.0 ships the C++
-pocketfft), so scipy.fft and everything it imports stay off the import
-path.  It does what pocketfft's own T_dct1 does, which is what
-``scipy.fft.dctn`` with ``type=1`` runs: one real FFT per axis of the even
-extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose real part in bins
-0..n-1 is the DCT, axis -2 before axis -1.  The results equal scipy's bit
-for bit, signed zeros included (``tests/test_spectral.py``).  Each pass
+pocketfft), so no other FFT library is imported.  It does what
+pocketfft's own multi-axis type-1 DCT (T_dct1) does: one real FFT per
+axis of the even extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose
+real part in bins 0..n-1 is the DCT, axis -2 before axis -1.  The results
+equal T_dct1's bit for bit, signed zeros included
+(``tests/test_spectral.py``).  Each pass
 runs in place along its axis, with no transposed copy.  A stack is
 transformed a few members at a time, and one extension buffer and one
 spectrum buffer serve both passes of every member chunk, so they stay in
@@ -116,6 +116,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy import fft as _fft
+from numpy.polynomial.legendre import leggauss
 
 
 __all__ = [
@@ -292,7 +293,7 @@ class DomainSpec:
 
     @cached_property
     def _gauss_rule(self):
-        nodes, weights = np.polynomial.legendre.leggauss(self.gauss_points_per_axis)
+        nodes, weights = leggauss(self.gauss_points_per_axis)
         out = []
         for L in self.lengths:
             out.append(((nodes + 1.0) * (L / 2.0), weights * (L / 2.0)))
@@ -578,7 +579,7 @@ def _type1_transform(x, d, out=None, weights=None):
     for i in range(0, members.shape[0], step):
         src = members[i : i + step]
         passes = []
-        # axis -2 first, as scipy.fft
+        # axis -2 first, as T_dct1
         for axis in (-2, -1)[2 - d :]:
             n = src.shape[axis]
             ext_shape = src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:]
@@ -603,8 +604,8 @@ def _type1_transform(x, d, out=None, weights=None):
 
 def _type1(x, d):
     """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
-    for bit ``scipy.fft.dctn`` with ``type=1``, as a fresh array; see the
-    module docstring.  The 2D fine projection runs it bound
+    for bit pocketfft's T_dct1, as a fresh array; see the module
+    docstring.  The 2D fine projection runs it bound
     (``_type1_transform``); this one-shot form builds the folded 1D
     projection matrix and serves the tests."""
     run, out = _type1_transform(np.ascontiguousarray(x), d)

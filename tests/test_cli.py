@@ -431,16 +431,30 @@ def test_config_hash_ignores_output_directory_and_label(tmp_path):
     assert k != a
 
 
-def test_cli_import_leaves_scipy_fft_out():
-    code = (
-        "import sys, bck_sim.cli; "
-        "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
-    )
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: importing the CLI loads no scipy
+    module, and with scipy unimportable both solvers' commands still run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    listed = (
+        "import sys, bck_sim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", listed], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    blocked = (
+        "import sys; sys.modules['scipy'] = None; import bck_sim.cli as cli; "
+        f"codes = [cli.main(['simulate', '--config', {str(CONFIGS / 'nonlinear-small.conf')!r}, "
+        f"'--out', {str(tmp_path / 'sim')!r}]), "
+        f"cli.main(['picard', '--config', {str(CONFIGS / 'picard-small.conf')!r}, "
+        f"'--out', {str(tmp_path / 'picard')!r}])]; "
+        "print(codes)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", blocked], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0]"
 
 
 def test_csv_columns_format_like_single_values(tmp_path):

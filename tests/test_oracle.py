@@ -15,15 +15,17 @@ route must be as accurate: its max-norm relative error below 1e-14 and at
 most twice the DCT route's on the same case.
 
 The propagator table is checked the same way: mpmath's ``expm`` of each
-mode's 9x9 augmented block at 50 digits, from the float dt taken exactly.
+mode's 9x9 augmented block at 50 digits, from the float dt taken exactly,
+and it must be no farther from that than ``scipy.linalg.expm``.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from bck_sim import spectral
-from bck_sim.linear import PropagatorTable
+from bck_sim.linear import PropagatorTable, augmented_blocks
 from bck_sim.model import ModelParams, make_compatibility_data, nonlinear_terms
 from bck_sim.nonlinear import solve
 from bck_sim.spectral import DomainSpec, SpectralField, evaluate, evaluate_stack, project
@@ -249,26 +251,47 @@ def _propagator(params, lam, h):
     )
 
 
-@pytest.mark.parametrize("dt", [1e-3, 1e-7])
-def test_propagator_table_against_the_oracle(dt):
-    """exp(dt A), dt phi1(dt A) e3 and dt^2 phi2(dt A) e3 of every mode at
-    1D N = 8, a = b = c = 1 on (0, pi), so lam_j = j^2 and mode 2 is
-    critically damped (b^2 lam = 4 c^2).  Each block's error is taken
-    relative to its largest entry; dt = 1e-7 puts dt lam below 1e-4 for
-    every mode, where phi2's entries are about dt^3 / 6."""
-    n = 8
-    domain = DomainSpec(1, (np.pi,), n)
-    params = ModelParams(1.0, 1.0, 1.0, 0.0, 0)
+_TABLE_CASES = {
+    # a = b = c = 1 on (0, pi), so lam_j = j^2 and mode 2 is critically
+    # damped (b^2 lam = 4 c^2); dt = 1e-7 puts dt lam below 1e-4 for every
+    # mode, where phi2's entries are about dt^3 / 6
+    "1d-n8-dt1e-3": (DomainSpec(1, (np.pi,), 8), ModelParams(1.0, 1.0, 1.0, 0.0, 0), 1e-3),
+    "1d-n8-dt1e-7": (DomainSpec(1, (np.pi,), 8), ModelParams(1.0, 1.0, 1.0, 0.0, 0), 1e-7),
+    # the march oracle's table: dt lam from 0.025 to 1.58, Pade orders 5 to 9
+    "1d-n8-march": (DomainSpec(1, (2.0,), 8), ModelParams(1.0, 0.7, 1.3, 0.2, 1), 1e-2),
+    # sim-2d's grid, six distinct eigenvalues evenly spaced in rank from 2 to
+    # 4608: dt lam from 0.002 to 4.6, where order 13 runs with one squaring
+    "2d-n48": (DomainSpec(2, (np.pi, np.pi), 48), ModelParams(1.0, 1.0, 1.0, 0.2, 1), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_propagator_table_against_the_oracle(case):
+    """exp(dt A), dt phi1(dt A) e3 and dt^2 phi2(dt A) e3 of each checked
+    mode (every mode in 1D, six in 2D).  Each block's error is taken
+    relative to its largest entry and must be below 1e-14; summed over the
+    checked modes, the table is no farther from the oracle than
+    ``scipy.linalg.expm`` of the same augmented blocks."""
+    domain, params, dt = _TABLE_CASES[case]
     table = PropagatorTable.build(domain, params, dt)
-    for m, lam in enumerate(np.asarray(domain.eigenvalue_grid).ravel()):
-        full, phi1, phi2 = _propagator(params, mp.mpf(float(lam)), mp.mpf(dt))
-        blocks = (
-            (table.propagator[m].ravel(), [x for row in full for x in row]),
-            (table.phi1[:, m], phi1),
-            (table.phi2[:, m], phi2),
-        )
-        for got, exact in blocks:
-            assert _relative_error(got, exact) < 1e-14, (dt, m)
+    lam = np.asarray(domain.eigenvalue_grid).ravel()
+    distinct = np.unique(lam)
+    if domain.dimension == 2:
+        distinct = distinct[np.linspace(0, distinct.size - 1, 6).astype(int)]
+    reference = scipy_expm(augmented_blocks(distinct, params, dt))
+    error = {"table": 0.0, "scipy": 0.0}
+    for value, ref in zip(distinct, reference):
+        m = int(np.flatnonzero(lam == value)[0])
+        full, phi1, phi2 = _propagator(params, mp.mpf(float(value)), mp.mpf(dt))
+        exact = ([x for row in full for x in row], phi1, phi2)
+        got = (table.propagator[m].ravel(), table.phi1[:, m], table.phi2[:, m])
+        theirs = (ref[:3, :3].ravel(), ref[:3, 5], ref[:3, 8])
+        for mine, other, want in zip(got, theirs, exact):
+            err = _relative_error(mine, want)
+            assert err < 1e-14, (case, m)
+            error["table"] += err
+            error["scipy"] += _relative_error(other, want)
+    assert error["table"] <= error["scipy"], error
 
 
 def _march(domain, params, dt, steps, u, ut, utt, sweeps):
