@@ -84,18 +84,20 @@ body.
   evaluates the values of (u_tt, u_t, u_ttt) and the same gradients.  The
   four fine-grid products come from two stacked multiplies, (u_tt, u_t)
   times (u_tt, u_ttt) and (d u_t, d u) times (d u_t, d u_tt), plus one add
-  per further gradient component; they are projected with one stacked
-  projection (``spectral.project``: one batched DCT and the cosine-to-sine
-  matrices), and f is ``add.reduce`` of (2k, 2k, 2, 2) times the
-  projections from an initial 0.  Each bound stage owns its buffers; the
-  product stage reuses two spent ones, each at the line that says why
-  (``spectral`` states the rule).  Each stacked or buffered operation is,
-  element by element, the operation of the term-by-term expression it
-  replaces, in the same association order: 2k u_tt^2 is ((2k) u_tt) u_tt,
-  every gradient component subtracts ((2) d u_t) d u_t, then ((2) d u) d
-  u_tt, the products keep their operand order (IEEE multiplication
-  commutes anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each
-  numpy call also sees the operand layouts it saw before, since matmul and
+  per further gradient component; each product P is projected by the
+  gemm pair M P M^T, with M the per-axis fine projection
+  ``DomainSpec._fine_project`` the 1D body uses too (the operations of
+  ``spectral.project``, with the left product M P bound), and f is
+  ``add.reduce`` of (2k, 2k, 2, 2) times the projections from an initial
+  0.  Each bound stage owns its buffers; the product stage reuses one
+  spent one, at the line that says why (``spectral`` states the rule).
+  Each stacked or buffered operation is, element by element, the
+  operation of the term-by-term expression it replaces, in the same
+  association order: 2k u_tt^2 is ((2k) u_tt) u_tt, every gradient
+  component subtracts ((2) d u_t) d u_t, then ((2) d u) d u_tt, the
+  products keep their operand order (IEEE multiplication commutes
+  anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each numpy
+  call also sees the operand layouts it saw before, since matmul and
   einsum round by layout.  So the results are bit for bit those of the
   term-by-term form (``tests/test_kernel.py``).
 
@@ -462,8 +464,10 @@ def _product_stage(domain, params, stack):
 
     One stack evaluation gives the values of (u_tt, u_t, u_ttt) and the
     gradients of (u, u_tt, u_t); two stacked multiplies form the products,
-    in the operand order of the term-by-term form.  The stage owns the grid
-    values, the products and the projections."""
+    in the operand order of the term-by-term form, and one gemm pair per
+    product projects it, the operations of ``spectral.project``.  The
+    stage owns the grid values, the products, the left products and the
+    projections."""
     s = params.s
     evaluate_fine, vals, grads = bind_evaluate_stack(
         domain, "fine", stack, values=slice(s, s + 3), gradient=slice(0, 3) if s else None
@@ -474,10 +478,10 @@ def _product_stage(domain, params, stack):
     factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
     # the values are spent by then, so they hold each further term
     term = vals[:2]
-    # the DCT spends the products before proj is written, so they hold proj
-    shape = products.shape[:1] + stack.shape[1:]
-    proj = products.reshape(-1)[: math.prod(shape)].reshape(shape)
-    project_fine = bind_project(domain, "fine", products, out=proj)
+    # M P M^T per product, with M P bound so a call allocates no temporary
+    fine = domain._fine_project
+    left = np.empty(products.shape[:-2] + (fine.shape[0], products.shape[-1]))
+    proj = np.empty(products.shape[:1] + stack.shape[1:])
 
     def run():
         evaluate_fine()
@@ -486,7 +490,7 @@ def _product_stage(domain, params, stack):
             np.multiply(*factors[0], out=pair)
             for a, b in factors[1:]:
                 np.add(pair, np.multiply(a, b, out=term), out=pair)
-        project_fine()
+        np.matmul(np.matmul(fine, products, out=left), fine.T, out=proj)
 
     return run, proj
 

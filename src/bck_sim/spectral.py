@@ -37,46 +37,42 @@ wrap single coefficient tensors.  Underneath, the array layer
 shape, with any number of leading axes (time samples, stacked fields).
 Every leading index is computed with the same operations as a lone
 tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
-a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), and the 2D DCT
-runs over the trailing axes only, so batched results equal unbatched ones
-bit for bit.  Merging the members into one larger product (``X @ M.T``
-over a whole stack) would round by batch size; the array layer avoids it.
+a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), so batched
+results equal unbatched ones bit for bit.  Merging the members into one
+larger product (``X @ M.T`` over a whole stack) would round by batch
+size; the array layer avoids it.
 The 1D kernel of ``model`` merges the members of one sample into one gemm,
 never the samples of a batch, so it keeps batched equal to unbatched.
 
 Transforms.  The fine projection takes the closed-grid samples of an exact
-product through three linear maps: the unnormalized type-1 DCT, the
-trapezoid weights and the cosine-to-sine matrix.  In 1D the three are
+product through three linear maps along each axis: the unnormalized type-1
+DCT, the trapezoid weights and the cosine-to-sine matrix.  The three are
 folded into one N x (2N+1) matrix, ``DomainSpec._fine_project``, which a
 domain builds on its first fine projection by running the DCT below on the
-identity; ``project`` is then one gemv per member, and the 1D kernel of
-``model`` applies the same matrix to its four products in one gemm.
-The fold is the same exact quadrature rounded differently: against the
-mpmath oracle of ``tests/test_oracle.py`` it is as accurate as the DCT
-route, and on the 1D march's stacks of a few short lines it is 4-30x
-faster, because the DCT's cost there is the dispatch of its FFT calls.  In
-2D the DCT route stays, so the 2D results keep their bits.  A folded
-matrix per axis is faster there too (113 against 774 us for four products
-at N = 48, one BLAS thread on a 2-core Xeon), but it moves the
-``residual`` column of the benchmark's 2D seed-0 reference
-(``perfbench/reference/sim-2d/seed0/trajectory.csv``) by up to 8.4e-9
-relative on 26 rows, so it waits on a benchmark change that refreshes
-that reference.
+identity.  None of the three depends on L, so the one matrix M serves
+every axis: ``project`` is one gemv M x per member in 1D and one gemm pair
+M X M^T per member in 2D, and the 1D kernel of ``model`` applies M to its
+four products in one gemm.  The fold is the same exact quadrature as a
+transform route, rounded differently: against the mpmath oracle of
+``tests/test_oracle.py`` it is within 1e-14 relative in both dimensions
+and as accurate as the DCT route it replaced, and it is faster at every
+size the solver runs: 4-30x on the 1D march's stacks of a few short
+lines, where a DCT's cost is the dispatch of its FFT calls, and 113
+against 774 us for four products at 2D N = 48 (one BLAS thread on a
+2-core Xeon).
 
 The DCT is ``_type1``, on ``numpy.fft`` (numpy >= 2.0 ships the C++
 pocketfft), so no other FFT library is imported.  It does what
-pocketfft's own multi-axis type-1 DCT (T_dct1) does: one real FFT per
-axis of the even extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose
-real part in bins 0..n-1 is the DCT, axis -2 before axis -1.  The results
-equal T_dct1's bit for bit, signed zeros included
-(``tests/test_spectral.py``).  Each pass
-runs in place along its axis, with no transposed copy.  A stack is
-transformed a few members at a time, and one extension buffer and one
-spectrum buffer serve both passes of every member chunk, so they stay in
-cache.  Every transform call goes
-through this module's ``_fft``: one ``rfft`` per pass, so two per member
-chunk of a 2D transform.  The DCT multiplies in its trapezoid weights as it
-reads its result out of the spectrum, with no separate weighting pass.
+pocketfft's type-1 DCT (T_dct1) does along one axis: one real FFT of the
+even extension ``[x_0 .. x_{n-1}, x_{n-2} .. x_1]``, whose real part in
+bins 0..n-1 is the DCT; the results equal T_dct1's bit for bit, signed
+zeros included (``tests/test_spectral.py``).  It runs only to build
+``_fine_project``, one FFT call per domain, through this module's
+``_fft``.  The call counter of ``perfbench/spans.py`` patches ``_fft``,
+and the benchmark's own test requires it to count a call, so ``_fft``
+stays until a benchmark change drops that count; the closed form of the
+matrix (the exact cosine quadrature entries that the mpmath test of
+``tests/test_oracle.py`` checks) can then replace the DCT.
 
 Collocation grid.  The interior grid x_j = j L/(M+1), j = 1..M, is reached
 by sine matrices only, through ``_apply``.  Its values (``grid_values``,
@@ -89,23 +85,22 @@ by 2/(M+1) per axis, which by the discrete orthogonality of the sines
 gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
-Bound stages.  ``evaluate_stack`` and the 2D ``project`` are each a
-binding and a call: ``bind_evaluate_stack`` and ``bind_project`` take the
-matrices and views for one input array once, allocate the arrays they
-write (``np.matmul(..., out=)``, ufunc ``out=``), and return a ``run()``
-that recomputes from that array's current contents.  In 2D
-``model.KernelPlan`` binds its stages once per nonlinear march
-(``nonlinear.solve``), so a call repeats none of that bookkeeping and
-allocates no grid-sized temporary, which at 2D N=48 (224 x 224 Gauss
-nodes) would page-fault several megabytes per call.  The rule: a bound
-stage owns its arrays, and it reuses one of them for another purpose
-only where that buffer is spent, at one named line that gives the
-reason.  A one-off call binds and runs at once; nothing is cached for
-the life of the module.  The operations and their association order are
-the ones of the allocating expressions the stages replace, so every bit
-is the same.  A bound transform looks
-``_fft`` up when it runs, not when it is bound, so a patched ``_fft`` (the
-call counter of ``perfbench/spans.py``) sees every transform.
+Bound stages.  ``evaluate_stack`` and ``project`` are each a binding and
+a call.  ``bind_evaluate_stack`` takes the matrices and views for one
+input array once, allocates the arrays it writes (``np.matmul(...,
+out=)``), and returns a ``run()`` that recomputes from that array's
+current contents; ``bind_project`` takes the projection matrices once and
+writes into the caller's ``out``.  In 2D ``model.KernelPlan`` binds its
+stages once per nonlinear march (``nonlinear.solve``), so a call repeats
+none of that bookkeeping and allocates no grid-sized temporary, which at
+2D N=48 (224 x 224 Gauss nodes) would page-fault several megabytes per
+call; its product stage binds the left products M X of its fine
+projections too.  The rule: a bound stage owns its arrays, and it reuses
+one of them for another purpose only where that buffer is spent, at one
+named line that gives the reason.  A one-off call binds and runs at once;
+nothing is cached for the life of the module.  The operations and their
+association order are the ones of the allocating expressions the stages
+replace, so every bit is the same.
 """
 
 from __future__ import annotations
@@ -278,12 +273,12 @@ class DomainSpec:
 
     @cached_property
     def _fine_project(self):
-        """The 1D fine projection folded into one N x (2N+1) matrix: the
-        type-1 DCT of the identity, weighted by the trapezoid weights, then
-        the cosine-to-sine matrix.  Built through ``_type1``, so its
-        entries are the DCT route's own column images."""
+        """The fine projection along one axis folded into one N x (2N+1)
+        matrix: the type-1 DCT of the identity, weighted by the trapezoid
+        weights, then the cosine-to-sine matrix.  None of the three depends
+        on L, so the one matrix serves every axis."""
         eye = np.eye(self._product_panels + 1)
-        return self._cos_to_sine @ (self._dct_weights[:, None] * _type1(eye, 1).T)
+        return self._cos_to_sine @ (self._dct_weights[:, None] * _type1(eye).T)
 
     # -- Gauss-Legendre machinery for non-polynomial projections ---------
 
@@ -523,128 +518,33 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None):
     return vals, grads
 
 
-def _last(a, axis):
-    """View of ``a`` with ``axis`` (-1 or -2) as its last axis."""
-    return a if axis == -1 else a.swapaxes(-1, -2)
-
-
-def _type1_pass(src, axis, ext, spec):
-    """One type-1 DCT pass along ``axis`` (-1 or -2) of ``src``, bound to
-    its buffers: ``ext``, the even extension (the shape of ``src`` with
-    2n - 2 points along ``axis``), filled as pocketfft's T_dct1 fills it,
-    and ``spec``, its complex real FFT along the same axis (the shape of
-    ``src``).  ``run()`` transforms the current contents of ``src`` into
-    ``spec``."""
-    s, e = _last(src, axis), _last(ext, axis)
-    n = s.shape[-1]
-    head, tail, mirror = e[..., :n], e[..., n:], s[..., n - 2 : 0 : -1]
-
-    def run():
-        # slice assignment copies as np.copyto does, without its Python wrapper
-        head[...] = s
-        tail[...] = mirror
-        _fft.rfft(ext, axis=axis, out=spec)
-
-    return run
-
-
-# Buffer bytes per chunk of a batched type-1 transform: a stack is
-# transformed a few members at a time, so its buffers stay in cache.
-_CHUNK_BYTES = 1 << 18
-
-
-def _type1_transform(x, d, out=None, weights=None):
-    """``_type1`` bound to its input ``x`` (C-contiguous) and output:
-    returns ``(run, out)``, where ``run()`` transforms the current contents
-    of ``x`` into ``out`` (C-contiguous, shape of ``x``; a fresh array when
-    None).  ``weights`` (2D only) is a per-axis weight vector multiplied
-    into the result as it is read out of the spectrum, axis -2 first:
-    (y w_0) w_1.  Every pass of every member chunk takes its buffers and
-    views here."""
-    if out is None:
-        out = np.empty(x.shape)
-    core = x.shape[x.ndim - d :]
-    members = x.reshape((-1,) + core)
-    results = out.reshape(members.shape)
-    # the extension and its spectrum take about 32 bytes per point
-    step = max(1, _CHUNK_BYTES // (32 * math.prod(core)))
-    # one extension and one spectrum buffer serve both passes of every
-    # member chunk, so they stay in cache: a pass spends the spectrum of
-    # the one before as it fills its extension, and a chunk reads its
-    # result out before the next one starts
-    points = min(step, members.shape[0]) * math.prod(core)
-    ext_buf = np.empty(max(points // n * (2 * n - 2) for n in core))
-    spec_buf = np.empty(points, complex)
-    chunks = []
-    for i in range(0, members.shape[0], step):
-        src = members[i : i + step]
-        passes = []
-        # axis -2 first, as T_dct1
-        for axis in (-2, -1)[2 - d :]:
-            n = src.shape[axis]
-            ext_shape = src.shape[:axis] + (2 * n - 2,) + src.shape[axis:][1:]
-            ext = ext_buf[: math.prod(ext_shape)].reshape(ext_shape)
-            spec = spec_buf[: src.size].reshape(src.shape)
-            passes.append(_type1_pass(src, axis, ext, spec))
-            src = spec.real
-        chunks.append((passes, src, results[i : i + step]))
-
-    def run():
-        for passes, src, res in chunks:
-            for run_pass in passes:
-                run_pass()
-            if weights is None:
-                res[...] = src
-            else:
-                np.multiply(src, weights[:, None], out=res)
-                res *= weights
-
-    return run, out
-
-
-def _type1(x, d):
-    """Unnormalized type-1 DCT over the trailing ``d`` axes of ``x``, bit
-    for bit pocketfft's T_dct1, as a fresh array; see the module
-    docstring.  The 2D fine projection runs it bound
-    (``_type1_transform``); this one-shot form builds the folded 1D
-    projection matrix and serves the tests."""
-    run, out = _type1_transform(np.ascontiguousarray(x), d)
-    run()
-    return out
+def _type1(x):
+    """Unnormalized type-1 DCT along the last axis of ``x``, bit for bit
+    pocketfft's T_dct1, as a fresh C-contiguous array: the real part of
+    bins 0..n-1 of one real FFT of the even extension; see the module
+    docstring.  It builds ``DomainSpec._fine_project``."""
+    ext = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    return np.ascontiguousarray(_fft.rfft(ext).real)
 
 
 def bind_project(domain, grid, samples, out=None):
     """``project`` bound to the array ``samples``: returns ``run``, where
     ``run()`` projects the current contents of ``samples`` and returns the
-    result, written into ``out`` when given, else into a fresh array.  On
-    the fine grid ``samples`` must be C-contiguous; in 2D the binding owns
-    the transform's buffers and its output."""
-    if grid == "gauss" or domain.dimension == 1:
-        mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,)
-        return lambda: _apply(mats, samples, out)
-    dct, y = _type1_transform(samples, 2, weights=domain._dct_weights)
-    mats = (domain._cos_to_sine,) * 2
-
-    def run():
-        dct()
-        return _apply(mats, y, out)
-
-    return run
+    result, written into ``out`` when given, else into a fresh array."""
+    mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,) * domain.dimension
+    return lambda: _apply(mats, samples, out)
 
 
 def project(domain, grid, samples, out=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
-    projected exactly: type-1 DCT, trapezoid weights, analytic
-    cosine-to-sine matrix, folded into one matrix in 1D and applied in
-    turn over the trailing axes in 2D (the weights as the transform reads
-    its result out of the spectrum).  "gauss": quadrature of arbitrary
+    projected exactly by the folded matrix ``DomainSpec._fine_project``
+    along each axis (type-1 DCT, trapezoid weights and analytic
+    cosine-to-sine matrix in one).  "gauss": quadrature of arbitrary
     pointwise data on the Gauss tensor grid, <F, phi_k> / ||phi_k||^2.
     The result is written into ``out`` when given, else into a fresh array.
     """
-    if grid != "gauss":
-        samples = np.ascontiguousarray(samples)
     return bind_project(domain, grid, samples, out)()
 
 

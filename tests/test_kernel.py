@@ -319,10 +319,9 @@ def _initial_data(dim, n, seed=0, k=0.2, s=1):
 
 def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
     """f as the seed wrote it: each fine-grid product (gradient products
-    summed over the axes in order), projected alone (in 1D by the folded
-    projection matrix ``DomainSpec._fine_project``, in 2D by the type-1
-    DCT, trapezoid weights in place and cosine-to-sine matrices), then
-    scaled and added to zeros one term at a time."""
+    summed over the axes in order), projected alone by the folded
+    projection matrix M = ``DomainSpec._fine_project`` (M p in 1D, M p M^T
+    in 2D), then scaled and added to zeros one term at a time."""
     dim, k, s = domain.dimension, params.k, params.s
     sine, dcos = domain._grid_matrices["fine"]
 
@@ -348,17 +347,10 @@ def _term_by_term_forcing(domain, params, u, ut, utt, uttt):
             (2.0, dot(gradient(ut), gradient(ut))),
             (2.0, dot(gradient(u), gradient(utt))),
         ]
-    w = domain._dct_weights
-    cos_to_sine = domain._cos_to_sine
+    fine = domain._fine_project
     f = np.zeros(u.shape)
     for weight, product in terms:
-        if dim == 1:
-            proj = (domain._fine_project @ product[:, None])[:, 0]
-        else:
-            y = spectral._type1(product, dim)
-            y *= w[:, None]
-            y *= w
-            proj = cos_to_sine @ y @ cos_to_sine.T
+        proj = (fine @ product[:, None])[:, 0] if dim == 1 else fine @ product @ fine.T
         f += weight * proj
     return f
 

@@ -8,11 +8,13 @@ from the analytic integrals
 
 Both steps are done here in mpmath at 50 digits from the float inputs taken
 exactly, so the results are the exact Galerkin projections the fine-grid
-routes approximate.  The 1D route is the folded matrix
-``DomainSpec._fine_project``; the DCT route it replaced (``_type1``, the
-trapezoid weights, ``_cos_to_sine``) is computed alongside, and the folded
-route must be as accurate: its max-norm relative error below 1e-14 and at
-most twice the DCT route's on the same case.
+routes approximate.  The route is the folded matrix
+``DomainSpec._fine_project`` along each axis; in 1D the DCT route it
+replaced (``_type1``, the trapezoid weights, ``_cos_to_sine``) is computed
+alongside, and the folded route must be as accurate: its max-norm relative
+error below 1e-14 and at most twice the DCT route's on the same case.  In
+2D the factors are separable, so the exact projection is the outer product
+of two 1D ones, and the folded route must be within 1e-14 of it.
 
 The propagator table is checked the same way: mpmath's ``expm`` of each
 mode's 9x9 augmented block at 50 digits, from the float dt taken exactly,
@@ -79,7 +81,7 @@ def _relative_error(got, exact):
 
 def _dct_route(domain, samples):
     """The 1D fine projection as the DCT route computes it."""
-    y = spectral._type1(samples, 1) * domain._dct_weights
+    y = spectral._type1(samples) * domain._dct_weights
     return (domain._cos_to_sine @ y[..., None])[..., 0]
 
 
@@ -99,6 +101,24 @@ def test_fine_projection_of_products_against_the_oracle(n):
     dct = _relative_error(_dct_route(domain, samples), exact)
     assert folded < 1e-14
     assert folded <= 2.0 * dct
+
+
+@pytest.mark.parametrize("n", [8, 48])
+def test_fine_projection_in_2d_against_the_oracle(n):
+    """Factors a1(x) a2(y) and b1(x) b2(y): the exact projection of their
+    product is the outer product of the projections of a1 b1 and a2 b2.
+    The coefficient tensors are the rounded outer products, which moves
+    that reference by about one ulp."""
+    domain = DomainSpec(2, (np.pi, 2.0), n)
+    rng = np.random.default_rng(n)
+    a1, a2, b1, b2 = rng.standard_normal((4, n)) * np.arange(1.0, n + 1) ** -1.5
+    px, py = (
+        _sine_coefficients(_convolution(_exact(a), _exact(b), -1), n)
+        for a, b in ((a1, b1), (a2, b2))
+    )
+    exact = [x * y for x in px for y in py]
+    vals = evaluate(domain, "fine", np.stack([np.outer(a1, a2), np.outer(b1, b2)]))
+    assert _relative_error(project(domain, "fine", vals[0] * vals[1]).ravel(), exact) < 1e-14
 
 
 def _grad(e, length):
