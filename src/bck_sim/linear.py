@@ -209,15 +209,19 @@ def _expm(a):
     order = np.full(n, 13)
     scale = np.zeros(n, dtype=int)
     left = np.ones(n, dtype=bool)
+    # an empty group skips its _ell, whose 2m + 1 products cost the same
+    # per call on no blocks as on a few
     for m, theta in _THETA:
         try_m = np.flatnonzero(left & (eta[m] < theta))
-        ok = try_m[_ell(a[try_m], m) == 0]
-        order[ok] = m
-        left[ok] = False
+        if try_m.size:
+            ok = try_m[_ell(a[try_m], m) == 0]
+            order[ok] = m
+            left[ok] = False
     big = np.flatnonzero(left)
-    eta13 = np.minimum(eta_mid, np.maximum(d[8], d[10]))[big]
-    least = np.maximum(np.ceil(np.log2(eta13 / _THETA_13)), 0).astype(int)
-    scale[big] = least + _ell(a[big] * 2.0 ** -least[:, None, None], 13)
+    if big.size:
+        eta13 = np.minimum(eta_mid, np.maximum(d[8], d[10]))[big]
+        least = np.maximum(np.ceil(np.log2(eta13 / _THETA_13)), 0).astype(int)
+        scale[big] = least + _ell(a[big] * 2.0 ** -least[:, None, None], 13)
 
     eye = np.eye(k)
     out = np.empty_like(a)
