@@ -34,7 +34,7 @@ post-processing series call it directly; ``check_degeneracy_guard``,
 Long batches run in blocks of ``spectral.BLOCK_BYTES``.
 
 The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
-``wave_part``, and inverted once, in ``semigroup_utt`` (the 1D march step
+``wave_part``, and inverted once, in ``semigroup_utt`` (the march step
 runs its buffered form, same operations in the same order); the semigroup
 data of ``linear``, the march, the linear energy and the equation
 residual all take it from there.  The time grid of a run of length T is
@@ -43,68 +43,46 @@ the one ``check_uniform_grid``.
 
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
 and degeneracy margin: building it resolves the weights and the guard's
-limit, takes every matrix and view and allocates every buffer, so a call
-carries only data and time and is a straight run of ``out=`` numpy calls
-with no shape arithmetic, allocation or cache lookup.  Every call
-returns f: the march needs the law with f, the Picard sweeps and the
-post-processing f alone, and the one-shot front ends that need only
-u_ttt discard it.  ``nonlinear_terms`` builds one plan per block shape of
-its batch and calls it; a call returns u_ttt, f and the guard minima as
-fresh arrays, so its buffers never escape.  ``nonlinear.solve`` builds
-one plan per march and calls it once at t = 0; its bound step calls the
-plan's entry point from semigroup data, ``step_terms``, at every substep
-sweep, which in 1D writes u_tt into the plan's row and returns views of
-the plan's buffers for the march to copy.  A call guards when it
-evaluates the law (u_ttt not given), and only then: the forcing f is a
-polynomial and divides by nothing, so the forcing-only route (u_ttt
-given) returns None for the guard minimum.  The guard runs on one buffer
-of 2k u_t on the Gauss nodes and on the collocation nodes (the Gauss half
-is what the law divides by), so one min and one max per sample cover
-both grids; only a trip looks at the grids apart, to report where it
-happened.  A plan with k = s = 0, the linear problem of
-``linear-lowest-mode`` and of the spatial study of ``convergence``, binds
-no stage in either dimension: u_ttt is the bracket and f is zero.  Every
-other plan runs the one law, whatever k, and the dimension selects the
-body.
+limit, takes every matrix and view, allocates every buffer and lists the
+numpy calls of a call as steps, so a call carries only data and time and
+runs the same steps in both dimensions.  Every call returns f: the march
+needs the law with f, the Picard sweeps and the post-processing f alone,
+and the one-shot front ends that need only u_ttt discard it.
+``nonlinear_terms`` builds one plan per block shape of its batch and calls
+it; a call returns u_ttt, f and the guard minima as fresh arrays, so its
+buffers never escape.  ``nonlinear.solve`` builds one plan per march and
+calls it once at t = 0; its bound step calls the plan's entry point from
+semigroup data, ``step_terms``, at every substep sweep, which writes u_tt
+into the plan's row and returns views of the plan's buffers for the march
+to copy.  A call guards when it evaluates the law (u_ttt not given), and
+only then: the forcing f is a polynomial and divides by nothing, so the
+forcing-only route (u_ttt given) returns None for the guard minimum.  The
+guard runs on one buffer of 2k u_t on the Gauss nodes and on the
+collocation nodes (the Gauss half is what the law divides by), so one min
+and one max per sample cover both grids; only a trip looks at the grids
+apart, to report where it happened.  A plan with k = s = 0, the linear
+problem of ``linear-lowest-mode`` and of the spatial study of
+``convergence``, binds nothing: u_ttt is the bracket and f is zero.
 
-* 1D (``_Plan1D``).  A 1D call at the march's sizes works on arrays of
-  a few dozen values, so its cost is the count of numpy calls.  The
-  members (lin, u_tt, u_t, u, u_ttt) are the rows of one array, and each
-  grid stage is one gemm of a run of rows against the grid's sine and
-  derivative matrices stacked, so a call is about twenty numpy calls and
-  reads each matrix once, at any N.  It rounds
-  differently from the term-by-term form, by about 1e-16 relative
-  (``tests/test_oracle.py``).
-* 2D (bound stages).  A 2D stage works on grids of tens of thousands of
-  values, so the plan binds the stages of the term-by-term form: one
-  member stack (u, u_tt, u_t, .) serves both grids (u is left out when
-  s = 0).  Its last member is the bracket lin for the Gauss stage, which
-  evaluates the values of (u_tt, u_t, lin) and the gradients of (u, u_tt,
-  u_t); the projected u_ttt then takes its place, and the fine stage
-  evaluates the values of (u_tt, u_t, u_ttt) and the same gradients.  The
-  four fine-grid products come from two stacked multiplies, (u_tt, u_t)
-  times (u_tt, u_ttt) and (d u_t, d u) times (d u_t, d u_tt), plus one add
-  per further gradient component; each product P is projected by the
-  gemm pair M P M^T, with M the per-axis fine projection
-  ``DomainSpec._fine_project`` the 1D body uses too (the operations of
-  ``spectral.project``, with the left product M P bound), and f is
-  ``add.reduce`` of (2k, 2k, 2, 2) times the projections from an initial
-  0.  Each bound stage owns its buffers; the product stage reuses one
-  spent one, at the line that says why (``spectral`` states the rule).
-  Each stacked or buffered operation is, element by element, the
-  operation of the term-by-term expression it replaces, in the same
-  association order: 2k u_tt^2 is ((2k) u_tt) u_tt, every gradient
-  component subtracts ((2) d u_t) d u_t, then ((2) d u) d u_tt, the
-  products keep their operand order (IEEE multiplication commutes
-  anyway), and f is (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3.  Each numpy
-  call also sees the operand layouts it saw before, since matmul and
-  einsum round by layout.  So the results are bit for bit those of the
-  term-by-term form (``tests/test_kernel.py``).
+The members (lin, u_tt, u_t, u, u_ttt) of a plan are the rows of one
+array, and each grid stage contracts a run of rows one mode axis at a
+time with the products of ``spectral``'s array layer; the dimension
+selects only how the products are grouped.  A 1D call at the march's
+sizes works on arrays of a few dozen values, so its cost is its count of
+numpy calls: a stage is one gemm of its rows against the grid's sine and
+derivative matrices stacked, and a call is about twenty numpy calls at
+any N.  A 2D stage works on grids of tens of thousands of values, so it
+costs its arithmetic: it evaluates only the (member, derivative) pairs it
+reads, nine fields on the Gauss grid (u_t's for the guard among them) and
+nine on the fine grid.  The numerator of the law and f are each one gemv
+of their terms with their weights, so they round differently from the
+term-by-term form, by about 1e-16 relative (``tests/test_oracle.py``,
+``tests/test_kernel.py``).
 
-Both routes project each product of f on its own and weight the
-projections.  Projection is linear, so summing the products first and
-projecting once would be cheaper, but it rounds differently, and the
-residual diagnostic, which divides second time differences of Q by dt^2,
+f projects each of its products on its own and weights the projections.
+Projection is linear, so summing the products first and projecting once
+would be cheaper, but it rounds differently, and the residual
+diagnostic, which divides second time differences of Q by dt^2,
 amplifies that to about 1e-6 relative, and the Picard contraction ratios
 move by about 1e-8.
 """
@@ -120,8 +98,6 @@ import numpy as np
 from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
     SpectralField,
-    bind_evaluate_stack,
-    bind_project,
     evaluate,
     evaluate_stack,
     gradient_product,
@@ -427,306 +403,142 @@ def degeneracy_guard(domain, params, ut, time=0.0, eps_deg=DEFAULT_EPS_DEG):
     return _blockwise(domain, block, (ut,), time)[0]
 
 
-def _law_stage(domain, params, stack, batch, limit):
-    """The Gauss-grid stage of the 2D law, bound to the member stack
-    (u, u_tt, u_t, lin), without u when s = 0, and to the guard's
-    ``limit``.  Returns ``run(ut, time)``, which guards 2k u_t and projects
-    the law's quotient into the stack's last member in place of lin; it
-    returns the guard minimum.  ``ut`` is the caller's u_t, from which the
-    collocation values are evaluated."""
-    k, s = params.k, params.s
-    # Gauss grid: values of (u_tt, u_t, lin), gradients of (u, u_tt, u_t)
-    evaluate_gauss, vals, grads = bind_evaluate_stack(
-        domain, "gauss", stack, slice(s, s + 3), slice(0, 3) if s else None
-    )
-    both, scaled, coll = _guard_buffer(domain, batch)
-    num, term = np.empty(scaled.shape), np.empty(scaled.shape)
-    project_gauss = bind_project(domain, "gauss", num, out=stack[-1])
-
-    def run(ut, time):
-        evaluate_gauss()
-        np.multiply(2.0 * k, vals[1], out=scaled)
-        np.multiply(2.0 * k, evaluate(domain, "collocation", ut, out=coll), out=coll)
-        guard_min = _guard(domain, both, time, limit)
-        _gauss_quotient(k, vals, grads, scaled, num, term)
-        project_gauss()
-        return guard_min
-
-    return run
+def _steps(steps):
+    """Run bound (op, a, b, out) steps in order."""
+    for op, a, b, out in steps:
+        op(a, b, out=out)
 
 
-def _product_stage(domain, params, stack):
-    """The exact projections of the quadratic products of a 2D f, bound to
-    the member stack ``stack`` (u, u_tt, u_t, u_ttt), without u when s = 0.
-    Returns ``(run, proj)``: ``run()`` writes into ``proj`` the
-    projections, in the order (u_tt^2, u_t u_ttt), then (|grad u_t|^2,
-    grad u . grad u_tt) if s.
-
-    One stack evaluation gives the values of (u_tt, u_t, u_ttt) and the
-    gradients of (u, u_tt, u_t); two stacked multiplies form the products,
-    in the operand order of the term-by-term form, and one gemm pair per
-    product projects it, the operations of ``spectral.project``.  The
-    stage owns the grid values, the products, the left products and the
-    projections."""
-    s = params.s
-    evaluate_fine, vals, grads = bind_evaluate_stack(
-        domain, "fine", stack, values=slice(s, s + 3), gradient=slice(0, 3) if s else None
-    )
-    products = np.empty((2 + 2 * s,) + vals.shape[1:])
-    # per axis (d u_t d u_t, d u d u_tt), summed over the axes in order
-    pair = products[-2:]
-    factors = [(comp[2::-2], comp[2:0:-1]) for comp in grads or ()]
-    # the values are spent by then, so they hold each further term
-    term = vals[:2]
-    # M P M^T per product, with M P bound so a call allocates no temporary
-    fine = domain._fine_project
-    left = np.empty(products.shape[:-2] + (fine.shape[0], products.shape[-1]))
-    proj = np.empty(products.shape[:1] + stack.shape[1:])
-
-    def run():
-        evaluate_fine()
-        np.multiply(vals[0:2], vals[0::2], out=products[:2])
-        if s:
-            np.multiply(*factors[0], out=pair)
-            for a, b in factors[1:]:
-                np.add(pair, np.multiply(a, b, out=term), out=pair)
-        np.matmul(np.matmul(fine, products, out=left), fine.T, out=proj)
-
-    return run, proj
+@lru_cache(maxsize=64)
+def _stacked(domain, kind, gradient=False):
+    """A read-only matrix shared by every plan on the domain.  ``"guard"``:
+    the first-axis sine matrices of the Gauss and the collocation grids
+    stacked, [S_g; S_c].  ``"project"``: the 1D fine projection
+    ``DomainSpec._fine_project`` transposed.  A grid name: its 1D sine
+    matrix, then its derivative matrix when ``gradient``, stacked and
+    transposed, [S | D]^T."""
+    if kind == "guard":
+        mat = np.vstack([domain._grid_matrices[grid][0][0] for grid in ("gauss", "collocation")])
+    elif kind == "project":
+        mat = domain._fine_project.T.copy()
+    else:
+        mat = np.vstack([m[0] for m in domain._grid_matrices[kind][: 1 + gradient]]).T.copy()
+    mat.setflags(write=False)
+    return mat
 
 
-@lru_cache(maxsize=32)
-def _forcing_weights(k, s, ndim):
-    """Weights (2k, 2k, 2, 2) of the projected products of f (without the
-    s pair when s = 0), shaped to scale a stack of ``ndim`` axes."""
-    w = [2.0 * k] * 2 + [2.0] * 2 * s
-    return np.array(w).reshape((-1,) + (1,) * (ndim - 1))
+def _left_steps(mats, x, out):
+    """``spectral._apply(mats, x, out)`` as steps, its left product bound:
+    one gemv M x per member in 1D, the gemm pair (M0 X) M1^T in 2D."""
+    if len(mats) == 1:
+        return [(np.matmul, mats[0], x[..., None], out[..., None])]
+    left = np.empty(x.shape[:-2] + (mats[0].shape[0], x.shape[-1]))
+    return [(np.matmul, mats[0], x, left), (np.matmul, left, mats[1].T, out)]
 
 
-def _gauss_quotient(k, vals, grads, scaled, num, term):
-    """The law's numerator over 1 + 2k u_t on the Gauss grid, in the buffer
-    ``num`` (``term`` is scratch of the same shape).  ``vals`` are the
-    values of (u_tt, u_t, lin), ``grads`` the gradient components of (u,
-    u_tt, u_t) or None, and ``scaled`` is 2k u_t.
-
-    The buffered form of ``(lin - 2k u_tt u_tt - sum_i (2 d_i u_t d_i u_t
-    + 2 d_i u d_i u_tt)) / (1 + 2k u_t)``, association order included.
-    """
-    np.multiply(2.0 * k, vals[0], out=term)
-    np.subtract(vals[2], np.multiply(term, vals[0], out=term), out=num)
-    for comp in grads or ():
-        for a, b in ((2, 2), (0, 1)):
-            np.multiply(2.0, comp[a], out=term)
-            np.subtract(num, np.multiply(term, comp[b], out=term), out=num)
-    return np.divide(num, np.add(1.0, scaled, out=term), out=num)
+def _shift(rows, by):
+    return slice(rows.start - by, rows.stop - by)
 
 
-@lru_cache(maxsize=32)
-def _maps_1d(domain, params):
-    """The matrices of ``_Plan1D``, read-only and shared by every plan on
-    this domain and params: ``(bracket, guard, gauss, fine, project)``.
+def _evaluation(domain, grid, x, values, gradient, head=0):
+    """Steps that evaluate, on ``grid``, the members ``values`` (row slices
+    of the member array ``x``) and the gradient of the members
+    ``gradient`` (a row slice, or None).  Returns ``(steps, buf, vals,
+    grads)``: ``vals`` holds the flat grid values of the rows from the
+    first value row to the last (in 2D a row between two value slices is
+    left unset), each per-axis component of ``grads`` those of the
+    gradient rows, and the flat ``buf`` is ``head`` grids of room for the
+    caller followed by the first value row.
 
-    * ``bracket`` (3, N) holds the bracket weights (w_tt, -w_t, -w_u) of
-      the rows (u_tt, u_t, u).
-    * ``guard`` is the Gauss-grid sine matrix over the collocation one:
-      the values of u_t on both grids in one gemv, bit for bit those of
-      ``evaluate`` on each grid, since each row is still its own dot
-      product (``tests/test_kernel.py``).
-    * ``gauss`` is the Gauss-grid sine matrix, then the derivative matrix
-      when s, transposed: N x G or N x 2G.
-    * ``fine`` is the fine-grid sine matrix, then the derivative matrix
-      when s, transposed the same way.
-    * ``project`` is the folded fine projection ``DomainSpec._fine_project``
-      transposed.
-    """
-    s = params.s
-    w_tt, w_t, w_u = _bracket_weights(domain, params)
-    gauss, fine = ([m[0] for m in domain._grid_matrices[grid]] for grid in ("gauss", "fine"))
-    maps = (
-        np.stack([w_tt, -w_t, -w_u]),
-        np.vstack([gauss[0], domain._grid_matrices["collocation"][0][0]]),
-        np.vstack(gauss[: 1 + s]).T.copy(),
-        np.vstack(fine[: 1 + s]).T.copy(),
-        domain._fine_project.T.copy(),
-    )
-    for mat in maps:
-        mat.setflags(write=False)
-    return maps
-
-
-class _Plan1D:
-    """The 1D body of a ``KernelPlan``: each grid stage is one matrix
-    product over all of its members, about twenty numpy calls per call in
-    all.
-
-    The members are the rows (lin, u_tt, u_t, u, u_ttt) of one array; lin,
-    the bracket, is one ``vecdot`` of the rows (u_tt, u_t, u) with the
-    bracket weights.  A grid stage multiplies a run of rows by the grid's
-    matrices stacked (values, then derivatives when s): one gemm per sample
-    that reads each matrix once, where the 2D stages read a matrix once per
-    member.  So a call makes far fewer numpy calls than the bound stages
-    at small N and reads less memory at large N.
-
-    The law (u_ttt not given).  The rows (lin, u_tt), and (u_t, u)
-    when s, go onto the Gauss grid in one buffer, after the quadratic terms:
-
-        [u_tt^2 | u_t'^2 | u' u_tt' | lin | ...],
-
-    so one multiply forms u_tt^2, one more the two gradient terms when s,
-    and one gemv with (-2k, -2, -2, 1) gives the numerator.  One gemv fills
-    the guard buffer with u_t on the Gauss and the collocation grids (see
-    ``_maps_1d``), scaled by 2k: the guard and the diagnostics of
-    ``energy`` see the bits of ``degeneracy_guard``, and the Gauss part is
-    the denominator's own 2k u_t.  The quotient is one add and one divide,
-    and the Gauss projection (one gemv) writes u_ttt into its row.
-
-    f.  The fine-grid values of the rows (u_tt, u_t, u, u_ttt), and their
-    derivatives when s, two multiplies for the products (u_tt u_tt, u_t
-    u_ttt) and (u_t' u_t', u' u_tt'), one gemm that projects them (reading
-    the projection matrix once, where [2k M, 2k M, 2M, 2M] would read it
-    four times) and one gemv that weights them by (2k, 2k, 2, 2).  The
-    forcing-only route (u_ttt given) fills the rows and runs only this
-    part, with no guard; the fine values of u_ttt come from u_ttt itself,
-    so the forcing of a march is bit for bit ``energy.forcing_series`` of
-    its stored trajectory.
-    """
-
-    def __init__(self, domain, params, batch, limit):
-        k, s = params.k, params.s
-        self.domain, self.params, self.batch, self._limit = domain, params, batch, limit
-        self._bracket, self._guard, self._gauss, fine, self._project = _maps_1d(domain, params)
-        n, f = domain.modes_per_axis, domain._fine_project.shape[1]
-        self._x = np.empty(batch + (5 * n,))
-        self._rows = rows = self._x.reshape(batch + (5, n))
-        self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
-        # (u_tt, u_t, u), then u_ttt, as the caller's arrays are copied in
-        self._fill = self._x[..., n : 4 * n], self._x[..., n:]
-        members = rows[..., 1:5, :]
-        grid = np.empty(members.shape[:-1] + (fine.shape[1],))
-        self._fine = fine, members, grid
-        # (u_tt u_tt, u_t u_ttt)
-        pairs = [(grid[..., 0:2, :f], grid[..., 0::3, :f])]
-        if s:
-            # (u_t' u_t', u' u_tt'), the derivatives after the values
-            grads = grid[..., f:]
-            pairs.append((grads[..., 1:3, :], grads[..., 1::-1, :]))
-        self._products = np.empty(batch + (2 * len(pairs), f))
-        self._pairs = [
-            (a, b, self._products[..., 2 * i : 2 * i + 2, :]) for i, (a, b) in enumerate(pairs)
+    In 1D a stage costs its numpy calls, so the run of rows from the first
+    selected to the last is one product by [S | D]^T (``_stacked``), and
+    the pairs nobody reads come free.  In 2D it costs its arithmetic, so
+    only the pairs read are evaluated, by the products of
+    ``spectral.evaluate_stack``: S0 X over the run and D0 X over the
+    gradient rows, then a right product by S1^T or D1^T per selection."""
+    d, n = domain.dimension, domain.modes_per_axis
+    sine, dcos = domain._grid_matrices[grid]
+    p = sine[0].shape[0]
+    batch = x.shape[: -1 - d]
+    v0, v1 = values[0].start, values[-1].stop
+    r0 = v0 if gradient is None else min(v0, gradient.start)
+    run = slice(r0, v1 if gradient is None else max(v1, gradient.stop))
+    if d == 1:
+        mat = _stacked(domain, grid, gradient is not None)
+        buf = np.empty(batch + (head * p + (run.stop - r0) * mat.shape[1],))
+        out = buf[..., head * p :].reshape(batch + (run.stop - r0, mat.shape[1]))
+        grads = None if gradient is None else (out[..., _shift(gradient, r0), p:],)
+        return [(np.matmul, x[..., run, :], mat, out)], buf, out[..., v0 - r0 : v1 - r0, :p], grads
+    buf = np.empty(batch + ((head + v1 - v0) * p * p,))
+    vals = buf[..., head * p * p :].reshape(batch + (v1 - v0, p, p))
+    left = np.empty(batch + (run.stop - r0, p, n))
+    steps = [(np.matmul, sine[0], x[..., run, :, :], left)]
+    steps += [
+        (np.matmul, left[..., _shift(rows, r0), :, :], sine[1].T, vals[..., _shift(rows, v0), :, :])
+        for rows in values
+    ]
+    grads = None
+    if gradient is not None:
+        m = gradient.stop - gradient.start
+        inner, comps = np.empty(batch + (m, p, n)), np.empty((2,) + batch + (m, p, p))
+        steps += [
+            (np.matmul, dcos[0], x[..., gradient, :, :], inner),
+            (np.matmul, inner, sine[1].T, comps[0]),
+            (np.matmul, left[..., _shift(gradient, r0), :, :], dcos[1].T, comps[1]),
         ]
-        self._proj = np.empty(batch + (2 * len(pairs), n))
-        self._weights = _forcing_weights(k, s, 1)
-        self._law = self._bind_law()
-        self._data_route = self._bind_data_route()
+        grads = tuple(comps.reshape((2,) + batch + (m, p * p)))
+    return steps, buf, vals.reshape(batch + (v1 - v0, p * p)), grads
 
-    def _bind_law(self):
-        """The Gauss-grid buffers and views: (rows, their grid values, the
-        factors and destinations of the quadratic terms, the terms and lin,
-        the numerator weights, the guard buffer, it as a column and its
-        Gauss part, the numerator and it as a column, the Gauss projection,
-        the u_ttt row as a column)."""
-        domain, batch, s = self.domain, self.batch, self.params.s
-        g = domain.gauss_points_per_axis
-        # the rows (lin, u_tt), then (u_t, u) when s; as many summands,
-        # the quadratic terms and lin
-        rows = terms = 2 + 2 * s
-        z = np.empty(batch + ((terms - 1 + rows * (1 + s)) * g,))
-        # the Gauss values of lin, the first row, follow the terms
-        out = z[..., (terms - 1) * g :].reshape(batch + (rows, (1 + s) * g))
-        summands = z[..., : terms * g].reshape(batch + (terms, g))
-        utt, grads = out[..., 1, :g], out[..., g:]
-        # u_tt^2, then (u_t' u_t', u' u_tt')
-        pairs = [(utt, utt, summands[..., 0, :])]
-        if s:
-            pairs.append((grads[..., 2:4, :], grads[..., 2:0:-1, :], summands[..., 1:-1, :]))
-        both, scaled, _ = _guard_buffer(domain, batch)
-        num = np.empty(batch + (g,))
-        return (
-            self._rows[..., :rows, :],
-            out,
-            pairs,
-            summands,
-            np.array([-2.0 * self.params.k] + [-2.0] * 2 * s + [1.0]),
-            both,
-            both[..., None],
-            scaled,
-            num,
-            num[..., None],
-            domain._gauss_project[0],
-            self._uttt[..., None],
-        )
 
-    def _bind_data_route(self):
-        """The buffers and views of ``step_terms``: (the u_tt row, the
-        (u_t, u) rows, the wave weights (w_t, w_u) of those rows, their
-        products and each product alone, f)."""
-        rows, batch = self._rows, self.batch
-        term = np.empty(batch + (2, rows.shape[-1]))
-        return (
-            rows[..., 1, :],
-            rows[..., 2:4, :],
-            np.stack(_wave_weights(self.domain, self.params)),
-            term,
-            term[..., 0, :],
-            term[..., 1, :],
-            np.empty(batch + rows.shape[-1:]),
-        )
+def _gradient_steps(grads, out):
+    """Steps that write (|grad u_t|^2, grad u . grad u_tt) into ``out``
+    from the per-axis gradient components of the rows (u_tt, u_t, u): per
+    axis the products (d u_t d u_t, d u d u_tt), summed over the axes in
+    order.  The products of every further axis go into the first axis's
+    components, which are spent by then."""
+    first, *rest = grads
+    steps = [(np.multiply, first[..., 1:3, :], first[..., 1::-1, :], out)]
+    for comp in rest:
+        spent = first[..., :2, :]
+        steps += [
+            (np.multiply, comp[..., 1:3, :], comp[..., 1::-1, :], spent),
+            (np.add, out, spent, out),
+        ]
+    return steps
 
-    def _run_law(self, ut, time):
-        """Project the law's quotient into the u_ttt row; returns the guard
-        minimum."""
-        rows, out, pairs, summands, weights, both, both_col, scaled, num, num_col, gp, uttt = (
-            self._law
-        )
-        np.matmul(rows, self._gauss, out=out)
-        np.matmul(self._guard, ut[..., None], out=both_col)
-        np.multiply(2.0 * self.params.k, both, out=both)
-        guard_min = _guard(self.domain, both, time, self._limit)
-        for a, b, dst in pairs:
-            np.multiply(a, b, out=dst)
-        np.matmul(weights, summands, out=num)
-        np.divide(num, np.add(1.0, scaled, out=scaled), out=num)
-        np.matmul(gp, num_col, out=uttt)
-        return guard_min
 
-    def _run_forcing(self, out=None):
-        """f of the current rows, written into ``out`` (a fresh array when
-        None)."""
-        fine, members, grid = self._fine
-        np.matmul(members, fine, out=grid)
-        for a, b, dst in self._pairs:
-            np.multiply(a, b, out=dst)
-        np.matmul(self._products, self._project, out=self._proj)
-        return np.matmul(self._weights, self._proj, out=out)
+def _guard_steps(domain, ut, both, gauss, coll):
+    """Steps that fill the guard buffer ``both`` (its Gauss and collocation
+    parts ``gauss`` and ``coll``) with u_t on both grids: one product of
+    u_t by [S_g; S_c] (``_stacked``), which in 1D is the whole evaluation
+    and in 2D is followed by each grid's right product.  Stacking along
+    the output axis keeps each node's dot product, so the values are bit
+    for bit those of ``evaluate`` on each grid."""
+    first = _stacked(domain, "guard")
+    if domain.dimension == 1:
+        return _left_steps((first,), ut, both)
+    g = gauss.shape[-1]
+    left = np.empty(ut.shape[:-2] + (first.shape[0], ut.shape[-1]))
+    (_, gauss_last), (_, coll_last) = (
+        domain._grid_matrices[grid][0] for grid in ("gauss", "collocation")
+    )
+    return [
+        (np.matmul, first, ut, left),
+        (np.matmul, left[..., :g, :], gauss_last.T, gauss),
+        (np.matmul, left[..., g:, :], coll_last.T, coll),
+    ]
 
-    def _run(self, ut, time, f_out=None):
-        """The law into the u_ttt row and f into ``f_out``, with the rows
-        (u_tt, u_t, u) filled; returns (f, guard minimum).  ``ut`` is the
-        caller's u_t, which the guard's gemv reads."""
-        np.vecdot(self._bracket, self._fields, axis=-2, out=self._lin)
-        guard_min = self._run_law(ut, time)
-        return self._run_forcing(f_out), guard_min
 
-    def __call__(self, u, ut, utt, uttt, time):
-        if uttt is not None:
-            np.concatenate((utt, ut, u, uttt), axis=-1, out=self._fill[1])
-            # the forcing-only route never guards
-            return uttt, self._run_forcing(), None
-        np.concatenate((utt, ut, u), axis=-1, out=self._fill[0])
-        f, guard_min = self._run(ut, time)
-        return self._uttt.copy(), f, guard_min
-
-    def step_terms(self, data, time):
-        """``KernelPlan.step_terms``: one copy of (u_t, u) into their rows,
-        one multiply by (w_t, w_u), u_tt = (X - w_t u_t) - w_u u into its
-        row, then the law and f."""
-        utt, ut_u, wave, term, wt_ut, wu_u, f = self._data_route
-        ut_u[...] = data[1::-1]
-        np.multiply(wave, ut_u, out=term)
-        np.subtract(data[2], wt_ut, out=utt)
-        np.subtract(utt, wu_u, out=utt)
-        self._run(data[1], time, f)
-        return utt, self._uttt, f
+def _projection_steps(domain, products, proj):
+    """Steps that project each flat fine-grid product exactly into the flat
+    ``proj``, by M = ``DomainSpec._fine_project`` along each axis: in 1D
+    one product of all of them by M^T (``_stacked``), reading M once; in
+    2D the gemm pair (M P) M^T of ``spectral.project``."""
+    if domain.dimension == 1:
+        return [(np.matmul, products, _stacked(domain, "project"), proj)]
+    m = domain._fine_project
+    grids = products.reshape(products.shape[:-1] + (m.shape[1],) * 2)
+    return _left_steps((m, m), grids, proj.reshape(proj.shape[:-1] + (m.shape[0],) * 2))
 
 
 class KernelPlan:
@@ -735,95 +547,160 @@ class KernelPlan:
 
     Building the plan resolves the weights and the guard's limit 1 -
     eps_deg, takes every matrix and view and allocates every buffer, so a
-    call takes only data and time, is a straight run of numpy calls and
-    binds nothing.  Every call returns (u_ttt, f, guard minimum).
-    ``nonlinear.solve`` builds one per march and steps through
+    call takes only data and time and runs a fixed list of numpy calls,
+    the same in both dimensions.  Every call returns (u_ttt, f, guard
+    minimum).  ``nonlinear.solve`` builds one per march and steps through
     ``step_terms``; ``nonlinear_terms`` builds one per block shape and
-    calls it.  The plan owns its buffers.  The results of a call never
-    share memory with them; those of ``step_terms`` are views of them in
-    1D, for the march to copy.  A call guards only when it evaluates the
-    law (u_ttt not given); the forcing-only route returns None for the
-    guard minimum.
+    calls it.  The plan owns its buffers, and reuses one for another
+    purpose only where it is spent, at one line that gives the reason.
+    The results of a call never share memory with them; those of ``step_terms`` are views of them, for
+    the march to copy.  A call guards only when it evaluates the law
+    (u_ttt not given); the forcing-only route returns None for the guard
+    minimum.
 
-    A plan with k = s = 0 binds no stage: u_ttt is the bracket and f is
-    zero.  For every other plan the dimension selects the body (see the
-    module docstring).  A 1D plan is a ``_Plan1D``: each grid stage is one
-    matrix product over the stacked members, about twenty numpy calls per
-    call.  A 2D plan binds the stages of the term-by-term form, with its
-    operations, operand layouts and association order: one member stack
-    (u, u_tt, u_t, .) serves both grids, its last member lin for the Gauss
-    stage and u_ttt for the fine stage (u is left out when s = 0).
+    The members (lin, u_tt, u_t, u, u_ttt) are the rows of one array; lin
+    is one ``vecdot`` of the rows (u_tt, u_t, u) with the bracket weights.
+    The law evaluates its rows on the Gauss grid (``_evaluation``) and u_t
+    on both guard grids (``_guard_steps``), forms the products of the
+    numerator after which lin's values lie, and takes the numerator as one
+    gemv with (-2k, -2, -2, 1), the quotient by 1 + 2k u_t and its Gauss
+    projection into the u_ttt row.  f evaluates its rows on the fine grid,
+    forms the products (u_tt u_tt, u_t u_ttt, |grad u_t|^2, grad u . grad
+    u_tt), projects each exactly (``_projection_steps``) and weights them
+    by one gemv with (2k, 2k, 2, 2).  Without s the gradient terms and
+    their weights are left out.  A plan with k = s = 0 binds nothing: u_ttt
+    is the bracket and f is zero.
     """
 
     def __init__(self, domain, params, batch=(), eps_deg=DEFAULT_EPS_DEG):
         k, s = params.k, params.s
         self.domain, self.params, self.batch = domain, params, batch
-        self._limit = limit = 1.0 - eps_deg
+        self._limit = 1.0 - eps_deg
         self._wave = _wave_weights(domain, params)
         self._bracket = _bracket_weights(domain, params)
-        self._plan_1d = None
-        if k == 0.0 and not s:
+        self._linear = k == 0.0 and not s
+        if self._linear:
             return
-        if domain.dimension == 1:
-            self._plan_1d = _Plan1D(domain, params, batch, limit)
-            return
-        self._stack = np.empty((s + 3,) + batch + domain.coeff_shape)
-        self._products = _product_stage(domain, params, self._stack)
-        self._weights = _forcing_weights(k, s, self._products[1].ndim)
-        self._law = _law_stage(domain, params, self._stack, batch, limit)
+        d, n, size = domain.dimension, domain.modes_per_axis, domain.n_modes
+        self._rows = x = np.empty(batch + (5,) + domain.coeff_shape)
+        rows = x.reshape(batch + (5, size))
+        self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
+        w_tt, w_t, w_u = self._bracket
+        self._lin_weights = np.stack([w_tt, -w_t, -w_u]).reshape(3, size)
+        # the caller's (u_tt, u_t, u), then u_ttt, are concatenated into the
+        # rows along the first mode axis
+        self._axis = -d
+        cat = x.reshape(batch + (5 * n,) + domain.coeff_shape[1:])
+        tail = (slice(None),) * (d - 1)
+        self._in_rows = [cat[(..., slice(n, stop)) + tail] for stop in (4 * n, 5 * n)]
+        self._shape = batch + domain.coeff_shape
+        ut, uttt = (rows[..., r, :].reshape(self._shape) for r in (2, 4))
+
+        # f: the fine values of (u_tt, u_t, u_ttt), the gradients of (u_tt,
+        # u_t, u) when s.  Its buffers are allocated before the law's larger
+        # ones: the other order left `picard configs/picard-small.conf` with
+        # a 0.5 MiB higher peak RSS, from the allocator's layout alone
+        terms = 2 + 2 * s
+        forcing, _, vals, grads = _evaluation(
+            domain, "fine", x, (slice(1, 3), slice(4, 5)), slice(1, 4) if s else None
+        )
+        products = np.empty(batch + (terms, vals.shape[-1]))
+        forcing.append((np.multiply, vals[..., 0:2, :], vals[..., 0::3, :], products[..., :2, :]))
+        forcing += _gradient_steps(grads, products[..., 2:, :]) if s else []
+        self._proj = np.empty(batch + (terms, size))
+        self._f_weights = np.array([2.0 * k] * 2 + [2.0] * 2 * s)
+        self._forcing = forcing + _projection_steps(domain, products, self._proj)
+
+        # the law: the Gauss values of (lin, u_tt) follow the numerator's
+        # other terms, u_tt^2 and, when s, (|grad u_t|^2, grad u . grad u_tt)
+        self._both, gauss, coll = _guard_buffer(domain, batch)
+        law, z, vals, grads = _evaluation(
+            domain, "gauss", x, (slice(0, 2),), slice(1, 4) if s else None, terms - 1
+        )
+        points = vals.shape[-1]
+        summands = z[..., : terms * points].reshape(batch + (terms, points))
+        self._law = law + _guard_steps(domain, ut, self._both, gauss, coll)
+        self._law.append((np.multiply, 2.0 * k, self._both, self._both))
+        quotient = [(np.multiply, vals[..., 1, :], vals[..., 1, :], summands[..., 0, :])]
+        quotient += _gradient_steps(grads, summands[..., 1:3, :]) if s else []
+        # u_tt's values are spent once u_tt^2 is formed, so they hold the
+        # numerator and then the quotient
+        num, scaled = vals[..., 1, :], self._both[..., :points]
+        quotient += [
+            (np.matmul, np.array([-2.0 * k] + [-2.0] * 2 * s + [1.0]), summands, num),
+            (np.add, 1.0, scaled, scaled),
+            (np.divide, num, scaled, num),
+        ]
+        self._quotient = quotient + _left_steps(
+            domain._gauss_project, num.reshape(gauss.shape), uttt
+        )
+
+        # step_terms: the u_tt row, the (u_t, u) rows, their wave weights
+        # (w_t, w_u), their products and each product alone, f
+        term = np.empty(batch + (2, size))
+        self._data_route = (
+            rows[..., 1, :],
+            rows[..., 2:4, :],
+            np.stack(self._wave).reshape(2, size),
+            term,
+            term[..., 0, :],
+            term[..., 1, :],
+            np.empty(batch + (size,)),
+        )
+
+    def _run_forcing(self, out=None):
+        """f of the current rows, flat, written into ``out`` (a fresh array
+        when None)."""
+        _steps(self._forcing)
+        return np.matmul(self._f_weights, self._proj, out=out)
+
+    def _run(self, time, f_out=None):
+        """The law into the u_ttt row and f into ``f_out``, with the rows
+        (u_tt, u_t, u) filled; returns (f, guard minimum)."""
+        np.vecdot(self._lin_weights, self._fields, axis=-2, out=self._lin)
+        _steps(self._law)
+        guard_min = _guard(self.domain, self._both, time, self._limit)
+        _steps(self._quotient)
+        return self._run_forcing(f_out), guard_min
 
     def step_terms(self, data, time):
         """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
-        of an unbatched plan: u_tt is ``semigroup_utt`` of the data, and
-        the law is evaluated and guarded on it as ``__call__`` does, with
-        the same operations on the same operand layouts (the guard reads
-        the u_t row of ``data`` itself).  In 1D the results are views of
-        the plan's buffers, which the next call overwrites."""
-        if self._plan_1d is not None:
-            return self._plan_1d.step_terms(data, time)
-        fields = data.reshape((3,) + self.domain.coeff_shape)
-        utt = _utt_of_data(self._wave, fields)
-        uttt, f, _ = self(fields[0], fields[1], utt, None, time)
-        return utt.reshape(-1), uttt.reshape(-1), f.reshape(-1)
-
-    def _fill(self, u, ut, utt, last):
-        """Copy the fields into the member stack, ``last`` into its last
-        member."""
-        stack, s = self._stack, self.params.s
-        if s:
-            stack[0] = u
-        stack[s] = utt
-        stack[s + 1] = ut
-        stack[-1] = last
+        of an unbatched plan: u_tt is ``semigroup_utt`` of the data, written
+        into its row as (X - w_t u_t) - w_u u after one copy of (u_t, u)
+        into theirs, and the law and f are those of ``__call__`` on it.
+        The results are views of the plan's buffers, which the next call
+        overwrites."""
+        if self._linear:
+            fields = data.reshape((3,) + self.domain.coeff_shape)
+            utt = _utt_of_data(self._wave, fields)
+            uttt, f, _ = self(fields[0], fields[1], utt, None, time)
+            return utt.reshape(-1), uttt.reshape(-1), f.reshape(-1)
+        utt, ut_u, wave, term, wt_ut, wu_u, f = self._data_route
+        ut_u[...] = data[1::-1]
+        np.multiply(wave, ut_u, out=term)
+        np.subtract(data[2], wt_ut, out=utt)
+        np.subtract(utt, wu_u, out=utt)
+        self._run(time, f)
+        return utt, self._uttt, f
 
     def __call__(self, u, ut, utt, uttt=None, time=0.0):
         """(u_ttt, f, guard minimum) of one tensor or an (n,) stack, as
         ``nonlinear_terms``, guarded with the plan's own margin; a trip
         carries ``time``."""
-        domain, params = self.domain, self.params
-        # the forcing-only route (u_ttt given) never guards
-        guard_min = None
-        if params.k == 0.0 and not params.s:
+        if self._linear:
             # the linear problem: u_ttt is the bracket and f is zero
+            guard_min = None
             if uttt is None:
                 uttt = _bracket(self._bracket, u, ut, utt)
-                guard_min = _guard_ut(domain, params, ut, time, self._limit)
+                guard_min = _guard_ut(self.domain, self.params, ut, time, self._limit)
             return uttt, np.zeros(ut.shape), guard_min
-        if self._plan_1d is not None:
-            return self._plan_1d(u, ut, utt, uttt, time)
-        if uttt is None:
-            # the law: the bracket lin is the last member for the Gauss stage,
-            # which projects u_ttt into its place
-            self._fill(u, ut, utt, _bracket(self._bracket, u, ut, utt))
-            guard_min = self._law(ut, time)
-            uttt = self._stack[-1].copy()
-        else:
-            self._fill(u, ut, utt, uttt)
-        run_products, proj = self._products
-        run_products()
-        # (((0 + 2k p0) + 2k p1) + 2 p2) + 2 p3, the sum of the term-by-term form
-        np.multiply(self._weights, proj, out=proj)
-        return uttt, np.add.reduce(proj, axis=0, initial=0.0), guard_min
+        if uttt is not None:
+            np.concatenate((utt, ut, u, uttt), axis=self._axis, out=self._in_rows[1])
+            # the forcing-only route never guards
+            return uttt, self._run_forcing().reshape(self._shape), None
+        np.concatenate((utt, ut, u), axis=self._axis, out=self._in_rows[0])
+        f, guard_min = self._run(time)
+        return self._uttt.reshape(self._shape).copy(), f.reshape(self._shape), guard_min
 
 
 def nonlinear_terms(

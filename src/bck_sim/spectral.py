@@ -16,9 +16,10 @@ norms and residuals of the other modules all call it.
 Quadratic expressions are the one place the basis is left: a product of two
 sine expansions is, axis by axis, a cosine polynomial of twice the degree.
 ``product_dealiased`` and ``gradient_dot`` therefore evaluate the factors on
-a closed grid fine enough to represent that cosine polynomial exactly,
-recover its cosine coefficients by a type-1 DCT, and map them back to the
-retained sine modes through the analytic projection
+a closed grid fine enough to represent that cosine polynomial exactly and
+project the samples with one folded matrix per axis (see Transforms),
+which recovers the cosine coefficients and maps them to the retained sine
+modes through the analytic projection
 
     (2/L) int_0^L cos(p pi x/L) sin(k pi x/L) dx = 4k / (pi (k^2 - p^2))
 
@@ -41,8 +42,8 @@ a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), so batched
 results equal unbatched ones bit for bit.  Merging the members into one
 larger product (``X @ M.T`` over a whole stack) would round by batch
 size; the array layer avoids it.
-The 1D kernel of ``model`` merges the members of one sample into one gemm,
-never the samples of a batch, so it keeps batched equal to unbatched.
+In 1D the kernel of ``model`` merges the members of one sample into one
+gemm, never the samples of a batch, so it keeps batched equal to unbatched.
 
 Transforms.  The fine projection takes the closed-grid samples of an exact
 product through three linear maps along each axis: the unnormalized type-1
@@ -85,22 +86,12 @@ by 2/(M+1) per axis, which by the discrete orthogonality of the sines
 gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
-Bound stages.  ``evaluate_stack`` and ``project`` are each a binding and
-a call.  ``bind_evaluate_stack`` takes the matrices and views for one
-input array once, allocates the arrays it writes (``np.matmul(...,
-out=)``), and returns a ``run()`` that recomputes from that array's
-current contents; ``bind_project`` takes the projection matrices once and
-writes into the caller's ``out``.  In 2D ``model.KernelPlan`` binds its
-stages once per nonlinear march (``nonlinear.solve``), so a call repeats
-none of that bookkeeping and allocates no grid-sized temporary, which at
-2D N=48 (224 x 224 Gauss nodes) would page-fault several megabytes per
-call; its product stage binds the left products M X of its fine
-projections too.  The rule: a bound stage owns its arrays, and it reuses
-one of them for another purpose only where that buffer is spent, at one
-named line that gives the reason.  A one-off call binds and runs at once;
-nothing is cached for the life of the module.  The operations and their
-association order are the ones of the allocating expressions the stages
-replace, so every bit is the same.
+Bound steps.  ``model.KernelPlan`` does not call this layer per call: it
+binds the products of ``evaluate_stack`` and ``project`` (in 1D their
+stacked forms) as steps over buffers it owns, once per nonlinear march
+(``nonlinear.solve``), so a call allocates no grid-sized temporary, which
+at 2D N=48 (224 x 224 Gauss nodes) would page-fault several megabytes per
+call.  The functions here bind nothing and allocate their results.
 """
 
 from __future__ import annotations
@@ -128,10 +119,8 @@ __all__ = [
     "sample_blocks",
     "evaluate",
     "evaluate_stack",
-    "bind_evaluate_stack",
     "gradient_product",
     "project",
-    "bind_project",
     "grid_values",
     "grid_extremes",
 ]
@@ -461,47 +450,6 @@ def evaluate(domain, grid, coeffs, out=None):
     return _apply(domain._grid_matrices[grid][0], coeffs, out)
 
 
-def bind_evaluate_stack(domain, grid, stack, values=None, gradient=None):
-    """``evaluate_stack`` bound to the array ``stack``: returns ``(run,
-    vals, grads)``, where ``run()`` writes the values and gradient
-    components of the current contents of ``stack`` into ``vals`` and
-    ``grads``, arrays of the binding.  Every matrix, view and array is
-    taken here, so a call of ``run`` is its matmuls."""
-    sine, dcos = domain._grid_matrices[grid]
-    steps = []
-
-    def product(a, b):
-        """Bind ``a @ b`` into an array of its own; one operand is a plain
-        matrix, the other may carry leading axes."""
-        if b.ndim == 2:
-            shape = a.shape[:-1] + b.shape[-1:]
-        else:
-            shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
-        out = np.empty(shape)
-        steps.append((a, b, out))
-        return out
-
-    vals = grads = None
-    if domain.dimension == 1:
-        if values is not None:
-            vals = product(sine[0], stack[values, ..., None])[..., 0]
-        if gradient is not None:
-            grads = (product(dcos[0], stack[gradient, ..., None])[..., 0],)
-    else:
-        left = product(sine[0], stack)
-        if values is not None:
-            vals = product(left[values], sine[1].T)
-        if gradient is not None:
-            inner = product(dcos[0], stack[gradient])
-            grads = (product(inner, sine[1].T), product(left[gradient], dcos[1].T))
-
-    def run():
-        for a, b, out in steps:
-            np.matmul(a, b, out=out)
-
-    return run, vals, grads
-
-
 def evaluate_stack(domain, grid, stack, values=None, gradient=None):
     """Values and gradient components of selected members of a stack.
 
@@ -513,8 +461,19 @@ def evaluate_stack(domain, grid, stack, values=None, gradient=None):
     least one of the two slices.  The products are the ones of ``_apply``,
     so the bits are too.
     """
-    run, vals, grads = bind_evaluate_stack(domain, grid, stack, values, gradient)
-    run()
+    sine, dcos = domain._grid_matrices[grid]
+    vals = grads = None
+    if domain.dimension == 1:
+        if values is not None:
+            vals = (sine[0] @ stack[values, ..., None])[..., 0]
+        if gradient is not None:
+            grads = ((dcos[0] @ stack[gradient, ..., None])[..., 0],)
+        return vals, grads
+    left = sine[0] @ stack
+    if values is not None:
+        vals = left[values] @ sine[1].T
+    if gradient is not None:
+        grads = (dcos[0] @ stack[gradient] @ sine[1].T, left[gradient] @ dcos[1].T)
     return vals, grads
 
 
@@ -527,14 +486,6 @@ def _type1(x):
     return np.ascontiguousarray(_fft.rfft(ext).real)
 
 
-def bind_project(domain, grid, samples, out=None):
-    """``project`` bound to the array ``samples``: returns ``run``, where
-    ``run()`` projects the current contents of ``samples`` and returns the
-    result, written into ``out`` when given, else into a fresh array."""
-    mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,) * domain.dimension
-    return lambda: _apply(mats, samples, out)
-
-
 def project(domain, grid, samples, out=None):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
@@ -545,7 +496,8 @@ def project(domain, grid, samples, out=None):
     pointwise data on the Gauss tensor grid, <F, phi_k> / ||phi_k||^2.
     The result is written into ``out`` when given, else into a fresh array.
     """
-    return bind_project(domain, grid, samples, out)()
+    mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,) * domain.dimension
+    return _apply(mats, samples, out)
 
 
 def _collocation_sine(domain, points):

@@ -387,21 +387,17 @@ def _term_by_term_law(domain, params, u, ut, utt):
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 16)])
 def test_buffered_law_matches_the_allocating_expression(dim, n, s):
-    """In 2D the stacked, buffered stages keep every operation and its
-    association order, so they reproduce the plain term-by-term
-    expressions bit for bit: the Gauss-grid law, the fine-grid products
-    and the weighted sum of their projections.  The 1D plan applies
-    stacked matrices to stacked members, which rounds differently, so
-    there the expressions agree to 1e-14 relative in max-norm at any N.
-    With k = 0 the same law runs, its factor 1 and its k products weighted
-    by 0; the k = s = 0 plan is the linear problem, whose u_ttt is the
-    bracket itself."""
+    """The plan applies stacked matrices to stacked members and sums the
+    numerator and f by one gemv each, which rounds differently from the
+    plain term-by-term expressions (the Gauss-grid law, the fine-grid
+    products and the weighted sum of their projections), so the two agree
+    to 1e-14 relative in max-norm in both dimensions.  With k = 0 the same
+    law runs, its factor 1 and its k products weighted by 0; the k = s = 0
+    plan is the linear problem, whose u_ttt is the bracket itself."""
     domain = DomainSpec(dim, (np.pi, 2.0)[:dim], n)
     u, ut, utt = _strong_fields(domain, n)
 
     def same(got, expected):
-        if dim == 2:
-            return np.array_equal(got, expected)
         return np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     for k in (0.2, 0.0):
@@ -449,17 +445,15 @@ def test_zero_data_gives_no_negative_zeros(dim, n, k, s):
         assert not np.signbit(f).any()
 
 
-@pytest.mark.parametrize("n", [8, 10, 64])
-def test_1d_plan_guards_the_values_of_evaluate(n, monkeypatch):
-    """Every 1D plan with k != 0 (a ``_Plan1D``, batched or not; a 2D
-    plan runs the 2D body) guards the values of u_t that ``evaluate``
-    gives on both grids, bit for bit, so ``Linf_ut`` and ``guard_min`` of
-    ``energy_series`` hold the bits the guard saw, and its Gauss part is
-    the denominator's 2k u_t.  With k = 0.5 the scaling by 2k is exact,
-    so the guard buffer holds the values themselves."""
-    domain = DomainSpec(1, (np.pi,), n)
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 10), (1, 64), (2, 8), (2, 10)])
+def test_plan_guards_the_values_of_evaluate(dim, n, monkeypatch):
+    """Every plan with k != 0, batched or not, guards the values of u_t
+    that ``evaluate`` gives on both grids, bit for bit, so ``Linf_ut`` and
+    ``guard_min`` of ``energy_series`` hold the bits the guard saw, and
+    its Gauss part is the denominator's 2k u_t.  With k = 0.5 the scaling
+    by 2k is exact, so the guard buffer holds the values themselves."""
+    domain = DomainSpec(dim, (np.pi,) * dim, n)
     params = ModelParams(1.0, 0.7, 1.3, 0.5, 1)
-    assert KernelPlan(DomainSpec(2, (np.pi,) * 2, 8), params)._plan_1d is None
     seen = []
     guard = model._guard
 
@@ -471,13 +465,12 @@ def test_1d_plan_guards_the_values_of_evaluate(n, monkeypatch):
     for batch in ((), (5,)):
         u, ut, utt, _ = _fields(domain, batch, seed=n)
         plan = KernelPlan(domain, params, batch)
-        assert plan._plan_1d is not None
         seen.clear()
         _, _, guard_min = plan(u, ut, utt)
         (both,) = seen
-        g = domain.gauss_points_per_axis
-        assert np.array_equal(both[..., :g], evaluate(domain, "gauss", ut))
-        assert np.array_equal(both[..., g:], evaluate(domain, "collocation", ut))
+        g = domain.gauss_points_per_axis**dim
+        for part, grid in ((both[..., :g], "gauss"), (both[..., g:], "collocation")):
+            assert np.array_equal(part, evaluate(domain, grid, ut).reshape(batch + (-1,)))
         assert np.array_equal(guard_min, 1.0 + both.min(axis=-1))
 
 
@@ -564,7 +557,7 @@ def _held_arrays(obj):
             yield from _held_arrays(item)
     elif inspect.ismethod(obj):
         yield from _held_arrays(obj.__self__)
-    elif isinstance(obj, (model.KernelPlan, model._Plan1D)):
+    elif isinstance(obj, model.KernelPlan):
         yield from _held_arrays(list(vars(obj).values()))
     elif inspect.isfunction(obj) and obj.__closure__:
         yield from _held_arrays(list(inspect.getclosurevars(obj).nonlocals.values()))
@@ -598,21 +591,12 @@ def test_alternating_marches_match_solo_runs_and_share_no_memory(monkeypatch):
     for step in steps:
         names = inspect.getclosurevars(step).nonlocals
         plan = names["step_terms"].__self__
-        rows = plan._stack if plan._plan_1d is None else plan._plan_1d._x
-        for buf in [view for pair in names["buffers"] for view in pair] + [rows]:
+        for buf in [view for pair in names["buffers"] for view in pair] + [plan._rows]:
             assert any(h is buf for h in held)
     for traj in mixed:
         for x in fields:
             for buf in held:
                 assert not np.shares_memory(getattr(traj, x), buf)
-
-
-def _bindings(plan):
-    """Each attribute of a plan and of its 1D body, with the object it holds."""
-    bodies = [plan] + ([plan._plan_1d] if plan._plan_1d is not None else [])
-    return {
-        (type(body).__name__, name): value for body in bodies for name, value in vars(body).items()
-    }
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -621,19 +605,19 @@ def _bindings(plan):
 def test_no_call_rebinds_a_plan(dim, k, s):
     """A plan binds all of its state when it is built: a law call, a
     forcing-only call and a ``step_terms`` call leave every attribute of
-    the plan and of its 1D body holding the object it held before."""
+    the plan holding the object it held before."""
     domain = DomainSpec(dim, (np.pi,) * dim, 8)
     params = ModelParams(1.0, 0.7, 1.3, k, s)
     u, ut, utt, uttt = _fields(domain, ())
     plan = KernelPlan(domain, params, eps_deg=DEFAULT_EPS_DEG)
     # the values are kept alive, so no id is reused
-    before = _bindings(plan)
+    before = dict(vars(plan))
     ids = {name: id(value) for name, value in before.items()}
     data = semigroup_data(domain, params, u, ut, utt).reshape(3, -1)
     plan(u, ut, utt)
     plan(u, ut, utt, uttt)
     plan.step_terms(data, 0.0)
-    assert {name: id(value) for name, value in _bindings(plan).items()} == ids
+    assert {name: id(value) for name, value in vars(plan).items()} == ids
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -290,7 +290,9 @@ def _law_2d(domain, params, u, ut, utt):
     quotient = [[n / (1 + 2 * k * x) for n, x in zip(*rows)] for rows in zip(num, v_t)]
     scale = 4 / (mp.mpf(domain.lengths[0]) * mp.mpf(domain.lengths[1]))
     # sum_y w1 q S1, then sum_x w0 S0 of that
-    inner = [[mp.fdot([w * q for w, q in zip(w1, row)], col) for col in zip(*s1)] for row in quotient]
+    inner = [
+        [mp.fdot([w * q for w, q in zip(w1, row)], col) for col in zip(*s1)] for row in quotient
+    ]
     return [
         [scale * mp.fdot([w * s for w, s in zip(w0, col0)], col) for col in zip(*inner)]
         for col0 in zip(*s0)
