@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_initial_fields, load_config
+from .config import load_config
 from .energy import (
     barrier_audit,
     decay_fit,
@@ -156,9 +156,7 @@ def _solver_options(config):
 
 
 def cmd_simulate(config, out_dir, artifacts):
-    u0, u1, u2 = build_initial_fields(config)
-    data = EvolutionState(0.0, u0, u1, u2)
-    traj = solve(data, config.params, config.t_final, config.dt, **_solver_options(config))
+    traj = solve(config.initial, config.params, config.t_final, config.dt, **_solver_options(config))
     # one energy series serves the CSV rows, the fit and both audits
     series = energy_series(traj, config.params)
     guard, residuals, rows = _trajectory_rows(traj, config.params, config.stride, series)
@@ -247,9 +245,6 @@ def cmd_linear_analyze(config, out_dir, artifacts):
 
 
 def cmd_picard(config, out_dir, artifacts):
-    u0, u1, u2 = build_initial_fields(config)
-    data = EvolutionState(0.0, u0, u1, u2)
-
     def emit(converged, iterations, ratios, increments, final_residual):
         pairs = [
             ("command", "picard"),
@@ -266,7 +261,7 @@ def cmd_picard(config, out_dir, artifacts):
 
     try:
         _, report = picard_solve(
-            data,
+            config.initial,
             config.params,
             config.t_final,
             config.dt,
@@ -388,20 +383,27 @@ def cmd_convergence(config, out_dir, artifacts):
     return 0
 
 
+def _lowest_mode_omega(config, params, amplitude):
+    """The fitted decay rate of a march from the lowest mode at
+    ``amplitude``, at rest."""
+    dom = config.domain
+    z = SpectralField.zeros(dom)
+    u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, amplitude)
+    data = EvolutionState(0.0, u0, z, z)
+    traj = solve(data, params, config.t_final, config.dt, **_solver_options(config))
+    series = energy_series(traj, params)
+    return _safe_fit(series["t"], decay_norm_sum(series))[0]
+
+
 def cmd_decay_study(config, out_dir, artifacts):
     dom, params = config.domain, config.params
     bound = spectral_bound(params, dom.lambda0)
     linear_rate = 2.0 * abs(bound.value)
     z = SpectralField.zeros(dom)
-    lowest = (1,) * dom.dimension
 
     amp_rows = []
     for amplitude in config.sweep_amplitudes:
-        u0 = SpectralField.single_mode(dom, lowest, amplitude)
-        data = EvolutionState(0.0, u0, z, z)
-        traj = solve(data, params, config.t_final, config.dt, **_solver_options(config))
-        series = energy_series(traj, params)
-        omega, _, _ = _safe_fit(series["t"], decay_norm_sum(series))
+        omega = _lowest_mode_omega(config, params, amplitude)
         amp_rows.append((amplitude, omega, omega / linear_rate))
     _write_csv(
         out_dir / "decay_study.csv",
@@ -411,17 +413,13 @@ def cmd_decay_study(config, out_dir, artifacts):
     artifacts.append("decay_study.csv")
 
     # at the configured s the base-amplitude run is amp_rows[0]'s march
-    s_rates = {params.s: amp_rows[0][1]}
-    base_amp = config.sweep_amplitudes[0]
-    for s_flag in (0, 1):
-        if s_flag == params.s:
-            continue
-        params_s = dataclasses.replace(params, s=s_flag)
-        u0 = SpectralField.single_mode(dom, lowest, base_amp)
-        data = EvolutionState(0.0, u0, z, z)
-        traj = solve(data, params_s, config.t_final, config.dt, **_solver_options(config))
-        series = energy_series(traj, params_s)
-        s_rates[s_flag], _, _ = _safe_fit(series["t"], decay_norm_sum(series))
+    other = 1 - params.s
+    s_rates = {
+        params.s: amp_rows[0][1],
+        other: _lowest_mode_omega(
+            config, dataclasses.replace(params, s=other), config.sweep_amplitudes[0]
+        ),
+    }
 
     # all-mode profile so the sweep sees the slowest rate of each branch
     # (the overdamped bound is approached at high frequencies)

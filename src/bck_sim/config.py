@@ -2,9 +2,9 @@
 
 Configs are sectioned key-value text (INI syntax, ``#`` comments).  The
 schema is closed: unknown sections or keys are rejected, every numeric
-value is validated before any solver runs, and the effective
-configuration has a canonical serialization whose SHA-256 goes into the
-run record for reproducibility.
+value is validated and the initial data are built before any solver
+runs, and the effective configuration has a canonical serialization
+whose SHA-256 goes into the run record for reproducibility.
 """
 
 import configparser
@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import DEFAULT_EPS_DEG, ModelParams, PhysicalParams, derive_params, time_grid
+from .model import (
+    DEFAULT_EPS_DEG, EvolutionState, ModelParams, PhysicalParams, derive_params, time_grid,
+)
 from .spectral import DomainSpec, SpectralField
 
 _PRESETS = ("zero", "single-mode", "multi-mode", "random-seeded")
@@ -112,25 +114,12 @@ def _parse_scalar(kind, raw, where):
 
 
 @dataclass
-class InitialSpec:
-    preset: str
-    amplitude: float
-    mode: tuple
-    modes: tuple
-    amplitudes: tuple
-    u1_amplitude: float
-    u1_mode: tuple
-    u2_amplitude: float
-    u2_mode: tuple
-
-
-@dataclass
 class SolverConfig:
     """Validated run description; one instance per CLI invocation."""
 
     domain: DomainSpec
     params: ModelParams
-    initial: InitialSpec
+    initial: EvolutionState
     t_final: float
     dt: float
     substeps: int
@@ -310,17 +299,6 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
     preset = values[("initial", "preset")]
     if preset not in _PRESETS:
         raise ConfigError(f"unknown initial preset {preset!r}; choose from {_PRESETS}")
-    initial = InitialSpec(
-        preset=preset,
-        amplitude=values[("initial", "amplitude")],
-        mode=values[("initial", "mode")],
-        modes=values[("initial", "modes")],
-        amplitudes=values[("initial", "amplitudes")],
-        u1_amplitude=values[("initial", "u1_amplitude")],
-        u1_mode=values[("initial", "u1_mode")] or values[("initial", "mode")],
-        u2_amplitude=values[("initial", "u2_amplitude")],
-        u2_mode=values[("initial", "u2_mode")] or values[("initial", "mode")],
-    )
 
     t_final = values[("time", "t_final")]
     dt = values[("time", "dt")]
@@ -387,7 +365,7 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
     return SolverConfig(
         domain=domain,
         params=params,
-        initial=initial,
+        initial=_initial_state(domain, values),
         t_final=t_final,
         dt=dt,
         substeps=values[("time", "substeps")],
@@ -424,31 +402,33 @@ def _mode_field(domain, mode, amplitude):
         raise ConfigError(str(err)) from err
 
 
-def build_initial_fields(config):
-    """Materialize (u0, u1, u2) from the preset description."""
-    dom = config.domain
-    spec = config.initial
-    if spec.preset == "zero":
-        u0 = SpectralField.zeros(dom)
-    elif spec.preset == "single-mode":
-        u0 = _mode_field(dom, spec.mode, spec.amplitude)
-    elif spec.preset == "multi-mode":
-        if dom.dimension != 1:
+def _initial_state(domain, values):
+    """The [initial] data (u0, u1, u2) as an ``EvolutionState`` at t = 0;
+    u1 and u2 take ``mode`` unless given their own."""
+    spec = {key: values[("initial", key)] for key in _SCHEMA["initial"]}
+    mode, amplitude = spec["mode"], spec["amplitude"]
+    if spec["preset"] == "zero":
+        u0 = SpectralField.zeros(domain)
+    elif spec["preset"] == "single-mode":
+        u0 = _mode_field(domain, mode, amplitude)
+    elif spec["preset"] == "multi-mode":
+        modes = spec["modes"]
+        if domain.dimension != 1:
             raise ConfigError("multi-mode preset supports 1d domains only")
-        if not spec.modes:
+        if not modes:
             raise ConfigError("multi-mode preset needs [initial] modes")
-        amps = spec.amplitudes or (spec.amplitude,) * len(spec.modes)
-        if len(amps) != len(spec.modes):
+        amps = spec["amplitudes"] or (amplitude,) * len(modes)
+        if len(amps) != len(modes):
             raise ConfigError("[initial] amplitudes must match modes in length")
-        u0 = SpectralField.zeros(dom)
-        for m, amp in zip(spec.modes, amps):
-            u0 = u0 + _mode_field(dom, (m,), amp)
+        u0 = SpectralField.zeros(domain)
+        for m, amp in zip(modes, amps):
+            u0 = u0 + _mode_field(domain, (m,), amp)
     else:  # random-seeded
-        rng = np.random.default_rng(config.seed)
-        lam = np.asarray(dom.eigenvalue_grid)
-        coeffs = spec.amplitude * rng.standard_normal(dom.coeff_shape)
-        coeffs *= (lam / dom.lambda0) ** -2.0
-        u0 = SpectralField(dom, coeffs)
-    u1 = _mode_field(dom, spec.u1_mode, spec.u1_amplitude)
-    u2 = _mode_field(dom, spec.u2_mode, spec.u2_amplitude)
-    return u0, u1, u2
+        rng = np.random.default_rng(values[("run", "seed")])
+        lam = np.asarray(domain.eigenvalue_grid)
+        coeffs = amplitude * rng.standard_normal(domain.coeff_shape)
+        coeffs *= (lam / domain.lambda0) ** -2.0
+        u0 = SpectralField(domain, coeffs)
+    u1 = _mode_field(domain, spec["u1_mode"] or mode, spec["u1_amplitude"])
+    u2 = _mode_field(domain, spec["u2_mode"] or mode, spec["u2_amplitude"])
+    return EvolutionState(0.0, u0, u1, u2)

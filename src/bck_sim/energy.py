@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionGuardError, FitError
-from .model import nonlinear_terms, wave_part
+from .model import wave_part
 from .spectral import grid_extremes, sq_norm
 
 
@@ -130,12 +130,6 @@ def decay_norm_sum(series):
     )
 
 
-def forcing_series(traj, params):
-    """Quadratic forcing coefficients f evaluated at every sample."""
-    _, f, _ = nonlinear_terms(traj.domain, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
-    return f
-
-
 def heat_identity_audit(t_grid, v_coeffs, a, domain, vt_coeffs=None):
     """Relative residual of the heat energy identity for one field series.
 
@@ -186,11 +180,14 @@ def heat_identity_instantiations(traj, params):
 def factorization_residual(traj, params, use_stored=True):
     """Scaled trajectory norm of D_w(D_h u) + f.
 
-    With use_stored the time derivatives of w come from the stored state
-    fields and the residual reflects only the Galerkin closure of the
-    quadratic terms; otherwise w_t and w_tt are finite-differenced from
-    the w series, adding an O(dt^2) component.
+    f is the forcing the trajectory carries (ValueError when it carries
+    none).  With use_stored the time derivatives of w come from the stored
+    state fields and the residual reflects only the Galerkin closure of
+    the quadratic terms; otherwise w_t and w_tt are finite-differenced
+    from the w series, adding an O(dt^2) component.
     """
+    if traj.forcing is None:
+        raise ValueError("the factorization residual needs a trajectory that carries its forcing")
     lam = traj.domain.eigenvalue_grid
     t = np.asarray(traj.t_grid, dtype=float)
     a, b, c = params.a, params.b, params.c
@@ -207,8 +204,7 @@ def factorization_residual(traj, params, use_stored=True):
         wtt[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dt**2
         wtt[0] = (w[2] - 2.0 * w[1] + w[0]) / dt**2
         wtt[-1] = (w[-1] - 2.0 * w[-2] + w[-3]) / dt**2
-    f_series = forcing_series(traj, params)
-    residual = wave_part(traj.domain, params, w, wt, wtt) + f_series
+    residual = wave_part(traj.domain, params, w, wt, wtt) + traj.forcing
 
     def traj_norm(arr):
         return math.sqrt(max(np.trapezoid(sq_norm(traj.domain, arr), t), 0.0))
@@ -217,7 +213,7 @@ def factorization_residual(traj, params, use_stored=True):
         traj_norm(wtt),
         traj_norm(b * lam * wt),
         traj_norm(c**2 * lam * w),
-        traj_norm(f_series),
+        traj_norm(traj.forcing),
         1e-300,
     )
     return traj_norm(residual) / scale

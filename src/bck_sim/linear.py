@@ -23,15 +23,17 @@ The spectrum is written once, in ``mode_eigenvalues_from_coefficients``,
 which takes arrays of eigenvalues; ``max_mode_real_part``,
 ``oscillation_ratio`` and the ``linear-analyze`` command read it, and
 ``generator_blocks`` builds the blocks themselves for arrays of
-eigenvalues.  The exponential-integrator step
+eigenvalues.  The forcing is the paper's f, the right-hand side of
+(a laplace - d/dt)(wave part) = f, so it enters the third component as
+U' = AU - (0, 0, f), and the exponential-integrator step
 
-    U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt
+    U_{n+1} = (E U_n - P1 f_n) + P2 (f_n - f_{n+1}) / dt
 
-is written once, in ``PropagatorTable``: its three terms E U, P1 F_n and
-P2 (F_{n+1} - F_n) / dt are ``evolve``, ``held`` and ``slope``, summed in
-that order by the recurrence of the Duhamel solve here.  The nonlinear
-march binds the same terms, in the same order, on buffers of its own
-(``nonlinear._bind_step``).
+is written once, in ``PropagatorTable``: its three terms E U, P1 f_n and
+P2 (f_n - f_{n+1}) / dt are ``evolve``, ``held`` and ``slope``, combined
+in that order by the recurrence of the Duhamel solve here and by the
+nonlinear march's bound step (``nonlinear._bind_step``), which passes
+buffers of its own as ``out``.
 
 The semigroup state is raw data: an array of shape (3,) + coeff shape
 stacking U over the coefficient grid (``semigroup_data``), and a solve
@@ -265,8 +267,9 @@ class PropagatorTable:
     the bits of one exponential per mode.
 
     ``evolve``, ``held`` and ``slope`` are the three terms of the one
-    exponential-integrator step, on flat data of shape (3, n) and third
-    forcings of shape (..., n); a step sums them in that order.
+    exponential-integrator step, on flat data of shape (3, n) and
+    forcings f of shape (..., n); a step subtracts ``held`` from E U and
+    adds ``slope``.
     phi1 and phi2 are transposed views of contiguous (n, 3) columns, and
     the einsum of ``evolve`` writes its (3, n) result in that layout too,
     the three components of a mode adjacent.  The einsum rounds by the
@@ -303,15 +306,15 @@ class PropagatorTable:
         """E U of flat data (3, n), written into ``out`` when given."""
         return np.einsum("nij,jn->in", self.propagator, data, out=out)
 
-    def held(self, forcing):
-        """P1 F of third forcings F of shape (..., n), shape (..., 3, n):
-        the forcing term of a step with F held at its start value."""
-        return self.phi1 * forcing[..., None, :]
+    def held(self, forcing, out=None):
+        """P1 f of forcings f of shape (..., n), shape (..., 3, n): the
+        forcing term of a step with f held at its start value."""
+        return np.multiply(self.phi1, forcing[..., None, :], out=out)
 
-    def slope(self, forcing, forcing_next):
-        """P2 (F' - F) / dt, shaped as ``held``: the correction for a
-        forcing linear in t from F to F' over the step."""
-        return self.phi2 * ((forcing_next - forcing) / self.dt)[..., None, :]
+    def slope(self, forcing, forcing_next, out=None):
+        """P2 (f - f') / dt, shaped as ``held``: the correction for a
+        forcing linear in t from f to f' over the step."""
+        return np.multiply(self.phi2, ((forcing - forcing_next) / self.dt)[..., None, :], out=out)
 
 
 @lru_cache(maxsize=16)
@@ -319,17 +322,16 @@ def propagator_table(domain, params, dt):
     return PropagatorTable.build(domain, params, float(dt))
 
 
-def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
-    """Exponential-integrator solve of U' = AU + (0, 0, f3(t)).
+def solve_duhamel(domain, params, t_grid, data0, forcing=None):
+    """Exponential-integrator solve of U' = AU - (0, 0, f(t)).
 
     ``data0`` is the semigroup data at t_grid[0], shape (3,) + coeff shape;
     the result holds the semigroup data at every sample, shape
-    (nt, 3) + coeff shape.
-    forcing_third gives the third forcing component as an array sampled
-    on t_grid (shape (nt,) + coeff shape), or None for the homogeneous
-    problem (a zero forcing).  Each step applies
+    (nt, 3) + coeff shape.  ``forcing`` is f sampled on t_grid (shape
+    (nt,) + coeff shape), or None for the homogeneous problem (a zero
+    forcing).  Each step applies
 
-        U_{n+1} = (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt,
+        U_{n+1} = (E U_n - P1 f_n) + P2 (f_n - f_{n+1}) / dt,
 
     with P1 = dt*phi1, P2 = dt^2*phi2, which is exact for forcing linear
     in t on each step and second-order accurate overall.  The weights come
@@ -338,9 +340,9 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     The forcing is known at every sample before the first step, so its
     two terms (``PropagatorTable.held`` and ``slope``) are computed for a
     block of steps at once, a block holding as many steps as fit in
-    ``spectral.BLOCK_BYTES``; the loop only recurs, adding them to E U_n
-    in the order above.  The result is, bit for bit, a loop of the step
-    (E U_n + P1 F_n) + P2 (F_{n+1} - F_n) / dt on C-ordered rows.
+    ``spectral.BLOCK_BYTES``; the loop only recurs, combining them with
+    E U_n in the order above.  The result is, bit for bit, a loop of that
+    step on C-ordered rows.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -352,27 +354,24 @@ def solve_duhamel(domain, params, t_grid, data0, forcing_third=None):
     data0 = np.asarray(data0, dtype=float)
     if data0.shape != (3,) + shape:
         raise ValueError(f"semigroup data must have shape {(3,) + shape}")
-    if forcing_third is None:
-        f3 = np.zeros((nt,) + shape)
-    else:
-        f3 = np.asarray(forcing_third, dtype=float)
-    if f3.shape != (nt,) + shape:
+    f = np.zeros((nt,) + shape) if forcing is None else np.asarray(forcing, dtype=float)
+    if f.shape != (nt,) + shape:
         raise ValueError("forcing samples must have shape (nt,) + coeff shape")
 
     table = propagator_table(domain, params, dt)
     n_modes = domain.n_modes
-    f3_flat = f3.reshape(nt, n_modes)
+    f_flat = f.reshape(nt, n_modes)
     data = np.empty((nt, 3, n_modes))
     data[0] = data0.reshape(3, -1)
     # the forcing terms of a block of steps at once; the loop only recurs
     rows = list(data)
     for blk in sample_blocks(nt - 1, 2 * data[0].nbytes):
-        held = table.held(f3_flat[blk])
-        slope = table.slope(f3_flat[blk], f3_flat[blk.start + 1 : blk.stop + 1])
+        held = table.held(f_flat[blk])
+        slope = table.slope(f_flat[blk], f_flat[blk.start + 1 : blk.stop + 1])
         nxt = rows[blk.start + 1 : blk.stop + 1]
         for prev, row, a, b in zip(rows[blk], nxt, held, slope):
             table.evolve(prev, out=row)
-            row += a
+            row -= a
             row += b
     return data.reshape((nt, 3) + shape)
 

@@ -99,7 +99,7 @@ from .errors import DegeneracyError
 from .spectral import (  # product_dealiased is re-exported for callers of this module
     SpectralField,
     evaluate,
-    evaluate_stack,
+    gradient,
     gradient_product,
     product_dealiased,
     project,
@@ -379,16 +379,13 @@ def _degeneracy_error(domain, both, low, high, time, limit):
 
 def _guard_ut(domain, params, ut, time, limit):
     """Guard of one tensor or of an (n,) stack from its coefficients, in a
-    buffer of its own: a guard without the law is not on the march's hot
-    path, so it binds nothing."""
+    buffer of its own, filled by the plan's ``_guard_steps``."""
     batched = ut.ndim > domain.dimension
     if params.k == 0.0:
         return np.ones(ut.shape[0]) if batched else 1.0
-    batch = ut.shape[: ut.ndim - domain.dimension]
-    both, gauss, coll = _guard_buffer(domain, batch)
-    # the values are evaluated into the buffer and scaled in place
-    for grid, part in (("gauss", gauss), ("collocation", coll)):
-        np.multiply(2.0 * params.k, evaluate(domain, grid, ut, out=part), out=part)
+    both, gauss, coll = _guard_buffer(domain, ut.shape[: ut.ndim - domain.dimension])
+    _steps(_guard_steps(domain, ut, both, gauss, coll))
+    np.multiply(2.0 * params.k, both, out=both)
     return _guard(domain, both, time, limit)
 
 
@@ -454,8 +451,9 @@ def _evaluation(domain, grid, x, values, gradient, head=0):
     selected to the last is one product by [S | D]^T (``_stacked``), and
     the pairs nobody reads come free.  In 2D it costs its arithmetic, so
     only the pairs read are evaluated, by the products of
-    ``spectral.evaluate_stack``: S0 X over the run and D0 X over the
-    gradient rows, then a right product by S1^T or D1^T per selection."""
+    ``spectral.evaluate`` and ``spectral.gradient``: S0 X over the run and
+    D0 X over the gradient rows, then a right product by S1^T or D1^T per
+    selection."""
     d, n = domain.dimension, domain.modes_per_axis
     sine, dcos = domain._grid_matrices[grid]
     p = sine[0].shape[0]
@@ -598,8 +596,8 @@ class KernelPlan:
 
         # f: the fine values of (u_tt, u_t, u_ttt), the gradients of (u_tt,
         # u_t, u) when s.  Its buffers are allocated before the law's larger
-        # ones: the other order left `picard configs/picard-small.conf` with
-        # a 0.5 MiB higher peak RSS, from the allocator's layout alone
+        # ones, which keeps the peak RSS of a Picard run lower, from the
+        # allocator's layout alone
         terms = 2 + 2 * s
         forcing, _, vals, grads = _evaluation(
             domain, "fine", x, (slice(1, 3), slice(4, 5)), slice(1, 4) if s else None
@@ -811,8 +809,8 @@ def _quad_source(domain, params, u, ut):
     vals = evaluate(domain, "fine", ut)
     products = [vals * vals]
     if params.s:
-        _, grads = evaluate_stack(domain, "fine", u[None], gradient=slice(None))
-        products.append(gradient_product(grads, 0, 0))
+        grads = gradient(domain, "fine", u)
+        products.append(gradient_product(grads, grads))
     proj = project(domain, "fine", np.stack(products))
     out = params.k * proj[0]
     if params.s:

@@ -58,11 +58,11 @@ class Trajectory:
 
     Arrays have shape (nt,) + coeff shape.  The stored u_ttt comes from
     the model's law at each accepted sample (or, for linear solves, from
-    the linear bracket plus forcing; see ``linear_trajectory``).
+    the linear bracket minus f; see ``linear_trajectory``).
     ``forcing``, when present, holds the quadratic forcing f at every
-    sample as the march computed it, the same bits as
-    ``energy.forcing_series``; a trajectory derived by arithmetic
-    (``difference``) carries none.  A trajectory carries no model
+    sample as the march computed it, the bits of ``nonlinear_terms`` with
+    the stored u_ttt; a trajectory derived by arithmetic (``difference``)
+    or by a linear solve carries none.  A trajectory carries no model
     parameters: every consumer takes them as an argument of its own.
     """
 
@@ -149,16 +149,14 @@ def _bind_step(table, plan, substep_iters, bound):
     Returns ``step(data, f, t_next)``: from the flat semigroup data (3, n)
     and the forcing f (n,) at the start of the step, (data, u_tt, u_ttt, f)
     at ``t_next``, so a march never evaluates the forcing twice at one
-    sample.  With F = -f the third forcing component,
+    sample.  The step is the one of ``PropagatorTable``,
 
-        base      = E U + P1 F                  (``evolve`` + ``held``)
-        candidate = base + P2 (F' - F) / dt     (+ ``slope``);
+        base      = E U - P1 f                  (``evolve`` - ``held``)
+        candidate = base + P2 (f - f') / dt     (+ ``slope``);
 
     every sweep checks the blow-up bound on its candidate (the base first)
     and evaluates the plan's ``step_terms`` there, and every sweep but the
-    last forms the next candidate.  P1 F is -(P1 f) and F' - F is f - f',
-    both exactly, so the step writes E U - P1 f and P2 (f - f') / dt: the
-    same bits, signed zeros included, with no negation.
+    last forms the next candidate.
 
     The step owns two (3, n) buffers in the layout the einsum of
     ``evolve`` writes (the three components of a mode adjacent); a step's
@@ -169,11 +167,10 @@ def _bind_step(table, plan, substep_iters, bound):
     plan's buffers, valid until the next call.
     """
     n = table.phi1.shape[1]
-    phi1, phi2, dt = table.phi1, table.phi2, table.dt
     # each buffer as (3, n) data and as its contiguous memory, which the
     # blow-up check reads
     buffers = [(m.T, m.reshape(-1)) for m in (np.empty((n, 3)), np.empty((n, 3)))]
-    term, diff, scratch = np.empty((n, 3)).T, np.empty(n), np.empty(3 * n)
+    term, scratch = np.empty((n, 3)).T, np.empty(3 * n)
     last = max(substep_iters, 0)
     step_terms = plan.step_terms
 
@@ -182,14 +179,13 @@ def _bind_step(table, plan, substep_iters, bound):
             buffers[::-1] if data is buffers[0][0] else buffers
         )
         table.evolve(data, out=base)
-        np.subtract(base, np.multiply(phi1, f, out=term), out=base)
+        np.subtract(base, table.held(f, out=term), out=base)
         x = base
         for sweep in range(last + 1):
             _check_blowup(flat, t_next, bound, scratch)
             utt, uttt, f_next = step_terms(x, t_next)
             if sweep < last:
-                np.divide(np.subtract(f, f_next, out=diff), dt, out=diff)
-                np.add(base, np.multiply(phi2, diff, out=term), out=candidate)
+                np.add(base, table.slope(f, f_next, out=term), out=candidate)
                 x, flat = candidate, candidate_flat
         return x, utt, uttt, f_next
 
@@ -272,22 +268,22 @@ def solve(
     )
 
 
-def linear_trajectory(initial, params, t_grid, forcing_third=None):
+def linear_trajectory(initial, params, t_grid, forcing=None):
     """The linear solve from an ``EvolutionState`` on t_grid as a Trajectory.
 
-    ``solve_duhamel`` gives the semigroup series; u_tt comes back through
-    ``semigroup_utt`` and u_ttt is the linear bracket plus the third
-    forcing component ``forcing_third`` (an (nt,) + coeff shape array).
+    ``solve_duhamel`` gives the semigroup series under the forcing f
+    (an (nt,) + coeff shape array, or None); u_tt comes back through
+    ``semigroup_utt`` and u_ttt is the linear bracket minus f.
     """
     domain = initial.domain
     fields = (initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs)
     data0 = semigroup_data(domain, params, *fields)
-    data = solve_duhamel(domain, params, t_grid, data0, forcing_third=forcing_third)
+    data = solve_duhamel(domain, params, t_grid, data0, forcing=forcing)
     u, ut = data[:, 0].copy(), data[:, 1].copy()
     utt = semigroup_utt(domain, params, np.moveaxis(data, 1, 0))
     uttt = linear_bracket(domain, params, u, ut, utt)
-    if forcing_third is not None:
-        uttt = uttt + forcing_third
+    if forcing is not None:
+        uttt = uttt - forcing
     return Trajectory(domain=domain, t_grid=t_grid, u=u, ut=ut, utt=utt, uttt=uttt)
 
 
@@ -303,7 +299,7 @@ def picard_apply(phi, initial, params, eps_deg=DEFAULT_EPS_DEG):
     """
     domain = phi.domain
     _, f, _ = nonlinear_terms(domain, params, phi.u, phi.ut, phi.utt, uttt=phi.uttt)
-    result = linear_trajectory(initial, params, phi.t_grid, forcing_third=-f)
+    result = linear_trajectory(initial, params, phi.t_grid, forcing=f)
     degeneracy_guard(domain, params, result.ut, result.t_grid, eps_deg)
     return result
 

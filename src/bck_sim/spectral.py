@@ -33,13 +33,13 @@ whose node count comfortably over-resolves the integrands, see
 
 Two layers expose this calculus.  ``SpectralField`` functions validate and
 wrap single coefficient tensors.  Underneath, the array layer
-(``evaluate``, ``evaluate_stack``, ``project``, ``grid_values``,
+(``evaluate``, ``gradient``, ``project``, ``grid_values``,
 ``grid_extremes``) takes raw coefficient arrays of shape batch + coeff
 shape, with any number of leading axes (time samples, stacked fields).
-Every leading index is computed with the same operations as a lone
-tensor: a 1D stack goes through ``M @ x[..., None]`` (one gemv per member),
-a 2D stack through ``M0 @ X @ M1.T`` (the same gemm pair), so batched
-results equal unbatched ones bit for bit.  Merging the members into one
+All of it is ``_apply``, so every leading index is computed with the same
+operations as a lone tensor: a 1D stack goes through ``M @ x[..., None]``
+(one gemv per member), a 2D stack through ``M0 @ X @ M1.T`` (the same
+gemm pair), so batched results equal unbatched ones bit for bit.  Merging the members into one
 larger product (``X @ M.T`` over a whole stack) would round by batch
 size; the array layer avoids it.
 In 1D the kernel of ``model`` merges the members of one sample into one
@@ -55,12 +55,9 @@ every axis: ``project`` is one gemv M x per member in 1D and one gemm pair
 M X M^T per member in 2D, and the 1D kernel of ``model`` applies M to its
 four products in one gemm.  The fold is the same exact quadrature as a
 transform route, rounded differently: against the mpmath oracle of
-``tests/test_oracle.py`` it is within 1e-14 relative in both dimensions
-and as accurate as the DCT route it replaced, and it is faster at every
-size the solver runs: 4-30x on the 1D march's stacks of a few short
-lines, where a DCT's cost is the dispatch of its FFT calls, and 113
-against 774 us for four products at 2D N = 48 (one BLAS thread on a
-2-core Xeon).
+``tests/test_oracle.py`` it is within 1e-14 relative in both dimensions.
+On the 1D march's stacks of a few short lines a transform's cost is the
+dispatch of its FFT calls, which one matrix product avoids.
 
 The DCT is ``_type1``, on ``numpy.fft`` (numpy >= 2.0 ships the C++
 pocketfft), so no other FFT library is imported.  It does what
@@ -87,11 +84,11 @@ gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
 Bound steps.  ``model.KernelPlan`` does not call this layer per call: it
-binds the products of ``evaluate_stack`` and ``project`` (in 1D their
-stacked forms) as steps over buffers it owns, once per nonlinear march
-(``nonlinear.solve``), so a call allocates no grid-sized temporary, which
-at 2D N=48 (224 x 224 Gauss nodes) would page-fault several megabytes per
-call.  The functions here bind nothing and allocate their results.
+binds the products of ``_apply`` (in 1D their stacked forms) as steps
+over buffers it owns, once per nonlinear march (``nonlinear.solve``), so
+a call allocates no grid-sized temporary, which at 2D N=48 (224 x 224
+Gauss nodes) would page-fault several megabytes per call.  The functions
+here bind nothing and allocate their results.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ __all__ = [
     "BLOCK_BYTES",
     "sample_blocks",
     "evaluate",
-    "evaluate_stack",
+    "gradient",
     "gradient_product",
     "project",
     "grid_values",
@@ -427,54 +424,32 @@ def sample_blocks(n_samples, sample_bytes):
     return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
 
 
-def _apply(mats, coeffs, out=None):
-    """Tensor-product matrices applied to the trailing mode axes, written
-    into ``out`` when given.
+def _apply(mats, coeffs):
+    """Tensor-product matrices applied to the trailing mode axes.
 
     1D stacks go through ``M @ x[..., None]`` and 2D stacks through
     ``M0 @ X @ M1.T`` so that every member is one gemv/gemm call with the
     same operands as for a single tensor, hence the same rounding.
     """
     if len(mats) == 1:
-        if out is None:
-            return (mats[0] @ coeffs[..., None])[..., 0]
-        np.matmul(mats[0], coeffs[..., None], out=out[..., None])
-        return out
-    return np.matmul(mats[0] @ coeffs, mats[1].T, out=out)
+        return (mats[0] @ coeffs[..., None])[..., 0]
+    return (mats[0] @ coeffs) @ mats[1].T
 
 
-def evaluate(domain, grid, coeffs, out=None):
+def evaluate(domain, grid, coeffs):
     """Values of coefficient tensors (leading axes allowed) on ``grid``:
-    "fine" (closed product grid), "gauss" or "collocation" (by sine matrix);
-    written into ``out`` when given."""
-    return _apply(domain._grid_matrices[grid][0], coeffs, out)
+    "fine" (closed product grid), "gauss" or "collocation" (by sine matrix)."""
+    return _apply(domain._grid_matrices[grid][0], coeffs)
 
 
-def evaluate_stack(domain, grid, stack, values=None, gradient=None):
-    """Values and gradient components of selected members of a stack.
-
-    ``stack`` has shape (F, ...) + coeff shape; ``values`` and ``gradient``
-    are slices of the member axis (or None).  Returns ``(vals, grads)`` with
-    ``grads`` a tuple of per-axis components.  In 2D the first-axis sine
-    factor is applied once to the whole stack and shared by the values and
-    the second gradient component, so every member must be selected by at
-    least one of the two slices.  The products are the ones of ``_apply``,
-    so the bits are too.
-    """
+def gradient(domain, grid, coeffs):
+    """Per-axis gradient components of coefficient tensors (leading axes
+    allowed) on ``grid`` ("fine" or "gauss"): component i applies the
+    derivative matrix along axis i and the sine matrices along the others."""
     sine, dcos = domain._grid_matrices[grid]
-    vals = grads = None
-    if domain.dimension == 1:
-        if values is not None:
-            vals = (sine[0] @ stack[values, ..., None])[..., 0]
-        if gradient is not None:
-            grads = ((dcos[0] @ stack[gradient, ..., None])[..., 0],)
-        return vals, grads
-    left = sine[0] @ stack
-    if values is not None:
-        vals = left[values] @ sine[1].T
-    if gradient is not None:
-        grads = (dcos[0] @ stack[gradient] @ sine[1].T, left[gradient] @ dcos[1].T)
-    return vals, grads
+    return tuple(
+        _apply(sine[:i] + (dcos[i],) + sine[i + 1 :], coeffs) for i in range(domain.dimension)
+    )
 
 
 def _type1(x):
@@ -486,7 +461,7 @@ def _type1(x):
     return np.ascontiguousarray(_fft.rfft(ext).real)
 
 
-def project(domain, grid, samples, out=None):
+def project(domain, grid, samples):
     """Sine coefficients of samples (leading axes allowed) on ``grid``.
 
     "fine": products of two resolved fields on the closed product grid,
@@ -494,10 +469,9 @@ def project(domain, grid, samples, out=None):
     along each axis (type-1 DCT, trapezoid weights and analytic
     cosine-to-sine matrix in one).  "gauss": quadrature of arbitrary
     pointwise data on the Gauss tensor grid, <F, phi_k> / ||phi_k||^2.
-    The result is written into ``out`` when given, else into a fresh array.
     """
     mats = domain._gauss_project if grid == "gauss" else (domain._fine_project,) * domain.dimension
-    return _apply(mats, samples, out)
+    return _apply(mats, samples)
 
 
 def _collocation_sine(domain, points):
@@ -553,13 +527,12 @@ def grid_extremes(domain, coeffs):
 # ---------------------------------------------------------------------------
 
 
-def gradient_product(grads, left, right):
-    """grad(a) . grad(b) on a grid, from the per-axis gradient components of
-    a member stack (``left`` and ``right`` index the members), summed over
-    the axes in order."""
-    acc = grads[0][left] * grads[0][right]
-    for comp in grads[1:]:
-        acc = acc + comp[left] * comp[right]
+def gradient_product(grad_a, grad_b):
+    """grad(a) . grad(b) on a grid, from the per-axis ``gradient``
+    components of a and of b, summed over the axes in order."""
+    acc = grad_a[0] * grad_b[0]
+    for x, y in zip(grad_a[1:], grad_b[1:]):
+        acc = acc + x * y
     return acc
 
 
@@ -586,10 +559,8 @@ def gradient_dot(f, g):
     """
     f._check(g)
     domain = f.domain
-    _, grads = evaluate_stack(
-        domain, "fine", np.stack([f.coeffs, g.coeffs]), gradient=slice(None)
-    )
-    return SpectralField(domain, project(domain, "fine", gradient_product(grads, 0, 1)))
+    grad_f, grad_g = zip(*gradient(domain, "fine", np.stack([f.coeffs, g.coeffs])))
+    return SpectralField(domain, project(domain, "fine", gradient_product(grad_f, grad_g)))
 
 
 def product_collocation(f, g, points=None):

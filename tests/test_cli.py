@@ -306,13 +306,14 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("nonlinear-small", "time.t_final=inf", "[time] T, dt and T/dt must be finite"),
         ("zero-amplitude", "tolerances.c_hat=-1", "[tolerances] c_hat must be finite and >= 0"),
         ("zero-amplitude", "tolerances.c_hat=nan", "[tolerances] c_hat must be finite and >= 0"),
+        ("decay-study", "initial.mode=99", "mode (99,) outside 1..8"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
          "profile-ratio-not-below-1", "reference-modes-not-above-modes-list",
          "dt-values-not-halving", "dt-values-not-dividing", "simulate-profile-ratio-above-1",
          "negative-quadrature", "negative-b-value", "infinite-b-value", "nan-sweep-amplitude",
          "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude",
-         "infinite-run-length", "negative-c-hat", "nan-c-hat"],
+         "infinite-run-length", "negative-c-hat", "nan-c-hat", "initial-mode-out-of-range"],
 )
 def test_out_of_range_counts_and_lists_exit_with_code_3(
     tmp_path, monkeypatch, capsys, conf, override, message

@@ -11,13 +11,12 @@ from bck_sim.energy import (
     energy_series,
     estimate_audit_linear,
     factorization_residual,
-    forcing_series,
     fourth_derivative_series,
     heat_identity_audit,
     heat_identity_instantiations,
 )
 from bck_sim.errors import DivisionGuardError, FitError
-from bck_sim.model import EvolutionState, ModelParams, acceleration
+from bck_sim.model import EvolutionState, ModelParams, acceleration, nonlinear_terms
 from bck_sim.nonlinear import Trajectory
 from bck_sim.spectral import DomainSpec, SpectralField, grid_values, sobolev_norm
 
@@ -254,15 +253,20 @@ def _exact_linear_modal_traj(dom, params, lam_index, t_grid):
             - (params.c**2 * lam + params.a * params.b * lam**2) * vec[1]
             - params.a * params.c**2 * lam**2 * vec[0]
         )
-    return _traj(dom, t_grid, u, ut, utt, uttt)
+    # the linear problem's forcing is zero
+    return _traj(dom, t_grid, u, ut, utt, uttt, forcing=np.zeros_like(u))
 
 
 def test_factorization_residual_exact_linear():
+    """The residual reads the forcing the trajectory carries, and a
+    trajectory without one is refused."""
     dom = _domain(4)
     params = ModelParams(1.0, 1.0, 1.0, 0.0, 0)
     t = np.arange(0.0, 1.0 + 1e-12, 1e-2)
     traj = _exact_linear_modal_traj(dom, params, 0, t)
     assert factorization_residual(traj, params, use_stored=True) < 1e-12
+    with pytest.raises(ValueError, match="forcing"):
+        factorization_residual(traj.difference(traj), params)
 
 
 def test_factorization_residual_finite_difference_refines():
@@ -295,7 +299,7 @@ def test_forcing_series_matches_pointwise_forcing():
         0.01 * rng.standard_normal((3, 4)),
         0.01 * rng.standard_normal((3, 4)),
     )
-    series = forcing_series(traj, params)
+    _, series, _ = nonlinear_terms(dom, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
     state = EvolutionState(
         float(t[1]),
         SpectralField(dom, traj.u[1]),

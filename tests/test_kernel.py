@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bck_sim import model, nonlinear, spectral
-from bck_sim.energy import energy_series, forcing_series
+from bck_sim.energy import energy_series
 from bck_sim.errors import DegeneracyError
 from bck_sim.linear import semigroup_data
 from bck_sim.model import (
@@ -450,8 +450,10 @@ def test_plan_guards_the_values_of_evaluate(dim, n, monkeypatch):
     """Every plan with k != 0, batched or not, guards the values of u_t
     that ``evaluate`` gives on both grids, bit for bit, so ``Linf_ut`` and
     ``guard_min`` of ``energy_series`` hold the bits the guard saw, and
-    its Gauss part is the denominator's 2k u_t.  With k = 0.5 the scaling
-    by 2k is exact, so the guard buffer holds the values themselves."""
+    its Gauss part is the denominator's 2k u_t; so does a guard without
+    the law (``degeneracy_guard``) over an (n,) stack, whose buffer the
+    plan's steps fill.  With k = 0.5 the scaling by 2k is exact, so the
+    guard buffer holds the values themselves."""
     domain = DomainSpec(dim, (np.pi,) * dim, n)
     params = ModelParams(1.0, 0.7, 1.3, 0.5, 1)
     seen = []
@@ -462,11 +464,14 @@ def test_plan_guards_the_values_of_evaluate(dim, n, monkeypatch):
         return guard(domain, both, *args)
 
     monkeypatch.setattr(model, "_guard", spy)
-    for batch in ((), (5,)):
+    for batch, law in (((), True), ((5,), True), ((5,), False)):
         u, ut, utt, _ = _fields(domain, batch, seed=n)
         plan = KernelPlan(domain, params, batch)
         seen.clear()
-        _, _, guard_min = plan(u, ut, utt)
+        if law:
+            _, _, guard_min = plan(u, ut, utt)
+        else:
+            guard_min = degeneracy_guard(domain, params, ut)
         (both,) = seen
         g = domain.gauss_points_per_axis**dim
         for part, grid in ((both[..., :g], "gauss"), (both[..., g:], "collocation")):
@@ -502,6 +507,12 @@ def test_march_stores_the_kernel_value_of_each_sample(dim, n):
                     assert np.array_equal(traj.uttt[i], uttt), (k, s, substep_iters, i)
 
 
+def _stored_fields_forcing(traj, params):
+    """f of the stored series, u_ttt given, as one batched call."""
+    _, f, _ = nonlinear_terms(traj.domain, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
+    return f
+
+
 @pytest.mark.parametrize(
     "dim,n,s", [(1, 8, 1), (2, 16, 1), (2, 8, 0), (1, 8, 0), (1, 64, 0), (1, 64, 1), (2, 16, 0)]
 )
@@ -512,7 +523,9 @@ def test_march_stores_the_forcing_series(dim, n, s):
         _, params, data = _initial_data(dim, n, k=k, s=s)
         for substep_iters in MARCH_SWEEPS:
             traj = solve(data, params, 6e-3, 1e-3, substep_iters=substep_iters)
-            assert np.array_equal(traj.forcing, forcing_series(traj, params)), (k, substep_iters)
+            assert np.array_equal(traj.forcing, _stored_fields_forcing(traj, params)), (
+                k, substep_iters,
+            )
             assert traj.difference(traj).forcing is None
 
 
@@ -543,7 +556,7 @@ def test_partial_trajectory_keeps_the_forcing():
         solve(tripping, params, 2e-2, 2e-4)
     partial = err.value.partial_trajectory
     assert partial.forcing.shape == partial.u.shape
-    assert np.array_equal(partial.forcing, forcing_series(partial, params))
+    assert np.array_equal(partial.forcing, _stored_fields_forcing(partial, params))
 
 
 def _held_arrays(obj):

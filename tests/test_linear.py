@@ -343,17 +343,18 @@ def test_duhamel_homogeneous_reduction():
 
 
 def test_duhamel_constant_forcing_closed_form():
-    # U(T) = e^{TA} U0 + A^{-1}(e^{TA} - I) F, computed densely per mode
+    # U(T) = e^{TA} U0 + A^{-1}(e^{TA} - I) F with F = (0, 0, -f), computed
+    # densely per mode
     dom = _domain(4)
     params = ModelParams(0.9, 1.2, 1.1, 0.0, 0)
     t_grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
     f_value = 0.7
     mode = 1
-    f3 = np.zeros((t_grid.size, 4))
-    f3[:, mode] = f_value
+    f = np.zeros((t_grid.size, 4))
+    f[:, mode] = f_value
     data0 = np.zeros((3, 4))
     data0[:, mode] = [0.2, -0.1, 0.4]
-    sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=f3)
+    sol = solve_duhamel(dom, params, t_grid, data0, forcing=f)
 
     lam = dom.eigenvalue_grid[mode]
     mat = np.array(
@@ -363,7 +364,7 @@ def test_duhamel_constant_forcing_closed_form():
             [0.0, 0.0, -params.a * lam],
         ]
     )
-    forcing = np.array([0.0, 0.0, f_value])
+    forcing = np.array([0.0, 0.0, -f_value])
     propagated = expm(mat) @ data0[:, mode]
     particular = np.linalg.solve(mat, (expm(mat) - np.eye(3)) @ forcing)
     expected = propagated + particular
@@ -371,7 +372,8 @@ def test_duhamel_constant_forcing_closed_form():
 
 
 def _manufactured_forcing(lam, params):
-    """Forcing and exact semigroup trajectory for u(t) = e^{-t} sin t."""
+    """Exact semigroup trajectory for u(t) = e^{-t} sin t and its forcing
+    f = -(d/dt + a lam) w of the wave part w."""
     a, b, c = params.a, params.b, params.c
 
     def g(t):
@@ -394,26 +396,26 @@ def _manufactured_forcing(lam, params):
             [decay * math.sin(t), decay * (math.cos(t) - math.sin(t)), decay * g(t)]
         )
 
-    def f3(t):
-        return math.exp(-t) * (gprime(t) - g(t) + a * lam * g(t))
+    def f(t):
+        return math.exp(-t) * (g(t) - gprime(t) - a * lam * g(t))
 
-    return exact, f3
+    return exact, f
 
 
 def test_duhamel_manufactured_solution_order_two():
     dom = _domain(4)
     params = ModelParams(0.8, 1.4, 1.2, 0.0, 0)
     lam = dom.eigenvalue_grid[0]
-    exact, f3_scalar = _manufactured_forcing(lam, params)
+    exact, f_scalar = _manufactured_forcing(lam, params)
     errors = []
     for dt in (0.02, 0.01, 0.005):
         t_grid = np.arange(0.0, 1.0 + 1e-12, dt)
         data0 = np.zeros((3, 4))
         data0[:, 0] = exact(0.0)
         # the forcing sampled on the grid, in the first mode only
-        f3 = np.zeros((t_grid.size, 4))
-        f3[:, 0] = [f3_scalar(t) for t in t_grid]
-        sol = solve_duhamel(dom, params, t_grid, data0, forcing_third=f3)
+        f = np.zeros((t_grid.size, 4))
+        f[:, 0] = [f_scalar(t) for t in t_grid]
+        sol = solve_duhamel(dom, params, t_grid, data0, forcing=f)
         errors.append(np.max(np.abs(sol[-1][:, 0] - exact(1.0))))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] / errors[2] > 3.5
@@ -427,19 +429,19 @@ def test_duhamel_validates_grid_and_forcing_shape():
         solve_duhamel(dom, params, np.array([0.0, 0.1, 0.3]), data)
     with pytest.raises(ValueError):
         solve_duhamel(
-            dom, params, np.array([0.0, 0.1, 0.2]), data, forcing_third=np.zeros((2, 4))
+            dom, params, np.array([0.0, 0.1, 0.2]), data, forcing=np.zeros((2, 4))
         )
 
 
-def _stepped(dom, params, t_grid, data0, f3):
+def _stepped(dom, params, t_grid, data0, f):
     """The Duhamel series as a loop of the table's step."""
     table = propagator_table(dom, params, float(t_grid[1] - t_grid[0]))
-    f3 = f3.reshape(t_grid.size, -1)
+    f = f.reshape(t_grid.size, -1)
     data = [data0.reshape(3, -1)]
     for n in range(t_grid.size - 1):
-        base = table.evolve(data[-1]) + table.held(f3[n])
+        base = table.evolve(data[-1]) - table.held(f[n])
         # the series stores C-ordered rows, and einsum rounds by layout
-        data.append(np.ascontiguousarray(base + table.slope(f3[n], f3[n + 1])))
+        data.append(np.ascontiguousarray(base + table.slope(f[n], f[n + 1])))
     return np.stack(data).reshape((t_grid.size, 3) + dom.coeff_shape)
 
 
@@ -459,9 +461,9 @@ def test_duhamel_is_the_table_step_in_a_loop(monkeypatch, dim, n, block_bytes):
     sampled = rng.standard_normal((t_grid.size,) + dom.coeff_shape)
     smooth = np.multiply.outer(np.cos(3.0 * t_grid), sampled[0])
     cases = ((None, np.zeros(sampled.shape)), (sampled, sampled), (smooth, smooth))
-    for forcing, f3 in cases:
-        got = solve_duhamel(dom, params, t_grid, data0, forcing_third=forcing)
-        assert np.array_equal(got, _stepped(dom, params, t_grid, data0, f3))
+    for forcing, f in cases:
+        got = solve_duhamel(dom, params, t_grid, data0, forcing=forcing)
+        assert np.array_equal(got, _stepped(dom, params, t_grid, data0, f))
 
 
 def test_duhamel_solution_views():

@@ -305,10 +305,10 @@ def _reference_march(data, params, T, dt, substep_iters, eps_deg=DEFAULT_EPS_DEG
                      blowup_bound=DEFAULT_BLOWUP_BOUND, trace=None):
     """The march as a loop of the step spelled term by term, allocating,
     from the law at t = 0 (u_ttt and f of the first sample):
-    base = table.evolve(x) + table.held(F) with F = -f, and per sweep the
-    blow-up check, u_tt by ``semigroup_utt``, the law by a one-shot
+    base = table.evolve(x) - table.held(f), and per sweep the blow-up
+    check, u_tt by ``semigroup_utt``, the law by a one-shot
     ``nonlinear_terms`` call and, on every sweep but the last,
-    base + table.slope(F, F').  The first step reads the C-ordered start
+    base + table.slope(f, f').  The first step reads the C-ordered start
     data, every later one the candidate the step before accepted, and
     each step's checks report its sample time on ``time_grid``.
 
@@ -325,11 +325,11 @@ def _reference_march(data, params, T, dt, substep_iters, eps_deg=DEFAULT_EPS_DEG
     uttt, f, _ = nonlinear_terms(domain, params, *start, eps_deg=eps_deg)
     rows = [[value] for value in start + (uttt, f)]
     x = semigroup_data(domain, params, *start)
-    f3 = -f.reshape(-1)
+    f = f.reshape(-1)
     error = None
     try:
         for step in range(1, t_grid.size):
-            base = table.evolve(x.reshape(3, -1)) + table.held(f3)
+            base = table.evolve(x.reshape(3, -1)) - table.held(f)
             t = float(t_grid[step])
             candidate = base
             for sweep in range(substep_iters + 1):
@@ -343,14 +343,14 @@ def _reference_march(data, params, T, dt, substep_iters, eps_deg=DEFAULT_EPS_DEG
                 _check_blowup(candidate, t, blowup_bound)
                 x = candidate.reshape(shape)
                 utt = semigroup_utt(domain, params, x)
-                uttt, f, _ = nonlinear_terms(
+                uttt, f_next, _ = nonlinear_terms(
                     domain, params, x[0], x[1], utt, time=t, eps_deg=eps_deg
                 )
-                f3_next = -f.reshape(-1)
+                f_next = f_next.reshape(-1)
                 if sweep < substep_iters:
-                    candidate = base + table.slope(f3, f3_next)
-            f3 = f3_next
-            for row, value in zip(rows, (x[0], x[1], utt, uttt, -f3.reshape(x[0].shape))):
+                    candidate = base + table.slope(f, f_next)
+            f = f_next
+            for row, value in zip(rows, (x[0], x[1], utt, uttt, f.reshape(x[0].shape))):
                 row.append(value)
     except (BlowUpError, DegeneracyError) as err:
         error = err

@@ -18,7 +18,9 @@ of two 1D ones, and the folded route must be within 1e-14 of it.
 
 The propagator table is checked the same way: mpmath's ``expm`` of each
 mode's 9x9 augmented block at 50 digits, from the float dt taken exactly,
-and it must be no farther from that than ``scipy.linalg.expm``.
+and it must be no farther from that than ``scipy.linalg.expm``.  The law,
+the residual's quadratic source, a march and a Picard sweep are each
+recomputed at 50 digits from their float inputs.
 """
 
 import mpmath as mp
@@ -26,11 +28,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from bck_sim import spectral
+from bck_sim import model, spectral
 from bck_sim.linear import PropagatorTable, augmented_blocks
 from bck_sim.model import ModelParams, make_compatibility_data, nonlinear_terms
-from bck_sim.nonlinear import solve
-from bck_sim.spectral import DomainSpec, SpectralField, evaluate, evaluate_stack, project
+from bck_sim.nonlinear import picard_apply, solve
+from bck_sim.spectral import DomainSpec, SpectralField, evaluate, gradient, project
 
 
 
@@ -152,10 +154,8 @@ def test_forcing_against_the_oracle(n):
     exact = _forcing(length, params, *(_exact(x) for x in (u, ut, utt, uttt)))
 
     # the DCT route on the same grid values, summed as the kernel sums
-    vals, grads = evaluate_stack(
-        domain, "fine", np.stack([u, utt, ut, uttt]), slice(1, 4), slice(0, 3)
-    )
-    vals, (d,) = vals.copy(), (grads[0].copy(),)
+    vals = evaluate(domain, "fine", np.stack([utt, ut, uttt]))
+    (d,) = gradient(domain, "fine", np.stack([u, utt, ut]))
     products = [vals[0] * vals[0], vals[1] * vals[2], d[2] * d[2], d[0] * d[1]]
     weights = [2.0 * params.k] * 2 + [2.0] * 2
     f_dct = np.zeros(n)
@@ -299,38 +299,49 @@ def _law_2d(domain, params, u, ut, utt):
     ]
 
 
-def _forcing_2d(domain, params, u, ut, utt, uttt):
-    """f on a 2D domain, each product projected exactly: the cosine
-    coefficients of a product of two tensor series are the 1D ones of
-    ``_convolution`` along each axis, and their sine coefficients are
-    taken one axis at a time."""
-    n = domain.modes_per_axis
+def _product_2d(x, y, signs):
+    """Cosine coefficients of the product of two tensor series: the 1D ones
+    of ``_convolution`` along each axis, with ``signs`` per axis (-1 for
+    sine factors, +1 for cosine factors)."""
+    n = len(x)
     half = mp.mpf(1) / 2
-    waves = [[j * mp.pi / length for j in range(1, n + 1)] for length in domain.lengths]
+    c = [[mp.mpf(0)] * (2 * n + 1) for _ in range(2 * n + 1)]
+    for i in range(n):
+        for m in range(n):
+            row = _convolution(x[i], y[m], signs[1])
+            for p, weight in ((abs(i - m), half), (i + m + 2, signs[0] * half)):
+                c[p] = [a + weight * r for a, r in zip(c[p], row)]
+    return c
 
-    def product(x, y, signs):
-        c = [[mp.mpf(0)] * (2 * n + 1) for _ in range(2 * n + 1)]
-        for i in range(n):
-            for m in range(n):
-                row = _convolution(x[i], y[m], signs[1])
-                for p, weight in ((abs(i - m), half), (i + m + 2, signs[0] * half)):
-                    c[p] = [a + weight * r for a, r in zip(c[p], row)]
-        return c
 
-    def grad(e, axis):
-        return [[x * waves[0][i] if axis == 0 else x * waves[1][j] for j, x in enumerate(row)]
-                for i, row in enumerate(e)]
+def _grad_2d(domain, e, axis):
+    """Cosine-sine coefficients of the derivative of a tensor series along
+    ``axis``, with the sign pair ``_product_2d`` takes for two of them."""
+    n = domain.modes_per_axis
+    wave = [j * mp.pi / domain.lengths[axis] for j in range(1, n + 1)]
+    coeffs = [[x * wave[i if axis == 0 else j] for j, x in enumerate(row)]
+              for i, row in enumerate(e)]
+    return coeffs, ((1, -1), (-1, 1))[axis]
 
-    two_k = 2 * mp.mpf(params.k)
-    terms = [(two_k, product(utt, utt, (-1, -1))), (two_k, product(ut, uttt, (-1, -1)))]
-    if params.s:
-        for axis, signs in ((0, (1, -1)), (1, (-1, 1))):
-            d_u, d_t, d_tt = (grad(e, axis) for e in (u, ut, utt))
-            terms += [(2, product(d_t, d_t, signs)), (2, product(d_u, d_tt, signs))]
+
+def _sine_coefficients_2d(terms, n):
+    """Sine coefficients of sum w c over the weighted cosine tensors
+    (w, c) of ``terms``, taken one axis at a time."""
     c = [[sum(w * t[p][q] for w, t in terms) for q in range(2 * n + 1)] for p in range(2 * n + 1)]
     rows = [_sine_coefficients(row, n) for row in c]
     columns = [_sine_coefficients(list(col), n) for col in zip(*rows)]
     return [list(row) for row in zip(*columns)]
+
+
+def _forcing_2d(domain, params, u, ut, utt, uttt):
+    """f on a 2D domain, each product projected exactly (``_product_2d``)."""
+    two_k = 2 * mp.mpf(params.k)
+    terms = [(two_k, _product_2d(utt, utt, (-1, -1))), (two_k, _product_2d(ut, uttt, (-1, -1)))]
+    if params.s:
+        for axis in (0, 1):
+            (d_u, signs), (d_t, _), (d_tt, _) = (_grad_2d(domain, e, axis) for e in (u, ut, utt))
+            terms += [(2, _product_2d(d_t, d_t, signs)), (2, _product_2d(d_u, d_tt, signs))]
+    return _sine_coefficients_2d(terms, domain.modes_per_axis)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -353,6 +364,43 @@ def test_law_and_forcing_in_2d_against_the_oracle(s):
     forcing = _forcing_2d(domain, params, *exact)
     assert _relative_error(uttt.ravel(), [x for row in law for x in row]) < 1e-14
     assert _relative_error(f.ravel(), [x for row in forcing for x in row]) < 1e-14
+
+
+def _quad_source_exact(domain, params, u, ut):
+    """Q = k u_t^2 + s |grad u|^2, each product projected exactly, from
+    coefficient lists (1D) or rows of them (2D)."""
+    k = mp.mpf(params.k)
+    if domain.dimension == 1:
+        length = domain.lengths[0]
+        c = [k * x for x in _convolution(ut, ut, -1)]
+        if params.s:
+            d_u = _grad(u, length)
+            c = [x + y for x, y in zip(c, _convolution(d_u, d_u, 1))]
+        return _sine_coefficients(c, len(u))
+    terms = [(k, _product_2d(ut, ut, (-1, -1)))]
+    if params.s:
+        for axis in (0, 1):
+            d_u, signs = _grad_2d(domain, u, axis)
+            terms.append((1, _product_2d(d_u, d_u, signs)))
+    return [x for row in _sine_coefficients_2d(terms, domain.modes_per_axis) for x in row]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadratic_source_against_the_oracle(dim, s):
+    """Q = k u_t^2 + s |grad u|^2 of the equation residual, as
+    ``model._quad_source`` projects it, at N = 8 with k = 0.2."""
+    n = 8
+    domain = DomainSpec(dim, (2.0, np.pi)[:dim], n)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, s)
+    rng = np.random.default_rng(500 + 10 * dim + s)
+    decay = (np.asarray(domain.eigenvalue_grid) / domain.lambda0) ** -1.5
+    u, ut = rng.standard_normal((2,) + domain.coeff_shape) * decay
+    got = model._quad_source(domain, params, u, ut)
+    exact = _quad_source_exact(
+        domain, params, *((_exact(x) if dim == 1 else [_exact(row) for row in x]) for x in (u, ut))
+    )
+    assert _relative_error(got.ravel(), exact) < 1e-14
 
 
 def _propagator(params, lam, h):
@@ -415,6 +463,9 @@ def test_propagator_table_against_the_oracle(case):
             error["table"] += err
             error["scipy"] += _relative_error(other, want)
     assert error["table"] <= error["scipy"], error
+
+
+TRAJECTORY_FIELDS = ("u", "ut", "utt", "uttt")
 
 
 def _march(domain, params, dt, steps, u, ut, utt, sweeps):
@@ -486,3 +537,65 @@ def test_march_against_the_oracle():
     for j, (name, bound) in enumerate(bounds.items()):
         worst = max(_relative_error(getattr(traj, name)[i], row[j]) for i, row in enumerate(exact))
         assert worst < bound, name
+
+
+def _error_of_sum(got, terms):
+    """max |got - sum of the terms| over the entries, relative to the
+    largest term: the rounding a float sum of these terms cannot avoid."""
+    err = max(abs(mp.mpf(float(g)) - mp.fsum(t)) for g, t in zip(got, terms))
+    return float(err / max(abs(x) for t in terms for x in t))
+
+
+def test_picard_sweep_against_the_oracle():
+    """One ``picard_apply`` sweep at 1D N = 8, k = 0.2, s = 1, dt = 1e-2
+    over 20 steps, with f frozen along a march trajectory phi, against the
+    same sweep at 50 digits: f of phi's stored rows taken exactly, the
+    Duhamel recurrence E U - P1 f_n + P2 (f_n - f_{n+1}) / dt, u_tt from
+    inverting the wave part and u_ttt as the bracket minus f.  Every
+    row's error must be below 1e-14 relative: for u and u_t relative to
+    the row's largest entry, for u_tt and u_ttt to the largest term of
+    their sums, which cancel (relative to the row's largest entry, u_ttt
+    errs by up to 9e-14)."""
+    n, length, dt, steps = 8, 2.0, 1e-2, 20
+    domain = DomainSpec(1, (length,), n)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    rng = np.random.default_rng(600)
+    fields = [
+        SpectralField(domain, x)
+        for x in 0.5 * rng.standard_normal((3, n)) * np.arange(1.0, n + 1) ** -1.5
+    ]
+    initial = make_compatibility_data(*fields, params)
+    phi = solve(initial, params, steps * dt, dt)
+    got = picard_apply(phi, initial, params)
+
+    lam = _eigenvalues(domain)
+    a, b, c = (mp.mpf(v) for v in (params.a, params.b, params.c))
+    h = mp.mpf(dt)
+    blocks = [_propagator(params, lj, h) for lj in lam]
+    f = [
+        _forcing(length, params, *(_exact(getattr(phi, name)[i]) for name in TRAJECTORY_FIELDS))
+        for i in range(steps + 1)
+    ]
+    u, ut, utt = (_exact(x.coeffs) for x in fields)
+    x = [u, ut, [z + b * lj * v + c * c * lj * y for lj, y, v, z in zip(lam, u, ut, utt)]]
+    for i in range(steps + 1):
+        if i:
+            x = [
+                [mp.fdot(full[r], [x[0][m], x[1][m], x[2][m]]) - phi1[r] * f[i - 1][m]
+                 + phi2[r] * (f[i - 1][m] - f[i][m]) / h
+                 for m, (full, phi1, phi2) in enumerate(blocks)]
+                for r in range(3)
+            ]
+        utt = [(w, -b * lj * v, -c * c * lj * y) for lj, y, v, w in zip(lam, *x)]
+        uttt = [
+            (-(a + b) * lj * mp.fsum(z), -(c * c * lj + a * b * lj * lj) * v,
+             -a * c * c * lj * lj * y, -g)
+            for lj, y, v, z, g in zip(lam, x[0], x[1], utt, f[i])
+        ]
+        errors = {
+            "u": _relative_error(got.u[i], x[0]),
+            "ut": _relative_error(got.ut[i], x[1]),
+            "utt": _error_of_sum(got.utt[i], utt),
+            "uttt": _error_of_sum(got.uttt[i], uttt),
+        }
+        assert max(errors.values()) < 1e-14, (i, errors)
