@@ -280,6 +280,38 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+# census configs that no shipped file holds: nonlinear-small with one fault
+_SMALL = (CONFIGS / "nonlinear-small.conf").read_text(encoding="utf-8")
+_DIRECT = "a = 1.0\nb = 1.0\nc = 1.0\nk = 0.2\n"
+_MATERIAL = "nu = 1e-5\nprandtl = 0.7\nviscosity_number = 1.4\nc0 = 343.0\n"
+_BROKEN = {
+    "unknown-section": _SMALL + "\n[bogus]\nx = 1\n",
+    "no-time": _SMALL.replace("[time]\nt_final = 1.0\ndt = 1e-3\n", ""),
+    "no-dt": _SMALL.replace("dt = 1e-3\n", ""),
+    "direct-without-k": _SMALL.replace("k = 0.2\n", ""),
+    "material-without-c0": _SMALL.replace(_DIRECT, _MATERIAL.replace("c0", "gamma")),
+    "material-without-gamma": _SMALL.replace(_DIRECT, _MATERIAL),
+    "no-params": _SMALL.replace(_DIRECT, ""),
+    "malformed": "t_final = 1.0\n" + _SMALL,
+}
+
+
+def _census_config(conf, tmp_path):
+    """The path and command of a census config: a shipped one, the sim-2d
+    benchmark one, a ``_BROKEN`` text, or else a file that does not exist."""
+    if conf == "sim-2d":
+        return ROOT / "perfbench" / "configs" / "sim-2d.conf", "simulate"
+    golden = GOLDEN / conf / "run_record.json"
+    if golden.exists():
+        return CONFIGS / f"{conf}.conf", json.loads(golden.read_text(encoding="utf-8"))["command"]
+    path = tmp_path / f"{conf}.conf"
+    if conf in _BROKEN:
+        path.write_text(_BROKEN[conf], encoding="utf-8")
+    return path, "simulate"
+
+
+# each case: a config of ``_census_config``, one --set override or a tuple
+# of arguments, and the start of the message it must print
 @pytest.mark.parametrize(
     "conf, override, message",
     [
@@ -307,13 +339,67 @@ def test_eps_deg_must_lie_in_the_unit_interval(tmp_path, capsys, eps_deg):
         ("zero-amplitude", "tolerances.c_hat=-1", "[tolerances] c_hat must be finite and >= 0"),
         ("zero-amplitude", "tolerances.c_hat=nan", "[tolerances] c_hat must be finite and >= 0"),
         ("decay-study", "initial.mode=99", "mode (99,) outside 1..8"),
+        ("nonlinear-small", "time.substeps=0", "[time] substeps must be >= 1"),
+        ("picard-small", "tolerances.picard_max_iter=0",
+         "[tolerances] picard_max_iter must be >= 1"),
+        ("nonlinear-small", "output.stride=0", "[output] stride must be >= 1"),
+        ("picard-small", "tolerances.picard_tol=0", "[tolerances] picard_tol must be positive"),
+        ("nonlinear-small", "tolerances.blowup_bound=-1",
+         "[tolerances] blowup_bound must be positive"),
+        ("nonlinear-small", "tolerances.eta=nan", "[tolerances] eta must be positive"),
+        ("nonlinear-small", "tolerances.eps_deg=nan", "[tolerances] eps_deg must lie in (0, 1)"),
+        ("nonlinear-small", "run.seed=-1", "[run] seed must be nonnegative"),
+        ("nonlinear-small", ("--seed", "-1"), "[run] seed must be nonnegative"),
+        ("nonlinear-small", "initial.preset=bogus",
+         "unknown initial preset 'bogus'; choose from "
+         "('zero', 'single-mode', 'multi-mode', 'random-seeded')"),
+        ("nonlinear-small", "initial.preset=multi-mode", "multi-mode preset needs [initial] modes"),
+        ("nonlinear-small",
+         ("--set", "initial.preset=multi-mode", "--set", "initial.modes=1 2",
+          "--set", "initial.amplitudes=1e-3"),
+         "[initial] amplitudes must match modes in length"),
+        ("sim-2d", "initial.preset=multi-mode", "multi-mode preset supports 1d domains only"),
+        ("nonlinear-small", "initial.mode=1 2 3", "mode (1, 2, 3) does not fit a 1d domain"),
+        ("nonlinear-small", "params.nu=1e-5",
+         "[params] mixes direct coefficients with material data"),
+        ("direct-without-k", (), "[params] direct form needs keys ['k']"),
+        ("material-without-c0", (), "[params] material form needs keys ['c0']"),
+        ("material-without-gamma", (), "provide exactly one of gamma / b_over_a"),
+        ("no-params", (), "[params] provides neither direct coefficients nor material data"),
+        ("unknown-section", (), "unknown section [bogus]"),
+        ("no-time", (), "missing required section [time]"),
+        ("no-dt", (), "missing required key 'dt' in [time]"),
+        ("nonlinear-small", "time.dt=abc", "[time] dt: cannot parse 'abc' as float"),
+        ("malformed", (), "malformed config "),
+        ("missing", (), "cannot read config "),
+        ("nonlinear-small", "initial", "--set needs section.key=value, got 'initial'"),
+        ("nonlinear-small", "mode=1", "--set key must be section.key, got 'mode'"),
+        ("nonlinear-small", "initial.shape=1", "--set targets unknown key [initial] shape"),
+        ("nonlinear-small", "time.dt=2", "[time] needs 0 < dt <= t_final"),
+        ("nonlinear-small", "domain.dimension=3", "dimension must be 1 or 2, got 3"),
+        ("nonlinear-small", "domain.lengths=1 2", "lengths must provide one extent per axis"),
+        ("nonlinear-small", "domain.modes=0", "modes_per_axis must be >= 1"),
+        ("nonlinear-small", "domain.quadrature_points=5",
+         "quadrature_points_per_axis must be >= ceil(3N/2) = 12, got 5"),
+        ("nonlinear-small", "params.a=-1", "a must be positive and finite, got -1.0"),
+        ("nonlinear-small", "params.s=2", "s must be 0 or 1, got 2"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
          "profile-ratio-not-below-1", "reference-modes-not-above-modes-list",
          "dt-values-not-halving", "dt-values-not-dividing", "simulate-profile-ratio-above-1",
          "negative-quadrature", "negative-b-value", "infinite-b-value", "nan-sweep-amplitude",
          "nan-convergence-amplitude", "infinite-initial-amplitude", "nan-u1-amplitude",
-         "infinite-run-length", "negative-c-hat", "nan-c-hat", "initial-mode-out-of-range"],
+         "infinite-run-length", "negative-c-hat", "nan-c-hat", "initial-mode-out-of-range",
+         "zero-substeps", "zero-picard-max-iter", "zero-stride", "zero-picard-tol",
+         "negative-blowup-bound", "nan-eta", "nan-eps-deg", "negative-seed-set",
+         "negative-seed-flag", "unknown-preset", "multi-mode-without-modes",
+         "multi-mode-amplitudes-mismatch", "multi-mode-in-2d", "mode-does-not-fit-dimension",
+         "mixed-params", "direct-params-incomplete", "material-params-incomplete",
+         "material-params-without-gamma", "neither-params-form", "unknown-section",
+         "missing-section", "missing-key", "unparsable-value", "malformed-file",
+         "unreadable-file", "set-without-value", "set-without-section", "set-unknown-key",
+         "dt-above-run-length", "dimension-3", "lengths-per-axis", "zero-modes",
+         "quadrature-below-capacity", "negative-a", "s-not-0-or-1"],
 )
 def test_out_of_range_counts_and_lists_exit_with_code_3(
     tmp_path, monkeypatch, capsys, conf, override, message
@@ -321,12 +407,14 @@ def test_out_of_range_counts_and_lists_exit_with_code_3(
     """Every value is checked before any solve, also one the command does
     not read (a [convergence] value of simulate)."""
     calls = _spy_solve(monkeypatch)
-    command = json.loads((GOLDEN / conf / "run_record.json").read_text(encoding="utf-8"))["command"]
-    assert _run(command, "--config", CONFIGS / f"{conf}.conf", "--set", override, "--out", tmp_path) == 3
+    path, command = _census_config(conf, tmp_path)
+    args = ("--set", override) if isinstance(override, str) else override
+    out = tmp_path / "out"
+    assert _run(command, "--config", path, *args, "--out", out) == 3
     assert f"kind=ConfigError message={message}" in capsys.readouterr().err
     assert calls == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_record.json"]
-    assert json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))["exit_status"] == 3
+    assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
+    assert json.loads((out / "run_record.json").read_text(encoding="utf-8"))["exit_status"] == 3
 
 
 def test_zero_quadrature_points_mean_the_default():
