@@ -514,13 +514,11 @@ def main(argv=None):
     out_dir = None
     sha = ""
     code = 0
+    # the flags go last, so they beat a --set of the same key
+    flags = (("output.directory", args.out), ("run.seed", args.seed))
+    overrides = args.overrides + [f"{key}={value}" for key, value in flags if value is not None]
     try:
-        config = load_config(
-            args.config,
-            overrides=args.overrides,
-            out_override=args.out,
-            seed_override=args.seed,
-        )
+        config = load_config(args.config, overrides)
         sha = config.config_sha256
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

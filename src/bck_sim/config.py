@@ -1,16 +1,18 @@
 """Configuration ingestion for the batch front end.
 
 Configs are sectioned key-value text (INI syntax, ``#`` comments).  The
-schema is closed: unknown sections or keys are rejected, every numeric
-value is validated and the initial data are built before any solver
-runs, and the effective configuration has a canonical serialization
-whose SHA-256 goes into the run record for reproducibility.
+schema is closed: unknown sections or keys are rejected.  Each key is
+stated once, in its ``_SCHEMA`` row, which holds its kind, its default and
+the range checks its value must pass; each ``SolverConfig`` field names
+the key it holds.  Every value is validated and the initial data are built
+before any solver runs, and the effective configuration has a canonical
+serialization whose SHA-256 goes into the run record for reproducibility.
 """
 
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,16 +25,32 @@ from .spectral import DomainSpec, SpectralField
 _PRESETS = ("zero", "single-mode", "multi-mode", "random-seeded")
 
 _DIRECT_KEYS = ("a", "b", "c", "k")
-_PHYSICAL_KEYS = ("nu", "prandtl", "viscosity_number", "c0", "gamma", "b_over_a")
+_MATERIAL_KEYS = ("nu", "prandtl", "viscosity_number", "c0")
+_PHYSICAL_KEYS = _MATERIAL_KEYS + ("gamma", "b_over_a")
 
-# section -> key -> (kind, default); kind in
-# {int, float, floats, ints, str} and default None marks a required key
+
+def _halving_triplet(steps):
+    return len(steps) == 3 and all(
+        abs(steps[i + 1] - steps[i] / 2.0) < 1e-12 * steps[0] for i in range(2)
+    )
+
+
+# range checks: (predicate, what the value must be) pairs
+_NONEMPTY = (bool, "must not be empty")
+_FINITE = (math.isfinite, "must be finite")
+_ALL_FINITE = (lambda v: all(map(math.isfinite, v)), "must be finite")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+
+# section -> key -> (kind, default, *checks); kind in {int, float, floats,
+# ints, str}, default None marks a required key, and the checks run in
+# order on the value
 _SCHEMA = {
     "domain": {
         "dimension": ("int", 1),
         "lengths": ("floats", (math.pi,)),
         "modes": ("int", None),
-        "quadrature_points": ("int", 0),
+        "quadrature_points": ("int", 0, (lambda v: v >= 0, "must be >= 0 (0 means the default)")),
     },
     "params": {
         "a": ("float", math.nan),
@@ -47,48 +65,56 @@ _SCHEMA = {
         "gamma": ("float", math.nan),
         "b_over_a": ("float", math.nan),
     },
+    # the fields and sweeps take the amplitudes as they are
     "initial": {
         "preset": ("str", "zero"),
-        "amplitude": ("float", 0.0),
+        "amplitude": ("float", 0.0, _FINITE),
         "mode": ("ints", (1,)),
         "modes": ("ints", ()),
-        "amplitudes": ("floats", ()),
-        "u1_amplitude": ("float", 0.0),
+        "amplitudes": ("floats", (), _ALL_FINITE),
+        "u1_amplitude": ("float", 0.0, _FINITE),
         "u1_mode": ("ints", ()),
-        "u2_amplitude": ("float", 0.0),
+        "u2_amplitude": ("float", 0.0, _FINITE),
         "u2_mode": ("ints", ()),
     },
     "time": {
         "t_final": ("float", None),
         "dt": ("float", None),
-        "substeps": ("int", 2),
+        "substeps": ("int", 2, _AT_LEAST_ONE),
     },
     "tolerances": {
-        "eps_deg": ("float", DEFAULT_EPS_DEG),
-        "picard_tol": ("float", 1e-9),
-        "picard_max_iter": ("int", 20),
-        "blowup_bound": ("float", 1e12),
-        "eta": ("float", 1e-4),
-        "c_hat": ("float", 0.0),
+        # the guard trips once |2k u_t| >= 1 - eps_deg, so eps_deg >= 1 trips at t = 0
+        "eps_deg": ("float", DEFAULT_EPS_DEG, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+        "picard_tol": ("float", 1e-9, _POSITIVE),
+        "picard_max_iter": ("int", 20, _AT_LEAST_ONE),
+        "blowup_bound": ("float", 1e12, _POSITIVE),
+        "eta": ("float", 1e-4, _POSITIVE),
+        # 0 means the automatic choice; NaN fails both comparisons
+        "c_hat": ("float", 0.0, (lambda v: 0.0 <= v < math.inf,
+                                 "must be finite and >= 0 (0 means automatic)")),
     },
     "output": {
         "directory": ("str", "out"),
-        "stride": ("int", 1),
+        "stride": ("int", 1, _AT_LEAST_ONE),
     },
     "run": {
-        "seed": ("int", 0),
+        "seed": ("int", 0, (lambda v: v >= 0, "must be nonnegative")),
         "label": ("str", ""),
     },
+    # decay-study and convergence index these lists and build a domain per count
     "sweep": {
-        "amplitudes": ("floats", (1e-4, 1e-3, 1e-2)),
-        "b_values": ("floats", ()),
+        "amplitudes": ("floats", (1e-4, 1e-3, 1e-2), _NONEMPTY, _ALL_FINITE),
+        "b_values": ("floats", (), (lambda v: all(math.isfinite(b) and b > 0.0 for b in v),
+                                    "entries must be positive and finite")),
     },
     "convergence": {
-        "modes_list": ("ints", (16, 32)),
-        "reference_modes": ("int", 64),
-        "profile_ratio": ("float", 0.3),
-        "dt_values": ("floats", (0.02, 0.01, 0.005)),
-        "amplitude": ("float", 1e-2),
+        "modes_list": ("ints", (16, 32), _NONEMPTY,
+                       (lambda v: min(v) >= 1, "entries must be >= 1")),
+        "reference_modes": ("int", 64, _AT_LEAST_ONE),
+        "profile_ratio": ("float", 0.3, (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")),
+        "dt_values": ("floats", (0.02, 0.01, 0.005),
+                      (_halving_triplet, "must be a halving triplet")),
+        "amplitude": ("float", 1e-2, _FINITE),
     },
 }
 
@@ -113,6 +139,11 @@ def _parse_scalar(kind, raw, where):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from err
 
 
+def _key(section, key):
+    """A ``SolverConfig`` field that holds the value of ``[section] key``."""
+    return field(metadata={"key": (section, key)})
+
+
 @dataclass
 class SolverConfig:
     """Validated run description; one instance per CLI invocation."""
@@ -120,26 +151,26 @@ class SolverConfig:
     domain: DomainSpec
     params: ModelParams
     initial: EvolutionState
-    t_final: float
-    dt: float
-    substeps: int
-    eps_deg: float
-    picard_tol: float
-    picard_max_iter: int
-    blowup_bound: float
-    eta: float
-    c_hat: float
-    out_dir: str
-    stride: int
-    seed: int
-    label: str
-    sweep_amplitudes: tuple
-    sweep_b_values: tuple
-    conv_modes: tuple
-    conv_reference: int
-    conv_ratio: float
-    conv_dts: tuple
-    conv_amplitude: float
+    t_final: float = _key("time", "t_final")
+    dt: float = _key("time", "dt")
+    substeps: int = _key("time", "substeps")
+    eps_deg: float = _key("tolerances", "eps_deg")
+    picard_tol: float = _key("tolerances", "picard_tol")
+    picard_max_iter: int = _key("tolerances", "picard_max_iter")
+    blowup_bound: float = _key("tolerances", "blowup_bound")
+    eta: float = _key("tolerances", "eta")
+    c_hat: float = _key("tolerances", "c_hat")
+    out_dir: str = _key("output", "directory")
+    stride: int = _key("output", "stride")
+    seed: int = _key("run", "seed")
+    label: str = _key("run", "label")
+    sweep_amplitudes: tuple = _key("sweep", "amplitudes")
+    sweep_b_values: tuple = _key("sweep", "b_values")
+    conv_modes: tuple = _key("convergence", "modes_list")
+    conv_reference: int = _key("convergence", "reference_modes")
+    conv_ratio: float = _key("convergence", "profile_ratio")
+    conv_dts: tuple = _key("convergence", "dt_values")
+    conv_amplitude: float = _key("convergence", "amplitude")
     canonical_text: str = field(repr=False, default="")
 
     @property
@@ -148,6 +179,8 @@ class SolverConfig:
 
 
 def _read_values(parser):
+    """Every schema value: parsed from the file, else its default, each
+    checked by its row."""
     values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -155,7 +188,7 @@ def _read_values(parser):
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            kind, _ = _SCHEMA[section][key]
+            kind = _SCHEMA[section][key][0]
             values[(section, key)] = _parse_scalar(
                 kind, parser[section][key], f"[{section}] {key}"
             )
@@ -163,53 +196,39 @@ def _read_values(parser):
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
     for section, keys in _SCHEMA.items():
-        for key, (kind, default) in keys.items():
-            if (section, key) in values:
-                continue
-            if default is None and section in _REQUIRED_SECTIONS:
-                if parser.has_section(section):
-                    raise ConfigError(f"missing required key {key!r} in [{section}]")
-            values[(section, key)] = default
+        for key, (_, default, *checks) in keys.items():
+            value = values.setdefault((section, key), default)
+            if value is None:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            for holds, words in checks:
+                if not holds(value):
+                    raise ConfigError(f"[{section}] {key} {words}")
     return values
 
 
 def _build_params(values):
-    direct = [k for k in _DIRECT_KEYS if not math.isnan(values[("params", k)])]
-    physical = [k for k in _PHYSICAL_KEYS if not math.isnan(values[("params", k)])]
+    """The model coefficients of the [params] keys given: the direct form
+    a, b, c, k, or material data for ``derive_params``."""
+    given = {}
+    for key in _DIRECT_KEYS + _PHYSICAL_KEYS:
+        if not math.isnan(values[("params", key)]):
+            given[key] = values[("params", key)]
     s = values[("params", "s")]
-    if direct and physical:
+    direct = any(key in given for key in _DIRECT_KEYS)
+    if direct and any(key in given for key in _PHYSICAL_KEYS):
         raise ConfigError(
             "[params] mixes direct coefficients with material data; provide "
             "either a,b,c,k or nu,prandtl,viscosity_number,c0 with gamma/b_over_a"
         )
+    if not given:
+        raise ConfigError("[params] provides neither direct coefficients nor material data")
+    form, needed = ("direct", _DIRECT_KEYS) if direct else ("material", _MATERIAL_KEYS)
+    missing = [key for key in needed if key not in given]
+    if missing:
+        raise ConfigError(f"[params] {form} form needs keys {missing}")
     if direct:
-        missing = [k for k in _DIRECT_KEYS if k not in direct]
-        if missing:
-            raise ConfigError(f"[params] direct form needs keys {missing}")
-        return ModelParams(
-            a=values[("params", "a")],
-            b=values[("params", "b")],
-            c=values[("params", "c")],
-            k=values[("params", "k")],
-            s=s,
-        )
-    if physical:
-        needed = ("nu", "prandtl", "viscosity_number", "c0")
-        missing = [k for k in needed if math.isnan(values[("params", k)])]
-        if missing:
-            raise ConfigError(f"[params] material form needs keys {missing}")
-        gamma = values[("params", "gamma")]
-        b_over_a = values[("params", "b_over_a")]
-        phys = PhysicalParams(
-            nu=values[("params", "nu")],
-            prandtl=values[("params", "prandtl")],
-            viscosity_number=values[("params", "viscosity_number")],
-            c0=values[("params", "c0")],
-            gamma=None if math.isnan(gamma) else gamma,
-            b_over_a=None if math.isnan(b_over_a) else b_over_a,
-        )
-        return derive_params(phys, s=s)
-    raise ConfigError("[params] provides neither direct coefficients nor material data")
+        return ModelParams(**given, s=s)
+    return derive_params(PhysicalParams(**given), s=s)
 
 
 # where a run writes and what it is called change no number it computes
@@ -258,7 +277,15 @@ def apply_overrides(parser, overrides):
         parser[section][key] = value.strip()
 
 
-def load_config(path, overrides=(), out_override=None, seed_override=None):
+def load_config(path, overrides=()):
+    """The ``SolverConfig`` of the file at ``path`` with ``section.key=value``
+    ``overrides`` applied in order.
+
+    Each value passes the checks of its schema row before the domain, the
+    params and the initial data are built; then the checks that relate
+    keys run.  Each ``SolverConfig`` field takes the value of the key it
+    names.  Any fault raises ``ConfigError``.
+    """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -271,20 +298,9 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
         raise ConfigError(f"malformed config {path}: {err}") from err
 
     apply_overrides(parser, overrides)
-    if out_override is not None:
-        if not parser.has_section("output"):
-            parser.add_section("output")
-        parser["output"]["directory"] = str(out_override)
-    if seed_override is not None:
-        if not parser.has_section("run"):
-            parser.add_section("run")
-        parser["run"]["seed"] = str(seed_override)
-
     values = _read_values(parser)
 
     quad = values[("domain", "quadrature_points")]
-    if quad < 0:
-        raise ConfigError("[domain] quadrature_points must be >= 0 (0 means the default)")
     try:
         domain = DomainSpec(
             dimension=values[("domain", "dimension")],
@@ -308,85 +324,15 @@ def load_config(path, overrides=(), out_override=None, seed_override=None):
         time_grid(t_final, dt)
     except ValueError as err:
         raise ConfigError(f"[time] {err}") from err
-    for sec, key in (
-        ("time", "substeps"),
-        ("tolerances", "picard_max_iter"),
-        ("output", "stride"),
-    ):
-        if values[(sec, key)] < 1:
-            raise ConfigError(f"[{sec}] {key} must be >= 1")
-    # the guard trips once |2k u_t| >= 1 - eps_deg, so eps_deg >= 1 trips at t = 0
-    if not 0.0 < values[("tolerances", "eps_deg")] < 1.0:
-        raise ConfigError("[tolerances] eps_deg must lie in (0, 1)")
-    for sec, key in (
-        ("tolerances", "picard_tol"),
-        ("tolerances", "blowup_bound"),
-        ("tolerances", "eta"),
-    ):
-        if not values[(sec, key)] > 0.0:
-            raise ConfigError(f"[{sec}] {key} must be positive")
-    # 0 means the automatic choice; NaN fails both comparisons
-    if not 0.0 <= values[("tolerances", "c_hat")] < math.inf:
-        raise ConfigError("[tolerances] c_hat must be finite and >= 0 (0 means automatic)")
-    if values[("run", "seed")] < 0:
-        raise ConfigError("[run] seed must be nonnegative")
-    # decay-study and convergence index these lists and build a domain per count
-    for sec, key in (("sweep", "amplitudes"), ("convergence", "modes_list")):
-        if not values[(sec, key)]:
-            raise ConfigError(f"[{sec}] {key} must not be empty")
-    if min(values[("convergence", "modes_list")]) < 1:
-        raise ConfigError("[convergence] modes_list entries must be >= 1")
-    if values[("convergence", "reference_modes")] < 1:
-        raise ConfigError("[convergence] reference_modes must be >= 1")
-    if not 0.0 < values[("convergence", "profile_ratio")] < 1.0:
-        raise ConfigError("[convergence] profile_ratio must be in (0, 1)")
     if max(values[("convergence", "modes_list")]) >= values[("convergence", "reference_modes")]:
         raise ConfigError("[convergence] reference_modes must exceed modes_list")
-    steps = values[("convergence", "dt_values")]
-    if len(steps) != 3 or not all(
-        abs(steps[i + 1] - steps[i] / 2.0) < 1e-12 * steps[0] for i in range(2)
-    ):
-        raise ConfigError("[convergence] dt_values must be a halving triplet")
-    # the fields and sweeps take these as they are
-    for sec, key in (
-        ("initial", "amplitude"),
-        ("initial", "amplitudes"),
-        ("initial", "u1_amplitude"),
-        ("initial", "u2_amplitude"),
-        ("sweep", "amplitudes"),
-        ("convergence", "amplitude"),
-    ):
-        value = values[(sec, key)]
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"[{sec}] {key} must be finite")
-    if not all(math.isfinite(b) and b > 0.0 for b in values[("sweep", "b_values")]):
-        raise ConfigError("[sweep] b_values entries must be positive and finite")
 
     return SolverConfig(
         domain=domain,
         params=params,
         initial=_initial_state(domain, values),
-        t_final=t_final,
-        dt=dt,
-        substeps=values[("time", "substeps")],
-        eps_deg=values[("tolerances", "eps_deg")],
-        picard_tol=values[("tolerances", "picard_tol")],
-        picard_max_iter=values[("tolerances", "picard_max_iter")],
-        blowup_bound=values[("tolerances", "blowup_bound")],
-        eta=values[("tolerances", "eta")],
-        c_hat=values[("tolerances", "c_hat")],
-        out_dir=values[("output", "directory")],
-        stride=values[("output", "stride")],
-        seed=values[("run", "seed")],
-        label=values[("run", "label")],
-        sweep_amplitudes=values[("sweep", "amplitudes")],
-        sweep_b_values=values[("sweep", "b_values")],
-        conv_modes=values[("convergence", "modes_list")],
-        conv_reference=values[("convergence", "reference_modes")],
-        conv_ratio=values[("convergence", "profile_ratio")],
-        conv_dts=values[("convergence", "dt_values")],
-        conv_amplitude=values[("convergence", "amplitude")],
         canonical_text=_canonical(values),
+        **{f.name: values[f.metadata["key"]] for f in fields(SolverConfig) if f.metadata},
     )
 
 
