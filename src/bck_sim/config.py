@@ -337,8 +337,6 @@ def load_config(path, overrides=()):
 
 
 def _mode_field(domain, mode, amplitude):
-    if amplitude == 0.0:
-        return SpectralField.zeros(domain)
     if len(mode) not in (1, domain.dimension):
         raise ConfigError(f"mode {mode} does not fit a {domain.dimension}d domain")
     idx = mode if len(mode) == domain.dimension else mode * domain.dimension

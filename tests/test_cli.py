@@ -383,6 +383,9 @@ def _census_config(conf, tmp_path):
          "quadrature_points_per_axis must be >= ceil(3N/2) = 12, got 5"),
         ("nonlinear-small", "params.a=-1", "a must be positive and finite, got -1.0"),
         ("nonlinear-small", "params.s=2", "s must be 0 or 1, got 2"),
+        # a mode is checked whatever its amplitude
+        ("zero-amplitude", "initial.mode=99", "mode (99,) outside 1..8"),
+        ("zero-amplitude", "initial.u1_mode=1 2 3", "mode (1, 2, 3) does not fit a 1d domain"),
     ],
     ids=["empty-amplitudes", "empty-modes-list", "modes-list-below-1", "reference-modes-below-1",
          "profile-ratio-not-below-1", "reference-modes-not-above-modes-list",
@@ -399,7 +402,8 @@ def _census_config(conf, tmp_path):
          "missing-section", "missing-key", "unparsable-value", "malformed-file",
          "unreadable-file", "set-without-value", "set-without-section", "set-unknown-key",
          "dt-above-run-length", "dimension-3", "lengths-per-axis", "zero-modes",
-         "quadrature-below-capacity", "negative-a", "s-not-0-or-1"],
+         "quadrature-below-capacity", "negative-a", "s-not-0-or-1",
+         "zero-amplitude-mode-out-of-range", "zero-amplitude-u1-mode-does-not-fit"],
 )
 def test_out_of_range_counts_and_lists_exit_with_code_3(
     tmp_path, monkeypatch, capsys, conf, override, message
