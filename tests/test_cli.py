@@ -15,7 +15,8 @@ import pytest
 import bck_sim.cli as cli
 from bck_sim.config import load_config
 from bck_sim.linear import mode_eigenvalues_from_coefficients
-from bck_sim.model import time_grid
+from bck_sim.model import PhysicalParams, derive_params, time_grid
+from bck_sim.spectral import SpectralField
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -427,6 +428,50 @@ def test_zero_quadrature_points_mean_the_default():
     config = load_config(conf, overrides=["domain.quadrature_points=0"])
     assert config.domain == default.domain
     assert config.config_sha256 == default.config_sha256
+
+
+@pytest.mark.parametrize(
+    "extra, material",
+    [
+        ("gamma = 1.4\n", {"gamma": 1.4}),
+        ("b_over_a = 5.0\n", {"b_over_a": 5.0}),
+    ],
+    ids=["gas", "liquid"],
+)
+def test_material_params_are_the_derived_coefficients(tmp_path, extra, material):
+    conf = tmp_path / "material.conf"
+    conf.write_text(_SMALL.replace(_DIRECT, _MATERIAL + extra), encoding="utf-8")
+    phys = PhysicalParams(nu=1e-5, prandtl=0.7, viscosity_number=1.4, c0=343.0, **material)
+    assert load_config(conf).params == derive_params(phys, s=1)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, want", [("", (1e-3, 1e-3)), ("amplitudes = 2e-3 -5e-4\n", (2e-3, -5e-4))],
+    ids=["default-amplitudes", "own-amplitudes"],
+)
+def test_multi_mode_data_are_the_sum_of_single_modes(tmp_path, amplitudes, want):
+    conf = tmp_path / "multi.conf"
+    preset = "preset = multi-mode\nmodes = 1 3\n" + amplitudes
+    conf.write_text(_SMALL.replace("preset = single-mode\nmode = 1\n", preset), encoding="utf-8")
+    config = load_config(conf)
+    first, third = (SpectralField.single_mode(config.domain, m, a) for m, a in zip((1, 3), want))
+    assert np.array_equal(config.initial.u.coeffs, (first + third).coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.conf")))
+def test_config_hash_is_the_committed_one(name):
+    record = json.loads((GOLDEN / name / "run_record.json").read_text(encoding="utf-8"))
+    assert load_config(CONFIGS / f"{name}.conf").config_sha256 == record["config_sha256"]
+
+
+def test_out_and_seed_flags_beat_set_overrides(tmp_path):
+    conf = CONFIGS / "zero-amplitude.conf"
+    argv = ["simulate", "--config", conf, "--set", f"output.directory={tmp_path / 'set'}",
+            "--set", "run.seed=5", "--out", tmp_path / "flag", "--seed", 7]
+    assert _run(*argv) == 0
+    assert not (tmp_path / "set").exists()
+    assert "seed: 7\n" in (tmp_path / "flag" / "summary.txt").read_text(encoding="utf-8")
+    assert _hash(tmp_path / "flag") == load_config(conf, ["run.seed=7"]).config_sha256
 
 
 @pytest.mark.parametrize(
