@@ -101,7 +101,8 @@ _SCHEMA = {
         "seed": ("int", 0, (lambda v: v >= 0, "must be nonnegative")),
         "label": ("str", ""),
     },
-    # decay-study and convergence index these lists and build a domain per count
+    # decay-study indexes [sweep] amplitudes and convergence builds a domain per
+    # [convergence] modes_list entry, so neither list may be empty
     "sweep": {
         "amplitudes": ("floats", (1e-4, 1e-3, 1e-2), _NONEMPTY, _ALL_FINITE),
         "b_values": ("floats", (), (lambda v: all(math.isfinite(b) and b > 0.0 for b in v),
