@@ -14,6 +14,7 @@ import pytest
 
 import bck_sim.cli as cli
 from bck_sim.config import load_config
+from bck_sim.errors import DegeneracyError
 from bck_sim.linear import mode_eigenvalues_from_coefficients
 from bck_sim.model import PhysicalParams, derive_params, time_grid
 from bck_sim.spectral import SpectralField
@@ -519,6 +520,32 @@ def test_decay_study_passes_solver_options_to_every_march(tmp_path, monkeypatch)
     report = (tmp_path / "decay_report.txt").read_text(encoding="utf-8")
     rows = list(csv.reader((tmp_path / "decay_study.csv").read_text(encoding="utf-8").splitlines()))
     assert f"s1_omega: {rows[1][1]}\n" in report
+
+
+def test_failed_decay_study_lists_the_artifact_it_wrote(tmp_path, monkeypatch, capsys):
+    """A guard trip in the s-sweep (the 4th march) ends the run with code
+    2; the amplitude table written before it is listed and complete."""
+    conf = CONFIGS / "decay-study.conf"
+    overrides = ("--set", "time.t_final=0.5", "--set", "sweep.b_values=")
+    assert _run("decay-study", "--config", conf, *overrides, "--out", tmp_path / "full") == 0
+    calls = []
+    real = cli.solve
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise DegeneracyError("guard tripped in the s-sweep")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", failing)
+    assert _run("decay-study", "--config", conf, *overrides, "--out", tmp_path / "cut") == 2
+    assert "code=2 kind=DegeneracyError message=guard tripped in the s-sweep" in capsys.readouterr().err
+    record = json.loads((tmp_path / "cut" / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 2
+    assert record["artifacts"] == ["decay_study.csv"]
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == ["decay_study.csv", "run_record.json"]
+    name = "decay_study.csv"
+    assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_sim_2d_reproduces_the_benchmark_reference(tmp_path):
