@@ -9,6 +9,12 @@ deterministic text artifacts plus a run record:
     bck-sim convergence     --config run.conf
     bck-sim decay-study     --config run.conf
 
+Each command is a generator of ``(name, content)`` artifacts: a
+``(columns, rows)`` table for a ``.csv`` name, else a list of key-value
+pairs.  ``main`` alone writes them, each as soon as it is yielded, so a run
+that fails part-way keeps and lists what it wrote; it also writes the run
+record.
+
 Exit codes: 0 success, 2 degeneracy, 3 configuration error, 4 blow-up or
 non-convergence.  Failures also print one machine-parsable line on
 stderr.  The BCK_SIM_LOG environment variable sets log verbosity.
@@ -133,19 +139,6 @@ def _safe_fit(t_grid, series):
         return math.nan, math.nan, math.nan
 
 
-def _trajectory_rows(traj, params, stride, series):
-    """The ``CSV_COLUMNS`` rows of every ``stride``-th sample of ``traj``
-    and its ``energy_series``, with the guard and residual series they
-    hold."""
-    residuals = np.full(traj.n_samples, math.nan)
-    residuals[1:-1] = pde_residual_series(
-        traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
-    )
-    columns = dict(series, residual=residuals)
-    rows = list(zip(*(columns[name][::stride] for name in CSV_COLUMNS)))
-    return series["guard_min"], residuals, rows
-
-
 def _solver_options(config):
     """The configured march options, for every nonlinear solve."""
     return {
@@ -155,15 +148,26 @@ def _solver_options(config):
     }
 
 
-def cmd_simulate(config, out_dir, artifacts):
-    traj = solve(config.initial, config.params, config.t_final, config.dt, **_solver_options(config))
-    # one energy series serves the CSV rows, the fit and both audits
-    series = energy_series(traj, config.params)
-    guard, residuals, rows = _trajectory_rows(traj, config.params, config.stride, series)
-    _write_csv(out_dir / "trajectory.csv", CSV_COLUMNS, rows)
-    artifacts.append("trajectory.csv")
+def _at_rest(u0):
+    """Data at t = 0 with displacement ``u0``, velocity and acceleration zero."""
+    z = SpectralField.zeros(u0.domain)
+    return EvolutionState(0.0, u0, z, z)
 
-    bound = spectral_bound(config.params, config.domain.lambda0)
+
+def cmd_simulate(config):
+    params = config.params
+    traj = solve(config.initial, params, config.t_final, config.dt, **_solver_options(config))
+    # one energy series serves the CSV rows, the fit and both audits
+    series = energy_series(traj, params)
+    residuals = np.full(traj.n_samples, math.nan)
+    residuals[1:-1] = pde_residual_series(
+        traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
+    )
+    columns = dict(series, residual=residuals)
+    rows = list(zip(*(columns[name][:: config.stride] for name in CSV_COLUMNS)))
+    yield "trajectory.csv", (CSV_COLUMNS, rows)
+
+    bound = spectral_bound(params, config.domain.lambda0)
     omega, prefactor, fit_residual = _safe_fit(series["t"], decay_norm_sum(series))
     try:
         audit = estimate_audit_linear(traj, series)
@@ -171,11 +175,12 @@ def cmd_simulate(config, out_dir, artifacts):
     except DivisionGuardError as err:
         log.info("estimate audit skipped: %s", err)
         c_min = math.nan
-    c_hat = config.c_hat if config.c_hat > 0.0 else (c_min if math.isfinite(c_min) and c_min > 0.0 else 1.0)
+    # c_hat = 0 means automatic: the audit's c_min when it is positive, else 1
+    c_hat = config.c_hat or (c_min if math.isfinite(c_min) and c_min > 0.0 else 1.0)
     barrier = barrier_audit(series, eta=config.eta, c_hat=c_hat)
 
     interior = residuals[1:-1]
-    pairs = [
+    yield "summary.txt", [
         ("command", "simulate"),
         ("label", config.label),
         ("config_sha256", config.config_sha256),
@@ -190,7 +195,7 @@ def cmd_simulate(config, out_dir, artifacts):
         ("fitted_omega", omega),
         ("fitted_prefactor", prefactor),
         ("fit_residual", fit_residual),
-        ("guard_min_overall", float(guard.min())),
+        ("guard_min_overall", float(series["guard_min"].min())),
         ("energy_initial", series["E_total"][0]),
         ("energy_final", series["E_total"][-1]),
         ("vtilde_sq", vtilde_norm(traj).value),
@@ -203,12 +208,9 @@ def cmd_simulate(config, out_dir, artifacts):
         ("barrier_integrated_ratio", barrier.integrated_ratio),
         ("max_interior_residual", float(np.nanmax(interior)) if interior.size else math.nan),
     ]
-    _write_keyvalues(out_dir / "summary.txt", pairs)
-    artifacts.append("summary.txt")
-    return 0
 
 
-def cmd_linear_analyze(config, out_dir, artifacts):
+def cmd_linear_analyze(config):
     domain, params = config.domain, config.params
     lam_sorted = np.sort(np.asarray(domain.eigenvalue_grid).ravel())
     n = lam_sorted.size
@@ -220,16 +222,12 @@ def cmd_linear_analyze(config, out_dir, artifacts):
         (i + 1, float(lam_sorted[i])) + tuple(x for mu in mus for x in (mu.real, mu.imag))
         for i, mus in zip(picks, spectra)
     ]
-    _write_csv(
-        out_dir / "modes.csv",
-        ("index", "lambda", "re_mu1", "im_mu1", "re_mu2", "im_mu2", "re_mu3", "im_mu3"),
-        rows,
-    )
-    artifacts.append("modes.csv")
+    columns = ("index", "lambda", "re_mu1", "im_mu1", "re_mu2", "im_mu2", "re_mu3", "im_mu3")
+    yield "modes.csv", (columns, rows)
 
     bound = spectral_bound(params, domain.lambda0)
     numeric = float(np.linalg.eigvals(generator_blocks(lam_sorted, params)).real.max())
-    pairs = [
+    yield "linear_analysis.txt", [
         ("command", "linear-analyze"),
         ("config_sha256", config.config_sha256),
         ("modes", domain.modes_per_axis),
@@ -239,26 +237,10 @@ def cmd_linear_analyze(config, out_dir, artifacts):
         ("numeric_sup", numeric),
         ("discrepancy", abs(numeric - bound.value)),
     ]
-    _write_keyvalues(out_dir / "linear_analysis.txt", pairs)
-    artifacts.append("linear_analysis.txt")
-    return 0
 
 
-def cmd_picard(config, out_dir, artifacts):
-    def emit(converged, iterations, ratios, increments, final_residual):
-        pairs = [
-            ("command", "picard"),
-            ("config_sha256", config.config_sha256),
-            ("converged", converged),
-            ("iterations", iterations),
-            ("final_residual", final_residual),
-            ("max_ratio", max(ratios) if ratios else math.nan),
-            ("ratios", tuple(ratios)),
-            ("increments", tuple(increments)),
-        ]
-        _write_keyvalues(out_dir / "picard_report.txt", pairs)
-        artifacts.append("picard_report.txt")
-
+def cmd_picard(config):
+    failure = None
     try:
         _, report = picard_solve(
             config.initial,
@@ -270,55 +252,60 @@ def cmd_picard(config, out_dir, artifacts):
             eps_deg=config.eps_deg,
             blowup_bound=config.blowup_bound,
         )
+        ratios, increments = report.ratios, report.increments
     except (NonConvergenceError, DegeneracyError, BlowUpError) as err:
         # a trip of the start guard carries neither list
-        ratios = getattr(err, "ratios", ())
-        increments = getattr(err, "increments", ())
-        emit(False, len(increments), ratios, increments, math.nan)
-        raise
-    emit(True, report.iterations, report.ratios, report.increments, report.final_residual)
-    return 0
+        failure = err
+        ratios, increments = getattr(err, "ratios", ()), getattr(err, "increments", ())
+    # the report is written whether or not the iteration converged
+    yield "picard_report.txt", [
+        ("command", "picard"),
+        ("config_sha256", config.config_sha256),
+        ("converged", failure is None),
+        ("iterations", len(increments)),
+        ("final_residual", report.final_residual if failure is None else math.nan),
+        ("max_ratio", max(ratios) if ratios else math.nan),
+        ("ratios", tuple(ratios)),
+        ("increments", tuple(increments)),
+    ]
+    if failure is not None:
+        raise failure
 
 
 def _spatial_study(config):
     """Truncation error of a geometric-coefficient profile, linear run.
 
-    The k = s = 0 march is exact per mode, so the measured error against
-    the fine-resolution reference is pure spatial truncation.
+    Mode (k_1, ..., k_d) has the coefficient amplitude * ratio**(k_1 + ...
+    + k_d) on the configured box.  The k = s = 0 march is exact per mode,
+    so the measured error against the fine-resolution reference is pure
+    spatial truncation.
     """
     params0 = dataclasses.replace(config.params, k=0.0, s=0)
-    ratio, n_ref = config.conv_ratio, config.conv_reference
-    length = config.domain.lengths[0]
+    dim, lengths = config.domain.dimension, config.domain.lengths
 
     def run(n_modes):
-        dom = DomainSpec(1, (length,), n_modes)
-        coeffs = config.conv_amplitude * ratio ** np.arange(1, n_modes + 1)
-        u0 = SpectralField(dom, coeffs)
-        z = SpectralField.zeros(dom)
-        data = EvolutionState(0.0, u0, z, z)
-        traj = solve(data, params0, config.t_final, config.dt, **_solver_options(config))
+        dom = DomainSpec(dim, lengths, n_modes)
+        exponents = np.indices(dom.coeff_shape).sum(axis=0) + dim
+        u0 = SpectralField(dom, config.conv_amplitude * config.conv_ratio**exponents)
+        traj = solve(_at_rest(u0), params0, config.t_final, config.dt, **_solver_options(config))
         return traj.u[-1]
 
-    reference = run(n_ref)
-    ref_domain = DomainSpec(1, (length,), n_ref)
+    reference = run(config.conv_reference)
+    ref_domain = DomainSpec(dim, lengths, config.conv_reference)
     errors = []
     for n_modes in config.conv_modes:
-        final = run(n_modes)
-        padded = np.zeros(n_ref)
-        padded[: final.size] = final
+        padded = np.zeros(ref_domain.coeff_shape)
+        padded[(slice(n_modes),) * dim] = run(n_modes)
         errors.append(float(np.sqrt(sq_norm(ref_domain, padded - reference))))
     return errors
 
 
 def _temporal_study(config):
-    dts = config.conv_dts
     dom = config.domain
-    u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, config.conv_amplitude)
-    z = SpectralField.zeros(dom)
-    data = EvolutionState(0.0, u0, z, z)
+    data = _at_rest(SpectralField.single_mode(dom, 1, config.conv_amplitude))
     finals = [
         solve(data, config.params, config.t_final, dt, **_solver_options(config)).u[-1]
-        for dt in dts
+        for dt in config.conv_dts
     ]
 
     def dist(x, y):
@@ -347,7 +334,7 @@ def _aliasing_study(config):
     return aliased_err, capacity_err, degraded
 
 
-def cmd_convergence(config, out_dir, artifacts):
+def cmd_convergence(config):
     # load_config checks every [convergence] value; whether each dt_values
     # entry divides t_final matters to this command alone
     try:
@@ -358,13 +345,11 @@ def cmd_convergence(config, out_dir, artifacts):
     spatial_errors = _spatial_study(config)
     d1, d2, order = _temporal_study(config)
     aliased_err, capacity_err, degraded = _aliasing_study(config)
-
-    rows = [(n, e) for n, e in zip(config.conv_modes, spatial_errors)]
-    _write_csv(out_dir / "spatial_errors.csv", ("modes", "l2_error"), rows)
-    artifacts.append("spatial_errors.csv")
+    rows = list(zip(config.conv_modes, spatial_errors))
+    yield "spatial_errors.csv", (("modes", "l2_error"), rows)
 
     first, last = spatial_errors[0], spatial_errors[-1]
-    pairs = [
+    yield "convergence_report.txt", [
         ("command", "convergence"),
         ("config_sha256", config.config_sha256),
         ("spatial_modes", tuple(config.conv_modes)),
@@ -378,39 +363,27 @@ def cmd_convergence(config, out_dir, artifacts):
         ("capacity_product_error", capacity_err),
         ("aliasing_degraded", degraded),
     ]
-    _write_keyvalues(out_dir / "convergence_report.txt", pairs)
-    artifacts.append("convergence_report.txt")
-    return 0
 
 
 def _lowest_mode_omega(config, params, amplitude):
     """The fitted decay rate of a march from the lowest mode at
     ``amplitude``, at rest."""
-    dom = config.domain
-    z = SpectralField.zeros(dom)
-    u0 = SpectralField.single_mode(dom, (1,) * dom.dimension, amplitude)
-    data = EvolutionState(0.0, u0, z, z)
+    data = _at_rest(SpectralField.single_mode(config.domain, 1, amplitude))
     traj = solve(data, params, config.t_final, config.dt, **_solver_options(config))
     series = energy_series(traj, params)
     return _safe_fit(series["t"], decay_norm_sum(series))[0]
 
 
-def cmd_decay_study(config, out_dir, artifacts):
+def cmd_decay_study(config):
     dom, params = config.domain, config.params
     bound = spectral_bound(params, dom.lambda0)
     linear_rate = 2.0 * abs(bound.value)
-    z = SpectralField.zeros(dom)
 
     amp_rows = []
     for amplitude in config.sweep_amplitudes:
         omega = _lowest_mode_omega(config, params, amplitude)
         amp_rows.append((amplitude, omega, omega / linear_rate))
-    _write_csv(
-        out_dir / "decay_study.csv",
-        ("amplitude", "fitted_omega", "ratio_to_linear"),
-        amp_rows,
-    )
-    artifacts.append("decay_study.csv")
+    yield "decay_study.csv", (("amplitude", "fitted_omega", "ratio_to_linear"), amp_rows)
 
     # at the configured s the base-amplitude run is amp_rows[0]'s march
     other = 1 - params.s
@@ -424,12 +397,11 @@ def cmd_decay_study(config, out_dir, artifacts):
     # all-mode profile so the sweep sees the slowest rate of each branch
     # (the overdamped bound is approached at high frequencies)
     lam = np.asarray(dom.eigenvalue_grid)
-    profile = SpectralField(dom, (lam / dom.lambda0) ** -1.0)
+    initial = _at_rest(SpectralField(dom, (lam / dom.lambda0) ** -1.0))
     b_rows = []
     for b_value in config.sweep_b_values:
         params_b = dataclasses.replace(params, b=b_value, k=0.0, s=0)
         bound_b = spectral_bound(params_b, dom.lambda0)
-        initial = EvolutionState(0.0, profile, z, z)
         try:
             fit = linear_decay_report(initial, params_b, config.t_final, config.dt)
             fitted = fit.omega
@@ -437,14 +409,9 @@ def cmd_decay_study(config, out_dir, artifacts):
             fitted = math.nan
         b_rows.append((b_value, fitted, 2.0 * abs(bound_b.value), bound_b.branch))
     if b_rows:
-        _write_csv(
-            out_dir / "b_sweep.csv",
-            ("b", "fitted_omega", "closed_form_rate", "branch"),
-            b_rows,
-        )
-        artifacts.append("b_sweep.csv")
+        yield "b_sweep.csv", (("b", "fitted_omega", "closed_form_rate", "branch"), b_rows)
 
-    pairs = [
+    yield "decay_report.txt", [
         ("command", "decay-study"),
         ("config_sha256", config.config_sha256),
         ("linear_rate", linear_rate),
@@ -454,9 +421,6 @@ def cmd_decay_study(config, out_dir, artifacts):
         ("s0_omega", s_rates[0]),
         ("s1_omega", s_rates[1]),
     ]
-    _write_keyvalues(out_dir / "decay_report.txt", pairs)
-    artifacts.append("decay_report.txt")
-    return 0
 
 
 _COMMANDS = {
@@ -522,7 +486,12 @@ def main(argv=None):
         sha = config.config_sha256
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](config, out_dir, artifacts)
+        for name, content in _COMMANDS[args.command](config):
+            if name.endswith(".csv"):
+                _write_csv(out_dir / name, *content)
+            else:
+                _write_keyvalues(out_dir / name, content)
+            artifacts.append(name)
     except ConfigError as err:
         code = 3
         _diagnostic(code, err)

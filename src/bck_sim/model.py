@@ -551,10 +551,10 @@ class KernelPlan:
     ``step_terms``; ``nonlinear_terms`` builds one per block shape and
     calls it.  The plan owns its buffers, and reuses one for another
     purpose only where it is spent, at one line that gives the reason.
-    The results of a call never share memory with them; those of ``step_terms`` are views of them, for
-    the march to copy.  A call guards only when it evaluates the law
-    (u_ttt not given); the forcing-only route returns None for the guard
-    minimum.
+    The results of a call never share memory with them; those of
+    ``step_terms`` are views of them, for the march to copy.  A call
+    guards only when it evaluates the law (u_ttt not given); the
+    forcing-only route returns None for the guard minimum.
 
     The members (lin, u_tt, u_t, u, u_ttt) are the rows of one array; lin
     is one ``vecdot`` of the rows (u_tt, u_t, u) with the bracket weights.

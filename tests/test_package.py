@@ -82,3 +82,13 @@ def test_every_public_function_has_a_caller():
         and node.name not in AUDIT_NAMES
     ]
     assert unreached == []
+
+
+def test_no_source_line_is_over_100_columns():
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
