@@ -12,7 +12,7 @@ serialization whose SHA-256 goes into the run record for reproducibility.
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -234,17 +234,23 @@ def _build_params(values):
 
 # where a run writes and what it is called change no number it computes
 _UNHASHED = frozenset({("output", "directory"), ("run", "label")})
+# read by the multi-mode preset alone
+_MULTI_MODE_KEYS = frozenset({("initial", "modes"), ("initial", "amplitudes")})
 
 
 def _canonical(values):
     """Text of every value that determines the results; its SHA-256 is
-    ``config_sha256``, the physics identity of a run."""
+    ``config_sha256``, the physics identity of a run.  The multi-mode keys
+    of another preset hash as their defaults."""
+    multi_mode = values[("initial", "preset")] == "multi-mode"
     lines = []
     for section in sorted(_SCHEMA):
         for key in sorted(_SCHEMA[section]):
             if (section, key) in _UNHASHED:
                 continue
             val = values[(section, key)]
+            if (section, key) in _MULTI_MODE_KEYS and not multi_mode:
+                val = _SCHEMA[section][key][1]
             if isinstance(val, tuple):
                 rendered = " ".join(_render_number(v) for v in val)
             elif isinstance(val, float):
@@ -307,8 +313,12 @@ def load_config(path, overrides=()):
             dimension=values[("domain", "dimension")],
             lengths=values[("domain", "lengths")],
             modes_per_axis=values[("domain", "modes")],
-            quadrature_points_per_axis=quad if quad > 0 else None,
         )
+        if quad == domain.quadrature_points_per_axis:
+            # the default spelled out is the default, and hashes as 0
+            values[("domain", "quadrature_points")] = 0
+        elif quad > 0:
+            domain = replace(domain, quadrature_points_per_axis=quad)
         params = _build_params(values)
     except (ConfigError, ValueError) as err:
         raise ConfigError(str(err)) from err

@@ -17,7 +17,7 @@ from bck_sim.config import load_config
 from bck_sim.errors import DegeneracyError
 from bck_sim.linear import mode_eigenvalues_from_coefficients
 from bck_sim.model import PhysicalParams, derive_params, time_grid
-from bck_sim.spectral import SpectralField
+from bck_sim.spectral import DomainSpec, SpectralField, sq_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -430,6 +430,60 @@ def test_zero_quadrature_points_mean_the_default():
     config = load_config(conf, overrides=["domain.quadrature_points=0"])
     assert config.domain == default.domain
     assert config.config_sha256 == default.config_sha256
+
+
+def test_values_that_change_no_result_keep_the_hash():
+    """An explicit default quadrature size, and the multi-mode keys of
+    another preset, hash as their defaults; a multi-mode config still
+    hashes its modes."""
+    conf = CONFIGS / "nonlinear-small.conf"
+    base = load_config(conf).config_sha256
+    for override in ("domain.quadrature_points=12", "initial.modes=3 4", "initial.amplitudes=1 2"):
+        assert load_config(conf, [override]).config_sha256 == base, override
+    assert load_config(conf, ["domain.quadrature_points=13"]).config_sha256 != base
+    multi = ["initial.preset=multi-mode", "initial.modes=1 3"]
+    other = ["initial.preset=multi-mode", "initial.modes=1 4"]
+    assert load_config(conf, multi).config_sha256 != load_config(conf, other).config_sha256
+
+
+@pytest.mark.parametrize(
+    "conf, overrides",
+    [
+        (CONFIGS / "convergence.conf", ()),
+        (ROOT / "perfbench" / "configs" / "sim-2d.conf", ("domain.modes=6",)),
+    ],
+    ids=["1d", "2d"],
+)
+def test_spatial_errors_are_the_reference_modes_outside_each_resolution(
+    tmp_path, monkeypatch, conf, overrides
+):
+    """The spatial study runs on the configured box.  Its k = s = 0 march
+    is exact per mode, so the error at N modes per axis is the norm of the
+    reference's modes outside [1..N]^d."""
+    runs = []
+    real = cli.solve
+
+    def spy(initial, *args, **kwargs):
+        traj = real(initial, *args, **kwargs)
+        runs.append((initial.u, traj.u[-1]))
+        return traj
+
+    monkeypatch.setattr(cli, "solve", spy)
+    argv = [a for item in overrides for a in ("--set", item)]
+    assert _run("convergence", "--config", conf, *argv, "--out", tmp_path) == 0
+    config = load_config(conf, overrides)
+    dim, n_ref = config.domain.dimension, config.conv_reference
+    u0, reference = runs[0]
+    assert u0.domain == DomainSpec(dim, config.domain.lengths, n_ref)
+    exponents = sum(np.ix_(*[np.arange(1, n_ref + 1)] * dim))
+    want = config.conv_amplitude * config.conv_ratio**exponents
+    np.testing.assert_allclose(u0.coeffs, want, rtol=1e-15, atol=0.0)
+    rows = list(csv.reader((tmp_path / "spatial_errors.csv").read_text(encoding="utf-8").splitlines()))
+    assert [int(n) for n, _ in rows[1:]] == list(config.conv_modes)
+    for n, error in rows[1:]:
+        outside = reference.copy()
+        outside[(slice(int(n)),) * dim] = 0.0
+        assert float(error) == pytest.approx(math.sqrt(sq_norm(u0.domain, outside)), rel=1e-9)
 
 
 @pytest.mark.parametrize(
