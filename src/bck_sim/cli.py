@@ -164,7 +164,7 @@ def cmd_simulate(config):
         traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
     )
     columns = dict(series, residual=residuals)
-    rows = list(zip(*(columns[name][:: config.stride] for name in CSV_COLUMNS)))
+    rows = list(zip(*(columns[name][::config.stride] for name in CSV_COLUMNS)))
     yield "trajectory.csv", (CSV_COLUMNS, rows)
 
     bound = spectral_bound(params, config.domain.lambda0)
