@@ -22,7 +22,10 @@ from .model import (
 )
 from .spectral import DomainSpec, SpectralField
 
-_PRESETS = ("zero", "single-mode", "multi-mode", "random-seeded")
+# preset -> the [initial] keys it reads besides mode and the u1/u2 keys,
+# which every preset reads
+_PRESETS = {"zero": (), "single-mode": ("amplitude",),
+            "multi-mode": ("amplitude", "modes", "amplitudes"), "random-seeded": ("amplitude",)}
 
 _DIRECT_KEYS = ("a", "b", "c", "k")
 _MATERIAL_KEYS = ("nu", "prandtl", "viscosity_number", "c0")
@@ -234,22 +237,21 @@ def _build_params(values):
 
 # where a run writes and what it is called change no number it computes
 _UNHASHED = frozenset({("output", "directory"), ("run", "label")})
-# read by the multi-mode preset alone
-_MULTI_MODE_KEYS = frozenset({("initial", "modes"), ("initial", "amplitudes")})
 
 
 def _canonical(values):
     """Text of every value that determines the results; its SHA-256 is
-    ``config_sha256``, the physics identity of a run.  The multi-mode keys
-    of another preset hash as their defaults."""
-    multi_mode = values[("initial", "preset")] == "multi-mode"
+    ``config_sha256``, the physics identity of a run.  The [initial] keys
+    that the preset does not read hash as their defaults."""
+    unread = {key for keys in _PRESETS.values() for key in keys}
+    unread -= set(_PRESETS[values[("initial", "preset")]])
     lines = []
     for section in sorted(_SCHEMA):
         for key in sorted(_SCHEMA[section]):
             if (section, key) in _UNHASHED:
                 continue
             val = values[(section, key)]
-            if (section, key) in _MULTI_MODE_KEYS and not multi_mode:
+            if section == "initial" and key in unread:
                 val = _SCHEMA[section][key][1]
             if isinstance(val, tuple):
                 rendered = " ".join(_render_number(v) for v in val)
@@ -325,7 +327,7 @@ def load_config(path, overrides=()):
 
     preset = values[("initial", "preset")]
     if preset not in _PRESETS:
-        raise ConfigError(f"unknown initial preset {preset!r}; choose from {_PRESETS}")
+        raise ConfigError(f"unknown initial preset {preset!r}; choose from {tuple(_PRESETS)}")
 
     t_final = values[("time", "t_final")]
     dt = values[("time", "dt")]

@@ -270,13 +270,6 @@ class PropagatorTable:
     exponential-integrator step, on flat data of shape (3, n) and
     forcings f of shape (..., n); a step subtracts ``held`` from E U and
     adds ``slope``.
-    phi1 and phi2 are transposed views of contiguous (n, 3) columns, and
-    the einsum of ``evolve`` writes its (3, n) result in that layout too,
-    the three components of a mode adjacent.  The einsum rounds by the
-    layout of its input: the Duhamel solve passes C-ordered rows, while
-    the nonlinear march's bound step writes each step into buffers of the
-    einsum's layout and reads them back at the next step, so every step
-    after its first reads that layout.
     """
 
     domain: object
@@ -298,13 +291,16 @@ class PropagatorTable:
             params=params,
             dt=float(dt),
             propagator=np.ascontiguousarray(full[:, :3, :3]),
-            phi1=np.ascontiguousarray(full[:, :3, 5]).T,
-            phi2=np.ascontiguousarray(full[:, :3, 8]).T,
+            phi1=np.ascontiguousarray(full[:, :3, 5].T),
+            phi2=np.ascontiguousarray(full[:, :3, 8].T),
         )
 
     def evolve(self, data, out=None):
-        """E U of flat data (3, n), written into ``out`` when given."""
-        return np.einsum("nij,jn->in", self.propagator, data, out=out)
+        """E U of flat data (3, n), written into ``out`` when given.  The
+        einsum rounds by the memory layout of its operand, so it contracts
+        a C-ordered copy: the result has the same bits for every layout of
+        ``data`` and of ``out``."""
+        return np.einsum("nij,jn->in", self.propagator, np.ascontiguousarray(data), out=out)
 
     def held(self, forcing, out=None):
         """P1 f of forcings f of shape (..., n), shape (..., 3, n): the
@@ -342,7 +338,7 @@ def solve_duhamel(domain, params, t_grid, data0, forcing=None):
     block of steps at once, a block holding as many steps as fit in
     ``spectral.BLOCK_BYTES``; the loop only recurs, combining them with
     E U_n in the order above.  The result is, bit for bit, a loop of that
-    step on C-ordered rows.
+    step.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:

@@ -22,9 +22,9 @@ one exponential-integrator step of ``linear.PropagatorTable``, sample on
 ``model.time_grid``, and measure with ``spectral.sq_norm``.
 
 The direct stepper binds that step once per march (``_bind_step``), on
-buffers it owns, for both dimensions; it keeps every operation, operand
-layout and association order of the term-by-term step, so a march is
-that step in a loop bit for bit (``tests/test_nonlinear.py``).
+buffers it owns, for both dimensions; it keeps every operation and
+association order of the term-by-term step, so a march is that step in
+a loop bit for bit (``tests/test_nonlinear.py``).
 """
 
 import math
@@ -158,35 +158,27 @@ def _bind_step(table, plan, substep_iters, bound):
     and evaluates the plan's ``step_terms`` there, and every sweep but the
     last forms the next candidate.
 
-    The step owns two (3, n) buffers in the layout the einsum of
-    ``evolve`` writes (the three components of a mode adjacent); a step's
-    base is the one that does not hold its input.  The first step reads
-    the march's C-ordered start data, every later one the buffer the step
-    before returned, as the term-by-term march does: the einsum rounds by
-    the layout of its input.  The results are views of the step's and the
+    The step owns two (3, n) buffers; a step's base is the one that does
+    not hold its input.  The results are views of the step's and the
     plan's buffers, valid until the next call.
     """
     n = table.phi1.shape[1]
-    # each buffer as (3, n) data and as its contiguous memory, which the
-    # blow-up check reads
-    buffers = [(m.T, m.reshape(-1)) for m in (np.empty((n, 3)), np.empty((n, 3)))]
-    term, scratch = np.empty((n, 3)).T, np.empty(3 * n)
+    buffers = [np.empty((3, n)), np.empty((3, n))]
+    term, scratch = np.empty((3, n)), np.empty((3, n))
     last = max(substep_iters, 0)
     step_terms = plan.step_terms
 
     def step(data, f, t_next):
-        (base, flat), (candidate, candidate_flat) = (
-            buffers[::-1] if data is buffers[0][0] else buffers
-        )
+        base, candidate = buffers[::-1] if data is buffers[0] else buffers
         table.evolve(data, out=base)
         np.subtract(base, table.held(f, out=term), out=base)
         x = base
         for sweep in range(last + 1):
-            _check_blowup(flat, t_next, bound, scratch)
+            _check_blowup(x, t_next, bound, scratch)
             utt, uttt, f_next = step_terms(x, t_next)
             if sweep < last:
                 np.add(base, table.slope(f, f_next, out=term), out=candidate)
-                x, flat = candidate, candidate_flat
+                x = candidate
         return x, utt, uttt, f_next
 
     return step
@@ -272,8 +264,9 @@ def linear_trajectory(initial, params, t_grid, forcing=None):
     """The linear solve from an ``EvolutionState`` on t_grid as a Trajectory.
 
     ``solve_duhamel`` gives the semigroup series under the forcing f
-    (an (nt,) + coeff shape array, or None); u_tt comes back through
-    ``semigroup_utt`` and u_ttt is the linear bracket minus f.
+    (an (nt,) + coeff shape array, or None); u_tt keeps its given start
+    and comes back through ``semigroup_utt`` at later samples, and u_ttt
+    is the linear bracket minus f.
     """
     domain = initial.domain
     fields = (initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs)
@@ -281,6 +274,7 @@ def linear_trajectory(initial, params, t_grid, forcing=None):
     data = solve_duhamel(domain, params, t_grid, data0, forcing=forcing)
     u, ut = data[:, 0].copy(), data[:, 1].copy()
     utt = semigroup_utt(domain, params, np.moveaxis(data, 1, 0))
+    utt[0] = fields[2]
     uttt = linear_bracket(domain, params, u, ut, utt)
     if forcing is not None:
         uttt = uttt - forcing

@@ -433,17 +433,27 @@ def test_zero_quadrature_points_mean_the_default():
 
 
 def test_values_that_change_no_result_keep_the_hash():
-    """An explicit default quadrature size, and the multi-mode keys of
-    another preset, hash as their defaults; a multi-mode config still
-    hashes its modes."""
+    """An explicit default quadrature size, and the [initial] keys that
+    the preset does not read, hash as their defaults; the keys it reads
+    still move the hash."""
     conf = CONFIGS / "nonlinear-small.conf"
     base = load_config(conf).config_sha256
     for override in ("domain.quadrature_points=12", "initial.modes=3 4", "initial.amplitudes=1 2"):
         assert load_config(conf, [override]).config_sha256 == base, override
     assert load_config(conf, ["domain.quadrature_points=13"]).config_sha256 != base
+    assert load_config(conf, ["initial.amplitude=2e-3"]).config_sha256 != base
     multi = ["initial.preset=multi-mode", "initial.modes=1 3"]
     other = ["initial.preset=multi-mode", "initial.modes=1 4"]
     assert load_config(conf, multi).config_sha256 != load_config(conf, other).config_sha256
+    zero = CONFIGS / "zero-amplitude.conf"
+    base = load_config(zero).config_sha256
+    for override in ("initial.amplitude=5", "initial.modes=3 4", "initial.amplitudes=1 2"):
+        assert load_config(zero, [override]).config_sha256 == base, override
+    assert load_config(zero, ["initial.u1_amplitude=5"]).config_sha256 != base
+    sim_2d = ROOT / "perfbench" / "configs" / "sim-2d.conf"
+    base = load_config(sim_2d).config_sha256
+    assert load_config(sim_2d, ["initial.modes=3 4"]).config_sha256 == base
+    assert load_config(sim_2d, ["initial.amplitude=2e-2"]).config_sha256 != base
 
 
 @pytest.mark.parametrize(

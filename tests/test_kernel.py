@@ -604,7 +604,7 @@ def test_alternating_marches_match_solo_runs_and_share_no_memory(monkeypatch):
     for step in steps:
         names = inspect.getclosurevars(step).nonlocals
         plan = names["step_terms"].__self__
-        for buf in [view for pair in names["buffers"] for view in pair] + [plan._rows]:
+        for buf in names["buffers"] + [plan._rows]:
             assert any(h is buf for h in held)
     for traj in mixed:
         for x in fields:

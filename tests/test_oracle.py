@@ -19,8 +19,8 @@ of two 1D ones, and the folded route must be within 1e-14 of it.
 The propagator table is checked the same way: mpmath's ``expm`` of each
 mode's 9x9 augmented block at 50 digits, from the float dt taken exactly,
 and it must be no farther from that than ``scipy.linalg.expm``.  The law,
-the residual's quadratic source, a march and a Picard sweep are each
-recomputed at 50 digits from their float inputs.
+the residual's quadratic source and the residual itself, a march and a
+Picard sweep are each recomputed at 50 digits from their float inputs.
 """
 
 import mpmath as mp
@@ -401,6 +401,45 @@ def test_quadratic_source_against_the_oracle(dim, s):
         domain, params, *((_exact(x) if dim == 1 else [_exact(row) for row in x]) for x in (u, ut))
     )
     assert _relative_error(got.ravel(), exact) < 1e-14
+
+
+def test_equation_residual_against_the_oracle():
+    """``pde_residual_series`` on ten steps of ``nonlinear-small``'s march
+    (1D N = 8 on (0, pi), a = b = c = 1, k = 0.2, s = 1, mode 1 at 1e-3
+    from rest, dt = 1e-3), against the same centered differences at 50
+    digits, the float series and sample times taken exactly.  The column
+    divides second differences of Q by dt^2, so it keeps only about six
+    digits: the measured worst entry errs by 1.2e-6 relative (mean
+    5.9e-7), and the bound is 2.5 times that."""
+    n, dt, steps = 8, 1e-3, 10
+    domain = DomainSpec(1, (np.pi,), n)
+    params = ModelParams(1.0, 1.0, 1.0, 0.2, 1)
+    zero = SpectralField.zeros(domain)
+    start = SpectralField.single_mode(domain, (1,), 1e-3)
+    traj = solve(make_compatibility_data(start, zero, zero, params), params, steps * dt, dt)
+    got = model.pde_residual_series(domain, params, traj.t_grid, traj.u, traj.ut, traj.utt)
+
+    lam = _eigenvalues(domain)
+    a, b, c = (mp.mpf(v) for v in (params.a, params.b, params.c))
+    rows = [[_exact(getattr(traj, name)[i]) for name in ("u", "ut", "utt")]
+            for i in range(steps + 1)]
+    g = [[z + b * lj * v + c * c * lj * y for lj, y, v, z in zip(lam, *row)] for row in rows]
+    q = [_quad_source_exact(domain, params, row[0], row[1]) for row in rows]
+    t = _exact(traj.t_grid)
+
+    def norm(x):
+        return mp.sqrt(mp.fdot(x, x))
+
+    worst = 0.0
+    for i in range(1, steps):
+        h = (t[i + 1] - t[i - 1]) / 2
+        diff = [-a * lj * x for lj, x in zip(lam, g[i])]
+        dot = [(x - y) / (2 * h) for x, y in zip(g[i + 1], g[i - 1])]
+        ddot = [(x - 2 * y + z) / (h * h) for x, y, z in zip(q[i + 1], q[i], q[i - 1])]
+        resid = [x - y - z for x, y, z in zip(diff, dot, ddot)]
+        exact = norm(resid) / max(norm(diff), norm(dot), norm(ddot))
+        worst = max(worst, float(abs(mp.mpf(float(got[i - 1])) - exact) / exact))
+    assert worst < 3e-6
 
 
 def _propagator(params, lam, h):
