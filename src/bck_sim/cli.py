@@ -170,8 +170,7 @@ def cmd_simulate(config):
     bound = spectral_bound(params, config.domain.lambda0)
     omega, prefactor, fit_residual = _safe_fit(series["t"], decay_norm_sum(series))
     try:
-        audit = estimate_audit_linear(traj, series)
-        c_min = audit.c_min
+        c_min = estimate_audit_linear(traj, series)
     except DivisionGuardError as err:
         log.info("estimate audit skipped: %s", err)
         c_min = math.nan
@@ -198,7 +197,7 @@ def cmd_simulate(config):
         ("guard_min_overall", float(series["guard_min"].min())),
         ("energy_initial", series["E_total"][0]),
         ("energy_final", series["E_total"][-1]),
-        ("vtilde_sq", vtilde_norm(traj).value),
+        ("vtilde_sq", max(vtilde_norm(traj).values())),
         ("v_norm", v_norm(traj)),
         ("estimate_c_min", c_min),
         ("barrier_c_hat", c_hat),
@@ -254,16 +253,15 @@ def cmd_picard(config):
         )
         ratios, increments = report.ratios, report.increments
     except (NonConvergenceError, DegeneracyError, BlowUpError) as err:
-        # a trip of the start guard carries neither list
         failure = err
-        ratios, increments = getattr(err, "ratios", ()), getattr(err, "increments", ())
+        ratios, increments = err.ratios, err.increments
     # the report is written whether or not the iteration converged
     yield "picard_report.txt", [
         ("command", "picard"),
         ("config_sha256", config.config_sha256),
         ("converged", failure is None),
         ("iterations", len(increments)),
-        ("final_residual", report.final_residual if failure is None else math.nan),
+        ("final_residual", increments[-1] if failure is None else math.nan),
         ("max_ratio", max(ratios) if ratios else math.nan),
         ("ratios", tuple(ratios)),
         ("increments", tuple(increments)),

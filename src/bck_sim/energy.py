@@ -37,23 +37,10 @@ class DecayFit:
 
 
 @dataclass(frozen=True)
-class EstimateAudit:
-    """Pointwise comparison lhs(t) <= c * rhs(t) with the minimal constant."""
-
-    t_grid: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    c_min: float
-
-
-@dataclass(frozen=True)
 class BarrierAudit:
     passed: bool
     pointwise_ratio: float
     integrated_ratio: float
-    initial_energy: float
-    eta: float
-    c_hat: float
 
 
 def fourth_derivative_series(t_grid, uttt_coeffs):
@@ -225,7 +212,9 @@ def _cumulative_trapezoid(y, t):
 
 
 def estimate_audit_linear(traj, series):
-    """Minimal constant in E(t) + int(E + k) <= c * (E(0) + int(|f|^2 + |f_t|^2)).
+    """The minimal constant c in E(t) + int(E + k) <= c * (E(0) +
+    int(|f|^2 + |f_t|^2)), over the samples where the right side exceeds
+    1e-12, and 0.0 where neither side does anywhere.
 
     f is the forcing the trajectory carries (ValueError when it carries
     none); its time derivative is centered-differenced.  ``series`` is the
@@ -247,10 +236,8 @@ def estimate_audit_linear(traj, series):
             raise DivisionGuardError(
                 "estimate right-hand side vanishes but the left does not"
             )
-        c_min = 0.0
-    else:
-        c_min = float(np.max(lhs[mask] / rhs[mask]))
-    return EstimateAudit(t_grid=t, lhs=lhs, rhs=rhs, c_min=c_min)
+        return 0.0
+    return float(np.max(lhs[mask] / rhs[mask]))
 
 
 def barrier_audit(series, eta, c_hat):
@@ -276,9 +263,6 @@ def barrier_audit(series, eta, c_hat):
         passed=(pointwise <= 1.0 and integrated <= 1.0),
         pointwise_ratio=pointwise,
         integrated_ratio=integrated,
-        initial_energy=float(total[0]),
-        eta=float(eta),
-        c_hat=float(c_hat),
     )
 
 

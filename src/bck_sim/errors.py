@@ -22,12 +22,8 @@ class DegeneracyError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to contract within the iteration budget."""
-
-    def __init__(self, message, ratios=None, increments=None):
-        super().__init__(message)
-        self.ratios = list(ratios) if ratios is not None else []
-        self.increments = list(increments) if increments is not None else []
+    """Fixed-point iteration failed to contract within the iteration budget;
+    ``picard_solve`` attaches the ``ratios`` and ``increments`` measured."""
 
 
 class BlowUpError(OverflowError):

@@ -42,13 +42,13 @@ turns such a series into its ``Trajectory``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .energy import DecayFit, decay_fit
+from .energy import decay_fit
 from .errors import FitError
 from .model import check_uniform_grid, time_grid, wave_part
 from .spectral import sample_blocks, sq_norm
@@ -272,8 +272,6 @@ class PropagatorTable:
     adds ``slope``.
     """
 
-    domain: object
-    params: object
     dt: float
     propagator: np.ndarray
     phi1: np.ndarray
@@ -287,8 +285,6 @@ class PropagatorTable:
         distinct, mode_of = np.unique(lam, return_inverse=True)
         full = _expm(augmented_blocks(distinct, params, dt))[mode_of]
         return cls(
-            domain=domain,
-            params=params,
             dt=float(dt),
             propagator=np.ascontiguousarray(full[:, :3, :3]),
             phi1=np.ascontiguousarray(full[:, :3, 5].T),
@@ -397,9 +393,7 @@ def linear_decay_report(initial, params, T, dt):
     fit = decay_fit(t, energy)
     rel = t - t[0]
     prefactor = float(np.max(energy * np.exp(fit.omega * rel) / energy[0]))
-    return DecayFit(
-        omega=fit.omega, M=prefactor, window=fit.window, residual=fit.residual
-    )
+    return replace(fit, M=prefactor)
 
 
 def weighted_norm(domain, params, data, alpha=0.1):
@@ -427,8 +421,6 @@ class RelativeBoundReport:
     sqrt(2)*max(2c^2/(alpha*b), 1).  Reported, not asserted.
     """
 
-    alpha: float
-    slope: float
     claimed_offset: float
     measured_offset: float
     satisfied: bool
@@ -452,8 +444,6 @@ def relative_bound_report(domain, params, alpha=0.1, n_samples=64, seed=0):
     measured = float(np.max((norm_a2 - 0.5 * alpha * norm_a1) / norm_v))
     claimed = math.sqrt(2.0) * max(2.0 * c * c / (alpha * b), 1.0)
     return RelativeBoundReport(
-        alpha=float(alpha),
-        slope=0.5 * alpha,
         claimed_offset=claimed,
         measured_offset=measured,
         satisfied=measured <= claimed + 1e-12,

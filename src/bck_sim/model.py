@@ -28,10 +28,11 @@ equation reads (a*laplace - d/dt)(u_tt - b*laplace(u_t) - c^2*laplace(u)) = f.
 
 ``nonlinear_terms`` is the one kernel behind both: it maps raw coefficient
 arrays (u, u_t, u_tt), of shape batch + coeff shape for any leading batch
-shape, to (u_ttt, f, guard minimum).  The march, the Picard sweeps and the
-post-processing series call it directly; ``check_degeneracy_guard``,
-``forcing_f`` and ``acceleration`` are thin SpectralField front ends.
-Long batches run in blocks of ``spectral.BLOCK_BYTES``.
+shape, to (u_ttt, f, guard minimum).  The Picard sweeps
+(``nonlinear.picard_apply``) call it directly, and ``forcing_f`` and
+``acceleration`` are thin SpectralField front ends over it; the march
+calls a ``KernelPlan`` of its own, and no post-processing series calls
+either.  Long batches run in blocks of ``spectral.BLOCK_BYTES``.
 
 The wave part u_tt - b laplace(u_t) - c^2 laplace(u) is written once, in
 ``wave_part``, and inverted once, in ``semigroup_utt`` (the march step
@@ -46,8 +47,8 @@ and degeneracy margin: building it resolves the weights and the guard's
 limit, takes every matrix and view, allocates every buffer and lists the
 numpy calls of a call as steps, so a call carries only data and time and
 runs the same steps in both dimensions.  Every call returns f: the march
-needs the law with f, the Picard sweeps and the post-processing f alone,
-and the one-shot front ends that need only u_ttt discard it.
+needs the law with f, the Picard sweeps and ``forcing_f`` f alone, and
+``acceleration``, which needs only u_ttt, discards it.
 ``nonlinear_terms`` builds one plan per block shape of its batch and calls
 it; a call returns u_ttt, f and the guard minima as fresh arrays, so its
 buffers never escape.  ``nonlinear.solve`` builds one plan per march and

@@ -10,7 +10,8 @@ Two routes to a solution:
   problem with the forcing frozen along the previous iterate, measuring
   its own contraction ratios.
 
-Both start from (u, u_t, u_tt)(0), an ``model.EvolutionState``; the
+Both start from (u, u_t, u_tt)(0), an ``model.EvolutionState``, and check
+it against the blow-up bound, then the guard, before anything else; the
 stepper evaluates the law at its first sample for u_ttt(0).  Both produce
 a Trajectory, the one trajectory type of the package: raw coefficient
 series of every stored time derivative up to u_ttt (the fourth
@@ -111,20 +112,12 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class VNormReport:
-    """Squared components of the weak trajectory norm and their maximum."""
-
-    components: dict
-    value: float
-
-
-@dataclass(frozen=True)
 class PicardReport:
+    """Each sweep's increment, the last below tol, and each ratio."""
+
     iterations: int
     ratios: tuple
     increments: tuple
-    final_residual: float
-    converged: bool
 
 
 def _check_blowup(data, time, bound, scratch=None):
@@ -195,11 +188,11 @@ def solve(
 ):
     """March the nonlinear problem from an ``EvolutionState`` at t = 0 to T.
 
-    The march evaluates its own start: one law call at t = 0 guards u_t
-    (so a trip timed 0 is one of the initial data) and gives u_ttt(0) and
-    f(0).  On degeneracy or blow-up the raised error, timed at its sample
-    of ``time_grid``, carries the accepted part of the run in its
-    partial_trajectory attribute.  One ``KernelPlan``, built here with the
+    The march checks the semigroup data at t = 0 against ``blowup_bound``,
+    then evaluates its own start: one law call guards u_t and gives
+    u_ttt(0) and f(0).  A trip timed 0 is one of the initial data; a later
+    one, timed at its sample of ``time_grid``, carries the accepted part
+    of the run in its partial_trajectory attribute.  One ``KernelPlan``, built here with the
     margin ``eps_deg``, serves every kernel call of the march, and one
     bound step (``_bind_step``) every step; both are dropped with the
     march.  The step returns views of its buffers, which the march copies
@@ -221,10 +214,11 @@ def solve(
     forcing = np.zeros((nt,) + shape)
     u[0], ut[0], utt[0] = initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs
 
+    data = semigroup_data(domain, params, u[0], ut[0], utt[0]).reshape(3, -1)
+    _check_blowup(data, 0.0, blowup_bound)
     plan = KernelPlan(domain, params, eps_deg=eps_deg)
     uttt[0], forcing[0], _ = plan(u[0], ut[0], utt[0], time=0.0)
     step = _bind_step(table, plan, substep_iters, blowup_bound)
-    data = semigroup_data(domain, params, u[0], ut[0], utt[0]).reshape(3, -1)
     u_rows, ut_rows, utt_rows, uttt_rows, f_rows = (
         a.reshape(nt, -1) for a in (u, ut, utt, uttt, forcing)
     )
@@ -311,12 +305,14 @@ def picard_solve(
     """Iterate the fixed-point map from the homogeneous linear solution.
 
     Stops once the trajectory-norm increment drops below tol; raises
-    NonConvergenceError with the measured ratio history when the budget
-    runs out.  Before each sweep the semigroup data of phi, the quantities
-    ``solve`` checks, is checked against ``blowup_bound`` at every sample,
-    so a diverging iteration raises BlowUpError before f[phi] is formed
-    from an unchecked iterate.  A DegeneracyError or a BlowUpError carries
-    the ratios and increments measured before it.
+    NonConvergenceError when the budget runs out.  The initial data are
+    checked against ``blowup_bound``, then the guard, before the
+    homogeneous start is solved from them.  Before each sweep the
+    semigroup data of phi, the quantities ``solve`` checks, is checked
+    against ``blowup_bound`` at every sample, so a diverging iteration
+    raises BlowUpError before f[phi] is formed from an unchecked iterate.
+    Every error raised carries the ``ratios`` and ``increments`` measured
+    before it.
     """
     if initial.t != 0.0:
         raise ValueError(f"the initial state must be at t = 0, got t = {initial.t:g}")
@@ -324,13 +320,14 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     domain = initial.domain
+    fields = (initial.u.coeffs, initial.ut.coeffs, initial.utt.coeffs)
 
-    degeneracy_guard(domain, params, initial.ut.coeffs, 0.0, eps_deg)
-
-    phi = linear_trajectory(initial, params, t_grid)
     increments = []
     ratios = []
     try:
+        _check_blowup(semigroup_data(domain, params, *fields), 0.0, blowup_bound)
+        degeneracy_guard(domain, params, fields[1], 0.0, eps_deg)
+        phi = linear_trajectory(initial, params, t_grid)
         # the homogeneous start (its sample 0 is u1, guarded above); every
         # later phi is a result picard_apply has guarded
         degeneracy_guard(domain, params, phi.ut[1:], t_grid[1:], eps_deg)
@@ -347,28 +344,20 @@ def picard_solve(
                 ratios.append(increments[-1] / increments[-2])
             phi = nxt
             if increment < tol:
-                report = PicardReport(
-                    iterations=iteration,
-                    ratios=tuple(ratios),
-                    increments=tuple(increments),
-                    final_residual=increment,
-                    converged=True,
-                )
-                return phi, report
-    except (DegeneracyError, BlowUpError) as err:
+                return phi, PicardReport(iteration, tuple(ratios), tuple(increments))
+        raise NonConvergenceError(
+            f"fixed-point iteration did not contract below {tol:.3e} "
+            f"within {max_iter} sweeps"
+        )
+    except (DegeneracyError, BlowUpError, NonConvergenceError) as err:
         err.ratios = list(ratios)
         err.increments = list(increments)
         raise
-    raise NonConvergenceError(
-        f"fixed-point iteration did not contract below {tol:.3e} "
-        f"within {max_iter} sweeps",
-        ratios=ratios,
-        increments=increments,
-    )
 
 
 def vtilde_norm(traj):
-    """Squared weak-norm components (max-of-seven) of a trajectory."""
+    """The seven squared components of the weak trajectory norm, by name;
+    the norm squared is their maximum."""
     domain, t = traj.domain, traj.t_grid
     utttt = fourth_derivative_series(t, traj.uttt)
 
@@ -378,7 +367,7 @@ def vtilde_norm(traj):
     def supremum(series):
         return float(series.max(initial=0.0))
 
-    components = {
+    return {
         "utttt_L2L2": integral(sq_norm(domain, utttt)),
         "uttt_L2H1": integral(sq_norm(domain, traj.uttt, 1)),
         "utt_L2H1": integral(sq_norm(domain, traj.utt, 1)),
@@ -387,7 +376,6 @@ def vtilde_norm(traj):
         "ut_LinfH3": supremum(sq_norm(domain, traj.ut, 3)),
         "u_LinfH3": supremum(sq_norm(domain, traj.u, 3)),
     }
-    return VNormReport(components=components, value=max(components.values()))
 
 
 def v_norm(traj):

@@ -249,6 +249,28 @@ def test_non_converging_picard_exits_with_code_4_and_writes_its_report(tmp_path,
     assert record["artifacts"] == ["picard_report.txt"]
 
 
+@pytest.mark.parametrize(
+    "command, conf, artifacts",
+    [("simulate", "nonlinear-small", []), ("picard", "picard-small", ["picard_report.txt"])],
+)
+def test_initial_data_past_the_blowup_bound_exit_with_code_4(
+    tmp_path, capsys, command, conf, artifacts
+):
+    """Mode-8 data of amplitude 1e306 are past the bound at t = 0, and
+    the start's u_ttt, which scales them by up to lambda^2, would overflow:
+    both routes check the data before computing anything from them."""
+    argv = [command, "--config", CONFIGS / f"{conf}.conf", "--out", tmp_path]
+    for item in ("initial.amplitude=1e306", "initial.mode=8"):
+        argv += ["--set", item]
+    assert _run(*argv) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("bck-sim: code=4 kind=BlowUpError ")
+    assert line.endswith(" at t = 0")
+    record = json.loads((tmp_path / "run_record.json").read_text(encoding="utf-8"))
+    assert record["exit_status"] == 4
+    assert record["artifacts"] == artifacts
+
+
 def test_unknown_config_key_exits_with_code_3(tmp_path, capsys):
     text = (CONFIGS / "nonlinear-small.conf").read_text(encoding="utf-8")
     bad = tmp_path / "bad.conf"
