@@ -43,49 +43,41 @@ written once, in ``time_grid``, and every sampled series is checked by
 the one ``check_uniform_grid``.
 
 The body is a ``KernelPlan``, bound once to a domain, params, batch shape
-and degeneracy margin: building it resolves the weights and the guard's
-limit, takes every matrix and view, allocates every buffer and lists the
-numpy calls of a call as steps, so a call carries only data and time and
-runs the same steps in both dimensions.  Every call returns f: the march
-needs the law with f, the Picard sweeps and ``forcing_f`` f alone, and
-``acceleration``, which needs only u_ttt, discards it.
-``nonlinear_terms`` builds one plan per block shape of its batch and calls
-it; a call returns u_ttt, f and the guard minima as fresh arrays, so its
-buffers never escape.  ``nonlinear.solve`` builds one plan per march and
-calls it once at t = 0; its bound step calls the plan's entry point from
-semigroup data, ``step_terms``, at every substep sweep, which writes u_tt
-into the plan's row and returns views of the plan's buffers for the march
-to copy.  A call guards when it evaluates the law (u_ttt not given), and
-only then: the forcing f is a polynomial and divides by nothing, so the
-forcing-only route (u_ttt given) returns None for the guard minimum.  The
+and degeneracy margin.  Every call returns f: the march needs the law
+with f, the Picard sweeps and ``forcing_f`` f alone, and ``acceleration``
+discards it.  ``nonlinear.solve`` builds one plan per march, whose bound
+step calls ``step_terms`` from semigroup data at every substep sweep.  The
 guard runs on one buffer of 2k u_t on the Gauss nodes and on the
 collocation nodes (the Gauss half is what the law divides by), so one min
 and one max per sample cover both grids; only a trip looks at the grids
-apart, to report where it happened.  A plan with k = s = 0, the linear
-problem of ``linear-lowest-mode`` and of the spatial study of
-``convergence``, binds nothing: u_ttt is the bracket and f is zero.
+apart, to report where it happened.  f is a polynomial and divides by
+nothing, so the forcing-only route (u_ttt given) does not guard.
 
-The members (lin, u_tt, u_t, u, u_ttt) of a plan are the rows of one
-array, and each grid stage contracts a run of rows one mode axis at a
-time with the products of ``spectral``'s array layer; the dimension
-selects only how the products are grouped.  A 1D call at the march's
-sizes works on arrays of a few dozen values, so its cost is its count of
-numpy calls: a stage is one gemm of its rows against the grid's sine and
-derivative matrices stacked, and a call is about twenty numpy calls at
-any N.  A 2D stage works on grids of tens of thousands of values, so it
-costs its arithmetic: it evaluates only the (member, derivative) pairs it
-reads, nine fields on the Gauss grid (u_t's for the guard among them) and
-nine on the fine grid.  The numerator of the law and f are each one gemv
-of their terms with their weights, so they round differently from the
-term-by-term form, by about 1e-16 relative (``tests/test_oracle.py``,
+The members (u_tt, u_t, u, u_ttt) of a plan are the rows of one array,
+and each grid stage contracts rows one mode axis at a time with the
+products of ``spectral``'s array layer; the dimension selects only how
+the products are grouped.  A 1D call at the march's sizes works on arrays
+of a few dozen values, so its cost is its count of numpy calls: a fine
+stage is one gemm of all rows against the sine and derivative matrices
+stacked, and a call is about sixteen numpy calls at any N.  A 2D stage
+works on grids of tens of thousands of values, so it costs its
+arithmetic: it evaluates only the (member, derivative) pairs it reads,
+nine fields on the fine grid and two on the Gauss grid, lin and u_t (for
+the guard and the divisor).  The rest of the numerator, R = 2k u_tt^2 +
+2s (|grad u_t|^2 + grad u . grad u_tt), is a product of two degree-N
+series, so a cosine polynomial of degree <= 2N per axis, which its
+samples on the fine grid determine: it is summed there from f's own
+products and carried to the Gauss nodes by the exact interpolation
+``DomainSpec._fine_to_gauss``.  The numerator and f are each one weighted
+sum of their terms, so they round differently from the term-by-term
+form, by a few 1e-16 relative (``tests/test_oracle.py``,
 ``tests/test_kernel.py``).
 
 f projects each of its products on its own and weights the projections.
-Projection is linear, so summing the products first and projecting once
-would be cheaper, but it rounds differently, and the residual
-diagnostic, which divides second time differences of Q by dt^2,
-amplifies that to about 1e-6 relative, and the Picard contraction ratios
-move by about 1e-8.
+Summing the products first and projecting once would be cheaper, but it
+rounds differently: the residual diagnostic, which divides second time
+differences of Q by dt^2, amplifies that to about 1e-6 relative, and the
+Picard contraction ratios move by about 1e-8.
 """
 
 from __future__ import annotations
@@ -307,7 +299,8 @@ def _blockwise(domain, fn, arrays, time):
     n = math.prod(batch)
     flat = [None if a is None else a.reshape((n,) + domain.coeff_shape) for a in arrays]
     times = np.broadcast_to(np.asarray(time, dtype=float), batch).reshape(n)
-    # the kernel holds about 16 grid-sized temporaries per sample
+    # a plan call peaks at 6-12 arrays of the larger grid per sample (1D N =
+    # 8, 64, 2D N = 16, 48), so blocks sized for 16 stay below BLOCK_BYTES
     grid = max(domain.gauss_points_per_axis, 2 * domain.modes_per_axis + 1) ** d
     parts = [
         fn(*(None if a is None else a[blk] for a in flat), times[blk])
@@ -412,7 +405,7 @@ def _stacked(domain, kind, gradient=False):
     """A read-only matrix shared by every plan on the domain.  ``"guard"``:
     the first-axis sine matrices of the Gauss and the collocation grids
     stacked, [S_g; S_c].  ``"project"``: the 1D fine projection
-    ``DomainSpec._fine_project`` transposed.  A grid name: its 1D sine
+    ``DomainSpec._fine_project`` transposed.  ``"fine"``: the 1D fine sine
     matrix, then its derivative matrix when ``gradient``, stacked and
     transposed, [S | D]^T."""
     if kind == "guard":
@@ -434,59 +427,47 @@ def _left_steps(mats, x, out):
     return [(np.matmul, mats[0], x, left), (np.matmul, left, mats[1].T, out)]
 
 
-def _shift(rows, by):
-    return slice(rows.start - by, rows.stop - by)
+def _fine_stages(domain, x, s):
+    """Steps that evaluate the member rows x = (u_tt, u_t, u, u_ttt) on the
+    fine grid: ``pre`` the values of (u_tt, u_t) and, when ``s``, the
+    gradients of (u_tt, u_t, u); ``post`` the values of u_ttt; ``both``
+    all of them.  Returns ``(pre, post, both, vals, pair, grads)``: the
+    flat grid values of (u_tt, u_t) and of (u_tt, u_ttt) and the per-axis
+    gradient components of their rows.
 
-
-def _evaluation(domain, grid, x, values, gradient, head=0):
-    """Steps that evaluate, on ``grid``, the members ``values`` (row slices
-    of the member array ``x``) and the gradient of the members
-    ``gradient`` (a row slice, or None).  Returns ``(steps, buf, vals,
-    grads)``: ``vals`` holds the flat grid values of the rows from the
-    first value row to the last (in 2D a row between two value slices is
-    left unset), each per-axis component of ``grads`` those of the
-    gradient rows, and the flat ``buf`` is ``head`` grids of room for the
-    caller followed by the first value row.
-
-    In 1D a stage costs its numpy calls, so the run of rows from the first
-    selected to the last is one product by [S | D]^T (``_stacked``), and
-    the pairs nobody reads come free.  In 2D it costs its arithmetic, so
-    only the pairs read are evaluated, by the products of
-    ``spectral.evaluate`` and ``spectral.gradient``: S0 X over the run and
-    D0 X over the gradient rows, then a right product by S1^T or D1^T per
-    selection."""
+    In 1D a stage costs its numpy calls, so every stage is the one product
+    of all four rows by [S | D]^T (``_stacked``; S^T without s), and every
+    row rounds as in every call.  In 2D a stage costs its arithmetic, so it
+    evaluates only the pairs read, by the products of ``spectral.evaluate``
+    and ``spectral.gradient``: S0 X and D0 X over the rows read, then a
+    right product by S1^T or D1^T per selection."""
     d, n = domain.dimension, domain.modes_per_axis
-    sine, dcos = domain._grid_matrices[grid]
+    sine, dcos = domain._grid_matrices["fine"]
     p = sine[0].shape[0]
     batch = x.shape[: -1 - d]
-    v0, v1 = values[0].start, values[-1].stop
-    r0 = v0 if gradient is None else min(v0, gradient.start)
-    run = slice(r0, v1 if gradient is None else max(v1, gradient.stop))
     if d == 1:
-        mat = _stacked(domain, grid, gradient is not None)
-        buf = np.empty(batch + (head * p + (run.stop - r0) * mat.shape[1],))
-        out = buf[..., head * p :].reshape(batch + (run.stop - r0, mat.shape[1]))
-        grads = None if gradient is None else (out[..., _shift(gradient, r0), p:],)
-        return [(np.matmul, x[..., run, :], mat, out)], buf, out[..., v0 - r0 : v1 - r0, :p], grads
-    buf = np.empty(batch + ((head + v1 - v0) * p * p,))
-    vals = buf[..., head * p * p :].reshape(batch + (v1 - v0, p, p))
-    left = np.empty(batch + (run.stop - r0, p, n))
-    steps = [(np.matmul, sine[0], x[..., run, :, :], left)]
-    steps += [
-        (np.matmul, left[..., _shift(rows, r0), :, :], sine[1].T, vals[..., _shift(rows, v0), :, :])
-        for rows in values
+        mat = _stacked(domain, "fine", bool(s))
+        out = np.empty(batch + (4, mat.shape[1]))
+        grads = (out[..., 0:3, p:],) if s else None
+        stage = [(np.matmul, x, mat, out)]
+        return stage, stage, stage, out[..., 0:2, :p], out[..., 0::3, :p], grads
+    vals, left = np.empty(batch + (3, p, p)), np.empty(batch + (2 + s, p, n))
+    pre = [
+        (np.matmul, sine[0], x[..., : 2 + s, :, :], left),
+        (np.matmul, left[..., 0:2, :, :], sine[1].T, vals[..., 0:2, :, :]),
     ]
     grads = None
-    if gradient is not None:
-        m = gradient.stop - gradient.start
-        inner, comps = np.empty(batch + (m, p, n)), np.empty((2,) + batch + (m, p, p))
-        steps += [
-            (np.matmul, dcos[0], x[..., gradient, :, :], inner),
+    if s:
+        inner, comps = np.empty(batch + (3, p, n)), np.empty((2,) + batch + (3, p, p))
+        pre += [
+            (np.matmul, dcos[0], x[..., 0:3, :, :], inner),
             (np.matmul, inner, sine[1].T, comps[0]),
-            (np.matmul, left[..., _shift(gradient, r0), :, :], dcos[1].T, comps[1]),
+            (np.matmul, left, dcos[1].T, comps[1]),
         ]
-        grads = tuple(comps.reshape((2,) + batch + (m, p * p)))
-    return steps, buf, vals.reshape(batch + (v1 - v0, p * p)), grads
+        grads = tuple(comps.reshape((2,) + batch + (3, p * p)))
+    post = _left_steps(sine, x[..., 3, :, :], vals[..., 2, :, :])
+    vals = vals.reshape(batch + (3, p * p))
+    return pre, post, pre + post, vals[..., 0:2, :], vals[..., 0::2, :], grads
 
 
 def _gradient_steps(grads, out):
@@ -516,11 +497,9 @@ def _guard_steps(domain, ut, both, gauss, coll):
     first = _stacked(domain, "guard")
     if domain.dimension == 1:
         return _left_steps((first,), ut, both)
+    gauss_last, coll_last = (domain._grid_matrices[g][0][-1] for g in ("gauss", "collocation"))
     g = gauss.shape[-1]
     left = np.empty(ut.shape[:-2] + (first.shape[0], ut.shape[-1]))
-    (_, gauss_last), (_, coll_last) = (
-        domain._grid_matrices[grid][0] for grid in ("gauss", "collocation")
-    )
     return [
         (np.matmul, first, ut, left),
         (np.matmul, left[..., :g, :], gauss_last.T, gauss),
@@ -540,6 +519,30 @@ def _projection_steps(domain, products, proj):
     return _left_steps((m, m), grids, proj.reshape(proj.shape[:-1] + (m.shape[0],) * 2))
 
 
+def _numerator_steps(domain, weights, rows, lin_r, num):
+    """Steps that write the law's numerator lin - R on the Gauss grid into
+    ``num``.  R = 2k u_tt^2 + 2s (|grad u_t|^2 + grad u . grad u_tt) is a
+    cosine polynomial of degree <= 2N per axis, which B =
+    ``DomainSpec._fine_to_gauss`` carries from the fine grid to the Gauss
+    nodes exactly.  -R is one gemv of R's fine-grid product ``rows`` with
+    ``weights``, after lin in the flat ``lin_r``; the numerator is then the
+    gemv [S_g | B] (lin, -R) in 1D, the gemm pair [S0 lin | B0 (-R)] [S1 |
+    B1]^T in 2D.  [S_g | B] is the plan's own, so it is freed with it."""
+    lin, neg = lin_r[..., : domain.n_modes], lin_r[..., domain.n_modes :]
+    sine, to_gauss = domain._grid_matrices["gauss"][0], domain._fine_to_gauss
+    last = np.hstack([sine[-1], to_gauss[-1]])
+    steps = [(np.matmul, weights, rows, neg)]
+    if domain.dimension == 1:
+        return steps + _left_steps((last,), lin_r, num)
+    n, p, batch = domain.modes_per_axis, to_gauss[0].shape[1], num.shape[:-2]
+    left = np.empty(batch + (num.shape[-2], n + p))
+    return steps + [
+        (np.matmul, sine[0], lin.reshape(batch + (n, n)), left[..., :n]),
+        (np.matmul, to_gauss[0], neg.reshape(batch + (p, p)), left[..., n:]),
+        (np.matmul, left, last.T, num),
+    ]
+
+
 class KernelPlan:
     """``nonlinear_terms`` bound to one domain, params, batch shape (() or
     (n,)) and degeneracy margin ``eps_deg``.
@@ -548,27 +551,23 @@ class KernelPlan:
     eps_deg, takes every matrix and view and allocates every buffer, so a
     call takes only data and time and runs a fixed list of numpy calls,
     the same in both dimensions.  Every call returns (u_ttt, f, guard
-    minimum).  ``nonlinear.solve`` builds one per march and steps through
-    ``step_terms``; ``nonlinear_terms`` builds one per block shape and
-    calls it.  The plan owns its buffers, and reuses one for another
+    minimum); the forcing-only route (u_ttt given) returns None for the
+    guard minimum.  The plan owns its buffers, and reuses one for another
     purpose only where it is spent, at one line that gives the reason.
     The results of a call never share memory with them; those of
-    ``step_terms`` are views of them, for the march to copy.  A call
-    guards only when it evaluates the law (u_ttt not given); the
-    forcing-only route returns None for the guard minimum.
+    ``step_terms`` are views of them, for the march to copy.
 
-    The members (lin, u_tt, u_t, u, u_ttt) are the rows of one array; lin
-    is one ``vecdot`` of the rows (u_tt, u_t, u) with the bracket weights.
-    The law evaluates its rows on the Gauss grid (``_evaluation``) and u_t
-    on both guard grids (``_guard_steps``), forms the products of the
-    numerator after which lin's values lie, and takes the numerator as one
-    gemv with (-2k, -2, -2, 1), the quotient by 1 + 2k u_t and its Gauss
-    projection into the u_ttt row.  f evaluates its rows on the fine grid,
-    forms the products (u_tt u_tt, u_t u_ttt, |grad u_t|^2, grad u . grad
-    u_tt), projects each exactly (``_projection_steps``) and weights them
-    by one gemv with (2k, 2k, 2, 2).  Without s the gradient terms and
-    their weights are left out.  A plan with k = s = 0 binds nothing: u_ttt
-    is the bracket and f is zero.
+    The members (u_tt, u_t, u, u_ttt) are the rows of one array; lin is
+    one ``vecdot`` of (u_tt, u_t, u) with the bracket weights.  Before the
+    law the fine grid (``_fine_stages``) gives the products u_tt^2, |grad
+    u_t|^2 and grad u . grad u_tt, which the law's numerator
+    (``_numerator_steps``) and f share; the law guards u_t on both grids
+    (``_guard_steps``) and projects its quotient by 1 + 2k u_t from the
+    Gauss grid into the u_ttt row.  After it f forms u_t u_ttt, projects
+    each of its four products exactly (``_projection_steps``) and weights
+    them by one gemv with (2k, 2k, 2, 2).  Without s the gradient terms
+    and their weights are left out.  A plan with k = s = 0 binds nothing:
+    u_ttt is the bracket and f is zero.
     """
 
     def __init__(self, domain, params, batch=(), eps_deg=DEFAULT_EPS_DEG):
@@ -581,76 +580,62 @@ class KernelPlan:
         if self._linear:
             return
         d, n, size = domain.dimension, domain.modes_per_axis, domain.n_modes
-        self._rows = x = np.empty(batch + (5,) + domain.coeff_shape)
-        rows = x.reshape(batch + (5, size))
-        self._lin, self._fields, self._uttt = rows[..., 0, :], rows[..., 1:4, :], rows[..., 4, :]
+        # zeros: a 1D law call evaluates the u_ttt row before it writes it
+        self._rows = x = np.zeros(batch + (4,) + domain.coeff_shape)
+        rows = x.reshape(batch + (4, size))
+        self._fields, self._uttt = rows[..., 0:3, :], rows[..., 3, :]
         w_tt, w_t, w_u = self._bracket
         self._lin_weights = np.stack([w_tt, -w_t, -w_u]).reshape(3, size)
         # the caller's (u_tt, u_t, u), then u_ttt, are concatenated into the
         # rows along the first mode axis
         self._axis = -d
-        cat = x.reshape(batch + (5 * n,) + domain.coeff_shape[1:])
+        cat = x.reshape(batch + (4 * n,) + domain.coeff_shape[1:])
         tail = (slice(None),) * (d - 1)
-        self._in_rows = [cat[(..., slice(n, stop)) + tail] for stop in (4 * n, 5 * n)]
+        self._in_rows = [cat[(..., slice(0, stop)) + tail] for stop in (3 * n, 4 * n)]
         self._shape = batch + domain.coeff_shape
-        ut, uttt = (rows[..., r, :].reshape(self._shape) for r in (2, 4))
 
-        # f: the fine values of (u_tt, u_t, u_ttt), the gradients of (u_tt,
-        # u_t, u) when s.  Its buffers are allocated before the law's larger
-        # ones, which keeps the peak RSS of a Picard run lower, from the
-        # allocator's layout alone
+        # the products: f's (u_tt^2, u_t u_ttt and, when s, |grad u_t|^2,
+        # grad u . grad u_tt), then u_tt^2 again, so that R's (the gradient
+        # ones, then u_tt^2) are one run of rows
         terms = 2 + 2 * s
-        forcing, _, vals, grads = _evaluation(
-            domain, "fine", x, (slice(1, 3), slice(4, 5)), slice(1, 4) if s else None
-        )
-        products = np.empty(batch + (terms, vals.shape[-1]))
-        forcing.append((np.multiply, vals[..., 0:2, :], vals[..., 0::3, :], products[..., :2, :]))
-        forcing += _gradient_steps(grads, products[..., 2:, :]) if s else []
+        pre, post, both, vals, pair, grads = _fine_stages(domain, x, s)
+        points = vals.shape[-1]
+        products = np.empty(batch + (terms + 1, points))
+        lin_r = np.empty(batch + (size + points,))
+        self._lin = lin_r[..., :size]
+        grad_steps = _gradient_steps(grads, products[..., 2:4, :]) if s else []
         self._proj = np.empty(batch + (terms, size))
         self._f_weights = np.array([2.0 * k] * 2 + [2.0] * 2 * s)
-        self._forcing = forcing + _projection_steps(domain, products, self._proj)
+        f_steps = [(np.multiply, vals, pair, products[..., 0:2, :])]
+        f_steps += _projection_steps(domain, products[..., :terms, :], self._proj)
+        self._post, self._forcing = post + f_steps, both + grad_steps + f_steps
 
-        # the law: the Gauss values of (lin, u_tt) follow the numerator's
-        # other terms, u_tt^2 and, when s, (|grad u_t|^2, grad u . grad u_tt)
+        # the law: 2k u_t on the guard grids, the numerator and its quotient
+        # by 1 + 2k u_t, a factor formed in the Gauss part of the guard
+        # buffer, which the guard has read by then
         self._both, gauss, coll = _guard_buffer(domain, batch)
-        law, z, vals, grads = _evaluation(
-            domain, "gauss", x, (slice(0, 2),), slice(1, 4) if s else None, terms - 1
-        )
-        points = vals.shape[-1]
-        summands = z[..., : terms * points].reshape(batch + (terms, points))
-        self._law = law + _guard_steps(domain, ut, self._both, gauss, coll)
+        ut = rows[..., 1, :].reshape(self._shape)
+        square = (np.multiply, vals[..., 0, :], vals[..., 0, :], products[..., terms, :])
+        self._law = pre + [square] + grad_steps + _guard_steps(domain, ut, self._both, gauss, coll)
         self._law.append((np.multiply, 2.0 * k, self._both, self._both))
-        quotient = [(np.multiply, vals[..., 1, :], vals[..., 1, :], summands[..., 0, :])]
-        quotient += _gradient_steps(grads, summands[..., 1:3, :]) if s else []
-        # u_tt's values are spent once u_tt^2 is formed, so they hold the
-        # numerator and then the quotient
-        num, scaled = vals[..., 1, :], self._both[..., :points]
-        quotient += [
-            (np.matmul, np.array([-2.0 * k] + [-2.0] * 2 * s + [1.0]), summands, num),
-            (np.add, 1.0, scaled, scaled),
-            (np.divide, num, scaled, num),
-        ]
+        num = np.empty(gauss.shape)
+        weights = np.array([-2.0] * 2 * s + [-2.0 * k])
+        quotient = _numerator_steps(domain, weights, products[..., 2:, :], lin_r, num)
+        quotient += [(np.add, 1.0, gauss, gauss), (np.divide, num, gauss, num)]
         self._quotient = quotient + _left_steps(
-            domain._gauss_project, num.reshape(gauss.shape), uttt
+            domain._gauss_project, num, rows[..., 3, :].reshape(self._shape)
         )
 
         # step_terms: the u_tt row, the (u_t, u) rows, their wave weights
         # (w_t, w_u), their products and each product alone, f
-        term = np.empty(batch + (2, size))
-        self._data_route = (
-            rows[..., 1, :],
-            rows[..., 2:4, :],
-            np.stack(self._wave).reshape(2, size),
-            term,
-            term[..., 0, :],
-            term[..., 1, :],
-            np.empty(batch + (size,)),
-        )
+        term, wave = np.empty(batch + (2, size)), np.stack(self._wave).reshape(2, size)
+        self._data_route = (rows[..., 0, :], rows[..., 1:3, :], wave, term, term[..., 0, :],
+                            term[..., 1, :], np.empty(batch + (size,)))
 
-    def _run_forcing(self, out=None):
-        """f of the current rows, flat, written into ``out`` (a fresh array
-        when None)."""
-        _steps(self._forcing)
+    def _run_forcing(self, steps, out=None):
+        """f of the current rows after ``steps``, flat, written into ``out``
+        (a fresh array when None)."""
+        _steps(steps)
         return np.matmul(self._f_weights, self._proj, out=out)
 
     def _run(self, time, f_out=None):
@@ -660,7 +645,7 @@ class KernelPlan:
         _steps(self._law)
         guard_min = _guard(self.domain, self._both, time, self._limit)
         _steps(self._quotient)
-        return self._run_forcing(f_out), guard_min
+        return self._run_forcing(self._post, f_out), guard_min
 
     def step_terms(self, data, time):
         """(u_tt, u_ttt, f), each flat (n,), at flat semigroup data (3, n)
@@ -696,7 +681,7 @@ class KernelPlan:
         if uttt is not None:
             np.concatenate((utt, ut, u, uttt), axis=self._axis, out=self._in_rows[1])
             # the forcing-only route never guards
-            return uttt, self._run_forcing().reshape(self._shape), None
+            return uttt, self._run_forcing(self._forcing).reshape(self._shape), None
         np.concatenate((utt, ut, u), axis=self._axis, out=self._in_rows[0])
         f, guard_min = self._run(time)
         return self._uttt.reshape(self._shape).copy(), f.reshape(self._shape), guard_min
@@ -720,7 +705,8 @@ def nonlinear_terms(
     * ``uttt`` None: u_ttt is the Galerkin projection of the law's
       quotient (lin - 2k u_tt^2 - 2s |grad u_t|^2 - 2s grad u . grad u_tt)
       / (1 + 2k u_t), with lin the ``linear_bracket``, formed pointwise on
-      the Gauss grid.  Given, it is taken as is and only f uses it.
+      the Gauss grid, where the quadratic terms arrive exactly from their
+      fine-grid products.  Given, it is taken as is and only f uses it.
     * f = 2k u_tt^2 + 2k u_t u_ttt + 2s |grad u_t|^2 + 2s grad u . grad
       u_tt, each product projected exactly.
     * When u_ttt is evaluated the degeneracy guard runs once per sample:
@@ -780,9 +766,9 @@ def forcing_f(state, uttt, params):
 def acceleration(state, params, eps_deg=DEFAULT_EPS_DEG):
     """Galerkin projection of u_ttt from the quasilinear evolution law.
 
-    The numerator and the factor 1 + 2k u_t are evaluated pointwise on the
+    The numerator and the factor 1 + 2k u_t are formed pointwise on the
     Gauss grid, divided, and projected; the quadratic gradient terms are
-    skipped entirely when s = 0 (they would contribute exact zeros).  Raises
+    skipped when s = 0 (they would contribute exact zeros).  Raises
     DegeneracyError when the guard fails.
     """
     fields = (state.u.coeffs, state.ut.coeffs, state.utt.coeffs)

@@ -29,7 +29,9 @@ projection of the pointwise product, free of aliasing by construction.
 Non-polynomial pointwise operations (the reciprocal in the third-order
 evolution) cannot be exact; they are projected with a Gauss-Legendre rule
 whose node count comfortably over-resolves the integrands, see
-``project`` on the "gauss" grid.
+``project`` on the "gauss" grid.  A product's cosine polynomial reaches
+the Gauss nodes from its closed-grid samples exactly, by the DCT-I
+cardinal functions ``DomainSpec._fine_to_gauss``.
 
 Two layers expose this calculus.  ``SpectralField`` functions validate and
 wrap single coefficient tensors.  Underneath, the array layer
@@ -84,11 +86,11 @@ gives the interpolation coefficients of the first N modes.  Another node
 count (``points=``) builds its matrices on its own nodes.
 
 Bound steps.  ``model.KernelPlan`` does not call this layer per call: it
-binds the products of ``_apply`` (in 1D their stacked forms) as steps
-over buffers it owns, once per nonlinear march (``nonlinear.solve``), so
-a call allocates no grid-sized temporary, which at 2D N=48 (224 x 224
-Gauss nodes) would page-fault several megabytes per call.  The functions
-here bind nothing and allocate their results.
+binds the products of ``_apply`` (in 1D their stacked forms) and of
+``_fine_to_gauss`` as steps over buffers it owns, once per nonlinear
+march (``nonlinear.solve``), so a call allocates no grid-sized temporary,
+which at 2D N=48 (224 x 224 Gauss nodes) would page-fault about 4 MB per
+call.  The functions here bind nothing and allocate their results.
 """
 
 from __future__ import annotations
@@ -133,17 +135,6 @@ def _sine_matrices(domain, axes):
 def _interior_nodes(lengths, m):
     """The M = ``m`` interior nodes x_j = j L/(M+1), j = 1..M, of each axis."""
     return tuple(np.arange(1, m + 1) * (L / (m + 1)) for L in lengths)
-
-
-def _derivative_matrices(domain, axes):
-    """Per-axis cosine evaluation matrices carrying the derivative factor
-    k pi/L, on the nodes ``axes``."""
-    k = np.arange(1, domain.modes_per_axis + 1)
-    mats = []
-    for x, L in zip(axes, domain.lengths):
-        scale = k * (np.pi / L)
-        mats.append(np.cos(np.outer(x, scale)) * scale)
-    return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -289,22 +280,44 @@ class DomainSpec:
         )
 
     @cached_property
+    def _fine_to_gauss(self):
+        """Per-axis G x (2N+1) matrices B that carry the fine-grid samples of
+        a cosine polynomial of degree <= 2N to its Gauss-node values exactly:
+        the DCT-I cardinal functions at the nodes, B = C T with C[i, m] =
+        cos(m theta_i), T[m, j] = (2/P) c_m c_j cos(pi m j / P) and c = 1/2
+        at the ends; in extended precision from theta_i = pi x_i / L at the
+        float nodes and mj reduced mod 2P, rounded once."""
+        p = self._product_panels
+        m = np.arange(p + 1)
+        ends = np.where((m == 0) | (m == p), 0.5, 1.0)
+        pi = np.arccos(np.longdouble(-1.0))
+        turns = np.cos(np.arange(2 * p) * (pi / p))
+        synth = (2.0 / np.longdouble(p)) * np.outer(ends, ends) * turns[np.outer(m, m) % (2 * p)]
+        per_length = {}
+        for (x, _), L in zip(self._gauss_rule, self.lengths):
+            if L not in per_length:
+                theta = x.astype(np.longdouble) / np.longdouble(L) * pi
+                per_length[L] = np.dot(np.cos(np.outer(theta, m)), synth).astype(float)
+        return tuple(per_length[L] for L in self.lengths)
+
+    @cached_property
     def _grid_matrices(self):
         """grid name ("fine", "gauss", "collocation") -> (sine matrices,
         derivative cosine matrices) per axis, each grid built on its first
         lookup, so a collocation-only caller never computes the Gauss rule;
-        the collocation grid has no derivative matrices."""
+        only the fine grid has derivative matrices."""
 
         def build(grid):
             if grid == "collocation":
                 return _sine_matrices(self, self.grid_axes), None
-            if grid == "fine":
-                axes = self._fine_axes
-            elif grid == "gauss":
-                axes = tuple(x for x, _ in self._gauss_rule)
-            else:
+            if grid == "gauss":
+                return _sine_matrices(self, tuple(x for x, _ in self._gauss_rule)), None
+            if grid != "fine":
                 raise KeyError(grid)
-            return _sine_matrices(self, axes), _derivative_matrices(self, axes)
+            # the cosines, each carrying its derivative factor k pi/L
+            scales = [np.arange(1, self.modes_per_axis + 1) * (np.pi / L) for L in self.lengths]
+            dcos = tuple(np.cos(np.outer(x, w)) * w for x, w in zip(self._fine_axes, scales))
+            return _sine_matrices(self, self._fine_axes), dcos
 
         return _PerGrid(build)
 
@@ -444,8 +457,9 @@ def evaluate(domain, grid, coeffs):
 
 def gradient(domain, grid, coeffs):
     """Per-axis gradient components of coefficient tensors (leading axes
-    allowed) on ``grid`` ("fine" or "gauss"): component i applies the
-    derivative matrix along axis i and the sine matrices along the others."""
+    allowed) on ``grid`` (only "fine" has derivative matrices): component
+    i applies the derivative matrix along axis i and the sine matrices
+    along the others."""
     sine, dcos = domain._grid_matrices[grid]
     return tuple(
         _apply(sine[:i] + (dcos[i],) + sine[i + 1 :], coeffs) for i in range(domain.dimension)

@@ -364,9 +364,12 @@ def _strong_fields(domain, n):
 
 def _term_by_term_law(domain, params, u, ut, utt):
     """The Galerkin projection of the law's quotient, formed term by term
-    on the Gauss grid."""
+    on the Gauss grid, its products of Gauss-node values and gradients
+    included; the Gauss derivative matrices are this function's own."""
     dim, k = domain.dimension, params.k
-    sine, dcos = domain._grid_matrices["gauss"]
+    sine = domain._grid_matrices["gauss"][0]
+    scales = [np.arange(1, domain.modes_per_axis + 1) * (np.pi / L) for L in domain.lengths]
+    dcos = [np.cos(np.outer(x, w)) * w for (x, _), w in zip(domain._gauss_rule, scales)]
 
     def values(c):
         return (sine[0] @ c[:, None])[:, 0] if dim == 1 else sine[0] @ c @ sine[1].T

@@ -599,18 +599,28 @@ def test_picard_large_data_probe_reports_outcome(capsys):
     print(f"x100 data probe outcome: {outcome}")
 
 
-def test_picard_checks_the_homogeneous_start_against_the_blowup_bound(small_run):
+def test_picard_checks_the_homogeneous_start_against_the_blowup_bound():
     """picard_solve checks phi's semigroup data, the quantities solve
-    checks, before a sweep forms f[phi]: a bound just below the start's
-    peak at t = 0 trips there, before any sweep is measured."""
-    dom, params, data, _ = small_run
-    start = semigroup_data(dom, params, data.u.coeffs, data.ut.coeffs, data.utt.coeffs)
-    bound = 0.99 * float(np.max(np.abs(start)))
+    checks, before a sweep forms f[phi].  The data start at rest in the
+    wave part (u_tt = -c^2 lam u), so their peak at t = 0 is |u|, and then
+    swing to |u_t| near c sqrt(lam) |u| = 3 |u|: a bound of 1.5 |u| passes
+    the initial-data check and trips at the first later sample of the
+    homogeneous start past it, before any sweep is measured."""
+    dom, params, amplitude = _domain(), _params(c=3.0), 1e-3
+    u0 = SpectralField.single_mode(dom, (1,), amplitude)
+    data = make_compatibility_data(
+        u0, SpectralField.zeros(dom), -params.c**2 * dom.lambda0 * u0, params
+    )
+    bound, t_grid = 1.5 * amplitude, time_grid(1.0, 1e-3)
+    phi = linear_trajectory(data, params, t_grid)
+    peaks = np.abs(semigroup_data(dom, params, phi.u, phi.ut, phi.utt)).max(axis=(0, 2))
+    assert peaks[0] == pytest.approx(amplitude, rel=1e-12)
+    first = int(np.argmax(peaks > bound))
+    assert first > 0
     with pytest.raises(BlowUpError) as info:
         picard_solve(data, params, 1.0, 1e-3, blowup_bound=bound)
     err = info.value
-    assert (err.time, err.bound) == (0.0, bound)
-    assert err.norm == pytest.approx(bound / 0.99, rel=1e-12)
+    assert (err.time, err.bound, err.norm) == (t_grid[first], bound, peaks[first])
     assert err.ratios == [] and err.increments == []
 
 

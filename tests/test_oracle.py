@@ -189,6 +189,29 @@ def test_folded_matrix_entries_against_the_oracle(n):
     assert float(worst) <= 4 * np.spacing(np.abs(got).max())
 
 
+@pytest.mark.parametrize("n", [8, 48])
+def test_fine_to_gauss_entries_against_the_oracle(n):
+    """B[i, j] is the DCT-I cardinal function of fine node j at Gauss node
+    i, in closed form (-1)^j c_j sin(P theta_i) sin(theta_i) / (P (cos
+    theta_j - cos theta_i)) with theta_j = pi j / P, P = 2N and c_j = 1/2
+    at the ends, 1 inside; theta_i = pi x_i / L at the kernel's own float
+    Gauss nodes, taken exactly."""
+    length = 2.0
+    domain = DomainSpec(1, (length,), n)
+    (got,) = domain._fine_to_gauss
+    p = 2 * n
+    fine = [mp.cos(mp.pi * j / p) for j in range(p + 1)]
+    worst = mp.mpf(0)
+    for row, x in zip(got, domain._gauss_rule[0][0]):
+        theta = mp.pi * mp.mpf(float(x)) / length
+        scale = mp.sin(p * theta) * mp.sin(theta) / p
+        for j, (entry, c_j) in enumerate(zip(row, fine)):
+            exact = (-1) ** j * scale / (c_j - mp.cos(theta))
+            exact /= 2 if j in (0, p) else 1
+            worst = max(worst, abs(mp.mpf(float(entry)) - exact))
+    assert float(worst) <= 4 * np.spacing(np.abs(got).max())
+
+
 def _gauss_tables(domain, axis=0):
     """The sines and their derivatives along ``axis`` at the kernel's own
     Gauss nodes, taken exactly, and its weights taken exactly: rows per
@@ -559,12 +582,13 @@ def test_march_against_the_oracle():
     (``_march``), from the float data taken exactly.  |2k u_t| stays
     between 0.1 and 0.4 on the Gauss nodes (0.30-0.39), so the law is far
     from linear.  Each row's error is taken relative to its largest entry;
-    the measured worst rows are 4.3e-16 (u), 1.5e-15 (u_t), 1.5e-15
-    (u_tt), 1.9e-14 (u_ttt, whose bracket cancels terms up to lam^2 times
-    larger) and 2.2e-15 (f), with one BLAS thread or the default; the
-    bounds sit 2.3, 3.3, 3.3, 5.1 and 4.6 times above them.  They were
-    set when the worst rows were larger, and the rows have moved between
-    measurements, so the bounds are kept."""
+    the measured worst rows, with the law's products interpolated from the
+    fine grid, are 4.3e-16 (u), 1.2e-15 (u_t), 1.4e-15 (u_tt), 1.6e-14
+    (u_ttt, whose bracket cancels terms up to lam^2 times larger) and
+    2.9e-15 (f), with one BLAS thread or two; the bounds sit 2.3, 4.3,
+    3.6, 6.3 and 3.5 times above them.  They were set when the worst rows
+    were larger, and the rows have moved between measurements, so the
+    bounds are kept."""
     n, length, dt, steps = 8, 2.0, 1e-2, 10
     domain = DomainSpec(1, (length,), n)
     params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
@@ -618,27 +642,20 @@ def test_picard_sweep_against_the_oracle():
         _forcing(length, params, *(_exact(getattr(phi, name)[i]) for name in TRAJECTORY_FIELDS))
         for i in range(steps + 1)
     ]
-    u, ut, utt = (_exact(x.coeffs) for x in fields)
-    x = [u, ut, [z + b * lj * v + c * c * lj * y for lj, y, v, z in zip(lam, u, ut, utt)]]
-    for i in range(steps + 1):
-        if i:
-            x = [
-                [mp.fdot(full[r], [x[0][m], x[1][m], x[2][m]]) - phi1[r] * f[i - 1][m]
-                 + phi2[r] * (f[i - 1][m] - f[i][m]) / h
-                 for m, (full, phi1, phi2) in enumerate(blocks)]
-                for r in range(3)
-            ]
-        utt = [(w, -b * lj * v, -c * c * lj * y) for lj, y, v, w in zip(lam, *x)]
-        uttt = [
-            (-(a + b) * lj * mp.fsum(z), -(c * c * lj + a * b * lj * lj) * v,
-             -a * c * c * lj * lj * y, -g)
-            for lj, y, v, z, g in zip(lam, x[0], x[1], utt, f[i])
+    rows = _linear_rows(lam, params, blocks, h, [_exact(x.coeffs) for x in fields], f)
+    for i, (u, ut, utt, uttt) in enumerate(rows):
+        # the terms of u_tt's and u_ttt's sums, which sum to the rows
+        wave = [z + b * lj * v + c * c * lj * y for lj, y, v, z in zip(lam, u, ut, utt)]
+        utt_terms = [(w, -b * lj * v, -c * c * lj * y) for lj, y, v, w in zip(lam, u, ut, wave)]
+        uttt_terms = [
+            (-(a + b) * lj * z, -(c * c * lj + a * b * lj * lj) * v, -a * c * c * lj * lj * y, -g)
+            for lj, y, v, z, g in zip(lam, u, ut, utt, f[i])
         ]
         errors = {
-            "u": _relative_error(got.u[i], x[0]),
-            "ut": _relative_error(got.ut[i], x[1]),
-            "utt": _error_of_sum(got.utt[i], utt),
-            "uttt": _error_of_sum(got.uttt[i], uttt),
+            "u": _relative_error(got.u[i], u),
+            "ut": _relative_error(got.ut[i], ut),
+            "utt": _error_of_sum(got.utt[i], utt_terms),
+            "uttt": _error_of_sum(got.uttt[i], uttt_terms),
         }
         assert max(errors.values()) < 1e-14, (i, errors)
 
