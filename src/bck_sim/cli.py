@@ -39,6 +39,7 @@ from .energy import (
     decay_norm_sum,
     energy_series,
     estimate_audit_linear,
+    trajectory_norms,
 )
 from .errors import (
     BlowUpError,
@@ -157,8 +158,9 @@ def _at_rest(u0):
 def cmd_simulate(config):
     params = config.params
     traj = solve(config.initial, params, config.t_final, config.dt, **_solver_options(config))
-    # one energy series serves the CSV rows, the fit and both audits
-    series = energy_series(traj, params)
+    # one norm pass and one energy series serve the CSV rows, fit, audits and norms
+    norms = trajectory_norms(traj, params)
+    series = energy_series(traj, params, norms)
     residuals = np.full(traj.n_samples, math.nan)
     residuals[1:-1] = pde_residual_series(
         traj.domain, params, traj.t_grid, traj.u, traj.ut, traj.utt
@@ -170,7 +172,7 @@ def cmd_simulate(config):
     bound = spectral_bound(params, config.domain.lambda0)
     omega, prefactor, fit_residual = _safe_fit(series["t"], decay_norm_sum(series))
     try:
-        c_min = estimate_audit_linear(traj, series)
+        c_min = estimate_audit_linear(traj, series, norms)
     except DivisionGuardError as err:
         log.info("estimate audit skipped: %s", err)
         c_min = math.nan
@@ -197,8 +199,8 @@ def cmd_simulate(config):
         ("guard_min_overall", float(series["guard_min"].min())),
         ("energy_initial", series["E_total"][0]),
         ("energy_final", series["E_total"][-1]),
-        ("vtilde_sq", max(vtilde_norm(traj).values())),
-        ("v_norm", v_norm(traj)),
+        ("vtilde_sq", max(vtilde_norm(traj, norms).values())),
+        ("v_norm", v_norm(traj, norms)),
         ("estimate_c_min", c_min),
         ("barrier_c_hat", c_hat),
         ("barrier_eta", config.eta),

@@ -4,11 +4,11 @@ Everything here is a quadratic functional of spectral coefficients or a
 time-quadrature statement about a solved trajectory, a
 ``nonlinear.Trajectory``: coefficient series ``u``, ``ut``, ``utt``,
 ``uttt`` of shape (nt,) + coeff shape on the uniform ``t_grid`` of its
-``domain``.  Each functional is evaluated for all samples at once.
+``domain``.  Each functional is a (nt,) series or a time quadrature of one.
 
-Sobolev norms are the homogeneous spectral powers ``||A^{s/2} v||``, all
-squared by ``spectral.sq_norm`` over the sample axis at once; since the
-lowest Laplacian eigenvalue is positive on every admissible domain these
+Sobolev norms are the homogeneous spectral powers ``||A^{s/2} v||``, squared
+per sample by one pass over blocks of samples, ``trajectory_norms``; since
+the lowest Laplacian eigenvalue is positive on every admissible domain these
 are equivalent to the full norms.
 
 The heat-factor field is w = u_t + a*A*u.  Writing D_h = d/dt + a*A and
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivisionGuardError, FitError
 from .model import wave_part
-from .spectral import grid_extremes, sq_norm
+from .spectral import grid_extremes, sample_blocks, sq_norm, sq_norms
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class BarrierAudit:
 def fourth_derivative_series(t_grid, uttt_coeffs):
     """Centered differences of the stored u_ttt series, one-sided at the ends.
 
-    Any uniformly sampled coefficient series differentiates the same way;
-    the audits use it for the time derivatives of w and f as well.
+    Any uniformly sampled series differentiates the same way (the audits'
+    w and f, windows of a series): only t_grid[1] - t_grid[0] is read.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     arr = np.asarray(uttt_coeffs, dtype=float)
@@ -61,45 +61,61 @@ def fourth_derivative_series(t_grid, uttt_coeffs):
     return out
 
 
-def energy_series(traj, params):
+def trajectory_norms(traj, params=None):
+    """Each ``sq_norm(domain, x, p)`` the functionals read, as (nt,) arrays
+    keyed (x, p): x = u, ut (p = 0..4), utt (0..3), uttt (0..2), utttt (0);
+    with ``params`` w = u_t + a A u (2), wt, wtt (1) and ``wave_part`` (2);
+    with a forcing f and ft (0).  A block's window has one halo sample per
+    side for the differences; the values are whole-series ``sq_norm``'s bits."""
+    domain, t = traj.domain, traj.t_grid
+    powers = {"u": range(5), "ut": range(5), "utt": range(4), "uttt": range(3), "utttt": (0,)}
+    if params is not None:
+        powers.update(w=(2,), wt=(1,), wtt=(1,), wave=(2,))
+    if traj.forcing is not None:
+        powers.update(f=(0,), ft=(0,))
+    out = {(x, p): np.empty(t.size) for x, ps in powers.items() for p in ps}
+    # a block holds up to about nine arrays of its size at once
+    for blk in sample_blocks(t.size, 12 * 8 * domain.n_modes):
+        window = slice(max(blk.start - 1, 0), blk.stop + 1)
+        inner = slice(blk.start - window.start, blk.stop - window.start)
+        u, ut, utt, uttt = (x[window] for x in (traj.u, traj.ut, traj.utt, traj.uttt))
+        series = dict(u=u, ut=ut, utt=utt, uttt=uttt, utttt=fourth_derivative_series(t, uttt))
+        if params is not None:
+            a_lam = params.a * domain.eigenvalue_grid
+            series.update(w=ut + a_lam * u, wt=utt + a_lam * ut, wtt=uttt + a_lam * utt)
+            series["wave"] = wave_part(domain, params, u, ut, utt)
+        if traj.forcing is not None:
+            f = traj.forcing[window]
+            series.update(f=f, ft=fourth_derivative_series(t, f))
+        for x, arr in series.items():
+            for p, norm in zip(powers[x], sq_norms(domain, arr[inner], powers[x])):
+                out[x, p][blk] = norm
+    return out
+
+
+def energy_series(traj, params, norms=None):
     """Vectorized energy functionals along a trajectory.
 
     Returns a dict of equal-length arrays keyed by the CSV column names
     (plus "t"); ``Linf_ut`` and ``guard_min`` come from one collocation
-    pass over u_t.  Each squared norm is computed once and shared by the
-    functionals that sum it.
+    pass over u_t, the rest from ``norms``, the trajectory's
+    ``trajectory_norms(traj, params)`` (computed when not given).
     """
-    domain = traj.domain
-    lam = domain.eigenvalue_grid
-    t = np.asarray(traj.t_grid, dtype=float)
-    u, ut, utt, uttt = traj.u, traj.ut, traj.utt, traj.uttt
-    a = params.a
-
-    def sq(arr, power):
-        return sq_norm(domain, arr, power)
-
-    u3, u4, ut3, ut4 = sq(u, 3), sq(u, 4), sq(ut, 3), sq(ut, 4)
-    utt3, uttt1 = sq(utt, 3), sq(uttt, 1)
-    w = ut + a * lam * u
-    wt = utt + a * lam * ut
-    wtt = uttt + a * lam * utt
-    e1 = 0.5 * (sq(wtt, 1) + sq(wt, 1) + sq(w, 2))
-    e2 = 0.5 * (uttt1 + sq(utt, 2) + ut3 + u3)
-    utttt = fourth_derivative_series(t, uttt)
-    k_functional = sq(utttt, 0) + sq(uttt, 2) + utt3 + ut4 + u4
-    lin = u4 + ut4 + sq(wave_part(domain, params, u, ut, utt), 2)
-    low, linf_ut = grid_extremes(domain, ut)
+    n = trajectory_norms(traj, params) if norms is None else norms
+    e1 = 0.5 * (n["wtt", 1] + n["wt", 1] + n["w", 2])
+    e2 = 0.5 * (n["uttt", 1] + n["utt", 2] + n["ut", 3] + n["u", 3])
+    low, linf_ut = grid_extremes(traj.domain, traj.ut)
     return {
-        "t": t,
+        "t": traj.t_grid,
         "E1": e1,
         "E2": e2,
         "E_total": e1 + e2,
-        "k_functional": k_functional,
-        "linear_energy": lin,
-        "H4_u": np.sqrt(u4),
-        "H3_ut": np.sqrt(ut3),
-        "H3_utt": np.sqrt(utt3),
-        "H1_uttt": np.sqrt(uttt1),
+        "k_functional": n["utttt", 0] + n["uttt", 2] + n["utt", 3] + n["ut", 4] + n["u", 4],
+        "linear_energy": n["u", 4] + n["ut", 4] + n["wave", 2],
+        "H4_u": np.sqrt(n["u", 4]),
+        "H3_ut": np.sqrt(n["ut", 3]),
+        "H3_utt": np.sqrt(n["utt", 3]),
+        "H1_uttt": np.sqrt(n["uttt", 1]),
         "Linf_ut": linf_ut,
         # x -> 1 + 2k x is monotone, also as rounded, so the minimum factor
         # is the factor at min x
@@ -211,25 +227,25 @@ def _cumulative_trapezoid(y, t):
     return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def estimate_audit_linear(traj, series):
+def estimate_audit_linear(traj, series, norms=None):
     """The minimal constant c in E(t) + int(E + k) <= c * (E(0) +
     int(|f|^2 + |f_t|^2)), over the samples where the right side exceeds
     1e-12, and 0.0 where neither side does anywhere.
 
     f is the forcing the trajectory carries (ValueError when it carries
-    none); its time derivative is centered-differenced.  ``series`` is the
-    trajectory's ``energy_series``.  Raises DivisionGuardError if the
-    right-hand side exceeds 1e-12 nowhere while the left does somewhere.
+    none); its time derivative is centered-differenced.  ``series`` and
+    ``norms`` are the trajectory's ``energy_series`` and ``trajectory_norms``
+    (computed when not given).  Raises DivisionGuardError if the right-hand
+    side exceeds 1e-12 nowhere while the left does somewhere.
     """
     if traj.forcing is None:
         raise ValueError("the estimate audit needs a trajectory that carries its forcing")
-    t, f = traj.t_grid, traj.forcing
+    n = trajectory_norms(traj) if norms is None else norms
     total = series["E_total"]
     integrand = total + series["k_functional"]
-    lhs = total + _cumulative_trapezoid(integrand, t)
-    ft = fourth_derivative_series(t, f)
-    data_term = sq_norm(traj.domain, f) + sq_norm(traj.domain, ft)
-    rhs = total[0] + _cumulative_trapezoid(data_term, t)
+    lhs = total + _cumulative_trapezoid(integrand, traj.t_grid)
+    data_term = n["f", 0] + n["ft", 0]
+    rhs = total[0] + _cumulative_trapezoid(data_term, traj.t_grid)
     mask = rhs > 1e-12
     if not mask.any():
         if float(lhs.max(initial=0.0)) > 1e-12:

@@ -20,7 +20,7 @@ derivative, where needed, is centered-differenced by
 fixed-point route return raw semigroup series, which
 ``linear_trajectory`` turns into a Trajectory.  Both routes step with the
 one exponential-integrator step of ``linear.PropagatorTable``, sample on
-``model.time_grid``, and measure with ``spectral.sq_norm``.
+``model.time_grid``, and measure with ``energy.trajectory_norms``.
 
 The direct stepper binds that step once per march (``_bind_step``), on
 buffers it owns, for both dimensions; it keeps every operation and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import fourth_derivative_series
+from .energy import trajectory_norms
 from .errors import BlowUpError, DegeneracyError, NonConvergenceError
 from .linear import propagator_table, semigroup_data, solve_duhamel
 from .model import (  # acceleration is re-exported for callers of this module
@@ -47,7 +47,6 @@ from .model import (  # acceleration is re-exported for callers of this module
     semigroup_utt,
     time_grid,
 )
-from .spectral import sq_norm
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_SUBSTEP_SWEEPS = 2
@@ -355,58 +354,53 @@ def picard_solve(
         raise
 
 
-def vtilde_norm(traj):
+def vtilde_norm(traj, norms=None):
     """The seven squared components of the weak trajectory norm, by name;
-    the norm squared is their maximum."""
-    domain, t = traj.domain, traj.t_grid
-    utttt = fourth_derivative_series(t, traj.uttt)
+    the norm squared is their maximum.  ``norms``: the trajectory's
+    ``energy.trajectory_norms``, if computed."""
+    n = trajectory_norms(traj) if norms is None else norms
 
     def integral(series):
-        return float(np.trapezoid(series, t))
+        return float(np.trapezoid(series, traj.t_grid))
 
     def supremum(series):
         return float(series.max(initial=0.0))
 
     return {
-        "utttt_L2L2": integral(sq_norm(domain, utttt)),
-        "uttt_L2H1": integral(sq_norm(domain, traj.uttt, 1)),
-        "utt_L2H1": integral(sq_norm(domain, traj.utt, 1)),
-        "utt_LinfH2": supremum(sq_norm(domain, traj.utt, 2)),
-        "ut_L2H1": integral(sq_norm(domain, traj.ut, 1)),
-        "ut_LinfH3": supremum(sq_norm(domain, traj.ut, 3)),
-        "u_LinfH3": supremum(sq_norm(domain, traj.u, 3)),
+        "utttt_L2L2": integral(n["utttt", 0]),
+        "uttt_L2H1": integral(n["uttt", 1]),
+        "utt_L2H1": integral(n["utt", 1]),
+        "utt_LinfH2": supremum(n["utt", 2]),
+        "ut_L2H1": integral(n["ut", 1]),
+        "ut_LinfH3": supremum(n["ut", 3]),
+        "u_LinfH3": supremum(n["u", 3]),
     }
 
 
-def v_norm(traj):
+def v_norm(traj, norms=None):
     """Strong trajectory norm: the square root of the sum of the seven
     mixed space-time norms of the solution class.
 
     Time-Sobolev norms sum the squared integrals of all derivatives up to
     the indicated order; the W-infinity norms take the supremum in time of
-    the sum of the spatial norms of those derivatives, then square it.
+    the sum of the spatial norms of those derivatives, then square it; all
+    read ``norms``, the trajectory's ``energy.trajectory_norms``, if given.
     """
-    domain, t = traj.domain, traj.t_grid
-    derivs = [traj.u, traj.ut, traj.utt, traj.uttt, fourth_derivative_series(t, traj.uttt)]
+    n = trajectory_norms(traj) if norms is None else norms
+    derivs = ("u", "ut", "utt", "uttt", "utttt")
 
     def integral(series):
-        return float(np.trapezoid(series, t))
+        return float(np.trapezoid(series, traj.t_grid))
 
     def h_time(depth, space_power):
-        return sum(
-            integral(sq_norm(domain, derivs[i], space_power))
-            for i in range(depth + 1)
-        )
+        return sum(integral(n[derivs[i], space_power]) for i in range(depth + 1))
 
     def w_inf(depth, space_power):
-        summed = sum(
-            np.sqrt(sq_norm(domain, derivs[i], space_power))
-            for i in range(depth + 1)
-        )
+        summed = sum(np.sqrt(n[derivs[i], space_power]) for i in range(depth + 1))
         return float(summed.max(initial=0.0)) ** 2
 
     total = (
-        float(sq_norm(domain, traj.u, 4).max(initial=0.0))  # Linf H4
+        float(n["u", 4].max(initial=0.0))  # Linf H4
         + h_time(1, 4)  # H1 H4
         + w_inf(2, 3)  # Winf2 H3
         + h_time(2, 3)  # H2 H3

@@ -9,9 +9,9 @@ satisfy ``laplace(u) = 0`` on the boundary.  Writing ``A = -laplace``, every
 power ``A**theta`` acts diagonally on the coefficients through the
 eigenvalues ``lambda_k = sum_i (k_i pi / L_i)**2``, so Sobolev norms, Poincare
 bounds and semigroup propagators all reduce to elementary vector arithmetic.
-The squared norm ``||A^{p/2} v||^2`` is written once, in ``sq_norm``, which
-takes coefficient stacks with leading axes; the energies, audits, trajectory
-norms and residuals of the other modules all call it.
+The squared norm ``||A^{p/2} v||^2`` is written once, in ``sq_norms`` (one
+power: ``sq_norm``), for coefficient stacks with leading axes; the energies,
+audits, trajectory norms and residuals of the other modules all call it.
 
 Quadratic expressions are the one place the basis is left: a product of two
 sine expansions is, axis by axis, a cosine polynomial of twice the degree.
@@ -108,6 +108,7 @@ __all__ = [
     "DomainSpec",
     "SpectralField",
     "sq_norm",
+    "sq_norms",
     "sobolev_norm",
     "l2_norm",
     "to_grid",
@@ -403,10 +404,15 @@ def sq_norm(domain, coeffs, power=0):
     Broadcasts over any number of leading axes; the trailing axes are the
     mode axes of ``domain``.  Every norm of the package is this one.
     """
-    lam = domain.eigenvalue_grid
+    return sq_norms(domain, coeffs, (power,))[0]
+
+
+def sq_norms(domain, coeffs, powers):
+    """``sq_norm`` at each of ``powers``, from one square of ``coeffs``."""
+    lam, square = domain.eigenvalue_grid, coeffs * coeffs
     axes = tuple(range(-lam.ndim, 0))
-    scaled = coeffs * coeffs if power == 0 else coeffs * coeffs * lam**power
-    return domain.mode_l2_squared * scaled.sum(axis=axes)
+    scaled = (square * lam**p if p else square for p in powers)
+    return [domain.mode_l2_squared * x.sum(axis=axes) for x in scaled]
 
 
 def sobolev_norm(field, s):
@@ -425,8 +431,9 @@ def l2_norm(field):
 # array layer: coefficient stacks with leading axes
 # ---------------------------------------------------------------------------
 
-# Byte budget of the temporaries of one block of samples in the batched
-# series routines; bounds their memory independently of the run length.
+# Byte budget of the temporaries of one block of samples in the batched series
+# routines (plan calls, Duhamel forcing terms, grid_extremes, the residual and
+# energy.trajectory_norms); bounds their memory independently of run length.
 BLOCK_BYTES = 4 << 20
 
 

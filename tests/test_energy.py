@@ -1,10 +1,12 @@
 """Tests for energy functionals, identity audits and decay fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bck_sim import energy, spectral
 from bck_sim.energy import (
     barrier_audit,
     decay_fit,
@@ -16,8 +18,8 @@ from bck_sim.energy import (
     heat_identity_instantiations,
 )
 from bck_sim.errors import DivisionGuardError, FitError
-from bck_sim.model import EvolutionState, ModelParams, acceleration, nonlinear_terms
-from bck_sim.nonlinear import Trajectory
+from bck_sim.model import EvolutionState, ModelParams, acceleration
+from bck_sim.nonlinear import Trajectory, v_norm, vtilde_norm
 from bck_sim.spectral import DomainSpec, SpectralField, grid_values, sobolev_norm
 
 WEIGHT = math.pi / 2.0  # squared L2 norm of sin(kx) on (0, pi)
@@ -284,32 +286,6 @@ def test_factorization_residual_finite_difference_refines():
     assert r2 < 0.6 * r1
 
 
-def test_forcing_series_matches_pointwise_forcing():
-    from bck_sim.model import forcing_f
-
-    dom = _domain(4)
-    params = ModelParams(1, 1, 1, 0.3, 1)
-    rng = np.random.default_rng(45)
-    t = np.linspace(0.0, 0.1, 3)
-    traj = _traj(
-        dom,
-        t,
-        0.01 * rng.standard_normal((3, 4)),
-        0.01 * rng.standard_normal((3, 4)),
-        0.01 * rng.standard_normal((3, 4)),
-        0.01 * rng.standard_normal((3, 4)),
-    )
-    _, series, _ = nonlinear_terms(dom, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
-    state = EvolutionState(
-        float(t[1]),
-        SpectralField(dom, traj.u[1]),
-        SpectralField(dom, traj.ut[1]),
-        SpectralField(dom, traj.utt[1]),
-    )
-    single = forcing_f(state, SpectralField(dom, traj.uttt[1]), params)
-    np.testing.assert_array_equal(series[1], single.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # estimate and barrier audits
 # ---------------------------------------------------------------------------
@@ -474,3 +450,76 @@ def test_energy_series_matches_pointwise_reports():
     assert abs(series["H3_ut"][i] - sobolev_norm(ut, 3)) < 1e-12
     assert abs(series["Linf_ut"][i] - np.abs(grid_values(ut.domain, ut.coeffs)).max()) < 1e-12
     assert np.all(series["k_functional"] >= 0.0)
+
+
+def _forced_traj(dim, n, nt, seed=0, scale=1.0):
+    """A trajectory of random series and forcing on nt samples of [0, 0.1]."""
+    dom = DomainSpec(dim, (math.pi,) * dim, n)
+    rng = np.random.default_rng(seed)
+    fields = [scale * rng.standard_normal((nt,) + dom.coeff_shape) for _ in range(5)]
+    return _traj(dom, np.linspace(0.0, 0.1, nt), *fields[:4], forcing=fields[4])
+
+
+def _norm_consumers(traj, params):
+    """Every functional that reads ``trajectory_norms``, each computing it."""
+    series = energy_series(traj, params)
+    return series, vtilde_norm(traj), v_norm(traj), estimate_audit_linear(traj, series)
+
+
+@pytest.mark.parametrize("nt", [2, 3, 11])
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 12)])
+def test_norm_pass_blocks_do_not_change_the_functionals(dim, n, nt, monkeypatch):
+    """Blocks of 1, 2 and 3 samples put block edges on the one-sided ends
+    and in the centred interior of the time differences; every functional
+    keeps the bits of the default blocking, which holds these runs whole."""
+    traj = _forced_traj(dim, n, nt, seed=nt)
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    whole = _norm_consumers(traj, params)
+    widths = []
+
+    def recorded(n_samples, sample_bytes):
+        blocks = spectral.sample_blocks(n_samples, sample_bytes)
+        widths.append({blk.stop - blk.start for blk in blocks[:-1]} | {blocks[0].stop})
+        return blocks
+
+    monkeypatch.setattr(energy, "sample_blocks", recorded)
+    for width in (1, 2, 3):
+        # the pass sizes its blocks for 12 coefficient tensors per sample
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", width * 12 * 8 * traj.domain.n_modes)
+        widths.clear()
+        series, vtilde, strong, c_min = _norm_consumers(traj, params)
+        assert widths and all(w == {min(width, nt)} for w in widths)
+        assert series.keys() == whole[0].keys()
+        for key, column in whole[0].items():
+            assert np.array_equal(series[key], column), (width, key)
+        assert vtilde == whole[1]
+        assert strong == whole[2]
+        assert c_min == whole[3]
+
+
+def test_norm_consumers_hold_one_block_of_temporaries():
+    """At 2D N = 48 one series of 101 samples is 1.86 MB.  The energy series,
+    the estimate audit and both trajectory norms keep fewer bytes than one
+    block (``spectral.BLOCK_BYTES``) plus 1 MiB alive at once, and twice the
+    samples add only their (nt,) results."""
+    params = ModelParams(1.0, 0.7, 1.3, 0.2, 1)
+    peaks = []
+    for nt in (101, 202):
+        traj = _forced_traj(2, 48, nt, scale=1e-2)
+        series = energy_series(traj, params)  # builds the domain's matrices untraced
+        calls = (
+            lambda: energy_series(traj, params),
+            lambda: estimate_audit_linear(traj, series),
+            lambda: vtilde_norm(traj),
+            lambda: v_norm(traj),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < spectral.BLOCK_BYTES + (1 << 20), peaks
+    for short, long in zip(peaks[:4], peaks[4:]):
+        assert long < short + (1 << 17), peaks

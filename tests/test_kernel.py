@@ -103,6 +103,32 @@ def test_kernel_matches_field_wrappers():
     assert check_degeneracy_guard(state.ut, params, 0.0) == guard_min
 
 
+def test_batched_forcing_equals_forcing_f_of_one_sample():
+    """The f of one batched ``nonlinear_terms`` call over a series, u_ttt
+    given, is ``forcing_f`` of each sample's fields."""
+    dom = DomainSpec(1, (np.pi,), 4)
+    params = ModelParams(1, 1, 1, 0.3, 1)
+    rng = np.random.default_rng(45)
+    t = np.linspace(0.0, 0.1, 3)
+    traj = Trajectory(
+        dom,
+        t,
+        0.01 * rng.standard_normal((3, 4)),
+        0.01 * rng.standard_normal((3, 4)),
+        0.01 * rng.standard_normal((3, 4)),
+        0.01 * rng.standard_normal((3, 4)),
+    )
+    _, series, _ = nonlinear_terms(dom, params, traj.u, traj.ut, traj.utt, uttt=traj.uttt)
+    state = EvolutionState(
+        float(t[1]),
+        SpectralField(dom, traj.u[1]),
+        SpectralField(dom, traj.ut[1]),
+        SpectralField(dom, traj.utt[1]),
+    )
+    single = forcing_f(state, SpectralField(dom, traj.uttt[1]), params)
+    np.testing.assert_array_equal(series[1], single.coeffs)
+
+
 def test_blocks_do_not_change_results(monkeypatch):
     domain = DomainSpec(1, (np.pi,), 8)
     params = ModelParams(1.0, 1.0, 1.0, 0.2, 1)
